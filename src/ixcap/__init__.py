@@ -8,6 +8,7 @@ from .errors import (
     ConvergenceError,
     InputError,
     IxcapError,
+    VerificationError,
 )
 from .game import (
     DOMINATED,
@@ -64,6 +65,7 @@ from .utility import (
     BlockSequence,
     UtilityMatrix,
     antisymmetric_part,
+    block_sums,
     block_utility,
     block_utility_rows,
     capped_max,

@@ -1,8 +1,9 @@
 """Command-line front end: analysis reports, game replay, thin wrappers over
 the bound computations, and the bundled worked-example corpus runner.
 
-Exit codes: 0 success, 1 invalid input, 2 resource budget exceeded (a partial
-report is still written, flagged), 3 corpus golden mismatch.
+Exit codes: 0 success, 1 invalid input or a failed internal verification,
+2 resource budget exceeded (a partial report is still written, flagged),
+3 corpus golden mismatch.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib.resources import files as resource_files
 from pathlib import Path
@@ -80,14 +79,6 @@ def corpus_path(name: str) -> Path:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("IXCAP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"IXCAP_THREADS must be an integer, got {raw!r}") from None
 
 
 def _write_output(payload: dict, out, fmt: str, csv_rows=None, md_text=None):
@@ -448,12 +439,7 @@ def _corpus_checks():
 
 
 def cmd_corpus(args) -> int:
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            checks = pool.submit(_corpus_checks).result()
-    else:
-        checks = _corpus_checks()
+    checks = _corpus_checks()
     ok = all(c["pass"] for c in checks)
     payload = {
         "tool": {"name": "ixcap", "version": __version__, "command": "corpus"},

@@ -24,6 +24,15 @@ class BudgetExceededError(IxcapError):
         self.best = best
 
 
+class VerificationError(IxcapError):
+    """An internal consistency check on a computed answer failed.
+
+    Raised instead of returning an answer that the library could not verify,
+    such as an equilibrium strategy whose worst-case decoded set differs from
+    the independent set it was built from.
+    """
+
+
 class ConvergenceError(IxcapError):
     """An iterative solver failed to converge within its iteration budget.
 

@@ -6,6 +6,13 @@ exponential response set: block utilities are separable per source sequence,
 so a sequence survives every best response exactly when decoding it
 truthfully is the sender's unique argmax among the strategy's image.  A tie
 is adversarial and destroys the guarantee.
+
+Both verifications are sign tests on the exact integer block sums of
+``utility.block_sums``, read only for the rows the strategy decodes to.
+Over a noisy channel each channel row is written as integers over its own
+denominator, a positive rescaling per input sequence that keeps every sign
+and every zero of the expected utility exact.  ``expected_block_utility`` is
+the Fraction reference definition of that expected utility.
 """
 
 from __future__ import annotations
@@ -14,10 +21,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from pathlib import Path
 
+import numpy as np
+
 from .channel import Channel
-from .errors import InputError
+from .errors import InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     IndependentSetWitness,
@@ -30,10 +40,12 @@ from .lower_bounds import gamma
 from .theta import lovasz_theta
 from .upper_bounds import CapacityBracket, ExactValue, xi_bracket
 from .utility import (
+    BLOCK_CELLS,
     BlockSequence,
     UtilityMatrix,
+    _expand_rows,
+    block_sums,
     block_utility,
-    block_utility_rows,
     sequence_label,
 )
 
@@ -119,19 +131,14 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
     nv = U.q**n
     if len(g.decode) != nv:
         raise InputError(f"strategy table has {len(g.decode)} entries, expected {nv}")
-    ub = block_utility_rows(U, n)
     image = g.image()
-    decoded = []
-    summary = []
-    for x in range(nv):
-        if not image:
-            summary.append(())
-            continue
-        best = max(ub[t][x] for t in image)
-        argmax = tuple(t for t in image if ub[t][x] == best)
-        summary.append(argmax)
-        if x in image and argmax == (x,):
-            decoded.append(x)
+    summary = [()] * nv
+    if image:
+        _, sums = block_sums(U, n, image)
+        best = sums == sums.max(axis=0)
+        summary = [tuple(t for t, hit in zip(image, col) if hit)
+                   for col in best.T.tolist()]
+    decoded = [x for x in image if summary[x] == (x,)]
     size = len(decoded)
     return GameOutcome(
         decoded_worst=tuple(decoded),
@@ -156,7 +163,7 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     strategy = receiver_strategy_from_set(U, witness.vertices, n)
     outcome = worst_case_decoded_set(U, strategy)
     if outcome.decoded_size != alpha or set(outcome.decoded_worst) != set(witness.vertices):
-        raise AssertionError("equilibrium verification failed")
+        raise VerificationError("equilibrium verification failed")
     return alpha, strategy
 
 
@@ -241,17 +248,43 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     response.
     """
     q = U.q
+    if channel.q != q:
+        raise InputError("utility and channel alphabets differ in size")
     nv = q**n
-    supports = {y: output_support_indices(channel, y, n) for y in range(nv)}
-    for x, y_star in zip(xs, ys):
-        for y in range(nv):
-            value = expected_block_utility(U, channel, g, y, x, n)
-            if value is DOMINATED:
-                continue
-            if value < 0:
-                continue
-            if value == 0 and supports[y] <= supports[y_star]:
-                continue
+    if len(g.decode) != nv:
+        raise InputError(f"strategy table has {len(g.decode)} entries, expected {nv}")
+    pairs = list(zip(xs, ys))
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    if any(not 0 <= x < nv for x in xs):
+        raise InputError(f"protected sequence index out of range for n={n}")
+    image = g.image()
+    _, sums = block_sums(U, n, image)
+    # m[z, j] = S[decode(z), xs[j]]; outputs decoded to the error symbol read
+    # the extra zero row and are caught as dominated instead
+    cols = np.vstack([sums[:, xs], np.zeros((1, len(xs)), dtype=sums.dtype)])
+    where = {t: i for i, t in enumerate(image)}
+    m = cols[[where.get(t, len(image)) for t in g.decode]]
+    error = np.array([t is None for t in g.decode])
+
+    # channel row y over its own denominator d_y, so W[y, z] = P^n(z|y) *
+    # prod_k d_{y_k} is an integer no larger than (max d)**n
+    dens = [lcm(*(p.denominator for p in row)) for row in channel.rows]
+    w1 = [[int(p * d) for p in row] for row, d in zip(channel.rows, dens)]
+    big = max(dens) ** n * max(1, int(abs(m).max(initial=0))) >= 2**62
+    w1 = np.array(w1, dtype=object if big else np.int64)
+    if big:
+        m = m.astype(object)
+    star = _expand_rows(w1, n, ys, np.multiply) > 0
+
+    step = max(1, BLOCK_CELLS // nv)
+    for start in range(0, nv, step):
+        w = _expand_rows(w1, n, range(start, min(start + step, nv)), np.multiply)
+        value = w @ m
+        support = w > 0
+        dominated = support[:, error].any(axis=1)
+        inside = ~(support @ ~star.T)
+        ok = dominated[:, None] | (value < 0) | ((value == 0) & inside)
+        if not ok.all():
             return False
     return True
 
@@ -271,7 +304,7 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     ys = wit_c.vertices[:d]
     strategy = noisy_receiver_strategy(xs, ys, channel, n)
     if not verify_noisy_equilibrium(U, channel, strategy, xs, ys, n):
-        raise AssertionError("noisy equilibrium verification failed")
+        raise VerificationError("noisy equilibrium verification failed")
     return d, strategy
 
 

@@ -1,5 +1,9 @@
 """Bitset graphs: sender graphs, confusability graphs, strong products,
-and exact maximum-independent-set search with canonical witnesses."""
+and exact maximum-independent-set search with canonical witnesses.
+
+Sender graphs are sign tests on the exact integer block sums of
+``utility.block_sums``, built in row blocks of at most ``BLOCK_CELLS``
+cells."""
 
 from __future__ import annotations
 
@@ -10,19 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, CapExceededError, InputError
+from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
 from .utility import (
+    BLOCK_CELLS,
     DEFAULT_VERTEX_CAP,
     BlockSequence,
     UtilityMatrix,
+    block_sums,
     sequence_label,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
-
-# numpy fast path for sender graphs is used only below this vertex count
-# and when the scaled integer entries cannot overflow int64
-_NUMPY_VERTEX_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -139,43 +141,33 @@ def sender_graph(U: UtilityMatrix, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Gra
     is weakly profitable in at least one direction.
 
     Edge (x, y), x != y, iff sum_k u(y_k, x_k) >= 0 or sum_k u(x_k, y_k) >= 0
-    (the 1/n factor does not affect the sign).  Comparisons are exact: the
-    matrix is rescaled to integers by its common denominator first.
+    (the 1/n factor does not affect the sign).  The sums are the exact
+    integers of ``block_sums``: one block reusing S.T when the whole
+    q**n x q**n table fits in ``BLOCK_CELLS``, else row blocks of that size.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    q = U.q
-    nv = q**n
+    nv = U.q**n
     _check_cap(nv, cap)
-    _, ints = U.scaled_integer_entries()
     labels = _sequence_labels(U, n)
-
-    max_abs = max((abs(x) for row in ints for x in row), default=0)
-    if nv <= _NUMPY_VERTEX_LIMIT and max_abs * n < 2**62:
-        u = np.array(ints, dtype=np.int64)
-        # block sums built one letter at a time: S_k[x, y] = sum over first k letters
-        s = np.zeros((1, 1), dtype=np.int64)
-        for _ in range(n):
-            s = (s[:, None, :, None] + u[None, :, None, :]).reshape(
-                s.shape[0] * q, s.shape[1] * q
-            )
+    if nv * nv <= BLOCK_CELLS:
+        _, s = block_sums(U, n)
         adj = (s >= 0) | (s.T >= 0)
         np.fill_diagonal(adj, False)
         return Graph(nv, _pack_bool_rows(adj), labels)
 
-    digits = [BlockSequence.from_index(q, n, idx).symbols for idx in range(nv)]
-    sums = [[0] * nv for _ in range(nv)]
-    for x in range(nv):
-        dx = digits[x]
-        for y in range(nv):
-            dy = digits[y]
-            sums[x][y] = sum(ints[dy[k]][dx[k]] for k in range(n))
-    rows = [0] * nv
-    for x in range(nv):
-        for y in range(x + 1, nv):
-            if sums[x][y] >= 0 or sums[y][x] >= 0:
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
+    # S[y, x] is the transposed utility's S[x, y], so a row block of the
+    # adjacency needs the same rows of both tables
+    transposed = UtilityMatrix(U.alphabet, tuple(zip(*U.u)))
+    step = max(1, BLOCK_CELLS // nv)
+    rows: list[int] = []
+    for start in range(0, nv, step):
+        block = np.arange(start, min(start + step, nv))
+        _, fwd = block_sums(U, n, block)
+        _, bwd = block_sums(transposed, n, block)
+        adj = (fwd >= 0) | (bwd >= 0)
+        adj[np.arange(block.size), block] = False
+        rows.extend(_pack_bool_rows(adj))
     return Graph(nv, tuple(rows), labels)
 
 
@@ -380,7 +372,9 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
             needed -= 1
         else:
             cand &= ~(1 << v)
-    assert len(chosen) == alpha
+    if len(chosen) != alpha:
+        raise VerificationError(
+            f"canonical witness has {len(chosen)} vertices, expected {alpha}")
     labels = tuple(g.labels[v] for v in chosen) if g.labels else None
     return alpha, IndependentSetWitness(tuple(chosen), alpha, labels)
 

@@ -18,11 +18,11 @@ from typing import Callable, Sequence
 
 import networkx as nx
 
-from .errors import BudgetExceededError, CapExceededError, InputError
+from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
 from .graphs import Graph, independence_number, sender_graph
 from .utility import (
     UtilityMatrix,
-    block_utility_rows,
+    block_sums,
     parse_rational,
     sign_class_extrema,
     symmetric_part,
@@ -153,7 +153,7 @@ def _has_nonneg_chain_bf(u, subset: tuple[int, ...]) -> bool:
     if k < 2:
         return False
     w = [[-u[subset[b]][subset[a]] for b in range(k)] for a in range(k)]
-    dist = [Fraction(0)] * k
+    dist = [0] * k
     for _ in range(k):
         changed = False
         for a in range(k):
@@ -227,14 +227,12 @@ def _nonneg_chain_witness(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
                 target, length = mid, length - 1
                 break
         else:
-            raise AssertionError("max-plus backtrack failed")
+            raise VerificationError("max-plus backtrack failed")
     walk.append(v)
     walk.reverse()  # walk[0] == v, ..., walk[-1] == v, arcs walk[i] -> walk[i+1]
 
     def weight(seq):
-        return sum(
-            (c[seq[i]][seq[i + 1]] for i in range(len(seq) - 1)), Fraction(0)
-        )
+        return sum(c[seq[i]][seq[i + 1]] for i in range(len(seq) - 1))
 
     # splice out strictly negative inner loops until the cycle is simple
     while True:
@@ -253,13 +251,14 @@ def _nonneg_chain_witness(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
             walk = inner
         else:
             walk = walk[:i + 1] + walk[j + 1:]
-    assert weight(walk) >= 0
+    if weight(walk) < 0:
+        raise VerificationError("spliced chain lost its nonnegative weight")
     chain = tuple(subset[x] for x in walk[:-1])
     return _rotate_min_first(chain)
 
 
 def _worst_permutation(u, subset: tuple[int, ...]
-                       ) -> tuple[Fraction, tuple[int, ...]]:
+                       ) -> tuple[Fraction | int, tuple[int, ...]]:
     """Maximum of sum_j u(pi(j), j) over non-identity permutations of subset."""
     k = len(subset)
     best_val = None
@@ -268,7 +267,7 @@ def _worst_permutation(u, subset: tuple[int, ...]
     for p in permutations(idx):
         if p == idx:
             continue
-        val = sum((u[subset[p[m]]][subset[m]] for m in range(k)), Fraction(0))
+        val = sum(u[subset[p[m]]][subset[m]] for m in range(k))
         if best_val is None or val > best_val:
             best_val, best_perm = val, p
     return best_val, tuple(subset[m] for m in best_perm)
@@ -282,7 +281,8 @@ def _feasible(u, subset: tuple[int, ...], method: str) -> tuple[bool, dict | Non
         if not _has_nonneg_chain_bf(u, subset):
             return True, None
         chain = _nonneg_chain_witness(u, subset)
-        assert chain is not None, "verdict and witness search disagree"
+        if chain is None:
+            raise VerificationError("verdict and witness search disagree")
         return False, {"kind": "chain", "chain": chain}
     if method == METHOD_BRUTE:
         if len(subset) > BRUTE_FORCE_SUBSET_CAP:
@@ -426,7 +426,8 @@ def gamma_n(U: UtilityMatrix, n: int, method: str = METHOD_CYCLE,
         raise InputError("blocklength must be at least 1")
     q = U.q
     nv = q**n
-    u_rows = block_utility_rows(U, n)
+    # exact integer sums: feasibility reads only the signs of chain sums
+    u_rows = block_sums(U, n)[1].tolist()
     sym_graph = sender_graph(symmetric_part(U), n)
     labels = sym_graph.labels
 

@@ -1,10 +1,19 @@
-"""Utility matrices: loading, validation, normalization and transforms.
+"""Utility matrices: loading, validation, normalization and transforms, and
+the block-sum kernel.
 
 The single-letter utility u(i, j) is the payoff the sender receives when the
 receiver recovers symbol i while the sender observed symbol j.  All entries
 are exact rationals; nothing in this module touches floating point.  Matrix
 convention throughout: row index = recovered symbol, column index = observed
 symbol, so ``u[i][j]`` is u(i, j).
+
+``block_sums`` is the one place block utilities are computed: the exact
+integer sums S[t, y] = scale * sum_k u(t_k, y_k) over blocklength-n
+sequences.  Every exact answer downstream (sender graphs, worst-case decoded
+sets, feasibility of sequence subsets, noisy dominance) is a sign test on
+these sums.  ``block_utility`` is the Fraction reference definition, and
+``block_utility_rows`` a Fraction view of the kernel; neither is on the
+library's own code paths.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapExceededError, InputError
 
 #: soft cap on alphabet size for exact search (overridable per call)
@@ -25,6 +36,9 @@ DEFAULT_ALPHABET_CAP = 32
 DEFAULT_VERTEX_CAP = 20_000
 #: cap on the combined alphabet of a product utility
 DEFAULT_PRODUCT_CAP = 64
+#: most cells one dense block of block sums (or of channel rows) may hold;
+#: larger tables are built in row blocks of at most this size
+BLOCK_CELLS = 1 << 22
 
 
 def parse_rational(value) -> Fraction:
@@ -243,20 +257,52 @@ def block_utility(U: UtilityMatrix, xhat: Sequence[int] | BlockSequence,
 
 def block_utility_rows(U: UtilityMatrix, n: int) -> list[list[Fraction]]:
     """Dense q**n x q**n table t[x][y] of average block utilities, with x the
-    recovered sequence index and y the observed one."""
+    recovered sequence index and y the observed one: ``block_sums`` divided
+    by scale * n, as Fractions."""
+    scale, sums = block_sums(U, n)
+    return [[Fraction(v, scale * n) for v in row] for row in sums.tolist()]
+
+
+def _expand_rows(table: np.ndarray, n: int, rows, combine) -> np.ndarray:
+    """Rows of the n-fold letterwise combination of a q x q table.
+
+    ``out[r, y] = combine_k table[t_k, y_k]`` with t = rows[r], for every
+    y in X^n; sequences are canonical MSB-first indices.  ``combine`` is a
+    numpy ufunc such as ``np.add`` (block sums) or ``np.multiply`` (product
+    channel rows).  The table's dtype carries through, so an object table
+    computes in Python ints.
+    """
+    q = table.shape[0]
+    t = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if t.size and (t.min() < 0 or t.max() >= q**n):
+        raise InputError(f"sequence index out of range for q={q}, n={n}")
+    # least significant letter first, so the wide axis stays innermost
+    out = table[t % q]
+    for k in range(1, n):
+        letter = table[t // q**k % q]
+        out = combine(letter[:, :, None], out[:, None, :]).reshape(t.size, q ** (k + 1))
+    return out
+
+
+def block_sums(U: UtilityMatrix, n: int, rows=None) -> tuple[int, np.ndarray]:
+    """Exact integer block sums: (scale, S) with
+    S[r, y] = scale * sum_k u(t_k, y_k) for t = rows[r] (recovered) and every
+    observed y in X^n, in canonical index order.
+
+    ``scale`` is the common denominator from ``scaled_integer_entries``, so
+    S / (scale * n) is the average block utility and every sign and tie is
+    exact.  ``rows`` defaults to all q**n sequences; consumers ask for the
+    rows they read.  The dtype is int64 when max|scale*u| * n < 2**62, so no
+    sum can overflow, and object (Python ints) otherwise.
+    """
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    q = U.q
-    nv = q**n
-    seqs = [BlockSequence.from_index(q, n, i).symbols for i in range(nv)]
-    rows = []
-    for x in range(nv):
-        sx = seqs[x]
-        rows.append([
-            sum((U.u[a][b] for a, b in zip(sx, seqs[y])), Fraction(0)) / n
-            for y in range(nv)
-        ])
-    return rows
+    scale, ints = U.scaled_integer_entries()
+    max_abs = max(abs(x) for row in ints for x in row)
+    table = np.array(ints, dtype=np.int64 if max_abs * n < 2**62 else object)
+    if rows is None:
+        rows = range(U.q**n)
+    return scale, _expand_rows(table, n, rows, np.add)
 
 
 def symmetric_part(U: UtilityMatrix) -> UtilityMatrix:

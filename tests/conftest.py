@@ -144,6 +144,18 @@ def oracle_sender_edges(U: UtilityMatrix, n: int) -> set[tuple[int, int]]:
     return edges
 
 
+def oracle_block_sums(U: UtilityMatrix, n: int, rows=None) -> list[list[Fraction]]:
+    """Block sums sum_k u(t_k, y_k) from the definition, in Fractions: one row
+    per recovered sequence t in rows (default all), one column per observed y."""
+    seqs = list(product(range(U.q), repeat=n))
+    if rows is None:
+        rows = range(len(seqs))
+    return [
+        [sum((U.u[a][b] for a, b in zip(seqs[t], y)), Fraction(0)) for y in seqs]
+        for t in rows
+    ]
+
+
 def oracle_best_responses(raw_rows, q: int) -> list[tuple[int, ...]]:
     """Per observed symbol, the argmax set of recovered symbols (raw matrix,
     no normalization assumed); identifies the best-response structure."""

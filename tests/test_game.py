@@ -1,0 +1,185 @@
+"""Differential tests of the game layer against Fraction brute force on tiny
+instances (q <= 3, n <= 2), and the named verification failure."""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ixcap.game
+from conftest import oracle_alpha, oracle_block_sums, oracle_sender_edges, random_utility
+from ixcap.channel import identity_channel, make_channel
+from ixcap.cli import corpus_path, main
+from ixcap.errors import VerificationError
+from ixcap.game import (
+    DOMINATED,
+    GameOutcome,
+    ReceiverStrategy,
+    equilibrium_value_noiseless,
+    expected_block_utility,
+    noisy_equilibrium_value,
+    output_support_indices,
+    verify_noisy_equilibrium,
+    worst_case_decoded_set,
+)
+from ixcap.graphs import confusability_graph, graph_from_edges, independence_number, sender_graph
+from ixcap.utility import Alphabet, utility_from_json
+
+SIZES = st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])
+
+
+def random_channel(rng, q: int):
+    """Rows supported on one or two outputs with random rational weights."""
+    rows = []
+    for _ in range(q):
+        weights = {z: rng.randint(1, 4) for z in rng.sample(range(q), rng.randint(1, 2))}
+        total = sum(weights.values())
+        rows.append([Fraction(weights.get(z, 0), total) for z in range(q)])
+    return make_channel(Alphabet.of_size(q), rows)
+
+
+def reference_verify(U, channel, g, xs, ys, n) -> bool:
+    """The dominance check evaluated through the Fraction expected utility."""
+    nv = U.q**n
+    supports = {y: output_support_indices(channel, y, n) for y in range(nv)}
+    for x, y_star in zip(xs, ys):
+        for y in range(nv):
+            value = expected_block_utility(U, channel, g, y, x, n)
+            if value is DOMINATED or value < 0:
+                continue
+            if value == 0 and supports[y] <= supports[y_star]:
+                continue
+            return False
+    return True
+
+
+def noisy_pairs(U, channel, n, d):
+    """The protected sequences and inputs noisy_equilibrium_value pairs up."""
+    _, wit_s = independence_number(sender_graph(U, n))
+    _, wit_c = independence_number(confusability_graph(channel, n))
+    return list(wit_s.vertices[:d]), list(wit_c.vertices[:d])
+
+
+class TestWorstCaseDecodedSet:
+    @given(SIZES, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_brute_force(self, size, rng):
+        q, n = size
+        U = random_utility(rng, q)
+        nv = q**n
+        g = ReceiverStrategy(n, tuple(rng.choice([None, *range(nv)]) for _ in range(nv)))
+        image = sorted({t for t in g.decode if t is not None})
+        sums = oracle_block_sums(U, n, image)
+        summary = []
+        for x in range(nv):
+            column = [row[x] for row in sums]
+            best = max(column, default=None)
+            summary.append(tuple(t for t, v in zip(image, column) if v == best))
+        decoded = tuple(x for x in image if summary[x] == (x,))
+
+        outcome = worst_case_decoded_set(U, g)
+        assert outcome.best_response_summary == tuple(summary)
+        assert outcome.decoded_worst == decoded
+        assert outcome.decoded_size == len(decoded)
+
+
+class TestNoisyVerification:
+    @given(SIZES, st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop(self, size, rng):
+        q, n = size
+        nv = q**n
+        U = random_utility(rng, q)
+        channel = random_channel(rng, q)
+        d, strategy = noisy_equilibrium_value(U, channel, n)
+        xs, ys = noisy_pairs(U, channel, n, d)
+        assert verify_noisy_equilibrium(U, channel, strategy, xs, ys, n)
+        assert reference_verify(U, channel, strategy, xs, ys, n)
+
+        # arbitrary perturbations: both checks agree, whichever way
+        for _ in range(4):
+            decode = list(strategy.decode)
+            decode[rng.randrange(nv)] = rng.choice([None, *range(nv)])
+            g = ReceiverStrategy(n, tuple(decode))
+            assert verify_noisy_equilibrium(U, channel, g, xs, ys, n) == \
+                reference_verify(U, channel, g, xs, ys, n)
+
+        # decoding all of an input's outputs to x gives that input expected
+        # utility exactly zero; outside y*'s support that must be rejected
+        x, y_star = xs[0], ys[0]
+        supports = [output_support_indices(channel, y, n) for y in range(nv)]
+        outside = [y for y in range(nv) if not supports[y] <= supports[y_star]]
+        if outside:
+            decode = list(strategy.decode)
+            for z in supports[rng.choice(outside)]:
+                decode[z] = x
+            g = ReceiverStrategy(n, tuple(decode))
+            assert not verify_noisy_equilibrium(U, channel, g, xs, ys, n)
+            assert not reference_verify(U, channel, g, xs, ys, n)
+
+    def test_zero_utility_needs_domination_or_inclusion(self):
+        # every misreport is a tie, so only the undecoded output protects x
+        U = utility_from_json({"utility": [[0, 0], [0, 0]]})
+        channel = identity_channel(Alphabet.of_size(2))
+        guarded = ReceiverStrategy(1, (0, None))
+        open_ = ReceiverStrategy(1, (0, 0))
+        assert verify_noisy_equilibrium(U, channel, guarded, [0], [0], 1)
+        assert not verify_noisy_equilibrium(U, channel, open_, [0], [0], 1)
+
+    @pytest.mark.parametrize("unit", [1, 2**40, 2**70])
+    def test_outputs_weighed_by_probability(self, unit):
+        # input 1 reaches output 1 (decoded to 1, utility 3 against source 0)
+        # and output 2 (decoded to 2, utility -2): the sign of the expected
+        # utility 3*p - 2*(1 - p) follows the probability p of output 1.
+        # With denominators 2**30, a unit of 2**40 keeps the block sums in
+        # int64 but not their products with the channel rows, and 2**70
+        # leaves int64 already in the block sums
+        U = utility_from_json({"utility": [[0, -unit, -unit], [3 * unit, 0, -unit],
+                                           [-2 * unit, -unit, 0]]})
+        g = ReceiverStrategy(1, (0, 1, 2))
+        for p, accepted in ((Fraction(2**30 // 3, 2**30), True),
+                            (Fraction(2**31 // 3, 2**30), False)):
+            channel = make_channel(Alphabet.of_size(3),
+                                   [[1, 0, 0], [0, p, 1 - p], [0, 0, 1]])
+            assert verify_noisy_equilibrium(U, channel, g, [0], [0], 1) is accepted
+            assert reference_verify(U, channel, g, [0], [0], 1) is accepted
+
+    @given(SIZES, st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_value_is_min_of_alphas(self, size, rng):
+        q, n = size
+        U = random_utility(rng, q)
+        channel = random_channel(rng, q)
+        sender = graph_from_edges(q**n, sorted(oracle_sender_edges(U, n)))
+        seqs = list(product(range(q), repeat=n))
+        confusable = [
+            (a, b) for a in range(len(seqs)) for b in range(a + 1, len(seqs))
+            if all(channel.support[i] & channel.support[j] for i, j in zip(seqs[a], seqs[b]))
+        ]
+        confusability = graph_from_edges(q**n, confusable)
+        d, _ = noisy_equilibrium_value(U, channel, n)
+        assert d == min(oracle_alpha(sender)[0], oracle_alpha(confusability)[0])
+
+
+class TestVerificationError:
+    def test_noiseless_mismatch_raises(self, example1, monkeypatch):
+        monkeypatch.setattr(ixcap.game, "worst_case_decoded_set",
+                            lambda U, g: GameOutcome((), 0, 0.0, ()))
+        with pytest.raises(VerificationError):
+            equilibrium_value_noiseless(example1, 1)
+
+    def test_noisy_rejection_raises(self, example1, monkeypatch):
+        monkeypatch.setattr(ixcap.game, "verify_noisy_equilibrium",
+                            lambda *args: False)
+        channel = identity_channel(example1.alphabet)
+        with pytest.raises(VerificationError):
+            noisy_equilibrium_value(example1, channel, 1)
+
+    def test_cli_reports_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(ixcap.game, "worst_case_decoded_set",
+                            lambda U, g: GameOutcome((), 0, 0.0, ()))
+        code = main(["game", "--utility", str(corpus_path("example1.json")), "-n", "1"])
+        assert code == 1
+        assert "equilibrium verification failed" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
 from conftest import oracle_alpha, oracle_lex_least_mis, oracle_sender_edges, random_utility
 from ixcap.channel import identity_channel, make_channel
 from ixcap.errors import BudgetExceededError, CapExceededError, InputError
+import ixcap.graphs
 from ixcap.graphs import (
     Graph,
     complete_graph,
@@ -21,7 +23,7 @@ from ixcap.graphs import (
     strong_power,
     strong_product,
 )
-from ixcap.utility import Alphabet, utility_from_graph, utility_from_json
+from ixcap.utility import Alphabet, BlockSequence, utility_from_graph, utility_from_json
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -60,6 +62,38 @@ class TestSenderGraph:
         U = utility_from_json({"utility": [[0, huge], [-huge - 1, 0]]})
         g = sender_graph(U, 2)
         assert set(g.edges()) == oracle_sender_edges(U, 2)
+
+    def test_row_blocks_match_definition_oracle(self, monkeypatch):
+        # blocks of a few rows each, so the transposed-utility half of every
+        # block matters on these asymmetric utilities
+        monkeypatch.setattr(ixcap.graphs, "BLOCK_CELLS", 40)
+        rng = random.Random(37)
+        for _ in range(10):
+            U = random_utility(rng, rng.randint(2, 3))
+            for n in (1, 2, 3):
+                g = sender_graph(U, n)
+                assert set(g.edges()) == oracle_sender_edges(U, n)
+        huge = 2**70
+        U = utility_from_json({"utility": [[0, huge], [-huge - 1, 0]]})
+        assert set(sender_graph(U, 3).edges()) == oracle_sender_edges(U, 3)
+
+    def test_near_cap_builds_in_seconds(self):
+        # 3**9 = 19683 vertices, just under the default 20000-vertex cap
+        U = utility_from_graph(path_graph(3))
+        start = time.perf_counter()
+        g = sender_graph(U, 9)
+        assert time.perf_counter() - start < 60
+        assert g.n_vertices == 19683
+        # an edge joins two sequences whose letters differ by at most one
+        # everywhere: the strong power of the path, checked on sampled rows
+        rng = random.Random(41)
+        seqs = [BlockSequence.from_index(3, 9, v).symbols for v in range(3**9)]
+        for x in rng.sample(range(3**9), 25):
+            expected = sum(
+                1 << y for y in range(3**9)
+                if y != x and all(abs(a - b) <= 1 for a, b in zip(seqs[x], seqs[y]))
+            )
+            assert g.rows[x] == expected
 
     def test_vertex_cap(self, pentagon):
         with pytest.raises(CapExceededError):
@@ -118,6 +152,11 @@ class TestShannonGeneralizationIdentity:
         U = utility_from_graph(c5)
         for n in (1, 2, 3):
             assert graphs_equal(sender_graph(U, n), strong_power(c5, n))
+
+    def test_path_above_single_block_size(self):
+        # 3**8 = 6561 vertices: built in row blocks
+        p3 = path_graph(3)
+        assert graphs_equal(sender_graph(utility_from_graph(p3), 8), strong_power(p3, 8))
 
     def test_random_small_graphs(self):
         rng = random.Random(31)

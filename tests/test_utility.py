@@ -2,11 +2,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_best_responses, random_utility
+from conftest import oracle_best_responses, oracle_block_sums, random_utility
 from ixcap.errors import CapExceededError, InputError
 from ixcap.graphs import cycle_graph, complete_graph, empty_graph, independence_number, sender_graph
 from ixcap.utility import (
@@ -14,6 +15,7 @@ from ixcap.utility import (
     BlockSequence,
     UtilityMatrix,
     antisymmetric_part,
+    block_sums,
     block_utility,
     block_utility_rows,
     capped_max,
@@ -146,6 +148,50 @@ class TestBlockUtility:
                 xs = BlockSequence.from_index(3, 2, x).symbols
                 ys = BlockSequence.from_index(3, 2, y).symbols
                 assert rows[x][y] == block_utility(example1, xs, ys)
+
+
+class TestBlockSums:
+    @given(st.integers(1, 4), st.integers(1, 3), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_oracle(self, q, n, rng):
+        U = random_utility(rng, q)
+        nv = q**n
+        rows = rng.sample(range(nv), rng.randint(0, nv))
+        scale, sums = block_sums(U, n, rows)
+        assert sums.shape == (len(rows), nv)
+        assert sums.dtype == np.int64
+        expected = oracle_block_sums(U, n, rows)
+        assert [[Fraction(v, scale) for v in row] for row in sums.tolist()] == expected
+
+    def test_default_rows_are_all_sequences(self, example1_prime):
+        scale, sums = block_sums(example1_prime, 2)
+        assert (sums / scale).tolist() == oracle_block_sums(example1_prime, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dtype_switches_at_two_to_the_62(self, n):
+        # the largest entry for which no block sum can reach 2**62 keeps
+        # int64; one more moves every sum to Python ints
+        for big, dtype in (((2**62 - 1) // n, np.int64), ((2**62 - 1) // n + 1, object)):
+            U = utility_from_json({"utility": [[0, big, -1], [-big, 0, big - 1],
+                                               [big, -big + 1, 0]]})
+            scale, sums = block_sums(U, n)
+            assert scale == 1
+            assert sums.dtype == dtype
+            assert sums.tolist() == oracle_block_sums(U, n)
+
+    def test_fraction_entries_use_common_denominator(self):
+        U = utility_from_json({"utility": [[0, "1/3"], ["-1/2", 0]]})
+        scale, sums = block_sums(U, 2, [1, 2])
+        assert scale == 6
+        assert sums.tolist() == [[-3, 0, -1, 2], [-3, -1, 0, 2]]
+
+    def test_validates(self, example1):
+        with pytest.raises(InputError):
+            block_sums(example1, 0)
+        with pytest.raises(InputError):
+            block_sums(example1, 2, [9])
+        with pytest.raises(InputError):
+            block_sums(example1, 2, [-1])
 
 
 class TestBlockSequence:
