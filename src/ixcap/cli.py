@@ -1,9 +1,9 @@
 """Command-line front end: analysis reports, game replay, thin wrappers over
 the bound computations, and the bundled worked-example corpus runner.
 
-Exit codes: 0 success, 1 invalid input or a failed internal verification,
-2 resource budget exceeded (a partial report is still written, flagged),
-3 corpus golden mismatch.
+Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
+internal verification, 2 resource budget exceeded (a partial report is still
+written, flagged), 3 corpus golden mismatch.
 """
 
 from __future__ import annotations
@@ -461,7 +461,7 @@ def cmd_corpus(args) -> int:
 
 
 def _add_common(p, utility=True, graph=False, blocklength=False, max_n=False,
-                channel=False):
+                channel=False, theta_tol=False, budget_nodes=False):
     if utility:
         p.add_argument("--utility", help="utility matrix JSON file")
     if graph:
@@ -472,9 +472,11 @@ def _add_common(p, utility=True, graph=False, blocklength=False, max_n=False,
         p.add_argument("-n", "--blocklength", type=int, default=1)
     if max_n:
         p.add_argument("--max-n", dest="max_n", type=int, default=2)
-    p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-3)
-    p.add_argument("--budget-nodes", dest="budget_nodes", type=int,
-                   default=DEFAULT_NODE_BUDGET)
+    if theta_tol:
+        p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-3)
+    if budget_nodes:
+        p.add_argument("--budget-nodes", dest="budget_nodes", type=int,
+                       default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
 
@@ -489,19 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full per-blocklength analysis and bracket")
-    _add_common(p, max_n=True)
+    _add_common(p, max_n=True, theta_tol=True, budget_nodes=True)
     p.add_argument("--assume-perfect", action="store_true",
                    help="treat the base sender graph as perfect (user-supplied fact)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("game", help="replay the leader-follower game")
-    _add_common(p, blocklength=True, channel=True)
+    _add_common(p, blocklength=True, channel=True, budget_nodes=True)
     p.add_argument("--receiver", default="optimal",
                    help="naive | optimal | file:<strategy.json>")
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("alpha", help="independence number of a sender graph or file graph")
-    _add_common(p, graph=True, blocklength=True)
+    _add_common(p, graph=True, blocklength=True, budget_nodes=True)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("gamma", help="largest feasible subset bound")
@@ -513,18 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("theta", help="Lovasz theta of a graph")
-    _add_common(p, graph=True)
+    _add_common(p, graph=True, theta_tol=True)
     p.add_argument("--part", choices=("sym", "base"), default="sym",
                    help="which sender graph to use for a utility input")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("capacity", help="noisy-channel extraction rate bracket")
-    _add_common(p, channel=True, max_n=True)
+    _add_common(p, channel=True, max_n=True, theta_tol=True, budget_nodes=True)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("corpus", help="run the bundled worked-example corpus")
     p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
+    p.add_argument("--format", choices=("json", "md"), default="md")
     p.set_defaults(func=cmd_corpus)
 
     return parser
@@ -532,7 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 is the budget code here
+        return EXIT_OK if not exc.code else EXIT_INPUT
     try:
         return args.func(args)
     except (BudgetExceededError, ConvergenceError) as exc:

@@ -1,11 +1,16 @@
-"""Lower-bound certificates: the permutation-feasibility problem over symbol
-subsets, its blocklength generalization, the transport test, and the quick
-sufficient conditions.
+"""Lower-bound certificates: feasible symbol subsets at blocklength n, the
+transport test, and the quick sufficient conditions.
 
-Feasibility of a subset means every closed chain of distinct members has
-strictly negative total utility.  Ties matter: a zero-weight chain already
-destroys feasibility, so cycle detection looks for nonpositive cycles, not
-just negative ones.  All arithmetic is exact.
+A subset is feasible when every closed chain of distinct members (each one
+reported as the next) has strictly negative total utility; Gamma(U_n), the
+size of the largest feasible subset of X^n, gives the capacity lower bound
+Gamma(U_n)^(1/n).  Ties matter: a zero-sum chain already destroys
+feasibility.  One exact search answers every feasibility question: a
+Bellman-Ford pass that returns the offending chain itself, checked by its
+exact utility sum (``_nonneg_chain``).  ``gamma_n`` has one search over the
+independent sets of the symmetric-part graph, and ``gamma`` is ``gamma_n``
+at n = 1.  The permutation brute force is kept as the definition-level
+reference.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ from .utility import (
 BRUTE_FORCE_SUBSET_CAP = 9
 #: default number of candidate subsets examined before giving up
 DEFAULT_SUBSET_BUDGET = 500_000
-#: largest q**n for which the blocklength search is exhaustive by default
-EXACT_SEQUENCE_SEARCH_CAP = 32
 
 METHOD_CYCLE = "cycle-detection"
 METHOD_BRUTE = "permutation-brute-force"
@@ -141,119 +144,56 @@ def _rotate_min_first(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[k:] + cycle[:k]
 
 
-def _has_nonneg_chain_bf(u, subset: tuple[int, ...]) -> bool:
-    """Quick verdict: does some closed chain of distinct members sum to >= 0?
+def _nonneg_chain(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
+    """A closed chain of distinct subset members with utility sum >= 0, or None.
 
-    Bellman-Ford on the negated weights w(a -> b) = -u[b][a] from a virtual
-    super-source with |subset| relaxation rounds detects strictly positive
-    chains; chains summing to exactly zero show up as cycles in the
-    zero-reduced-weight subgraph afterwards.
+    Bellman-Ford on the negated weights w(a -> b) = -u[b][a] ("report a as
+    b") from a virtual super-source.  A vertex still relaxed in round
+    |subset| leads back along its predecessors into a strictly positive
+    chain; otherwise the distances are potentials, and a chain summing to
+    exactly zero is a cycle of the zero-reduced-weight subgraph.  The chain
+    comes in arc order (chain[m] is reported as chain[m + 1]), smallest
+    symbol first, and its sum is checked exactly before it is returned.
     """
     k = len(subset)
     if k < 2:
-        return False
+        return None
     w = [[-u[subset[b]][subset[a]] for b in range(k)] for a in range(k)]
     dist = [0] * k
+    pred = [-1] * k
     for _ in range(k):
-        changed = False
+        last = None
         for a in range(k):
             da = dist[a]
             row = w[a]
             for b in range(k):
                 if b != a and da + row[b] < dist[b]:
                     dist[b] = da + row[b]
-                    changed = True
-        if not changed:
+                    pred[b] = a
+                    last = b
+        if last is None:
             break
-    if changed:
-        return True
-    zero_succ = [
-        [b for b in range(k) if b != a and dist[a] + w[a][b] == dist[b]]
-        for a in range(k)
-    ]
-    found, _ = _nonneg_arc_cycle(lambda i, j: i in zero_succ[j], tuple(range(k)))
-    return found
-
-
-def _nonneg_chain_witness(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
-    """A closed chain of distinct subset members with utility sum >= 0, or None.
-
-    Exact max-plus dynamic program over walk lengths: D_m[a][b] is the
-    heaviest m-arc walk a -> b with arc weight u[b][a] ("report a as b").
-    A closed walk of weight >= 0 exists iff a simple such cycle does, and the
-    witness walk is reduced to a simple cycle by splicing out negative loops.
-    """
-    k = len(subset)
-    if k < 2:
-        return None
-    c = [[None if a == b else u[subset[b]][subset[a]] for b in range(k)]
-         for a in range(k)]
-    layers = [None, c]  # layers[m][a][b], m arcs
-    hit = None
-    for m in range(2, k + 1):
-        prev = layers[-1]
-        cur = [[None] * k for _ in range(k)]
-        for a in range(k):
-            for b in range(k):
-                best = None
-                for mid in range(k):
-                    if prev[a][mid] is None or c[mid][b] is None:
-                        continue
-                    cand = prev[a][mid] + c[mid][b]
-                    if best is None or cand > best:
-                        best = cand
-                cur[a][b] = best
-        layers.append(cur)
-        for v in range(k):
-            if cur[v][v] is not None and cur[v][v] >= 0:
-                hit = (m, v)
-                break
-        if hit:
-            break
-    if hit is None:
-        return None
-
-    m, v = hit
-    # backtrack the argmax walk v -> v of length m, tail first
-    walk = [v]
-    target, length = v, m
-    while length > 1:
-        value = layers[length][v][target]
-        for mid in range(k):
-            left = layers[length - 1][v][mid]
-            if left is not None and c[mid][target] is not None \
-                    and left + c[mid][target] == value:
-                walk.append(mid)
-                target, length = mid, length - 1
-                break
-        else:
-            raise VerificationError("max-plus backtrack failed")
-    walk.append(v)
-    walk.reverse()  # walk[0] == v, ..., walk[-1] == v, arcs walk[i] -> walk[i+1]
-
-    def weight(seq):
-        return sum(c[seq[i]][seq[i + 1]] for i in range(len(seq) - 1))
-
-    # splice out strictly negative inner loops until the cycle is simple
-    while True:
-        seen = {}
-        dup = None
-        for idx, node in enumerate(walk[:-1]):
-            if node in seen:
-                dup = (seen[node], idx)
-                break
-            seen[node] = idx
-        if dup is None:
-            break
-        i, j = dup
-        inner = walk[i:j + 1]
-        if weight(inner) >= 0:
-            walk = inner
-        else:
-            walk = walk[:i + 1] + walk[j + 1:]
-    if weight(walk) < 0:
-        raise VerificationError("spliced chain lost its nonnegative weight")
-    chain = tuple(subset[x] for x in walk[:-1])
+    if last is not None:
+        # k steps back from a vertex relaxed in round k land on a cycle
+        for _ in range(k):
+            last = pred[last]
+        cycle = [last]
+        v = pred[last]
+        while v != last:
+            cycle.append(v)
+            v = pred[v]
+        cycle.reverse()
+    else:
+        zero_succ = [
+            [b for b in range(k) if b != a and dist[a] + w[a][b] == dist[b]]
+            for a in range(k)
+        ]
+        found, cycle = _nonneg_arc_cycle(lambda i, j: i in zero_succ[j], tuple(range(k)))
+        if not found:
+            return None
+    chain = tuple(subset[x] for x in cycle)
+    if sum(u[chain[(m + 1) % len(chain)]][c] for m, c in enumerate(chain)) < 0:
+        raise VerificationError(f"chain {chain} has negative utility sum")
     return _rotate_min_first(chain)
 
 
@@ -278,11 +218,9 @@ def _feasible(u, subset: tuple[int, ...], method: str) -> tuple[bool, dict | Non
     if len(subset) <= 1:
         return True, None
     if method == METHOD_CYCLE:
-        if not _has_nonneg_chain_bf(u, subset):
-            return True, None
-        chain = _nonneg_chain_witness(u, subset)
+        chain = _nonneg_chain(u, subset)
         if chain is None:
-            raise VerificationError("verdict and witness search disagree")
+            return True, None
         return False, {"kind": "chain", "chain": chain}
     if method == METHOD_BRUTE:
         if len(subset) > BRUTE_FORCE_SUBSET_CAP:
@@ -366,119 +304,86 @@ class _SubsetSearch:
         s = frozenset(subset)
         return any(core <= s for core in self.infeasible_cores)
 
-    def run(self) -> tuple[tuple[int, ...] | None, bool]:
-        """Returns (best subset or None, search-was-exhaustive)."""
+    def _accepts(self, subset: tuple[int, ...]) -> bool:
+        ok, wit = _feasible(self.u, subset, self.method)
+        if wit is not None and wit["kind"] == "chain":
+            self.infeasible_cores.append(frozenset(wit["chain"]))
+        return ok
+
+    def run(self) -> tuple[int, tuple[int, ...] | None]:
+        """(alpha_sym, the lexicographically first largest feasible subset),
+        with None in place of the subset when the budget runs out."""
         alpha_sym, witness = independence_number(self.sym_graph)
+        # the canonical witness is the first candidate; it is tried whatever
+        # the budget, since a feasible one matches the alpha_sym upper bound
+        first = witness.vertices
+        self.examined = 1
+        if self._accepts(first):
+            return alpha_sym, first
         for size in range(alpha_sym, 0, -1):
             for subset in _independent_subsets(self.sym_graph, size):
+                if subset == first:
+                    continue
                 self.examined += 1
                 if self.examined > self.budget:
-                    return None, False
-                if self._pruned(subset):
-                    continue
-                ok, wit = _feasible(self.u, subset, self.method)
-                if ok:
-                    return subset, True
-                if wit is not None and wit["kind"] == "chain":
-                    self.infeasible_cores.append(frozenset(wit["chain"]))
-        return None, True  # unreachable: singletons are always feasible
+                    return alpha_sym, None
+                if not self._pruned(subset) and self._accepts(subset):
+                    return alpha_sym, subset
+        raise VerificationError("no feasible subset, though singletons always are")
 
 
 def gamma(U: UtilityMatrix, method: str = METHOD_CYCLE,
           budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, FeasibleSetCertificate]:
-    """Size of the largest feasible symbol subset, with a canonical witness.
-
-    Every feasible subset is independent in the symmetric-part graph, which
-    prunes the search space; the lexicographically least optimal subset is
-    returned.
+    """Gamma(U): the size of the largest feasible symbol subset, with its
+    certificate.  This is ``gamma_n`` at n = 1, except that a certificate
+    that is not provably optimal raises BudgetExceededError, which carries
+    the size of the feasible floor in ``best``.
     """
-    sym_graph = sender_graph(symmetric_part(U), 1)
-    search = _SubsetSearch(U.u, sym_graph, method, budget)
-    subset, exhaustive = search.run()
-    if not exhaustive:
+    value, cert = gamma_n(U, 1, method, budget)
+    if not cert.optimal:
         raise BudgetExceededError(
             f"subset search exceeded budget of {budget} candidates",
-            best=None,
+            best=value,
         )
-    cert = FeasibleSetCertificate(
-        subset=subset,
-        labels=tuple(U.alphabet.symbols[s] for s in subset),
-        blocklength=1,
-        method=method,
-        size=len(subset),
-        optimal=True,
-    )
-    return len(subset), cert
-
-
+    return value, cert
 
 
 def gamma_n(U: UtilityMatrix, n: int, method: str = METHOD_CYCLE,
             budget: int = DEFAULT_SUBSET_BUDGET
             ) -> tuple[int, FeasibleSetCertificate]:
-    """Largest subset of X^n feasible for the blocklength-n problem.
+    """Gamma(U_n): the largest subset of X^n feasible for the blocklength-n
+    problem, with a certificate; Gamma(U_n)^(1/n) bounds the capacity below.
 
-    Exhaustive (provably optimal) when q**n is small; otherwise tries the
-    canonical maximum independent sets of the symmetric graph first and falls
-    back to a budgeted search whose result is flagged optimal=False.
+    Every feasible subset is independent in the symmetric-part graph
+    G_s^Sym,n, so its independence number alpha_sym bounds Gamma(U_n) above.
+    The search tries the canonical maximum independent set of that graph
+    first, then every independent set by decreasing size in lexicographic
+    order, and returns the first feasible one, which is optimal.  If more
+    than ``budget`` candidates are needed, it returns the canonical maximum
+    independent set of the sender graph G_s^n instead, which is always
+    feasible; that certificate is flagged optimal only when its size reaches
+    alpha_sym.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    q = U.q
-    nv = q**n
     # exact integer sums: feasibility reads only the signs of chain sums
     u_rows = block_sums(U, n)[1].tolist()
     sym_graph = sender_graph(symmetric_part(U), n)
-    labels = sym_graph.labels
-
-    if nv <= EXACT_SEQUENCE_SEARCH_CAP:
-        search = _SubsetSearch(u_rows, sym_graph, method, budget)
-        subset, exhaustive = search.run()
-        if exhaustive:
-            cert = FeasibleSetCertificate(
-                subset=subset,
-                labels=tuple(labels[s] for s in subset),
-                blocklength=n,
-                method=method,
-                size=len(subset),
-                optimal=True,
-            )
-            return len(subset), cert
-
-    # large space: a feasible maximum independent set of the symmetric graph
-    # matches the alpha upper bound exactly, which still proves optimality
-    alpha_sym, witness = independence_number(sym_graph)
-    ok, _ = _feasible(u_rows, witness.vertices, method)
-    if ok:
-        cert = FeasibleSetCertificate(
-            subset=witness.vertices,
-            labels=tuple(labels[s] for s in witness.vertices),
-            blocklength=n,
-            method=method,
-            size=alpha_sym,
-            optimal=True,
-        )
-        return alpha_sym, cert
-
-    # anytime floor: an independent set of the sender graph itself is always
-    # feasible (every chain step is already strictly negative)
-    base = sender_graph(U, n)
-    _, base_wit = independence_number(base)
-    best = base_wit.vertices
-    search = _SubsetSearch(u_rows, sym_graph, method, budget)
-    subset, exhaustive = search.run()
-    if subset is not None and len(subset) > len(best):
-        best = subset
-    optimal = exhaustive or len(best) == alpha_sym
+    alpha_sym, subset = _SubsetSearch(u_rows, sym_graph, method, budget).run()
+    optimal = subset is not None
+    if subset is None:
+        _, floor = independence_number(sender_graph(U, n))
+        subset = floor.vertices
+        optimal = len(subset) == alpha_sym
     cert = FeasibleSetCertificate(
-        subset=best,
-        labels=tuple(labels[s] for s in best),
+        subset=subset,
+        labels=tuple(sym_graph.labels[s] for s in subset),
         blocklength=n,
         method=method,
-        size=len(best),
+        size=len(subset),
         optimal=optimal,
     )
-    return len(best), cert
+    return len(subset), cert
 
 
 def sufficient_margin_check(U: UtilityMatrix, subset: Sequence[int]) -> bool:

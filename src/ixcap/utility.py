@@ -30,8 +30,6 @@ import numpy as np
 
 from .errors import CapExceededError, InputError
 
-#: soft cap on alphabet size for exact search (overridable per call)
-DEFAULT_ALPHABET_CAP = 32
 #: soft cap on q**n vertices for blocklength constructions
 DEFAULT_VERTEX_CAP = 20_000
 #: cap on the combined alphabet of a product utility

@@ -65,6 +65,15 @@ def random_utility(rng: random.Random, q: int, den: int = 4,
     return normalize_diagonal(rows, Alphabet.of_size(q))
 
 
+def random_int_utility(rng: random.Random, q: int,
+                       values=(-1, 0, 1)) -> UtilityMatrix:
+    """Random zero-diagonal utility with entries drawn from values; small
+    integers give zero-sum chains often, which random_utility rarely does."""
+    rows = [[0 if i == j else rng.choice(values) for j in range(q)]
+            for i in range(q)]
+    return normalize_diagonal(rows, Alphabet.of_size(q))
+
+
 def random_symmetric_utility(rng: random.Random, q: int) -> UtilityMatrix:
     u = random_utility(rng, q)
     rows = [

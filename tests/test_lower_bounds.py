@@ -5,8 +5,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import oracle_feasible, random_symmetric_utility, random_utility
-from ixcap.errors import CapExceededError, InputError
+from conftest import (
+    oracle_block_sums,
+    oracle_feasible,
+    random_int_utility,
+    random_symmetric_utility,
+    random_utility,
+)
+from ixcap.errors import BudgetExceededError, CapExceededError, InputError
 from ixcap.graphs import independence_number, is_independent, sender_graph
 from ixcap.lower_bounds import (
     METHOD_BRUTE,
@@ -74,12 +80,25 @@ class TestFeasibility:
 
     def test_methods_agree_on_randoms(self):
         rng = random.Random(67)
-        for _ in range(40):
-            U = random_utility(rng, 4)
+        utilities = [random_utility(rng, 4) for _ in range(40)]
+        utilities += [random_int_utility(rng, 4) for _ in range(40)]
+        zero_sum = 0
+        for U in utilities:
             for size in (2, 3, 4):
                 for subset in combinations(range(4), size):
-                    assert is_feasible_O(U, subset, METHOD_CYCLE) == \
-                        is_feasible_O(U, subset, METHOD_BRUTE)
+                    report = feasibility_report(U, subset, METHOD_CYCLE)
+                    assert report["feasible"] == is_feasible_O(U, subset, METHOD_CYCLE) \
+                        == is_feasible_O(U, subset, METHOD_BRUTE)
+                    if report["feasible"]:
+                        continue
+                    # distinct members, chain[m] reported as chain[m + 1]
+                    chain = [U.alphabet.index_of(s) for s in report["witness_chain"]]
+                    k = len(chain)
+                    assert k >= 2 and len(set(chain)) == k and set(chain) <= set(subset)
+                    total = sum(U.u[chain[(m + 1) % k]][chain[m]] for m in range(k))
+                    assert total >= 0
+                    zero_sum += total == 0
+        assert zero_sum > 20
 
     def test_zero_weight_chain_infeasible(self, pentagon_literal):
         # ties poison feasibility: this code admits a zero-sum 3-chain
@@ -182,13 +201,104 @@ class TestGammaBlocklength:
         assert is_independent(sym2, cert.subset)
 
     def test_large_space_fallback_is_flagged(self, example1):
-        value, cert = gamma_n(example1, 4)  # 81 sequences > exact cap
+        value, cert = gamma_n(example1, 4)  # 81 sequences
         assert value == 16
         assert cert.optimal
 
     def test_validates_blocklength(self, example1):
         with pytest.raises(InputError):
             gamma_n(example1, 0)
+
+    def test_matches_brute_force_over_all_subsets(self):
+        # the lexicographically first largest feasible subset of X^n, by
+        # the permutation oracle over every subset, for q**n <= 8
+        rng = random.Random(109)
+        for q, n in ((2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1), (6, 1), (8, 1)):
+            for trial in range(6):
+                U = (random_int_utility if trial % 2 else random_utility)(rng, q)
+                rows = oracle_block_sums(U, n)
+                best = next(
+                    s for size in range(q**n, 0, -1)
+                    for s in combinations(range(q**n), size)
+                    if oracle_feasible(rows, s)
+                )
+                value, cert = gamma_n(U, n)
+                assert (value, cert.subset, cert.optimal) == (len(best), best, True)
+
+
+#: every pair is strictly negative in total, but the chain 0 -> 1 -> 2 -> 0
+#: gains 3: the canonical maximum independent set {0, 1, 2} of the
+#: symmetric-part graph is infeasible, and the sender graph is complete
+CYCLIC = [[0, -2, 1], [1, 0, -2], [-2, 1, 0]]
+
+
+def _cyclic_plus_three():
+    """CYCLIC on symbols 0-2, symbols 3-5 with every misreport among them
+    costing 1, and +1 for every misreport across the two triples."""
+    rows = [[0 if i == j else (1 if (i < 3) != (j < 3) else -1)
+             for j in range(6)] for i in range(6)]
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                rows[i][j] = CYCLIC[i][j]
+    return utility_from_json({"utility": rows})
+
+
+class TestGammaBudget:
+    """With the budget spent, gamma_n returns the canonical maximum
+    independent set of G_s^n (the floor), optimal iff it reaches alpha_sym."""
+
+    @staticmethod
+    def _floor_and_alpha_sym(U, n):
+        floor = independence_number(sender_graph(U, n))[1].vertices
+        alpha_sym, witness = independence_number(sender_graph(symmetric_part(U), n))
+        return floor, alpha_sym, witness.vertices
+
+    @pytest.mark.parametrize("U, n, floor_optimal", [
+        (utility_from_json({"utility": CYCLIC}), 1, False),  # 3 sequences
+        (_cyclic_plus_three(), 1, True),  # 6 sequences
+        (utility_from_json({"utility": CYCLIC}), 4, False),  # 81 sequences
+        (_cyclic_plus_three(), 2, True),  # 36 sequences
+    ], ids=["cyclic-1", "cyclic_plus_three-1", "cyclic-4", "cyclic_plus_three-2"])
+    def test_floor_when_witness_infeasible(self, U, n, floor_optimal):
+        floor, alpha_sym, witness = self._floor_and_alpha_sym(U, n)
+        value, cert = gamma_n(U, n, budget=1)
+        assert cert.subset == floor != witness
+        assert value == len(floor)
+        assert cert.optimal == floor_optimal == (len(floor) == alpha_sym)
+        if n == 1:
+            if floor_optimal:
+                assert gamma(U, budget=1) == (value, cert)
+            else:
+                with pytest.raises(BudgetExceededError) as info:
+                    gamma(U, budget=1)
+                assert info.value.best == value
+
+    def test_cyclic_exhaustive_value(self):
+        U = utility_from_json({"utility": CYCLIC})
+        value, cert = gamma(U)
+        assert (value, cert.subset, cert.optimal) == (2, (0, 1), True)
+
+    @pytest.mark.parametrize("q, n", [(3, 1), (4, 1), (4, 2), (5, 2), (3, 4)])
+    def test_tiny_budget_on_randoms(self, q, n):
+        rng = random.Random(113 + 10 * q + n)
+        for trial in range(8):
+            U = (random_int_utility if trial % 2 else random_utility)(rng, q)
+            floor, alpha_sym, witness = self._floor_and_alpha_sym(U, n)
+            # the witness is tried whatever the budget; any other candidate
+            # exceeds a budget of 0 or 1
+            for budget in (0, 1):
+                value, cert = gamma_n(U, n, budget=budget)
+                assert cert.subset in (witness, floor)
+                assert cert.optimal == (value == alpha_sym)
+                if n > 1:
+                    continue
+                if cert.optimal:
+                    assert gamma(U, budget=budget) == (value, cert)
+                else:
+                    with pytest.raises(BudgetExceededError) as info:
+                        gamma(U, budget=budget)
+                    assert info.value.best == value
 
 
 class TestTypeClassLift:
