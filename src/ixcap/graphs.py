@@ -42,12 +42,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
@@ -64,9 +58,6 @@ class Graph:
     def complement_rows(self) -> tuple[int, ...]:
         full = (1 << self.n_vertices) - 1
         return tuple((full ^ self.rows[v]) & ~(1 << v) for v in range(self.n_vertices))
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels else str(v)
 
 
 def graph_from_edges(n: int, edges: Sequence[Sequence[int]],
@@ -326,17 +317,6 @@ def _ensure_recursion_headroom(n_vertices: int):
     needed = n_vertices + 200
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
-
-
-def _mask_to_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET

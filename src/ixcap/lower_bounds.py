@@ -5,12 +5,12 @@ A subset is feasible when every closed chain of distinct members (each one
 reported as the next) has strictly negative total utility; Gamma(U_n), the
 size of the largest feasible subset of X^n, gives the capacity lower bound
 Gamma(U_n)^(1/n).  Ties matter: a zero-sum chain already destroys
-feasibility.  One exact search answers every feasibility question: a
-Bellman-Ford pass that returns the offending chain itself, checked by its
-exact utility sum (``_nonneg_chain``).  ``gamma_n`` has one search over the
-independent sets of the symmetric-part graph, and ``gamma`` is ``gamma_n``
-at n = 1.  The permutation brute force is kept as the definition-level
-reference.  All arithmetic is exact.
+feasibility.  Every feasibility question has one answer path,
+``_nonneg_chain``: a Bellman-Ford pass that returns the offending chain
+itself, checked by its exact utility sum.  ``gamma_n`` has one search over
+the independent sets of the symmetric-part graph, and ``gamma`` is
+``gamma_n`` at n = 1.  All arithmetic is exact, on the integer utilities of
+``UtilityMatrix.scaled_integer_entries``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
 import networkx as nx
@@ -27,19 +27,15 @@ from .errors import BudgetExceededError, CapExceededError, InputError, Verificat
 from .graphs import Graph, independence_number, sender_graph
 from .utility import (
     UtilityMatrix,
-    block_sums,
     parse_rational,
     sign_class_extrema,
     symmetric_part,
 )
 
-#: permutation brute force is exponential; larger subsets must use cycles
+#: most symbols whose cycles ``beta_cycle_bound`` enumerates (exponential)
 BRUTE_FORCE_SUBSET_CAP = 9
 #: default number of candidate subsets examined before giving up
 DEFAULT_SUBSET_BUDGET = 500_000
-
-METHOD_CYCLE = "cycle-detection"
-METHOD_BRUTE = "permutation-brute-force"
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,6 @@ class FeasibleSetCertificate:
     subset: tuple[int, ...]
     labels: tuple[str, ...]
     blocklength: int
-    method: str
     size: int
     optimal: bool
 
@@ -66,7 +61,6 @@ class FeasibleSetCertificate:
         return {
             "subset": list(self.labels),
             "blocklength": self.blocklength,
-            "method": self.method,
             "size": self.size,
             "bound": {
                 "base": self.size,
@@ -197,74 +191,26 @@ def _nonneg_chain(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
     return _rotate_min_first(chain)
 
 
-def _worst_permutation(u, subset: tuple[int, ...]
-                       ) -> tuple[Fraction | int, tuple[int, ...]]:
-    """Maximum of sum_j u(pi(j), j) over non-identity permutations of subset."""
-    k = len(subset)
-    best_val = None
-    best_perm = None
-    idx = tuple(range(k))
-    for p in permutations(idx):
-        if p == idx:
-            continue
-        val = sum(u[subset[p[m]]][subset[m]] for m in range(k))
-        if best_val is None or val > best_val:
-            best_val, best_perm = val, p
-    return best_val, tuple(subset[m] for m in best_perm)
-
-
-def _feasible(u, subset: tuple[int, ...], method: str) -> tuple[bool, dict | None]:
-    """Feasibility verdict with an infeasibility witness when negative."""
-    if len(subset) <= 1:
-        return True, None
-    if method == METHOD_CYCLE:
-        chain = _nonneg_chain(u, subset)
-        if chain is None:
-            return True, None
-        return False, {"kind": "chain", "chain": chain}
-    if method == METHOD_BRUTE:
-        if len(subset) > BRUTE_FORCE_SUBSET_CAP:
-            raise CapExceededError(
-                f"permutation brute force is capped at {BRUTE_FORCE_SUBSET_CAP} "
-                f"symbols, got {len(subset)}"
-            )
-        worst, perm = _worst_permutation(u, subset)
-        if worst < 0:
-            return True, None
-        return False, {"kind": "permutation", "value": worst, "images": perm}
-    raise InputError(f"unknown feasibility method {method!r}")
-
-
-def is_feasible_O(U: UtilityMatrix, subset: Sequence[int],
-                  method: str = METHOD_CYCLE) -> bool:
+def is_feasible_O(U: UtilityMatrix, subset: Sequence[int]) -> bool:
     """Whether every non-identity permutation of subset has negative total
     utility (equivalently, every closed chain is strictly negative)."""
     subset = _validate_subset(U.q, subset)
     if not subset:
         raise InputError("subset must be nonempty")
-    ok, _ = _feasible(U.u, subset, method)
-    return ok
+    return _nonneg_chain(U.u, subset) is None
 
 
-def feasibility_report(U: UtilityMatrix, subset: Sequence[int],
-                       method: str = METHOD_CYCLE) -> dict:
-    """Verdict plus a serializable witness for infeasibility proofs."""
+def feasibility_report(U: UtilityMatrix, subset: Sequence[int]) -> dict:
+    """Verdict plus, for an infeasible subset, the closed chain that proves
+    it (``witness_chain``, each member reported as the next)."""
     subset = _validate_subset(U.q, subset)
-    ok, witness = _feasible(U.u, subset, method)
+    chain = _nonneg_chain(U.u, subset)
     report = {
         "subset": [U.alphabet.symbols[s] for s in subset],
-        "method": method,
-        "feasible": ok,
+        "feasible": chain is None,
     }
-    if witness is not None:
-        if witness["kind"] == "chain":
-            report["witness_chain"] = [U.alphabet.symbols[s] for s in witness["chain"]]
-        else:
-            report["witness_permutation"] = {
-                U.alphabet.symbols[subset[m]]: U.alphabet.symbols[witness["images"][m]]
-                for m in range(len(subset))
-            }
-            report["witness_value"] = str(witness["value"])
+    if chain is not None:
+        report["witness_chain"] = [U.alphabet.symbols[s] for s in chain]
     return report
 
 
@@ -290,12 +236,16 @@ def _independent_subsets(graph: Graph, size: int):
 
 class _SubsetSearch:
     """Largest feasible subset, searched by decreasing size over independent
-    sets of the symmetric-part graph, with infeasible-core memoization."""
+    sets of the symmetric-part graph, with infeasible-core memoization.
 
-    def __init__(self, u, sym_graph: Graph, method: str, budget: int):
-        self.u = u
+    A candidate's k x k block sums come from the q x q integer utility,
+    letter by letter, so no q**n x q**n table is ever built."""
+
+    def __init__(self, U: UtilityMatrix, n: int, sym_graph: Graph, budget: int):
+        self.ints = U.scaled_integer_entries()[1]
+        # the letters of every sequence, in canonical index order
+        self.words = list(product(range(U.q), repeat=n))
         self.sym_graph = sym_graph
-        self.method = method
         self.budget = budget
         self.examined = 0
         self.infeasible_cores: list[frozenset[int]] = []
@@ -305,10 +255,14 @@ class _SubsetSearch:
         return any(core <= s for core in self.infeasible_cores)
 
     def _accepts(self, subset: tuple[int, ...]) -> bool:
-        ok, wit = _feasible(self.u, subset, self.method)
-        if wit is not None and wit["kind"] == "chain":
-            self.infeasible_cores.append(frozenset(wit["chain"]))
-        return ok
+        ints = self.ints
+        words = [self.words[s] for s in subset]
+        sums = [[sum(ints[a][b] for a, b in zip(t, y)) for y in words] for t in words]
+        chain = _nonneg_chain(sums, range(len(subset)))
+        if chain is None:
+            return True
+        self.infeasible_cores.append(frozenset(subset[m] for m in chain))
+        return False
 
     def run(self) -> tuple[int, tuple[int, ...] | None]:
         """(alpha_sym, the lexicographically first largest feasible subset),
@@ -332,14 +286,14 @@ class _SubsetSearch:
         raise VerificationError("no feasible subset, though singletons always are")
 
 
-def gamma(U: UtilityMatrix, method: str = METHOD_CYCLE,
-          budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, FeasibleSetCertificate]:
+def gamma(U: UtilityMatrix, budget: int = DEFAULT_SUBSET_BUDGET
+          ) -> tuple[int, FeasibleSetCertificate]:
     """Gamma(U): the size of the largest feasible symbol subset, with its
     certificate.  This is ``gamma_n`` at n = 1, except that a certificate
     that is not provably optimal raises BudgetExceededError, which carries
     the size of the feasible floor in ``best``.
     """
-    value, cert = gamma_n(U, 1, method, budget)
+    value, cert = gamma_n(U, 1, budget)
     if not cert.optimal:
         raise BudgetExceededError(
             f"subset search exceeded budget of {budget} candidates",
@@ -348,8 +302,7 @@ def gamma(U: UtilityMatrix, method: str = METHOD_CYCLE,
     return value, cert
 
 
-def gamma_n(U: UtilityMatrix, n: int, method: str = METHOD_CYCLE,
-            budget: int = DEFAULT_SUBSET_BUDGET
+def gamma_n(U: UtilityMatrix, n: int, budget: int = DEFAULT_SUBSET_BUDGET
             ) -> tuple[int, FeasibleSetCertificate]:
     """Gamma(U_n): the largest subset of X^n feasible for the blocklength-n
     problem, with a certificate; Gamma(U_n)^(1/n) bounds the capacity below.
@@ -358,18 +311,18 @@ def gamma_n(U: UtilityMatrix, n: int, method: str = METHOD_CYCLE,
     G_s^Sym,n, so its independence number alpha_sym bounds Gamma(U_n) above.
     The search tries the canonical maximum independent set of that graph
     first, then every independent set by decreasing size in lexicographic
-    order, and returns the first feasible one, which is optimal.  If more
-    than ``budget`` candidates are needed, it returns the canonical maximum
-    independent set of the sender graph G_s^n instead, which is always
-    feasible; that certificate is flagged optimal only when its size reaches
-    alpha_sym.
+    order, and returns the first feasible one, which is optimal.  Each
+    candidate is tested on its own k x k block sums, summed letter by letter
+    from the q x q integer utility, so memory stays at the size of the
+    graphs.  If more than ``budget`` candidates are needed, it returns the
+    canonical maximum independent set of the sender graph G_s^n instead,
+    which is always feasible; that certificate is flagged optimal only when
+    its size reaches alpha_sym.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    # exact integer sums: feasibility reads only the signs of chain sums
-    u_rows = block_sums(U, n)[1].tolist()
     sym_graph = sender_graph(symmetric_part(U), n)
-    alpha_sym, subset = _SubsetSearch(u_rows, sym_graph, method, budget).run()
+    alpha_sym, subset = _SubsetSearch(U, n, sym_graph, budget).run()
     optimal = subset is not None
     if subset is None:
         _, floor = independence_number(sender_graph(U, n))
@@ -379,7 +332,6 @@ def gamma_n(U: UtilityMatrix, n: int, method: str = METHOD_CYCLE,
         subset=subset,
         labels=tuple(sym_graph.labels[s] for s in subset),
         blocklength=n,
-        method=method,
         size=len(subset),
         optimal=optimal,
     )
@@ -507,7 +459,7 @@ def transport_lower_bound(U: UtilityMatrix, P: Sequence) -> TransportResult:
     if optimum == 0:
         # diagonal is optimal; it is unique iff no nonpositive chain lives in
         # the support (any alternative optimum decomposes into such chains)
-        unique = _feasible(U.u, support, METHOD_CYCLE)[0]
+        unique = _nonneg_chain(U.u, support) is None
     bound = None
     if unique:
         bound = math.exp(-sum(float(p) * math.log(float(p))

@@ -23,7 +23,7 @@ from .graphs import (
 )
 from .lower_bounds import DEFAULT_SUBSET_BUDGET, gamma_n
 from .theta import lovasz_theta
-from .utility import UtilityMatrix, capped_max, incremented, symmetric_part
+from .utility import UtilityMatrix, symmetric_part
 
 
 def alpha_sym_upper(U: UtilityMatrix, n: int,
@@ -99,66 +99,63 @@ class CapacityBracket:
         return out
 
 
-def _lower_candidates(U: UtilityMatrix, n_max: int, node_budget: int,
-                      subset_budget: int, warnings: list[str],
-                      tag: str = "") -> list[tuple[float, dict, tuple[int, int]]]:
-    """(value, certificate, (base, root)) for every certified lower bound."""
-    out = []
-    for n in range(1, n_max + 1):
-        try:
-            g = sender_graph(U, n)
-            alpha, witness = independence_number(g, budget=node_budget)
-            out.append((
-                alpha ** (1.0 / n),
-                {"name": tag + "alpha_sender_power", "n": n, "alpha": alpha,
-                 "witness": list(witness.labels or witness.vertices)},
-                (alpha, n),
-            ))
-        except (BudgetExceededError, CapExceededError) as exc:
-            warnings.append(f"{tag}alpha(G_s^{n}) skipped: {exc}")
-        try:
-            value, cert = gamma_n(U, n, budget=subset_budget)
-            out.append((
-                value ** (1.0 / n),
-                {"name": tag + "gamma_blocklength", "n": n, "gamma": value,
-                 "subset": list(cert.labels), "optimal": cert.optimal},
-                (value, n),
-            ))
-        except (BudgetExceededError, CapExceededError) as exc:
-            warnings.append(f"{tag}gamma(U_{n}) skipped: {exc}")
-    return out
-
-
 def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
                assume_perfect: bool = False,
                node_budget: int = DEFAULT_NODE_BUDGET,
                subset_budget: int = DEFAULT_SUBSET_BUDGET) -> CapacityBracket:
     """Two-sided bracket on the information extraction capacity.
 
-    Lower side: the best of alpha(G_s^n)^(1/n) and the feasible-subset bounds
-    for n <= n_max, plus the same bounds for the dominated auxiliary utilities
-    (symmetric-incremented and max-capped).  Upper side: min of the alphabet
-    size, theta(G_s^Sym) + tol, and theta(G_s) + tol when the symmetric or
-    two-valued-gain shape applies.  When the sides meet within 2*tol along an
-    algebraic closure route the exact value is reported.
+    Lower side: the best of alpha(G_s^n)^(1/n) and Gamma(U_n)^(1/n) for
+    n <= n_max, the first of equal values winning.  Only U's own bounds are
+    candidates: a utility that dominates U entrywise has a supergraph of
+    every G_s^n and fewer feasible subsets, so neither of its bounds can beat
+    U's at the same n.  Upper side: min of the alphabet size,
+    theta(G_s^Sym) + tol, and theta(G_s) + tol when the symmetric or
+    two-valued-gain shape applies.  Exact value: for those shapes, a perfect
+    base graph (whitelisted or assumed) pins the capacity at alpha(G_s),
+    taken from the n = 1 pass; otherwise it is reported when the two sides
+    meet within 2*tol along an integer or radical closure.  A search that
+    exhausts its budget drops its candidate, and the closure that needs it,
+    with a warning.
     """
     warnings: list[str] = []
     q = U.q
     symmetric = U.is_symmetric()
     two_valued = is_two_valued_a_ge_b(U)
+    base_graph = sender_graph(U, 1)
 
-    lowers = _lower_candidates(U, n_max, node_budget, subset_budget, warnings)
-    for tag, aux in (("inc:", incremented(U)), ("max:", capped_max(U))):
-        if aux.u != U.u:
-            lowers.extend(_lower_candidates(
-                aux, n_max, node_budget, subset_budget, warnings, tag=tag))
+    lowers: list[tuple[float, dict, tuple[int, int]]] = []
+    alpha_base = None
+    for n in range(1, n_max + 1):
+        try:
+            g = base_graph if n == 1 else sender_graph(U, n)
+            alpha, witness = independence_number(g, budget=node_budget)
+            if n == 1:
+                alpha_base = alpha
+            lowers.append((
+                alpha ** (1.0 / n),
+                {"name": "alpha_sender_power", "n": n, "alpha": alpha,
+                 "witness": list(witness.labels or witness.vertices)},
+                (alpha, n),
+            ))
+        except (BudgetExceededError, CapExceededError) as exc:
+            warnings.append(f"alpha(G_s^{n}) skipped: {exc}")
+        try:
+            value, cert = gamma_n(U, n, budget=subset_budget)
+            lowers.append((
+                value ** (1.0 / n),
+                {"name": "gamma_blocklength", "n": n, "gamma": value,
+                 "subset": list(cert.labels), "optimal": cert.optimal},
+                (value, n),
+            ))
+        except (BudgetExceededError, CapExceededError) as exc:
+            warnings.append(f"gamma(U_{n}) skipped: {exc}")
     lower_value, lower_cert, lower_root = max(lowers, key=lambda t: t[0])
 
     uppers: list[tuple[float, dict]] = [
         (float(q), {"name": "alphabet_size", "q": q})
     ]
     sym_graph = sender_graph(symmetric_part(U), 1)
-    base_graph = sender_graph(U, 1)
     theta_sym = None
     try:
         theta_sym = lovasz_theta(sym_graph, tol=min(tol, 1e-3))
@@ -183,17 +180,16 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
 
     exact: ExactValue | None = None
     if (symmetric or two_valued) and (assume_perfect or in_perfect_whitelist(base_graph)):
-        alpha_base, _ = independence_number(base_graph, budget=node_budget)
-        exact = ExactValue(alpha_base, 1)
-        uppers.append((
-            float(alpha_base),
-            {"name": "perfect_graph_closure", "alpha": alpha_base,
-             "assumed": assume_perfect},
-        ))
-        if lower_value < alpha_base:
-            lower_value = float(alpha_base)
-            lower_cert = {"name": "perfect_graph_closure", "alpha": alpha_base}
-            lower_root = (alpha_base, 1)
+        if alpha_base is None:
+            warnings.append("perfect-graph closure skipped: alpha(G_s^1) was not computed")
+        else:
+            # alpha(G_s) is already a lower candidate, so only the upper side moves
+            exact = ExactValue(alpha_base, 1)
+            uppers.append((
+                float(alpha_base),
+                {"name": "perfect_graph_closure", "alpha": alpha_base,
+                 "assumed": assume_perfect},
+            ))
 
     upper_value, upper_cert = min(uppers, key=lambda t: t[0])
 

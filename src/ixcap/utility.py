@@ -130,10 +130,6 @@ class BlockSequence:
         return BlockSequence(q, n, tuple(reversed(digits)), index)
 
 
-def index_to_symbols(q: int, n: int, index: int) -> tuple[int, ...]:
-    return BlockSequence.from_index(q, n, index).symbols
-
-
 @dataclass(frozen=True)
 class UtilityMatrix:
     """q x q exact-rational utility with (after normalization) zero diagonal."""

@@ -27,6 +27,8 @@ def test_missing_file():
     ["gamma", "--utility", PENTAGON, "--budget-nodes", "5"],
     ["theta", "--utility", PENTAGON, "--budget-nodes", "5"],
     ["corpus", "--format", "csv"],
+    ["alpha", "--utility", PENTAGON, "--format", "md"],
+    ["gamma", "--utility", PENTAGON, "--method", "permutation-brute-force"],
 ])
 def test_usage_error_is_an_input_error(argv):
     assert main(argv) == EXIT_INPUT

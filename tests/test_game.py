@@ -1,6 +1,7 @@
 """Differential tests of the game layer against Fraction brute force on tiny
-instances (q <= 3, n <= 2), and the named verification failure."""
+instances (q <= 4, n <= 2), and the named verification failure."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixcap.game
-from conftest import oracle_alpha, oracle_block_sums, oracle_sender_edges, random_utility
+from conftest import (
+    oracle_alpha,
+    oracle_block_sums,
+    oracle_sender_edges,
+    random_int_utility,
+    random_utility,
+)
 from ixcap.channel import identity_channel, make_channel
 from ixcap.cli import corpus_path, main
 from ixcap.errors import VerificationError
@@ -83,6 +90,46 @@ class TestWorstCaseDecodedSet:
         assert outcome.best_response_summary == tuple(summary)
         assert outcome.decoded_worst == decoded
         assert outcome.decoded_size == len(decoded)
+
+
+def pessimistic_score(sums, decode) -> int:
+    """The paper's pessimistic count of a receiver map (output -> decoded
+    sequence, None for the error symbol) over a noiseless channel: source x
+    counts only if every output that maximises the sender's block utility
+    against x decodes to x.  The sender never prefers the error symbol, so
+    undecoded outputs are never best responses."""
+    count = 0
+    for x in range(len(decode)):
+        values = {z: sums[t][x] for z, t in enumerate(decode) if t is not None}
+        if values:
+            best = max(values.values())
+            count += all(decode[z] == x for z, v in values.items() if v == best)
+    return count
+
+
+class TestEquilibriumAgainstEveryReceiver:
+    """equilibrium_value_noiseless is the best pessimistic count over every
+    receiver map X^n -> X^n + {error}."""
+
+    @pytest.mark.parametrize("q, n", [(2, 1), (3, 1), (4, 1), (2, 2)])
+    def test_value_is_best_score(self, q, n):
+        rng = random.Random(131 + 10 * q + n)
+        nv = q**n
+        maps = list(product([None, *range(nv)], repeat=nv))
+        for trial in range(4):
+            U = (random_int_utility if trial % 2 else random_utility)(rng, q)
+            sums = oracle_block_sums(U, n)
+            best = max(pessimistic_score(sums, decode) for decode in maps)
+            value, strategy = equilibrium_value_noiseless(U, n)
+            assert value == best
+            assert pessimistic_score(sums, strategy.decode) == value
+
+    def test_example1(self, example1):
+        # blind identity decoding recovers one symbol, the equilibrium two
+        sums = oracle_block_sums(example1, 1)
+        assert pessimistic_score(sums, (0, 1, 2)) == 1
+        value, strategy = equilibrium_value_noiseless(example1, 1)
+        assert value == pessimistic_score(sums, strategy.decode) == 2
 
 
 class TestNoisyVerification:
