@@ -14,7 +14,6 @@ from .game import (
     DOMINATED,
     GameOutcome,
     ReceiverStrategy,
-    SenderStrategy,
     asymptotic_rate_bracket,
     equilibrium_value_noiseless,
     expected_block_utility,
@@ -55,7 +54,6 @@ from .theta import lovasz_theta
 from .upper_bounds import (
     CapacityBracket,
     ExactValue,
-    alpha_sym_upper,
     in_perfect_whitelist,
     is_two_valued_a_ge_b,
     xi_bracket,

@@ -4,13 +4,16 @@ the bound computations, and the bundled worked-example corpus runner.
 Every sub-command writes a JSON report to stdout or ``--out``.  Only
 ``analyze`` offers other renderings (``--format csv`` or ``md``), and
 ``corpus`` prints its checks as markdown unless ``--format json`` is given.
-``gamma`` reports the largest feasible subset at blocklength ``-n``, or with
-``--subset`` the feasibility of one subset and, when it is infeasible, the
-closed chain that proves it.
+``analyze`` runs one ``xi_bracket`` pass and prints its per-blocklength
+records and theta(G_s^Sym) next to the bracket, so the table shows the very
+values the bracket compared.  ``gamma`` reports the largest feasible subset
+at blocklength ``-n``, or with ``--subset`` the feasibility of one subset
+and, when it is infeasible, the closed chain that proves it.
 
 Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
-internal verification, 2 resource budget exceeded (a partial report is still
-written, flagged), 3 corpus golden mismatch.
+internal verification, 2 resource budget exceeded, 3 corpus golden mismatch.
+On exit 2, ``analyze`` and ``capacity`` still write their report, with each
+skipped search named in its warnings; the other commands write none.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .lower_bounds import (
     sufficient_margin_check,
 )
 from .theta import lovasz_theta
-from .upper_bounds import alpha_sym_upper, xi_bracket
+from .upper_bounds import xi_bracket
 from .utility import (
     BlockSequence,
     UtilityMatrix,
@@ -103,56 +106,11 @@ def _utility_from_args(args) -> UtilityMatrix:
 def cmd_analyze(args) -> int:
     utility_path = Path(args.utility)
     U = _utility_from_args(args)
-    budget_hit = False
-    timings: dict[str, float] = {}
-    per_n = []
-    for n in range(1, args.max_n + 1):
-        row: dict = {"n": n}
-        t0 = time.perf_counter()
-        try:
-            g = sender_graph(U, n)
-            alpha, wit = independence_number(g, budget=args.budget_nodes)
-            row["alpha_sender"] = alpha
-            row["alpha_sender_rate"] = alpha ** (1.0 / n)
-            row["alpha_witness"] = list(wit.labels or wit.vertices)
-        except IxcapError as exc:
-            row["alpha_sender_error"] = str(exc)
-            budget_hit = True
-        try:
-            value, cert = gamma_n(U, n)
-            row["gamma"] = value
-            row["gamma_rate"] = value ** (1.0 / n)
-            row["gamma_subset"] = list(cert.labels)
-            row["gamma_optimal"] = cert.optimal
-        except IxcapError as exc:
-            row["gamma_error"] = str(exc)
-            budget_hit = True
-        try:
-            row["alpha_sym"] = alpha_sym_upper(U, n, budget=args.budget_nodes)
-        except IxcapError as exc:
-            row["alpha_sym_error"] = str(exc)
-            budget_hit = True
-        row["seconds"] = round(time.perf_counter() - t0, 6)
-        per_n.append(row)
-    timings["per_n_total"] = sum(r["seconds"] for r in per_n)
-
-    t0 = time.perf_counter()
-    theta_report = {}
-    try:
-        theta_report["symmetric_part"] = lovasz_theta(
-            sender_graph(symmetric_part(U), 1), tol=min(args.theta_tol, 1e-3))
-    except ConvergenceError as exc:
-        theta_report["symmetric_part_error"] = str(exc)
-        budget_hit = True
-    timings["theta"] = round(time.perf_counter() - t0, 6)
-
     t0 = time.perf_counter()
     bracket = xi_bracket(
         U, n_max=args.max_n, tol=args.theta_tol,
         assume_perfect=args.assume_perfect, node_budget=args.budget_nodes)
-    timings["bracket"] = round(time.perf_counter() - t0, 6)
-    if bracket.warnings:
-        budget_hit = True
+    seconds = round(time.perf_counter() - t0, 6)
 
     payload = {
         "tool": {"name": "ixcap", "version": __version__, "command": "analyze"},
@@ -162,18 +120,18 @@ def cmd_analyze(args) -> int:
             "q": U.q,
             "alphabet": list(U.alphabet.symbols),
         },
-        "per_n": per_n,
-        "theta": theta_report,
+        "per_n": list(bracket.per_n),
+        "theta": {"symmetric_part": bracket.theta_sym},
         "bracket": bracket.to_json_dict(),
-        "timings": timings,
-        "budget_exceeded": budget_hit,
+        "timings": {"bracket": seconds},
+        "budget_exceeded": bool(bracket.warnings),
     }
 
     csv_rows = [(
         "n", "alpha_sender", "alpha_sender_rate", "gamma", "gamma_rate",
         "alpha_sym",
     )]
-    for row in per_n:
+    for row in bracket.per_n:
         csv_rows.append((
             row["n"],
             row.get("alpha_sender", ""),
@@ -193,7 +151,7 @@ def cmd_analyze(args) -> int:
         "| n | alpha(G_s^n) | rate | Gamma(U_n) | rate | alpha sym |",
         "|---|---|---|---|---|---|",
     ]
-    for row in per_n:
+    for row in bracket.per_n:
         md_lines.append(
             f"| {row['n']} | {row.get('alpha_sender', '-')} "
             f"| {_fmt(row['alpha_sender_rate']) if 'alpha_sender_rate' in row else '-'} "
@@ -208,7 +166,7 @@ def cmd_analyze(args) -> int:
         "md": "\n".join(md_lines),
     }
     _write_output(payload, args.out, texts.get(args.format))
-    return EXIT_BUDGET if budget_hit else EXIT_OK
+    return EXIT_BUDGET if bracket.warnings else EXIT_OK
 
 
 def _labels_for(U: UtilityMatrix, n: int, indices) -> list[str]:

@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .channel import Channel
-from .errors import InputError, VerificationError
+from .errors import (
+    BudgetExceededError,
+    CapExceededError,
+    ConvergenceError,
+    InputError,
+    VerificationError,
+)
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     IndependentSetWitness,
@@ -36,7 +42,6 @@ from .graphs import (
     is_independent,
     sender_graph,
 )
-from .lower_bounds import gamma
 from .theta import lovasz_theta
 from .upper_bounds import CapacityBracket, ExactValue, xi_bracket
 from .utility import (
@@ -78,14 +83,6 @@ class ReceiverStrategy:
 
     def decoded_count(self) -> int:
         return sum(1 for t in self.decode if t is not None)
-
-
-@dataclass(frozen=True)
-class SenderStrategy:
-    """Encoding map on source sequences (total function)."""
-
-    n: int
-    encode: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -314,16 +311,21 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     """Bracket on the noisy-channel extraction rate: the elementwise minimum
     of the capacity bracket and the channel's zero-error capacity bracket,
     with the sender-side and channel-side closure rules applied when the
-    certificates permit."""
+    certificates permit.  The channel side is closed when the capacity's
+    certified lower bound already reaches the channel's zero-error ceiling.
+    An alpha(G_c^n) search that exhausts its budget, or a theta(G_c) that
+    does not converge, is skipped with a warning, so the channel bounds fall
+    back to 1 and the alphabet size."""
     xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)
     warnings = list(xi.warnings)
 
-    gc = confusability_graph(channel, 1)
     gc_lower, gc_lower_cert = 1.0, {"name": "trivial", "n": 1}
-    power = None
     for n in range(1, n_max + 1):
-        power = confusability_graph(channel, n)
-        alpha, wit = independence_number(power, budget=budget)
+        try:
+            alpha, wit = independence_number(confusability_graph(channel, n), budget=budget)
+        except (BudgetExceededError, CapExceededError) as exc:
+            warnings.append(f"alpha(G_c^{n}) skipped: {exc}")
+            continue
         value = alpha ** (1.0 / n)
         if value > gc_lower:
             gc_lower = value
@@ -331,12 +333,15 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
                 "name": "alpha_confusability_power", "n": n, "alpha": alpha,
                 "witness": list(wit.labels or wit.vertices),
             }
-    theta_c = lovasz_theta(gc, tol=min(tol, 1e-3))
-    gc_upper, gc_upper_cert = theta_c + tol, {
-        "name": "theta_confusability", "theta": theta_c, "tol": tol,
-    }
-    if float(U.q) < gc_upper:
-        gc_upper, gc_upper_cert = float(U.q), {"name": "alphabet_size", "q": U.q}
+    gc_upper, gc_upper_cert = float(U.q), {"name": "alphabet_size", "q": U.q}
+    try:
+        theta_c = lovasz_theta(confusability_graph(channel, 1), tol=min(tol, 1e-3))
+        if theta_c + tol <= gc_upper:
+            gc_upper, gc_upper_cert = theta_c + tol, {
+                "name": "theta_confusability", "theta": theta_c, "tol": tol,
+            }
+    except ConvergenceError as exc:
+        warnings.append(f"theta(G_c) did not converge: {exc}")
 
     if xi.lower <= gc_lower:
         lower, lower_cert = xi.lower, xi.lower_certificate
@@ -351,16 +356,14 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     if xi.exact is not None and xi.exact.value <= gc_lower + 1e-12:
         # capacity side closes and the channel certifiably carries it
         exact = xi.exact
-    else:
-        gamma_value, _ = gamma(U)
-        if gamma_value >= gc_upper:
-            # channel side closes: the single-letter bound already exceeds
-            # the channel's certified zero-error ceiling
-            lower, lower_cert = gc_lower, gc_lower_cert
-            upper, upper_cert = gc_upper, gc_upper_cert
-            t = round(gc_lower)
-            if t == gc_lower and gc_upper - t <= 2 * tol:
-                exact = ExactValue(t, 1)
+    elif xi.lower >= gc_upper:
+        # channel side closes: the capacity's certified lower bound already
+        # reaches the channel's certified zero-error ceiling
+        lower, lower_cert = gc_lower, gc_lower_cert
+        upper, upper_cert = gc_upper, gc_upper_cert
+        t = round(gc_lower)
+        if t == gc_lower and gc_upper - t <= 2 * tol:
+            exact = ExactValue(t, 1)
 
     return CapacityBracket(
         lower=lower,

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import networkx as nx
 
 from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
-from .graphs import Graph, independence_number, sender_graph
+from .graphs import DEFAULT_NODE_BUDGET, Graph, independence_number, sender_graph
 from .utility import (
     UtilityMatrix,
     parse_rational,
@@ -40,18 +40,16 @@ DEFAULT_SUBSET_BUDGET = 500_000
 
 @dataclass(frozen=True)
 class FeasibleSetCertificate:
-    """A subset certified feasible, carrying the bound |subset|^(1/n)."""
+    """A subset certified feasible, carrying the bound |subset|^(1/n) and
+    alpha_sym, the independence number of G_s^Sym,n that bounds the size of
+    every feasible subset."""
 
     subset: tuple[int, ...]
     labels: tuple[str, ...]
     blocklength: int
     size: int
     optimal: bool
-
-    @property
-    def bound_root(self) -> tuple[int, int]:
-        """The bound as an exact (base, root) pair: base**(1/root)."""
-        return (self.size, self.blocklength)
+    alpha_sym: int
 
     @property
     def bound_float(self) -> float:
@@ -68,6 +66,7 @@ class FeasibleSetCertificate:
                 "value": self.bound_float,
             },
             "optimal": self.optimal,
+            "alpha_sym": self.alpha_sym,
         }
 
 
@@ -241,12 +240,14 @@ class _SubsetSearch:
     A candidate's k x k block sums come from the q x q integer utility,
     letter by letter, so no q**n x q**n table is ever built."""
 
-    def __init__(self, U: UtilityMatrix, n: int, sym_graph: Graph, budget: int):
+    def __init__(self, U: UtilityMatrix, n: int, sym_graph: Graph, budget: int,
+                 node_budget: int):
         self.ints = U.scaled_integer_entries()[1]
         # the letters of every sequence, in canonical index order
         self.words = list(product(range(U.q), repeat=n))
         self.sym_graph = sym_graph
         self.budget = budget
+        self.node_budget = node_budget
         self.examined = 0
         self.infeasible_cores: list[frozenset[int]] = []
 
@@ -267,7 +268,7 @@ class _SubsetSearch:
     def run(self) -> tuple[int, tuple[int, ...] | None]:
         """(alpha_sym, the lexicographically first largest feasible subset),
         with None in place of the subset when the budget runs out."""
-        alpha_sym, witness = independence_number(self.sym_graph)
+        alpha_sym, witness = independence_number(self.sym_graph, budget=self.node_budget)
         # the canonical witness is the first candidate; it is tried whatever
         # the budget, since a feasible one matches the alpha_sym upper bound
         first = witness.vertices
@@ -302,7 +303,8 @@ def gamma(U: UtilityMatrix, budget: int = DEFAULT_SUBSET_BUDGET
     return value, cert
 
 
-def gamma_n(U: UtilityMatrix, n: int, budget: int = DEFAULT_SUBSET_BUDGET
+def gamma_n(U: UtilityMatrix, n: int, budget: int = DEFAULT_SUBSET_BUDGET,
+            node_budget: int = DEFAULT_NODE_BUDGET
             ) -> tuple[int, FeasibleSetCertificate]:
     """Gamma(U_n): the largest subset of X^n feasible for the blocklength-n
     problem, with a certificate; Gamma(U_n)^(1/n) bounds the capacity below.
@@ -317,15 +319,17 @@ def gamma_n(U: UtilityMatrix, n: int, budget: int = DEFAULT_SUBSET_BUDGET
     graphs.  If more than ``budget`` candidates are needed, it returns the
     canonical maximum independent set of the sender graph G_s^n instead,
     which is always feasible; that certificate is flagged optimal only when
-    its size reaches alpha_sym.
+    its size reaches alpha_sym.  The certificate carries alpha_sym.  Both
+    maximum-independent-set searches stop after ``node_budget`` nodes with
+    BudgetExceededError.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
     sym_graph = sender_graph(symmetric_part(U), n)
-    alpha_sym, subset = _SubsetSearch(U, n, sym_graph, budget).run()
+    alpha_sym, subset = _SubsetSearch(U, n, sym_graph, budget, node_budget).run()
     optimal = subset is not None
     if subset is None:
-        _, floor = independence_number(sender_graph(U, n))
+        _, floor = independence_number(sender_graph(U, n), budget=node_budget)
         subset = floor.vertices
         optimal = len(subset) == alpha_sym
     cert = FeasibleSetCertificate(
@@ -334,6 +338,7 @@ def gamma_n(U: UtilityMatrix, n: int, budget: int = DEFAULT_SUBSET_BUDGET
         blocklength=n,
         size=len(subset),
         optimal=optimal,
+        alpha_sym=alpha_sym,
     )
     return len(subset), cert
 

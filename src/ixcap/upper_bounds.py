@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .errors import BudgetExceededError, CapExceededError, ConvergenceError
+from .errors import BudgetExceededError, CapExceededError, ConvergenceError, InputError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
@@ -24,17 +24,6 @@ from .graphs import (
 from .lower_bounds import DEFAULT_SUBSET_BUDGET, gamma_n
 from .theta import lovasz_theta
 from .utility import UtilityMatrix, symmetric_part
-
-
-def alpha_sym_upper(U: UtilityMatrix, n: int,
-                    budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Independence number of the symmetric part's sender graph at
-    blocklength n: an upper bound on the true per-blocklength count
-    alpha(G_s^n), and an anytime estimate of the capacity (the proven
-    capacity upper bound is the theta number, not this)."""
-    g = sender_graph(symmetric_part(U), n)
-    alpha, _ = independence_number(g, budget=budget)
-    return alpha
 
 
 def is_two_valued_a_ge_b(U: UtilityMatrix) -> bool:
@@ -77,7 +66,11 @@ class ExactValue:
 
 @dataclass(frozen=True)
 class CapacityBracket:
-    """Certified [lower, upper] interval around an uncomputable limit."""
+    """Certified [lower, upper] interval around an uncomputable limit.
+
+    ``per_n`` and ``theta_sym`` report what ``xi_bracket`` computed on the
+    way: one record per blocklength, and theta(G_s^Sym), None when it did not
+    converge.  Neither is part of ``to_json_dict``."""
 
     lower: float
     lower_certificate: dict
@@ -86,6 +79,8 @@ class CapacityBracket:
     tol: float
     exact: ExactValue | None = None
     warnings: tuple[str, ...] = field(default=())
+    per_n: tuple[dict, ...] = field(default=())
+    theta_sym: float | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -106,51 +101,66 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     """Two-sided bracket on the information extraction capacity.
 
     Lower side: the best of alpha(G_s^n)^(1/n) and Gamma(U_n)^(1/n) for
-    n <= n_max, the first of equal values winning.  Only U's own bounds are
+    n <= n_max, the first of equal values winning, or the trivial bound 1
+    when every search ran out of budget.  Only U's own bounds are
     candidates: a utility that dominates U entrywise has a supergraph of
     every G_s^n and fewer feasible subsets, so neither of its bounds can beat
-    U's at the same n.  Upper side: min of the alphabet size,
-    theta(G_s^Sym) + tol, and theta(G_s) + tol when the symmetric or
-    two-valued-gain shape applies.  Exact value: for those shapes, a perfect
-    base graph (whitelisted or assumed) pins the capacity at alpha(G_s),
-    taken from the n = 1 pass; otherwise it is reported when the two sides
-    meet within 2*tol along an integer or radical closure.  A search that
-    exhausts its budget drops its candidate, and the closure that needs it,
-    with a warning.
+    U's at the same n.  Upper side: min of the alphabet size and
+    theta(G_s^Sym) + tol.  Exact value: for symmetric or two-valued-gain
+    utilities, where G_s and G_s^Sym coincide at n = 1, a perfect base graph
+    (whitelisted or assumed) pins the capacity at alpha(G_s), taken from the
+    n = 1 pass; otherwise it is reported when the two sides meet within
+    2*tol along an integer or radical closure.  A search that exhausts its
+    budget (``node_budget`` for every independent-set search, Gamma's
+    included) drops its candidate, and the closure that needs it, with a
+    warning.  The result carries the per-blocklength records (alpha(G_s^n)
+    and its witness; Gamma(U_n) with its subset, optimality and
+    alpha(G_s^Sym,n); or the skip message) and theta(G_s^Sym).
     """
+    if n_max < 1:
+        raise InputError("n_max must be at least 1")
     warnings: list[str] = []
     q = U.q
-    symmetric = U.is_symmetric()
-    two_valued = is_two_valued_a_ge_b(U)
     base_graph = sender_graph(U, 1)
 
     lowers: list[tuple[float, dict, tuple[int, int]]] = []
+    per_n: list[dict] = []
     alpha_base = None
     for n in range(1, n_max + 1):
+        record: dict = {"n": n}
         try:
             g = base_graph if n == 1 else sender_graph(U, n)
             alpha, witness = independence_number(g, budget=node_budget)
             if n == 1:
                 alpha_base = alpha
+            record.update(alpha_sender=alpha, alpha_sender_rate=alpha ** (1.0 / n),
+                          alpha_witness=list(witness.labels or witness.vertices))
             lowers.append((
-                alpha ** (1.0 / n),
+                record["alpha_sender_rate"],
                 {"name": "alpha_sender_power", "n": n, "alpha": alpha,
-                 "witness": list(witness.labels or witness.vertices)},
+                 "witness": record["alpha_witness"]},
                 (alpha, n),
             ))
         except (BudgetExceededError, CapExceededError) as exc:
-            warnings.append(f"alpha(G_s^{n}) skipped: {exc}")
+            record["alpha_sender_error"] = f"alpha(G_s^{n}) skipped: {exc}"
+            warnings.append(record["alpha_sender_error"])
         try:
-            value, cert = gamma_n(U, n, budget=subset_budget)
+            value, cert = gamma_n(U, n, budget=subset_budget, node_budget=node_budget)
+            record.update(gamma=value, gamma_rate=value ** (1.0 / n),
+                          gamma_subset=list(cert.labels), gamma_optimal=cert.optimal,
+                          alpha_sym=cert.alpha_sym)
             lowers.append((
-                value ** (1.0 / n),
+                record["gamma_rate"],
                 {"name": "gamma_blocklength", "n": n, "gamma": value,
-                 "subset": list(cert.labels), "optimal": cert.optimal},
+                 "subset": record["gamma_subset"], "optimal": cert.optimal},
                 (value, n),
             ))
         except (BudgetExceededError, CapExceededError) as exc:
-            warnings.append(f"gamma(U_{n}) skipped: {exc}")
-    lower_value, lower_cert, lower_root = max(lowers, key=lambda t: t[0])
+            record["gamma_error"] = f"gamma(U_{n}) skipped: {exc}"
+            warnings.append(record["gamma_error"])
+        per_n.append(record)
+    lower_value, lower_cert, lower_root = max(
+        lowers or [(1.0, {"name": "trivial", "n": 1}, (1, 1))], key=lambda t: t[0])
 
     uppers: list[tuple[float, dict]] = [
         (float(q), {"name": "alphabet_size", "q": q})
@@ -165,21 +175,10 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
         ))
     except ConvergenceError as exc:
         warnings.append(f"theta(G_s^Sym) did not converge: {exc}")
-    if symmetric or two_valued:
-        # for symmetric utilities the two graphs coincide; for the two-valued
-        # gain-dominant shape the base graph bound holds on its own
-        try:
-            theta_base = lovasz_theta(base_graph, tol=min(tol, 1e-3))
-            uppers.append((
-                theta_base + tol,
-                {"name": "theta_base_graph", "theta": theta_base, "tol": tol,
-                 "route": "symmetric" if symmetric else "two_valued"},
-            ))
-        except ConvergenceError as exc:
-            warnings.append(f"theta(G_s) did not converge: {exc}")
 
     exact: ExactValue | None = None
-    if (symmetric or two_valued) and (assume_perfect or in_perfect_whitelist(base_graph)):
+    if ((U.is_symmetric() or is_two_valued_a_ge_b(U))
+            and (assume_perfect or in_perfect_whitelist(base_graph))):
         if alpha_base is None:
             warnings.append("perfect-graph closure skipped: alpha(G_s^1) was not computed")
         else:
@@ -219,4 +218,6 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
         tol=tol,
         exact=exact,
         warnings=tuple(warnings),
+        per_n=tuple(per_n),
+        theta_sym=theta_sym,
     )

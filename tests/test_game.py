@@ -19,11 +19,12 @@ from conftest import (
 )
 from ixcap.channel import identity_channel, make_channel
 from ixcap.cli import corpus_path, main
-from ixcap.errors import VerificationError
+from ixcap.errors import ConvergenceError, VerificationError
 from ixcap.game import (
     DOMINATED,
     GameOutcome,
     ReceiverStrategy,
+    asymptotic_rate_bracket,
     equilibrium_value_noiseless,
     expected_block_utility,
     noisy_equilibrium_value,
@@ -32,6 +33,7 @@ from ixcap.game import (
     worst_case_decoded_set,
 )
 from ixcap.graphs import confusability_graph, graph_from_edges, independence_number, sender_graph
+from ixcap.upper_bounds import xi_bracket
 from ixcap.utility import Alphabet, utility_from_json
 
 SIZES = st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -208,6 +210,30 @@ class TestNoisyVerification:
         confusability = graph_from_edges(q**n, confusable)
         d, _ = noisy_equilibrium_value(U, channel, n)
         assert d == min(oracle_alpha(sender)[0], oracle_alpha(confusability)[0])
+
+
+class TestAsymptoticRateBracket:
+    # confusability graph K2 + K3: alpha = theta = 2, below the pentagon's
+    # certified lower bound sqrt(5) but above its Gamma(U) = 2 - tol
+    K2_K3 = [[1, 0, 0, 0, 0]] * 2 + [[0, 0, 1, 0, 0]] * 3
+
+    def test_channel_side_closes_on_the_certified_lower(self, pentagon):
+        channel = make_channel(Alphabet.of_size(5), self.K2_K3)
+        b = asymptotic_rate_bracket(pentagon, channel)
+        assert (b.exact.base, b.exact.root) == (2, 1)
+        assert b.lower_certificate["name"] == "alpha_confusability_power"
+        assert b.upper_certificate["name"] == "theta_confusability"
+
+    def test_unconverged_channel_theta_is_skipped(self, example1, monkeypatch):
+        def diverge(g, **kw):
+            raise ConvergenceError("no convergence")
+
+        monkeypatch.setattr(ixcap.game, "lovasz_theta", diverge)
+        channel = make_channel(Alphabet.of_size(3), [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
+        b = asymptotic_rate_bracket(example1, channel)
+        assert b.warnings == ("theta(G_c) did not converge: no convergence",)
+        # the channel's ceiling falls back to the alphabet size
+        assert b.upper == min(xi_bracket(example1).upper, 3.0)
 
 
 class TestVerificationError:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -127,7 +128,7 @@ class TestGamma:
         value, cert = gamma(pentagon)
         assert value == 2
         assert cert.labels == ("0", "2")
-        assert cert.bound_root == (2, 1)
+        assert (cert.size, cert.blocklength) == (2, 1)
 
     def test_example3_full_alphabet(self, example3):
         value, cert = gamma(example3)
@@ -158,7 +159,7 @@ class TestGammaBlocklength:
         assert value == 5
         assert cert.labels == ("00", "12", "24", "31", "43")
         assert cert.optimal
-        assert cert.bound_root == (5, 2)
+        assert (cert.size, cert.blocklength) == (5, 2)
         assert cert.bound_float == pytest.approx(math.sqrt(5))
 
     def test_n1_matches_gamma(self):
@@ -210,6 +211,21 @@ class TestGammaBlocklength:
         gamma_peak, (value, cert) = peak(lambda: gamma_n(U, 6))
         assert (value, cert.optimal) == (64, True)
         assert gamma_peak <= 1.5 * graph_peak
+
+    def test_node_budget_bounds_the_search(self):
+        # G_s^Sym,6 is edgeless on 729 vertices, where an unbudgeted
+        # independent-set search runs for minutes
+        U = utility_from_json({"utility": [[0, -2, 1], [1, 0, -2], [-2, 1, 0]]})
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            gamma_n(U, 6, budget=1, node_budget=1000)
+        assert time.perf_counter() - start < 20
+
+    def test_certificate_carries_alpha_sym(self, pentagon):
+        for n in (1, 2):
+            _, cert = gamma_n(pentagon, n)
+            alpha_sym, _ = independence_number(sender_graph(symmetric_part(pentagon), n))
+            assert cert.alpha_sym == cert.to_json_dict()["alpha_sym"] == alpha_sym
 
     def test_validates_blocklength(self, example1):
         with pytest.raises(InputError):
