@@ -36,6 +36,7 @@ from .errors import (
 )
 from .graphs import (
     DEFAULT_NODE_BUDGET,
+    Graph,
     IndependentSetWitness,
     confusability_graph,
     independence_number,
@@ -108,10 +109,14 @@ def receiver_strategy_from_set(U: UtilityMatrix, vertices, n: int,
     for v in vs:
         if not 0 <= v < nv:
             raise InputError(f"sequence index {v} out of range for n={n}")
-    g = sender_graph(U, n)
-    if not is_independent(g, vs):
+    return _strategy_on(sender_graph(U, n), vs, n)
+
+
+def _strategy_on(gs: Graph, vs, n: int) -> ReceiverStrategy:
+    """Identity on vs, checked independent in the sender graph gs."""
+    if not is_independent(gs, vs):
         raise InputError("the set is not independent in the sender graph")
-    decode = [None] * nv
+    decode = [None] * gs.n_vertices
     for v in vs:
         decode[v] = v
     return ReceiverStrategy(n, tuple(decode))
@@ -157,7 +162,7 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     """
     g = sender_graph(U, n)
     alpha, witness = independence_number(g, budget=budget)
-    strategy = receiver_strategy_from_set(U, witness.vertices, n)
+    strategy = _strategy_on(g, witness.vertices, n)
     outcome = worst_case_decoded_set(U, strategy)
     if outcome.decoded_size != alpha or set(outcome.decoded_worst) != set(witness.vertices):
         raise VerificationError("equilibrium verification failed")

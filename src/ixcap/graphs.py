@@ -241,6 +241,9 @@ class _CliqueSearch:
     Run on the complement, a maximum clique is a maximum independent set.
     A single node counter is shared across runs so the budget bounds total
     work even when the search is re-entered for witness canonicalization.
+    After a run that finds its set, ``best_mask`` holds that set, which the
+    witness pass reuses; ``at_least`` with a target of 0 or less returns
+    True without a run and leaves ``best_mask`` stale.
     """
 
     def __init__(self, rows: tuple[int, ...], budget: int):
@@ -323,9 +326,20 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
                         ) -> tuple[int, IndependentSetWitness]:
     """Exact alpha(G) with the lexicographically least maximum independent set.
 
+    The witness pass walks the vertices in order and keeps each one that
+    some maximum independent set extends.  It holds such a set W, first the
+    maximum search's own, that contains every vertex kept so far and no
+    vertex rejected.  A vertex in W is kept with no search; any other needs
+    an ``at_least`` search over the vertices still open, and on success W
+    becomes the kept vertices plus the set that search found.  So only a
+    vertex outside every maximum set found so far costs a search, and an
+    edgeless graph needs none.
+
     Raises BudgetExceededError (carrying the best bound found) if the branch
-    and bound runs out of nodes.
+    and bound runs out of nodes, and InputError if the budget is below 1.
     """
+    if budget < 1:
+        raise InputError(f"node budget must be at least 1, got {budget}")
     n = g.n_vertices
     if n == 0:
         return 0, IndependentSetWitness((), 0)
@@ -333,10 +347,11 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     comp = g.complement_rows()
     search = _CliqueSearch(comp, budget)
     full = (1 << n) - 1
-    alpha, _ = search.maximum(full)
+    alpha, maxset = search.maximum(full)
 
     # canonical witness: greedily keep the smallest vertex that still allows
-    # completing a maximum independent set among the remaining candidates
+    # completing a maximum independent set among the remaining candidates;
+    # chosen | (maxset & cand) is always a maximum independent set
     chosen: list[int] = []
     cand = full
     needed = alpha
@@ -346,12 +361,15 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
         if not (cand >> v) & 1:
             continue
         rest = cand & comp[v] & ~((1 << (v + 1)) - 1)
-        if search.at_least(rest, needed - 1):
-            chosen.append(v)
-            cand = rest
-            needed -= 1
-        else:
-            cand &= ~(1 << v)
+        if not (maxset >> v) & 1:
+            if not search.at_least(rest, needed - 1):
+                cand &= ~(1 << v)
+                continue
+            # stale when needed == 1, but then v is the last vertex kept
+            maxset = search.best_mask
+        chosen.append(v)
+        cand = rest
+        needed -= 1
     if len(chosen) != alpha:
         raise VerificationError(
             f"canonical witness has {len(chosen)} vertices, expected {alpha}")

@@ -39,6 +39,8 @@ def test_missing_file():
     ["alpha", "--utility", PENTAGON, "--format", "md"],
     ["gamma", "--utility", PENTAGON, "--method", "permutation-brute-force"],
     ["analyze", "--utility", PENTAGON, "--max-n", "0"],
+    ["analyze", "--utility", PENTAGON, "--budget-nodes", "0"],
+    ["analyze", "--utility", PENTAGON, "--budget-nodes", "-5"],
 ])
 def test_usage_error_is_an_input_error(argv):
     assert main(argv) == EXIT_INPUT

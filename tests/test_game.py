@@ -19,7 +19,7 @@ from conftest import (
 )
 from ixcap.channel import identity_channel, make_channel
 from ixcap.cli import corpus_path, main
-from ixcap.errors import ConvergenceError, VerificationError
+from ixcap.errors import ConvergenceError, InputError, VerificationError
 from ixcap.game import (
     DOMINATED,
     GameOutcome,
@@ -29,6 +29,7 @@ from ixcap.game import (
     expected_block_utility,
     noisy_equilibrium_value,
     output_support_indices,
+    receiver_strategy_from_set,
     verify_noisy_equilibrium,
     worst_case_decoded_set,
 )
@@ -132,6 +133,29 @@ class TestEquilibriumAgainstEveryReceiver:
         assert pessimistic_score(sums, (0, 1, 2)) == 1
         value, strategy = equilibrium_value_noiseless(example1, 1)
         assert value == pessimistic_score(sums, strategy.decode) == 2
+
+
+class TestReceiverStrategyFromSet:
+    def test_matches_the_equilibrium_strategy(self, pentagon):
+        value, strategy = equilibrium_value_noiseless(pentagon, 2)
+        assert receiver_strategy_from_set(pentagon, strategy.image(), 2) == strategy
+        assert strategy.decoded_count() == value
+
+    def test_rejects_a_dependent_set(self, example1):
+        g = sender_graph(example1, 1)
+        u, v = next(g.edges())
+        with pytest.raises(InputError):
+            receiver_strategy_from_set(example1, [u, v], 1)
+        with pytest.raises(InputError):
+            receiver_strategy_from_set(example1, [example1.q], 1)
+
+    def test_equilibrium_builds_the_sender_graph_once(self, monkeypatch, pentagon):
+        calls = []
+        build = ixcap.game.sender_graph
+        monkeypatch.setattr(ixcap.game, "sender_graph",
+                            lambda *args: calls.append(args) or build(*args))
+        equilibrium_value_noiseless(pentagon, 2)
+        assert len(calls) == 1
 
 
 class TestNoisyVerification:

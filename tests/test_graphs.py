@@ -184,15 +184,43 @@ class TestIndependenceNumber:
         assert independence_number(sender_graph(pentagon, 2))[0] == 5
         assert independence_number(sender_graph(pentagon_literal, 2))[0] == 4
 
-    def test_matches_oracle_on_randoms(self):
+    def test_matches_oracle_on_randoms(self, monkeypatch):
+        # count the witness searches that succeed: on sparse draws the
+        # maximum set found first is often not the lexicographically least,
+        # so the witness pass must replace it along the way
+        refreshed = 0
+        at_least = ixcap.graphs._CliqueSearch.at_least
+
+        def counting(self, cand, target):
+            nonlocal refreshed
+            found = at_least(self, cand, target)
+            refreshed += found and target > 0
+            return found
+
+        monkeypatch.setattr(ixcap.graphs._CliqueSearch, "at_least", counting)
         rng = random.Random(37)
-        for _ in range(30):
-            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.8))
+        draws = [(rng.randint(1, 12), rng.uniform(0.2, 0.8)) for _ in range(30)]
+        draws += [(rng.randint(6, 14), rng.uniform(0.05, 0.2)) for _ in range(30)]
+        for n, p in draws:
+            g = random_graph(rng, n, p)
             alpha, witness = independence_number(g)
             expect_alpha, _ = oracle_alpha(g)
             assert alpha == expect_alpha
             assert is_independent(g, witness.vertices)
             assert witness.vertices == oracle_lex_least_mis(g, alpha)
+        assert refreshed > 0
+
+    def test_edgeless_witness_needs_no_search(self):
+        # every vertex is in the maximum set found first, so the witness
+        # pass spends no node of the budget
+        alpha, witness = independence_number(empty_graph(500), budget=1000)
+        assert alpha == 500
+        assert witness.vertices == tuple(range(500))
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_an_input_error(self, budget):
+        with pytest.raises(InputError):
+            independence_number(cycle_graph(5), budget=budget)
 
     def test_witness_canonical_under_relabeling(self):
         # a graph with several maximum independent sets: the 6-cycle
