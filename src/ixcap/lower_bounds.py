@@ -22,7 +22,6 @@ from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
 import networkx as nx
-import numpy as np
 
 from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
 from .graphs import DEFAULT_NODE_BUDGET, Graph, independence_number, sender_graph
@@ -37,9 +36,6 @@ from .utility import (
 BRUTE_FORCE_SUBSET_CAP = 9
 #: default number of candidate subsets examined before giving up
 DEFAULT_SUBSET_BUDGET = 500_000
-#: fewest subset members for which ``_nonneg_chain`` relaxes whole rows in
-#: numpy; below it the per-call overhead outweighs the scalar loop
-VECTOR_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -141,9 +137,21 @@ def _rotate_min_first(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[k:] + cycle[:k]
 
 
-def _relax_scalar(w: list[list], k: int) -> tuple[list, list[int], int | None]:
-    """Bellman-Ford rounds over the rows in order: (distances, predecessors,
-    the last vertex relaxed in the final round or None if it relaxed none)."""
+def _nonneg_chain(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
+    """A closed chain of distinct subset members with utility sum >= 0, or None.
+
+    Bellman-Ford on the negated weights w(a -> b) = -u[b][a] ("report a as
+    b") from a virtual super-source.  A vertex still relaxed in round
+    |subset| leads back along its predecessors into a strictly positive
+    chain; otherwise the distances are potentials, and a chain summing to
+    exactly zero is a cycle of the zero-reduced-weight subgraph.  The chain
+    comes in arc order (chain[m] is reported as chain[m + 1]), smallest
+    symbol first, and its sum is checked exactly before it is returned.
+    """
+    k = len(subset)
+    if k < 2:
+        return None
+    w = [[-u[subset[b]][subset[a]] for b in range(k)] for a in range(k)]
     dist = [0] * k
     pred = [-1] * k
     for _ in range(k):
@@ -158,56 +166,6 @@ def _relax_scalar(w: list[list], k: int) -> tuple[list, list[int], int | None]:
                     last = b
         if last is None:
             break
-    return dist, pred, last
-
-
-def _relax_rows(w: list[list], k: int) -> tuple[list, list[int], int | None]:
-    # row a changes dist[b] only for b != a, so one numpy update per row
-    # gives what the scalar loop gives.  A distance is a walk of at most
-    # k**2 arcs, so int64 holds it when every weight is an int below
-    # 2**62 / (k**2 + 1); other weights (large ints, Fractions) stay
-    # exact Python objects
-    small = all(type(x) is int and abs(x) * (k * k + 1) < 2**62 for row in w for x in row)
-    rows = list(np.array(w, dtype=np.int64 if small else object))
-    dist = np.zeros(k, dtype=rows[0].dtype)
-    pred = np.full(k, -1)
-    cand = np.empty_like(dist)
-    better = np.empty(k, dtype=bool)
-    for _ in range(k):
-        last = None
-        for a in range(k):
-            np.add(rows[a], dist[a], out=cand)
-            np.less(cand, dist, out=better)
-            better[a] = False
-            if np.count_nonzero(better):
-                hit = better.nonzero()[0]
-                dist[hit] = cand[hit]
-                pred[hit] = a
-                last = int(hit[-1])
-        if last is None:
-            break
-    return dist.tolist(), pred.tolist(), last
-
-
-def _nonneg_chain(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
-    """A closed chain of distinct subset members with utility sum >= 0, or None.
-
-    Bellman-Ford on the negated weights w(a -> b) = -u[b][a] ("report a as
-    b") from a virtual super-source.  A vertex still relaxed in round
-    |subset| leads back along its predecessors into a strictly positive
-    chain; otherwise the distances are potentials, and a chain summing to
-    exactly zero is a cycle of the zero-reduced-weight subgraph.  The chain
-    comes in arc order (chain[m] is reported as chain[m + 1]), smallest
-    symbol first, and its sum is checked exactly before it is returned.
-    From ``VECTOR_ROWS`` members on, each row is relaxed as one numpy
-    update, with the same result; the k**3 scalar steps would take minutes
-    on the hundreds of members a blocklength-n witness can have.
-    """
-    k = len(subset)
-    if k < 2:
-        return None
-    w = [[-u[subset[b]][subset[a]] for b in range(k)] for a in range(k)]
-    dist, pred, last = (_relax_rows if k >= VECTOR_ROWS else _relax_scalar)(w, k)
     if last is not None:
         # k steps back from a vertex relaxed in round k land on a cycle
         for _ in range(k):
@@ -220,7 +178,7 @@ def _nonneg_chain(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
         cycle.reverse()
     else:
         zero_succ = [
-            {b for b in range(k) if b != a and dist[a] + w[a][b] == dist[b]}
+            [b for b in range(k) if b != a and dist[a] + w[a][b] == dist[b]]
             for a in range(k)
         ]
         found, cycle = _nonneg_arc_cycle(lambda i, j: i in zero_succ[j], tuple(range(k)))
@@ -298,6 +256,12 @@ class _SubsetSearch:
         return any(core <= s for core in self.infeasible_cores)
 
     def _accepts(self, subset: tuple[int, ...]) -> bool:
+        # the test relaxes up to k*k rows of k members, each charged as one
+        # search node, so node_budget bounds it as it bounds the MIS searches
+        k = len(subset)
+        if k * k > self.node_budget:
+            raise BudgetExceededError(
+                f"feasibility test of {k} members exceeds {self.node_budget} nodes")
         ints = self.ints
         words = [self.words[s] for s in subset]
         sums = [[sum(ints[a][b] for a, b in zip(t, y)) for y in words] for t in words]
@@ -363,7 +327,8 @@ def gamma_n(U: UtilityMatrix, n: int, budget: int = DEFAULT_SUBSET_BUDGET,
     which is always feasible; that certificate is flagged optimal only when
     its size reaches alpha_sym.  The certificate carries alpha_sym.  Both
     maximum-independent-set searches stop after ``node_budget`` nodes with
-    BudgetExceededError.
+    BudgetExceededError, and so does the test of a candidate of k members
+    when its k*k Bellman-Ford rows exceed ``node_budget``.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")

@@ -199,10 +199,11 @@ class TestIndependenceNumber:
 
         monkeypatch.setattr(ixcap.graphs._CliqueSearch, "at_least", counting)
         rng = random.Random(37)
-        draws = [(rng.randint(1, 12), rng.uniform(0.2, 0.8)) for _ in range(30)]
-        draws += [(rng.randint(6, 14), rng.uniform(0.05, 0.2)) for _ in range(30)]
-        for n, p in draws:
-            g = random_graph(rng, n, p)
+        graphs = [random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.8)) for _ in range(30)]
+        sparse = random.Random(41)
+        graphs += [random_graph(sparse, sparse.randint(6, 14), sparse.uniform(0.05, 0.2))
+                   for _ in range(30)]
+        for g in graphs:
             alpha, witness = independence_number(g)
             expect_alpha, _ = oracle_alpha(g)
             assert alpha == expect_alpha

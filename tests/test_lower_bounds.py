@@ -14,7 +14,6 @@ from conftest import (
     random_symmetric_utility,
     random_utility,
 )
-import ixcap.lower_bounds as lower_bounds
 from ixcap.errors import BudgetExceededError, InputError
 from ixcap.graphs import independence_number, is_independent, sender_graph
 from ixcap.lower_bounds import (
@@ -101,25 +100,6 @@ class TestFeasibility:
                     assert total >= 0
                     zero_sum += total == 0
         assert zero_sum > 20
-
-    def test_row_relaxation_matches_scalar_loop(self, monkeypatch):
-        # from VECTOR_ROWS members on, whole rows are relaxed in numpy:
-        # int64 for small ints, Python objects for huge ints and Fractions
-        rng = random.Random(71)
-        k = lower_bounds.VECTOR_ROWS + 2
-        full, cut = tuple(range(k)), tuple(sorted(rng.sample(range(k), k - 1)))
-        cases = []
-        for values in ((-3, -2, -1, 0, 1), (-4, -2, 0), (-9, -5, -1), (-2**61, 2**59)):
-            for subset in (full, cut):
-                cases.append(([[0 if i == j else rng.choice(values) for j in range(k)]
-                               for i in range(k)], subset))
-        cases.append((random_utility(rng, k).u, full))
-        chains = []
-        for vector_rows in (lower_bounds.VECTOR_ROWS, k + 1):
-            monkeypatch.setattr(lower_bounds, "VECTOR_ROWS", vector_rows)
-            chains.append([lower_bounds._nonneg_chain(u, s) for u, s in cases])
-        assert chains[0] == chains[1]
-        assert None in chains[0] and any(c is not None for c in chains[0])
 
     def test_zero_weight_chain_infeasible(self, pentagon_literal):
         # ties poison feasibility: this code admits a zero-sum 3-chain
@@ -239,6 +219,15 @@ class TestGammaBlocklength:
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
             gamma_n(U, 6, budget=1, node_budget=1000)
+        assert time.perf_counter() - start < 20
+
+    def test_node_budget_bounds_the_witness_test(self):
+        # G_s^Sym,7 is edgeless on 2187 vertices: its alpha search fits in
+        # 5000 nodes, but testing the 2187-member witness would not
+        U = utility_from_json({"utility": [[0, -2, 1], [1, 0, -2], [-2, 1, 0]]})
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="feasibility test of 2187 members"):
+            gamma_n(U, 7, budget=1, node_budget=5000)
         assert time.perf_counter() - start < 20
 
     def test_certificate_carries_alpha_sym(self, pentagon):
