@@ -6,9 +6,11 @@ Every sub-command writes a JSON report to stdout or ``--out``.  Only
 ``corpus`` prints its checks as markdown unless ``--format json`` is given.
 ``analyze`` runs one ``xi_bracket`` pass and prints its per-blocklength
 records and theta(G_s^Sym) next to the bracket, so the table shows the very
-values the bracket compared.  ``gamma`` reports the largest feasible subset
-at blocklength ``-n``, or with ``--subset`` the feasibility of one subset
-and, when it is infeasible, the closed chain that proves it.
+values the bracket compared; its perfect-graph closure rests on an exact
+perfectness test run under ``--budget-nodes``, never on a user's word.
+``gamma`` reports the largest feasible subset at blocklength ``-n``, or
+with ``--subset`` the feasibility of one subset and, when it is
+infeasible, the closed chain that proves it.
 
 Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
 internal verification, 2 resource budget exceeded, 3 corpus golden mismatch.
@@ -107,9 +109,8 @@ def cmd_analyze(args) -> int:
     utility_path = Path(args.utility)
     U = _utility_from_args(args)
     t0 = time.perf_counter()
-    bracket = xi_bracket(
-        U, n_max=args.max_n, tol=args.theta_tol,
-        assume_perfect=args.assume_perfect, node_budget=args.budget_nodes)
+    bracket = xi_bracket(U, n_max=args.max_n, tol=args.theta_tol,
+                         node_budget=args.budget_nodes)
     seconds = round(time.perf_counter() - t0, 6)
 
     payload = {
@@ -445,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full per-blocklength analysis and bracket")
     _add_common(p, max_n=True, theta_tol=True, budget_nodes=True)
-    p.add_argument("--assume-perfect", action="store_true",
-                   help="treat the base sender graph as perfect (user-supplied fact)")
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.set_defaults(func=cmd_analyze)
 

@@ -43,7 +43,7 @@ from .graphs import (
     is_independent,
     sender_graph,
 )
-from .theta import lovasz_theta
+from .theta import MAX_VERTICES, lovasz_theta
 from .upper_bounds import CapacityBracket, ExactValue, xi_bracket
 from .utility import (
     BLOCK_CELLS,
@@ -319,8 +319,9 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     certificates permit.  The channel side is closed when the capacity's
     certified lower bound already reaches the channel's zero-error ceiling.
     An alpha(G_c^n) search that exhausts its budget, or a theta(G_c) that
-    does not converge, is skipped with a warning, so the channel bounds fall
-    back to 1 and the alphabet size."""
+    does not converge or has more vertices than the solver takes, is skipped
+    with a warning, so the channel bounds fall back to 1 and the alphabet
+    size."""
     xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)
     warnings = list(xi.warnings)
 
@@ -339,14 +340,19 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
                 "witness": list(wit.labels or wit.vertices),
             }
     gc_upper, gc_upper_cert = float(U.q), {"name": "alphabet_size", "q": U.q}
-    try:
-        theta_c = lovasz_theta(confusability_graph(channel, 1), tol=min(tol, 1e-3))
-        if theta_c + tol <= gc_upper:
-            gc_upper, gc_upper_cert = theta_c + tol, {
-                "name": "theta_confusability", "theta": theta_c, "tol": tol,
-            }
-    except ConvergenceError as exc:
-        warnings.append(f"theta(G_c) did not converge: {exc}")
+    base_c = confusability_graph(channel, 1)
+    if base_c.n_vertices > MAX_VERTICES:
+        warnings.append(f"theta(G_c) skipped: {base_c.n_vertices} vertices exceed "
+                        f"the solver's limit of {MAX_VERTICES}")
+    else:
+        try:
+            theta_c = lovasz_theta(base_c, tol=min(tol, 1e-3))
+            if theta_c + tol <= gc_upper:
+                gc_upper, gc_upper_cert = theta_c + tol, {
+                    "name": "theta_confusability", "theta": theta_c, "tol": tol,
+                }
+        except ConvergenceError as exc:
+            warnings.append(f"theta(G_c) did not converge: {exc}")
 
     if xi.lower <= gc_lower:
         lower, lower_cert = xi.lower, xi.lower_certificate

@@ -21,8 +21,6 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
-import networkx as nx
-
 from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
 from .graphs import DEFAULT_NODE_BUDGET, Graph, independence_number, sender_graph
 from .utility import (
@@ -435,7 +433,8 @@ class TransportResult:
 def transport_lower_bound(U: UtilityMatrix, P: Sequence) -> TransportResult:
     """Maximize the expected utility over couplings with both marginals P.
 
-    Solved exactly as an integer min-cost flow after clearing denominators.
+    Solved exactly after clearing denominators, as the largest-gain integer
+    coupling of the q x q transport network (``_max_gain_coupling``).
     The diagonal coupling always achieves 0; when it is the unique optimum
     the support of P certifies exp(H(P)) as a capacity lower bound (q-ary
     entropy, exponential base q, which is base-independent).
@@ -454,17 +453,7 @@ def transport_lower_bound(U: UtilityMatrix, P: Sequence) -> TransportResult:
         denom = denom * p.denominator // math.gcd(denom, p.denominator)
     supplies = [int(p * denom) for p in marginal]
     scale, uint = U.scaled_integer_entries()
-
-    g = nx.DiGraph()
-    for i in range(q):
-        g.add_node(("x", i), demand=-supplies[i])
-        g.add_node(("y", i), demand=supplies[i])
-    for i in range(q):
-        for j in range(q):
-            # coupling mass W(i, j) carries utility u(i, j); costs negated
-            g.add_edge(("x", i), ("y", j), weight=-uint[i][j])
-    cost, _flow = nx.network_simplex(g)
-    optimum = Fraction(-cost, denom * scale)
+    optimum = Fraction(_max_gain_coupling(uint, supplies), denom * scale)
 
     support = tuple(i for i in range(q) if marginal[i] > 0)
     unique = False
@@ -477,3 +466,52 @@ def transport_lower_bound(U: UtilityMatrix, P: Sequence) -> TransportResult:
         bound = math.exp(-sum(float(p) * math.log(float(p))
                               for p in marginal if p > 0))
     return TransportResult(marginal, optimum, unique, bound)
+
+
+def _max_gain_coupling(gain, supplies: list[int]) -> int:
+    """Largest sum of gain[i][j] * f[i][j] over nonnegative integer couplings
+    f whose row sums and column sums both equal supplies.
+
+    Successive longest augmenting paths on the q x q transport network: its
+    residual arcs are x_i -> y_j with gain gain[i][j], and y_j -> x_i with
+    gain -gain[i][j] wherever f[i][j] > 0.  Each round finds by Bellman-Ford
+    the longest paths from the rows with supply left, and augments along the
+    one to a column with demand left by its bottleneck.  Starting from the
+    empty coupling, augmenting along longest paths leaves no positive
+    residual cycle, so the final coupling is optimal.
+    """
+    q = len(supplies)
+    flow = [[0] * q for _ in range(q)]
+    left, need = list(supplies), list(supplies)
+    total = 0
+    while any(left):
+        dx = [0 if left[i] else None for i in range(q)]
+        dy = [None] * q
+        px, py = [None] * q, [None] * q
+        changed = True
+        while changed:  # at most 2q rounds, as no residual cycle is positive
+            changed = False
+            for i, j in product(range(q), repeat=2):
+                if dx[i] is not None and (dy[j] is None or dx[i] + gain[i][j] > dy[j]):
+                    dy[j], py[j], changed = dx[i] + gain[i][j], i, True
+            for i, j in product(range(q), repeat=2):
+                if flow[i][j] and (dx[i] is None or dy[j] - gain[i][j] > dx[i]):
+                    dx[i], px[i], changed = dy[j] - gain[i][j], j, True
+        sink = next(j for j in range(q) if need[j])
+        forward, backward, j = [], [], sink
+        while True:
+            i = py[j]
+            forward.append((i, j))
+            if px[i] is None:
+                break
+            j = px[i]
+            backward.append((i, j))
+        step = min(left[i], need[sink], *(flow[a][b] for a, b in backward))
+        for a, b in forward:
+            flow[a][b] += step
+        for a, b in backward:
+            flow[a][b] -= step
+        left[i] -= step
+        need[sink] -= step
+        total += step * dy[sink]
+    return total

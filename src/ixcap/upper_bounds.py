@@ -4,14 +4,15 @@ The capacity itself is a limit and not directly computable; the bracket
 combines certified finite-blocklength lower bounds (feasible subsets,
 independent sets) with upper bounds that hold at every blocklength (the
 theta number of the symmetric-part graph, the trivial alphabet cap, and
-special-case closures for symmetric, two-valued, or perfect-graph inputs).
+special-case closures for symmetric or two-valued inputs whose base graph
+is perfect).  Perfectness is decided, not assumed: by the strong perfect
+graph theorem a graph is perfect iff it has no induced odd hole and no
+induced odd antihole, which an exact induced-path search finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from .errors import BudgetExceededError, CapExceededError, ConvergenceError, InputError
 from .graphs import (
@@ -22,7 +23,7 @@ from .graphs import (
     strong_power,
 )
 from .lower_bounds import DEFAULT_SUBSET_BUDGET, gamma_n
-from .theta import lovasz_theta
+from .theta import MAX_VERTICES, lovasz_theta
 from .utility import UtilityMatrix, symmetric_part
 
 
@@ -37,16 +38,48 @@ def is_two_valued_a_ge_b(U: UtilityMatrix) -> bool:
     return hi > 0 > lo and hi >= -lo
 
 
-def in_perfect_whitelist(g: Graph) -> bool:
-    """Perfectness for a small family whitelist: bipartite or chordal graphs
-    and their complements.  No general perfect-graph recognition."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n_vertices))
-    nxg.add_edges_from(g.edges())
-    for cand in (nxg, nx.complement(nxg)):
-        if nx.is_bipartite(cand) or nx.is_chordal(cand):
-            return True
-    return False
+def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """Whether g is perfect, decided exactly (the old whitelist's name is
+    kept for the benchmark's per-layer metrics).
+
+    By the strong perfect graph theorem (Chudnovsky, Robertson, Seymour and
+    Thomas, 2006), g is perfect iff neither g nor its complement has an
+    induced cycle of odd length at least 5.  For each vertex s, a depth-first
+    search grows induced paths s, p1, ..., pk over vertices above s; a
+    neighbour of pk adjacent to s and to no interior vertex closes an induced
+    cycle of k + 2 vertices, so every hole is found from its least vertex.
+
+    Each path step costs one node.  Raises BudgetExceededError beyond
+    ``budget`` nodes, and InputError if the budget is below 1.
+    """
+    if budget < 1:
+        raise InputError(f"node budget must be at least 1, got {budget}")
+    nodes = 0
+    full = (1 << g.n_vertices) - 1
+    for rows in (g.rows, g.complement_rows()):
+        for s in range(g.n_vertices - 4):  # a hole has 4+ vertices above its least
+            above = full >> (s + 1) << (s + 1)
+            # (last vertex, path vertices and neighbours of its interior, k)
+            stack = [(p, 1 << p, 1) for p in _bits(rows[s] & above)]
+            while stack:
+                last, blocked, k = stack.pop()
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(
+                        f"perfectness test exceeded {budget} nodes")
+                cand = rows[last] & above & ~blocked
+                if k >= 3 and k % 2 and cand & rows[s]:
+                    return False
+                stack.extend((v, blocked | rows[last], k + 1)
+                             for v in _bits(cand & ~rows[s]))
+    return True
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -95,7 +128,6 @@ class CapacityBracket:
 
 
 def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
-               assume_perfect: bool = False,
                node_budget: int = DEFAULT_NODE_BUDGET,
                subset_budget: int = DEFAULT_SUBSET_BUDGET) -> CapacityBracket:
     """Two-sided bracket on the information extraction capacity.
@@ -106,16 +138,19 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     candidates: a utility that dominates U entrywise has a supergraph of
     every G_s^n and fewer feasible subsets, so neither of its bounds can beat
     U's at the same n.  Upper side: min of the alphabet size and
-    theta(G_s^Sym) + tol.  Exact value: for symmetric or two-valued-gain
-    utilities, where G_s and G_s^Sym coincide at n = 1, a perfect base graph
-    (whitelisted or assumed) pins the capacity at alpha(G_s), taken from the
-    n = 1 pass; otherwise it is reported when the two sides meet within
-    2*tol along an integer or radical closure.  A search that exhausts its
-    budget (``node_budget`` for every independent-set search, Gamma's
-    included) drops its candidate, and the closure that needs it, with a
-    warning.  The result carries the per-blocklength records (alpha(G_s^n)
-    and its witness; Gamma(U_n) with its subset, optimality and
-    alpha(G_s^Sym,n); or the skip message) and theta(G_s^Sym).
+    theta(G_s^Sym) + tol; theta is skipped with a warning when it does not
+    converge or G_s^Sym has more vertices than the solver takes.  Exact
+    value: for symmetric or two-valued-gain utilities, where G_s and
+    G_s^Sym coincide at n = 1, a base graph that ``in_perfect_whitelist``
+    proves perfect pins the capacity at alpha(G_s), taken from the n = 1
+    pass; otherwise it is reported when the two sides meet within 2*tol
+    along an integer or radical closure.  A search that exhausts its budget
+    (``node_budget`` for every independent-set search, Gamma's included, and
+    for the perfectness test) drops its candidate, and the closure that
+    needs it, with a warning.  The result carries the per-blocklength
+    records (alpha(G_s^n) and its witness; Gamma(U_n) with its subset,
+    optimality and alpha(G_s^Sym,n); or the skip message) and
+    theta(G_s^Sym).
     """
     if n_max < 1:
         raise InputError("n_max must be at least 1")
@@ -167,27 +202,34 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     ]
     sym_graph = sender_graph(symmetric_part(U), 1)
     theta_sym = None
-    try:
-        theta_sym = lovasz_theta(sym_graph, tol=min(tol, 1e-3))
-        uppers.append((
-            theta_sym + tol,
-            {"name": "theta_symmetric_part", "theta": theta_sym, "tol": tol},
-        ))
-    except ConvergenceError as exc:
-        warnings.append(f"theta(G_s^Sym) did not converge: {exc}")
+    if sym_graph.n_vertices > MAX_VERTICES:
+        warnings.append(f"theta(G_s^Sym) skipped: {sym_graph.n_vertices} vertices "
+                        f"exceed the solver's limit of {MAX_VERTICES}")
+    else:
+        try:
+            theta_sym = lovasz_theta(sym_graph, tol=min(tol, 1e-3))
+            uppers.append((
+                theta_sym + tol,
+                {"name": "theta_symmetric_part", "theta": theta_sym, "tol": tol},
+            ))
+        except ConvergenceError as exc:
+            warnings.append(f"theta(G_s^Sym) did not converge: {exc}")
 
     exact: ExactValue | None = None
-    if ((U.is_symmetric() or is_two_valued_a_ge_b(U))
-            and (assume_perfect or in_perfect_whitelist(base_graph))):
-        if alpha_base is None:
+    if U.is_symmetric() or is_two_valued_a_ge_b(U):
+        try:
+            perfect = in_perfect_whitelist(base_graph, budget=node_budget)
+        except BudgetExceededError as exc:
+            perfect = False
+            warnings.append(f"perfect-graph closure skipped: {exc}")
+        if perfect and alpha_base is None:
             warnings.append("perfect-graph closure skipped: alpha(G_s^1) was not computed")
-        else:
+        elif perfect:
             # alpha(G_s) is already a lower candidate, so only the upper side moves
             exact = ExactValue(alpha_base, 1)
             uppers.append((
                 float(alpha_base),
-                {"name": "perfect_graph_closure", "alpha": alpha_base,
-                 "assumed": assume_perfect},
+                {"name": "perfect_graph_closure", "alpha": alpha_base},
             ))
 
     upper_value, upper_cert = min(uppers, key=lambda t: t[0])

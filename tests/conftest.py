@@ -123,6 +123,35 @@ def oracle_lex_least_mis(graph, alpha: int) -> tuple[int, ...]:
     raise AssertionError("no independent set of the claimed size")
 
 
+def oracle_perfect(graph) -> bool:
+    """Perfectness from the definition: omega(H) = chi(H) for every induced
+    subgraph H, with the clique number by enumeration and the chromatic
+    number by backtracking over colour classes."""
+    n = graph.n_vertices
+
+    def colourable(vs, k, colours):
+        if not vs:
+            return True
+        v, rest = vs[0], vs[1:]
+        for c in range(k):
+            if not graph.rows[v] & colours[c]:
+                colours[c] |= 1 << v
+                if colourable(rest, k, colours):
+                    return True
+                colours[c] &= ~(1 << v)
+            if not colours[c]:  # the empty classes are interchangeable
+                break
+        return False
+
+    for size in range(1, n + 1):
+        for vs in combinations(range(n), size):
+            omega = max(k for k in range(1, size + 1) for c in combinations(vs, k)
+                        if all(graph.has_edge(a, b) for a, b in combinations(c, 2)))
+            if not colourable(vs, omega, [0] * omega):
+                return False
+    return True
+
+
 def oracle_feasible(u_rows, subset) -> bool:
     """All non-identity permutations strictly negative, by enumeration."""
     subset = tuple(subset)

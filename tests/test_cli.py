@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from ixcap.upper_bounds import xi_bracket
 from ixcap.utility import load_utility, symmetric_part
 
 PENTAGON = str(corpus_path("pentagon.json"))
+SRC = str(Path(ixcap.__file__).parents[1])
 
 
 def test_success():
@@ -41,9 +46,17 @@ def test_missing_file():
     ["analyze", "--utility", PENTAGON, "--max-n", "0"],
     ["analyze", "--utility", PENTAGON, "--budget-nodes", "0"],
     ["analyze", "--utility", PENTAGON, "--budget-nodes", "-5"],
+    ["analyze", "--utility", PENTAGON, "--assume-perfect"],
 ])
 def test_usage_error_is_an_input_error(argv):
     assert main(argv) == EXIT_INPUT
+
+
+def test_import_does_not_load_networkx():
+    probe = "import sys, ixcap; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 def test_budget_exceeded():

@@ -33,9 +33,15 @@ from ixcap.game import (
     verify_noisy_equilibrium,
     worst_case_decoded_set,
 )
-from ixcap.graphs import confusability_graph, graph_from_edges, independence_number, sender_graph
+from ixcap.graphs import (
+    confusability_graph,
+    cycle_graph,
+    graph_from_edges,
+    independence_number,
+    sender_graph,
+)
 from ixcap.upper_bounds import xi_bracket
-from ixcap.utility import Alphabet, utility_from_json
+from ixcap.utility import Alphabet, utility_from_graph, utility_from_json
 
 SIZES = st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])
 
@@ -258,6 +264,12 @@ class TestAsymptoticRateBracket:
         assert b.warnings == ("theta(G_c) did not converge: no convergence",)
         # the channel's ceiling falls back to the alphabet size
         assert b.upper == min(xi_bracket(example1).upper, 3.0)
+
+    def test_channel_theta_skipped_above_the_solver_limit(self):
+        U = utility_from_graph(cycle_graph(66))
+        b = asymptotic_rate_bracket(U, identity_channel(U.alphabet), n_max=1)
+        assert [w.split(" skipped: ")[0] for w in b.warnings] == ["theta(G_s^Sym)", "theta(G_c)"]
+        assert (b.exact.base, b.exact.root) == (33, 1)
 
 
 class TestVerificationError:

@@ -3,7 +3,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -451,6 +451,16 @@ class TestTypeClassSize:
             type_class_size(0, 5)
 
 
+def _couplings(supplies):
+    """Every nonnegative integer q x q matrix, as {(i, j): mass}, whose row
+    sums and column sums both equal supplies."""
+    q = len(supplies)
+    rows = [[r for r in product(range(s + 1), repeat=q) if sum(r) == s] for s in supplies]
+    for matrix in product(*rows):
+        if all(sum(row[j] for row in matrix) == supplies[j] for j in range(q)):
+            yield {(i, j): matrix[i][j] for i in range(q) for j in range(q)}
+
+
 class TestTransport:
     def test_uniform_on_independent_pair(self, pentagon):
         res = transport_lower_bound(pentagon, ["1/2", 0, "1/2", 0, 0])
@@ -511,6 +521,22 @@ class TestTransport:
                 sum(U.u[p[j]][j] for j in range(3)) for p in perms(range(3))
             )
             assert res.optimum == Fraction(best, 3)
+
+    def test_optimum_matches_every_integer_coupling(self):
+        # non-uniform marginals, zero-mass symbols included: the optimum is
+        # the best of all integer couplings with the cleared margins
+        rng = random.Random(109)
+        for _ in range(60):
+            q = rng.randint(1, 3)
+            U = random_utility(rng, q)
+            den = rng.randint(1, 4)
+            supplies = [0] * q
+            for _ in range(den):
+                supplies[rng.randrange(q)] += 1
+            res = transport_lower_bound(U, [Fraction(s, den) for s in supplies])
+            assert res.optimum == max(
+                sum(f * U.u[i][j] for (i, j), f in coupling.items()) / den
+                for coupling in _couplings(supplies))
 
     def test_validates_distribution(self, example1):
         with pytest.raises(InputError):
