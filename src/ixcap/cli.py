@@ -45,10 +45,12 @@ from .game import (
 )
 from .graphs import (
     DEFAULT_NODE_BUDGET,
+    BlockBase,
     cycle_graph,
     graphs_equal,
     independence_number,
     load_graph,
+    sender_block_base,
     sender_graph,
     strong_power,
 )
@@ -270,14 +272,15 @@ def cmd_game(args) -> int:
 
 
 def cmd_alpha(args) -> int:
+    n = args.blocklength
     if args.graph:
-        g = load_graph(args.graph)
-        if args.blocklength > 1:
-            g = strong_power(g, args.blocklength)
+        h = load_graph(args.graph)
+        base, g = BlockBase(h, h, n), strong_power(h, n)
     else:
         U = _utility_from_args(args)
-        g = sender_graph(U, args.blocklength)
-    alpha, wit = independence_number(g, budget=args.budget_nodes)
+        base = sender_block_base(U, n)
+        g = sender_graph(U, n)
+    alpha, wit = independence_number(g, budget=args.budget_nodes, base=base)
     payload = {
         "alpha": alpha,
         "n": args.blocklength,

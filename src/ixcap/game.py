@@ -36,11 +36,13 @@ from .errors import (
 )
 from .graphs import (
     DEFAULT_NODE_BUDGET,
+    BlockBase,
     Graph,
     IndependentSetWitness,
     confusability_graph,
     independence_number,
     is_independent,
+    sender_block_base,
     sender_graph,
 )
 from .theta import MAX_VERTICES, lovasz_theta
@@ -155,13 +157,16 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
                                 ) -> tuple[int, ReceiverStrategy]:
     """Worst-case optimal decoded count and a strategy achieving it.
 
-    The count is the independence number of the blocklength-n sender graph;
-    the canonical witness set is decoded identically and everything else maps
-    to the error symbol.  The construction is re-verified via the worst-case
-    best-response analysis before returning.
+    The count is the independence number of the blocklength-n sender graph,
+    searched between alpha(G_s)^n and the clique cover number of G_s^Sym
+    to the n-th power when u has a zero diagonal
+    (``graphs.sender_block_base``); ``budget`` bounds every search, the
+    bounds' included.  The canonical witness set is decoded identically
+    and everything else maps to the error symbol.  The construction is
+    re-verified via the worst-case best-response analysis before returning.
     """
     g = sender_graph(U, n)
-    alpha, witness = independence_number(g, budget=budget)
+    alpha, witness = independence_number(g, budget=budget, base=sender_block_base(U, n))
     strategy = _strategy_on(g, witness.vertices, n)
     outcome = worst_case_decoded_set(U, strategy)
     if outcome.decoded_size != alpha or set(outcome.decoded_worst) != set(witness.vertices):
@@ -296,11 +301,17 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
                             ) -> tuple[int, ReceiverStrategy]:
     """Equilibrium decoded count over a noisy channel: the smaller of the
     sender-graph and confusability-graph independence numbers, achieved by
-    the partition decoder and verified by the dominance check."""
+    the partition decoder and verified by the dominance check.  Each
+    independence number is searched between its base graphs' bounds
+    (``graphs.sender_block_base``, which needs a zero diagonal, and G_c on
+    both sides for G_c^n) and
+    within its own ``budget`` nodes."""
     gs = sender_graph(U, n)
-    alpha_s, wit_s = independence_number(gs, budget=budget)
+    alpha_s, wit_s = independence_number(gs, budget=budget, base=sender_block_base(U, n))
     gc = confusability_graph(channel, n)
-    alpha_c, wit_c = independence_number(gc, budget=budget)
+    base_c = confusability_graph(channel, 1)
+    alpha_c, wit_c = independence_number(gc, budget=budget,
+                                         base=BlockBase(base_c, base_c, n))
     d = min(alpha_s, alpha_c)
     xs = wit_s.vertices[:d]
     ys = wit_c.vertices[:d]
@@ -318,17 +329,20 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     with the sender-side and channel-side closure rules applied when the
     certificates permit.  The channel side is closed when the capacity's
     certified lower bound already reaches the channel's zero-error ceiling.
-    An alpha(G_c^n) search that exhausts its budget, or a theta(G_c) that
-    does not converge or has more vertices than the solver takes, is skipped
-    with a warning, so the channel bounds fall back to 1 and the alphabet
-    size."""
+    Each alpha(G_c^n) is searched between alpha(G_c)^n and the clique cover
+    number of G_c to the n-th power.  An alpha(G_c^n) search that exhausts
+    its budget, or a theta(G_c) that does not converge or has more vertices
+    than the solver takes, is skipped with a warning, so the channel bounds
+    fall back to 1 and the alphabet size."""
     xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)
     warnings = list(xi.warnings)
 
     gc_lower, gc_lower_cert = 1.0, {"name": "trivial", "n": 1}
+    base_c = confusability_graph(channel, 1)
     for n in range(1, n_max + 1):
         try:
-            alpha, wit = independence_number(confusability_graph(channel, n), budget=budget)
+            alpha, wit = independence_number(confusability_graph(channel, n), budget=budget,
+                                             base=BlockBase(base_c, base_c, n))
         except (BudgetExceededError, CapExceededError) as exc:
             warnings.append(f"alpha(G_c^{n}) skipped: {exc}")
             continue
@@ -340,7 +354,6 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
                 "witness": list(wit.labels or wit.vertices),
             }
     gc_upper, gc_upper_cert = float(U.q), {"name": "alphabet_size", "q": U.q}
-    base_c = confusability_graph(channel, 1)
     if base_c.n_vertices > MAX_VERTICES:
         warnings.append(f"theta(G_c) skipped: {base_c.n_vertices} vertices exceed "
                         f"the solver's limit of {MAX_VERTICES}")

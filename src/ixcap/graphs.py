@@ -22,9 +22,14 @@ from .utility import (
     UtilityMatrix,
     block_sums,
     sequence_label,
+    symmetric_part,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
+#: the maximum search relabels a graph by degree from this many vertices
+#: on, the smallest size at which relabelling was measured to win (see
+#: ``_maximum``)
+ORDERED_MIN_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,15 @@ def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
     for r in np.packbits(adj, axis=1, bitorder="little"):
         rows.append(int.from_bytes(r.tobytes(), "little"))
     return tuple(rows)
+
+
+def _unpack_rows(rows: Sequence[int]) -> np.ndarray:
+    """The n x n boolean adjacency matrix of n bitset rows."""
+    n = len(rows)
+    width = (n + 7) // 8
+    raw = b"".join(r.to_bytes(width, "little") for r in rows)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
 
 
 def sender_graph(U: UtilityMatrix, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -231,6 +245,44 @@ class IndependentSetWitness:
     labels: tuple[str, ...] | None = None
 
 
+@dataclass(frozen=True)
+class BlockBase:
+    """Two graphs on X that sandwich alpha of a block graph G on X^n.
+
+    ``independent``'s lexicographically least maximum independent set I
+    must give an independent set I^n of G, and the strong n-th power of
+    ``cover`` must be a subgraph of G.  Then
+    |I|^n <= alpha(G) <= cover_number(cover)^n, where the cover number is
+    the size of the smallest partition of ``cover`` into cliques: the
+    products of such a partition's cliques partition the power into
+    cliques, and an independent set of G meets each of them at most once.
+    For a strong power base^n, a confusability graph G_c^n among them, the
+    base serves on both sides.  At n = 1 the bases are no smaller than G
+    and are not used.  ``independence_number`` checks I^n's independence
+    and |I|^n against the ceiling, but not the subgraph condition: a base
+    that breaks it can give a wrong alpha.
+    """
+
+    independent: Graph
+    cover: Graph
+    n: int
+
+
+def sender_block_base(U: UtilityMatrix, n: int) -> BlockBase | None:
+    """Base graphs of G_s^n: G_s and G_s^Sym, both at n = 1; None unless
+    u has a zero diagonal, which both halves of the proof need.
+
+    Two distinct sequences of I^n differ where u is negative both ways and
+    add u(x, x) = 0 where they agree, so both block sums are negative; two
+    sequences adjacent in the n-th power of G_s^Sym have s = (u + u^T) / 2
+    >= 0 on every coordinate, so the two directions' block sums add up to
+    at least 0 and one of them is >= 0.
+    """
+    if not U.has_zero_diagonal():
+        return None
+    return BlockBase(sender_graph(U, 1), sender_graph(symmetric_part(U), 1), n)
+
+
 class _Found(Exception):
     """Internal signal: the early-exit target clique size was reached."""
 
@@ -239,17 +291,18 @@ class _CliqueSearch:
     """Exact maximum clique by branch and bound with greedy-coloring bounds.
 
     Run on the complement, a maximum clique is a maximum independent set.
-    A single node counter is shared across runs so the budget bounds total
-    work even when the search is re-entered for witness canonicalization.
-    After a run that finds its set, ``best_mask`` holds that set, which the
-    witness pass reuses; ``at_least`` with a target of 0 or less returns
-    True without a run and leaves ``best_mask`` stale.
+    ``nodes`` counts every expansion against ``budget`` and may start above
+    0, so one budget bounds a chain of searches (the maximum search, the
+    witness pass, and the searches that derived their bounds).  After a run
+    that finds its set, ``best_mask`` holds that set, which the witness pass
+    reuses; ``at_least`` with a target of 0 or less returns True without a
+    run and leaves ``best_mask`` stale.
     """
 
-    def __init__(self, rows: tuple[int, ...], budget: int):
+    def __init__(self, rows: tuple[int, ...], budget: int, nodes: int = 0):
         self.rows = rows
         self.budget = budget
-        self.nodes = 0
+        self.nodes = nodes
         self.best_size = 0
         self.best_mask = 0
         self.stop_at: int | None = None
@@ -291,10 +344,19 @@ class _CliqueSearch:
                 self._expand(new_mask, size + 1, new_cand)
             cand &= ~(1 << v)
 
-    def maximum(self, cand: int) -> tuple[int, int]:
-        self.best_size, self.best_mask, self.stop_at = 0, 0, None
-        if cand:
-            self._expand(0, 0, cand)
+    def maximum(self, cand: int, seed: int = 0,
+                ceiling: int | None = None) -> tuple[int, int]:
+        """A maximum clique within cand, searched from the incumbent clique
+        ``seed`` and stopped as soon as one reaches ``ceiling``."""
+        self.best_size, self.best_mask = seed.bit_count(), seed
+        self.stop_at = ceiling
+        try:
+            if cand:
+                self._expand(0, 0, cand)
+        except _Found:
+            pass
+        finally:
+            self.stop_at = None
         return self.best_size, self.best_mask
 
     def at_least(self, cand: int, target: int) -> bool:
@@ -322,40 +384,61 @@ def _ensure_recursion_headroom(n_vertices: int):
         sys.setrecursionlimit(needed)
 
 
-def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
-                        ) -> tuple[int, IndependentSetWitness]:
-    """Exact alpha(G) with the lexicographically least maximum independent set.
+def _relabel(mask: int, new_of: Sequence[int]) -> int:
+    """The set mask with each vertex v renamed new_of[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << new_of[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    The witness pass walks the vertices in order and keeps each one that
-    some maximum independent set extends.  It holds such a set W, first the
-    maximum search's own, that contains every vertex kept so far and no
-    vertex rejected.  A vertex in W is kept with no search; any other needs
-    an ``at_least`` search over the vertices still open, and on success W
-    becomes the kept vertices plus the set that search found.  So only a
-    vertex outside every maximum set found so far costs a search, and an
-    edgeless graph needs none.
 
-    Raises BudgetExceededError (carrying the best bound found) if the branch
-    and bound runs out of nodes, and InputError if the budget is below 1.
+def _maximum(g: Graph, comp: tuple[int, ...], budget: int, nodes: int, seed: int = 0,
+             ceiling: int | None = None) -> tuple[int, int, int]:
+    """(alpha, a maximum independent set's mask, nodes spent so far), with
+    comp the complement's rows.
+
+    The clique search runs on the complement of a copy of g relabelled with
+    its smallest-degree vertices first, ties by index, so the colouring
+    bound starts from the vertices of fewest conflicts (the initial order
+    of Tomita et al. 2010).  ``seed`` is a known independent set and
+    ``ceiling`` a proven upper bound on alpha.  Graphs below
+    ``ORDERED_MIN_VERTICES`` keep their own order.  On random sender
+    graphs the relabelling lost at 16, 25, 36 and 49 vertices, won or lost
+    by alphabet at 64 (won at q = 4, n = 3; lost at q = 8, n = 2), and won
+    at 81 and 125; sizes 50-63 are unmeasured.
     """
-    if budget < 1:
-        raise InputError(f"node budget must be at least 1, got {budget}")
     n = g.n_vertices
-    if n == 0:
-        return 0, IndependentSetWitness((), 0)
-    _ensure_recursion_headroom(n)
-    comp = g.complement_rows()
-    search = _CliqueSearch(comp, budget)
-    full = (1 << n) - 1
-    alpha, maxset = search.maximum(full)
+    if n < ORDERED_MIN_VERTICES:
+        search = _CliqueSearch(comp, budget, nodes)
+        alpha, mask = search.maximum((1 << n) - 1, seed, ceiling)
+        return alpha, mask, search.nodes
+    adj = _unpack_rows(g.rows)
+    order = np.argsort(adj.sum(axis=1), kind="stable")
+    relabelled = ~adj[np.ix_(order, order)]
+    np.fill_diagonal(relabelled, False)
+    order = order.tolist()
+    new_of = [0] * n
+    for i, v in enumerate(order):
+        new_of[v] = i
+    search = _CliqueSearch(_pack_bool_rows(relabelled), budget, nodes)
+    alpha, mask = search.maximum((1 << n) - 1, _relabel(seed, new_of), ceiling)
+    return alpha, _relabel(mask, order), search.nodes
 
-    # canonical witness: greedily keep the smallest vertex that still allows
-    # completing a maximum independent set among the remaining candidates;
+
+def _lex_least(g: Graph, comp: tuple[int, ...], alpha: int, maxset: int,
+               budget: int, nodes: int) -> tuple[tuple[int, ...], int]:
+    """The lexicographically least maximum independent set, from alpha and
+    one maximum set, in g's own index order; returns (set, nodes)."""
+    search = _CliqueSearch(comp, budget, nodes)
+    # greedily keep the smallest vertex that still allows completing a
+    # maximum independent set among the remaining candidates;
     # chosen | (maxset & cand) is always a maximum independent set
     chosen: list[int] = []
-    cand = full
+    cand = (1 << g.n_vertices) - 1
     needed = alpha
-    for v in range(n):
+    for v in range(g.n_vertices):
         if needed == 0:
             break
         if not (cand >> v) & 1:
@@ -373,8 +456,112 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     if len(chosen) != alpha:
         raise VerificationError(
             f"canonical witness has {len(chosen)} vertices, expected {alpha}")
+    return tuple(chosen), search.nodes
+
+
+def _cover_number(g: Graph, budget: int, nodes: int) -> tuple[int, int]:
+    """(the smallest number of cliques that partition g's vertices, nodes).
+
+    Backtracking for each k from alpha(g) up: vertices in index order join
+    an open clique whose members are all neighbours, or open the next one;
+    each placement is one node, charged with the alpha search to budget."""
+    n = g.n_vertices
+    lower, _, nodes = _maximum(g, g.complement_rows(), budget, nodes)
+    cliques: list[int] = []
+
+    def place(v: int, k: int) -> bool:
+        nonlocal nodes
+        if v == n:
+            return True
+        bit = 1 << v
+        for c in range(len(cliques) + (len(cliques) < k)):
+            if c == len(cliques):
+                cliques.append(0)
+            elif cliques[c] & ~g.rows[v]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"clique cover search exceeded {budget} nodes")
+            cliques[c] |= bit
+            if place(v + 1, k):
+                return True
+            cliques[c] &= ~bit
+            if not cliques[c]:
+                cliques.pop()
+        return False
+
+    for k in range(max(lower, 1), n):
+        if place(0, k):
+            return k, nodes
+    return n, nodes
+
+
+def _sandwich(g: Graph, base: BlockBase, budget: int) -> tuple[int, int, int]:
+    """(mask of I^n, the ceiling cover_number(H)^n, nodes) for G = g."""
+    b, h, n = base.independent, base.cover, base.n
+    q = b.n_vertices
+    if h.n_vertices != q or q**n != g.n_vertices:
+        raise InputError(f"base graphs on {q} and {h.n_vertices} vertices do not "
+                         f"fit a graph on {g.n_vertices} = q**{n} vertices")
+    comp_b = b.complement_rows()
+    alpha_b, maxset, nodes = _maximum(b, comp_b, budget, 0)
+    iset, nodes = _lex_least(b, comp_b, alpha_b, maxset, budget, nodes)
+    cover, nodes = _cover_number(h, budget, nodes)
+    members = [0]
+    for _ in range(n):
+        members = [m * q + a for m in members for a in iset]
+    seed = sum(1 << m for m in members)
+    if any(g.rows[m] & seed for m in members):
+        raise VerificationError(f"the product set I^{n} is not independent")
+    if len(members) > cover**n:
+        raise VerificationError(
+            f"the product set I^{n} has {len(members)} vertices, above its "
+            f"ceiling {cover}^{n}")
+    return seed, cover**n, nodes
+
+
+def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
+                        base: BlockBase | None = None
+                        ) -> tuple[int, IndependentSetWitness]:
+    """Exact alpha(G) with the lexicographically least maximum independent set.
+
+    The maximum search runs on a degree-ordered copy of G (see
+    ``_maximum``).  With ``base``, a ``BlockBase`` of G at n >= 2, it starts
+    from the incumbent I^n and stops as soon as it reaches the ceiling
+    cover_number(H)^n; when |I|^n already meets the ceiling it does not run
+    at all.  The answer is the same either way.
+
+    The witness pass walks the vertices in G's own order and keeps each one
+    that some maximum independent set extends.  It holds such a set W, first
+    the maximum search's own, that contains every vertex kept so far and no
+    vertex rejected.  A vertex in W is kept with no search; any other needs
+    an ``at_least`` search over the vertices still open, and on success W
+    becomes the kept vertices plus the set that search found.  So only a
+    vertex outside every maximum set found so far costs a search, and an
+    edgeless graph needs none.
+
+    One node budget bounds every search, the bases' included.  Raises
+    BudgetExceededError (carrying the best bound found) if it runs out,
+    InputError if the budget is below 1 or the bases do not fit G, and
+    VerificationError if I^n is not independent in G or exceeds the ceiling.
+    """
+    if budget < 1:
+        raise InputError(f"node budget must be at least 1, got {budget}")
+    n = g.n_vertices
+    if n == 0:
+        return 0, IndependentSetWitness((), 0)
+    _ensure_recursion_headroom(n)
+    seed, ceiling, nodes = 0, n, 0
+    if base is not None and base.n > 1:
+        seed, ceiling, nodes = _sandwich(g, base, budget)
+    comp = g.complement_rows()
+    if seed.bit_count() == ceiling:
+        alpha, maxset = ceiling, seed
+    else:
+        alpha, maxset, nodes = _maximum(g, comp, budget, nodes, seed, ceiling)
+    chosen, _ = _lex_least(g, comp, alpha, maxset, budget, nodes)
     labels = tuple(g.labels[v] for v in chosen) if g.labels else None
-    return alpha, IndependentSetWitness(tuple(chosen), alpha, labels)
+    return alpha, IndependentSetWitness(chosen, alpha, labels)
 
 
 def confusability_graph(channel, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

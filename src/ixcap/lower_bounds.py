@@ -240,7 +240,7 @@ class _SubsetSearch:
 
     def __init__(self, U: UtilityMatrix, n: int, sym_graph: Graph, budget: int,
                  node_budget: int):
-        self.ints = U.scaled_integer_entries()[1]
+        self.ints = U.scaled_integer_entries[1]
         # the letters of every sequence, in canonical index order
         self.words = list(product(range(U.q), repeat=n))
         self.sym_graph = sym_graph
@@ -326,7 +326,9 @@ def gamma_n(U: UtilityMatrix, n: int, budget: int = DEFAULT_SUBSET_BUDGET,
     its size reaches alpha_sym.  The certificate carries alpha_sym.  Both
     maximum-independent-set searches stop after ``node_budget`` nodes with
     BudgetExceededError, and so does the test of a candidate of k members
-    when its k*k Bellman-Ford rows exceed ``node_budget``.
+    when its k*k Bellman-Ford rows exceed ``node_budget``.  Neither search
+    takes a ``graphs.BlockBase``: ``xi_bracket`` calls this at n <= 2, where
+    the graphs are too small for the bounds to pay for themselves.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
@@ -452,7 +454,7 @@ def transport_lower_bound(U: UtilityMatrix, P: Sequence) -> TransportResult:
     for p in marginal:
         denom = denom * p.denominator // math.gcd(denom, p.denominator)
     supplies = [int(p * denom) for p in marginal]
-    scale, uint = U.scaled_integer_entries()
+    scale, uint = U.scaled_integer_entries
     optimum = Fraction(_max_gain_coupling(uint, supplies), denom * scale)
 
     support = tuple(i for i in range(q) if marginal[i] > 0)

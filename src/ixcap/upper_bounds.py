@@ -150,7 +150,9 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     needs it, with a warning.  The result carries the per-blocklength
     records (alpha(G_s^n) and its witness; Gamma(U_n) with its subset,
     optimality and alpha(G_s^Sym,n); or the skip message) and
-    theta(G_s^Sym).
+    theta(G_s^Sym).  Its alpha searches take no ``graphs.BlockBase``: at
+    n_max = 2 their graphs have at most q**2 vertices, where building the
+    bases and their bounds costs more than the search they would save.
     """
     if n_max < 1:
         raise InputError("n_max must be at least 1")

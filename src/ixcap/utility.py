@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 from math import gcd
 from pathlib import Path
@@ -156,14 +157,25 @@ class UtilityMatrix:
     def has_zero_diagonal(self) -> bool:
         return all(self.u[i][i] == 0 for i in range(self.q))
 
-    def scaled_integer_entries(self) -> tuple[int, list[list[int]]]:
-        """Common-denominator integer rendering (scale, scale*u); sign-exact."""
+    @cached_property
+    def scaled_integer_entries(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """Common-denominator integer rendering (scale, scale*u); sign-exact.
+
+        Computed once per matrix; the rows are tuples, so no caller can
+        change the shared table."""
         denom = 1
         for row in self.u:
             for x in row:
                 denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [[int(x * denom) for x in row] for row in self.u]
-        return denom, ints
+        return denom, tuple(tuple(int(x * denom) for x in row) for row in self.u)
+
+    @cached_property
+    def symmetric(self) -> "UtilityMatrix":
+        """The symmetric part (u(i,j) + u(j,i)) / 2, computed once per matrix."""
+        q = self.q
+        return UtilityMatrix(self.alphabet, tuple(
+            tuple((self.u[i][j] + self.u[j][i]) / 2 for j in range(q)) for i in range(q)
+        ))
 
     def to_json_dict(self) -> dict:
         return {
@@ -291,7 +303,7 @@ def block_sums(U: UtilityMatrix, n: int, rows=None) -> tuple[int, np.ndarray]:
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    scale, ints = U.scaled_integer_entries()
+    scale, ints = U.scaled_integer_entries
     max_abs = max(abs(x) for row in ints for x in row)
     table = np.array(ints, dtype=np.int64 if max_abs * n < 2**62 else object)
     if rows is None:
@@ -300,11 +312,7 @@ def block_sums(U: UtilityMatrix, n: int, rows=None) -> tuple[int, np.ndarray]:
 
 
 def symmetric_part(U: UtilityMatrix) -> UtilityMatrix:
-    q = U.q
-    sym = tuple(
-        tuple((U.u[i][j] + U.u[j][i]) / 2 for j in range(q)) for i in range(q)
-    )
-    return UtilityMatrix(U.alphabet, sym)
+    return U.symmetric
 
 
 def antisymmetric_part(U: UtilityMatrix) -> tuple[tuple[Fraction, ...], ...]:

@@ -152,6 +152,28 @@ def oracle_perfect(graph) -> bool:
     return True
 
 
+def oracle_clique_cover(graph) -> int:
+    """Fewest blocks over every set partition of the vertices whose blocks
+    are all cliques, by enumerating the partitions."""
+    n = graph.n_vertices
+
+    def partitions(v, blocks):
+        if v == n:
+            yield [list(b) for b in blocks]
+            return
+        for block in blocks:
+            block.append(v)
+            yield from partitions(v + 1, blocks)
+            block.pop()
+        blocks.append([v])
+        yield from partitions(v + 1, blocks)
+        blocks.pop()
+
+    return min((len(p) for p in partitions(0, [])
+                if all(graph.has_edge(a, b) for block in p
+                       for a, b in combinations(block, 2))), default=0)
+
+
 def oracle_feasible(u_rows, subset) -> bool:
     """All non-identity permutations strictly negative, by enumeration."""
     subset = tuple(subset)

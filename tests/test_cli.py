@@ -12,7 +12,13 @@ import ixcap.upper_bounds
 from conftest import oracle_alpha, oracle_sender_edges
 from ixcap import cli
 from ixcap.cli import EXIT_BUDGET, EXIT_GOLDEN, EXIT_INPUT, EXIT_OK, corpus_path, main
-from ixcap.graphs import graph_from_edges
+from ixcap.graphs import (
+    cycle_graph,
+    graph_from_edges,
+    independence_number,
+    sender_graph,
+    strong_power,
+)
 from ixcap.upper_bounds import xi_bracket
 from ixcap.utility import load_utility, symmetric_part
 
@@ -62,6 +68,23 @@ def test_import_does_not_load_networkx():
 def test_budget_exceeded():
     assert main(["alpha", "--utility", PENTAGON, "-n", "2",
                  "--budget-nodes", "1"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("source", ["graph", "utility"])
+def test_alpha_of_a_power_matches_the_plain_search(source, tmp_path, capsys):
+    # the pentagon: alpha(G^2) = 5 lies strictly between 2^2 and 3^2, so the
+    # search runs between the bounds and must still give the plain witness
+    if source == "graph":
+        path = tmp_path / "c5.json"
+        path.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
+        argv, g = ["--graph", str(path)], strong_power(cycle_graph(5), 2)
+    else:
+        argv, g = ["--utility", PENTAGON], sender_graph(load_utility(PENTAGON), 2)
+    assert main(["alpha", *argv, "-n", "2"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    alpha, witness = independence_number(g)
+    assert report["alpha"] == alpha == 5
+    assert report["witness"] == list(witness.labels or witness.vertices)
 
 
 def test_corpus_goldens_pass():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ixcap.game
 from conftest import (
     oracle_alpha,
+    oracle_lex_least_mis,
     oracle_block_sums,
     oracle_sender_edges,
     random_int_utility,
@@ -28,6 +29,7 @@ from ixcap.game import (
     equilibrium_value_noiseless,
     expected_block_utility,
     noisy_equilibrium_value,
+    noisy_receiver_strategy,
     output_support_indices,
     receiver_strategy_from_set,
     verify_noisy_equilibrium,
@@ -41,7 +43,7 @@ from ixcap.graphs import (
     sender_graph,
 )
 from ixcap.upper_bounds import xi_bracket
-from ixcap.utility import Alphabet, utility_from_graph, utility_from_json
+from ixcap.utility import Alphabet, UtilityMatrix, utility_from_graph, utility_from_json
 
 SIZES = st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])
 
@@ -162,6 +164,57 @@ class TestReceiverStrategyFromSet:
                             lambda *args: calls.append(args) or build(*args))
         equilibrium_value_noiseless(pentagon, 2)
         assert len(calls) == 1
+
+
+class TestBlockSandwichInTheGame:
+    """The equilibria search alpha between the base graphs' bounds; the
+    answers are those of the plain search, and the bounds' gain shows as
+    node budgets, never as wall time."""
+
+    # q = 7, the graph utility of perfbench's equilibrium structure k = 1:
+    # alpha(G_s) = 4 = the cover number of G_s^Sym, so 4^3 needs no search
+    CUBE_EDGES = [(0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (2, 6), (3, 4)]
+
+    def test_cube_cliff_inside_a_small_budget(self, monkeypatch):
+        sizes = []
+        maximum = ixcap.graphs._CliqueSearch.maximum
+        monkeypatch.setattr(ixcap.graphs._CliqueSearch, "maximum",
+                            lambda self, *a: sizes.append(len(self.rows)) or maximum(self, *a))
+        U = utility_from_graph(graph_from_edges(7, self.CUBE_EDGES))
+        value, strategy = equilibrium_value_noiseless(U, 3, budget=2000)
+        assert value == 64 == len(strategy.image())
+        assert 343 not in sizes
+
+    def test_equilibrium_matches_the_plain_search(self):
+        rng = random.Random(53)
+        for q, n in ((3, 2), (4, 2), (3, 3)) * 3:
+            U = random_utility(rng, q)
+            g = sender_graph(U, n)
+            alpha, witness = independence_number(g)
+            value, strategy = equilibrium_value_noiseless(U, n)
+            assert value == alpha == oracle_alpha(g)[0]
+            assert strategy.image() == witness.vertices == oracle_lex_least_mis(g, alpha)
+
+    def test_noisy_matches_the_plain_search(self):
+        rng = random.Random(59)
+        for q, n in ((3, 2), (4, 2), (3, 3)) * 3:
+            U = random_utility(rng, q)
+            channel = random_channel(rng, q)
+            alpha_s, _ = independence_number(sender_graph(U, n))
+            alpha_c, _ = independence_number(confusability_graph(channel, n))
+            d, strategy = noisy_equilibrium_value(U, channel, n)
+            xs, ys = noisy_pairs(U, channel, n, d)
+            assert d == min(alpha_s, alpha_c)
+            assert strategy == noisy_receiver_strategy(xs, ys, channel, n)
+
+    def test_noisy_on_a_nonzero_diagonal_takes_no_sender_bounds(self):
+        # u(x, x) = -1 breaks the sender bounds' proof: G_s and G_s^Sym are
+        # both K2, yet alpha(G_s^2) = 2, and so is alpha(G_c^2) noiselessly
+        U = UtilityMatrix(Alphabet.of_size(2), ((Fraction(-1), Fraction(0)),
+                                                (Fraction(0), Fraction(-1))))
+        assert oracle_alpha(sender_graph(U, 2))[0] == 2
+        d, _ = noisy_equilibrium_value(U, identity_channel(Alphabet.of_size(2)), 2)
+        assert d == 2
 
 
 class TestNoisyVerification:

@@ -1,13 +1,21 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_alpha, oracle_lex_least_mis, oracle_sender_edges, random_utility
+from conftest import (
+    oracle_alpha,
+    oracle_clique_cover,
+    oracle_lex_least_mis,
+    oracle_sender_edges,
+    random_utility,
+)
 from ixcap.channel import identity_channel, make_channel
-from ixcap.errors import BudgetExceededError, CapExceededError, InputError
+from ixcap.errors import BudgetExceededError, CapExceededError, InputError, VerificationError
 import ixcap.graphs
 from ixcap.graphs import (
+    BlockBase,
     Graph,
     complete_graph,
     confusability_graph,
@@ -19,11 +27,19 @@ from ixcap.graphs import (
     independence_number,
     is_independent,
     path_graph,
+    sender_block_base,
     sender_graph,
     strong_power,
     strong_product,
 )
-from ixcap.utility import Alphabet, BlockSequence, utility_from_graph, utility_from_json
+from ixcap.utility import (
+    Alphabet,
+    BlockSequence,
+    UtilityMatrix,
+    normalize_diagonal,
+    utility_from_graph,
+    utility_from_json,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -240,6 +256,159 @@ class TestIndependenceNumber:
     def test_empty_graph(self):
         alpha, witness = independence_number(Graph(0, ()))
         assert alpha == 0 and witness.vertices == ()
+
+
+def all_graphs(n: int):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for bits in range(1 << len(pairs)):
+        yield graph_from_edges(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+
+
+def search_sizes(monkeypatch) -> list[int]:
+    """Record the vertex count of every maximum search from now on."""
+    sizes = []
+    maximum = ixcap.graphs._CliqueSearch.maximum
+
+    def recording(self, cand, *args):
+        sizes.append(len(self.rows))
+        return maximum(self, cand, *args)
+
+    monkeypatch.setattr(ixcap.graphs._CliqueSearch, "maximum", recording)
+    return sizes
+
+
+def cover_number(g, budget=10**6):
+    return ixcap.graphs._cover_number(g, budget, 0)[0]
+
+
+class TestCliqueCover:
+    def test_matches_partition_oracle_on_every_small_graph(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert cover_number(g) == oracle_clique_cover(g)
+
+    def test_beats_the_greedy_colour_count(self):
+        # the base of the q = 7 cube below: greedy colouring of its
+        # complement in index order needs 5 classes, the cover number is 4
+        g = graph_from_edges(7, [(0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (2, 6), (3, 4)])
+        assert cover_number(g) == 4 == independence_number(g)[0]
+
+    def test_charged_to_the_node_budget(self):
+        with pytest.raises(BudgetExceededError):
+            cover_number(cycle_graph(7), budget=3)
+
+
+@pytest.fixture(params=["own order", "degree order"])
+def search_order(request, monkeypatch):
+    """Run the maximum search in each vertex order, whatever the graph size."""
+    if request.param == "degree order":
+        monkeypatch.setattr(ixcap.graphs, "ORDERED_MIN_VERTICES", 0)
+    return request.param
+
+
+class TestDegreeOrder:
+    def test_matches_oracle_on_randoms(self, search_order):
+        rng = random.Random(61)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 13), rng.uniform(0.05, 0.8))
+            alpha, witness = independence_number(g)
+            assert alpha == oracle_alpha(g)[0]
+            assert witness.vertices == oracle_lex_least_mis(g, alpha)
+
+    def test_large_graphs_are_relabelled(self, monkeypatch):
+        sizes = search_sizes(monkeypatch)
+        relabelled = []
+        pack = ixcap.graphs._pack_bool_rows
+        monkeypatch.setattr(ixcap.graphs, "_pack_bool_rows",
+                            lambda adj: relabelled.append(adj.shape[0]) or pack(adj))
+        n = ixcap.graphs.ORDERED_MIN_VERTICES
+        for size in (n - 1, n):
+            assert independence_number(cycle_graph(size))[0] == size // 2
+        assert sizes == [n - 1, n] and relabelled == [n]
+
+
+@pytest.mark.usefixtures("search_order")
+class TestBlockSandwich:
+    def assert_same_with_and_without(self, g, base):
+        alpha, witness = independence_number(g)
+        assert independence_number(g, base=base) == (alpha, witness)
+        assert alpha == oracle_alpha(g)[0]
+        assert witness.vertices == oracle_lex_least_mis(g, alpha)
+
+    def test_sender_powers_match_plain_search_and_oracle(self):
+        rng = random.Random(43)
+        for q, n in ((3, 2), (4, 2), (3, 3)) * 4:
+            U = random_utility(rng, q)
+            self.assert_same_with_and_without(sender_graph(U, n), sender_block_base(U, n))
+
+    def test_nonzero_diagonal_gets_no_base(self):
+        # u(x, x) = -1: 00 and 01 are independent in G_s^2 (both block sums
+        # are -1), though G_s and G_s^Sym are both K2 and would claim a
+        # ceiling of 1
+        U = UtilityMatrix(Alphabet.of_size(2), ((Fraction(-1), Fraction(0)),
+                                                (Fraction(0), Fraction(-1))))
+        assert sender_block_base(U, 2) is None
+        assert independence_number(sender_graph(U, 2), base=sender_block_base(U, 2))[0] == 2
+        rng = random.Random(53)
+        for q, n in ((2, 3), (3, 2), (3, 3)) * 3:
+            U = UtilityMatrix(Alphabet.of_size(q), tuple(
+                tuple(Fraction(rng.randint(-4, 3), rng.randint(1, 2)) for _ in range(q))
+                for _ in range(q)))
+            g = sender_graph(U, n)
+            alpha, witness = independence_number(g, base=sender_block_base(U, n))
+            assert alpha == oracle_alpha(g)[0]
+            assert witness.vertices == oracle_lex_least_mis(g, alpha)
+
+    def test_confusability_powers_match_plain_search_and_oracle(self):
+        rng = random.Random(47)
+        for q, n in ((3, 2), (4, 2), (3, 3)) * 3:
+            supports = [rng.sample(range(q), rng.randint(1, 2)) for _ in range(q)]
+            rows = [[Fraction(1, len(s)) if z in s else Fraction(0) for z in range(q)]
+                    for s in supports]
+            channel = make_channel(Alphabet.of_size(q), rows)
+            base = confusability_graph(channel, 1)
+            self.assert_same_with_and_without(confusability_graph(channel, n),
+                                              BlockBase(base, base, n))
+
+    def test_product_set_at_the_ceiling_skips_the_maximum_search(self, monkeypatch):
+        # C4 at n = 3: alpha = cover number = 2, so I^3 is maximum by the bounds
+        sizes = search_sizes(monkeypatch)
+        c4 = cycle_graph(4)
+        alpha, witness = independence_number(strong_power(c4, 3), base=BlockBase(c4, c4, 3))
+        assert alpha == 8
+        assert witness.vertices == (0, 2, 8, 10, 32, 34, 40, 42)  # {0, 2}^3
+        assert 64 not in sizes
+
+    def test_noisy_cliff_inside_a_small_budget(self):
+        # alpha(G_s^5) = 32 lies between 2^5 and the ceiling 3^5; the seed
+        # I^5 is already maximum, and the search proves it within 1000 nodes
+        U = normalize_diagonal([[0, -3, 1], [Fraction(-1, 2), 0, Fraction(3, 2)],
+                                [Fraction(-5, 3), Fraction(-4, 3), 0]])
+        alpha, witness = independence_number(sender_graph(U, 5), budget=1000,
+                                             base=sender_block_base(U, 5))
+        assert alpha == 32 and len(witness.vertices) == 32
+
+    def test_dependent_seed_is_a_verification_error(self):
+        # the edgeless base makes I^2 every vertex of a complete graph
+        edgeless = empty_graph(3)
+        with pytest.raises(VerificationError):
+            independence_number(complete_graph(9), base=BlockBase(edgeless, edgeless, 2))
+
+    def test_seed_above_its_ceiling_is_a_verification_error(self):
+        # I^2 has 9 vertices, the complete base claims a ceiling of 1
+        with pytest.raises(VerificationError):
+            independence_number(empty_graph(9),
+                                base=BlockBase(empty_graph(3), complete_graph(3), 2))
+
+    def test_bases_must_fit_the_graph(self):
+        edgeless = empty_graph(3)
+        with pytest.raises(InputError):
+            independence_number(empty_graph(8), base=BlockBase(edgeless, edgeless, 2))
+
+    def test_bases_are_charged_to_the_node_budget(self):
+        c5 = cycle_graph(5)
+        with pytest.raises(BudgetExceededError):
+            independence_number(strong_power(c5, 2), budget=2, base=BlockBase(c5, c5, 2))
 
 
 class TestIsIndependent:

@@ -246,6 +246,17 @@ class TestDecomposition:
         assert all(x == 0 for row in antisymmetric_part(sym) for x in row)
 
 
+class TestPerMatrixTables:
+    def test_computed_once_and_immutable(self):
+        U = random_utility(random.Random(9), 4)
+        scale, ints = U.scaled_integer_entries
+        assert U.scaled_integer_entries is U.scaled_integer_entries
+        assert isinstance(ints, tuple) and all(isinstance(row, tuple) for row in ints)
+        assert all(Fraction(ints[i][j], scale) == U.u[i][j] for i in range(4) for j in range(4))
+        assert symmetric_part(U) is symmetric_part(U)
+        assert U == utility_from_json(U.to_json_dict())  # the caches are not fields
+
+
 class TestCappedUtilities:
     def test_sign_classes(self):
         U = utility_from_json(
