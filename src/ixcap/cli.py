@@ -15,7 +15,9 @@ infeasible, the closed chain that proves it.
 Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
 internal verification, 2 resource budget exceeded, 3 corpus golden mismatch.
 On exit 2, ``analyze`` and ``capacity`` still write their report, with each
-skipped search named in its warnings; the other commands write none.
+skipped search named in its warnings, and ``gamma`` writes its report with
+the largest feasible subset found, its certificate flagged not optimal; the
+other commands write none.
 """
 
 from __future__ import annotations
@@ -300,10 +302,10 @@ def cmd_gamma(args) -> int:
         _write_output(payload, args.out)
         return EXIT_OK
     n = args.blocklength
-    value, cert = gamma(U) if n == 1 else gamma_n(U, n)
+    value, cert = gamma_n(U, n)
     payload = {"gamma": value, "n": n, "certificate": cert.to_json_dict()}
     _write_output(payload, args.out)
-    return EXIT_OK
+    return EXIT_OK if cert.optimal else EXIT_BUDGET
 
 
 def cmd_theta(args) -> int:

@@ -45,7 +45,7 @@ from .graphs import (
     sender_block_base,
     sender_graph,
 )
-from .theta import MAX_VERTICES, lovasz_theta
+from .theta import lovasz_theta
 from .upper_bounds import CapacityBracket, ExactValue, xi_bracket
 from .utility import (
     BLOCK_CELLS,
@@ -159,11 +159,11 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
 
     The count is the independence number of the blocklength-n sender graph,
     searched between alpha(G_s)^n and the clique cover number of G_s^Sym
-    to the n-th power when u has a zero diagonal
-    (``graphs.sender_block_base``); ``budget`` bounds every search, the
-    bounds' included.  The canonical witness set is decoded identically
-    and everything else maps to the error symbol.  The construction is
-    re-verified via the worst-case best-response analysis before returning.
+    to the n-th power (``graphs.sender_block_base``); ``budget`` bounds
+    every search, the bounds' included.  The canonical witness set is
+    decoded identically and everything else maps to the error symbol.  The
+    construction is re-verified via the worst-case best-response analysis
+    before returning.
     """
     g = sender_graph(U, n)
     alpha, witness = independence_number(g, budget=budget, base=sender_block_base(U, n))
@@ -303,8 +303,7 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     sender-graph and confusability-graph independence numbers, achieved by
     the partition decoder and verified by the dominance check.  Each
     independence number is searched between its base graphs' bounds
-    (``graphs.sender_block_base``, which needs a zero diagonal, and G_c on
-    both sides for G_c^n) and
+    (``graphs.sender_block_base``, and G_c on both sides for G_c^n) and
     within its own ``budget`` nodes."""
     gs = sender_graph(U, n)
     alpha_s, wit_s = independence_number(gs, budget=budget, base=sender_block_base(U, n))
@@ -354,18 +353,16 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
                 "witness": list(wit.labels or wit.vertices),
             }
     gc_upper, gc_upper_cert = float(U.q), {"name": "alphabet_size", "q": U.q}
-    if base_c.n_vertices > MAX_VERTICES:
-        warnings.append(f"theta(G_c) skipped: {base_c.n_vertices} vertices exceed "
-                        f"the solver's limit of {MAX_VERTICES}")
-    else:
-        try:
-            theta_c = lovasz_theta(base_c, tol=min(tol, 1e-3))
-            if theta_c + tol <= gc_upper:
-                gc_upper, gc_upper_cert = theta_c + tol, {
-                    "name": "theta_confusability", "theta": theta_c, "tol": tol,
-                }
-        except ConvergenceError as exc:
-            warnings.append(f"theta(G_c) did not converge: {exc}")
+    try:
+        theta_c = lovasz_theta(base_c, tol=min(tol, 1e-3))
+        if theta_c + tol <= gc_upper:
+            gc_upper, gc_upper_cert = theta_c + tol, {
+                "name": "theta_confusability", "theta": theta_c, "tol": tol,
+            }
+    except CapExceededError as exc:
+        warnings.append(f"theta(G_c) skipped: {exc}")
+    except ConvergenceError as exc:
+        warnings.append(f"theta(G_c) did not converge: {exc}")
 
     if xi.lower <= gc_lower:
         lower, lower_cert = xi.lower, xi.lower_certificate

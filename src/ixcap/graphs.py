@@ -268,9 +268,8 @@ class BlockBase:
     n: int
 
 
-def sender_block_base(U: UtilityMatrix, n: int) -> BlockBase | None:
-    """Base graphs of G_s^n: G_s and G_s^Sym, both at n = 1; None unless
-    u has a zero diagonal, which both halves of the proof need.
+def sender_block_base(U: UtilityMatrix, n: int) -> BlockBase:
+    """Base graphs of G_s^n: G_s and G_s^Sym, both at n = 1.
 
     Two distinct sequences of I^n differ where u is negative both ways and
     add u(x, x) = 0 where they agree, so both block sums are negative; two
@@ -278,8 +277,6 @@ def sender_block_base(U: UtilityMatrix, n: int) -> BlockBase | None:
     >= 0 on every coordinate, so the two directions' block sums add up to
     at least 0 and one of them is >= 0.
     """
-    if not U.has_zero_diagonal():
-        return None
     return BlockBase(sender_graph(U, 1), sender_graph(symmetric_part(U), 1), n)
 
 

@@ -7,10 +7,12 @@ size of the largest feasible subset of X^n, gives the capacity lower bound
 Gamma(U_n)^(1/n).  Ties matter: a zero-sum chain already destroys
 feasibility.  Every feasibility question has one answer path,
 ``_nonneg_chain``: a Bellman-Ford pass that returns the offending chain
-itself, checked by its exact utility sum.  ``gamma_n`` has one search over
-the independent sets of the symmetric-part graph, and ``gamma`` is
-``gamma_n`` at n = 1.  All arithmetic is exact, on the integer utilities of
-``UtilityMatrix.scaled_integer_entries``.
+itself, checked by its exact utility sum.  ``gamma_n`` has one search, a
+branch and bound over the independent sets of the symmetric-part graph in
+index order, and one budget, ``node_budget``, which counts the work of its
+trials and tests; out of budget, it returns the largest feasible subset
+found.  ``gamma`` is ``gamma_n`` at n = 1.  All arithmetic is exact, on the
+integer utilities of ``UtilityMatrix.scaled_integer_entries``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
-from .graphs import DEFAULT_NODE_BUDGET, Graph, independence_number, sender_graph
+from .graphs import (
+    DEFAULT_NODE_BUDGET,
+    Graph,
+    _ensure_recursion_headroom,
+    independence_number,
+    sender_graph,
+)
 from .utility import (
     UtilityMatrix,
     parse_rational,
@@ -32,8 +40,6 @@ from .utility import (
 
 #: most symbols whose cycles ``beta_cycle_bound`` enumerates (exponential)
 BRUTE_FORCE_SUBSET_CAP = 9
-#: default number of candidate subsets examined before giving up
-DEFAULT_SUBSET_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -211,134 +217,122 @@ def feasibility_report(U: UtilityMatrix, subset: Sequence[int]) -> dict:
     return report
 
 
-def _independent_subsets(graph: Graph, size: int):
-    """All independent vertex subsets of the given size, in lex order."""
-    n = graph.n_vertices
-    chosen: list[int] = []
+def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[int, ...],
+                      node_budget: int) -> tuple[tuple[int, ...], bool]:
+    """(the lexicographically first largest feasible subset of X^n, True),
+    or (the largest one found before ``node_budget`` ran out, False).
 
-    def rec(start: int, excl: int):
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        # not enough vertices left to finish
-        for v in range(start, n - (size - len(chosen)) + 1):
-            if (excl >> v) & 1:
+    ``first`` is the canonical maximum independent set of G_s^Sym,n; it is
+    tested before anything else, since a feasible one meets the ceiling.
+    Otherwise a depth-first search over the vertices in index order first
+    includes the lowest open candidate that no member neighbours in
+    G_s^Sym,n, then excludes it.  A failed test records its chain's members
+    as an infeasible core, and a trial that contains a known core is
+    skipped untested, since supersets of an infeasible set are infeasible.
+    The members are feasible and all below the new vertex v, so only cores
+    whose largest vertex is v can lie in the trial.  The incumbent changes
+    only for a strictly larger set, and a branch that cannot beat it is
+    pruned, so the first largest set found is the lexicographically least.
+    Each trial costs one node, and the test of a k-member set k*k more, its
+    Bellman-Ford rows.  The members' k x k block sums grow by one row and
+    one column per trial, summed letter by letter from the q x q integer
+    utility, so no q**n x q**n table is ever built.
+    """
+    ints = U.scaled_integer_entries[1]
+    words = list(product(range(U.q), repeat=n))
+    rows, ceiling = sym_graph.rows, len(first)
+    cores: list[list[int]] = [[] for _ in range(sym_graph.n_vertices)]
+    best: tuple[int, ...] = ()
+    nodes = ceiling * ceiling
+    if nodes > node_budget:
+        raise BudgetExceededError(
+            f"feasibility test of {ceiling} members exceeds {node_budget} nodes")
+
+    def pair(t: int, y: int) -> int:
+        return sum(ints[a][b] for a, b in zip(words[t], words[y]))
+
+    def feasible(members: Sequence[int], sums: list[list[int]]) -> bool:
+        chain = _nonneg_chain(sums, range(len(members)))
+        if chain is not None:
+            core = [members[m] for m in chain]
+            cores[max(core)].append(sum(1 << m for m in core))
+        return chain is None
+
+    if feasible(first, [[pair(t, y) for y in first] for t in first]):
+        return first, True
+
+    def search(members: list[int], sums: list[list[int]], mask: int, cand: int) -> bool:
+        """Extend members from cand; True once the search must stop."""
+        nonlocal best, nodes
+        while cand and len(members) + cand.bit_count() > len(best):
+            v = (cand & -cand).bit_length() - 1
+            cand ^= 1 << v
+            trial = mask | 1 << v
+            skip = any(core & trial == core for core in cores[v])
+            nodes += 1 if skip else 1 + (len(members) + 1) ** 2
+            if nodes > node_budget:
+                return True
+            if skip:
                 continue
-            chosen.append(v)
-            yield from rec(v + 1, excl | graph.rows[v])
-            chosen.pop()
-
-    yield from rec(0, 0)
-
-
-class _SubsetSearch:
-    """Largest feasible subset, searched by decreasing size over independent
-    sets of the symmetric-part graph, with infeasible-core memoization.
-
-    A candidate's k x k block sums come from the q x q integer utility,
-    letter by letter, so no q**n x q**n table is ever built."""
-
-    def __init__(self, U: UtilityMatrix, n: int, sym_graph: Graph, budget: int,
-                 node_budget: int):
-        self.ints = U.scaled_integer_entries[1]
-        # the letters of every sequence, in canonical index order
-        self.words = list(product(range(U.q), repeat=n))
-        self.sym_graph = sym_graph
-        self.budget = budget
-        self.node_budget = node_budget
-        self.examined = 0
-        self.infeasible_cores: list[frozenset[int]] = []
-
-    def _pruned(self, subset: tuple[int, ...]) -> bool:
-        s = frozenset(subset)
-        return any(core <= s for core in self.infeasible_cores)
-
-    def _accepts(self, subset: tuple[int, ...]) -> bool:
-        # the test relaxes up to k*k rows of k members, each charged as one
-        # search node, so node_budget bounds it as it bounds the MIS searches
-        k = len(subset)
-        if k * k > self.node_budget:
-            raise BudgetExceededError(
-                f"feasibility test of {k} members exceeds {self.node_budget} nodes")
-        ints = self.ints
-        words = [self.words[s] for s in subset]
-        sums = [[sum(ints[a][b] for a, b in zip(t, y)) for y in words] for t in words]
-        chain = _nonneg_chain(sums, range(len(subset)))
-        if chain is None:
-            return True
-        self.infeasible_cores.append(frozenset(subset[m] for m in chain))
+            for m, row in zip(members, sums):
+                row.append(pair(m, v))
+            members.append(v)
+            sums.append([pair(v, m) for m in members])
+            if feasible(members, sums):
+                if len(members) > len(best):
+                    best = tuple(members)
+                if len(best) == ceiling or search(members, sums, trial, cand & ~rows[v]):
+                    return True
+            members.pop()
+            sums.pop()
+            for row in sums:
+                row.pop()
         return False
 
-    def run(self) -> tuple[int, tuple[int, ...] | None]:
-        """(alpha_sym, the lexicographically first largest feasible subset),
-        with None in place of the subset when the budget runs out."""
-        alpha_sym, witness = independence_number(self.sym_graph, budget=self.node_budget)
-        # the canonical witness is the first candidate; it is tried whatever
-        # the budget, since a feasible one matches the alpha_sym upper bound
-        first = witness.vertices
-        self.examined = 1
-        if self._accepts(first):
-            return alpha_sym, first
-        for size in range(alpha_sym, 0, -1):
-            for subset in _independent_subsets(self.sym_graph, size):
-                if subset == first:
-                    continue
-                self.examined += 1
-                if self.examined > self.budget:
-                    return alpha_sym, None
-                if not self._pruned(subset) and self._accepts(subset):
-                    return alpha_sym, subset
-        raise VerificationError("no feasible subset, though singletons always are")
+    _ensure_recursion_headroom(ceiling)
+    stopped = search([], [], 0, (1 << sym_graph.n_vertices) - 1)
+    if not best:
+        raise BudgetExceededError(f"subset search exceeded {node_budget} nodes")
+    return best, not stopped or len(best) == ceiling
 
 
-def gamma(U: UtilityMatrix, budget: int = DEFAULT_SUBSET_BUDGET
+def gamma(U: UtilityMatrix, node_budget: int = DEFAULT_NODE_BUDGET
           ) -> tuple[int, FeasibleSetCertificate]:
     """Gamma(U): the size of the largest feasible symbol subset, with its
     certificate.  This is ``gamma_n`` at n = 1, except that a certificate
     that is not provably optimal raises BudgetExceededError, which carries
-    the size of the feasible floor in ``best``.
+    the size of the largest feasible subset found in ``best``.
     """
-    value, cert = gamma_n(U, 1, budget)
+    value, cert = gamma_n(U, 1, node_budget)
     if not cert.optimal:
         raise BudgetExceededError(
-            f"subset search exceeded budget of {budget} candidates",
-            best=value,
-        )
+            f"subset search exceeded {node_budget} nodes", best=value)
     return value, cert
 
 
-def gamma_n(U: UtilityMatrix, n: int, budget: int = DEFAULT_SUBSET_BUDGET,
-            node_budget: int = DEFAULT_NODE_BUDGET
+def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
             ) -> tuple[int, FeasibleSetCertificate]:
     """Gamma(U_n): the largest subset of X^n feasible for the blocklength-n
     problem, with a certificate; Gamma(U_n)^(1/n) bounds the capacity below.
 
     Every feasible subset is independent in the symmetric-part graph
-    G_s^Sym,n, so its independence number alpha_sym bounds Gamma(U_n) above.
-    The search tries the canonical maximum independent set of that graph
-    first, then every independent set by decreasing size in lexicographic
-    order, and returns the first feasible one, which is optimal.  Each
-    candidate is tested on its own k x k block sums, summed letter by letter
-    from the q x q integer utility, so memory stays at the size of the
-    graphs.  If more than ``budget`` candidates are needed, it returns the
-    canonical maximum independent set of the sender graph G_s^n instead,
-    which is always feasible; that certificate is flagged optimal only when
-    its size reaches alpha_sym.  The certificate carries alpha_sym.  Both
-    maximum-independent-set searches stop after ``node_budget`` nodes with
-    BudgetExceededError, and so does the test of a candidate of k members
-    when its k*k Bellman-Ford rows exceed ``node_budget``.  Neither search
-    takes a ``graphs.BlockBase``: ``xi_bracket`` calls this at n <= 2, where
-    the graphs are too small for the bounds to pay for themselves.
+    G_s^Sym,n, so its independence number alpha_sym, which the certificate
+    carries, bounds Gamma(U_n) above.  The subset search
+    (``_largest_feasible``) returns the lexicographically first largest
+    feasible subset.  ``node_budget`` bounds the maximum-independent-set
+    search and, separately, the subset search; when the subset search runs
+    out, it returns the largest feasible subset found so far, in a
+    certificate not flagged optimal.  Raises BudgetExceededError when the
+    maximum search runs out, or the subset search before it holds any set.
+    The maximum search takes no ``graphs.BlockBase``: ``xi_bracket`` calls
+    this at n <= 2, where the graphs are too small for the bounds to pay for
+    themselves.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
     sym_graph = sender_graph(symmetric_part(U), n)
-    alpha_sym, subset = _SubsetSearch(U, n, sym_graph, budget, node_budget).run()
-    optimal = subset is not None
-    if subset is None:
-        _, floor = independence_number(sender_graph(U, n), budget=node_budget)
-        subset = floor.vertices
-        optimal = len(subset) == alpha_sym
+    alpha_sym, witness = independence_number(sym_graph, budget=node_budget)
+    subset, optimal = _largest_feasible(U, n, sym_graph, witness.vertices, node_budget)
     cert = FeasibleSetCertificate(
         subset=subset,
         labels=tuple(sym_graph.labels[s] for s in subset),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import CapExceededError, ConvergenceError, InputError
 from .graphs import Graph
 
 DEFAULT_TOL = 1e-5
@@ -118,17 +118,17 @@ def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL,
     t + tol bounds theta(G) from above.  ``max_iter`` caps the number of
     interior-point iterations; about ten are typical.
 
-    Raises InputError for an empty graph, more than 64 vertices, or tol
-    outside (0, 1e-2].  Raises ConvergenceError if the iteration budget runs
-    out or the iteration breaks down numerically; it carries the dual value
-    of the last finite iterate in ``last_value`` and the largest of its gap
-    and residual norms in ``residual``.
+    Raises InputError for an empty graph or tol outside (0, 1e-2], and
+    CapExceededError for more than 64 vertices.  Raises ConvergenceError if
+    the iteration budget runs out or the iteration breaks down numerically;
+    it carries the dual value of the last finite iterate in ``last_value``
+    and the largest of its gap and residual norms in ``residual``.
     """
     n = g.n_vertices
     if n < 1:
         raise InputError("graph must have at least one vertex")
     if n > MAX_VERTICES:
-        raise InputError(f"theta solver is limited to {MAX_VERTICES} vertices")
+        raise CapExceededError(f"{n} vertices exceed the solver's limit of {MAX_VERTICES}")
     if not 0 < tol <= 1e-2:
         raise InputError("tol must lie in (0, 1e-2]")
     if n == 1:

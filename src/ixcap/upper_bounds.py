@@ -22,8 +22,8 @@ from .graphs import (
     sender_graph,
     strong_power,
 )
-from .lower_bounds import DEFAULT_SUBSET_BUDGET, gamma_n
-from .theta import MAX_VERTICES, lovasz_theta
+from .lower_bounds import gamma_n
+from .theta import lovasz_theta
 from .utility import UtilityMatrix, symmetric_part
 
 
@@ -128,8 +128,7 @@ class CapacityBracket:
 
 
 def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
-               node_budget: int = DEFAULT_NODE_BUDGET,
-               subset_budget: int = DEFAULT_SUBSET_BUDGET) -> CapacityBracket:
+               node_budget: int = DEFAULT_NODE_BUDGET) -> CapacityBracket:
     """Two-sided bracket on the information extraction capacity.
 
     Lower side: the best of alpha(G_s^n)^(1/n) and Gamma(U_n)^(1/n) for
@@ -144,10 +143,12 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     G_s^Sym coincide at n = 1, a base graph that ``in_perfect_whitelist``
     proves perfect pins the capacity at alpha(G_s), taken from the n = 1
     pass; otherwise it is reported when the two sides meet within 2*tol
-    along an integer or radical closure.  A search that exhausts its budget
-    (``node_budget`` for every independent-set search, Gamma's included, and
-    for the perfectness test) drops its candidate, and the closure that
-    needs it, with a warning.  The result carries the per-blocklength
+    along an integer or radical closure.  One ``node_budget`` bounds every
+    search: the independent-set searches, Gamma's subset search and the
+    perfectness test.  A search that exhausts it drops its candidate, and
+    the closure that needs it, with a warning, except Gamma's subset search,
+    whose largest feasible subset found so far stays a candidate, flagged
+    not optimal in its record.  The result carries the per-blocklength
     records (alpha(G_s^n) and its witness; Gamma(U_n) with its subset,
     optimality and alpha(G_s^Sym,n); or the skip message) and
     theta(G_s^Sym).  Its alpha searches take no ``graphs.BlockBase``: at
@@ -182,7 +183,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
             record["alpha_sender_error"] = f"alpha(G_s^{n}) skipped: {exc}"
             warnings.append(record["alpha_sender_error"])
         try:
-            value, cert = gamma_n(U, n, budget=subset_budget, node_budget=node_budget)
+            value, cert = gamma_n(U, n, node_budget=node_budget)
             record.update(gamma=value, gamma_rate=value ** (1.0 / n),
                           gamma_subset=list(cert.labels), gamma_optimal=cert.optimal,
                           alpha_sym=cert.alpha_sym)
@@ -204,18 +205,16 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     ]
     sym_graph = sender_graph(symmetric_part(U), 1)
     theta_sym = None
-    if sym_graph.n_vertices > MAX_VERTICES:
-        warnings.append(f"theta(G_s^Sym) skipped: {sym_graph.n_vertices} vertices "
-                        f"exceed the solver's limit of {MAX_VERTICES}")
-    else:
-        try:
-            theta_sym = lovasz_theta(sym_graph, tol=min(tol, 1e-3))
-            uppers.append((
-                theta_sym + tol,
-                {"name": "theta_symmetric_part", "theta": theta_sym, "tol": tol},
-            ))
-        except ConvergenceError as exc:
-            warnings.append(f"theta(G_s^Sym) did not converge: {exc}")
+    try:
+        theta_sym = lovasz_theta(sym_graph, tol=min(tol, 1e-3))
+        uppers.append((
+            theta_sym + tol,
+            {"name": "theta_symmetric_part", "theta": theta_sym, "tol": tol},
+        ))
+    except CapExceededError as exc:
+        warnings.append(f"theta(G_s^Sym) skipped: {exc}")
+    except ConvergenceError as exc:
+        warnings.append(f"theta(G_s^Sym) did not converge: {exc}")
 
     exact: ExactValue | None = None
     if U.is_symmetric() or is_two_valued_a_ge_b(U):

@@ -133,7 +133,10 @@ class BlockSequence:
 
 @dataclass(frozen=True)
 class UtilityMatrix:
-    """q x q exact-rational utility with (after normalization) zero diagonal."""
+    """q x q exact-rational utility with a zero diagonal.
+
+    Loaders reach the zero diagonal by ``normalize_diagonal``; a matrix built
+    directly with a nonzero diagonal entry is an input error."""
 
     alphabet: Alphabet
     u: tuple[tuple[Fraction, ...], ...]
@@ -142,6 +145,9 @@ class UtilityMatrix:
         q = self.alphabet.q
         if len(self.u) != q or any(len(row) != q for row in self.u):
             raise InputError(f"utility matrix must be {q}x{q} to match the alphabet")
+        if any(self.u[i][i] != 0 for i in range(q)):
+            raise InputError("utility matrix must have a zero diagonal; "
+                             "normalize_diagonal shifts one to it")
 
     @property
     def q(self) -> int:
@@ -153,9 +159,6 @@ class UtilityMatrix:
     def is_symmetric(self) -> bool:
         q = self.q
         return all(self.u[i][j] == self.u[j][i] for i in range(q) for j in range(i))
-
-    def has_zero_diagonal(self) -> bool:
-        return all(self.u[i][i] == 0 for i in range(self.q))
 
     @cached_property
     def scaled_integer_entries(self) -> tuple[int, tuple[tuple[int, ...], ...]]:

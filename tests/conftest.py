@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's optimized code paths:
 alpha by plain recursive backtracking, feasibility by enumerating every
-permutation, sender graphs straight from the definition.  Golden values in
+permutation (or, for sets too large for that, by the heaviest closed walk),
+sender graphs straight from the definition.  Golden values in
 the tests were computed with these.
 """
 
@@ -188,6 +189,60 @@ def oracle_feasible(u_rows, subset) -> bool:
         if total >= 0:
             return False
     return True
+
+
+def oracle_feasible_by_walks(u_rows, subset) -> bool:
+    """All closed chains strictly negative, by Floyd-Warshall: the heaviest
+    walk between every two members, in Fractions.  A closed walk splits
+    into closed chains, so some closed walk of weight >= 0 exists iff some
+    closed chain has weight >= 0; every update is a real walk, so the
+    heaviest closed walks are found even past a positive one."""
+    subset = tuple(subset)
+    k = len(subset)
+    # arc a -> b: a is reported as b, worth u(b, a); None: no walk yet
+    d = [[None if a == b else Fraction(u_rows[subset[b]][subset[a]]) for b in range(k)]
+         for a in range(k)]
+    for m in range(k):
+        for a in range(k):
+            if d[a][m] is None:
+                continue
+            for b in range(k):
+                if d[m][b] is not None and (d[a][b] is None or d[a][m] + d[m][b] > d[a][b]):
+                    d[a][b] = d[a][m] + d[m][b]
+    return all(d[a][a] is None or d[a][a] < 0 for a in range(k))
+
+
+def oracle_largest_feasible(U: UtilityMatrix, n: int) -> tuple[int, ...]:
+    """The lexicographically first largest feasible subset of X^n.
+
+    Candidates are the sets whose every pair and every triple is feasible
+    (every pair: the independent sets of G_s^Sym,n), by decreasing size and
+    in lexicographic order within a size, from the Fraction block sums; the
+    first that ``oracle_feasible_by_walks`` accepts wins."""
+    rows = oracle_block_sums(U, n)
+    nv = len(rows)
+    compatible = [sum(1 << y for y in range(nv) if y != t and rows[t][y] + rows[y][t] < 0)
+                  for t in range(nv)]
+    bad_triples = {
+        (a, b, c) for a, b, c in combinations(range(nv), 3)
+        if compatible[a] >> b & 1 and compatible[a] >> c & 1 and compatible[b] >> c & 1
+        and not oracle_feasible(rows, (a, b, c))
+    }
+
+    def candidates(size, start, allowed, chosen):
+        if len(chosen) == size:
+            yield chosen
+            return
+        for v in range(start, nv - (size - len(chosen)) + 1):
+            if allowed >> v & 1 and not any(
+                    (a, b, v) in bad_triples for a, b in combinations(chosen, 2)):
+                yield from candidates(size, v + 1, allowed & compatible[v], chosen + (v,))
+
+    for size in range(nv, 0, -1):
+        for subset in candidates(size, 0, (1 << nv) - 1, ()):
+            if oracle_feasible_by_walks(rows, subset):
+                return subset
+    raise AssertionError("no feasible subset, though singletons always are")
 
 
 def oracle_sender_edges(U: UtilityMatrix, n: int) -> set[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -94,6 +95,29 @@ def test_corpus_goldens_pass():
 def test_corpus_golden_mismatch(monkeypatch):
     monkeypatch.setattr(cli, "gamma", lambda U, **kw: (99, None))
     assert main(["corpus"]) == EXIT_GOLDEN
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gamma_reports_a_non_optimal_certificate_and_exits_2(monkeypatch, tmp_path, n):
+    # one gamma_n path at every blocklength: an optimal certificate exits 0,
+    # one whose search ran out still writes its report and exits 2
+    out = tmp_path / "gamma.json"
+    argv = ["gamma", "--utility", PENTAGON, "-n", str(n), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    optimal = json.loads(out.read_text())
+    assert optimal["certificate"]["optimal"] is True
+    search = cli.gamma_n
+
+    def out_of_budget(U, n):
+        value, cert = search(U, n)
+        return value, dataclasses.replace(cert, optimal=False)
+
+    monkeypatch.setattr(cli, "gamma_n", out_of_budget)
+    assert main(argv) == EXIT_BUDGET
+    report = json.loads(out.read_text())
+    assert report["certificate"]["optimal"] is False
+    assert {**report["certificate"], "optimal": True} == optimal["certificate"]
+    assert (report["gamma"], report["n"]) == (optimal["gamma"], n)
 
 
 def _analyze(tmp_path, *extra, fmt="json"):

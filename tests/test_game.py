@@ -43,7 +43,7 @@ from ixcap.graphs import (
     sender_graph,
 )
 from ixcap.upper_bounds import xi_bracket
-from ixcap.utility import Alphabet, UtilityMatrix, utility_from_graph, utility_from_json
+from ixcap.utility import Alphabet, utility_from_graph, utility_from_json
 
 SIZES = st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])
 
@@ -206,15 +206,6 @@ class TestBlockSandwichInTheGame:
             xs, ys = noisy_pairs(U, channel, n, d)
             assert d == min(alpha_s, alpha_c)
             assert strategy == noisy_receiver_strategy(xs, ys, channel, n)
-
-    def test_noisy_on_a_nonzero_diagonal_takes_no_sender_bounds(self):
-        # u(x, x) = -1 breaks the sender bounds' proof: G_s and G_s^Sym are
-        # both K2, yet alpha(G_s^2) = 2, and so is alpha(G_c^2) noiselessly
-        U = UtilityMatrix(Alphabet.of_size(2), ((Fraction(-1), Fraction(0)),
-                                                (Fraction(0), Fraction(-1))))
-        assert oracle_alpha(sender_graph(U, 2))[0] == 2
-        d, _ = noisy_equilibrium_value(U, identity_channel(Alphabet.of_size(2)), 2)
-        assert d == 2
 
 
 class TestNoisyVerification:

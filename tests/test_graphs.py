@@ -35,7 +35,6 @@ from ixcap.graphs import (
 from ixcap.utility import (
     Alphabet,
     BlockSequence,
-    UtilityMatrix,
     normalize_diagonal,
     utility_from_graph,
     utility_from_json,
@@ -340,24 +339,6 @@ class TestBlockSandwich:
         for q, n in ((3, 2), (4, 2), (3, 3)) * 4:
             U = random_utility(rng, q)
             self.assert_same_with_and_without(sender_graph(U, n), sender_block_base(U, n))
-
-    def test_nonzero_diagonal_gets_no_base(self):
-        # u(x, x) = -1: 00 and 01 are independent in G_s^2 (both block sums
-        # are -1), though G_s and G_s^Sym are both K2 and would claim a
-        # ceiling of 1
-        U = UtilityMatrix(Alphabet.of_size(2), ((Fraction(-1), Fraction(0)),
-                                                (Fraction(0), Fraction(-1))))
-        assert sender_block_base(U, 2) is None
-        assert independence_number(sender_graph(U, 2), base=sender_block_base(U, 2))[0] == 2
-        rng = random.Random(53)
-        for q, n in ((2, 3), (3, 2), (3, 3)) * 3:
-            U = UtilityMatrix(Alphabet.of_size(q), tuple(
-                tuple(Fraction(rng.randint(-4, 3), rng.randint(1, 2)) for _ in range(q))
-                for _ in range(q)))
-            g = sender_graph(U, n)
-            alpha, witness = independence_number(g, base=sender_block_base(U, n))
-            assert alpha == oracle_alpha(g)[0]
-            assert witness.vertices == oracle_lex_least_mis(g, alpha)
 
     def test_confusability_powers_match_plain_search_and_oracle(self):
         rng = random.Random(47)

@@ -10,6 +10,8 @@ import pytest
 from conftest import (
     oracle_block_sums,
     oracle_feasible,
+    oracle_feasible_by_walks,
+    oracle_largest_feasible,
     random_int_utility,
     random_symmetric_utility,
     random_utility,
@@ -89,7 +91,8 @@ class TestFeasibility:
                 for subset in combinations(range(4), size):
                     report = feasibility_report(U, subset)
                     assert report["feasible"] == is_feasible_O(U, subset) \
-                        == oracle_feasible(U.u, subset)
+                        == oracle_feasible(U.u, subset) \
+                        == oracle_feasible_by_walks(U.u, subset)
                     if report["feasible"]:
                         continue
                     # distinct members, chain[m] reported as chain[m + 1]
@@ -214,11 +217,11 @@ class TestGammaBlocklength:
 
     def test_node_budget_bounds_the_search(self):
         # G_s^Sym,6 is edgeless on 729 vertices, where an unbudgeted
-        # independent-set search runs for minutes
+        # subset search runs for minutes
         U = utility_from_json({"utility": [[0, -2, 1], [1, 0, -2], [-2, 1, 0]]})
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
-            gamma_n(U, 6, budget=1, node_budget=1000)
+            gamma_n(U, 6, node_budget=1000)
         assert time.perf_counter() - start < 20
 
     def test_node_budget_bounds_the_witness_test(self):
@@ -227,7 +230,7 @@ class TestGammaBlocklength:
         U = utility_from_json({"utility": [[0, -2, 1], [1, 0, -2], [-2, 1, 0]]})
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match="feasibility test of 2187 members"):
-            gamma_n(U, 7, budget=1, node_budget=5000)
+            gamma_n(U, 7, node_budget=5000)
         assert time.perf_counter() - start < 20
 
     def test_certificate_carries_alpha_sym(self, pentagon):
@@ -239,6 +242,30 @@ class TestGammaBlocklength:
     def test_validates_blocklength(self, example1):
         with pytest.raises(InputError):
             gamma_n(example1, 0)
+
+    def test_open_input_at_n3_stops_inside_its_budget(self):
+        # the one bracket input whose capacity the tool leaves open, in
+        # integers x12: at n = 3 the search cannot prove Gamma inside 20 000
+        # nodes, and returns its feasible incumbent in well under a second
+        U = utility_from_json({"utility": OPEN_BRACKET_INPUT})
+        start = time.perf_counter()
+        value, cert = gamma_n(U, 3, node_budget=20_000)
+        assert time.perf_counter() - start < 20
+        assert not cert.optimal and cert.alpha_sym == 27
+        rows = oracle_block_sums(U, 3)
+        assert oracle_feasible(rows, cert.subset)
+        assert all(rows[t][y] + rows[y][t] < 0 for t, y in combinations(cert.subset, 2))
+
+    @pytest.mark.parametrize("q, n", [(3, 2), (4, 2), (5, 2)])
+    def test_matches_the_enumeration_oracle(self, q, n):
+        # above q**n = 8: the first feasible set among the independent sets
+        # of G_s^Sym,n, by decreasing size in lexicographic order
+        rng = random.Random(131 + q)
+        for trial in range(16):
+            U = (random_int_utility if trial % 2 else random_utility)(rng, q)
+            best = oracle_largest_feasible(U, n)
+            value, cert = gamma_n(U, n)
+            assert (value, cert.subset, cert.optimal) == (len(best), best, True)
 
     def test_matches_brute_force_over_all_subsets(self):
         # the lexicographically first largest feasible subset of X^n, by
@@ -256,6 +283,10 @@ class TestGammaBlocklength:
                 value, cert = gamma_n(U, n)
                 assert (value, cert.subset, cert.optimal) == (len(best), best, True)
 
+
+#: the bracket input left open at [2, 3]: alpha(G_s^n) = 2**n and
+#: alpha(G_s^Sym,n) = 3**n for n <= 4
+OPEN_BRACKET_INPUT = [[0, 42, 0, -84], [-56, 0, 84, 28], [-84, -252, 0, 84], [-84, 14, 21, 0]]
 
 #: every pair is strictly negative in total, but the chain 0 -> 1 -> 2 -> 0
 #: gains 3: the canonical maximum independent set {0, 1, 2} of the
@@ -276,34 +307,60 @@ def _cyclic_plus_three():
 
 
 class TestGammaBudget:
-    """With the budget spent, gamma_n returns the canonical maximum
-    independent set of G_s^n (the floor), optimal iff it reaches alpha_sym."""
+    """With the subset search's nodes spent, gamma_n returns the largest
+    feasible subset found so far, a floor under Gamma(U_n), flagged optimal
+    only at alpha_sym, which stops the search; gamma raises with that
+    floor's size in ``best``."""
 
     @staticmethod
-    def _floor_and_alpha_sym(U, n):
-        floor = independence_number(sender_graph(U, n))[1].vertices
-        alpha_sym, witness = independence_number(sender_graph(symmetric_part(U), n))
-        return floor, alpha_sym, witness.vertices
-
-    @pytest.mark.parametrize("U, n, floor_optimal", [
-        (utility_from_json({"utility": CYCLIC}), 1, False),  # 3 sequences
-        (_cyclic_plus_three(), 1, True),  # 6 sequences
-        (utility_from_json({"utility": CYCLIC}), 4, False),  # 81 sequences
-        (_cyclic_plus_three(), 2, True),  # 36 sequences
-    ], ids=["cyclic-1", "cyclic_plus_three-1", "cyclic-4", "cyclic_plus_three-2"])
-    def test_floor_when_witness_infeasible(self, U, n, floor_optimal):
-        floor, alpha_sym, witness = self._floor_and_alpha_sym(U, n)
-        value, cert = gamma_n(U, n, budget=1)
-        assert cert.subset == floor != witness
-        assert value == len(floor)
-        assert cert.optimal == floor_optimal == (len(floor) == alpha_sym)
+    def _check_spent(U, n, node_budget):
+        """gamma_n under node_budget, checked: its subset is feasible and
+        independent in G_s^Sym,n, and an optimal answer is the unbudgeted
+        one.  Returns (value, optimal), or None when the budget runs out in
+        the maximum search, in the canonical set's test or before the first
+        subset."""
+        try:
+            value, cert = gamma_n(U, n, node_budget=node_budget)
+        except BudgetExceededError:
+            return None
+        assert oracle_feasible_by_walks(oracle_block_sums(U, n), cert.subset)
+        assert is_independent(sender_graph(symmetric_part(U), n), cert.subset)
+        assert value == cert.size == len(cert.subset)
+        if cert.optimal:
+            # the same search, finished inside the smaller budget
+            assert gamma_n(U, n) == (value, cert)
+        else:
+            assert value < cert.alpha_sym
         if n == 1:
-            if floor_optimal:
-                assert gamma(U, budget=1) == (value, cert)
+            if cert.optimal:
+                assert gamma(U, node_budget=node_budget) == (value, cert)
             else:
                 with pytest.raises(BudgetExceededError) as info:
-                    gamma(U, budget=1)
+                    gamma(U, node_budget=node_budget)
                 assert info.value.best == value
+        return value, cert.optimal
+
+    @pytest.mark.parametrize("U, n, exhaustive", [
+        (utility_from_json({"utility": CYCLIC}), 1, (0, 1)),  # 3 sequences
+        (_cyclic_plus_three(), 1, (3, 4, 5)),  # 6 sequences
+        (utility_from_json({"utility": CYCLIC}), 4, None),  # 81 sequences
+        (_cyclic_plus_three(), 2, (21, 22, 23, 27, 28, 29, 33, 34, 35)),  # 36 sequences
+    ], ids=["cyclic-1", "cyclic_plus_three-1", "cyclic-4", "cyclic_plus_three-2"])
+    def test_floor_when_witness_infeasible(self, U, n, exhaustive):
+        alpha_sym, witness = independence_number(sender_graph(symmetric_part(U), n))
+        assert not oracle_feasible(oracle_block_sums(U, n), witness.vertices)
+        # the canonical set's test costs alpha_sym**2 nodes and the first
+        # trial, a singleton, 2 more
+        with pytest.raises(BudgetExceededError, match="subset search exceeded"):
+            gamma_n(U, n, node_budget=alpha_sym**2 + 1)
+        assert self._check_spent(U, n, alpha_sym**2 + 2) == (1, False)
+        values = [self._check_spent(U, n, alpha_sym**2 + extra)[0]
+                  for extra in (2, 5, 20, 50, 100, 200, 400)]
+        assert values == sorted(values)  # a larger budget never finds less
+        if exhaustive is not None:
+            value, cert = gamma_n(U, n)
+            assert (cert.subset, cert.optimal) == (exhaustive, True)
+            assert values[-1] <= value
 
     def test_cyclic_exhaustive_value(self):
         U = utility_from_json({"utility": CYCLIC})
@@ -313,23 +370,12 @@ class TestGammaBudget:
     @pytest.mark.parametrize("q, n", [(3, 1), (4, 1), (4, 2), (5, 2), (3, 4)])
     def test_tiny_budget_on_randoms(self, q, n):
         rng = random.Random(113 + 10 * q + n)
+        answered = 0
         for trial in range(8):
             U = (random_int_utility if trial % 2 else random_utility)(rng, q)
-            floor, alpha_sym, witness = self._floor_and_alpha_sym(U, n)
-            # the witness is tried whatever the budget; any other candidate
-            # exceeds a budget of 0 or 1
-            for budget in (0, 1):
-                value, cert = gamma_n(U, n, budget=budget)
-                assert cert.subset in (witness, floor)
-                assert cert.optimal == (value == alpha_sym)
-                if n > 1:
-                    continue
-                if cert.optimal:
-                    assert gamma(U, budget=budget) == (value, cert)
-                else:
-                    with pytest.raises(BudgetExceededError) as info:
-                        gamma(U, budget=budget)
-                    assert info.value.best == value
+            for node_budget in (10, 100, 1000):
+                answered += self._check_spent(U, n, node_budget) is not None
+        assert answered >= 8
 
 
 class TestTypeClassLift:

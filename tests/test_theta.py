@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_alpha
-from ixcap.errors import ConvergenceError, InputError
+from ixcap.errors import CapExceededError, ConvergenceError, InputError
 from ixcap.graphs import (
     complete_graph,
     cycle_graph,
@@ -73,7 +73,7 @@ def test_validates_inputs():
         lovasz_theta(cycle_graph(5), tol=0.5)
     with pytest.raises(InputError):
         lovasz_theta(cycle_graph(5), tol=0.0)
-    with pytest.raises(InputError):
+    with pytest.raises(CapExceededError, match="65 vertices exceed the solver's limit of 64"):
         lovasz_theta(empty_graph(65))
 
 

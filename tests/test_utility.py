@@ -52,12 +52,19 @@ class TestParsing:
         assert example1.u[1][0] == 1
         assert example1.u[2][0] == -1
         assert example1.u[2][1] == 0
-        assert example1.has_zero_diagonal()
+        assert all(example1.u[i][i] == 0 for i in range(example1.q))
 
     def test_degenerate_single_symbol(self):
         U = utility_from_json({"utility": [[0]]})
         assert U.q == 1
         assert U.u == ((Fraction(0),),)
+
+    def test_nonzero_diagonal_is_rejected_by_the_constructor(self):
+        # every loader and transform normalizes first; a matrix built
+        # directly with u(x, x) != 0 would break the sender graphs' bounds
+        with pytest.raises(InputError, match="zero diagonal"):
+            UtilityMatrix(Alphabet.of_size(2), ((Fraction(-1), Fraction(0)),
+                                                (Fraction(0), Fraction(-1))))
 
     def test_nonzero_diagonal_is_normalized(self):
         U = utility_from_json({"utility": [[0, 1, 0], [0, 5, 0], [0, 2, 0]]})
