@@ -43,7 +43,13 @@ from ixcap.graphs import (
     sender_graph,
 )
 from ixcap.upper_bounds import xi_bracket
-from ixcap.utility import Alphabet, utility_from_graph, utility_from_json
+from ixcap.utility import (
+    Alphabet,
+    UtilityMatrix,
+    normalize_diagonal,
+    utility_from_graph,
+    utility_from_json,
+)
 
 SIZES = st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])
 
@@ -207,6 +213,22 @@ class TestBlockSandwichInTheGame:
             assert d == min(alpha_s, alpha_c)
             assert strategy == noisy_receiver_strategy(xs, ys, channel, n)
 
+
+    def test_noisy_on_a_nonzero_diagonal_takes_no_sender_bounds(self):
+        # u(x, x) = -1 would break the sender bounds' proof: G_s and G_s^Sym
+        # are both K2, yet the block sums of 00 and 01 are both -1. The
+        # constructor refuses such a matrix, so no equilibrium takes bounds
+        # from it; on its column-shifted form the bounds hold and the noisy
+        # value is the plain search's.
+        rows = [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]
+        with pytest.raises(InputError, match="zero diagonal"):
+            UtilityMatrix(Alphabet.of_size(2), tuple(map(tuple, rows)))
+        U = normalize_diagonal(rows)
+        channel = identity_channel(Alphabet.of_size(2))
+        d, strategy = noisy_equilibrium_value(U, channel, 2)
+        assert d == oracle_alpha(sender_graph(U, 2))[0]  # G_c^2 is edgeless
+        xs, ys = noisy_pairs(U, channel, 2, d)
+        assert strategy == noisy_receiver_strategy(xs, ys, channel, 2)
 
 class TestNoisyVerification:
     @given(SIZES, st.randoms(use_true_random=False))

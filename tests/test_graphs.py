@@ -35,6 +35,7 @@ from ixcap.graphs import (
 from ixcap.utility import (
     Alphabet,
     BlockSequence,
+    UtilityMatrix,
     normalize_diagonal,
     utility_from_graph,
     utility_from_json,
@@ -338,6 +339,23 @@ class TestBlockSandwich:
         rng = random.Random(43)
         for q, n in ((3, 2), (4, 2), (3, 3)) * 4:
             U = random_utility(rng, q)
+            self.assert_same_with_and_without(sender_graph(U, n), sender_block_base(U, n))
+
+    def test_nonzero_diagonal_gets_no_base(self):
+        # u(x, x) = -1 would break the sandwich: 00 and 01 are independent in
+        # G_s^2 (both block sums are -1), though G_s and G_s^Sym are both K2
+        # and would claim a ceiling of 1. Such a matrix cannot be built, so
+        # it never reaches sender_block_base; its column-shifted form does,
+        # and the sandwiched search stays exact on it.
+        rows = [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]
+        with pytest.raises(InputError, match="zero diagonal"):
+            UtilityMatrix(Alphabet.of_size(2), tuple(map(tuple, rows)))
+        U = normalize_diagonal(rows)
+        self.assert_same_with_and_without(sender_graph(U, 2), sender_block_base(U, 2))
+        rng = random.Random(53)
+        for q, n in ((2, 3), (3, 2), (3, 3)) * 3:
+            U = normalize_diagonal([[Fraction(rng.randint(-4, 3), rng.randint(1, 2))
+                                     for _ in range(q)] for _ in range(q)])
             self.assert_same_with_and_without(sender_graph(U, n), sender_block_base(U, n))
 
     def test_confusability_powers_match_plain_search_and_oracle(self):
