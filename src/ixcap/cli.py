@@ -8,9 +8,9 @@ Every sub-command writes a JSON report to stdout or ``--out``.  Only
 records and theta(G_s^Sym) next to the bracket, so the table shows the very
 values the bracket compared; its perfect-graph closure rests on an exact
 perfectness test run under ``--budget-nodes``, never on a user's word.
-``gamma`` reports the largest feasible subset at blocklength ``-n``, or
-with ``--subset`` the feasibility of one subset and, when it is
-infeasible, the closed chain that proves it.
+``gamma`` reports the largest feasible subset at blocklength ``-n``, searched
+within ``--budget-nodes``, or with ``--subset`` the feasibility of one subset
+and, when it is infeasible, the closed chain that proves it.
 
 Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
 internal verification, 2 resource budget exceeded, 3 corpus golden mismatch.
@@ -302,7 +302,7 @@ def cmd_gamma(args) -> int:
         _write_output(payload, args.out)
         return EXIT_OK
     n = args.blocklength
-    value, cert = gamma_n(U, n)
+    value, cert = gamma_n(U, n, node_budget=args.budget_nodes)
     payload = {"gamma": value, "n": n, "certificate": cert.to_json_dict()}
     _write_output(payload, args.out)
     return EXIT_OK if cert.optimal else EXIT_BUDGET
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("gamma", help="largest feasible subset bound")
-    _add_common(p, blocklength=True)
+    _add_common(p, blocklength=True, budget_nodes=True)
     p.add_argument("--subset", help="comma-separated symbol labels: report "
                                     "feasibility of this subset instead")
     p.set_defaults(func=cmd_gamma)

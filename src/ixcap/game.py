@@ -140,8 +140,11 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
     if image:
         _, sums = block_sums(U, n, image)
         best = sums == sums.max(axis=0)
-        summary = [tuple(t for t, hit in zip(image, col) if hit)
-                   for col in best.T.tolist()]
+        # the best responses to x are column x's hits, in image order
+        _, rows = np.nonzero(best.T)
+        hits = np.asarray(image)[rows].tolist()
+        ends = np.cumsum(best.sum(axis=0)).tolist()
+        summary = [tuple(hits[a:b]) for a, b in zip([0, *ends], ends)]
     decoded = [x for x in image if summary[x] == (x,)]
     size = len(decoded)
     return GameOutcome(

@@ -26,9 +26,11 @@ from .utility import (
 )
 
 DEFAULT_NODE_BUDGET = 10**8
-#: the maximum search relabels a graph by degree from this many vertices
-#: on, the smallest size at which relabelling was measured to win (see
-#: ``_maximum``)
+#: from this many vertices on, a graph's maximum search and its witness
+#: pass both run on one copy relabelled by degree (``_SearchCopy``), the
+#: smallest size at which relabelling was measured to win (see ``_maximum``);
+#: when the sandwich bounds settle alpha with no maximum search, the witness
+#: pass runs in the graph's own order
 ORDERED_MIN_VERTICES = 64
 
 
@@ -261,6 +263,12 @@ class BlockBase:
     and are not used.  ``independence_number`` checks I^n's independence
     and |I|^n against the ceiling, but not the subgraph condition: a base
     that breaks it can give a wrong alpha.
+
+    A base also says that G lives on X^n with q = |X| letters, so that a
+    permutation of the coordinates may map G onto itself.
+    ``independence_number`` checks this invariance on G's adjacency rather
+    than assume it, and prunes by the coordinate permutations only when it
+    holds.
     """
 
     independent: Graph
@@ -293,7 +301,8 @@ class _CliqueSearch:
     witness pass, and the searches that derived their bounds).  After a run
     that finds its set, ``best_mask`` holds that set, which the witness pass
     reuses; ``at_least`` with a target of 0 or less returns True without a
-    run and leaves ``best_mask`` stale.
+    run and leaves ``best_mask`` stale.  ``maximum`` can prune the root by
+    a symmetry group's orbits; no other level, and no ``at_least``, does.
     """
 
     def __init__(self, rows: tuple[int, ...], budget: int, nodes: int = 0):
@@ -319,7 +328,7 @@ class _CliqueSearch:
                 remaining &= ~(1 << v)
         return order
 
-    def _expand(self, current_mask: int, size: int, cand: int):
+    def _expand(self, current_mask: int, size: int, cand: int, orbit=None):
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(
@@ -330,6 +339,8 @@ class _CliqueSearch:
         for v, color in reversed(order):
             if size + color <= self.best_size:
                 return
+            if not (cand >> v) & 1:
+                continue  # its orbit was searched
             new_cand = cand & self.rows[v]
             new_mask = current_mask | (1 << v)
             if size + 1 > self.best_size:
@@ -339,17 +350,24 @@ class _CliqueSearch:
                     raise _Found
             if new_cand:
                 self._expand(new_mask, size + 1, new_cand)
-            cand &= ~(1 << v)
+            cand &= ~(orbit(v) if orbit else 1 << v)
 
-    def maximum(self, cand: int, seed: int = 0,
-                ceiling: int | None = None) -> tuple[int, int]:
+    def maximum(self, cand: int, seed: int = 0, ceiling: int | None = None,
+                orbit=None) -> tuple[int, int]:
         """A maximum clique within cand, searched from the incumbent clique
-        ``seed`` and stopped as soon as one reaches ``ceiling``."""
+        ``seed`` and stopped as soon as one reaches ``ceiling``.
+
+        ``orbit(v)``, if given, is the mask of v's orbit under a group of
+        automorphisms that maps cand onto itself.  The root then drops the
+        whole orbit of each vertex it has branched on: a clique through
+        another member is the image of one through v, which that branch
+        searched, and what stays in cand is still a union of orbits.
+        Deeper levels branch on single vertices."""
         self.best_size, self.best_mask = seed.bit_count(), seed
         self.stop_at = ceiling
         try:
             if cand:
-                self._expand(0, 0, cand)
+                self._expand(0, 0, cand, orbit)
         except _Found:
             pass
         finally:
@@ -391,59 +409,84 @@ def _relabel(mask: int, new_of: Sequence[int]) -> int:
     return out
 
 
-def _maximum(g: Graph, comp: tuple[int, ...], budget: int, nodes: int, seed: int = 0,
-             ceiling: int | None = None) -> tuple[int, int, int]:
-    """(alpha, a maximum independent set's mask, nodes spent so far), with
-    comp the complement's rows.
+class _SearchCopy:
+    """The complement of g on which every search of g runs, relabelled.
 
-    The clique search runs on the complement of a copy of g relabelled with
-    its smallest-degree vertices first, ties by index, so the colouring
-    bound starts from the vertices of fewest conflicts (the initial order
-    of Tomita et al. 2010).  ``seed`` is a known independent set and
-    ``ceiling`` a proven upper bound on alpha.  Graphs below
-    ``ORDERED_MIN_VERTICES`` keep their own order.  On random sender
-    graphs the relabelling lost at 16, 25, 36 and 49 vertices, won or lost
-    by alphabet at 64 (won at q = 4, n = 3; lost at q = 8, n = 2), and won
-    at 81 and 125; sizes 50-63 are unmeasured.
+    The copy puts g's smallest-degree vertices first, ties by index, so the
+    colouring bound starts from the vertices of fewest conflicts (the
+    initial order of Tomita et al. 2010).  Graphs below
+    ``ORDERED_MIN_VERTICES`` keep their own order.  ``new_of[v]`` is
+    vertex v's number in the copy and ``order[i]`` the vertex numbered i.
     """
-    n = g.n_vertices
-    if n < ORDERED_MIN_VERTICES:
-        search = _CliqueSearch(comp, budget, nodes)
-        alpha, mask = search.maximum((1 << n) - 1, seed, ceiling)
-        return alpha, mask, search.nodes
-    adj = _unpack_rows(g.rows)
-    order = np.argsort(adj.sum(axis=1), kind="stable")
-    relabelled = ~adj[np.ix_(order, order)]
-    np.fill_diagonal(relabelled, False)
-    order = order.tolist()
-    new_of = [0] * n
-    for i, v in enumerate(order):
-        new_of[v] = i
-    search = _CliqueSearch(_pack_bool_rows(relabelled), budget, nodes)
-    alpha, mask = search.maximum((1 << n) - 1, _relabel(seed, new_of), ceiling)
-    return alpha, _relabel(mask, order), search.nodes
+
+    def __init__(self, g: Graph, adj: np.ndarray | None = None, ordered: bool = True):
+        n = g.n_vertices
+        self.ordered = ordered and n >= ORDERED_MIN_VERTICES
+        if not self.ordered:
+            self.rows = g.complement_rows()
+            self.order = self.new_of = range(n)
+            return
+        if adj is None:
+            adj = _unpack_rows(g.rows)
+        order = np.argsort([r.bit_count() for r in g.rows], kind="stable")
+        relabelled = ~adj.take(order, 0).take(order, 1)
+        np.fill_diagonal(relabelled, False)
+        self.rows = _pack_bool_rows(relabelled)
+        self.order = order.tolist()
+        self.new_of = [0] * n
+        for i, v in enumerate(self.order):
+            self.new_of[v] = i
+
+    def inward(self, mask: int) -> int:
+        """A set of g's vertices in the copy's numbering."""
+        return _relabel(mask, self.new_of) if self.ordered else mask
 
 
-def _lex_least(g: Graph, comp: tuple[int, ...], alpha: int, maxset: int,
+def _maximum(copy: _SearchCopy, budget: int, nodes: int, seed: int = 0,
+             ceiling: int | None = None, orbit=None) -> tuple[int, int, int]:
+    """(alpha, a maximum independent set's mask in the copy's numbering, nodes
+    spent so far) of the graph whose ``_SearchCopy`` is copy.
+
+    ``seed`` is a known independent set, in the graph's own numbering, and
+    ``ceiling`` a proven upper bound on alpha; ``orbit`` is passed to
+    ``_CliqueSearch.maximum``.  On random sender graphs the degree order
+    lost at 16, 25, 36 and 49 vertices, won or lost by alphabet at 64 (won
+    at q = 4, n = 3; lost at q = 8, n = 2), and won at 81 and 125; sizes
+    50-63 are unmeasured.
+    """
+    search = _CliqueSearch(copy.rows, budget, nodes)
+    alpha, mask = search.maximum((1 << len(copy.rows)) - 1, copy.inward(seed), ceiling,
+                                 orbit)
+    return alpha, mask, search.nodes
+
+
+def _lex_least(g: Graph, copy: _SearchCopy, alpha: int, maxset: int,
                budget: int, nodes: int) -> tuple[tuple[int, ...], int]:
     """The lexicographically least maximum independent set, from alpha and
-    one maximum set, in g's own index order; returns (set, nodes)."""
-    search = _CliqueSearch(comp, budget, nodes)
+    one maximum set (in the copy's numbering), in g's own index order;
+    returns (set, nodes).
+
+    Each ``at_least`` only asks whether a set exists, so it runs on the
+    copy, whatever the copy's order: the walk visits g's vertices in g's
+    order and keeps its sets in the copy's numbering."""
+    search = _CliqueSearch(copy.rows, budget, nodes)
     # greedily keep the smallest vertex that still allows completing a
-    # maximum independent set among the remaining candidates;
-    # chosen | (maxset & cand) is always a maximum independent set
+    # maximum independent set among the remaining candidates; the chosen
+    # vertices and maxset & cand always form a maximum independent set.
+    # cand holds no vertex below v, so rest holds none up to v.
     chosen: list[int] = []
     cand = (1 << g.n_vertices) - 1
     needed = alpha
     for v in range(g.n_vertices):
         if needed == 0:
             break
-        if not (cand >> v) & 1:
+        i = copy.new_of[v]
+        if not (cand >> i) & 1:
             continue
-        rest = cand & comp[v] & ~((1 << (v + 1)) - 1)
-        if not (maxset >> v) & 1:
+        rest = cand & copy.rows[i]
+        if not (maxset >> i) & 1:
             if not search.at_least(rest, needed - 1):
-                cand &= ~(1 << v)
+                cand &= ~(1 << i)
                 continue
             # stale when needed == 1, but then v is the last vertex kept
             maxset = search.best_mask
@@ -463,7 +506,7 @@ def _cover_number(g: Graph, budget: int, nodes: int) -> tuple[int, int]:
     an open clique whose members are all neighbours, or open the next one;
     each placement is one node, charged with the alpha search to budget."""
     n = g.n_vertices
-    lower, _, nodes = _maximum(g, g.complement_rows(), budget, nodes)
+    lower, _, nodes = _maximum(_SearchCopy(g), budget, nodes)
     cliques: list[int] = []
 
     def place(v: int, k: int) -> bool:
@@ -500,9 +543,9 @@ def _sandwich(g: Graph, base: BlockBase, budget: int) -> tuple[int, int, int]:
     if h.n_vertices != q or q**n != g.n_vertices:
         raise InputError(f"base graphs on {q} and {h.n_vertices} vertices do not "
                          f"fit a graph on {g.n_vertices} = q**{n} vertices")
-    comp_b = b.complement_rows()
-    alpha_b, maxset, nodes = _maximum(b, comp_b, budget, 0)
-    iset, nodes = _lex_least(b, comp_b, alpha_b, maxset, budget, nodes)
+    copy_b = _SearchCopy(b)
+    alpha_b, maxset, nodes = _maximum(copy_b, budget, 0)
+    iset, nodes = _lex_least(b, copy_b, alpha_b, maxset, budget, nodes)
     cover, nodes = _cover_number(h, budget, nodes)
     members = [0]
     for _ in range(n):
@@ -517,16 +560,70 @@ def _sandwich(g: Graph, base: BlockBase, budget: int) -> tuple[int, int, int]:
     return seed, cover**n, nodes
 
 
+def _coordinate_symmetric(adj: np.ndarray, q: int, n: int) -> bool:
+    """Whether every permutation of the n coordinates maps the graph on X^n
+    with adjacency adj onto itself.  A word's index is its base-q number,
+    first coordinate most significant.  Checked on the transposition (0 1)
+    and the cycle (0 1 ... n-1), which generate S_n."""
+    words = np.arange(q**n).reshape((q,) * n)
+    for coords in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        image = words.transpose(coords).ravel()
+        if not np.array_equal(adj.take(image, 0).take(image, 1), adj):
+            return False
+    return True
+
+
+def _type_class(word: int, q: int, n: int) -> list[int]:
+    """The words of X^n with the letters of ``word`` in any order: its orbit
+    under the coordinate permutations."""
+    counts = [0] * q
+    for _ in range(n):
+        counts[word % q] += 1
+        word //= q
+    words: list[int] = []
+
+    def extend(prefix: int, left: int):
+        if not left:
+            words.append(prefix)
+            return
+        for a in range(q):
+            if counts[a]:
+                counts[a] -= 1
+                extend(prefix * q + a, left - 1)
+                counts[a] += 1
+
+    extend(0, n)
+    return words
+
+
+def _orbit_masks(copy: _SearchCopy, q: int, n: int):
+    """``orbit(i)``: the mask, in the copy's numbering, of the type class of
+    the copy's vertex i, built only for the vertices the root branches on."""
+    def orbit(i: int) -> int:
+        mask = 0
+        for w in _type_class(copy.order[i], q, n):
+            mask |= 1 << copy.new_of[w]
+        return mask
+    return orbit
+
+
 def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
                         base: BlockBase | None = None
                         ) -> tuple[int, IndependentSetWitness]:
     """Exact alpha(G) with the lexicographically least maximum independent set.
 
-    The maximum search runs on a degree-ordered copy of G (see
-    ``_maximum``).  With ``base``, a ``BlockBase`` of G at n >= 2, it starts
-    from the incumbent I^n and stops as soon as it reaches the ceiling
+    The maximum search runs on a degree-ordered copy of G (``_SearchCopy``).
+    With ``base``, a ``BlockBase`` of G at n >= 2, it starts from the
+    incumbent I^n and stops as soon as it reaches the ceiling
     cover_number(H)^n; when |I|^n already meets the ceiling it does not run
-    at all.  The answer is the same either way.
+    at all.  Such a G lives on X^n, and the search then checks, on G's
+    adjacency, whether the transposition (0 1) and the cycle (0 1 ... n-1)
+    of the coordinates map G onto itself.  They generate S_n, so if both
+    do, the root of the search branches on one word of each type class
+    (words with the same letters) and drops the rest of the class; deeper
+    levels branch on single vertices, and a G that fails the check is
+    searched vertex by vertex throughout.  The answer is the same either
+    way.
 
     The witness pass walks the vertices in G's own order and keeps each one
     that some maximum independent set extends.  It holds such a set W, first
@@ -535,7 +632,10 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
     an ``at_least`` search over the vertices still open, and on success W
     becomes the kept vertices plus the set that search found.  So only a
     vertex outside every maximum set found so far costs a search, and an
-    edgeless graph needs none.
+    edgeless graph needs none.  ``at_least`` only asks whether a set
+    exists, so it runs on the maximum search's degree-ordered copy, built
+    once; when the bounds settle alpha with no maximum search, the pass
+    runs on G's own order instead, since no copy exists to share.
 
     One node budget bounds every search, the bases' included.  Raises
     BudgetExceededError (carrying the best bound found) if it runs out,
@@ -549,14 +649,22 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
         return 0, IndependentSetWitness((), 0)
     _ensure_recursion_headroom(n)
     seed, ceiling, nodes = 0, n, 0
-    if base is not None and base.n > 1:
+    blocks = base is not None and base.n > 1
+    if blocks:
         seed, ceiling, nodes = _sandwich(g, base, budget)
-    comp = g.complement_rows()
     if seed.bit_count() == ceiling:
+        copy = _SearchCopy(g, ordered=False)
         alpha, maxset = ceiling, seed
     else:
-        alpha, maxset, nodes = _maximum(g, comp, budget, nodes, seed, ceiling)
-    chosen, _ = _lex_least(g, comp, alpha, maxset, budget, nodes)
+        adj = _unpack_rows(g.rows) if blocks or n >= ORDERED_MIN_VERTICES else None
+        copy = _SearchCopy(g, adj)
+        orbit = None
+        if blocks:
+            q = base.independent.n_vertices
+            if _coordinate_symmetric(adj, q, base.n):
+                orbit = _orbit_masks(copy, q, base.n)
+        alpha, maxset, nodes = _maximum(copy, budget, nodes, seed, ceiling, orbit)
+    chosen, _ = _lex_least(g, copy, alpha, maxset, budget, nodes)
     labels = tuple(g.labels[v] for v in chosen) if g.labels else None
     return alpha, IndependentSetWitness(chosen, alpha, labels)
 

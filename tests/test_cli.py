@@ -45,7 +45,7 @@ def test_missing_file():
     ["alpha", "--utility", PENTAGON, "--theta-tol", "1e-9"],
     ["game", "--utility", PENTAGON, "--theta-tol", "1e-9"],
     ["gamma", "--utility", PENTAGON, "--theta-tol", "1e-9"],
-    ["gamma", "--utility", PENTAGON, "--budget-nodes", "5"],
+    ["gamma", "--utility", PENTAGON, "--budget-nodes", "many"],
     ["theta", "--utility", PENTAGON, "--budget-nodes", "5"],
     ["corpus", "--format", "csv"],
     ["alpha", "--utility", PENTAGON, "--format", "md"],
@@ -108,8 +108,8 @@ def test_gamma_reports_a_non_optimal_certificate_and_exits_2(monkeypatch, tmp_pa
     assert optimal["certificate"]["optimal"] is True
     search = cli.gamma_n
 
-    def out_of_budget(U, n):
-        value, cert = search(U, n)
+    def out_of_budget(U, n, **kwargs):
+        value, cert = search(U, n, **kwargs)
         return value, dataclasses.replace(cert, optimal=False)
 
     monkeypatch.setattr(cli, "gamma_n", out_of_budget)
@@ -143,6 +143,21 @@ def test_analyze_prints_the_bracket_records(tmp_path, pentagon):
     assert len(csv_text.splitlines()) == 1 + 2
     _, md_text = _analyze(tmp_path, fmt="md")
     assert sum(line.startswith("| ") and line[2].isdigit() for line in md_text.splitlines()) == 2
+
+
+def test_gamma_stops_at_its_node_budget(tmp_path):
+    # Gamma = 8 at n = 3 on the cyclic utility takes about 34 s to prove at
+    # the default budget; a small budget cuts it short with a report
+    utility = tmp_path / "cyclic.json"
+    utility.write_text(json.dumps({"utility": [[0, -1, 0], [0, 0, -1], [-1, 0, 0]]}))
+    out = tmp_path / "gamma.json"
+    argv = ["gamma", "--utility", str(utility), "-n", "3", "--budget-nodes", "1000",
+            "--out", str(out)]
+    assert main(argv) == EXIT_BUDGET
+    report = json.loads(out.read_text())
+    assert report["certificate"]["optimal"] is False
+    assert report["n"] == 3 and 1 <= report["gamma"] <= report["certificate"]["alpha_sym"]
+    assert main([*argv[:-4], "--budget-nodes", "0"]) == EXIT_INPUT
 
 
 def test_analyze_out_of_budget_still_reports(tmp_path):

@@ -108,6 +108,24 @@ class TestWorstCaseDecodedSet:
         assert outcome.decoded_worst == decoded
         assert outcome.decoded_size == len(decoded)
 
+    def test_summary_matches_the_per_cell_definition_up_to_q4_n3(self):
+        # every (observed x, recovered t) cell checked on its own; {-1, 0, 1}
+        # utilities tie often, so many x have several best responses
+        rng = random.Random(67)
+        for q, n in [(q, n) for q in (2, 3, 4) for n in (1, 2, 3)] * 3:
+            U = random_int_utility(rng, q) if rng.random() < 0.5 else random_utility(rng, q)
+            nv = q**n
+            keep = rng.choice((0, 0.1, 0.5, 1))
+            g = ReceiverStrategy(n, tuple(rng.randrange(nv) if rng.random() < keep else None
+                                          for _ in range(nv)))
+            image = g.image()
+            sums = oracle_block_sums(U, n, image)
+            expected = tuple(
+                tuple(t for t, row in zip(image, sums)
+                      if all(row[x] >= other[x] for other in sums))
+                for x in range(nv))
+            assert worst_case_decoded_set(U, g).best_response_summary == expected
+
 
 def pessimistic_score(sums, decode) -> int:
     """The paper's pessimistic count of a receiver map (output -> decoded

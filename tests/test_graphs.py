@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -45,6 +46,22 @@ from ixcap.utility import (
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+def symmetric_graph(rng: random.Random, q: int, n: int, p: float) -> Graph:
+    """A random graph on X^n that every permutation of the coordinates maps
+    onto itself: each pair drawn brings all its images along."""
+    words = list(product(range(q), repeat=n))
+    index = {w: i for i, w in enumerate(words)}
+    edges = set()
+    for i, x in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if rng.random() < p:
+                for perm in permutations(range(n)):
+                    a = index[tuple(x[k] for k in perm)]
+                    b = index[tuple(words[j][k] for k in perm)]
+                    edges.add((min(a, b), max(a, b)))
+    return graph_from_edges(len(words), sorted(edges))
 
 
 class TestSenderGraph:
@@ -386,6 +403,48 @@ class TestBlockSandwich:
         alpha, witness = independence_number(sender_graph(U, 5), budget=1000,
                                              base=sender_block_base(U, 5))
         assert alpha == 32 and len(witness.vertices) == 32
+
+    def test_orbit_pruning_only_on_symmetric_graphs(self, monkeypatch):
+        # the trivial base fits any graph on X^n: I^n = {0} and the ceiling
+        # is 3^n.  A random graph is not invariant under the coordinate
+        # permutations, so its root must branch vertex by vertex; a random
+        # symmetric one is, and its root drops whole orbits
+        orbits = []
+        type_class = ixcap.graphs._type_class
+        monkeypatch.setattr(ixcap.graphs, "_type_class",
+                            lambda *a: orbits.append(a) or type_class(*a))
+        base = {n: BlockBase(complete_graph(3), empty_graph(3), n) for n in (2, 3)}
+        rng = random.Random(71)
+        draws = [(n, False) for n in (2, 3) * 12] + [(n, True) for n in (2, 3) * 5]
+        for n, symmetric in draws:
+            if symmetric:
+                g = symmetric_graph(rng, 3, n, rng.uniform(0.1, 0.2) if n == 2
+                                    else rng.uniform(0.2, 0.35))
+            else:
+                g = random_graph(rng, 3**n, rng.uniform(0.15, 0.5) if n == 2
+                                 else rng.uniform(0.4, 0.65))
+            orbits.clear()
+            alpha, witness = independence_number(g, base=base[n])
+            assert alpha == oracle_alpha(g)[0]
+            assert witness.vertices == oracle_lex_least_mis(g, alpha)
+            # an edgeless draw reaches the ceiling in its first branch
+            assert bool(orbits) == (symmetric and g.edge_count() > 0)
+
+    def test_noisy_cliff_at_k1_inside_a_small_budget(self):
+        # perfbench's noisy structure (3, 5) k = 1: alpha(G_s^5) = 37 lies
+        # strictly between 2^5 and 3^5.  Searched in index order, with no
+        # orbits, the proof took about 1.5 * 10^5 nodes, most of them in the
+        # witness pass; the witness is the one that search returns
+        U = normalize_diagonal([[0, 0, -3], [Fraction(-4, 3), 0, Fraction(-4, 3)],
+                                [1, -1, 0]])
+        g = sender_graph(U, 5)
+        alpha, witness = independence_number(g, budget=20_000, base=sender_block_base(U, 5))
+        assert alpha == 37
+        assert witness.vertices == (
+            17, 23, 25, 35, 47, 51, 68, 70, 76, 89, 101, 105, 121, 122, 124, 130, 134,
+            140, 142, 146, 148, 150, 154, 156, 176, 178, 184, 194, 196, 200, 202, 204,
+            208, 210, 217, 219, 225)
+        assert is_independent(g, witness.vertices)
 
     def test_dependent_seed_is_a_verification_error(self):
         # the edgeless base makes I^2 every vertex of a complete graph
