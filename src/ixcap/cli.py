@@ -420,6 +420,11 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if ok else EXIT_GOLDEN
 
 
+def _add_budget_nodes(p):
+    p.add_argument("--budget-nodes", dest="budget_nodes", type=int,
+                   default=DEFAULT_NODE_BUDGET)
+
+
 def _add_common(p, utility=True, graph=False, blocklength=False, max_n=False,
                 channel=False, theta_tol=False, budget_nodes=False):
     if utility:
@@ -435,8 +440,7 @@ def _add_common(p, utility=True, graph=False, blocklength=False, max_n=False,
     if theta_tol:
         p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-3)
     if budget_nodes:
-        p.add_argument("--budget-nodes", dest="budget_nodes", type=int,
-                       default=DEFAULT_NODE_BUDGET)
+        _add_budget_nodes(p)
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
 
@@ -465,9 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("gamma", help="largest feasible subset bound")
-    _add_common(p, blocklength=True, budget_nodes=True)
-    p.add_argument("--subset", help="comma-separated symbol labels: report "
-                                    "feasibility of this subset instead")
+    _add_common(p, blocklength=True)
+    # a single subset's feasibility runs no search, so it takes no budget
+    exclusive = p.add_mutually_exclusive_group()
+    exclusive.add_argument("--subset", help="comma-separated symbol labels: report "
+                                            "feasibility of this subset instead")
+    _add_budget_nodes(exclusive)
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("theta", help="Lovasz theta of a graph")

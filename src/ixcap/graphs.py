@@ -28,9 +28,7 @@ from .utility import (
 DEFAULT_NODE_BUDGET = 10**8
 #: from this many vertices on, a graph's maximum search and its witness
 #: pass both run on one copy relabelled by degree (``_SearchCopy``), the
-#: smallest size at which relabelling was measured to win (see ``_maximum``);
-#: when the sandwich bounds settle alpha with no maximum search, the witness
-#: pass runs in the graph's own order
+#: smallest size at which relabelling was measured to win (see ``_maximum``)
 ORDERED_MIN_VERTICES = 64
 
 
@@ -339,7 +337,7 @@ class _CliqueSearch:
         for v, color in reversed(order):
             if size + color <= self.best_size:
                 return
-            if not (cand >> v) & 1:
+            if orbit and not (cand >> v) & 1:
                 continue  # its orbit was searched
             new_cand = cand & self.rows[v]
             new_mask = current_mask | (1 << v)
@@ -419,9 +417,9 @@ class _SearchCopy:
     vertex v's number in the copy and ``order[i]`` the vertex numbered i.
     """
 
-    def __init__(self, g: Graph, adj: np.ndarray | None = None, ordered: bool = True):
+    def __init__(self, g: Graph, adj: np.ndarray | None = None):
         n = g.n_vertices
-        self.ordered = ordered and n >= ORDERED_MIN_VERTICES
+        self.ordered = n >= ORDERED_MIN_VERTICES
         if not self.ordered:
             self.rows = g.complement_rows()
             self.order = self.new_of = range(n)
@@ -566,42 +564,27 @@ def _coordinate_symmetric(adj: np.ndarray, q: int, n: int) -> bool:
     first coordinate most significant.  Checked on the transposition (0 1)
     and the cycle (0 1 ... n-1), which generate S_n."""
     words = np.arange(q**n).reshape((q,) * n)
-    for coords in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+    generators = [(*range(1, n), 0)]
+    if n > 2:  # at n = 2 the cycle is the transposition
+        generators.append((1, 0, *range(2, n)))
+    for coords in generators:
         image = words.transpose(coords).ravel()
         if not np.array_equal(adj.take(image, 0).take(image, 1), adj):
             return False
     return True
 
 
-def _type_class(word: int, q: int, n: int) -> list[int]:
-    """The words of X^n with the letters of ``word`` in any order: its orbit
-    under the coordinate permutations."""
-    counts = [0] * q
-    for _ in range(n):
-        counts[word % q] += 1
-        word //= q
-    words: list[int] = []
-
-    def extend(prefix: int, left: int):
-        if not left:
-            words.append(prefix)
-            return
-        for a in range(q):
-            if counts[a]:
-                counts[a] -= 1
-                extend(prefix * q + a, left - 1)
-                counts[a] += 1
-
-    extend(0, n)
-    return words
-
-
 def _orbit_masks(copy: _SearchCopy, q: int, n: int):
     """``orbit(i)``: the mask, in the copy's numbering, of the type class of
-    the copy's vertex i, built only for the vertices the root branches on."""
+    the copy's vertex i (the words with the same letters in any order, its
+    orbit under the coordinate permutations), built only for the vertices
+    the root branches on."""
+    powers = q ** np.arange(n)
+    types = np.sort(np.arange(q**n)[:, None] // powers % q, axis=1) @ powers
+
     def orbit(i: int) -> int:
         mask = 0
-        for w in _type_class(copy.order[i], q, n):
+        for w in np.flatnonzero(types == types[copy.order[i]]).tolist():
             mask |= 1 << copy.new_of[w]
         return mask
     return orbit
@@ -634,8 +617,7 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
     vertex outside every maximum set found so far costs a search, and an
     edgeless graph needs none.  ``at_least`` only asks whether a set
     exists, so it runs on the maximum search's degree-ordered copy, built
-    once; when the bounds settle alpha with no maximum search, the pass
-    runs on G's own order instead, since no copy exists to share.
+    once per call.
 
     One node budget bounds every search, the bases' included.  Raises
     BudgetExceededError (carrying the best bound found) if it runs out,
@@ -652,12 +634,13 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
     blocks = base is not None and base.n > 1
     if blocks:
         seed, ceiling, nodes = _sandwich(g, base, budget)
-    if seed.bit_count() == ceiling:
-        copy = _SearchCopy(g, ordered=False)
-        alpha, maxset = ceiling, seed
+    settled = seed.bit_count() == ceiling
+    adj = (_unpack_rows(g.rows) if blocks and not settled or n >= ORDERED_MIN_VERTICES
+           else None)
+    copy = _SearchCopy(g, adj)
+    if settled:
+        alpha, maxset = ceiling, copy.inward(seed)
     else:
-        adj = _unpack_rows(g.rows) if blocks or n >= ORDERED_MIN_VERTICES else None
-        copy = _SearchCopy(g, adj)
         orbit = None
         if blocks:
             q = base.independent.n_vertices

@@ -54,6 +54,7 @@ def test_missing_file():
     ["analyze", "--utility", PENTAGON, "--budget-nodes", "0"],
     ["analyze", "--utility", PENTAGON, "--budget-nodes", "-5"],
     ["analyze", "--utility", PENTAGON, "--assume-perfect"],
+    ["gamma", "--utility", PENTAGON, "--subset", "0,1", "--budget-nodes", "5"],
 ])
 def test_usage_error_is_an_input_error(argv):
     assert main(argv) == EXIT_INPUT

@@ -410,9 +410,13 @@ class TestBlockSandwich:
         # permutations, so its root must branch vertex by vertex; a random
         # symmetric one is, and its root drops whole orbits
         orbits = []
-        type_class = ixcap.graphs._type_class
-        monkeypatch.setattr(ixcap.graphs, "_type_class",
-                            lambda *a: orbits.append(a) or type_class(*a))
+        orbit_masks = ixcap.graphs._orbit_masks
+
+        def counted(*args):
+            orbit = orbit_masks(*args)
+            return lambda i: orbits.append(i) or orbit(i)
+
+        monkeypatch.setattr(ixcap.graphs, "_orbit_masks", counted)
         base = {n: BlockBase(complete_graph(3), empty_graph(3), n) for n in (2, 3)}
         rng = random.Random(71)
         draws = [(n, False) for n in (2, 3) * 12] + [(n, True) for n in (2, 3) * 5]
