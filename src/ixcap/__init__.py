@@ -39,16 +39,11 @@ from .graphs import (
 )
 from .lower_bounds import (
     FeasibleSetCertificate,
-    TransportResult,
-    beta_cycle_bound,
     feasibility_report,
     gamma,
     gamma_n,
-    has_positive_edges_cycle,
     is_feasible_O,
     sufficient_margin_check,
-    transport_lower_bound,
-    type_class_size,
 )
 from .theta import lovasz_theta
 from .upper_bounds import (
@@ -67,11 +62,9 @@ from .utility import (
     block_utility,
     block_utility_rows,
     capped_max,
-    capped_min,
     incremented,
     load_utility,
     normalize_diagonal,
-    product_utility,
     symmetric_part,
     utility_from_graph,
     utility_from_json,

@@ -69,7 +69,7 @@ from .utility import (
     BlockSequence,
     UtilityMatrix,
     load_utility,
-    sequence_label,
+    sequence_labels,
     symmetric_part,
     utility_from_graph,
 )
@@ -174,11 +174,11 @@ def cmd_analyze(args) -> int:
     return EXIT_BUDGET if bracket.warnings else EXIT_OK
 
 
-def _labels_for(U: UtilityMatrix, n: int, indices) -> list[str]:
-    return [
-        sequence_label(U.alphabet, BlockSequence.from_index(U.q, n, i).symbols)
-        for i in indices
-    ]
+def _strategy_file(U: UtilityMatrix, receiver: str, n: int):
+    strategy = load_strategy(U, receiver[5:])
+    if strategy.n != n:
+        raise InputError(f"the strategy file is for blocklength {strategy.n}, not -n {n}")
+    return strategy
 
 
 def _partition_pairs(U: UtilityMatrix, channel: Channel, strategy, n: int):
@@ -209,6 +209,8 @@ def _partition_pairs(U: UtilityMatrix, channel: Channel, strategy, n: int):
 def cmd_game(args) -> int:
     U = _utility_from_args(args)
     n = args.blocklength
+    if n < 1:
+        raise InputError("blocklength must be at least 1")
     channel = load_channel(args.channel) if args.channel else None
     receiver = args.receiver
 
@@ -226,17 +228,17 @@ def cmd_game(args) -> int:
             value, strategy = equilibrium_value_noiseless(U, n, budget=args.budget_nodes)
             payload["equilibrium_value"] = value
         elif receiver.startswith("file:"):
-            strategy = load_strategy(U, receiver[5:])
+            strategy = _strategy_file(U, receiver, n)
         else:
             raise InputError(f"unknown receiver spec {receiver!r}")
         outcome = worst_case_decoded_set(U, strategy)
-        payload["decoded_set"] = _labels_for(U, n, outcome.decoded_worst)
+        labels = sequence_labels(U.alphabet, n)
+        payload["decoded_set"] = [labels[x] for x in outcome.decoded_worst]
         payload["decoded_size"] = outcome.decoded_size
         payload["rate"] = outcome.rate
         payload["best_response_targets"] = {
-            label: _labels_for(U, n, targets)
-            for label, targets in zip(
-                _labels_for(U, n, range(U.q**n)), outcome.best_response_summary)
+            label: [labels[x] for x in targets]
+            for label, targets in zip(labels, outcome.best_response_summary)
         }
         payload["strategy"] = strategy_to_json_dict(U, strategy)
     else:
@@ -249,7 +251,7 @@ def cmd_game(args) -> int:
             value, strategy = noisy_equilibrium_value(U, channel, n, budget=args.budget_nodes)
             pairs = _partition_pairs(U, channel, strategy, n)
         elif receiver.startswith("file:"):
-            strategy = load_strategy(U, receiver[5:])
+            strategy = _strategy_file(U, receiver, n)
             pairs = _partition_pairs(U, channel, strategy, n)
             value = len(pairs)
             if not verify_noisy_equilibrium(
@@ -261,11 +263,12 @@ def cmd_game(args) -> int:
                 )
         else:
             raise InputError(f"unknown receiver spec {receiver!r}")
+        labels = sequence_labels(U.alphabet, n)
         payload["channel"] = str(args.channel)
         payload["decoded_size"] = value
         payload["rate"] = value ** (1.0 / n)
-        payload["decoded_set"] = _labels_for(U, n, [x for x, _ in pairs])
-        payload["input_set"] = _labels_for(U, n, [y for _, y in pairs])
+        payload["decoded_set"] = [labels[x] for x, _ in pairs]
+        payload["input_set"] = [labels[y] for _, y in pairs]
         payload["dominance_verified"] = True
         payload["strategy"] = strategy_to_json_dict(U, strategy)
 
@@ -294,6 +297,8 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    if args.subset and args.blocklength is not None:
+        raise InputError("--subset tests symbols at blocklength 1 and takes no -n")
     U = _utility_from_args(args)
     if args.subset:
         subset = [U.alphabet.index_of(s.strip()) for s in args.subset.split(",")]
@@ -301,7 +306,7 @@ def cmd_gamma(args) -> int:
         payload["sufficient_margin"] = sufficient_margin_check(U, subset)
         _write_output(payload, args.out)
         return EXIT_OK
-    n = args.blocklength
+    n = 1 if args.blocklength is None else args.blocklength
     value, cert = gamma_n(U, n, node_budget=args.budget_nodes)
     payload = {"gamma": value, "n": n, "certificate": cert.to_json_dict()}
     _write_output(payload, args.out)
@@ -310,13 +315,15 @@ def cmd_gamma(args) -> int:
 
 def cmd_theta(args) -> int:
     if args.graph:
+        if args.part:
+            raise InputError("--part selects a sender graph and takes no --graph")
         g = load_graph(args.graph)
         source = {"graph": str(args.graph)}
     else:
         U = _utility_from_args(args)
-        base = U if args.part == "base" else symmetric_part(U)
-        g = sender_graph(base, 1)
-        source = {"utility": str(args.utility), "part": args.part}
+        part = args.part or "sym"
+        g = sender_graph(U if part == "base" else symmetric_part(U), 1)
+        source = {"utility": str(args.utility), "part": part}
     value = lovasz_theta(g, tol=args.theta_tol)
     payload = {"theta": value, "tol": args.theta_tol, **source}
     _write_output(payload, args.out)
@@ -357,7 +364,8 @@ def _corpus_checks():
     value, strategy = equilibrium_value_noiseless(ex1, 1)
     check("example1 equilibrium value", 2, value)
     check("example1 equilibrium set", ("0", "2"),
-          tuple(_labels_for(ex1, 1, worst_case_decoded_set(ex1, strategy).decoded_worst)))
+          tuple(sequence_labels(ex1.alphabet, 1)[x]
+                for x in worst_case_decoded_set(ex1, strategy).decoded_worst))
 
     check("example2 feasible (cycles)", True, is_feasible_O(ex2, (0, 1, 2)))
     check("example2 margin check fails", False, sufficient_margin_check(ex2, (0, 1, 2)))
@@ -427,10 +435,12 @@ def _add_budget_nodes(p):
 
 def _add_common(p, utility=True, graph=False, blocklength=False, max_n=False,
                 channel=False, theta_tol=False, budget_nodes=False):
+    # a command that reads a graph file reads it instead of a utility
+    source = p.add_mutually_exclusive_group() if graph else p
     if utility:
-        p.add_argument("--utility", help="utility matrix JSON file")
+        source.add_argument("--utility", help="utility matrix JSON file")
     if graph:
-        p.add_argument("--graph", help="standalone graph JSON file")
+        source.add_argument("--graph", help="standalone graph JSON file")
     if channel:
         p.add_argument("--channel", help="channel transition matrix JSON file")
     if blocklength:
@@ -470,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="largest feasible subset bound")
     _add_common(p, blocklength=True)
-    # a single subset's feasibility runs no search, so it takes no budget
+    # a single subset's feasibility runs no search, so it takes no budget,
+    # and is decided at blocklength 1, so it takes no -n either
+    p.set_defaults(blocklength=None)
     exclusive = p.add_mutually_exclusive_group()
     exclusive.add_argument("--subset", help="comma-separated symbol labels: report "
                                             "feasibility of this subset instead")
@@ -479,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="Lovasz theta of a graph")
     _add_common(p, graph=True, theta_tol=True)
-    p.add_argument("--part", choices=("sym", "base"), default="sym",
+    p.add_argument("--part", choices=("sym", "base"),
                    help="which sender graph to use for a utility input")
     p.set_defaults(func=cmd_theta)
 

@@ -54,7 +54,7 @@ from .utility import (
     _expand_rows,
     block_sums,
     block_utility,
-    sequence_label,
+    sequence_labels,
 )
 
 
@@ -401,15 +401,11 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
 
 
 def strategy_to_json_dict(U: UtilityMatrix, g: ReceiverStrategy) -> dict:
-    q = U.q
-    decode = {}
-    for z, target in enumerate(g.decode):
-        z_label = sequence_label(U.alphabet, BlockSequence.from_index(q, g.n, z).symbols)
-        if target is None:
-            decode[z_label] = "DELTA"
-        else:
-            decode[z_label] = sequence_label(
-                U.alphabet, BlockSequence.from_index(q, g.n, target).symbols)
+    labels = sequence_labels(U.alphabet, g.n)
+    decode = {
+        labels[z]: "DELTA" if target is None else labels[target]
+        for z, target in enumerate(g.decode)
+    }
     return {"n": g.n, "decode": decode}
 
 
@@ -417,12 +413,10 @@ def strategy_from_json_dict(U: UtilityMatrix, obj) -> ReceiverStrategy:
     if not isinstance(obj, dict) or "n" not in obj or "decode" not in obj:
         raise InputError('strategy JSON must be an object with "n" and "decode"')
     n = int(obj["n"])
-    q = U.q
-    nv = q**n
-    label_to_index = {
-        sequence_label(U.alphabet, BlockSequence.from_index(q, n, i).symbols): i
-        for i in range(nv)
-    }
+    if n < 1:
+        raise InputError("strategy blocklength must be at least 1")
+    nv = U.q**n
+    label_to_index = {label: i for i, label in enumerate(sequence_labels(U.alphabet, n))}
     decode: list[int | None] = [None] * nv
     seen = set()
     for z_label, t_label in obj["decode"].items():

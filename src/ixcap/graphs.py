@@ -18,10 +18,9 @@ from .errors import BudgetExceededError, CapExceededError, InputError, Verificat
 from .utility import (
     BLOCK_CELLS,
     DEFAULT_VERTEX_CAP,
-    BlockSequence,
     UtilityMatrix,
     block_sums,
-    sequence_label,
+    sequence_labels,
     symmetric_part,
 )
 
@@ -117,14 +116,6 @@ def _check_cap(n_vertices: int, cap: int):
         raise CapExceededError(f"{n_vertices} vertices exceed the cap of {cap}")
 
 
-def _sequence_labels(U: UtilityMatrix, n: int) -> tuple[str, ...]:
-    q = U.q
-    return tuple(
-        sequence_label(U.alphabet, BlockSequence.from_index(q, n, idx).symbols)
-        for idx in range(q**n)
-    )
-
-
 def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
     rows = []
     for r in np.packbits(adj, axis=1, bitorder="little"):
@@ -154,7 +145,7 @@ def sender_graph(U: UtilityMatrix, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Gra
         raise InputError("blocklength must be at least 1")
     nv = U.q**n
     _check_cap(nv, cap)
-    labels = _sequence_labels(U, n)
+    labels = sequence_labels(U.alphabet, n)
     if nv * nv <= BLOCK_CELLS:
         _, s = block_sums(U, n)
         adj = (s >= 0) | (s.T >= 0)

@@ -1,5 +1,4 @@
-"""Lower-bound certificates: feasible symbol subsets at blocklength n, the
-transport test, and the quick sufficient conditions.
+"""Lower-bound certificates: feasible symbol subsets at blocklength n.
 
 A subset is feasible when every closed chain of distinct members (each one
 reported as the next) has strictly negative total utility; Gamma(U_n), the
@@ -13,17 +12,20 @@ index order, and one budget, ``node_budget``, which counts the work of its
 trials and tests; out of budget, it returns the largest feasible subset
 found.  ``gamma`` is ``gamma_n`` at n = 1.  All arithmetic is exact, on the
 integer utilities of ``UtilityMatrix.scaled_integer_entries``.
+
+One sufficient condition is kept beside the exact test,
+``sufficient_margin_check``, because ``ixcap gamma --subset`` prints it next
+to the exact verdict and a corpus golden checks it on example 2, which is
+feasible although it fails the margin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import product
 from typing import Callable, Sequence
 
-from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
+from .errors import BudgetExceededError, InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
@@ -31,15 +33,7 @@ from .graphs import (
     independence_number,
     sender_graph,
 )
-from .utility import (
-    UtilityMatrix,
-    parse_rational,
-    sign_class_extrema,
-    symmetric_part,
-)
-
-#: most symbols whose cycles ``beta_cycle_bound`` enumerates (exponential)
-BRUTE_FORCE_SUBSET_CAP = 9
+from .utility import UtilityMatrix, symmetric_part
 
 
 @dataclass(frozen=True)
@@ -84,23 +78,13 @@ def _validate_subset(q: int, subset: Sequence[int]) -> tuple[int, ...]:
     return subset
 
 
-def has_positive_edges_cycle(U: UtilityMatrix, subset: Sequence[int]
-                             ) -> tuple[bool, tuple[int, ...] | None]:
-    """Detect a cyclic arrangement along which every misreport is weakly
-    profitable.
-
-    Searches for a directed cycle in the graph with an arc j -> i whenever
-    u(i, j) >= 0.  Returns (True, chain) with the chain rotated so its
-    smallest symbol comes first, or (False, None).
-    """
-    subset = _validate_subset(U.q, subset)
-    if len(subset) < 2:
-        raise InputError("a cycle needs at least two symbols")
-    return _nonneg_arc_cycle(lambda i, j: U.u[i][j] >= 0, subset)
-
-
 def _nonneg_arc_cycle(arc: Callable[[int, int], bool], subset: tuple[int, ...]
                       ) -> tuple[bool, tuple[int, ...] | None]:
+    """(True, cycle) for a directed cycle of the graph on subset with an arc
+    j -> i whenever arc(i, j), rotated so its smallest symbol comes first;
+    (False, None) when there is none.  With arc(i, j) = u(i, j) >= 0 the
+    cycle is an arrangement along which every misreport is weakly
+    profitable."""
     # iterative DFS with colors over arcs j -> i (observe j, recover i)
     succ = {
         j: [i for i in subset if i != j and arc(i, j)] for j in subset
@@ -367,147 +351,3 @@ def sufficient_margin_check(U: UtilityMatrix, subset: Sequence[int]) -> bool:
         # the base sender graph and trivially feasible
         return True
     return min(-x for x in negs) > (len(subset) - 1) * max(nonnegs)
-
-
-def beta_cycle_bound(U: UtilityMatrix, subset: Sequence[int]) -> bool:
-    """Per-chain arc-count condition derived from the capped utility.
-
-    With beta = max-gain / |max-penalty|, every cyclic arrangement of distinct
-    subset symbols must contain a negative arc and strictly fewer than 1/beta
-    nonnegative arcs.  True implies the subset is feasible.
-    """
-    subset = _validate_subset(U.q, subset)
-    max_nonneg, max_neg, _, _ = sign_class_extrema(U)
-    if max_neg is None:
-        raise InputError("utility has no negative entries; beta is undefined")
-    beta = (max_nonneg if max_nonneg is not None else Fraction(0)) / (-max_neg)
-    if len(subset) > BRUTE_FORCE_SUBSET_CAP:
-        raise CapExceededError(
-            f"cycle enumeration capped at {BRUTE_FORCE_SUBSET_CAP} symbols"
-        )
-    for k in range(2, len(subset) + 1):
-        for combo in combinations(subset, k):
-            first, rest = combo[0], combo[1:]
-            for tail in permutations(rest):
-                cycle = (first,) + tail
-                arcs = [
-                    (cycle[m], cycle[(m + 1) % k]) for m in range(k)
-                ]
-                nonneg = sum(1 for j, i in arcs if U.u[i][j] >= 0)
-                neg = k - nonneg
-                if neg == 0 or nonneg * beta >= 1:
-                    return False
-    return True
-
-
-def type_class_size(set_size: int, K: int) -> int:
-    """Number of sequences of length K*set_size in which each of the set's
-    symbols appears exactly K times: (K*s)! / (K!)**s, exactly."""
-    if set_size < 1 or K < 1:
-        raise InputError("set_size and K must be at least 1")
-    return math.factorial(K * set_size) // math.factorial(K) ** set_size
-
-
-@dataclass(frozen=True)
-class TransportResult:
-    """Outcome of the equal-marginals transport relaxation."""
-
-    marginal: tuple[Fraction, ...]
-    optimum: Fraction
-    unique_diagonal: bool
-    entropy_bound: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "marginal": [str(p) for p in self.marginal],
-            "optimum": str(self.optimum),
-            "unique_diagonal": self.unique_diagonal,
-            "entropy_bound": self.entropy_bound,
-        }
-
-
-def transport_lower_bound(U: UtilityMatrix, P: Sequence) -> TransportResult:
-    """Maximize the expected utility over couplings with both marginals P.
-
-    Solved exactly after clearing denominators, as the largest-gain integer
-    coupling of the q x q transport network (``_max_gain_coupling``).
-    The diagonal coupling always achieves 0; when it is the unique optimum
-    the support of P certifies exp(H(P)) as a capacity lower bound (q-ary
-    entropy, exponential base q, which is base-independent).
-    """
-    q = U.q
-    marginal = tuple(parse_rational(p) for p in P)
-    if len(marginal) != q:
-        raise InputError(f"marginal must have {q} entries, got {len(marginal)}")
-    if any(p < 0 for p in marginal):
-        raise InputError("marginal has a negative entry")
-    if sum(marginal) != 1:
-        raise InputError(f"marginal sums to {sum(marginal)}, expected 1")
-
-    denom = 1
-    for p in marginal:
-        denom = denom * p.denominator // math.gcd(denom, p.denominator)
-    supplies = [int(p * denom) for p in marginal]
-    scale, uint = U.scaled_integer_entries
-    optimum = Fraction(_max_gain_coupling(uint, supplies), denom * scale)
-
-    support = tuple(i for i in range(q) if marginal[i] > 0)
-    unique = False
-    if optimum == 0:
-        # diagonal is optimal; it is unique iff no nonpositive chain lives in
-        # the support (any alternative optimum decomposes into such chains)
-        unique = _nonneg_chain(U.u, support) is None
-    bound = None
-    if unique:
-        bound = math.exp(-sum(float(p) * math.log(float(p))
-                              for p in marginal if p > 0))
-    return TransportResult(marginal, optimum, unique, bound)
-
-
-def _max_gain_coupling(gain, supplies: list[int]) -> int:
-    """Largest sum of gain[i][j] * f[i][j] over nonnegative integer couplings
-    f whose row sums and column sums both equal supplies.
-
-    Successive longest augmenting paths on the q x q transport network: its
-    residual arcs are x_i -> y_j with gain gain[i][j], and y_j -> x_i with
-    gain -gain[i][j] wherever f[i][j] > 0.  Each round finds by Bellman-Ford
-    the longest paths from the rows with supply left, and augments along the
-    one to a column with demand left by its bottleneck.  Starting from the
-    empty coupling, augmenting along longest paths leaves no positive
-    residual cycle, so the final coupling is optimal.
-    """
-    q = len(supplies)
-    flow = [[0] * q for _ in range(q)]
-    left, need = list(supplies), list(supplies)
-    total = 0
-    while any(left):
-        dx = [0 if left[i] else None for i in range(q)]
-        dy = [None] * q
-        px, py = [None] * q, [None] * q
-        changed = True
-        while changed:  # at most 2q rounds, as no residual cycle is positive
-            changed = False
-            for i, j in product(range(q), repeat=2):
-                if dx[i] is not None and (dy[j] is None or dx[i] + gain[i][j] > dy[j]):
-                    dy[j], py[j], changed = dx[i] + gain[i][j], i, True
-            for i, j in product(range(q), repeat=2):
-                if flow[i][j] and (dx[i] is None or dy[j] - gain[i][j] > dx[i]):
-                    dx[i], px[i], changed = dy[j] - gain[i][j], j, True
-        sink = next(j for j in range(q) if need[j])
-        forward, backward, j = [], [], sink
-        while True:
-            i = py[j]
-            forward.append((i, j))
-            if px[i] is None:
-                break
-            j = px[i]
-            backward.append((i, j))
-        step = min(left[i], need[sink], *(flow[a][b] for a, b in backward))
-        for a, b in forward:
-            flow[a][b] += step
-        for a, b in backward:
-            flow[a][b] -= step
-        left[i] -= step
-        need[sink] -= step
-        total += step * dy[sink]
-    return total

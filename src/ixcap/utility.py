@@ -29,12 +29,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, InputError
+from .errors import InputError
 
 #: soft cap on q**n vertices for blocklength constructions
 DEFAULT_VERTEX_CAP = 20_000
-#: cap on the combined alphabet of a product utility
-DEFAULT_PRODUCT_CAP = 64
 #: most cells one dense block of block sums (or of channel rows) may hold;
 #: larger tables are built in row blocks of at most this size
 BLOCK_CELLS = 1 << 22
@@ -90,12 +88,12 @@ class Alphabet:
         return Alphabet(tuple(str(i) for i in range(q)))
 
 
-def sequence_label(alphabet: Alphabet, symbols: Sequence[int]) -> str:
-    """Human-readable label for an n-length sequence of alphabet indices."""
-    parts = [alphabet.symbols[s] for s in symbols]
-    if all(len(p) == 1 for p in alphabet.symbols):
-        return "".join(parts)
-    return ",".join(parts)
+def sequence_labels(alphabet: Alphabet, n: int) -> tuple[str, ...]:
+    """Labels of all q**n sequences of X^n in canonical index order: the
+    symbols joined by "", or by "," when some symbol is longer than one
+    character."""
+    sep = "" if all(len(s) == 1 for s in alphabet.symbols) else ","
+    return tuple(map(sep.join, iter_product(alphabet.symbols, repeat=n)))
 
 
 @dataclass(frozen=True)
@@ -374,12 +372,6 @@ def capped_max(U: UtilityMatrix) -> UtilityMatrix:
     return _capped(U, max_nonneg, max_neg)
 
 
-def capped_min(U: UtilityMatrix) -> UtilityMatrix:
-    """Replace each off-diagonal sign class by its minimum; result <= U."""
-    _, _, min_nonneg, min_neg = sign_class_extrema(U)
-    return _capped(U, min_nonneg, min_neg)
-
-
 def incremented(U: UtilityMatrix) -> UtilityMatrix:
     """Symmetric part plus the absolute antisymmetric part, entrywise.
 
@@ -413,29 +405,3 @@ def utility_from_graph(graph, alphabet: Alphabet | None = None) -> UtilityMatrix
         for i in range(q)
     )
     return UtilityMatrix(alphabet, rows)
-
-
-def product_utility(U1: UtilityMatrix, U2: UtilityMatrix,
-                    cap: int = DEFAULT_PRODUCT_CAP) -> UtilityMatrix:
-    """Pairwise-averaged utility on the product alphabet.
-
-    u((a,b),(a',b')) = (u1(a,a') + u2(b,b'))/2, i.e. a pair behaves like a
-    2-block with one letter from each component.
-    """
-    q1, q2 = U1.q, U2.q
-    if q1 * q2 > cap:
-        raise CapExceededError(
-            f"product alphabet size {q1 * q2} exceeds cap {cap}"
-        )
-    labels = tuple(
-        f"({a},{b})" for a, b in iter_product(U1.alphabet.symbols, U2.alphabet.symbols)
-    )
-    alphabet = Alphabet(labels)
-    rows = []
-    for a, b in iter_product(range(q1), range(q2)):
-        row = [
-            (U1.u[a][a2] + U2.u[b][b2]) / 2
-            for a2, b2 in iter_product(range(q1), range(q2))
-        ]
-        rows.append(tuple(row))
-    return UtilityMatrix(alphabet, tuple(rows))

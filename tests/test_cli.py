@@ -24,6 +24,8 @@ from ixcap.upper_bounds import xi_bracket
 from ixcap.utility import load_utility, symmetric_part
 
 PENTAGON = str(corpus_path("pentagon.json"))
+#: stands for the path of a graph file that the test writes
+GRAPH = "<graph.json>"
 SRC = str(Path(ixcap.__file__).parents[1])
 
 
@@ -55,9 +57,47 @@ def test_missing_file():
     ["analyze", "--utility", PENTAGON, "--budget-nodes", "-5"],
     ["analyze", "--utility", PENTAGON, "--assume-perfect"],
     ["gamma", "--utility", PENTAGON, "--subset", "0,1", "--budget-nodes", "5"],
+    ["gamma", "--utility", PENTAGON, "--subset", "0,2", "-n", "3"],
+    ["alpha", "--graph", GRAPH, "--utility", PENTAGON],
+    ["theta", "--graph", GRAPH, "--utility", PENTAGON],
+    ["theta", "--graph", GRAPH, "--part", "base"],
 ])
-def test_usage_error_is_an_input_error(argv):
-    assert main(argv) == EXIT_INPUT
+def test_usage_error_is_an_input_error(argv, c5_path):
+    assert main([c5_path if a == GRAPH else a for a in argv]) == EXIT_INPUT
+
+
+@pytest.fixture
+def c5_path(tmp_path):
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
+    return str(path)
+
+
+def test_each_rejected_flag_works_alone(tmp_path, c5_path):
+    out = tmp_path / "report.json"
+    for argv, key, value in (
+            (["gamma", "--utility", PENTAGON, "--subset", "0,2"], "feasible", True),
+            (["gamma", "--utility", PENTAGON], "n", 1),
+            (["theta", "--graph", c5_path], "graph", c5_path),
+            (["theta", "--utility", PENTAGON], "part", "sym"),
+            (["theta", "--utility", PENTAGON, "--part", "base"], "part", "base")):
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())[key] == value
+
+
+def test_game_blocklength_below_one_or_unlike_the_strategy_file_is_an_input_error(tmp_path):
+    report = tmp_path / "game.json"
+    assert main(["game", "--utility", PENTAGON, "--out", str(report)]) == EXIT_OK
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps(json.loads(report.read_text())["strategy"]))
+    receiver = f"file:{strategy}"
+    assert main(["game", "--utility", PENTAGON, "--receiver", receiver,
+                 "--out", str(report)]) == EXIT_OK
+    assert main(["game", "--utility", PENTAGON, "-n", "2", "--receiver", receiver]) == EXIT_INPUT
+    for n in (0, -1):
+        strategy.write_text(json.dumps({"n": n, "decode": {}}))
+        assert main(["game", "--utility", PENTAGON, "--receiver", receiver]) == EXIT_INPUT
+        assert main(["game", "--utility", PENTAGON, "-n", str(n), "--receiver", "naive"]) == EXIT_INPUT
 
 
 def test_import_does_not_load_networkx():

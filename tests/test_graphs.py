@@ -135,6 +135,15 @@ class TestSenderGraph:
     def test_labels(self, example1):
         g = sender_graph(example1, 2)
         assert g.labels[5] == "12"
+        # a symbol longer than one character joins every label with commas
+        symbols = ("ab", "c", "d")
+        U = UtilityMatrix(Alphabet(symbols), example1.u)
+        assert sender_graph(U, 2).labels[5] == "c,d"
+        g = sender_graph(U, 3)
+        assert g.labels[5] == "ab,c,d"
+        assert g.labels == tuple(
+            ",".join(symbols[s] for s in BlockSequence.from_index(3, 3, v).symbols)
+            for v in range(27))
 
 
 class TestStrongProducts:

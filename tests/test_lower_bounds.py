@@ -2,8 +2,7 @@ import math
 import random
 import time
 import tracemalloc
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -19,15 +18,12 @@ from conftest import (
 from ixcap.errors import BudgetExceededError, InputError
 from ixcap.graphs import independence_number, is_independent, sender_graph
 from ixcap.lower_bounds import (
-    beta_cycle_bound,
+    _nonneg_arc_cycle,
     feasibility_report,
     gamma,
     gamma_n,
-    has_positive_edges_cycle,
     is_feasible_O,
     sufficient_margin_check,
-    transport_lower_bound,
-    type_class_size,
 )
 from ixcap.utility import (
     block_utility_rows,
@@ -36,35 +32,38 @@ from ixcap.utility import (
 )
 
 
+def _positive_edges_cycle(U, subset):
+    """The cycle detector on the arcs of weakly profitable misreports, the
+    predicate ``sufficient_margin_check`` gives it."""
+    return _nonneg_arc_cycle(lambda i, j: U.u[i][j] >= 0, tuple(subset))
+
+
 class TestPositiveEdgesCycle:
     def test_example3_none(self, example3):
-        found, cycle = has_positive_edges_cycle(example3, [0, 1, 2])
+        found, cycle = _positive_edges_cycle(example3, [0, 1, 2])
         assert not found and cycle is None
 
     def test_two_cycle(self):
         U = utility_from_json({"utility": [[0, 1], [2, 0]]})
-        found, cycle = has_positive_edges_cycle(U, [0, 1])
+        found, cycle = _positive_edges_cycle(U, [0, 1])
         assert found
         assert set(cycle) == {0, 1}
 
     def test_pentagon_full_alphabet(self, pentagon_literal, pentagon):
         for U in (pentagon_literal, pentagon):
-            found, _ = has_positive_edges_cycle(U, range(5))
+            found, _ = _positive_edges_cycle(U, range(5))
             assert not found
 
     def test_three_cycle_witness_orientation(self):
         # arcs 0->1->2->0 all weakly profitable
         U = utility_from_json({"utility": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]})
-        found, cycle = has_positive_edges_cycle(U, [0, 1, 2])
+        found, cycle = _positive_edges_cycle(U, [0, 1, 2])
         assert found
+        assert cycle[0] == min(cycle)
         k = len(cycle)
         assert all(
             U.u[cycle[(m + 1) % k]][cycle[m]] >= 0 for m in range(k)
         )
-
-    def test_requires_two_symbols(self, example1):
-        with pytest.raises(InputError):
-            has_positive_edges_cycle(example1, [0])
 
 
 class TestFeasibility:
@@ -442,155 +441,6 @@ class TestSufficientMargin:
                         hits += 1
                         assert is_feasible_O(U, subset)
         assert hits > 20
-
-
-class TestBetaCycleBound:
-    def test_independent_set_with_large_beta(self):
-        U = utility_from_json({"utility": [[0, 4, -2], [-3, 0, -2], [-2, -2, 0]]})
-        # beta = 4/2 = 2 >= 1; subset {1,2} has no nonnegative arcs
-        assert beta_cycle_bound(U, [1, 2])
-
-    def test_example3_counts(self, example3):
-        assert beta_cycle_bound(example3, [0, 1, 2])
-
-    def test_positive_two_cycle_false(self):
-        U = utility_from_json({"utility": [[0, 1, -4], [1, 0, -4], [-4, -4, 0]]})
-        assert not beta_cycle_bound(U, [0, 1])
-
-    def test_implies_feasible(self):
-        rng = random.Random(101)
-        hits = 0
-        for _ in range(200):
-            U = random_utility(rng, 3)
-            if all(x >= 0 for row in U.u for x in row):
-                continue
-            for subset in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
-                if beta_cycle_bound(U, subset):
-                    hits += 1
-                    assert is_feasible_O(U, subset)
-        assert hits > 10
-
-    def test_requires_negative_entry(self):
-        U = utility_from_json({"utility": [[0, 1], [1, 0]]})
-        with pytest.raises(InputError):
-            beta_cycle_bound(U, [0, 1])
-
-
-class TestTypeClassSize:
-    def test_small_values(self):
-        assert type_class_size(2, 2) == 6
-        assert type_class_size(1, 5) == 1
-        assert type_class_size(3, 1) == 6
-
-    def test_matches_enumeration(self):
-        assert type_class_size(2, 3) == len(_uniform_type_class(2, (0, 1), 3))
-        assert type_class_size(3, 2) == len(_uniform_type_class(3, (0, 1, 2), 2))
-
-    def test_root_approaches_set_size(self):
-        # (1/600)-th root of the count lies within 5% of 3, checked in
-        # exact integer arithmetic: 2.85^600 <= T <= 3.15^600
-        value = type_class_size(3, 200)
-        assert Fraction(285, 100) ** 600 <= value <= Fraction(315, 100) ** 600
-
-    def test_validates(self):
-        with pytest.raises(InputError):
-            type_class_size(0, 5)
-
-
-def _couplings(supplies):
-    """Every nonnegative integer q x q matrix, as {(i, j): mass}, whose row
-    sums and column sums both equal supplies."""
-    q = len(supplies)
-    rows = [[r for r in product(range(s + 1), repeat=q) if sum(r) == s] for s in supplies]
-    for matrix in product(*rows):
-        if all(sum(row[j] for row in matrix) == supplies[j] for j in range(q)):
-            yield {(i, j): matrix[i][j] for i in range(q) for j in range(q)}
-
-
-class TestTransport:
-    def test_uniform_on_independent_pair(self, pentagon):
-        res = transport_lower_bound(pentagon, ["1/2", 0, "1/2", 0, 0])
-        assert res.optimum == 0
-        assert res.unique_diagonal
-        assert res.entropy_bound == pytest.approx(2.0)
-
-    def test_point_mass(self, pentagon):
-        res = transport_lower_bound(pentagon, [0, 0, 1, 0, 0])
-        assert res.optimum == 0
-        assert res.unique_diagonal
-        assert res.entropy_bound == pytest.approx(1.0)
-
-    def test_positive_two_cycle_not_unique(self):
-        U = utility_from_json({"utility": [[0, 1], [1, 0]]})
-        res = transport_lower_bound(U, ["1/2", "1/2"])
-        assert not res.unique_diagonal
-        assert res.optimum > 0
-
-    def test_zero_tie_not_unique(self):
-        # swapping mass along a zero-sum pair loses nothing
-        U = utility_from_json({"utility": [[0, 1], [-1, 0]]})
-        res = transport_lower_bound(U, ["1/2", "1/2"])
-        assert res.optimum == 0
-        assert not res.unique_diagonal
-
-    def test_unique_implies_support_feasible(self):
-        rng = random.Random(103)
-        uniques = 0
-        for _ in range(60):
-            U = random_utility(rng, rng.randint(2, 4))
-            q = U.q
-            weights = [rng.randint(0, 3) for _ in range(q)]
-            if sum(weights) == 0:
-                weights[0] = 1
-            total = sum(weights)
-            P = [Fraction(w, total) for w in weights]
-            res = transport_lower_bound(U, P)
-            assert res.optimum >= 0
-            if res.unique_diagonal:
-                uniques += 1
-                support = [i for i in range(q) if P[i] > 0]
-                assert is_feasible_O(U, support)
-                assert res.optimum == 0
-        assert uniques > 5
-
-    def test_optimum_matches_brute_force_over_vertices(self):
-        # transportation optimum equals the best permutation-mixture value
-        # for uniform marginals (Birkhoff): cross-check on full support
-        rng = random.Random(107)
-        from itertools import permutations as perms
-
-        for _ in range(15):
-            U = random_utility(rng, 3)
-            P = [Fraction(1, 3)] * 3
-            res = transport_lower_bound(U, P)
-            best = max(
-                sum(U.u[p[j]][j] for j in range(3)) for p in perms(range(3))
-            )
-            assert res.optimum == Fraction(best, 3)
-
-    def test_optimum_matches_every_integer_coupling(self):
-        # non-uniform marginals, zero-mass symbols included: the optimum is
-        # the best of all integer couplings with the cleared margins
-        rng = random.Random(109)
-        for _ in range(60):
-            q = rng.randint(1, 3)
-            U = random_utility(rng, q)
-            den = rng.randint(1, 4)
-            supplies = [0] * q
-            for _ in range(den):
-                supplies[rng.randrange(q)] += 1
-            res = transport_lower_bound(U, [Fraction(s, den) for s in supplies])
-            assert res.optimum == max(
-                sum(f * U.u[i][j] for (i, j), f in coupling.items()) / den
-                for coupling in _couplings(supplies))
-
-    def test_validates_distribution(self, example1):
-        with pytest.raises(InputError):
-            transport_lower_bound(example1, ["1/2", "1/2"])
-        with pytest.raises(InputError):
-            transport_lower_bound(example1, ["1/2", "1/2", "1/2"])
-        with pytest.raises(InputError):
-            transport_lower_bound(example1, ["3/2", "-1/2", 0])
 
 
 class TestCertificateJson:

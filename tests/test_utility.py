@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_best_responses, oracle_block_sums, random_utility
-from ixcap.errors import CapExceededError, InputError
-from ixcap.graphs import cycle_graph, complete_graph, empty_graph, independence_number, sender_graph
+from ixcap.errors import InputError
+from ixcap.graphs import cycle_graph, complete_graph, empty_graph, sender_graph
 from ixcap.utility import (
     Alphabet,
     BlockSequence,
@@ -19,12 +19,10 @@ from ixcap.utility import (
     block_utility,
     block_utility_rows,
     capped_max,
-    capped_min,
     incremented,
     load_utility,
     normalize_diagonal,
     parse_rational,
-    product_utility,
     symmetric_part,
     utility_from_graph,
     utility_from_json,
@@ -281,34 +279,24 @@ class TestCappedUtilities:
     def test_two_valued_fixed_point(self):
         U = utility_from_json({"utility": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]})
         assert capped_max(U).u == U.u
-        assert capped_min(U).u == U.u
 
     def test_example1_extrema(self, example1):
         capped = capped_max(example1)
         offdiag = {capped.u[i][j] for i in range(3) for j in range(3) if i != j}
         assert offdiag == {Fraction(1), Fraction(-1)}
 
-    def test_min_mirrors(self, example1):
-        capped = capped_min(example1)
-        # nonneg class floor is 0, negative class floor is -2
-        assert capped.u[1][0] == 0
-        assert capped.u[2][1] == 0
-        assert capped.u[2][0] == -2
-        assert capped.u[0][2] == -2
-
     def test_ordering(self):
         rng = random.Random(13)
         for _ in range(30):
             U = random_utility(rng, rng.randint(2, 5))
-            hi, lo = capped_max(U), capped_min(U)
+            hi = capped_max(U)
             for i in range(U.q):
                 for j in range(U.q):
-                    assert lo.u[i][j] <= U.u[i][j] <= hi.u[i][j]
+                    assert U.u[i][j] <= hi.u[i][j]
 
     def test_all_negative_class_skip(self):
         U = utility_from_json({"utility": [[0, -3], [-1, 0]]})
         assert capped_max(U).u == ((0, -1), (-1, 0))
-        assert capped_min(U).u == ((0, -3), (-3, 0))
 
 
 class TestIncremented:
@@ -359,34 +347,9 @@ class TestUtilityFromGraph:
         assert all(x == 0 for row in U.u for x in row)
 
 
-class TestProductUtility:
-    def test_with_trivial_factor(self, example1):
-        one = utility_from_json({"alphabet": ["z"], "utility": [[0]]})
-        prod = product_utility(example1, one)
-        assert prod.q == 3
-        for i in range(3):
-            for j in range(3):
-                assert prod.u[i][j] == example1.u[i][j] / 2
-
-    def test_example1_squared_alpha(self, example1):
-        prod = product_utility(example1, example1)
-        assert prod.q == 9
-        alpha, _ = independence_number(sender_graph(prod, 1))
-        assert alpha >= 4  # product of per-factor independent sets survives
-
-    def test_edgeless_factors(self):
-        U = utility_from_graph(empty_graph(2))
-        prod = product_utility(U, U)
-        assert sender_graph(prod, 1).edge_count() == 0
-
-    def test_cap(self, pentagon):
-        with pytest.raises(CapExceededError):
-            product_utility(pentagon, pentagon, cap=20)
-
-
 def test_everything_stays_rational(example1, pentagon):
     for U in (example1, pentagon, capped_max(example1), incremented(example1),
-              symmetric_part(pentagon), product_utility(example1, example1)):
+              symmetric_part(pentagon)):
         for row in U.u:
             for x in row:
                 assert isinstance(x, Fraction)
