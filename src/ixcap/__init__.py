@@ -57,12 +57,9 @@ from .utility import (
     Alphabet,
     BlockSequence,
     UtilityMatrix,
-    antisymmetric_part,
     block_sums,
     block_utility,
     block_utility_rows,
-    capped_max,
-    incremented,
     load_utility,
     normalize_diagonal,
     symmetric_part,

@@ -213,6 +213,10 @@ def cmd_game(args) -> int:
         raise InputError("blocklength must be at least 1")
     channel = load_channel(args.channel) if args.channel else None
     receiver = args.receiver
+    if args.budget_nodes is not None and receiver != "optimal":
+        raise InputError("--budget-nodes bounds the optimal receiver's search; "
+                         f"the {receiver!r} receiver runs none")
+    budget = DEFAULT_NODE_BUDGET if args.budget_nodes is None else args.budget_nodes
 
     payload: dict = {
         "tool": {"name": "ixcap", "version": __version__, "command": "game"},
@@ -225,7 +229,7 @@ def cmd_game(args) -> int:
         if receiver == "naive":
             strategy = naive_receiver_strategy(U.q, n)
         elif receiver == "optimal":
-            value, strategy = equilibrium_value_noiseless(U, n, budget=args.budget_nodes)
+            value, strategy = equilibrium_value_noiseless(U, n, budget=budget)
             payload["equilibrium_value"] = value
         elif receiver.startswith("file:"):
             strategy = _strategy_file(U, receiver, n)
@@ -248,7 +252,7 @@ def cmd_game(args) -> int:
                 "for noisy channels; use optimal or a partition-form file"
             )
         if receiver == "optimal":
-            value, strategy = noisy_equilibrium_value(U, channel, n, budget=args.budget_nodes)
+            value, strategy = noisy_equilibrium_value(U, channel, n, budget=budget)
             pairs = _partition_pairs(U, channel, strategy, n)
         elif receiver.startswith("file:"):
             strategy = _strategy_file(U, receiver, n)
@@ -430,7 +434,9 @@ def cmd_corpus(args) -> int:
 
 def _add_budget_nodes(p):
     p.add_argument("--budget-nodes", dest="budget_nodes", type=int,
-                   default=DEFAULT_NODE_BUDGET)
+                   default=DEFAULT_NODE_BUDGET,
+                   help="nodes each exact search may spend; every search of the "
+                        f"command gets this budget afresh (default: {DEFAULT_NODE_BUDGET})")
 
 
 def _add_common(p, utility=True, graph=False, blocklength=False, max_n=False,
@@ -472,6 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, blocklength=True, channel=True, budget_nodes=True)
     p.add_argument("--receiver", default="optimal",
                    help="naive | optimal | file:<strategy.json>")
+    # only the optimal receiver searches, so the others take no budget
+    p.set_defaults(budget_nodes=None)
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("alpha", help="independence number of a sender graph or file graph")

@@ -16,7 +16,8 @@ class CapExceededError(IxcapError):
 class BudgetExceededError(IxcapError):
     """A search ran out of its node budget before proving optimality.
 
-    Carries the best bound found so far in ``best`` when available.
+    Carries in ``best`` the size of the best answer the search knew when it
+    ran out, or None when it knew none.
     """
 
     def __init__(self, message, best=None):

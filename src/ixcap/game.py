@@ -332,8 +332,10 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     certificates permit.  The channel side is closed when the capacity's
     certified lower bound already reaches the channel's zero-error ceiling.
     Each alpha(G_c^n) is searched between alpha(G_c)^n and the clique cover
-    number of G_c to the n-th power.  An alpha(G_c^n) search that exhausts
-    its budget, or a theta(G_c) that does not converge or has more vertices
+    number of G_c to the n-th power.  ``budget`` is per search: each of the
+    bracket's up to 3*n_max + 2 searches and each alpha(G_c^n), up to
+    4*n_max + 2 in all, gets the full budget afresh.  An alpha(G_c^n) search
+    that exhausts its budget, or a theta(G_c) that does not converge or has more vertices
     than the solver takes, is skipped with a warning, so the channel bounds
     fall back to 1 and the alphabet size."""
     xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)

@@ -26,9 +26,32 @@ from .utility import (
 
 DEFAULT_NODE_BUDGET = 10**8
 #: from this many vertices on, a graph's maximum search and its witness
-#: pass both run on one copy relabelled by degree (``_SearchCopy``), the
-#: smallest size at which relabelling was measured to win (see ``_maximum``)
+#: pass both run on one copy relabelled by degree, the smallest size at
+#: which relabelling was measured to win (see ``_SearchCopy``)
 ORDERED_MIN_VERTICES = 64
+
+
+class _Meter:
+    """The node budget of one search, which may chain several searches.
+
+    ``charge(k, what)`` spends k nodes and is the only place a node budget
+    runs out: past the budget it raises BudgetExceededError, carrying
+    ``best``, the size of the best answer the search knows, or None while it
+    knows none.  Each search that takes a budget makes a fresh meter from it
+    (``gamma_n`` has one for its alpha search and one for its subset search).
+    """
+
+    def __init__(self, budget: int):
+        if budget < 1:
+            raise InputError(f"node budget must be at least 1, got {budget}")
+        self.budget = budget
+        self.spent = 0
+        self.best: int | None = None
+
+    def charge(self, k: int, what: str):
+        self.spent += k
+        if self.spent > self.budget:
+            raise BudgetExceededError(f"{what} exceeded {self.budget} nodes", best=self.best)
 
 
 @dataclass(frozen=True)
@@ -285,19 +308,20 @@ class _CliqueSearch:
     """Exact maximum clique by branch and bound with greedy-coloring bounds.
 
     Run on the complement, a maximum clique is a maximum independent set.
-    ``nodes`` counts every expansion against ``budget`` and may start above
-    0, so one budget bounds a chain of searches (the maximum search, the
-    witness pass, and the searches that derived their bounds).  After a run
+    Every expansion charges one node to ``meter``, which the other searches
+    of the same answer share: the maximum search, the witness pass, and the
+    searches that derived their bounds.  With ``reports``, each larger
+    clique that ``maximum`` finds becomes the meter's ``best``.  After a run
     that finds its set, ``best_mask`` holds that set, which the witness pass
     reuses; ``at_least`` with a target of 0 or less returns True without a
     run and leaves ``best_mask`` stale.  ``maximum`` can prune the root by
     a symmetry group's orbits; no other level, and no ``at_least``, does.
     """
 
-    def __init__(self, rows: tuple[int, ...], budget: int, nodes: int = 0):
+    def __init__(self, rows: tuple[int, ...], meter: _Meter, reports: bool = False):
         self.rows = rows
-        self.budget = budget
-        self.nodes = nodes
+        self.meter = meter
+        self.reports = reports
         self.best_size = 0
         self.best_mask = 0
         self.stop_at: int | None = None
@@ -318,12 +342,7 @@ class _CliqueSearch:
         return order
 
     def _expand(self, current_mask: int, size: int, cand: int, orbit=None):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(
-                f"independence search exceeded {self.budget} nodes",
-                best=self.best_size,
-            )
+        self.meter.charge(1, "independence search")
         order = self._color_order(cand)
         for v, color in reversed(order):
             if size + color <= self.best_size:
@@ -335,6 +354,8 @@ class _CliqueSearch:
             if size + 1 > self.best_size:
                 self.best_size = size + 1
                 self.best_mask = new_mask
+                if self.reports:
+                    self.meter.best = self.best_size
                 if self.stop_at is not None and self.best_size >= self.stop_at:
                     raise _Found
             if new_cand:
@@ -404,8 +425,11 @@ class _SearchCopy:
     The copy puts g's smallest-degree vertices first, ties by index, so the
     colouring bound starts from the vertices of fewest conflicts (the
     initial order of Tomita et al. 2010).  Graphs below
-    ``ORDERED_MIN_VERTICES`` keep their own order.  ``new_of[v]`` is
-    vertex v's number in the copy and ``order[i]`` the vertex numbered i.
+    ``ORDERED_MIN_VERTICES`` keep their own order: on random sender graphs
+    the degree order lost at 16, 25, 36 and 49 vertices, won or lost by
+    alphabet at 64 (won at q = 4, n = 3; lost at q = 8, n = 2), and won at
+    81 and 125; sizes 50-63 are unmeasured.  ``new_of[v]`` is vertex v's
+    number in the copy and ``order[i]`` the vertex numbered i.
     """
 
     def __init__(self, g: Graph, adj: np.ndarray | None = None):
@@ -431,34 +455,15 @@ class _SearchCopy:
         return _relabel(mask, self.new_of) if self.ordered else mask
 
 
-def _maximum(copy: _SearchCopy, budget: int, nodes: int, seed: int = 0,
-             ceiling: int | None = None, orbit=None) -> tuple[int, int, int]:
-    """(alpha, a maximum independent set's mask in the copy's numbering, nodes
-    spent so far) of the graph whose ``_SearchCopy`` is copy.
-
-    ``seed`` is a known independent set, in the graph's own numbering, and
-    ``ceiling`` a proven upper bound on alpha; ``orbit`` is passed to
-    ``_CliqueSearch.maximum``.  On random sender graphs the degree order
-    lost at 16, 25, 36 and 49 vertices, won or lost by alphabet at 64 (won
-    at q = 4, n = 3; lost at q = 8, n = 2), and won at 81 and 125; sizes
-    50-63 are unmeasured.
-    """
-    search = _CliqueSearch(copy.rows, budget, nodes)
-    alpha, mask = search.maximum((1 << len(copy.rows)) - 1, copy.inward(seed), ceiling,
-                                 orbit)
-    return alpha, mask, search.nodes
-
-
 def _lex_least(g: Graph, copy: _SearchCopy, alpha: int, maxset: int,
-               budget: int, nodes: int) -> tuple[tuple[int, ...], int]:
+               meter: _Meter) -> tuple[int, ...]:
     """The lexicographically least maximum independent set, from alpha and
-    one maximum set (in the copy's numbering), in g's own index order;
-    returns (set, nodes).
+    one maximum set (in the copy's numbering), in g's own index order.
 
     Each ``at_least`` only asks whether a set exists, so it runs on the
     copy, whatever the copy's order: the walk visits g's vertices in g's
     order and keeps its sets in the copy's numbering."""
-    search = _CliqueSearch(copy.rows, budget, nodes)
+    search = _CliqueSearch(copy.rows, meter)
     # greedily keep the smallest vertex that still allows completing a
     # maximum independent set among the remaining candidates; the chosen
     # vertices and maxset & cand always form a maximum independent set.
@@ -485,21 +490,20 @@ def _lex_least(g: Graph, copy: _SearchCopy, alpha: int, maxset: int,
     if len(chosen) != alpha:
         raise VerificationError(
             f"canonical witness has {len(chosen)} vertices, expected {alpha}")
-    return tuple(chosen), search.nodes
+    return tuple(chosen)
 
 
-def _cover_number(g: Graph, budget: int, nodes: int) -> tuple[int, int]:
-    """(the smallest number of cliques that partition g's vertices, nodes).
+def _cover_number(g: Graph, meter: _Meter) -> int:
+    """The smallest number of cliques that partition g's vertices.
 
     Backtracking for each k from alpha(g) up: vertices in index order join
     an open clique whose members are all neighbours, or open the next one;
-    each placement is one node, charged with the alpha search to budget."""
+    each placement is one node, charged with the alpha search to meter."""
     n = g.n_vertices
-    lower, _, nodes = _maximum(_SearchCopy(g), budget, nodes)
+    lower, _ = _CliqueSearch(_SearchCopy(g).rows, meter).maximum((1 << n) - 1)
     cliques: list[int] = []
 
     def place(v: int, k: int) -> bool:
-        nonlocal nodes
         if v == n:
             return True
         bit = 1 << v
@@ -508,9 +512,7 @@ def _cover_number(g: Graph, budget: int, nodes: int) -> tuple[int, int]:
                 cliques.append(0)
             elif cliques[c] & ~g.rows[v]:
                 continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(f"clique cover search exceeded {budget} nodes")
+            meter.charge(1, "clique cover search")
             cliques[c] |= bit
             if place(v + 1, k):
                 return True
@@ -521,21 +523,19 @@ def _cover_number(g: Graph, budget: int, nodes: int) -> tuple[int, int]:
 
     for k in range(max(lower, 1), n):
         if place(0, k):
-            return k, nodes
-    return n, nodes
+            return k
+    return n
 
 
-def _sandwich(g: Graph, base: BlockBase, budget: int) -> tuple[int, int, int]:
-    """(mask of I^n, the ceiling cover_number(H)^n, nodes) for G = g."""
+def _sandwich(g: Graph, base: BlockBase, meter: _Meter) -> tuple[int, int]:
+    """(mask of I^n, the ceiling cover_number(H)^n) for G = g."""
     b, h, n = base.independent, base.cover, base.n
     q = b.n_vertices
     if h.n_vertices != q or q**n != g.n_vertices:
         raise InputError(f"base graphs on {q} and {h.n_vertices} vertices do not "
                          f"fit a graph on {g.n_vertices} = q**{n} vertices")
-    copy_b = _SearchCopy(b)
-    alpha_b, maxset, nodes = _maximum(copy_b, budget, 0)
-    iset, nodes = _lex_least(b, copy_b, alpha_b, maxset, budget, nodes)
-    cover, nodes = _cover_number(h, budget, nodes)
+    _, iset = _alpha(b, meter)
+    cover = _cover_number(h, meter)
     members = [0]
     for _ in range(n):
         members = [m * q + a for m in members for a in iset]
@@ -546,7 +546,7 @@ def _sandwich(g: Graph, base: BlockBase, budget: int) -> tuple[int, int, int]:
         raise VerificationError(
             f"the product set I^{n} has {len(members)} vertices, above its "
             f"ceiling {cover}^{n}")
-    return seed, cover**n, nodes
+    return seed, cover**n
 
 
 def _coordinate_symmetric(adj: np.ndarray, q: int, n: int) -> bool:
@@ -611,20 +611,34 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
     once per call.
 
     One node budget bounds every search, the bases' included.  Raises
-    BudgetExceededError (carrying the best bound found) if it runs out,
-    InputError if the budget is below 1 or the bases do not fit G, and
-    VerificationError if I^n is not independent in G or exceeds the ceiling.
+    BudgetExceededError if it runs out, InputError if the budget is below 1
+    or the bases do not fit G, and VerificationError if I^n is not
+    independent in G or exceeds the ceiling.  The error's ``best`` is the
+    size of the largest independent set of G known when the budget ran out:
+    None while the bases are searched, then |I|^n, the maximum search's
+    incumbent, and alpha during the witness pass.
     """
-    if budget < 1:
-        raise InputError(f"node budget must be at least 1, got {budget}")
+    alpha, chosen = _alpha(g, _Meter(budget), base, reports=True)
+    labels = tuple(g.labels[v] for v in chosen) if g.labels else None
+    return alpha, IndependentSetWitness(chosen, alpha, labels)
+
+
+def _alpha(g: Graph, meter: _Meter, base: BlockBase | None = None,
+           reports: bool = False) -> tuple[int, tuple[int, ...]]:
+    """(alpha(g), the lexicographically least maximum independent set), as
+    ``independence_number`` describes, with every search charged to meter.
+    ``reports`` makes g's independent sets the meter's ``best``; it is off
+    for a base graph searched on behalf of another graph."""
     n = g.n_vertices
     if n == 0:
-        return 0, IndependentSetWitness((), 0)
+        return 0, ()
     _ensure_recursion_headroom(n)
-    seed, ceiling, nodes = 0, n, 0
+    seed, ceiling = 0, n
     blocks = base is not None and base.n > 1
     if blocks:
-        seed, ceiling, nodes = _sandwich(g, base, budget)
+        seed, ceiling = _sandwich(g, base, meter)
+        if reports:
+            meter.best = seed.bit_count()
     settled = seed.bit_count() == ceiling
     adj = (_unpack_rows(g.rows) if blocks and not settled or n >= ORDERED_MIN_VERTICES
            else None)
@@ -637,10 +651,10 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
             q = base.independent.n_vertices
             if _coordinate_symmetric(adj, q, base.n):
                 orbit = _orbit_masks(copy, q, base.n)
-        alpha, maxset, nodes = _maximum(copy, budget, nodes, seed, ceiling, orbit)
-    chosen, _ = _lex_least(g, copy, alpha, maxset, budget, nodes)
-    labels = tuple(g.labels[v] for v in chosen) if g.labels else None
-    return alpha, IndependentSetWitness(chosen, alpha, labels)
+        search = _CliqueSearch(copy.rows, meter, reports)
+        alpha, maxset = search.maximum((1 << n) - 1, copy.inward(seed), ceiling, orbit)
+    # a reporting meter's best is now alpha, which the witness pass leaves alone
+    return alpha, _lex_least(g, copy, alpha, maxset, meter)
 
 
 def confusability_graph(channel, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

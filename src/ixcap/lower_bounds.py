@@ -29,6 +29,7 @@ from .errors import BudgetExceededError, InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
+    _Meter,
     _ensure_recursion_headroom,
     independence_number,
     sender_graph,
@@ -202,9 +203,10 @@ def feasibility_report(U: UtilityMatrix, subset: Sequence[int]) -> dict:
 
 
 def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[int, ...],
-                      node_budget: int) -> tuple[tuple[int, ...], bool]:
+                      meter: _Meter) -> tuple[tuple[int, ...], bool]:
     """(the lexicographically first largest feasible subset of X^n, True),
-    or (the largest one found before ``node_budget`` ran out, False).
+    or (the largest one found before ``meter`` ran out, False); with none
+    found by then, the meter's BudgetExceededError goes through.
 
     ``first`` is the canonical maximum independent set of G_s^Sym,n; it is
     tested before anything else, since a feasible one meets the ceiling.
@@ -227,10 +229,7 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     rows, ceiling = sym_graph.rows, len(first)
     cores: list[list[int]] = [[] for _ in range(sym_graph.n_vertices)]
     best: tuple[int, ...] = ()
-    nodes = ceiling * ceiling
-    if nodes > node_budget:
-        raise BudgetExceededError(
-            f"feasibility test of {ceiling} members exceeds {node_budget} nodes")
+    meter.charge(ceiling * ceiling, f"feasibility test of {ceiling} members")
 
     def pair(t: int, y: int) -> int:
         return sum(ints[a][b] for a, b in zip(words[t], words[y]))
@@ -246,16 +245,14 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
         return first, True
 
     def search(members: list[int], sums: list[list[int]], mask: int, cand: int) -> bool:
-        """Extend members from cand; True once the search must stop."""
-        nonlocal best, nodes
+        """Extend members from cand; True once best meets the ceiling."""
+        nonlocal best
         while cand and len(members) + cand.bit_count() > len(best):
             v = (cand & -cand).bit_length() - 1
             cand ^= 1 << v
             trial = mask | 1 << v
             skip = any(core & trial == core for core in cores[v])
-            nodes += 1 if skip else 1 + (len(members) + 1) ** 2
-            if nodes > node_budget:
-                return True
+            meter.charge(1 if skip else 1 + (len(members) + 1) ** 2, "subset search")
             if skip:
                 continue
             for m, row in zip(members, sums):
@@ -274,10 +271,13 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
         return False
 
     _ensure_recursion_headroom(ceiling)
-    stopped = search([], [], 0, (1 << sym_graph.n_vertices) - 1)
-    if not best:
-        raise BudgetExceededError(f"subset search exceeded {node_budget} nodes")
-    return best, not stopped or len(best) == ceiling
+    try:
+        search([], [], 0, (1 << sym_graph.n_vertices) - 1)
+    except BudgetExceededError:
+        if not best:
+            raise
+        return best, False
+    return best, True
 
 
 def gamma(U: UtilityMatrix, node_budget: int = DEFAULT_NODE_BUDGET
@@ -316,7 +316,8 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
         raise InputError("blocklength must be at least 1")
     sym_graph = sender_graph(symmetric_part(U), n)
     alpha_sym, witness = independence_number(sym_graph, budget=node_budget)
-    subset, optimal = _largest_feasible(U, n, sym_graph, witness.vertices, node_budget)
+    subset, optimal = _largest_feasible(U, n, sym_graph, witness.vertices,
+                                        _Meter(node_budget))
     cert = FeasibleSetCertificate(
         subset=subset,
         labels=tuple(sym_graph.labels[s] for s in subset),

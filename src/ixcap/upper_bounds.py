@@ -18,6 +18,7 @@ from .errors import BudgetExceededError, CapExceededError, ConvergenceError, Inp
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
+    _Meter,
     independence_number,
     sender_graph,
     strong_power,
@@ -52,9 +53,7 @@ def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     Each path step costs one node.  Raises BudgetExceededError beyond
     ``budget`` nodes, and InputError if the budget is below 1.
     """
-    if budget < 1:
-        raise InputError(f"node budget must be at least 1, got {budget}")
-    nodes = 0
+    meter = _Meter(budget)
     full = (1 << g.n_vertices) - 1
     for rows in (g.rows, g.complement_rows()):
         for s in range(g.n_vertices - 4):  # a hole has 4+ vertices above its least
@@ -63,10 +62,7 @@ def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
             stack = [(p, 1 << p, 1) for p in _bits(rows[s] & above)]
             while stack:
                 last, blocked, k = stack.pop()
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceededError(
-                        f"perfectness test exceeded {budget} nodes")
+                meter.charge(1, "perfectness test")
                 cand = rows[last] & above & ~blocked
                 if k >= 3 and k % 2 and cand & rows[s]:
                     return False
@@ -143,10 +139,12 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     G_s^Sym coincide at n = 1, a base graph that ``in_perfect_whitelist``
     proves perfect pins the capacity at alpha(G_s), taken from the n = 1
     pass; otherwise it is reported when the two sides meet within 2*tol
-    along an integer or radical closure.  One ``node_budget`` bounds every
-    search: the independent-set searches, Gamma's subset search and the
-    perfectness test.  A search that exhausts it drops its candidate, and
-    the closure that needs it, with a warning, except Gamma's subset search,
+    along an integer or radical closure.  ``node_budget`` is per search,
+    not per bracket: each of up to 3*n_max + 2 searches gets the full budget
+    afresh, namely alpha(G_s^n), alpha(G_s^Sym,n) and Gamma's subset search
+    at each n, the perfectness test and the radical closure's alpha.  A
+    search that exhausts its budget drops its candidate, and the closure
+    that needs it, with a warning, except Gamma's subset search,
     whose largest feasible subset found so far stays a candidate, flagged
     not optimal in its record.  The result carries the per-blocklength
     records (alpha(G_s^n) and its witness; Gamma(U_n) with its subset,

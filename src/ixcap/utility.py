@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import product as iter_product
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -314,77 +314,6 @@ def block_sums(U: UtilityMatrix, n: int, rows=None) -> tuple[int, np.ndarray]:
 
 def symmetric_part(U: UtilityMatrix) -> UtilityMatrix:
     return U.symmetric
-
-
-def antisymmetric_part(U: UtilityMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    q = U.q
-    return tuple(
-        tuple((U.u[i][j] - U.u[j][i]) / 2 for j in range(q)) for i in range(q)
-    )
-
-
-def _offdiag_entries(U: UtilityMatrix) -> Iterable[Fraction]:
-    q = U.q
-    for i in range(q):
-        for j in range(q):
-            if i != j:
-                yield U.u[i][j]
-
-
-def sign_class_extrema(U: UtilityMatrix) -> tuple[Fraction | None, Fraction | None,
-                                                  Fraction | None, Fraction | None]:
-    """(max nonneg, max neg, min nonneg, min neg) over off-diagonal entries.
-
-    A class is None when empty.  The diagonal is excluded: it is pinned to 0
-    by normalization and capping it would break the zero-diagonal invariant.
-    """
-    nonneg = [x for x in _offdiag_entries(U) if x >= 0]
-    neg = [x for x in _offdiag_entries(U) if x < 0]
-    return (
-        max(nonneg) if nonneg else None,
-        max(neg) if neg else None,
-        min(nonneg) if nonneg else None,
-        min(neg) if neg else None,
-    )
-
-
-def _capped(U: UtilityMatrix, nonneg_cap: Fraction | None,
-            neg_cap: Fraction | None) -> UtilityMatrix:
-    q = U.q
-    rows = []
-    for i in range(q):
-        row = []
-        for j in range(q):
-            x = U.u[i][j]
-            if i == j:
-                row.append(x)
-            elif x >= 0:
-                row.append(nonneg_cap if nonneg_cap is not None else x)
-            else:
-                row.append(neg_cap if neg_cap is not None else x)
-        rows.append(tuple(row))
-    return UtilityMatrix(U.alphabet, tuple(rows))
-
-
-def capped_max(U: UtilityMatrix) -> UtilityMatrix:
-    """Replace each off-diagonal sign class by its maximum; result >= U."""
-    max_nonneg, max_neg, _, _ = sign_class_extrema(U)
-    return _capped(U, max_nonneg, max_neg)
-
-
-def incremented(U: UtilityMatrix) -> UtilityMatrix:
-    """Symmetric part plus the absolute antisymmetric part, entrywise.
-
-    The result is symmetric and dominates U entrywise, so its sender graphs
-    contain those of U at every blocklength.
-    """
-    q = U.q
-    sym = symmetric_part(U)
-    asym = antisymmetric_part(U)
-    rows = tuple(
-        tuple(sym.u[i][j] + abs(asym[i][j]) for j in range(q)) for i in range(q)
-    )
-    return UtilityMatrix(U.alphabet, rows)
 
 
 def utility_from_graph(graph, alphabet: Alphabet | None = None) -> UtilityMatrix:

@@ -83,6 +83,25 @@ def random_symmetric_utility(rng: random.Random, q: int) -> UtilityMatrix:
     return UtilityMatrix(u.alphabet, tuple(tuple(r) for r in rows))
 
 
+def incremented(U: UtilityMatrix) -> UtilityMatrix:
+    """The entrywise maximum of u and its transpose, that is the symmetric
+    part plus the absolute antisymmetric part: a symmetric utility that
+    dominates U."""
+    q = U.q
+    return UtilityMatrix(U.alphabet, tuple(
+        tuple(max(U.u[i][j], U.u[j][i]) for j in range(q)) for i in range(q)))
+
+
+def capped_max(U: UtilityMatrix) -> UtilityMatrix:
+    """U with each off-diagonal sign class (>= 0 and < 0) replaced by its
+    maximum: a utility that dominates U."""
+    offdiag = sorted(x for i, row in enumerate(U.u) for j, x in enumerate(row) if i != j)
+    top = {x >= 0: x for x in offdiag}
+    return UtilityMatrix(U.alphabet, tuple(
+        tuple(x if i == j else top[x >= 0] for j, x in enumerate(row))
+        for i, row in enumerate(U.u)))
+
+
 # ---------------------------------------------------------------- oracles
 
 

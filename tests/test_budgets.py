@@ -1,0 +1,100 @@
+"""Node budgets: the smallest budget each search answers in, what a search
+that runs out reports, and the one place where a node budget runs out."""
+
+import ast
+from itertools import count
+from pathlib import Path
+
+import pytest
+
+import ixcap
+from ixcap.cli import corpus_path
+from ixcap.errors import BudgetExceededError
+from ixcap.graphs import (
+    Graph,
+    cycle_graph,
+    graph_from_edges,
+    independence_number,
+    sender_block_base,
+    sender_graph,
+)
+from ixcap.lower_bounds import gamma_n
+from ixcap.upper_bounds import in_perfect_whitelist
+from ixcap.utility import load_utility, utility_from_graph, utility_from_json
+
+PENTAGON = load_utility(corpus_path("pentagon.json"))
+# the graph utility of perfbench's equilibrium structure k = 1
+U7 = utility_from_graph(
+    graph_from_edges(7, [(0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (2, 6), (3, 4)]))
+C9_COMPLEMENT = Graph(9, cycle_graph(9).complement_rows())
+CYCLIC = utility_from_json({"utility": [[0, -1, 0], [0, 0, -1], [-1, 0, 0]]})
+
+
+@pytest.mark.parametrize("search, budget, answer", [
+    (lambda b: independence_number(sender_graph(PENTAGON, 2), b)[0], 31, 5),
+    (lambda b: independence_number(sender_graph(U7, 3), b,
+                                   base=sender_block_base(U7, 3))[0], 21, 64),
+    (lambda b: in_perfect_whitelist(cycle_graph(7), b), 5, False),
+    (lambda b: in_perfect_whitelist(C9_COMPLEMENT, b), 57, False),
+], ids=["alpha-pentagon-2", "alpha-U7-3-base", "perfect-C7", "perfect-C9-complement"])
+def test_smallest_budget(search, budget, answer):
+    # every node a search spends is pinned: one node fewer runs out
+    assert search(budget) == answer
+    with pytest.raises(BudgetExceededError):
+        search(budget - 1)
+
+
+def test_smallest_budget_of_the_subset_search():
+    value, cert = gamma_n(CYCLIC, 2, node_budget=1804)
+    assert (value, cert.optimal) == (4, True)
+    value, cert = gamma_n(CYCLIC, 2, node_budget=1803)
+    assert (value, cert.optimal) == (4, False)
+
+
+@pytest.mark.parametrize("U, n, base", [
+    (PENTAGON, 2, False), (PENTAGON, 2, True), (U7, 3, True),
+], ids=["pentagon-2", "pentagon-2-base", "U7-3-base"])
+def test_budget_error_best_never_falls(U, n, base):
+    """Out of budget, ``best`` is the largest independent set of G known:
+    None while the bases are searched, then |I|^n, the maximum search's
+    incumbent, and alpha in the witness pass.  So it never exceeds alpha
+    and never falls as the budget grows."""
+    g = sender_graph(U, n)
+    kwargs = {"base": sender_block_base(U, n)} if base else {}
+    alpha, _ = independence_number(g, **kwargs)
+    bests = []
+    for budget in count(1):
+        try:
+            independence_number(g, budget, **kwargs)
+            break
+        except BudgetExceededError as exc:
+            bests.append(-1 if exc.best is None else exc.best)
+    assert bests == sorted(bests)
+    assert bests[-1] <= alpha
+
+
+def _budget_raises() -> list[tuple[str, str]]:
+    """(module, enclosing function) of every ``raise BudgetExceededError``
+    in the package's source."""
+    sites = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "BudgetExceededError":
+                    sites.append((module, scope))
+            visit(child, inner, module)
+
+    for path in sorted(Path(ixcap.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path.stem)
+    return sites
+
+
+def test_node_budgets_run_out_in_one_place():
+    # the meter raises for every search; gamma re-raises an answer that
+    # gamma_n could not prove optimal, with its size in ``best``
+    assert sorted(_budget_raises()) == [("graphs", "_Meter.charge"), ("lower_bounds", "gamma")]

@@ -61,6 +61,7 @@ def test_missing_file():
     ["alpha", "--graph", GRAPH, "--utility", PENTAGON],
     ["theta", "--graph", GRAPH, "--utility", PENTAGON],
     ["theta", "--graph", GRAPH, "--part", "base"],
+    ["game", "--utility", PENTAGON, "--receiver", "naive", "--budget-nodes", "1"],
 ])
 def test_usage_error_is_an_input_error(argv, c5_path):
     assert main([c5_path if a == GRAPH else a for a in argv]) == EXIT_INPUT
@@ -98,6 +99,19 @@ def test_game_blocklength_below_one_or_unlike_the_strategy_file_is_an_input_erro
         strategy.write_text(json.dumps({"n": n, "decode": {}}))
         assert main(["game", "--utility", PENTAGON, "--receiver", receiver]) == EXIT_INPUT
         assert main(["game", "--utility", PENTAGON, "-n", str(n), "--receiver", "naive"]) == EXIT_INPUT
+
+
+def test_game_takes_a_budget_only_for_the_optimal_receiver(tmp_path):
+    # only the optimal receiver searches; a strategy file runs no search
+    report = tmp_path / "game.json"
+    assert main(["game", "--utility", PENTAGON, "--budget-nodes", "1000",
+                 "--out", str(report)]) == EXIT_OK
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps(json.loads(report.read_text())["strategy"]))
+    receiver = f"file:{strategy}"
+    assert main(["game", "--utility", PENTAGON, "--receiver", receiver]) == EXIT_OK
+    assert main(["game", "--utility", PENTAGON, "--receiver", receiver,
+                 "--budget-nodes", "1000"]) == EXIT_INPUT
 
 
 def test_import_does_not_load_networkx():

@@ -304,7 +304,7 @@ def search_sizes(monkeypatch) -> list[int]:
 
 
 def cover_number(g, budget=10**6):
-    return ixcap.graphs._cover_number(g, budget, 0)[0]
+    return ixcap.graphs._cover_number(g, ixcap.graphs._Meter(budget))
 
 
 class TestCliqueCover:

@@ -3,7 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import oracle_perfect, random_int_utility, random_symmetric_utility, random_utility
+from conftest import (
+    capped_max,
+    incremented,
+    oracle_perfect,
+    random_int_utility,
+    random_symmetric_utility,
+    random_utility,
+)
 from ixcap.errors import BudgetExceededError, InputError
 from ixcap.graphs import (
     Graph,
@@ -17,13 +24,7 @@ from ixcap.graphs import (
 from ixcap import upper_bounds
 from ixcap.lower_bounds import gamma_n
 from ixcap.upper_bounds import in_perfect_whitelist, is_two_valued_a_ge_b, xi_bracket
-from ixcap.utility import (
-    capped_max,
-    incremented,
-    symmetric_part,
-    utility_from_graph,
-    utility_from_json,
-)
+from ixcap.utility import symmetric_part, utility_from_graph, utility_from_json
 
 
 def _grid_graph(side: int):

@@ -7,19 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_best_responses, oracle_block_sums, random_utility
+from conftest import (
+    capped_max,
+    incremented,
+    oracle_best_responses,
+    oracle_block_sums,
+    random_utility,
+)
 from ixcap.errors import InputError
 from ixcap.graphs import cycle_graph, complete_graph, empty_graph, sender_graph
 from ixcap.utility import (
     Alphabet,
     BlockSequence,
     UtilityMatrix,
-    antisymmetric_part,
     block_sums,
     block_utility,
     block_utility_rows,
-    capped_max,
-    incremented,
     load_utility,
     normalize_diagonal,
     parse_rational,
@@ -220,11 +223,15 @@ class TestBlockSequence:
             BlockSequence.from_symbols(2, ())
 
 
+def _antisymmetric_part(U):
+    return [[(U.u[i][j] - U.u[j][i]) / 2 for j in range(U.q)] for i in range(U.q)]
+
+
 class TestDecomposition:
     def test_symmetric_input(self):
         U = utility_from_json({"utility": [[0, -1], [-1, 0]]})
         assert symmetric_part(U).u == U.u
-        assert all(x == 0 for row in antisymmetric_part(U) for x in row)
+        assert all(x == 0 for row in _antisymmetric_part(U) for x in row)
 
     def test_pentagon_paper_values(self, pentagon_literal):
         sym = symmetric_part(pentagon_literal)
@@ -236,7 +243,7 @@ class TestDecomposition:
         for _ in range(25):
             U = random_utility(rng, rng.randint(1, 5))
             sym = symmetric_part(U)
-            asym = antisymmetric_part(U)
+            asym = _antisymmetric_part(U)
             for i in range(U.q):
                 for j in range(U.q):
                     assert sym.u[i][j] + asym[i][j] == U.u[i][j]
@@ -248,7 +255,7 @@ class TestDecomposition:
         U = random_utility(rng, 4)
         sym = symmetric_part(U)
         assert symmetric_part(sym).u == sym.u
-        assert all(x == 0 for row in antisymmetric_part(sym) for x in row)
+        assert all(x == 0 for row in _antisymmetric_part(sym) for x in row)
 
 
 class TestPerMatrixTables:
@@ -263,6 +270,9 @@ class TestPerMatrixTables:
 
 
 class TestCappedUtilities:
+    """``capped_max`` of conftest, one of the dominating utilities that
+    ``test_dominating_utilities_never_win`` compares U with."""
+
     def test_sign_classes(self):
         U = utility_from_json(
             {"utility": [[0, 1, -1], [0, 0, -4], [-4, 1, 0]]})
@@ -300,6 +310,8 @@ class TestCappedUtilities:
 
 
 class TestIncremented:
+    """``incremented`` of conftest, the other dominating utility."""
+
     def test_symmetric_unchanged(self):
         U = utility_from_json({"utility": [[0, -2], [-2, 0]]})
         assert incremented(U).u == U.u
