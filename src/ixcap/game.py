@@ -30,7 +30,6 @@ from .channel import Channel
 from .errors import (
     BudgetExceededError,
     CapExceededError,
-    ConvergenceError,
     InputError,
     VerificationError,
 )
@@ -45,8 +44,14 @@ from .graphs import (
     sender_block_base,
     sender_graph,
 )
-from .theta import lovasz_theta
-from .upper_bounds import CapacityBracket, ExactValue, xi_bracket
+from .upper_bounds import (
+    SHORTCUT_NODE_BUDGET,
+    CapacityBracket,
+    ExactValue,
+    _theta,
+    in_perfect_whitelist,
+    xi_bracket,
+)
 from .utility import (
     BLOCK_CELLS,
     BlockSequence,
@@ -332,17 +337,23 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     certificates permit.  The channel side is closed when the capacity's
     certified lower bound already reaches the channel's zero-error ceiling.
     Each alpha(G_c^n) is searched between alpha(G_c)^n and the clique cover
-    number of G_c to the n-th power.  ``budget`` is per search: each of the
-    bracket's up to 3*n_max + 2 searches and each alpha(G_c^n), up to
-    4*n_max + 2 in all, gets the full budget afresh.  An alpha(G_c^n) search
-    that exhausts its budget, or a theta(G_c) that does not converge or has more vertices
-    than the solver takes, is skipped with a warning, so the channel bounds
-    fall back to 1 and the alphabet size."""
+    number of G_c to the n-th power.  theta(G_c) is alpha(G_c) from the
+    n = 1 search, with no semidefinite program, when ``in_perfect_whitelist``
+    proves G_c perfect within ``budget`` and at most
+    ``upper_bounds.SHORTCUT_NODE_BUDGET`` nodes; the solver runs otherwise,
+    also when that test runs out, which adds no warning.  ``budget`` is per
+    search: each of the bracket's up to 3*n_max + 2 searches and each
+    alpha(G_c^n), up to 4*n_max + 2 in all, gets the full budget afresh.
+    An alpha(G_c^n) search that exhausts its budget, or a theta(G_c) that
+    does not converge or has more vertices than the solver takes, is skipped
+    with a warning, so the channel bounds fall back to 1 and the alphabet
+    size."""
     xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)
     warnings = list(xi.warnings)
 
     gc_lower, gc_lower_cert = 1.0, {"name": "trivial", "n": 1}
     base_c = confusability_graph(channel, 1)
+    alpha_c = None
     for n in range(1, n_max + 1):
         try:
             alpha, wit = independence_number(confusability_graph(channel, n), budget=budget,
@@ -350,6 +361,8 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
         except (BudgetExceededError, CapExceededError) as exc:
             warnings.append(f"alpha(G_c^{n}) skipped: {exc}")
             continue
+        if n == 1:
+            alpha_c = alpha
         value = alpha ** (1.0 / n)
         if value > gc_lower:
             gc_lower = value
@@ -359,15 +372,17 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
             }
     gc_upper, gc_upper_cert = float(U.q), {"name": "alphabet_size", "q": U.q}
     try:
-        theta_c = lovasz_theta(base_c, tol=min(tol, 1e-3))
-        if theta_c + tol <= gc_upper:
-            gc_upper, gc_upper_cert = theta_c + tol, {
-                "name": "theta_confusability", "theta": theta_c, "tol": tol,
-            }
-    except CapExceededError as exc:
-        warnings.append(f"theta(G_c) skipped: {exc}")
-    except ConvergenceError as exc:
-        warnings.append(f"theta(G_c) did not converge: {exc}")
+        perfect_c = in_perfect_whitelist(base_c, budget=min(budget, SHORTCUT_NODE_BUDGET))
+    except BudgetExceededError:
+        perfect_c = False
+    alpha_c = alpha_c if perfect_c else None
+    theta_c = _theta(base_c, alpha_c, tol, "theta(G_c)", warnings)
+    if theta_c is not None and theta_c + tol <= gc_upper:
+        gc_upper, gc_upper_cert = theta_c + tol, {
+            "name": "theta_confusability", "theta": theta_c, "tol": tol,
+        }
+        if alpha_c is not None:
+            gc_upper_cert["perfect"] = True
 
     if xi.lower <= gc_lower:
         lower, lower_cert = xi.lower, xi.lower_certificate

@@ -285,13 +285,21 @@ def gamma(U: UtilityMatrix, node_budget: int = DEFAULT_NODE_BUDGET
     """Gamma(U): the size of the largest feasible symbol subset, with its
     certificate.  This is ``gamma_n`` at n = 1, except that a certificate
     that is not provably optimal raises BudgetExceededError, which carries
-    the size of the largest feasible subset found in ``best``.
+    the size of the largest feasible subset found in ``best``.  A search
+    that runs out before it holds a feasible subset raises with ``best``
+    None, so ``best`` never exceeds Gamma(U) and never falls as the budget
+    grows.
     """
-    value, cert = gamma_n(U, 1, node_budget)
-    if not cert.optimal:
-        raise BudgetExceededError(
-            f"subset search exceeded {node_budget} nodes", best=value)
-    return value, cert
+    try:
+        value, cert = gamma_n(U, 1, node_budget)
+    except BudgetExceededError as exc:
+        # the alpha(G_s^Sym) search's best is an independent-set size
+        value, message = None, str(exc)
+    else:
+        if cert.optimal:
+            return value, cert
+        message = f"subset search exceeded {node_budget} nodes"
+    raise BudgetExceededError(message, best=value)
 
 
 def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
@@ -314,7 +322,13 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    sym_graph = sender_graph(symmetric_part(U), n)
+    return _gamma_n(U, n, sender_graph(symmetric_part(U), n), node_budget)
+
+
+def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, node_budget: int
+             ) -> tuple[int, FeasibleSetCertificate]:
+    """``gamma_n`` on G_s^Sym,n already built, as ``xi_bracket`` holds it
+    at n = 1."""
     alpha_sym, witness = independence_number(sym_graph, budget=node_budget)
     subset, optimal = _largest_feasible(U, n, sym_graph, witness.vertices,
                                         _Meter(node_budget))

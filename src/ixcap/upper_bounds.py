@@ -8,6 +8,12 @@ special-case closures for symmetric or two-valued inputs whose base graph
 is perfect).  Perfectness is decided, not assumed: by the strong perfect
 graph theorem a graph is perfect iff it has no induced odd hole and no
 induced odd antihole, which an exact induced-path search finds.
+
+On a perfect graph theta equals the independence number (Lovasz 1979), so
+the semidefinite solver runs only on a graph that is not proved perfect, or
+whose independence number is not known: the bracket takes alpha(G_s^Sym)
+from its own blocklength-1 pass, and ``game.asymptotic_rate_bracket``
+alpha(G_c) from its own.
 """
 
 from __future__ import annotations
@@ -23,9 +29,13 @@ from .graphs import (
     sender_graph,
     strong_power,
 )
-from .lower_bounds import gamma_n
+from .lower_bounds import _gamma_n, gamma_n
 from .theta import lovasz_theta
 from .utility import UtilityMatrix, symmetric_part
+
+#: most nodes of a perfectness test whose verdict only spares the theta
+#: solver: about 0.1 s, the cost of one mid-sized solve
+SHORTCUT_NODE_BUDGET = 10**5
 
 
 def is_two_valued_a_ge_b(U: UtilityMatrix) -> bool:
@@ -69,6 +79,26 @@ def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
                 stack.extend((v, blocked | rows[last], k + 1)
                              for v in _bits(cand & ~rows[s]))
     return True
+
+
+def _theta(g: Graph, alpha: int | None, tol: float, name: str,
+           warnings: list[str]) -> float | None:
+    """theta(g), or None with a warning on ``warnings`` that names it.
+
+    Pass ``alpha`` = alpha(g) only for a g proved perfect: theta(g) is then
+    alpha(g) exactly, and no semidefinite program is solved.  Otherwise the
+    interior-point solver answers within min(tol, 1e-3), and a graph above
+    its vertex limit or a solve that does not converge is skipped.
+    """
+    if alpha is not None:
+        return float(alpha)
+    try:
+        return lovasz_theta(g, tol=min(tol, 1e-3))
+    except CapExceededError as exc:
+        warnings.append(f"{name} skipped: {exc}")
+    except ConvergenceError as exc:
+        warnings.append(f"{name} did not converge: {exc}")
+    return None
 
 
 def _bits(mask: int):
@@ -133,23 +163,29 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     candidates: a utility that dominates U entrywise has a supergraph of
     every G_s^n and fewer feasible subsets, so neither of its bounds can beat
     U's at the same n.  Upper side: min of the alphabet size and
-    theta(G_s^Sym) + tol; theta is skipped with a warning when it does not
-    converge or G_s^Sym has more vertices than the solver takes.  Exact
-    value: for symmetric or two-valued-gain utilities, where G_s and
-    G_s^Sym coincide at n = 1, a base graph that ``in_perfect_whitelist``
-    proves perfect pins the capacity at alpha(G_s), taken from the n = 1
-    pass; otherwise it is reported when the two sides meet within 2*tol
-    along an integer or radical closure.  ``node_budget`` is per search,
-    not per bracket: each of up to 3*n_max + 2 searches gets the full budget
-    afresh, namely alpha(G_s^n), alpha(G_s^Sym,n) and Gamma's subset search
-    at each n, the perfectness test and the radical closure's alpha.  A
-    search that exhausts its budget drops its candidate, and the closure
-    that needs it, with a warning, except Gamma's subset search,
-    whose largest feasible subset found so far stays a candidate, flagged
-    not optimal in its record.  The result carries the per-blocklength
-    records (alpha(G_s^n) and its witness; Gamma(U_n) with its subset,
-    optimality and alpha(G_s^Sym,n); or the skip message) and
-    theta(G_s^Sym).  Its alpha searches take no ``graphs.BlockBase``: at
+    theta(G_s^Sym) + tol.  G_s^Sym is tested for perfectness once per
+    bracket; when ``in_perfect_whitelist`` proves it perfect and the n = 1
+    pass found alpha(G_s^Sym), theta is that alpha and no semidefinite
+    program is solved (the certificate says ``"perfect": true``).  The
+    solver runs otherwise, also when the test ran out of budget, and theta
+    is skipped with a warning when it does not converge or G_s^Sym has more
+    vertices than the solver takes.  Exact value: for symmetric or
+    two-valued-gain utilities, where G_s and G_s^Sym coincide at n = 1, the
+    same verdict pins the capacity of a perfect base graph at alpha(G_s),
+    taken from the n = 1 pass; otherwise it is reported when the two sides
+    meet within 2*tol along an integer or radical closure.  ``node_budget``
+    is per search, not per bracket: each of up to 3*n_max + 2 searches gets
+    the full budget afresh, namely alpha(G_s^n), alpha(G_s^Sym,n) and
+    Gamma's subset search at each n, the perfectness test and the radical
+    closure's alpha.  A search that exhausts its budget drops its candidate,
+    and the closure that needs it, with a warning, except Gamma's subset
+    search, whose largest feasible subset found so far stays a candidate,
+    flagged not optimal in its record.  Where no perfect-graph closure
+    needs its verdict, the perfectness test only spares the solver: it runs
+    within at most ``SHORTCUT_NODE_BUDGET`` nodes and gives up silently.
+    The result carries the per-blocklength records (alpha(G_s^n) and its
+    witness; Gamma(U_n) with its subset, optimality and alpha(G_s^Sym,n);
+    or the skip message) and theta(G_s^Sym).  Its alpha searches take no ``graphs.BlockBase``: at
     n_max = 2 their graphs have at most q**2 vertices, where building the
     bases and their bounds costs more than the search they would save.
     """
@@ -158,6 +194,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     warnings: list[str] = []
     q = U.q
     base_graph = sender_graph(U, 1)
+    sym_graph = sender_graph(symmetric_part(U), 1)
 
     lowers: list[tuple[float, dict, tuple[int, int]]] = []
     per_n: list[dict] = []
@@ -181,7 +218,8 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
             record["alpha_sender_error"] = f"alpha(G_s^{n}) skipped: {exc}"
             warnings.append(record["alpha_sender_error"])
         try:
-            value, cert = gamma_n(U, n, node_budget=node_budget)
+            value, cert = (_gamma_n(U, 1, sym_graph, node_budget) if n == 1
+                           else gamma_n(U, n, node_budget=node_budget))
             record.update(gamma=value, gamma_rate=value ** (1.0 / n),
                           gamma_subset=list(cert.labels), gamma_optimal=cert.optimal,
                           alpha_sym=cert.alpha_sym)
@@ -198,30 +236,30 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     lower_value, lower_cert, lower_root = max(
         lowers or [(1.0, {"name": "trivial", "n": 1}, (1, 1))], key=lambda t: t[0])
 
+    closure = U.is_symmetric() or is_two_valued_a_ge_b(U)
+    perfect_skipped = None
+    try:
+        perfect = in_perfect_whitelist(sym_graph, budget=node_budget if closure
+                                       else min(node_budget, SHORTCUT_NODE_BUDGET))
+    except BudgetExceededError as exc:
+        perfect, perfect_skipped = False, exc
     uppers: list[tuple[float, dict]] = [
         (float(q), {"name": "alphabet_size", "q": q})
     ]
-    sym_graph = sender_graph(symmetric_part(U), 1)
-    theta_sym = None
-    try:
-        theta_sym = lovasz_theta(sym_graph, tol=min(tol, 1e-3))
-        uppers.append((
-            theta_sym + tol,
-            {"name": "theta_symmetric_part", "theta": theta_sym, "tol": tol},
-        ))
-    except CapExceededError as exc:
-        warnings.append(f"theta(G_s^Sym) skipped: {exc}")
-    except ConvergenceError as exc:
-        warnings.append(f"theta(G_s^Sym) did not converge: {exc}")
+    alpha_sym = per_n[0].get("alpha_sym") if perfect else None
+    theta_sym = _theta(sym_graph, alpha_sym, tol, "theta(G_s^Sym)", warnings)
+    if theta_sym is not None:
+        cert = {"name": "theta_symmetric_part", "theta": theta_sym, "tol": tol}
+        if alpha_sym is not None:
+            cert["perfect"] = True
+        uppers.append((theta_sym + tol, cert))
 
     exact: ExactValue | None = None
-    if U.is_symmetric() or is_two_valued_a_ge_b(U):
-        try:
-            perfect = in_perfect_whitelist(base_graph, budget=node_budget)
-        except BudgetExceededError as exc:
-            perfect = False
-            warnings.append(f"perfect-graph closure skipped: {exc}")
-        if perfect and alpha_base is None:
+    if closure:
+        # G_s is G_s^Sym at n = 1, so the verdict above is the base graph's
+        if perfect_skipped is not None:
+            warnings.append(f"perfect-graph closure skipped: {perfect_skipped}")
+        elif perfect and alpha_base is None:
             warnings.append("perfect-graph closure skipped: alpha(G_s^1) was not computed")
         elif perfect:
             # alpha(G_s) is already a lower candidate, so only the upper side moves

@@ -1,0 +1,38 @@
+"""The benchmark's answers, checked in the tier-1 suite.
+
+``perfbench/expected_digests.json`` holds, per workload and seed, a digest of
+the seeded inputs and one of the exact answers.  This recomputes both, the
+way ``perfbench/run.py`` does on its first pass, so a change that moves any
+answer fails here and not only in a benchmark run.  Nothing under
+``perfbench/`` is written.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+PERFBENCH = ROOT / "perfbench"
+# workloads.py imports its sibling oracle.py as a top-level module
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402
+
+EXPECTED = json.loads((PERFBENCH / "expected_digests.json").read_text())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_results_match_the_recorded_digests(name, seed):
+    workload = workloads.WORKLOADS[name]
+    jobs = workload.make_jobs(seed, ROOT)
+    keys = []
+    for job in jobs:
+        try:
+            keys.append(workload.key(job, workload.call(job)))
+        except workloads.EXPECTED_FAILURES as exc:
+            keys.append(type(exc).__name__)
+    got = {"inputs": workloads.digest([job.spec for job in jobs]),
+           "results": workloads.digest(keys)}
+    assert got == EXPECTED[name][str(seed)]

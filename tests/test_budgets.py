@@ -2,12 +2,14 @@
 that runs out reports, and the one place where a node budget runs out."""
 
 import ast
+import random
 from itertools import count
 from pathlib import Path
 
 import pytest
 
 import ixcap
+from conftest import random_int_utility, random_utility
 from ixcap.cli import corpus_path
 from ixcap.errors import BudgetExceededError
 from ixcap.graphs import (
@@ -18,7 +20,7 @@ from ixcap.graphs import (
     sender_block_base,
     sender_graph,
 )
-from ixcap.lower_bounds import gamma_n
+from ixcap.lower_bounds import gamma, gamma_n
 from ixcap.upper_bounds import in_perfect_whitelist
 from ixcap.utility import load_utility, utility_from_graph, utility_from_json
 
@@ -71,6 +73,35 @@ def test_budget_error_best_never_falls(U, n, base):
             bests.append(-1 if exc.best is None else exc.best)
     assert bests == sorted(bests)
     assert bests[-1] <= alpha
+
+
+def _twelfth_random_draw():
+    rng = random.Random(7)
+    for i in range(12):
+        U = (random_int_utility, random_utility)[i % 2](rng, rng.randint(3, 7))
+    return U
+
+
+@pytest.mark.parametrize("U", [
+    utility_from_json({"utility": [[0, -2, 1, -1], [1, 0, -2, -1],
+                                   [-2, 1, 0, -1], [-1, -1, -1, 0]]}),
+    _twelfth_random_draw(),
+], ids=["gamma-3-alpha-sym-4", "random-7-12"])
+def test_gamma_budget_error_best_never_falls(U):
+    """Out of budget, ``gamma``'s ``best`` is the size of a feasible subset
+    or None, never the size of an independent set of G_s^Sym that the
+    alpha search held; both inputs have Gamma(U) below alpha(G_s^Sym)."""
+    value, cert = gamma(U)
+    assert value < cert.alpha_sym
+    bests = []
+    for budget in range(1, 41):
+        try:
+            gamma(U, budget)
+        except BudgetExceededError as exc:
+            bests.append(-1 if exc.best is None else exc.best)
+    assert bests == sorted(bests)
+    assert bests[-1] <= value
+    assert 0 < bests.count(-1) < len(bests)
 
 
 def _budget_raises() -> list[tuple[str, str]]:

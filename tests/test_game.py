@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixcap.game
+import ixcap.upper_bounds
 from conftest import (
     oracle_alpha,
     oracle_lex_least_mis,
@@ -330,6 +331,9 @@ class TestAsymptoticRateBracket:
     # confusability graph K2 + K3: alpha = theta = 2, below the pentagon's
     # certified lower bound sqrt(5) but above its Gamma(U) = 2 - tol
     K2_K3 = [[1, 0, 0, 0, 0]] * 2 + [[0, 0, 1, 0, 0]] * 3
+    # symbol i reaches outputs i and i + 1 mod 5: confusability graph C5
+    C5 = [[Fraction(1, 2) if j in (i, (i + 1) % 5) else 0 for j in range(5)]
+          for i in range(5)]
 
     def test_channel_side_closes_on_the_certified_lower(self, pentagon):
         channel = make_channel(Alphabet.of_size(5), self.K2_K3)
@@ -338,22 +342,41 @@ class TestAsymptoticRateBracket:
         assert b.lower_certificate["name"] == "alpha_confusability_power"
         assert b.upper_certificate["name"] == "theta_confusability"
 
-    def test_unconverged_channel_theta_is_skipped(self, example1, monkeypatch):
+    def test_unconverged_channel_theta_is_skipped(self, monkeypatch):
         def diverge(g, **kw):
             raise ConvergenceError("no convergence")
 
-        monkeypatch.setattr(ixcap.game, "lovasz_theta", diverge)
-        channel = make_channel(Alphabet.of_size(3), [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
-        b = asymptotic_rate_bracket(example1, channel)
+        # the solver runs on the channel's 5-cycle only: the path utility's
+        # G_s^Sym is perfect, so its theta is its alpha with no solver
+        monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta", diverge)
+        U = utility_from_graph(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        channel = make_channel(Alphabet.of_size(5), self.C5)
+        b = asymptotic_rate_bracket(U, channel)
         assert b.warnings == ("theta(G_c) did not converge: no convergence",)
         # the channel's ceiling falls back to the alphabet size
-        assert b.upper == min(xi_bracket(example1).upper, 3.0)
+        assert b.upper == min(xi_bracket(U).upper, 5.0)
 
     def test_channel_theta_skipped_above_the_solver_limit(self):
+        # the identity channel's G_c on 66 symbols is edgeless, hence
+        # perfect, and C66 is bipartite: both thetas are alphas, 66 and 33,
+        # with no solver, although both graphs exceed its limit
         U = utility_from_graph(cycle_graph(66))
         b = asymptotic_rate_bracket(U, identity_channel(U.alphabet), n_max=1)
-        assert [w.split(" skipped: ")[0] for w in b.warnings] == ["theta(G_s^Sym)", "theta(G_c)"]
+        assert b.warnings == ()
         assert (b.exact.base, b.exact.root) == (33, 1)
+
+    def test_theta_of_a_perfect_channel_is_its_alpha(self, pentagon, monkeypatch):
+        # K2 + K3 is perfect, so theta(G_c) is alpha(G_c) = 2 with no
+        # solver; the pentagon's own 5-cycle is solved, once
+        solved = []
+        solve = ixcap.upper_bounds.lovasz_theta
+        monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta",
+                            lambda g, **kw: solved.append(g.rows) or solve(g, **kw))
+        channel = make_channel(Alphabet.of_size(5), self.K2_K3)
+        b = asymptotic_rate_bracket(pentagon, channel)
+        assert solved == [sender_graph(pentagon, 1).rows]
+        assert b.upper_certificate == {"name": "theta_confusability", "theta": 2.0,
+                                       "tol": 1e-3, "perfect": True}
 
 
 class TestVerificationError:

@@ -21,8 +21,9 @@ from ixcap.graphs import (
     path_graph,
     sender_graph,
 )
-from ixcap import upper_bounds
+from ixcap import lower_bounds, upper_bounds
 from ixcap.lower_bounds import gamma_n
+from ixcap.theta import lovasz_theta
 from ixcap.upper_bounds import in_perfect_whitelist, is_two_valued_a_ge_b, xi_bracket
 from ixcap.utility import symmetric_part, utility_from_graph, utility_from_json
 
@@ -31,6 +32,35 @@ def _grid_graph(side: int):
     right = [(side * r + c, side * r + c + 1) for r in range(side) for c in range(side - 1)]
     down = [(side * r + c, side * (r + 1) + c) for r in range(side - 1) for c in range(side)]
     return graph_from_edges(side * side, right + down)
+
+
+def _skewed_grid_utility(side: int):
+    """A utility, neither symmetric nor two-valued, whose symmetric part is
+    that of the side x side grid's graph utility."""
+    grid = utility_from_graph(_grid_graph(side))
+    rows = [list(r) for r in grid.u]
+    assert rows[0][2] == rows[2][0] == -1
+    rows[0][2], rows[2][0] = 0, -2
+    U = utility_from_json({"utility": rows})
+    assert not U.is_symmetric() and not is_two_valued_a_ge_b(U)
+    assert symmetric_part(U).u == grid.u
+    return U
+
+
+def _count_solves(monkeypatch) -> list:
+    """The rows of each graph that xi_bracket hands to the theta solver."""
+    calls = []
+    solve = upper_bounds.lovasz_theta
+    monkeypatch.setattr(upper_bounds, "lovasz_theta",
+                        lambda g, **kw: calls.append(g.rows) or solve(g, **kw))
+    return calls
+
+
+def _q5_utilities(seed, count):
+    """conftest's random rational and small-integer utilities at q = 5, the
+    smallest alphabet whose G_s^Sym can be imperfect (a 5-cycle)."""
+    rng = random.Random(seed)
+    return [(random_utility, random_int_utility)[i % 2](rng, 5) for i in range(count)]
 
 
 def _random_utilities(seed, count):
@@ -100,12 +130,18 @@ class TestXiBracket:
 
     @pytest.mark.parametrize("k, exact, upper", [(66, 33, 33), (65, None, 65)])
     def test_theta_skipped_above_the_solver_limit(self, k, exact, upper):
-        # C66 is bipartite, so the perfect-graph closure pins it with no
-        # theta; C65 has an odd hole, and only the alphabet bounds it
+        # C66 is bipartite, hence perfect: theta is its alpha, 33, with no
+        # solver, and the perfect-graph closure pins it.  C65 has an odd
+        # hole, so theta needs the solver, which does not take 65 vertices,
+        # and only the alphabet bounds it
         b = xi_bracket(utility_from_graph(cycle_graph(k)), n_max=1)
-        assert b.warnings == (f"theta(G_s^Sym) skipped: {k} vertices exceed "
-                              "the solver's limit of 64",)
-        assert b.theta_sym is None
+        if exact:
+            assert b.warnings == ()
+            assert b.theta_sym == 33.0
+        else:
+            assert b.warnings == (f"theta(G_s^Sym) skipped: {k} vertices exceed "
+                                  "the solver's limit of 64",)
+            assert b.theta_sym is None
         assert (b.exact.base if b.exact else None, b.upper) == (exact, upper)
 
     def test_every_search_out_of_budget_gives_the_trivial_lower(self, pentagon):
@@ -116,19 +152,89 @@ class TestXiBracket:
         assert [sorted(r) for r in b.per_n] == [["alpha_sender_error", "gamma_error", "n"]] * 2
         assert b.lower <= b.upper
 
-    @pytest.mark.parametrize("U", [
-        utility_from_graph(cycle_graph(5)),
-        utility_from_json({"utility": [[0, 2, -1], [-1, 0, 2], [2, -1, 0]]}),
+    @pytest.mark.parametrize("U, solves", [
+        (utility_from_graph(cycle_graph(5)), 1),
+        (utility_from_json({"utility": [[0, 2, -1], [-1, 0, 2], [2, -1, 0]]}), 0),
     ], ids=["symmetric", "two-valued"])
-    def test_theta_is_solved_once(self, monkeypatch, U):
-        # for both shapes G_s is G_s^Sym at n = 1, so one theta serves both
+    def test_theta_is_solved_once(self, monkeypatch, U, solves):
+        # for both shapes G_s is G_s^Sym at n = 1, so one theta serves both:
+        # the pentagon's needs the solver, while the two-valued utility's
+        # G_s^Sym is K3, perfect, and its theta is its alpha with no solver
         assert U.is_symmetric() or is_two_valued_a_ge_b(U)
-        calls = []
-        solve = upper_bounds.lovasz_theta
-        monkeypatch.setattr(upper_bounds, "lovasz_theta",
-                            lambda g, **kw: calls.append(g) or solve(g, **kw))
+        calls = _count_solves(monkeypatch)
         xi_bracket(U)
-        assert len(calls) == 1
+        assert len(calls) == solves
+
+    def test_solver_runs_exactly_on_the_imperfect(self, monkeypatch):
+        # theta is alpha on a perfect G_s^Sym, so the solver runs only on
+        # the others; the oracle decides perfectness from the definition
+        calls = _count_solves(monkeypatch)
+        imperfect = 0
+        for U in _q5_utilities(157, 400):
+            calls.clear()
+            b = xi_bracket(U, n_max=1)
+            sym_graph = sender_graph(symmetric_part(U), 1)
+            perfect = oracle_perfect(sym_graph)
+            imperfect += not perfect
+            assert calls == ([] if perfect else [sym_graph.rows])
+            assert b.upper_certificate.get("perfect", False) == (
+                perfect and b.upper_certificate["name"] == "theta_symmetric_part")
+        assert imperfect > 0
+
+    def test_theta_of_a_perfect_graph_is_its_alpha(self):
+        # the solver is the oracle of the shortcut
+        solved = {}
+        perfect = 0
+        for U in _q5_utilities(163, 400):
+            b = xi_bracket(U, n_max=1)
+            sym_graph = sender_graph(symmetric_part(U), 1)
+            if not in_perfect_whitelist(sym_graph):
+                continue
+            perfect += 1
+            alpha_sym = b.per_n[0]["alpha_sym"]
+            assert b.theta_sym == alpha_sym
+            if sym_graph.rows not in solved:
+                solved[sym_graph.rows] = lovasz_theta(sym_graph, tol=1e-6)
+            assert abs(alpha_sym - solved[sym_graph.rows]) <= 1e-5
+        assert perfect > 300
+
+    def test_perfectness_out_of_budget_runs_the_solver(self, monkeypatch):
+        # every search fits the budget but the perfectness test, which falls
+        # back to the solver with no warning, since no closure needs it
+        U = _skewed_grid_utility(5)
+        calls = _count_solves(monkeypatch)
+        b = xi_bracket(U, n_max=1, node_budget=1_000)
+        assert (len(calls), b.warnings) == (1, ())
+        assert "perfect" not in b.upper_certificate
+        assert b.upper == pytest.approx(13 + 1e-3, abs=1e-3)
+        # with the budget to prove the grid perfect, no solver runs
+        calls.clear()
+        b = xi_bracket(U, n_max=1)
+        assert (len(calls), b.warnings, b.theta_sym) == (0, (), 13.0)
+        assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": 13.0,
+                                       "tol": 1e-3, "perfect": True}
+
+    def test_perfectness_test_that_only_spares_the_solver_is_bounded(self, monkeypatch):
+        # proving the 7 x 7 grid perfect takes about 2.8 million nodes, and
+        # the solver answers in a fraction of that time
+        U = _skewed_grid_utility(7)
+        calls = _count_solves(monkeypatch)
+        b = xi_bracket(U, n_max=1)
+        assert (len(calls), b.warnings) == (1, ())
+        assert b.upper == pytest.approx(25 + 1e-3, abs=1e-3)
+        with pytest.raises(BudgetExceededError):
+            in_perfect_whitelist(_grid_graph(7), budget=upper_bounds.SHORTCUT_NODE_BUDGET)
+
+    def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch):
+        # G_s^n and G_s^Sym,n at n = 1 and 2: G_s^Sym is built once, for the
+        # perfectness test, theta and Gamma(U_1) alike
+        built = []
+        for module in (upper_bounds, lower_bounds):
+            build = module.sender_graph
+            monkeypatch.setattr(module, "sender_graph", lambda U, n, _f=build:
+                                built.append(n) or _f(U, n))
+        xi_bracket(random_utility(random.Random(167), 5), n_max=2)
+        assert sorted(built) == [1, 1, 2, 2]
 
     def test_exact_is_reached_on_some_randoms(self):
         exact = sum(xi_bracket(U).exact is not None for U in _random_utilities(127, 24))
