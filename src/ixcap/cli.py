@@ -192,17 +192,20 @@ def _partition_pairs(U: UtilityMatrix, channel: Channel, strategy, n: int):
     for z, target in enumerate(strategy.decode):
         if target is not None:
             classes.setdefault(target, set()).add(z)
-    supports = {y: output_support_indices(channel, y, n) for y in range(nv)}
+    # each output support paired with the least input that has it
+    first_input: dict[frozenset[int], int] = {}
+    for y in range(nv):
+        first_input.setdefault(output_support_indices(channel, y, n), y)
     pairs = []
     for x, outputs in sorted(classes.items()):
-        matches = [y for y in range(nv) if supports[y] == outputs]
-        if not matches:
+        y = first_input.get(frozenset(outputs))
+        if y is None:
             raise InputError(
                 "strategy is not of the partition form (a decoded class is "
                 "not the exact output support of any input); worst-case "
                 "analysis of general noisy strategies is unsupported"
             )
-        pairs.append((x, matches[0]))
+        pairs.append((x, y))
     return pairs
 
 

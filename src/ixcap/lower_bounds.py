@@ -4,14 +4,17 @@ A subset is feasible when every closed chain of distinct members (each one
 reported as the next) has strictly negative total utility; Gamma(U_n), the
 size of the largest feasible subset of X^n, gives the capacity lower bound
 Gamma(U_n)^(1/n).  Ties matter: a zero-sum chain already destroys
-feasibility.  Every feasibility question has one answer path,
-``_nonneg_chain``: a Bellman-Ford pass that returns the offending chain
-itself, checked by its exact utility sum.  ``gamma_n`` has one search, a
-branch and bound over the independent sets of the symmetric-part graph in
-index order, and one budget, ``node_budget``, which counts the work of its
-trials and tests; out of budget, it returns the largest feasible subset
-found.  ``gamma`` is ``gamma_n`` at n = 1.  All arithmetic is exact, on the
-integer utilities of ``UtilityMatrix.scaled_integer_entries``.
+feasibility.  Every feasibility question has one answer path and one
+algorithm, ``_nonneg_chain``: a single Bellman-Ford pass whose weights, the
+integer utilities scaled by k + 1 for a k-member subset less 1 per arc,
+make the chains with sum >= 0, ties included, exactly its negative cycles.
+It returns the offending chain itself, checked by its exact utility sum.
+``gamma_n`` has one search, a branch and bound over the independent sets of
+the symmetric-part graph in index order, and one budget, ``node_budget``,
+which counts the work of its trials and tests; out of budget, it returns
+the largest feasible subset found.  ``gamma`` is ``gamma_n`` at n = 1.  All
+arithmetic is exact, on the integer utilities of
+``UtilityMatrix.scaled_integer_entries``.
 
 One sufficient condition is kept beside the exact test,
 ``sufficient_margin_check``, because ``ixcap gamma --subset`` prints it next
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, InputError, VerificationError
 from .graphs import (
@@ -79,68 +82,29 @@ def _validate_subset(q: int, subset: Sequence[int]) -> tuple[int, ...]:
     return subset
 
 
-def _nonneg_arc_cycle(arc: Callable[[int, int], bool], subset: tuple[int, ...]
-                      ) -> tuple[bool, tuple[int, ...] | None]:
-    """(True, cycle) for a directed cycle of the graph on subset with an arc
-    j -> i whenever arc(i, j), rotated so its smallest symbol comes first;
-    (False, None) when there is none.  With arc(i, j) = u(i, j) >= 0 the
-    cycle is an arrangement along which every misreport is weakly
-    profitable."""
-    # iterative DFS with colors over arcs j -> i (observe j, recover i)
-    succ = {
-        j: [i for i in subset if i != j and arc(i, j)] for j in subset
-    }
-    color = {v: 0 for v in subset}  # 0 unvisited, 1 on stack, 2 done
-    parent: dict[int, int] = {}
-    for root in subset:
-        if color[root]:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if color[w] == 1:
-                    cycle = [v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        cycle.append(x)
-                    cycle.reverse()
-                    return True, _rotate_min_first(tuple(cycle))
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return False, None
-
-
 def _rotate_min_first(cycle: tuple[int, ...]) -> tuple[int, ...]:
     k = cycle.index(min(cycle))
     return cycle[k:] + cycle[:k]
 
 
-def _nonneg_chain(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
+def _nonneg_chain(u, subset: Sequence[int]) -> tuple[int, ...] | None:
     """A closed chain of distinct subset members with utility sum >= 0, or None.
 
-    Bellman-Ford on the negated weights w(a -> b) = -u[b][a] ("report a as
-    b") from a virtual super-source.  A vertex still relaxed in round
-    |subset| leads back along its predecessors into a strictly positive
-    chain; otherwise the distances are potentials, and a chain summing to
-    exactly zero is a cycle of the zero-reduced-weight subgraph.  The chain
-    comes in arc order (chain[m] is reported as chain[m + 1]), smallest
-    symbol first, and its sum is checked exactly before it is returned.
+    ``u`` holds integers.  One Bellman-Ford pass from a virtual super-source
+    on the weights w(a -> b) = -(k + 1) * u[b][a] - 1 ("report a as b"),
+    k = |subset|.  A simple cycle of L <= k arcs with utility sum s weighs
+    -(k + 1) * s - L, which is negative for s >= 0 and, since the sums are
+    integers, at least k + 1 - L > 0 for s <= -1: the negative cycles are
+    exactly the chains that break feasibility, ties included.  A vertex
+    still relaxed in round k leads back along its predecessors into one.
+    The chain comes in arc order (chain[m] is reported as chain[m + 1]),
+    smallest symbol first, and its sum is checked exactly before it is
+    returned.
     """
     k = len(subset)
     if k < 2:
         return None
-    w = [[-u[subset[b]][subset[a]] for b in range(k)] for a in range(k)]
+    w = [[-(k + 1) * u[subset[b]][subset[a]] - 1 for b in range(k)] for a in range(k)]
     dist = [0] * k
     pred = [-1] * k
     for _ in range(k):
@@ -154,26 +118,16 @@ def _nonneg_chain(u, subset: tuple[int, ...]) -> tuple[int, ...] | None:
                     pred[b] = a
                     last = b
         if last is None:
-            break
-    if last is not None:
-        # k steps back from a vertex relaxed in round k land on a cycle
-        for _ in range(k):
-            last = pred[last]
-        cycle = [last]
-        v = pred[last]
-        while v != last:
-            cycle.append(v)
-            v = pred[v]
-        cycle.reverse()
-    else:
-        zero_succ = [
-            [b for b in range(k) if b != a and dist[a] + w[a][b] == dist[b]]
-            for a in range(k)
-        ]
-        found, cycle = _nonneg_arc_cycle(lambda i, j: i in zero_succ[j], tuple(range(k)))
-        if not found:
             return None
-    chain = tuple(subset[x] for x in cycle)
+    # k steps back from a vertex relaxed in round k land on a cycle
+    for _ in range(k):
+        last = pred[last]
+    cycle = [last]
+    v = pred[last]
+    while v != last:
+        cycle.append(v)
+        v = pred[v]
+    chain = tuple(subset[x] for x in reversed(cycle))
     if sum(u[chain[(m + 1) % len(chain)]][c] for m, c in enumerate(chain)) < 0:
         raise VerificationError(f"chain {chain} has negative utility sum")
     return _rotate_min_first(chain)
@@ -185,14 +139,14 @@ def is_feasible_O(U: UtilityMatrix, subset: Sequence[int]) -> bool:
     subset = _validate_subset(U.q, subset)
     if not subset:
         raise InputError("subset must be nonempty")
-    return _nonneg_chain(U.u, subset) is None
+    return _nonneg_chain(U.scaled_integer_entries[1], subset) is None
 
 
 def feasibility_report(U: UtilityMatrix, subset: Sequence[int]) -> dict:
     """Verdict plus, for an infeasible subset, the closed chain that proves
     it (``witness_chain``, each member reported as the next)."""
     subset = _validate_subset(U.q, subset)
-    chain = _nonneg_chain(U.u, subset)
+    chain = _nonneg_chain(U.scaled_integer_entries[1], subset)
     report = {
         "subset": [U.alphabet.symbols[s] for s in subset],
         "feasible": chain is None,
@@ -344,14 +298,15 @@ def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, node_budget: int
 
 
 def sufficient_margin_check(U: UtilityMatrix, subset: Sequence[int]) -> bool:
-    """Margin condition: no positive-edges cycle and the smallest penalty
-    outweighs (|subset|-1) times the largest gain.  True implies feasibility;
-    the converse fails in general."""
+    """Margin condition: no cycle of weakly profitable misreports and the
+    smallest penalty outweighs (|subset|-1) times the largest gain.  True
+    implies feasibility; the converse fails in general."""
     subset = _validate_subset(U.q, subset)
     if len(subset) < 2:
         return True
-    cycle, _ = _nonneg_arc_cycle(lambda i, j: U.u[i][j] >= 0, subset)
-    if cycle:
+    # on U's sign matrix, 0 where u >= 0, a chain sums to 0 exactly when
+    # every misreport along it is weakly profitable
+    if _nonneg_chain([[0 if x >= 0 else -1 for x in row] for row in U.u], subset) is not None:
         return False
     negs = []
     nonnegs = []

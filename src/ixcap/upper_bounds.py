@@ -5,9 +5,10 @@ combines certified finite-blocklength lower bounds (feasible subsets,
 independent sets) with upper bounds that hold at every blocklength (the
 theta number of the symmetric-part graph, the trivial alphabet cap, and
 special-case closures for symmetric or two-valued inputs whose base graph
-is perfect).  Perfectness is decided, not assumed: by the strong perfect
-graph theorem a graph is perfect iff it has no induced odd hole and no
-induced odd antihole, which an exact induced-path search finds.
+is perfect).  Perfectness is decided, not assumed: a 2-colouring settles
+bipartite graphs and their complements, and otherwise, by the strong
+perfect graph theorem, a graph is perfect iff it has no induced odd hole
+and no induced odd antihole, which an exact induced-path search finds.
 
 On a perfect graph theta equals the independence number (Lovasz 1979), so
 the semidefinite solver runs only on a graph that is not proved perfect, or
@@ -53,19 +54,27 @@ def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Whether g is perfect, decided exactly (the old whitelist's name is
     kept for the benchmark's per-layer metrics).
 
-    By the strong perfect graph theorem (Chudnovsky, Robertson, Seymour and
-    Thomas, 2006), g is perfect iff neither g nor its complement has an
-    induced cycle of odd length at least 5.  For each vertex s, a depth-first
-    search grows induced paths s, p1, ..., pk over vertices above s; a
-    neighbour of pk adjacent to s and to no interior vertex closes an induced
-    cycle of k + 2 vertices, so every hole is found from its least vertex.
+    A bipartite graph is perfect, and so is its complement (Konig's
+    theorem), so a 2-colouring of g or of its complement settles it first:
+    the path search below is exponential on grid-like bipartite graphs.
+    Otherwise, by the strong perfect graph theorem (Chudnovsky, Robertson,
+    Seymour and Thomas, 2006), g is perfect iff neither g nor its complement
+    has an induced cycle of odd length at least 5.  For each vertex s, a
+    depth-first search grows induced paths s, p1, ..., pk over vertices
+    above s; a neighbour of pk adjacent to s and to no interior vertex
+    closes an induced cycle of k + 2 vertices, so every hole is found from
+    its least vertex.
 
-    Each path step costs one node.  Raises BudgetExceededError beyond
-    ``budget`` nodes, and InputError if the budget is below 1.
+    Each path step costs one node; the 2-colourings cost none.  Raises
+    BudgetExceededError beyond ``budget`` nodes, and InputError if the
+    budget is below 1.
     """
     meter = _Meter(budget)
     full = (1 << g.n_vertices) - 1
-    for rows in (g.rows, g.complement_rows()):
+    parts = (g.rows, g.complement_rows())
+    if any(map(_bipartite, parts)):
+        return True
+    for rows in parts:
         for s in range(g.n_vertices - 4):  # a hole has 4+ vertices above its least
             above = full >> (s + 1) << (s + 1)
             # (last vertex, path vertices and neighbours of its interior, k)
@@ -99,6 +108,26 @@ def _theta(g: Graph, alpha: int | None, tol: float, name: str,
     except ConvergenceError as exc:
         warnings.append(f"{name} did not converge: {exc}")
     return None
+
+
+def _bipartite(rows: tuple[int, ...]) -> bool:
+    """Whether the graph with these adjacency rows is 2-colourable: no
+    breadth-first layer holds an edge."""
+    seen = 0
+    for root in range(len(rows)):
+        if seen >> root & 1:
+            continue
+        layer = 1 << root
+        seen |= layer
+        while layer:
+            reach = 0
+            for v in _bits(layer):
+                reach |= rows[v]
+            if reach & layer:
+                return False
+            layer = reach & ~seen
+            seen |= layer
+    return True
 
 
 def _bits(mask: int):
@@ -194,7 +223,9 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     warnings: list[str] = []
     q = U.q
     base_graph = sender_graph(U, 1)
-    sym_graph = sender_graph(symmetric_part(U), 1)
+    # for symmetric or two-valued-gain utilities G_s^Sym is G_s at n = 1
+    closure = U.is_symmetric() or is_two_valued_a_ge_b(U)
+    sym_graph = base_graph if closure else sender_graph(symmetric_part(U), 1)
 
     lowers: list[tuple[float, dict, tuple[int, int]]] = []
     per_n: list[dict] = []
@@ -236,7 +267,6 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     lower_value, lower_cert, lower_root = max(
         lowers or [(1.0, {"name": "trivial", "n": 1}, (1, 1))], key=lambda t: t[0])
 
-    closure = U.is_symmetric() or is_two_valued_a_ge_b(U)
     perfect_skipped = None
     try:
         perfect = in_perfect_whitelist(sym_graph, budget=node_budget if closure
@@ -256,7 +286,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
 
     exact: ExactValue | None = None
     if closure:
-        # G_s is G_s^Sym at n = 1, so the verdict above is the base graph's
+        # sym_graph is base_graph, so the verdict above is the base graph's
         if perfect_skipped is not None:
             warnings.append(f"perfect-graph closure skipped: {perfect_skipped}")
         elif perfect and alpha_base is None:

@@ -22,7 +22,7 @@ import workloads  # noqa: E402
 EXPECTED = json.loads((PERFBENCH / "expected_digests.json").read_text())
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(16))
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_results_match_the_recorded_digests(name, seed):
     workload = workloads.WORKLOADS[name]

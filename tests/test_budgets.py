@@ -47,9 +47,9 @@ def test_smallest_budget(search, budget, answer):
 
 
 def test_smallest_budget_of_the_subset_search():
-    value, cert = gamma_n(CYCLIC, 2, node_budget=1804)
+    value, cert = gamma_n(CYCLIC, 2, node_budget=1681)
     assert (value, cert.optimal) == (4, True)
-    value, cert = gamma_n(CYCLIC, 2, node_budget=1803)
+    value, cert = gamma_n(CYCLIC, 2, node_budget=1680)
     assert (value, cert.optimal) == (4, False)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,10 @@ import ixcap.lower_bounds
 import ixcap.upper_bounds
 from conftest import oracle_alpha, oracle_sender_edges
 from ixcap import cli
+from ixcap.channel import make_channel
 from ixcap.cli import EXIT_BUDGET, EXIT_GOLDEN, EXIT_INPUT, EXIT_OK, corpus_path, main
+from ixcap.errors import InputError
+from ixcap.game import ReceiverStrategy
 from ixcap.graphs import (
     cycle_graph,
     graph_from_edges,
@@ -21,7 +25,7 @@ from ixcap.graphs import (
     strong_power,
 )
 from ixcap.upper_bounds import xi_bracket
-from ixcap.utility import load_utility, symmetric_part
+from ixcap.utility import Alphabet, load_utility, symmetric_part
 
 PENTAGON = str(corpus_path("pentagon.json"))
 #: stands for the path of a graph file that the test writes
@@ -263,3 +267,15 @@ def test_capacity(tmp_path, channel):
     report = json.loads(out.read_text())
     assert report["bracket"]["lower"]["certificate"] == {"name": "trivial", "n": 1}
     assert any(w.startswith("alpha(G_c^1) skipped") for w in report["bracket"]["warnings"])
+
+
+def test_partition_pairs_take_the_least_input_of_a_shared_support():
+    # inputs 0 and 1 both reach outputs {0, 1}: the class decoded to 1 pairs
+    # with input 0, and a class that is no input's support is rejected
+    channel = make_channel(Alphabet.of_size(3), [[Fraction(1, 2), Fraction(1, 2), 0],
+                                                 [Fraction(1, 2), Fraction(1, 2), 0],
+                                                 [0, 0, 1]])
+    U = load_utility(corpus_path("example1.json"))
+    assert cli._partition_pairs(U, channel, ReceiverStrategy(1, (1, 1, 2)), 1) == [(1, 0), (2, 2)]
+    with pytest.raises(InputError, match="partition form"):
+        cli._partition_pairs(U, channel, ReceiverStrategy(1, (0, 1, 1)), 1)

@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
 from ixcap.errors import BudgetExceededError, InputError
 from ixcap.graphs import independence_number, is_independent, sender_graph
 from ixcap.lower_bounds import (
-    _nonneg_arc_cycle,
+    _nonneg_chain,
     feasibility_report,
     gamma,
     gamma_n,
@@ -33,9 +34,11 @@ from ixcap.utility import (
 
 
 def _positive_edges_cycle(U, subset):
-    """The cycle detector on the arcs of weakly profitable misreports, the
-    predicate ``sufficient_margin_check`` gives it."""
-    return _nonneg_arc_cycle(lambda i, j: U.u[i][j] >= 0, tuple(subset))
+    """(found, cycle) for a cycle of weakly profitable misreports: the chain
+    search on U's sign matrix, 0 where u >= 0 and -1 elsewhere, as
+    ``sufficient_margin_check`` runs it."""
+    chain = _nonneg_chain([[0 if x >= 0 else -1 for x in row] for row in U.u], tuple(subset))
+    return chain is not None, chain
 
 
 class TestPositiveEdgesCycle:
@@ -102,6 +105,34 @@ class TestFeasibility:
                     assert total >= 0
                     zero_sum += total == 0
         assert zero_sum > 20
+
+    def test_ties_need_no_second_search(self):
+        # entries in {-1, 0, 1}, mostly -1 and 0: about two thirds of the
+        # infeasible subsets have no positive chain, only zero-sum ones,
+        # which the one Bellman-Ford pass must find too
+        rng = random.Random(151)
+        infeasible = ties = 0
+        for trial in range(32):
+            U = random_int_utility(rng, 3 + trial % 4, values=(-1,) * 5 + (0,) * 4 + (1,))
+            for size in range(2, U.q + 1):
+                for subset in combinations(range(U.q), size):
+                    report = feasibility_report(U, subset)
+                    assert report["feasible"] == is_feasible_O(U, subset) \
+                        == oracle_feasible(U.u, subset) \
+                        == oracle_feasible_by_walks(U.u, subset)
+                    if report["feasible"]:
+                        continue
+                    infeasible += 1
+                    chain = [U.alphabet.index_of(s) for s in report["witness_chain"]]
+                    k = len(chain)
+                    assert k >= 2 and len(set(chain)) == k and set(chain) <= set(subset)
+                    assert chain[0] == min(chain)
+                    assert sum(U.u[chain[(m + 1) % k]][chain[m]] for m in range(k)) >= 0
+                    # lowering every entry by 1/(size + 1) keeps the
+                    # positive chains and breaks every tie
+                    lowered = [[x - Fraction(1, size + 1) for x in row] for row in U.u]
+                    ties += oracle_feasible_by_walks(lowered, subset)
+        assert 2 * ties > infeasible
 
     def test_zero_weight_chain_infeasible(self, pentagon_literal):
         # ties poison feasibility: this code admits a zero-sum 3-chain

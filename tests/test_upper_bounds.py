@@ -34,10 +34,19 @@ def _grid_graph(side: int):
     return graph_from_edges(side * side, right + down)
 
 
+def _grid_and_triangle(side: int):
+    """The side x side grid beside a disjoint triangle: perfect, but neither
+    it nor its complement is bipartite, so only the induced-path search
+    proves it perfect, in millions of nodes at side 7."""
+    n = side * side
+    grid = _grid_graph(side)
+    return graph_from_edges(n + 3, [*grid.edges(), (n, n + 1), (n + 1, n + 2), (n, n + 2)])
+
+
 def _skewed_grid_utility(side: int):
     """A utility, neither symmetric nor two-valued, whose symmetric part is
-    that of the side x side grid's graph utility."""
-    grid = utility_from_graph(_grid_graph(side))
+    that of the graph utility of ``_grid_and_triangle(side)``."""
+    grid = utility_from_graph(_grid_and_triangle(side))
     rows = [list(r) for r in grid.u]
     assert rows[0][2] == rows[2][0] == -1
     rows[0][2], rows[2][0] = 0, -2
@@ -119,13 +128,18 @@ class TestXiBracket:
             assert b.lower == 1 < 2 <= b.upper
 
     def test_perfectness_out_of_budget_is_a_warning(self):
-        # the grid's alpha fits the budget but its perfectness test does not:
-        # the closure is dropped with a warning, and theta still closes the
-        # bracket at the integer alpha
-        b = xi_bracket(utility_from_graph(_grid_graph(7)), n_max=1, node_budget=10_000)
+        # the graph's alpha fits the budget but its perfectness test does
+        # not: the closure is dropped with a warning, and theta still closes
+        # the bracket at the integer alpha
+        b = xi_bracket(utility_from_graph(_grid_and_triangle(7)), n_max=1, node_budget=10_000)
         assert b.warnings == ("perfect-graph closure skipped: "
                               "perfectness test exceeded 10000 nodes",)
         assert b.upper_certificate["name"] == "theta_symmetric_part"
+        assert (b.exact.base, b.exact.root) == (26, 1)
+        # the bipartite grid alone is proved perfect by its 2-colouring
+        b = xi_bracket(utility_from_graph(_grid_graph(7)), n_max=1, node_budget=10_000)
+        assert b.warnings == ()
+        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 25}
         assert (b.exact.base, b.exact.root) == (25, 1)
 
     @pytest.mark.parametrize("k, exact, upper", [(66, 33, 33), (65, None, 65)])
@@ -206,24 +220,25 @@ class TestXiBracket:
         b = xi_bracket(U, n_max=1, node_budget=1_000)
         assert (len(calls), b.warnings) == (1, ())
         assert "perfect" not in b.upper_certificate
-        assert b.upper == pytest.approx(13 + 1e-3, abs=1e-3)
-        # with the budget to prove the grid perfect, no solver runs
+        assert b.upper == pytest.approx(14 + 1e-3, abs=1e-3)
+        # with the budget to prove the graph perfect, no solver runs
         calls.clear()
         b = xi_bracket(U, n_max=1)
-        assert (len(calls), b.warnings, b.theta_sym) == (0, (), 13.0)
-        assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": 13.0,
+        assert (len(calls), b.warnings, b.theta_sym) == (0, (), 14.0)
+        assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": 14.0,
                                        "tol": 1e-3, "perfect": True}
 
     def test_perfectness_test_that_only_spares_the_solver_is_bounded(self, monkeypatch):
-        # proving the 7 x 7 grid perfect takes about 2.8 million nodes, and
-        # the solver answers in a fraction of that time
+        # proving the 7 x 7 grid and triangle perfect takes millions of
+        # nodes, and the solver answers in a fraction of that time
         U = _skewed_grid_utility(7)
         calls = _count_solves(monkeypatch)
         b = xi_bracket(U, n_max=1)
         assert (len(calls), b.warnings) == (1, ())
-        assert b.upper == pytest.approx(25 + 1e-3, abs=1e-3)
+        assert b.upper == pytest.approx(26 + 1e-3, abs=1e-3)
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(_grid_graph(7), budget=upper_bounds.SHORTCUT_NODE_BUDGET)
+            in_perfect_whitelist(_grid_and_triangle(7),
+                                 budget=upper_bounds.SHORTCUT_NODE_BUDGET)
 
     def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch):
         # G_s^n and G_s^Sym,n at n = 1 and 2: G_s^Sym is built once, for the
@@ -235,6 +250,31 @@ class TestXiBracket:
                                 built.append(n) or _f(U, n))
         xi_bracket(random_utility(random.Random(167), 5), n_max=2)
         assert sorted(built) == [1, 1, 2, 2]
+
+    def test_sym_graph_is_the_base_graph_under_the_closure(self, monkeypatch):
+        # symmetric and two-valued-gain utilities have G_s^Sym = G_s at
+        # n = 1, so xi_bracket builds one graph there instead of two
+        rng = random.Random(173)
+        closed = [random_symmetric_utility(rng, rng.randint(3, 5)) for _ in range(6)]
+        for _ in range(6):
+            q, b = rng.randint(3, 5), rng.randint(1, 3)
+            a = rng.randint(b, 4)
+            rows = [[0 if i == j else rng.choice((a, -b)) for j in range(q)] for i in range(q)]
+            rows[0][1], rows[1][0] = a, -b
+            closed.append(utility_from_json({"utility": rows}))
+        others = [random_utility(rng, rng.randint(3, 5)) for _ in range(6)]
+        built = []
+        for module in (upper_bounds, lower_bounds):
+            build = module.sender_graph
+            monkeypatch.setattr(module, "sender_graph", lambda U, n, _f=build:
+                                built.append(n) or _f(U, n))
+        for U, closure in [(U, True) for U in closed] + [(U, False) for U in others]:
+            assert closure == (U.is_symmetric() or is_two_valued_a_ge_b(U))
+            if closure:
+                assert sender_graph(U, 1).rows == sender_graph(symmetric_part(U), 1).rows
+            built.clear()
+            xi_bracket(U, n_max=2)
+            assert len(built) == (3 if closure else 4)
 
     def test_exact_is_reached_on_some_randoms(self):
         exact = sum(xi_bracket(U).exact is not None for U in _random_utilities(127, 24))
@@ -282,9 +322,17 @@ class TestPerfectWhitelist:
         assert not in_perfect_whitelist(graph)
         assert not oracle_perfect(graph)
 
+    @pytest.mark.parametrize("side", [7, 8])
+    def test_bipartite_and_cobipartite_need_no_path_search(self, side):
+        # the 8 x 8 grid has over 10**7 induced paths to rule out
+        grid = _grid_graph(side)
+        assert in_perfect_whitelist(grid, budget=1)
+        assert in_perfect_whitelist(Graph(side * side, grid.complement_rows()), budget=1)
+
     def test_budget(self):
-        # the bipartite 7 x 7 grid has millions of induced paths to rule out
+        # the 7 x 7 grid beside a triangle has millions of induced paths to
+        # rule out
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(_grid_graph(7), budget=10_000)
+            in_perfect_whitelist(_grid_and_triangle(7), budget=10_000)
         with pytest.raises(InputError):
             in_perfect_whitelist(cycle_graph(5), budget=0)
