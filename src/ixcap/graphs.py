@@ -54,6 +54,14 @@ class _Meter:
             raise BudgetExceededError(f"{what} exceeded {self.budget} nodes", best=self.best)
 
 
+def _bits(mask: int):
+    """The vertices of the set mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with one bitset row per vertex."""
@@ -73,14 +81,9 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self):
-        for u in range(self.n_vertices):
-            row = self.rows[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    yield (u, v)
-                row >>= 1
-                v += 1
+        for u, row in enumerate(self.rows):
+            for v in _bits(row >> (u + 1) << (u + 1)):
+                yield (u, v)
 
     def complement_rows(self) -> tuple[int, ...]:
         full = (1 << self.n_vertices) - 1
@@ -316,34 +319,55 @@ class _CliqueSearch:
     reuses; ``at_least`` with a target of 0 or less returns True without a
     run and leaves ``best_mask`` stale.  ``maximum`` can prune the root by
     a symmetry group's orbits; no other level, and no ``at_least``, does.
+
+    The colouring (Tomita et al. 2003/2010, San Segundo et al. 2011) takes
+    each candidate's lowest vertex v into the open colour class and then
+    keeps only what ``fences[v]``, the complement of v's closed
+    neighbourhood, allows in it.  A node at clique size ``size`` lists only
+    the classes from kmin = best_size - size + 1 up: the lower ones are
+    still coloured, since the greedy needs them, but the branch loop, which
+    walks the list from its highest class down, would stop at the first of
+    them, and best_size only grows while it walks.  So each node branches
+    on the same vertices in the same order as a full listing would, and the
+    search tree, its node count and its answer are unchanged.
     """
 
     def __init__(self, rows: tuple[int, ...], meter: _Meter, reports: bool = False):
         self.rows = rows
+        self.fences = [~(row | 1 << v) for v, row in enumerate(rows)]
         self.meter = meter
         self.reports = reports
         self.best_size = 0
         self.best_mask = 0
         self.stop_at: int | None = None
 
-    def _color_order(self, cand: int) -> list[tuple[int, int]]:
-        # greedy sequential coloring; returns (vertex, color#) in color order
+    def _color_order(self, cand: int, kmin: int = 1) -> list[tuple[int, int]]:
+        # greedy sequential coloring; returns (vertex, color#) in color
+        # order for the colors from kmin up
+        fences = self.fences
         order = []
         color = 0
         remaining = cand
         while remaining:
             color += 1
             avail = remaining
+            if color < kmin:
+                while avail:
+                    low = avail & -avail
+                    remaining ^= low
+                    avail &= fences[low.bit_length() - 1]
+                continue
             while avail:
-                v = (avail & -avail).bit_length() - 1
+                low = avail & -avail
+                v = low.bit_length() - 1
                 order.append((v, color))
-                avail &= ~(self.rows[v] | (1 << v))
-                remaining &= ~(1 << v)
+                remaining ^= low
+                avail &= fences[v]
         return order
 
     def _expand(self, current_mask: int, size: int, cand: int, orbit=None):
         self.meter.charge(1, "independence search")
-        order = self._color_order(cand)
+        order = self._color_order(cand, self.best_size - size + 1)
         for v, color in reversed(order):
             if size + color <= self.best_size:
                 return
@@ -411,12 +435,7 @@ def _ensure_recursion_headroom(n_vertices: int):
 
 def _relabel(mask: int, new_of: Sequence[int]) -> int:
     """The set mask with each vertex v renamed new_of[v]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << new_of[low.bit_length() - 1]
-        mask ^= low
-    return out
+    return sum(1 << new_of[v] for v in _bits(mask))
 
 
 class _SearchCopy:

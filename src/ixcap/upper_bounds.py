@@ -25,6 +25,7 @@ from .errors import BudgetExceededError, CapExceededError, ConvergenceError, Inp
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
+    _bits,
     _Meter,
     independence_number,
     sender_graph,
@@ -54,40 +55,55 @@ def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Whether g is perfect, decided exactly (the old whitelist's name is
     kept for the benchmark's per-layer metrics).
 
-    A bipartite graph is perfect, and so is its complement (Konig's
-    theorem), so a 2-colouring of g or of its complement settles it first:
-    the path search below is exponential on grid-like bipartite graphs.
-    Otherwise, by the strong perfect graph theorem (Chudnovsky, Robertson,
-    Seymour and Thomas, 2006), g is perfect iff neither g nor its complement
-    has an induced cycle of odd length at least 5.  For each vertex s, a
-    depth-first search grows induced paths s, p1, ..., pk over vertices
-    above s; a neighbour of pk adjacent to s and to no interior vertex
-    closes an induced cycle of k + 2 vertices, so every hole is found from
-    its least vertex.
+    g is perfect iff each of its connected components is, and every odd
+    hole or antihole lies inside one component, so each component C is
+    decided on its own.  A bipartite graph is perfect, and so is its
+    complement (Konig's theorem), so a 2-colouring of C or of its
+    complement within C settles it first: the path search below is
+    exponential on grid-like bipartite graphs.  Otherwise, by the strong
+    perfect graph theorem (Chudnovsky, Robertson, Seymour and Thomas,
+    2006), C is perfect iff neither C nor its complement has an induced
+    cycle of odd length at least 5.  For each vertex s, a depth-first
+    search grows induced paths s, p1, ..., pk over vertices of C above s; a
+    neighbour of pk adjacent to s and to no interior vertex closes an
+    induced cycle of k + 2 vertices, so every hole is found from its least
+    vertex.
 
     Each path step costs one node; the 2-colourings cost none.  Raises
     BudgetExceededError beyond ``budget`` nodes, and InputError if the
     budget is below 1.
     """
     meter = _Meter(budget)
-    full = (1 << g.n_vertices) - 1
-    parts = (g.rows, g.complement_rows())
-    if any(map(_bipartite, parts)):
-        return True
-    for rows in parts:
-        for s in range(g.n_vertices - 4):  # a hole has 4+ vertices above its least
-            above = full >> (s + 1) << (s + 1)
-            # (last vertex, path vertices and neighbours of its interior, k)
-            stack = [(p, 1 << p, 1) for p in _bits(rows[s] & above)]
-            while stack:
-                last, blocked, k = stack.pop()
-                meter.charge(1, "perfectness test")
-                cand = rows[last] & above & ~blocked
-                if k >= 3 and k % 2 and cand & rows[s]:
-                    return False
-                stack.extend((v, blocked | rows[last], k + 1)
-                             for v in _bits(cand & ~rows[s]))
+    left = (1 << g.n_vertices) - 1
+    while left:
+        comp, flat = _reach(g.rows, left)
+        left ^= comp
+        co_rows = {v: comp ^ g.rows[v] ^ (1 << v) for v in _bits(comp)}
+        if flat or _bipartite(co_rows, comp):
+            continue
+        if _odd_hole(g.rows, comp, meter) or _odd_hole(co_rows, comp, meter):
+            return False
     return True
+
+
+def _odd_hole(rows, comp: int, meter: _Meter) -> bool:
+    """Whether the graph with these rows has an induced odd cycle of 5 or
+    more vertices inside comp, which no row leaves."""
+    for s in _bits(comp):
+        above = comp >> (s + 1) << (s + 1)
+        if above.bit_count() < 4:  # a hole has 4+ vertices above its least
+            return False
+        # (last vertex, path vertices and neighbours of its interior, k)
+        stack = [(p, 1 << p, 1) for p in _bits(rows[s] & above)]
+        while stack:
+            last, blocked, k = stack.pop()
+            meter.charge(1, "perfectness test")
+            cand = rows[last] & above & ~blocked
+            if k >= 3 and k % 2 and cand & rows[s]:
+                return True
+            stack.extend((v, blocked | rows[last], k + 1)
+                         for v in _bits(cand & ~rows[s]))
+    return False
 
 
 def _theta(g: Graph, alpha: int | None, tol: float, name: str,
@@ -110,31 +126,30 @@ def _theta(g: Graph, alpha: int | None, tol: float, name: str,
     return None
 
 
-def _bipartite(rows: tuple[int, ...]) -> bool:
-    """Whether the graph with these adjacency rows is 2-colourable: no
-    breadth-first layer holds an edge."""
-    seen = 0
-    for root in range(len(rows)):
-        if seen >> root & 1:
-            continue
-        layer = 1 << root
+def _reach(rows, verts: int) -> tuple[int, bool]:
+    """(the component of the least vertex of verts, whether it 2-colours):
+    breadth-first layers, none of which may hold an edge."""
+    seen = layer = verts & -verts
+    flat = True
+    while layer:
+        reach = 0
+        for v in _bits(layer):
+            reach |= rows[v]
+        flat = flat and not reach & layer
+        layer = reach & ~seen
         seen |= layer
-        while layer:
-            reach = 0
-            for v in _bits(layer):
-                reach |= rows[v]
-            if reach & layer:
-                return False
-            layer = reach & ~seen
-            seen |= layer
+    return seen, flat
+
+
+def _bipartite(rows, verts: int) -> bool:
+    """Whether the graph with these adjacency rows is 2-colourable on the
+    vertex set verts, which no row leaves."""
+    while verts:
+        comp, flat = _reach(rows, verts)
+        if not flat:
+            return False
+        verts ^= comp
     return True
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from conftest import (
     oracle_clique_cover,
     oracle_lex_least_mis,
     oracle_sender_edges,
+    random_int_utility,
     random_utility,
 )
 from ixcap.channel import identity_channel, make_channel
@@ -480,6 +481,89 @@ class TestBlockSandwich:
         c5 = cycle_graph(5)
         with pytest.raises(BudgetExceededError):
             independence_number(strong_power(c5, 2), budget=2, base=BlockBase(c5, c5, 2))
+
+
+def _noisy_k1_utility():
+    return normalize_diagonal([[0, 0, -3], [Fraction(-4, 3), 0, Fraction(-4, 3)],
+                               [1, -1, 0]])
+
+
+def _random_sender_power(seed, q, n):
+    U = random_int_utility(random.Random(seed), q, (-2, -1, 0, 1))
+    return sender_graph(U, n), sender_block_base(U, n)
+
+
+def _confusability_power(supports, n):
+    """G_c^n of the channel that spreads each input evenly on its support."""
+    q = len(supports)
+    rows = [[Fraction(1, len(s)) if z in s else Fraction(0) for z in range(q)]
+            for s in supports]
+    channel = make_channel(Alphabet.of_size(q), rows)
+    base = confusability_graph(channel, 1)
+    return confusability_graph(channel, n), BlockBase(base, base, n)
+
+
+def _random_supports(seed, q):
+    rng = random.Random(seed)
+    return [rng.sample(range(q), 2) for _ in range(q)]
+
+
+class TestPinnedSearchTree:
+    """Each case's alpha with the fewest nodes its whole search takes, the
+    bases' searches and the witness pass included: one node fewer runs out.
+    A change to the branch order, the bounds or the pruning moves these
+    counts, so the colouring kernel cannot change the search tree unseen."""
+
+    @pytest.mark.parametrize("build, alpha, nodes", [
+        (lambda: (sender_graph(_noisy_k1_utility(), 5),
+                  sender_block_base(_noisy_k1_utility(), 5)), 37, 11_751),
+        (lambda: _random_sender_power(3, 3, 5), 51, 692),
+        (lambda: _random_sender_power(5, 3, 5), 21, 6159),
+        (lambda: _random_sender_power(22, 3, 4), 19, 1395),
+        (lambda: _confusability_power([(y, (y + 1) % 7) for y in range(7)], 2), 10, 1113),
+        (lambda: _confusability_power(_random_supports(7, 7), 2), 10, 2601),
+        (lambda: _confusability_power(_random_supports(4, 6), 3), 27, 140),
+        (lambda: (random_graph(random.Random(1), 60, 0.25), None), 14, 830),
+        (lambda: (random_graph(random.Random(3), 90, 0.3), None), 13, 2210),
+    ], ids=["noisy-cliff-k1", "sender-3", "sender-5", "sender-22", "C7-squared",
+            "confusability-7", "confusability-4", "random-60", "random-90"])
+    def test_node_count(self, build, alpha, nodes):
+        g, base = build()
+        assert independence_number(g, budget=nodes, base=base)[0] == alpha
+        with pytest.raises(BudgetExceededError):
+            independence_number(g, budget=nodes - 1, base=base)
+
+
+class TestColorOrder:
+    def test_kmin_lists_the_classes_from_kmin_up(self):
+        # the cut drops the low classes from the full colouring and nothing
+        # else; kmin = 1 is the full greedy colouring itself
+        rng = random.Random(191)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 40), rng.uniform(0.05, 0.9))
+            search = ixcap.graphs._CliqueSearch(g.rows, ixcap.graphs._Meter(1))
+            for _ in range(5):
+                cand = rng.getrandbits(g.n_vertices)
+                full = search._color_order(cand)
+                assert full == greedy_coloring(g.rows, cand)
+                for kmin in range(1, (full[-1][1] if full else 0) + 3):
+                    assert search._color_order(cand, kmin) == [
+                        (v, c) for v, c in full if c >= kmin]
+
+
+def greedy_coloring(rows, cand):
+    """(vertex, colour) of the sequential greedy colouring of cand, class by
+    class, each class taking the least vertices left that it can."""
+    order, left, colour = [], sorted(v for v in range(len(rows)) if cand >> v & 1), 0
+    while left:
+        colour += 1
+        members = []
+        for v in left:
+            if not any(rows[v] >> u & 1 for u in members):
+                members.append(v)
+        order += [(v, colour) for v in members]
+        left = [v for v in left if v not in members]
+    return order
 
 
 class TestIsIndependent:

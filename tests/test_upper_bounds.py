@@ -34,19 +34,23 @@ def _grid_graph(side: int):
     return graph_from_edges(side * side, right + down)
 
 
-def _grid_and_triangle(side: int):
-    """The side x side grid beside a disjoint triangle: perfect, but neither
-    it nor its complement is bipartite, so only the induced-path search
-    proves it perfect, in millions of nodes at side 7."""
+def _grid_and_triangle(side: int, tied: bool = False):
+    """The side x side grid beside a triangle: perfect, but neither it nor
+    its complement is bipartite.  Apart, each component 2-colours; ``tied``
+    joins the grid's last corner to the triangle by one edge, and only the
+    induced-path search proves that connected graph perfect, in millions of
+    nodes at side 7."""
     n = side * side
     grid = _grid_graph(side)
-    return graph_from_edges(n + 3, [*grid.edges(), (n, n + 1), (n + 1, n + 2), (n, n + 2)])
+    tie = [(n - 1, n)] if tied else []
+    return graph_from_edges(n + 3, [*grid.edges(), (n, n + 1), (n + 1, n + 2), (n, n + 2),
+                                    *tie])
 
 
 def _skewed_grid_utility(side: int):
     """A utility, neither symmetric nor two-valued, whose symmetric part is
-    that of the graph utility of ``_grid_and_triangle(side)``."""
-    grid = utility_from_graph(_grid_and_triangle(side))
+    that of the graph utility of ``_grid_and_triangle(side, tied=True)``."""
+    grid = utility_from_graph(_grid_and_triangle(side, tied=True))
     rows = [list(r) for r in grid.u]
     assert rows[0][2] == rows[2][0] == -1
     rows[0][2], rows[2][0] = 0, -2
@@ -131,7 +135,8 @@ class TestXiBracket:
         # the graph's alpha fits the budget but its perfectness test does
         # not: the closure is dropped with a warning, and theta still closes
         # the bracket at the integer alpha
-        b = xi_bracket(utility_from_graph(_grid_and_triangle(7)), n_max=1, node_budget=10_000)
+        b = xi_bracket(utility_from_graph(_grid_and_triangle(7, tied=True)), n_max=1,
+                       node_budget=10_000)
         assert b.warnings == ("perfect-graph closure skipped: "
                               "perfectness test exceeded 10000 nodes",)
         assert b.upper_certificate["name"] == "theta_symmetric_part"
@@ -229,7 +234,7 @@ class TestXiBracket:
                                        "tol": 1e-3, "perfect": True}
 
     def test_perfectness_test_that_only_spares_the_solver_is_bounded(self, monkeypatch):
-        # proving the 7 x 7 grid and triangle perfect takes millions of
+        # proving the 7 x 7 grid tied to a triangle perfect takes millions of
         # nodes, and the solver answers in a fraction of that time
         U = _skewed_grid_utility(7)
         calls = _count_solves(monkeypatch)
@@ -237,7 +242,7 @@ class TestXiBracket:
         assert (len(calls), b.warnings) == (1, ())
         assert b.upper == pytest.approx(26 + 1e-3, abs=1e-3)
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(_grid_and_triangle(7),
+            in_perfect_whitelist(_grid_and_triangle(7, tied=True),
                                  budget=upper_bounds.SHORTCUT_NODE_BUDGET)
 
     def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch):
@@ -329,10 +334,44 @@ class TestPerfectWhitelist:
         assert in_perfect_whitelist(grid, budget=1)
         assert in_perfect_whitelist(Graph(side * side, grid.complement_rows()), budget=1)
 
+    def test_components_are_decided_apart(self):
+        # the grid and the triangle each 2-colour (the triangle's complement
+        # is edgeless), so the graph beside them needs no path search
+        assert in_perfect_whitelist(_grid_and_triangle(7), budget=1)
+        # a 5-cycle beside the grid is still found, in either order
+        n = 49
+        grid = list(_grid_graph(7).edges())
+        c5 = [(n + i, n + (i + 1) % 5) for i in range(5)]
+        assert not in_perfect_whitelist(graph_from_edges(n + 5, grid + c5))
+        shifted = [(u + 5, v + 5) for u, v in grid] + [(i, (i + 1) % 5) for i in range(5)]
+        assert not in_perfect_whitelist(graph_from_edges(n + 5, shifted))
+
+    def test_components_match_the_definition(self):
+        # a graph on 5 or 6 vertices, where the smallest odd hole fits,
+        # beside a smaller one, against the definition; half the large ones
+        # start from a 5-cycle, so that some are imperfect
+        rng = random.Random(181)
+        imperfect = 0
+        cycle = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        for trial in range(40):
+            sizes = [rng.randint(5, 6), rng.randint(1, 4)]
+            rng.shuffle(sizes)
+            edges, start = [], 0
+            for size in sizes:
+                ring = trial % 2 and size >= 5
+                edges += [(start + i, start + j) for i, j in combinations(range(size), 2)
+                          if ring and (i, j) in cycle or rng.random() < (0.2 if ring else 0.5)]
+                start += size
+            g = graph_from_edges(start, edges)
+            perfect = oracle_perfect(g)
+            assert in_perfect_whitelist(g) == perfect
+            imperfect += not perfect
+        assert imperfect > 0
+
     def test_budget(self):
-        # the 7 x 7 grid beside a triangle has millions of induced paths to
-        # rule out
+        # the 7 x 7 grid tied to a triangle has millions of induced paths
+        # to rule out
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(_grid_and_triangle(7), budget=10_000)
+            in_perfect_whitelist(_grid_and_triangle(7, tied=True), budget=10_000)
         with pytest.raises(InputError):
             in_perfect_whitelist(cycle_graph(5), budget=0)
