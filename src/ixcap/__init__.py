@@ -36,6 +36,7 @@ from .graphs import (
     sender_graph,
     strong_power,
     strong_product,
+    symmetric_sender_graph,
 )
 from .lower_bounds import (
     FeasibleSetCertificate,
@@ -62,7 +63,6 @@ from .utility import (
     block_utility_rows,
     load_utility,
     normalize_diagonal,
-    symmetric_part,
     utility_from_graph,
     utility_from_json,
 )

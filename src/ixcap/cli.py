@@ -55,6 +55,7 @@ from .graphs import (
     sender_block_base,
     sender_graph,
     strong_power,
+    symmetric_sender_graph,
 )
 from .lower_bounds import (
     feasibility_report,
@@ -70,7 +71,6 @@ from .utility import (
     UtilityMatrix,
     load_utility,
     sequence_labels,
-    symmetric_part,
     utility_from_graph,
 )
 
@@ -329,7 +329,7 @@ def cmd_theta(args) -> int:
     else:
         U = _utility_from_args(args)
         part = args.part or "sym"
-        g = sender_graph(U if part == "base" else symmetric_part(U), 1)
+        g = (sender_graph if part == "base" else symmetric_sender_graph)(U, 1)
         source = {"utility": str(args.utility), "part": part}
     value = lovasz_theta(g, tol=args.theta_tol)
     payload = {"theta": value, "tol": args.theta_tol, **source}
@@ -388,7 +388,7 @@ def _corpus_checks():
     check("pentagon gamma_2 witness", ("00", "12", "24", "31", "43"), cert2.labels)
     alpha2, _ = independence_number(sender_graph(pent, 2))
     check("pentagon alpha(G_s^2)", 5, alpha2)
-    theta_pent = lovasz_theta(sender_graph(symmetric_part(pent), 1), tol=1e-5)
+    theta_pent = lovasz_theta(symmetric_sender_graph(pent, 1), tol=1e-5)
     check("pentagon theta is sqrt(5) within 1e-4", True,
           abs(theta_pent - math.sqrt(5)) < 1e-4)
     bp = xi_bracket(pent, n_max=2, tol=1e-3)

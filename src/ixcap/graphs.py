@@ -1,9 +1,9 @@
 """Bitset graphs: sender graphs, confusability graphs, strong products,
 and exact maximum-independent-set search with canonical witnesses.
 
-Sender graphs are sign tests on the exact integer block sums of
-``utility.block_sums``, built in row blocks of at most ``BLOCK_CELLS``
-cells."""
+Every sender graph is a sign test on exact integer letter sums, built by
+one kernel, ``_sign_graph``, in row blocks of at most ``BLOCK_CELLS``
+cells: G_s^n on the table a = scale * u, G_s^Sym,n on a + a^T."""
 
 from __future__ import annotations
 
@@ -18,10 +18,11 @@ from .errors import BudgetExceededError, CapExceededError, InputError, Verificat
 from .utility import (
     BLOCK_CELLS,
     DEFAULT_VERTEX_CAP,
+    Alphabet,
     UtilityMatrix,
-    block_sums,
+    _expand_rows,
+    _sum_table,
     sequence_labels,
-    symmetric_part,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -158,73 +159,70 @@ def _unpack_rows(rows: Sequence[int]) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
 
 
+def _sign_graph(ints, n: int, cap: int, alphabet: Alphabet) -> Graph:
+    """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
+    the n-fold letterwise sum of the q x q integer table ints.  Built in row
+    blocks of at most ``BLOCK_CELLS`` cells: one block that covers all of A
+    reads A[y, x] from its own transpose, smaller ones sum the transposed
+    table's rows."""
+    if n < 1:
+        raise InputError("blocklength must be at least 1")
+    nv = len(ints)**n
+    _check_cap(nv, cap)
+    table = _sum_table(ints, n)
+    step = max(1, BLOCK_CELLS // nv)
+    rows: list[int] = []
+    for start in range(0, nv, step):
+        block = np.arange(start, min(start + step, nv))
+        fwd = _expand_rows(table, n, block, np.add)
+        bwd = fwd.T if step >= nv else _expand_rows(table.T, n, block, np.add)
+        adj = (fwd >= 0) | (bwd >= 0)
+        adj[np.arange(block.size), block] = False
+        rows.extend(_pack_bool_rows(adj))
+    return Graph(nv, tuple(rows), sequence_labels(alphabet, n))
+
+
 def sender_graph(U: UtilityMatrix, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Graph on X^n with an edge when misreporting one sequence as the other
     is weakly profitable in at least one direction.
 
     Edge (x, y), x != y, iff sum_k u(y_k, x_k) >= 0 or sum_k u(x_k, y_k) >= 0
-    (the 1/n factor does not affect the sign).  The sums are the exact
-    integers of ``block_sums``: one block reusing S.T when the whole
-    q**n x q**n table fits in ``BLOCK_CELLS``, else row blocks of that size.
-    """
-    if n < 1:
-        raise InputError("blocklength must be at least 1")
-    nv = U.q**n
-    _check_cap(nv, cap)
-    labels = sequence_labels(U.alphabet, n)
-    if nv * nv <= BLOCK_CELLS:
-        _, s = block_sums(U, n)
-        adj = (s >= 0) | (s.T >= 0)
-        np.fill_diagonal(adj, False)
-        return Graph(nv, _pack_bool_rows(adj), labels)
+    (the 1/n factor does not affect the sign), decided on the exact integer
+    table scale * u."""
+    return _sign_graph(U.scaled_integer_entries[1], n, cap, U.alphabet)
 
-    # S[y, x] is the transposed utility's S[x, y], so a row block of the
-    # adjacency needs the same rows of both tables
-    transposed = UtilityMatrix(U.alphabet, tuple(zip(*U.u)))
-    step = max(1, BLOCK_CELLS // nv)
-    rows: list[int] = []
-    for start in range(0, nv, step):
-        block = np.arange(start, min(start + step, nv))
-        _, fwd = block_sums(U, n, block)
-        _, bwd = block_sums(transposed, n, block)
-        adj = (fwd >= 0) | (bwd >= 0)
-        adj[np.arange(block.size), block] = False
-        rows.extend(_pack_bool_rows(adj))
-    return Graph(nv, tuple(rows), labels)
+
+def symmetric_sender_graph(U: UtilityMatrix, n: int,
+                           cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+    """G_s^Sym,n, the sender graph of the symmetric part (u + u^T) / 2: edge
+    (x, y), x != y, iff sum_k u(x_k, y_k) + u(y_k, x_k) >= 0, decided on the
+    exact integer table a + a^T of a = scale * u."""
+    _, a = U.scaled_integer_entries
+    q = U.q
+    return _sign_graph([[a[i][j] + a[j][i] for j in range(q)] for i in range(q)],
+                       n, cap, U.alphabet)
 
 
 def strong_product(g1: Graph, g2: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Strong graph product; vertex (a, b) maps to index a * |V2| + b."""
+    """Strong graph product; vertex (a, b) maps to index a * |V2| + b.
+
+    (a, b) ~ (a', b') iff a' in N[a] and b' in N[b], not both equal (N the
+    closed neighbourhood).  Row (a, b) is N[b] placed in the n2-bit field of
+    each a' in N[a], by one multiply with spread[a] = sum 2**(a' * n2) that
+    cannot carry, less its own bit.  spread[a] is N[a] in binary with each
+    digit widened to n2 digits, which costs the same at any density."""
     n1, n2 = g1.n_vertices, g2.n_vertices
     nv = n1 * n2
     _check_cap(nv, cap)
-    # closed neighborhoods: (a,b) ~ (a',b') iff a' in N*[a], b' in N*[b], not both equal
-    closed1 = [g1.rows[v] | (1 << v) for v in range(n1)]
-    closed2 = [g2.rows[v] | (1 << v) for v in range(n2)]
-    block = {}
-    rows = []
-    for a in range(n1):
-        mask1 = closed1[a]
-        for b in range(n2):
-            key = (mask1, closed2[b])
-            row = block.get(key)
-            if row is None:
-                row = 0
-                m1 = mask1
-                shift = 0
-                while m1:
-                    if m1 & 1:
-                        row |= closed2[b] << shift
-                    m1 >>= 1
-                    shift += n2
-                block[key] = row
-            rows.append(row & ~(1 << (a * n2 + b)))
-    labels = None
-    if g1.labels and g2.labels:
-        labels = tuple(
-            f"{g1.labels[a]},{g2.labels[b]}" for a in range(n1) for b in range(n2)
-        )
-    return Graph(nv, tuple(rows), labels)
+    zero, one = "0" * n2, "0" * (n2 - 1) + "1"
+    spread = [int(format(row | 1 << a, "b").replace("0", zero).replace("1", one), 2)
+              for a, row in enumerate(g1.rows)]
+    closed2 = [row | 1 << b for b, row in enumerate(g2.rows)]
+    rows = tuple((spread[a] * closed2[b]) ^ (1 << (a * n2 + b))
+                 for a in range(n1) for b in range(n2))
+    labels = (tuple(f"{x},{y}" for x in g1.labels for y in g2.labels)
+              if g1.labels and g2.labels else None)
+    return Graph(nv, rows, labels)
 
 
 def strong_power(g: Graph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -296,11 +294,11 @@ def sender_block_base(U: UtilityMatrix, n: int) -> BlockBase:
 
     Two distinct sequences of I^n differ where u is negative both ways and
     add u(x, x) = 0 where they agree, so both block sums are negative; two
-    sequences adjacent in the n-th power of G_s^Sym have s = (u + u^T) / 2
-    >= 0 on every coordinate, so the two directions' block sums add up to
-    at least 0 and one of them is >= 0.
+    sequences adjacent in the n-th power of G_s^Sym have
+    u(x_k, y_k) + u(y_k, x_k) >= 0 on every coordinate, so the two
+    directions' block sums add up to at least 0 and one of them is >= 0.
     """
-    return BlockBase(sender_graph(U, 1), sender_graph(symmetric_part(U), 1), n)
+    return BlockBase(sender_graph(U, 1), symmetric_sender_graph(U, 1), n)
 
 
 class _Found(Exception):

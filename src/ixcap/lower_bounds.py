@@ -10,11 +10,12 @@ integer utilities scaled by k + 1 for a k-member subset less 1 per arc,
 make the chains with sum >= 0, ties included, exactly its negative cycles.
 It returns the offending chain itself, checked by its exact utility sum.
 ``gamma_n`` has one search, a branch and bound over the independent sets of
-the symmetric-part graph in index order, and one budget, ``node_budget``,
-which counts the work of its trials and tests; out of budget, it returns
-the largest feasible subset found.  ``gamma`` is ``gamma_n`` at n = 1.  All
-arithmetic is exact, on the integer utilities of
-``UtilityMatrix.scaled_integer_entries``.
+the symmetric-part graph G_s^Sym,n in index order, and one budget,
+``node_budget``, which counts the work of its trials and tests; out of
+budget, it returns the largest feasible subset found.  ``gamma`` is
+``gamma_n`` at n = 1.  All arithmetic is exact, on the integer utilities a
+of ``UtilityMatrix.scaled_integer_entries``; G_s^Sym,n is
+``graphs.symmetric_sender_graph``, signs of the letter sums of a + a^T.
 
 One sufficient condition is kept beside the exact test,
 ``sufficient_margin_check``, because ``ixcap gamma --subset`` prints it next
@@ -35,9 +36,9 @@ from .graphs import (
     _Meter,
     _ensure_recursion_headroom,
     independence_number,
-    sender_graph,
+    symmetric_sender_graph,
 )
-from .utility import UtilityMatrix, symmetric_part
+from .utility import UtilityMatrix
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    return _gamma_n(U, n, sender_graph(symmetric_part(U), n), node_budget)
+    return _gamma_n(U, n, symmetric_sender_graph(U, n), node_budget)
 
 
 def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, node_budget: int

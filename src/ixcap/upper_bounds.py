@@ -30,10 +30,11 @@ from .graphs import (
     independence_number,
     sender_graph,
     strong_power,
+    symmetric_sender_graph,
 )
 from .lower_bounds import _gamma_n, gamma_n
 from .theta import lovasz_theta
-from .utility import UtilityMatrix, symmetric_part
+from .utility import UtilityMatrix
 
 #: most nodes of a perfectness test whose verdict only spares the theta
 #: solver: about 0.1 s, the cost of one mid-sized solve
@@ -240,7 +241,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     base_graph = sender_graph(U, 1)
     # for symmetric or two-valued-gain utilities G_s^Sym is G_s at n = 1
     closure = U.is_symmetric() or is_two_valued_a_ge_b(U)
-    sym_graph = base_graph if closure else sender_graph(symmetric_part(U), 1)
+    sym_graph = base_graph if closure else symmetric_sender_graph(U, 1)
 
     lowers: list[tuple[float, dict, tuple[int, int]]] = []
     per_n: list[dict] = []

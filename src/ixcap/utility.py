@@ -9,9 +9,10 @@ symbol, so ``u[i][j]`` is u(i, j).
 
 ``block_sums`` is the one place block utilities are computed: the exact
 integer sums S[t, y] = scale * sum_k u(t_k, y_k) over blocklength-n
-sequences.  Every exact answer downstream (sender graphs, worst-case decoded
-sets, feasibility of sequence subsets, noisy dominance) is a sign test on
-these sums.  ``block_utility`` is the Fraction reference definition, and
+sequences.  Every exact answer downstream (worst-case decoded sets,
+feasibility of sequence subsets, noisy dominance) is a sign test on these
+sums; the sender graphs sum a = scale * u, or a + a^T for G_s^Sym,n, by the
+same ``_expand_rows`` and ``_sum_table``.  ``block_utility`` is the Fraction reference definition, and
 ``block_utility_rows`` a Fraction view of the kernel; neither is on the
 library's own code paths.
 """
@@ -170,14 +171,6 @@ class UtilityMatrix:
                 denom = denom * x.denominator // gcd(denom, x.denominator)
         return denom, tuple(tuple(int(x * denom) for x in row) for row in self.u)
 
-    @cached_property
-    def symmetric(self) -> "UtilityMatrix":
-        """The symmetric part (u(i,j) + u(j,i)) / 2, computed once per matrix."""
-        q = self.q
-        return UtilityMatrix(self.alphabet, tuple(
-            tuple((self.u[i][j] + self.u[j][i]) / 2 for j in range(q)) for i in range(q)
-        ))
-
     def to_json_dict(self) -> dict:
         return {
             "alphabet": list(self.alphabet.symbols),
@@ -291,6 +284,14 @@ def _expand_rows(table: np.ndarray, n: int, rows, combine) -> np.ndarray:
     return out
 
 
+def _sum_table(ints, n: int) -> np.ndarray:
+    """The q x q integer table ints as an array whose n-fold letter sums
+    cannot overflow: int64 when max|entry| * n < 2**62, else object (Python
+    ints)."""
+    max_abs = max(abs(x) for row in ints for x in row)
+    return np.array(ints, dtype=np.int64 if max_abs * n < 2**62 else object)
+
+
 def block_sums(U: UtilityMatrix, n: int, rows=None) -> tuple[int, np.ndarray]:
     """Exact integer block sums: (scale, S) with
     S[r, y] = scale * sum_k u(t_k, y_k) for t = rows[r] (recovered) and every
@@ -299,21 +300,15 @@ def block_sums(U: UtilityMatrix, n: int, rows=None) -> tuple[int, np.ndarray]:
     ``scale`` is the common denominator from ``scaled_integer_entries``, so
     S / (scale * n) is the average block utility and every sign and tie is
     exact.  ``rows`` defaults to all q**n sequences; consumers ask for the
-    rows they read.  The dtype is int64 when max|scale*u| * n < 2**62, so no
-    sum can overflow, and object (Python ints) otherwise.
+    rows they read.  The dtype follows ``_sum_table``, so no sum can
+    overflow.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
     scale, ints = U.scaled_integer_entries
-    max_abs = max(abs(x) for row in ints for x in row)
-    table = np.array(ints, dtype=np.int64 if max_abs * n < 2**62 else object)
     if rows is None:
         rows = range(U.q**n)
-    return scale, _expand_rows(table, n, rows, np.add)
-
-
-def symmetric_part(U: UtilityMatrix) -> UtilityMatrix:
-    return U.symmetric
+    return scale, _expand_rows(_sum_table(ints, n), n, rows, np.add)
 
 
 def utility_from_graph(graph, alphabet: Alphabet | None = None) -> UtilityMatrix:

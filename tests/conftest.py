@@ -264,6 +264,14 @@ def oracle_largest_feasible(U: UtilityMatrix, n: int) -> tuple[int, ...]:
     raise AssertionError("no feasible subset, though singletons always are")
 
 
+def oracle_symmetric_part(U: UtilityMatrix) -> UtilityMatrix:
+    """The symmetric part (u(i, j) + u(j, i)) / 2 in Fractions; its sender
+    graph is G_s^Sym."""
+    q = U.q
+    return UtilityMatrix(U.alphabet, tuple(
+        tuple((U.u[i][j] + U.u[j][i]) / 2 for j in range(q)) for i in range(q)))
+
+
 def oracle_sender_edges(U: UtilityMatrix, n: int) -> set[tuple[int, int]]:
     """Sender-graph edge set straight from the definition, Fraction sums."""
     q = U.q

@@ -11,7 +11,7 @@ import pytest
 import ixcap.game
 import ixcap.lower_bounds
 import ixcap.upper_bounds
-from conftest import oracle_alpha, oracle_sender_edges
+from conftest import oracle_alpha, oracle_sender_edges, oracle_symmetric_part
 from ixcap import cli
 from ixcap.channel import make_channel
 from ixcap.cli import EXIT_BUDGET, EXIT_GOLDEN, EXIT_INPUT, EXIT_OK, corpus_path, main
@@ -25,7 +25,7 @@ from ixcap.graphs import (
     strong_power,
 )
 from ixcap.upper_bounds import xi_bracket
-from ixcap.utility import Alphabet, load_utility, symmetric_part
+from ixcap.utility import Alphabet, load_utility
 
 PENTAGON = str(corpus_path("pentagon.json"))
 #: stands for the path of a graph file that the test writes
@@ -196,7 +196,7 @@ def test_analyze_prints_the_bracket_records(tmp_path, pentagon):
     assert report["bracket"] == bracket.to_json_dict()
     for record in report["per_n"]:
         n = record["n"]
-        sym = graph_from_edges(5**n, sorted(oracle_sender_edges(symmetric_part(pentagon), n)))
+        sym = graph_from_edges(5**n, sorted(oracle_sender_edges(oracle_symmetric_part(pentagon), n)))
         assert record["alpha_sym"] == oracle_alpha(sym)[0]
     _, csv_text = _analyze(tmp_path, fmt="csv")
     assert len(csv_text.splitlines()) == 1 + 2

@@ -10,6 +10,7 @@ from conftest import (
     oracle_clique_cover,
     oracle_lex_least_mis,
     oracle_sender_edges,
+    oracle_symmetric_part,
     random_int_utility,
     random_utility,
 )
@@ -33,6 +34,7 @@ from ixcap.graphs import (
     sender_graph,
     strong_power,
     strong_product,
+    symmetric_sender_graph,
 )
 from ixcap.utility import (
     Alphabet,
@@ -111,6 +113,25 @@ class TestSenderGraph:
         U = utility_from_json({"utility": [[0, huge], [-huge - 1, 0]]})
         assert set(sender_graph(U, 3).edges()) == oracle_sender_edges(U, 3)
 
+    @pytest.mark.parametrize("block_cells", [None, 40])
+    def test_symmetric_graph_matches_oracle(self, monkeypatch, block_cells):
+        # G_s^Sym,n from the integer table a + a^T against the sender graph
+        # of the Fraction symmetric part, in one block and in row blocks
+        if block_cells:
+            monkeypatch.setattr(ixcap.graphs, "BLOCK_CELLS", block_cells)
+        rng = random.Random(43)
+        utilities = [random_utility(rng, rng.randint(2, 4)) for _ in range(8)]
+        utilities += [random_int_utility(rng, rng.randint(2, 4)) for _ in range(8)]
+        huge = 2**70  # a + a^T holds 2 * huge + 1 and -2 * huge: the object-dtype path
+        utilities.append(utility_from_json({"utility": [[0, huge, -huge], [huge + 1, 0, 1],
+                                                        [-huge, -2, 0]]}))
+        for U in utilities:
+            for n in (1, 2, 3):
+                if U.q**n <= 27:
+                    g = symmetric_sender_graph(U, n)
+                    assert set(g.edges()) == oracle_sender_edges(oracle_symmetric_part(U), n)
+                    assert g.labels == sender_graph(U, n).labels
+
     def test_near_cap_builds_in_seconds(self):
         # 3**9 = 19683 vertices, just under the default 20000-vertex cap
         U = utility_from_graph(path_graph(3))
@@ -163,6 +184,27 @@ class TestStrongProducts:
     def test_complete_products(self):
         k3 = complete_graph(3)
         assert graphs_equal(strong_product(k3, k3), complete_graph(9))
+
+    def test_matches_definition(self):
+        # (a, b) ~ (a', b') iff a' in N[a] and b' in N[b], not both equal, on
+        # pairs of unequal sizes, with 1-vertex, edgeless and complete factors
+        rng = random.Random(47)
+        factors = [empty_graph(1), empty_graph(4), complete_graph(1), complete_graph(5),
+                   path_graph(3)] + [random_graph(rng, rng.randint(2, 7), rng.random())
+                                     for _ in range(10)]
+        for g1 in factors:
+            for g2 in factors:
+                n2 = g2.n_vertices
+                p = strong_product(g1, g2)
+                assert p.n_vertices == g1.n_vertices * n2
+                for x in range(p.n_vertices):
+                    a, b = divmod(x, n2)
+                    expected = sum(
+                        1 << (a2 * n2 + b2)
+                        for a2 in range(g1.n_vertices) for b2 in range(n2)
+                        if (a2 == a or g1.has_edge(a, a2)) and (b2 == b or g2.has_edge(b, b2))
+                        and (a2, b2) != (a, b))
+                    assert p.rows[x] == expected
 
     def test_power_splits_into_products(self):
         rng = random.Random(29)

@@ -12,6 +12,7 @@ from conftest import (
     oracle_feasible,
     oracle_feasible_by_walks,
     oracle_largest_feasible,
+    oracle_symmetric_part,
     random_int_utility,
     random_symmetric_utility,
     random_utility,
@@ -28,7 +29,6 @@ from ixcap.lower_bounds import (
 )
 from ixcap.utility import (
     block_utility_rows,
-    symmetric_part,
     utility_from_json,
 )
 
@@ -182,7 +182,7 @@ class TestGamma:
             U = random_utility(rng, rng.randint(2, 5))
             value, _ = gamma(U)
             alpha, _ = independence_number(sender_graph(U, 1))
-            alpha_sym, _ = independence_number(sender_graph(symmetric_part(U), 1))
+            alpha_sym, _ = independence_number(sender_graph(oracle_symmetric_part(U), 1))
             assert alpha <= value <= alpha_sym
 
 
@@ -218,7 +218,7 @@ class TestGammaBlocklength:
         value, cert = gamma_n(pentagon, 2)
         rows = block_utility_rows(pentagon, 2)
         assert oracle_feasible(rows, cert.subset)
-        sym2 = sender_graph(symmetric_part(pentagon), 2)
+        sym2 = sender_graph(oracle_symmetric_part(pentagon), 2)
         assert is_independent(sym2, cert.subset)
 
     def test_large_space_fallback_is_flagged(self, example1):
@@ -240,7 +240,7 @@ class TestGammaBlocklength:
             finally:
                 tracemalloc.stop()
 
-        graph_peak, _ = peak(lambda: sender_graph(symmetric_part(U), 6))
+        graph_peak, _ = peak(lambda: sender_graph(oracle_symmetric_part(U), 6))
         gamma_peak, (value, cert) = peak(lambda: gamma_n(U, 6))
         assert (value, cert.optimal) == (64, True)
         assert gamma_peak <= 1.5 * graph_peak
@@ -266,7 +266,7 @@ class TestGammaBlocklength:
     def test_certificate_carries_alpha_sym(self, pentagon):
         for n in (1, 2):
             _, cert = gamma_n(pentagon, n)
-            alpha_sym, _ = independence_number(sender_graph(symmetric_part(pentagon), n))
+            alpha_sym, _ = independence_number(sender_graph(oracle_symmetric_part(pentagon), n))
             assert cert.alpha_sym == cert.to_json_dict()["alpha_sym"] == alpha_sym
 
     def test_validates_blocklength(self, example1):
@@ -354,7 +354,7 @@ class TestGammaBudget:
         except BudgetExceededError:
             return None
         assert oracle_feasible_by_walks(oracle_block_sums(U, n), cert.subset)
-        assert is_independent(sender_graph(symmetric_part(U), n), cert.subset)
+        assert is_independent(sender_graph(oracle_symmetric_part(U), n), cert.subset)
         assert value == cert.size == len(cert.subset)
         if cert.optimal:
             # the same search, finished inside the smaller budget
@@ -377,7 +377,7 @@ class TestGammaBudget:
         (_cyclic_plus_three(), 2, (21, 22, 23, 27, 28, 29, 33, 34, 35)),  # 36 sequences
     ], ids=["cyclic-1", "cyclic_plus_three-1", "cyclic-4", "cyclic_plus_three-2"])
     def test_floor_when_witness_infeasible(self, U, n, exhaustive):
-        alpha_sym, witness = independence_number(sender_graph(symmetric_part(U), n))
+        alpha_sym, witness = independence_number(sender_graph(oracle_symmetric_part(U), n))
         assert not oracle_feasible(oracle_block_sums(U, n), witness.vertices)
         # the canonical set's test costs alpha_sym**2 nodes and the first
         # trial, a singleton, 2 more

@@ -7,6 +7,7 @@ from conftest import (
     capped_max,
     incremented,
     oracle_perfect,
+    oracle_symmetric_part,
     random_int_utility,
     random_symmetric_utility,
     random_utility,
@@ -21,11 +22,11 @@ from ixcap.graphs import (
     path_graph,
     sender_graph,
 )
-from ixcap import lower_bounds, upper_bounds
+from ixcap import graphs, upper_bounds
 from ixcap.lower_bounds import gamma_n
 from ixcap.theta import lovasz_theta
 from ixcap.upper_bounds import in_perfect_whitelist, is_two_valued_a_ge_b, xi_bracket
-from ixcap.utility import symmetric_part, utility_from_graph, utility_from_json
+from ixcap.utility import utility_from_graph, utility_from_json
 
 
 def _grid_graph(side: int):
@@ -56,7 +57,7 @@ def _skewed_grid_utility(side: int):
     rows[0][2], rows[2][0] = 0, -2
     U = utility_from_json({"utility": rows})
     assert not U.is_symmetric() and not is_two_valued_a_ge_b(U)
-    assert symmetric_part(U).u == grid.u
+    assert oracle_symmetric_part(U).u == grid.u
     return U
 
 
@@ -67,6 +68,16 @@ def _count_solves(monkeypatch) -> list:
     monkeypatch.setattr(upper_bounds, "lovasz_theta",
                         lambda g, **kw: calls.append(g.rows) or solve(g, **kw))
     return calls
+
+
+def _count_builds(monkeypatch) -> list:
+    """The blocklength of each sender graph built, G_s^n and G_s^Sym,n
+    alike, counted at the one kernel that builds them all."""
+    built = []
+    build = graphs._sign_graph
+    monkeypatch.setattr(graphs, "_sign_graph",
+                        lambda ints, n, *rest: built.append(n) or build(ints, n, *rest))
+    return built
 
 
 def _q5_utilities(seed, count):
@@ -94,7 +105,7 @@ class TestXiBracket:
         for k, record in enumerate(b.per_n, start=1):
             alpha, _ = independence_number(sender_graph(U, k))
             value, _ = gamma_n(U, k)
-            alpha_sym, _ = independence_number(sender_graph(symmetric_part(U), k))
+            alpha_sym, _ = independence_number(sender_graph(oracle_symmetric_part(U), k))
             own += [alpha ** (1.0 / k), value ** (1.0 / k)]
             # the bracket reports the per-blocklength values it compared
             assert (record["n"], record["alpha_sender"], record["gamma"],
@@ -192,7 +203,7 @@ class TestXiBracket:
         for U in _q5_utilities(157, 400):
             calls.clear()
             b = xi_bracket(U, n_max=1)
-            sym_graph = sender_graph(symmetric_part(U), 1)
+            sym_graph = sender_graph(oracle_symmetric_part(U), 1)
             perfect = oracle_perfect(sym_graph)
             imperfect += not perfect
             assert calls == ([] if perfect else [sym_graph.rows])
@@ -206,7 +217,7 @@ class TestXiBracket:
         perfect = 0
         for U in _q5_utilities(163, 400):
             b = xi_bracket(U, n_max=1)
-            sym_graph = sender_graph(symmetric_part(U), 1)
+            sym_graph = sender_graph(oracle_symmetric_part(U), 1)
             if not in_perfect_whitelist(sym_graph):
                 continue
             perfect += 1
@@ -248,11 +259,7 @@ class TestXiBracket:
     def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch):
         # G_s^n and G_s^Sym,n at n = 1 and 2: G_s^Sym is built once, for the
         # perfectness test, theta and Gamma(U_1) alike
-        built = []
-        for module in (upper_bounds, lower_bounds):
-            build = module.sender_graph
-            monkeypatch.setattr(module, "sender_graph", lambda U, n, _f=build:
-                                built.append(n) or _f(U, n))
+        built = _count_builds(monkeypatch)
         xi_bracket(random_utility(random.Random(167), 5), n_max=2)
         assert sorted(built) == [1, 1, 2, 2]
 
@@ -268,15 +275,11 @@ class TestXiBracket:
             rows[0][1], rows[1][0] = a, -b
             closed.append(utility_from_json({"utility": rows}))
         others = [random_utility(rng, rng.randint(3, 5)) for _ in range(6)]
-        built = []
-        for module in (upper_bounds, lower_bounds):
-            build = module.sender_graph
-            monkeypatch.setattr(module, "sender_graph", lambda U, n, _f=build:
-                                built.append(n) or _f(U, n))
+        built = _count_builds(monkeypatch)
         for U, closure in [(U, True) for U in closed] + [(U, False) for U in others]:
             assert closure == (U.is_symmetric() or is_two_valued_a_ge_b(U))
             if closure:
-                assert sender_graph(U, 1).rows == sender_graph(symmetric_part(U), 1).rows
+                assert sender_graph(U, 1).rows == sender_graph(oracle_symmetric_part(U), 1).rows
             built.clear()
             xi_bracket(U, n_max=2)
             assert len(built) == (3 if closure else 4)

