@@ -8,11 +8,14 @@ truthfully is the sender's unique argmax among the strategy's image.  A tie
 is adversarial and destroys the guarantee.
 
 Both verifications are sign tests on the exact integer block sums of
-``utility.block_sums``, read only for the rows the strategy decodes to.
-Over a noisy channel each channel row is written as integers over its own
+``utility.block_sums``, read only where the strategy needs them.  Over a
+noisy channel each channel row is written as integers over its own
 denominator, a positive rescaling per input sequence that keeps every sign
-and every zero of the expected utility exact.  ``expected_block_utility`` is
-the Fraction reference definition of that expected utility.
+and every zero of the expected utility exact.  The memoryless channel's
+q**n x q**n matrix is the n-th Kronecker power of its q x q matrix, so it is
+applied letter by letter, n mode products per column block, and never built.
+``expected_block_utility`` is the Fraction reference definition of that
+expected utility.
 """
 
 from __future__ import annotations
@@ -252,6 +255,20 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
     return ReceiverStrategy(n, tuple(decode))
 
 
+def _apply_letters(w1: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """The product (w1 ⊗ ... ⊗ w1) @ x, n factors, for x with q**n rows in
+    canonical order, one letter at a time: letter k's mode product is one
+    matmul of w1 with x viewed as (q**k, q, rest), so the q**n x q**n
+    Kronecker power is never formed.  A table with nonnegative rows summing
+    to at most d keeps every intermediate within d**k * max|x| after k
+    letters; the dtypes carry through, so object arrays compute in Python
+    ints."""
+    q = w1.shape[0]
+    for k in range(n):
+        x = np.matmul(w1, x.reshape(q**k, q, -1))
+    return x.reshape(q**n, -1)
+
+
 def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
                              g: ReceiverStrategy, xs, ys, n: int) -> bool:
     """Per-alternative-input dominance check for the partition strategy.
@@ -261,6 +278,16 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     its support inside y*'s support with expected utility exactly zero, so
     truthful signalling is forced and x is recovered under every best
     response.
+
+    The channel matrix of the memoryless channel is the n-th Kronecker power
+    of its q x q matrix, applied by ``_apply_letters``: the expected values
+    are W @ m with m[z, j] = S[decode(z), xs[j]], the dominated inputs come
+    from the support pattern's power applied to the undecoded outputs, and
+    support inclusion is decided letter by letter.  The pairs run in column
+    blocks of at most ``BLOCK_CELLS`` cells (q**n times the block's pairs).
+    Each channel row is written as integers over its own denominator d_y, so
+    W is integral; the products run in int64 when (max d)**n * max|m| <
+    2**62 bounds them, else in Python ints.
     """
     q = U.q
     if channel.q != q:
@@ -268,37 +295,40 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     nv = q**n
     if len(g.decode) != nv:
         raise InputError(f"strategy table has {len(g.decode)} entries, expected {nv}")
-    pairs = list(zip(xs, ys))
-    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
+        raise InputError(f"set sizes differ: {len(xs)} protected vs {len(ys)} inputs")
     if any(not 0 <= x < nv for x in xs):
         raise InputError(f"protected sequence index out of range for n={n}")
-    image = g.image()
-    _, sums = block_sums(U, n, image)
-    # m[z, j] = S[decode(z), xs[j]]; outputs decoded to the error symbol read
-    # the extra zero row and are caught as dominated instead
-    cols = np.vstack([sums[:, xs], np.zeros((1, len(xs)), dtype=sums.dtype)])
-    where = {t: i for i, t in enumerate(image)}
-    m = cols[[where.get(t, len(image)) for t in g.decode]]
     error = np.array([t is None for t in g.decode])
+    decode = np.array([0 if t is None else t for t in g.decode], dtype=np.int64)
+    if decode.min() < 0 or decode.max() >= nv:
+        raise InputError(f"decoded sequence index out of range for n={n}")
 
     # channel row y over its own denominator d_y, so W[y, z] = P^n(z|y) *
     # prod_k d_{y_k} is an integer no larger than (max d)**n
     dens = [lcm(*(p.denominator for p in row)) for row in channel.rows]
-    w1 = [[int(p * d) for p in row] for row, d in zip(channel.rows, dens)]
-    big = max(dens) ** n * max(1, int(abs(m).max(initial=0))) >= 2**62
-    w1 = np.array(w1, dtype=object if big else np.int64)
-    if big:
-        m = m.astype(object)
-    star = _expand_rows(w1, n, ys, np.multiply) > 0
+    w1 = [[p.numerator * (d // p.denominator) for p in row]
+          for row, d in zip(channel.rows, dens)]
+    sup = channel.support
+    s1 = np.array([[sup[y] >> z & 1 for z in range(q)] for y in range(q)], dtype=np.int64)
+    dominated = _apply_letters(s1, n, error.astype(np.int64)) > 0
+    # supports are products of letter supports, so inclusion is letterwise:
+    # within[a, b] says the support of letter a lies inside that of b
+    within = np.array([[sup[a] & ~sup[b] == 0 for b in range(q)] for a in range(q)])
 
     step = max(1, BLOCK_CELLS // nv)
-    for start in range(0, nv, step):
-        w = _expand_rows(w1, n, range(start, min(start + step, nv)), np.multiply)
-        value = w @ m
-        support = w > 0
-        dominated = support[:, error].any(axis=1)
-        inside = ~(support @ ~star.T)
-        ok = dominated[:, None] | (value < 0) | ((value == 0) & inside)
+    for start in range(0, len(xs), step):
+        block = slice(start, start + step)
+        _, cols = block_sums(U, n, xs[block], observed=True)
+        # outputs decoded to the error symbol read a stand-in block sum;
+        # every input that reaches one is dominated whatever its value
+        m = cols.T[decode]
+        big = max(dens) ** n * max(1, int(abs(m).max(initial=0))) >= 2**62
+        w = np.array(w1, dtype=object if big else np.int64)
+        value = _apply_letters(w, n, m.astype(object) if big else m)
+        inside = _expand_rows(within.T, n, ys[block], np.logical_and).T
+        ok = dominated | (value < 0) | ((value == 0) & inside)
         if not ok.all():
             return False
     return True

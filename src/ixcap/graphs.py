@@ -144,10 +144,14 @@ def _check_cap(n_vertices: int, cap: int):
 
 
 def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
-    rows = []
-    for r in np.packbits(adj, axis=1, bitorder="little"):
-        rows.append(int.from_bytes(r.tobytes(), "little"))
-    return tuple(rows)
+    """Bitset rows of a boolean matrix, bit j of row i set iff adj[i, j]."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    width = packed.shape[1]
+    if not width:
+        return (0,) * packed.shape[0]
+    raw = packed.tobytes()
+    return tuple([int.from_bytes(raw[i:i + width], "little")
+                  for i in range(0, len(raw), width)])
 
 
 def _unpack_rows(rows: Sequence[int]) -> np.ndarray:
@@ -162,21 +166,25 @@ def _unpack_rows(rows: Sequence[int]) -> np.ndarray:
 def _sign_graph(ints, n: int, cap: int, alphabet: Alphabet) -> Graph:
     """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
     the n-fold letterwise sum of the q x q integer table ints.  Built in row
-    blocks of at most ``BLOCK_CELLS`` cells: one block that covers all of A
-    reads A[y, x] from its own transpose, smaller ones sum the transposed
-    table's rows."""
+    blocks of at most ``BLOCK_CELLS`` cells.  A symmetric table (always for
+    G_s^Sym,n) gives A = A^T, so its blocks test A[x, y] alone; otherwise one
+    block that covers all of A reads A[y, x] from its own transpose, and
+    smaller ones sum the transposed table's rows."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
     nv = len(ints)**n
     _check_cap(nv, cap)
     table = _sum_table(ints, n)
+    symmetric = (table == table.T).all()
     step = max(1, BLOCK_CELLS // nv)
     rows: list[int] = []
     for start in range(0, nv, step):
         block = np.arange(start, min(start + step, nv))
         fwd = _expand_rows(table, n, block, np.add)
-        bwd = fwd.T if step >= nv else _expand_rows(table.T, n, block, np.add)
-        adj = (fwd >= 0) | (bwd >= 0)
+        adj = fwd >= 0
+        if not symmetric:
+            bwd = fwd.T if step >= nv else _expand_rows(table.T, n, block, np.add)
+            adj |= bwd >= 0
         adj[np.arange(block.size), block] = False
         rows.extend(_pack_bool_rows(adj))
     return Graph(nv, tuple(rows), sequence_labels(alphabet, n))

@@ -34,8 +34,9 @@ from .errors import InputError
 
 #: soft cap on q**n vertices for blocklength constructions
 DEFAULT_VERTEX_CAP = 20_000
-#: most cells one dense block of block sums (or of channel rows) may hold;
-#: larger tables are built in row blocks of at most this size
+#: most cells one dense block of block sums may hold; larger tables are
+#: built in row blocks of at most this size, and the noisy check runs its
+#: pairs in column blocks of at most this size
 BLOCK_CELLS = 1 << 22
 
 
@@ -268,9 +269,9 @@ def _expand_rows(table: np.ndarray, n: int, rows, combine) -> np.ndarray:
 
     ``out[r, y] = combine_k table[t_k, y_k]`` with t = rows[r], for every
     y in X^n; sequences are canonical MSB-first indices.  ``combine`` is a
-    numpy ufunc such as ``np.add`` (block sums) or ``np.multiply`` (product
-    channel rows).  The table's dtype carries through, so an object table
-    computes in Python ints.
+    numpy ufunc such as ``np.add`` (block sums) or ``np.logical_and``
+    (inclusion of product channel supports).  The table's dtype carries
+    through, so an object table computes in Python ints.
     """
     q = table.shape[0]
     t = np.asarray(rows, dtype=np.int64).reshape(-1)
@@ -292,10 +293,13 @@ def _sum_table(ints, n: int) -> np.ndarray:
     return np.array(ints, dtype=np.int64 if max_abs * n < 2**62 else object)
 
 
-def block_sums(U: UtilityMatrix, n: int, rows=None) -> tuple[int, np.ndarray]:
+def block_sums(U: UtilityMatrix, n: int, rows=None, *,
+               observed: bool = False) -> tuple[int, np.ndarray]:
     """Exact integer block sums: (scale, S) with
     S[r, y] = scale * sum_k u(t_k, y_k) for t = rows[r] (recovered) and every
-    observed y in X^n, in canonical index order.
+    observed y in X^n, in canonical index order.  With ``observed`` the rows
+    name observed sequences instead, S[r, t] = scale * sum_k u(t_k, x_k) for
+    x = rows[r] and every recovered t: columns of the default table.
 
     ``scale`` is the common denominator from ``scaled_integer_entries``, so
     S / (scale * n) is the average block utility and every sign and tie is
@@ -308,7 +312,8 @@ def block_sums(U: UtilityMatrix, n: int, rows=None) -> tuple[int, np.ndarray]:
     scale, ints = U.scaled_integer_entries
     if rows is None:
         rows = range(U.q**n)
-    return scale, _expand_rows(_sum_table(ints, n), n, rows, np.add)
+    table = _sum_table(ints, n)
+    return scale, _expand_rows(table.T if observed else table, n, rows, np.add)
 
 
 def utility_from_graph(graph, alphabet: Alphabet | None = None) -> UtilityMatrix:

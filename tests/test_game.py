@@ -1,10 +1,11 @@
 """Differential tests of the game layer against Fraction brute force on tiny
-instances (q <= 4, n <= 2), and the named verification failure."""
+instances (q <= 4, n <= 4), and the named verification failure."""
 
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,39 +250,93 @@ class TestBlockSandwichInTheGame:
         xs, ys = noisy_pairs(U, channel, 2, d)
         assert strategy == noisy_receiver_strategy(xs, ys, channel, 2)
 
+def check_against_reference(U, channel, n, rng):
+    """The partition strategy passes both checks; perturbed strategies get
+    the same verdict from both, whichever way."""
+    nv = U.q**n
+    d, strategy = noisy_equilibrium_value(U, channel, n)
+    xs, ys = noisy_pairs(U, channel, n, d)
+    assert verify_noisy_equilibrium(U, channel, strategy, xs, ys, n)
+    assert reference_verify(U, channel, strategy, xs, ys, n)
+
+    for _ in range(4):
+        decode = list(strategy.decode)
+        decode[rng.randrange(nv)] = rng.choice([None, *range(nv)])
+        g = ReceiverStrategy(n, tuple(decode))
+        assert verify_noisy_equilibrium(U, channel, g, xs, ys, n) == \
+            reference_verify(U, channel, g, xs, ys, n)
+
+    # decoding all of an input's outputs to x gives that input expected
+    # utility exactly zero; outside y*'s support that must be rejected
+    x, y_star = xs[0], ys[0]
+    supports = [output_support_indices(channel, y, n) for y in range(nv)]
+    outside = [y for y in range(nv) if not supports[y] <= supports[y_star]]
+    if outside:
+        decode = list(strategy.decode)
+        for z in supports[rng.choice(outside)]:
+            decode[z] = x
+        g = ReceiverStrategy(n, tuple(decode))
+        assert not verify_noisy_equilibrium(U, channel, g, xs, ys, n)
+        assert not reference_verify(U, channel, g, xs, ys, n)
+
+
 class TestNoisyVerification:
     @given(SIZES, st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_loop(self, size, rng):
         q, n = size
-        nv = q**n
-        U = random_utility(rng, q)
-        channel = random_channel(rng, q)
-        d, strategy = noisy_equilibrium_value(U, channel, n)
-        xs, ys = noisy_pairs(U, channel, n, d)
-        assert verify_noisy_equilibrium(U, channel, strategy, xs, ys, n)
-        assert reference_verify(U, channel, strategy, xs, ys, n)
+        check_against_reference(random_utility(rng, q), random_channel(rng, q), n, rng)
 
-        # arbitrary perturbations: both checks agree, whichever way
+    @pytest.mark.parametrize("size", [(2, 3), (3, 3), (2, 4)])
+    def test_matches_reference_loop_at_longer_blocks(self, size):
+        # three and four mode products per check
+        q, n = size
+        rng = random.Random(q * 10 + n)
         for _ in range(4):
-            decode = list(strategy.decode)
-            decode[rng.randrange(nv)] = rng.choice([None, *range(nv)])
-            g = ReceiverStrategy(n, tuple(decode))
-            assert verify_noisy_equilibrium(U, channel, g, xs, ys, n) == \
-                reference_verify(U, channel, g, xs, ys, n)
+            check_against_reference(random_utility(rng, q), random_channel(rng, q), n, rng)
 
-        # decoding all of an input's outputs to x gives that input expected
-        # utility exactly zero; outside y*'s support that must be rejected
-        x, y_star = xs[0], ys[0]
-        supports = [output_support_indices(channel, y, n) for y in range(nv)]
-        outside = [y for y in range(nv) if not supports[y] <= supports[y_star]]
-        if outside:
-            decode = list(strategy.decode)
-            for z in supports[rng.choice(outside)]:
-                decode[z] = x
-            g = ReceiverStrategy(n, tuple(decode))
-            assert not verify_noisy_equilibrium(U, channel, g, xs, ys, n)
-            assert not reference_verify(U, channel, g, xs, ys, n)
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_letter_products_match_kronecker_power(self, q, columns, dtype):
+        rng = random.Random(q * columns)
+        big = 2**70 if dtype is object else 9
+        for n in range(1, 5):
+            w1 = np.array([[rng.randint(0, 4) for _ in range(q)] for _ in range(q)], dtype=dtype)
+            x = np.array([[rng.randint(-big, big) for _ in range(columns)]
+                          for _ in range(q**n)], dtype=dtype)
+            dense = w1
+            for _ in range(n - 1):
+                dense = np.kron(dense, w1)
+            out = ixcap.game._apply_letters(w1, n, x)
+            assert out.shape == (q**n, columns) and out.dtype == dtype
+            assert out.tolist() == (dense @ x).tolist()
+
+    def test_one_pair_per_block_keeps_every_verdict(self, monkeypatch):
+        rng = random.Random(71)
+        cases = []
+        for q, n in ((2, 2), (3, 2), (2, 3), (3, 3)):
+            for _ in range(3):
+                U, channel = random_utility(rng, q), random_channel(rng, q)
+                d, strategy = noisy_equilibrium_value(U, channel, n)
+                xs, ys = noisy_pairs(U, channel, n, d)
+                decode = list(strategy.decode)
+                decode[rng.randrange(q**n)] = rng.choice([None, *range(q**n)])
+                for g in (strategy, ReceiverStrategy(n, tuple(decode))):
+                    cases.append((U, channel, g, xs, ys, n))
+        verdicts = [verify_noisy_equilibrium(*case) for case in cases]
+        assert True in verdicts and False in verdicts
+        monkeypatch.setattr(ixcap.game, "BLOCK_CELLS", 1)
+        assert [verify_noisy_equilibrium(*case) for case in cases] == verdicts
+
+    def test_unequal_pair_lists_are_rejected(self):
+        U = utility_from_json({"utility": [[0, -1], [-1, 0]]})
+        channel = identity_channel(Alphabet.of_size(2))
+        g = ReceiverStrategy(1, (0, 1))
+        with pytest.raises(InputError, match="set sizes differ"):
+            verify_noisy_equilibrium(U, channel, g, [0, 1], [0], 1)
+        with pytest.raises(InputError, match="set sizes differ"):
+            verify_noisy_equilibrium(U, channel, g, [0], [0, 1], 1)
 
     def test_zero_utility_needs_domination_or_inclusion(self):
         # every misreport is a tie, so only the undecoded output protects x
@@ -296,19 +351,21 @@ class TestNoisyVerification:
     def test_outputs_weighed_by_probability(self, unit):
         # input 1 reaches output 1 (decoded to 1, utility 3 against source 0)
         # and output 2 (decoded to 2, utility -2): the sign of the expected
-        # utility 3*p - 2*(1 - p) follows the probability p of output 1.
-        # With denominators 2**30, a unit of 2**40 keeps the block sums in
-        # int64 but not their products with the channel rows, and 2**70
-        # leaves int64 already in the block sums
+        # utility 3*p - 2*(1 - p) follows the probability p of output 1, and
+        # at n = 2 each letter adds its own term against source 00.  With
+        # denominators 2**30, a unit of 2**40 keeps the block sums in int64
+        # but not their products with the channel rows, and 2**70 leaves
+        # int64 already in the block sums
         U = utility_from_json({"utility": [[0, -unit, -unit], [3 * unit, 0, -unit],
                                            [-2 * unit, -unit, 0]]})
-        g = ReceiverStrategy(1, (0, 1, 2))
-        for p, accepted in ((Fraction(2**30 // 3, 2**30), True),
-                            (Fraction(2**31 // 3, 2**30), False)):
-            channel = make_channel(Alphabet.of_size(3),
-                                   [[1, 0, 0], [0, p, 1 - p], [0, 0, 1]])
-            assert verify_noisy_equilibrium(U, channel, g, [0], [0], 1) is accepted
-            assert reference_verify(U, channel, g, [0], [0], 1) is accepted
+        for n in (1, 2):
+            g = ReceiverStrategy(n, tuple(range(3**n)))
+            for p, accepted in ((Fraction(2**30 // 3, 2**30), True),
+                                (Fraction(2**31 // 3, 2**30), False)):
+                channel = make_channel(Alphabet.of_size(3),
+                                       [[1, 0, 0], [0, p, 1 - p], [0, 0, 1]])
+                assert verify_noisy_equilibrium(U, channel, g, [0], [0], n) is accepted
+                assert reference_verify(U, channel, g, [0], [0], n) is accepted
 
     @given(SIZES, st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)

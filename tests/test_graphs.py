@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -131,6 +132,33 @@ class TestSenderGraph:
                     g = symmetric_sender_graph(U, n)
                     assert set(g.edges()) == oracle_sender_edges(oracle_symmetric_part(U), n)
                     assert g.labels == sender_graph(U, n).labels
+
+    def test_symmetric_table_sums_each_block_once(self, monkeypatch):
+        # a + a^T equals its transpose, so every row block is summed once;
+        # an asymmetric G_s^n block also sums the transposed table's rows
+        monkeypatch.setattr(ixcap.graphs, "BLOCK_CELLS", 40)
+        calls = []
+        expand = ixcap.graphs._expand_rows
+        monkeypatch.setattr(ixcap.graphs, "_expand_rows",
+                            lambda *args: calls.append(args[2]) or expand(*args))
+        U = utility_from_json({"utility": [[0, -1, 2], [1, 0, -3], [-2, 1, 0]]})
+        # one block covers n = 1 and reads the transpose of its own sums
+        for n, blocks, asymmetric in ((1, 1, 1), (2, 3, 6), (3, 27, 54)):
+            calls.clear()
+            symmetric_sender_graph(U, n)
+            assert len(calls) == blocks
+            calls.clear()
+            sender_graph(U, n)
+            assert len(calls) == asymmetric
+
+    def test_packed_rows_hold_the_set_bits(self):
+        rng = random.Random(7)
+        for rows, cols in ((0, 0), (3, 0), (1, 1), (5, 9), (17, 17)):
+            adj = np.array([[rng.random() < 0.5 for _ in range(cols)] for _ in range(rows)],
+                           dtype=bool).reshape(rows, cols)
+            expected = tuple(sum(1 << j for j in range(cols) if adj[i, j])
+                             for i in range(rows))
+            assert ixcap.graphs._pack_bool_rows(adj) == expected
 
     def test_near_cap_builds_in_seconds(self):
         # 3**9 = 19683 vertices, just under the default 20000-vertex cap

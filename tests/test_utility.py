@@ -13,6 +13,7 @@ from conftest import (
     oracle_best_responses,
     oracle_block_sums,
     oracle_symmetric_part,
+    random_int_utility,
     random_utility,
 )
 from ixcap.errors import InputError
@@ -170,6 +171,19 @@ class TestBlockSums:
         assert sums.dtype == np.int64
         expected = oracle_block_sums(U, n, rows)
         assert [[Fraction(v, scale) for v in row] for row in sums.tolist()] == expected
+
+    @pytest.mark.parametrize("unit", [1, 2**70])
+    def test_observed_rows_are_columns(self, unit):
+        # rows naming observed sequences give the default table's columns,
+        # in int64 and in Python ints alike
+        rng = random.Random(29)
+        for q, n in ((2, 3), (3, 2), (4, 1)):
+            U = random_int_utility(rng, q, values=(-unit, 0, unit))
+            rows = rng.sample(range(q**n), 3)
+            scale, full = block_sums(U, n)
+            scale_obs, cols = block_sums(U, n, rows, observed=True)
+            assert scale_obs == scale and cols.dtype == full.dtype
+            assert cols.tolist() == full[:, rows].T.tolist()
 
     def test_default_rows_are_all_sequences(self, example1_prime):
         scale, sums = block_sums(example1_prime, 2)
