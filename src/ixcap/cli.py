@@ -31,6 +31,8 @@ import time
 from importlib.resources import files as resource_files
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .channel import Channel, identity_channel, load_channel
 from .errors import BudgetExceededError, ConvergenceError, InputError, IxcapError
@@ -39,8 +41,8 @@ from .game import (
     equilibrium_value_noiseless,
     load_strategy,
     naive_receiver_strategy,
+    _output_supports,
     noisy_equilibrium_value,
-    output_support_indices,
     strategy_to_json_dict,
     verify_noisy_equilibrium,
     worst_case_decoded_set,
@@ -67,6 +69,7 @@ from .lower_bounds import (
 from .theta import lovasz_theta
 from .upper_bounds import xi_bracket
 from .utility import (
+    BLOCK_CELLS,
     BlockSequence,
     UtilityMatrix,
     load_utility,
@@ -192,10 +195,14 @@ def _partition_pairs(U: UtilityMatrix, channel: Channel, strategy, n: int):
     for z, target in enumerate(strategy.decode):
         if target is not None:
             classes.setdefault(target, set()).add(z)
-    # each output support paired with the least input that has it
+    # each output support paired with the least input that has it, the
+    # supports expanded in row blocks of at most BLOCK_CELLS cells
     first_input: dict[frozenset[int], int] = {}
-    for y in range(nv):
-        first_input.setdefault(output_support_indices(channel, y, n), y)
+    step = max(1, BLOCK_CELLS // nv)
+    for start in range(0, nv, step):
+        supports = _output_supports(channel, range(start, min(start + step, nv)), n)
+        for y, row in enumerate(supports, start):
+            first_input.setdefault(frozenset(np.flatnonzero(row).tolist()), y)
     pairs = []
     for x, outputs in sorted(classes.items()):
         y = first_input.get(frozenset(outputs))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import lcm
 from pathlib import Path
 
@@ -185,23 +184,21 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     return alpha, strategy
 
 
-def _product_support(channel: Channel, y_symbols) -> list[tuple[int, ...]]:
-    per_letter = [channel.support_set(sym) for sym in y_symbols]
-    return list(iter_product(*per_letter))
+def _letter_supports(channel: Channel, dtype=bool) -> np.ndarray:
+    """The q x q table s1[y, z] = 1 iff P(z | y) > 0."""
+    q, sup = channel.q, channel.support
+    return np.array([[sup[y] >> z & 1 for z in range(q)] for y in range(q)], dtype=dtype)
 
 
-def _sequence_index(q: int, symbols) -> int:
-    idx = 0
-    for s in symbols:
-        idx = idx * q + s
-    return idx
+def _output_supports(channel: Channel, ys, n: int) -> np.ndarray:
+    """Row r marks the output sequences reachable from input sequence
+    ys[r]: a product channel's support is the product of its letters'."""
+    return _expand_rows(_letter_supports(channel), n, ys, np.logical_and)
 
 
 def output_support_indices(channel: Channel, y_index: int, n: int) -> frozenset[int]:
     """Indices of output sequences reachable from input sequence y."""
-    q = channel.q
-    y = BlockSequence.from_index(q, n, y_index).symbols
-    return frozenset(_sequence_index(q, z) for z in _product_support(channel, y))
+    return frozenset(np.flatnonzero(_output_supports(channel, [y_index], n)[0]).tolist())
 
 
 def expected_block_utility(U: UtilityMatrix, channel: Channel,
@@ -216,11 +213,11 @@ def expected_block_utility(U: UtilityMatrix, channel: Channel,
     y = BlockSequence.from_index(q, n, y_index).symbols
     x = BlockSequence.from_index(q, n, x_index).symbols
     total = Fraction(0)
-    for z in _product_support(channel, y):
-        z_index = _sequence_index(q, z)
+    for z_index in sorted(output_support_indices(channel, y_index, n)):
         target = g.decode[z_index]
         if target is None:
             return DOMINATED
+        z = BlockSequence.from_index(q, n, z_index).symbols
         prob = Fraction(1)
         for zi, yi in zip(z, y):
             prob *= channel.prob(zi, yi)
@@ -235,24 +232,29 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
     one protected source sequence, everything else to the error symbol.
 
     Pairing is by ascending canonical index on both sides; the expected
-    utilities do not depend on the pairing choice.
+    utilities do not depend on the pairing choice.  The supports come from
+    ``_output_supports`` in row blocks of at most ``BLOCK_CELLS`` cells, and
+    two inputs overlap where the summed mask exceeds 1.
     """
     xs = sorted(I_s.vertices if isinstance(I_s, IndependentSetWitness) else I_s)
     ys = sorted(I_c.vertices if isinstance(I_c, IndependentSetWitness) else I_c)
     if len(xs) != len(ys):
         raise InputError(f"set sizes differ: {len(xs)} protected vs {len(ys)} inputs")
-    q = channel.q
-    nv = q**n
-    decode: list[int | None] = [None] * nv
-    for x, y in zip(xs, ys):
-        for z in output_support_indices(channel, y, n):
-            if decode[z] is not None:
-                raise InputError(
-                    "input supports overlap; the input set is not independent "
-                    "in the confusability graph"
-                )
-            decode[z] = x
-    return ReceiverStrategy(n, tuple(decode))
+    nv = channel.q**n
+    hits = np.zeros(nv, dtype=np.int64)
+    owner = np.full(nv, -1)
+    step = max(1, BLOCK_CELLS // nv)
+    for start in range(0, len(ys), step):
+        supports = _output_supports(channel, ys[start:start + step], n)
+        hits += supports.sum(axis=0)
+        rows, zs = np.nonzero(supports)
+        owner[zs] = rows + start
+    if (hits > 1).any():
+        raise InputError(
+            "input supports overlap; the input set is not independent "
+            "in the confusability graph"
+        )
+    return ReceiverStrategy(n, tuple(None if r < 0 else xs[r] for r in owner.tolist()))
 
 
 def _apply_letters(w1: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
@@ -311,7 +313,7 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     w1 = [[p.numerator * (d // p.denominator) for p in row]
           for row, d in zip(channel.rows, dens)]
     sup = channel.support
-    s1 = np.array([[sup[y] >> z & 1 for z in range(q)] for y in range(q)], dtype=np.int64)
+    s1 = _letter_supports(channel, np.int64)
     dominated = _apply_letters(s1, n, error.astype(np.int64)) > 0
     # supports are products of letter supports, so inclusion is letterwise:
     # within[a, b] says the support of letter a lies inside that of b

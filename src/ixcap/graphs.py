@@ -40,6 +40,8 @@ class _Meter:
     ``best``, the size of the best answer the search knows, or None while it
     knows none.  Each search that takes a budget makes a fresh meter from it
     (``gamma_n`` has one for its alpha search and one for its subset search).
+    ``settled`` counts how the witness passes settled the vertices outside
+    their maximum set: by "exchange", "partition" or "search".
     """
 
     def __init__(self, budget: int):
@@ -48,6 +50,7 @@ class _Meter:
         self.budget = budget
         self.spent = 0
         self.best: int | None = None
+        self.settled = {"exchange": 0, "partition": 0, "search": 0}
 
     def charge(self, k: int, what: str):
         self.spent += k
@@ -328,19 +331,22 @@ class _CliqueSearch:
 
     The colouring (Tomita et al. 2003/2010, San Segundo et al. 2011) takes
     each candidate's lowest vertex v into the open colour class and then
-    keeps only what ``fences[v]``, the complement of v's closed
-    neighbourhood, allows in it.  A node at clique size ``size`` lists only
-    the classes from kmin = best_size - size + 1 up: the lower ones are
-    still coloured, since the greedy needs them, but the branch loop, which
-    walks the list from its highest class down, would stop at the first of
-    them, and best_size only grows while it walks.  So each node branches
-    on the same vertices in the same order as a full listing would, and the
-    search tree, its node count and its answer are unchanged.
+    keeps only what ``fences[v]``, the vertices outside v's closed
+    neighbourhood, allows in it; a fence is a nonnegative mask, since a
+    negative int costs extra in every ``&``.  A node at clique size ``size``
+    lists only the classes from kmin = best_size - size + 1 up: the lower
+    ones are still coloured, since the greedy needs them, but the branch
+    loop, which walks the list from its highest class down, would stop at
+    the first of them, and best_size only grows while it walks.  So each
+    node branches on the same vertices in the same order as a full listing
+    would, and the search tree, its node count and its answer are
+    unchanged.
     """
 
     def __init__(self, rows: tuple[int, ...], meter: _Meter, reports: bool = False):
         self.rows = rows
-        self.fences = [~(row | 1 << v) for v, row in enumerate(rows)]
+        full = (1 << len(rows)) - 1
+        self.fences = [full ^ (row | 1 << v) for v, row in enumerate(rows)]
         self.meter = meter
         self.reports = reports
         self.best_size = 0
@@ -481,34 +487,62 @@ class _SearchCopy:
 
 
 def _lex_least(g: Graph, copy: _SearchCopy, alpha: int, maxset: int,
-               meter: _Meter) -> tuple[int, ...]:
+               search: _CliqueSearch) -> tuple[int, ...]:
     """The lexicographically least maximum independent set, from alpha and
     one maximum set (in the copy's numbering), in g's own index order.
 
-    Each ``at_least`` only asks whether a set exists, so it runs on the
-    copy, whatever the copy's order: the walk visits g's vertices in g's
-    order and keeps its sets in the copy's numbering."""
-    search = _CliqueSearch(copy.rows, meter)
-    # greedily keep the smallest vertex that still allows completing a
-    # maximum independent set among the remaining candidates; the chosen
-    # vertices and maxset & cand always form a maximum independent set.
-    # cand holds no vertex below v, so rest holds none up to v.
+    The walk visits g's vertices in g's order and keeps its sets in the
+    copy's numbering.  The chosen vertices and the open part maxset & cand
+    always form a maximum independent set W, and cand holds no vertex below
+    v, so rest holds none up to v.  A vertex i in W is kept.  Any other is
+    settled by the first rule that applies, each counted in the meter's
+    ``settled``:
+
+    - it conflicts in g with exactly one open member w of W: W - w + i is
+      maximum, so i is kept ("exchange");
+    - it conflicts with none: W + i would beat alpha, a VerificationError;
+    - rest meets fewer than needed - 1 classes of a clique partition of g:
+      no set in rest is large enough, so i is rejected ("partition").  The
+      partition is one greedy colouring of the copy, made at the first
+      vertex that needs it.  It charges no node: a pass makes at most one,
+      the work of one search node;
+    - otherwise ``search.at_least`` decides, and on success its set becomes
+      W's open part ("search").  Each search only asks whether a set exists,
+      so it runs on the copy, whatever the copy's order."""
+    rows, meter = copy.rows, search.meter
     chosen: list[int] = []
     cand = (1 << g.n_vertices) - 1
     needed = alpha
+    classes: list[int] | None = None
     for v in range(g.n_vertices):
         if needed == 0:
             break
         i = copy.new_of[v]
         if not (cand >> i) & 1:
             continue
-        rest = cand & copy.rows[i]
+        rest = cand & rows[i]
         if not (maxset >> i) & 1:
-            if not search.at_least(rest, needed - 1):
-                cand &= ~(1 << i)
-                continue
-            # stale when needed == 1, but then v is the last vertex kept
-            maxset = search.best_mask
+            kept = maxset & rest
+            conflicts = ((maxset & cand) ^ kept).bit_count()
+            if conflicts == 0:
+                raise VerificationError(
+                    f"vertex {v} extends a maximum independent set: "
+                    f"alpha is above {alpha}")
+            if conflicts == 1:
+                meter.settled["exchange"] += 1
+                maxset = kept
+            else:
+                if classes is None:
+                    classes = _colour_classes(search)
+                if sum(1 for c in classes if c & rest) < needed - 1:
+                    meter.settled["partition"] += 1
+                    cand ^= 1 << i
+                    continue
+                meter.settled["search"] += 1
+                if not search.at_least(rest, needed - 1):
+                    cand ^= 1 << i
+                    continue
+                maxset = search.best_mask
         chosen.append(v)
         cand = rest
         needed -= 1
@@ -516,6 +550,24 @@ def _lex_least(g: Graph, copy: _SearchCopy, alpha: int, maxset: int,
         raise VerificationError(
             f"canonical witness has {len(chosen)} vertices, expected {alpha}")
     return tuple(chosen)
+
+
+def _colour_classes(search: _CliqueSearch) -> list[int]:
+    """The classes of ``_color_order``'s greedy colouring of all of the
+    search's vertices, as masks: independent in the search's graph, so
+    cliques of the graph it complements."""
+    fences = search.fences
+    classes: list[int] = []
+    remaining = (1 << len(fences)) - 1
+    while remaining:
+        avail, members = remaining, 0
+        while avail:
+            low = avail & -avail
+            members |= low
+            avail &= fences[low.bit_length() - 1]
+        remaining ^= members
+        classes.append(members)
+    return classes
 
 
 def _cover_number(g: Graph, meter: _Meter) -> int:
@@ -627,13 +679,16 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
     The witness pass walks the vertices in G's own order and keeps each one
     that some maximum independent set extends.  It holds such a set W, first
     the maximum search's own, that contains every vertex kept so far and no
-    vertex rejected.  A vertex in W is kept with no search; any other needs
-    an ``at_least`` search over the vertices still open, and on success W
-    becomes the kept vertices plus the set that search found.  So only a
-    vertex outside every maximum set found so far costs a search, and an
-    edgeless graph needs none.  ``at_least`` only asks whether a set
-    exists, so it runs on the maximum search's degree-ordered copy, built
-    once per call.
+    vertex rejected.  A vertex in W is kept with no search.  One outside W
+    that conflicts with a single open member of W is kept by exchanging the
+    two; one that conflicts with none would make W larger than alpha, a
+    VerificationError.  Else the vertex is rejected when the vertices still
+    open beside it meet too few classes of one clique partition of G, a
+    greedy colouring made once per pass.  Only a vertex that these rules
+    leave open costs an ``at_least`` search, and on success W becomes the
+    kept vertices plus the set that search found.  An edgeless graph needs
+    no search.  The searches reuse the maximum search's degree-ordered copy
+    and its fences, built once per call.
 
     One node budget bounds every search, the bases' included.  Raises
     BudgetExceededError if it runs out, InputError if the budget is below 1
@@ -668,6 +723,7 @@ def _alpha(g: Graph, meter: _Meter, base: BlockBase | None = None,
     adj = (_unpack_rows(g.rows) if blocks and not settled or n >= ORDERED_MIN_VERTICES
            else None)
     copy = _SearchCopy(g, adj)
+    search = _CliqueSearch(copy.rows, meter, reports)
     if settled:
         alpha, maxset = ceiling, copy.inward(seed)
     else:
@@ -676,10 +732,11 @@ def _alpha(g: Graph, meter: _Meter, base: BlockBase | None = None,
             q = base.independent.n_vertices
             if _coordinate_symmetric(adj, q, base.n):
                 orbit = _orbit_masks(copy, q, base.n)
-        search = _CliqueSearch(copy.rows, meter, reports)
         alpha, maxset = search.maximum((1 << n) - 1, copy.inward(seed), ceiling, orbit)
-    # a reporting meter's best is now alpha, which the witness pass leaves alone
-    return alpha, _lex_least(g, copy, alpha, maxset, meter)
+    # a reporting meter's best is now alpha; the witness pass's searches
+    # find smaller sets, which must not lower it
+    search.reports = False
+    return alpha, _lex_least(g, copy, alpha, maxset, search)
 
 
 def confusability_graph(channel, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

@@ -3,8 +3,9 @@
 ``perfbench/expected_digests.json`` holds, per workload and seed, a digest of
 the seeded inputs and one of the exact answers.  This recomputes both, the
 way ``perfbench/run.py`` does on its first pass, so a change that moves any
-answer fails here and not only in a benchmark run.  Nothing under
-``perfbench/`` is written.
+answer fails here and not only in a benchmark run.  It also caps the
+searches that the canonical-witness pass runs on the seed-1 jobs.  Nothing
+under ``perfbench/`` is written.
 """
 
 import json
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import ixcap.graphs
 
 ROOT = Path(__file__).parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -36,3 +39,26 @@ def test_results_match_the_recorded_digests(name, seed):
     got = {"inputs": workloads.digest([job.spec for job in jobs]),
            "results": workloads.digest(keys)}
     assert got == EXPECTED[name][str(seed)]
+
+
+@pytest.mark.parametrize("name, most", [("equilibrium", 40), ("noisy", 60)])
+def test_witness_pass_searches_little(name, most, monkeypatch):
+    # the exchange and partition rules settle most vertices outside the
+    # maximum set; with a search for each, a seed-1 pass ran 311
+    # (equilibrium) and 325 (noisy) of them
+    searches = 0
+    at_least = ixcap.graphs._CliqueSearch.at_least
+
+    def counting(self, cand, target):
+        nonlocal searches
+        searches += 1
+        return at_least(self, cand, target)
+
+    monkeypatch.setattr(ixcap.graphs._CliqueSearch, "at_least", counting)
+    workload = workloads.WORKLOADS[name]
+    for job in workload.make_jobs(1, ROOT):
+        try:
+            workload.call(job)
+        except workloads.EXPECTED_FAILURES:
+            pass
+    assert 0 < searches <= most

@@ -279,3 +279,9 @@ def test_partition_pairs_take_the_least_input_of_a_shared_support():
     assert cli._partition_pairs(U, channel, ReceiverStrategy(1, (1, 1, 2)), 1) == [(1, 0), (2, 2)]
     with pytest.raises(InputError, match="partition form"):
         cli._partition_pairs(U, channel, ReceiverStrategy(1, (0, 1, 1)), 1)
+
+
+def test_partition_pairs_at_one_cell_per_block(monkeypatch):
+    # each input's support expanded in a block of its own gives the same pairs
+    monkeypatch.setattr(cli, "BLOCK_CELLS", 1)
+    test_partition_pairs_take_the_least_input_of_a_shared_support()

@@ -384,6 +384,43 @@ class TestNoisyVerification:
         assert d == min(oracle_alpha(sender)[0], oracle_alpha(confusability)[0])
 
 
+class TestPartitionDecoder:
+    def test_supports_are_products_of_letter_supports(self):
+        rng = random.Random(83)
+        for q, n in ((2, 3), (3, 2), (3, 3), (4, 2)):
+            channel = random_channel(rng, q)
+            for y, letters in enumerate(product(range(q), repeat=n)):
+                expect = {z for z, outs in enumerate(product(range(q), repeat=n))
+                          if all(channel.support[a] >> b & 1 for a, b in zip(letters, outs))}
+                assert output_support_indices(channel, y, n) == expect
+
+    def test_decode_table_matches_a_per_input_loop(self, monkeypatch):
+        # one pair per block, through the blocked supports, gives the same table
+        rng = random.Random(89)
+        for q, n in ((2, 3), (3, 2), (3, 3)):
+            U, channel = random_utility(rng, q), random_channel(rng, q)
+            d, strategy = noisy_equilibrium_value(U, channel, n)
+            xs, ys = noisy_pairs(U, channel, n, d)
+            decode = [None] * q**n
+            for x, y in zip(xs, ys):
+                for z in output_support_indices(channel, y, n):
+                    decode[z] = x
+            assert strategy.decode == tuple(decode)
+            monkeypatch.setattr(ixcap.game, "BLOCK_CELLS", 1)
+            assert noisy_receiver_strategy(xs, ys, channel, n) == strategy
+            monkeypatch.undo()
+
+    def test_overlapping_supports_are_an_input_error(self):
+        # inputs 0 and 1 both reach output 1
+        channel = make_channel(Alphabet.of_size(3), [[Fraction(1, 2), Fraction(1, 2), 0],
+                                                     [0, 1, 0], [0, 0, 1]])
+        assert noisy_receiver_strategy([0, 1], [0, 2], channel, 2).decoded_count() == 6
+        with pytest.raises(InputError, match="overlap"):
+            noisy_receiver_strategy([0, 1], [0, 1], channel, 1)
+        with pytest.raises(InputError, match="overlap"):
+            noisy_receiver_strategy([0, 4], [0, 4], channel, 2)
+
+
 class TestAsymptoticRateBracket:
     # confusability graph K2 + K3: alpha = theta = 2, below the pentagon's
     # certified lower bound sqrt(5) but above its Gamma(U) = 2 - tol

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -412,6 +413,29 @@ class TestDegreeOrder:
             assert alpha == oracle_alpha(g)[0]
             assert witness.vertices == oracle_lex_least_mis(g, alpha)
 
+    def test_witness_rules_each_fire(self, search_order):
+        # the witness pass settles a vertex outside its maximum set by an
+        # exchange, a partition bound or a search, and each rule keeps the
+        # lexicographically least witness
+        settled = Counter()
+        rng = random.Random(61)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 13), rng.uniform(0.05, 0.8))
+            meter = ixcap.graphs._Meter(10**6)
+            alpha, witness = ixcap.graphs._alpha(g, meter)
+            assert witness == oracle_lex_least_mis(g, alpha)
+            settled += meter.settled
+        assert set(settled) == {"exchange", "partition", "search"}
+
+    def test_a_vertex_with_no_conflict_means_alpha_was_too_small(self, search_order):
+        # the path 0 - 1 - 2 has alpha 2; handed 1 and the maximum set {2},
+        # vertex 0 conflicts with no member, so {0, 2} beats the claim
+        g = path_graph(3)
+        copy = ixcap.graphs._SearchCopy(g)
+        search = ixcap.graphs._CliqueSearch(copy.rows, ixcap.graphs._Meter(100))
+        with pytest.raises(VerificationError, match="alpha is above 1"):
+            ixcap.graphs._lex_least(g, copy, 1, copy.inward(1 << 2), search)
+
     def test_large_graphs_are_relabelled(self, monkeypatch):
         sizes = search_sizes(monkeypatch)
         relabelled = []
@@ -586,15 +610,15 @@ class TestPinnedSearchTree:
 
     @pytest.mark.parametrize("build, alpha, nodes", [
         (lambda: (sender_graph(_noisy_k1_utility(), 5),
-                  sender_block_base(_noisy_k1_utility(), 5)), 37, 11_751),
-        (lambda: _random_sender_power(3, 3, 5), 51, 692),
-        (lambda: _random_sender_power(5, 3, 5), 21, 6159),
-        (lambda: _random_sender_power(22, 3, 4), 19, 1395),
-        (lambda: _confusability_power([(y, (y + 1) % 7) for y in range(7)], 2), 10, 1113),
-        (lambda: _confusability_power(_random_supports(7, 7), 2), 10, 2601),
-        (lambda: _confusability_power(_random_supports(4, 6), 3), 27, 140),
-        (lambda: (random_graph(random.Random(1), 60, 0.25), None), 14, 830),
-        (lambda: (random_graph(random.Random(3), 90, 0.3), None), 13, 2210),
+                  sender_block_base(_noisy_k1_utility(), 5)), 37, 11_749),
+        (lambda: _random_sender_power(3, 3, 5), 51, 691),
+        (lambda: _random_sender_power(5, 3, 5), 21, 6152),
+        (lambda: _random_sender_power(22, 3, 4), 19, 1389),
+        (lambda: _confusability_power([(y, (y + 1) % 7) for y in range(7)], 2), 10, 1085),
+        (lambda: _confusability_power(_random_supports(7, 7), 2), 10, 2585),
+        (lambda: _confusability_power(_random_supports(4, 6), 3), 27, 12),
+        (lambda: (random_graph(random.Random(1), 60, 0.25), None), 14, 794),
+        (lambda: (random_graph(random.Random(3), 90, 0.3), None), 13, 2203),
     ], ids=["noisy-cliff-k1", "sender-3", "sender-5", "sender-22", "C7-squared",
             "confusability-7", "confusability-4", "random-60", "random-90"])
     def test_node_count(self, build, alpha, nodes):
@@ -619,6 +643,16 @@ class TestColorOrder:
                 for kmin in range(1, (full[-1][1] if full else 0) + 3):
                     assert search._color_order(cand, kmin) == [
                         (v, c) for v, c in full if c >= kmin]
+
+    def test_colour_classes_are_the_full_colouring(self):
+        rng = random.Random(193)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 40), rng.uniform(0.05, 0.9))
+            search = ixcap.graphs._CliqueSearch(g.rows, ixcap.graphs._Meter(1))
+            classes = [0] * g.n_vertices
+            for v, c in greedy_coloring(g.rows, (1 << g.n_vertices) - 1):
+                classes[c - 1] |= 1 << v
+            assert ixcap.graphs._colour_classes(search) == [c for c in classes if c]
 
 
 def greedy_coloring(rows, cand):
