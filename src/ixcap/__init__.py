@@ -14,7 +14,6 @@ from .game import (
     DOMINATED,
     GameOutcome,
     ReceiverStrategy,
-    asymptotic_rate_bracket,
     equilibrium_value_noiseless,
     expected_block_utility,
     naive_receiver_strategy,
@@ -50,6 +49,7 @@ from .theta import lovasz_theta
 from .upper_bounds import (
     CapacityBracket,
     ExactValue,
+    asymptotic_rate_bracket,
     in_perfect_whitelist,
     is_two_valued_a_ge_b,
     xi_bracket,

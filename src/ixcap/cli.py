@@ -37,7 +37,6 @@ from . import __version__
 from .channel import Channel, identity_channel, load_channel
 from .errors import BudgetExceededError, ConvergenceError, InputError, IxcapError
 from .game import (
-    asymptotic_rate_bracket,
     equilibrium_value_noiseless,
     load_strategy,
     naive_receiver_strategy,
@@ -67,7 +66,7 @@ from .lower_bounds import (
     sufficient_margin_check,
 )
 from .theta import lovasz_theta
-from .upper_bounds import xi_bracket
+from .upper_bounds import asymptotic_rate_bracket, xi_bracket
 from .utility import (
     BLOCK_CELLS,
     BlockSequence,
@@ -113,8 +112,8 @@ def _utility_from_args(args) -> UtilityMatrix:
 
 
 def cmd_analyze(args) -> int:
-    utility_path = Path(args.utility)
     U = _utility_from_args(args)
+    utility_path = Path(args.utility)
     t0 = time.perf_counter()
     bracket = xi_bracket(U, n_max=args.max_n, tol=args.theta_tol,
                          node_budget=args.budget_nodes)

@@ -1,5 +1,7 @@
 """Receiver strategies, sender best responses, and equilibrium verification
-for the noiseless and noisy channels.
+for the noiseless and noisy channels.  Bounds and brackets live in
+``lower_bounds`` and ``upper_bounds``, the noisy-channel rate bracket
+included; this module imports neither.
 
 The pessimistic worst case over best responses never enumerates the
 exponential response set: block utilities are separable per source sequence,
@@ -29,12 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import Channel
-from .errors import (
-    BudgetExceededError,
-    CapExceededError,
-    InputError,
-    VerificationError,
-)
+from .errors import InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     BlockBase,
@@ -45,14 +42,6 @@ from .graphs import (
     is_independent,
     sender_block_base,
     sender_graph,
-)
-from .upper_bounds import (
-    SHORTCUT_NODE_BUDGET,
-    CapacityBracket,
-    ExactValue,
-    _theta,
-    in_perfect_whitelist,
-    xi_bracket,
 )
 from .utility import (
     BLOCK_CELLS,
@@ -358,95 +347,6 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     if not verify_noisy_equilibrium(U, channel, strategy, xs, ys, n):
         raise VerificationError("noisy equilibrium verification failed")
     return d, strategy
-
-
-def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
-                            tol: float = 1e-3,
-                            budget: int = DEFAULT_NODE_BUDGET) -> CapacityBracket:
-    """Bracket on the noisy-channel extraction rate: the elementwise minimum
-    of the capacity bracket and the channel's zero-error capacity bracket,
-    with the sender-side and channel-side closure rules applied when the
-    certificates permit.  The channel side is closed when the capacity's
-    certified lower bound already reaches the channel's zero-error ceiling.
-    Each alpha(G_c^n) is searched between alpha(G_c)^n and the clique cover
-    number of G_c to the n-th power.  theta(G_c) is alpha(G_c) from the
-    n = 1 search, with no semidefinite program, when ``in_perfect_whitelist``
-    proves G_c perfect within ``budget`` and at most
-    ``upper_bounds.SHORTCUT_NODE_BUDGET`` nodes; the solver runs otherwise,
-    also when that test runs out, which adds no warning.  ``budget`` is per
-    search: each of the bracket's up to 3*n_max + 2 searches and each
-    alpha(G_c^n), up to 4*n_max + 2 in all, gets the full budget afresh.
-    An alpha(G_c^n) search that exhausts its budget, or a theta(G_c) that
-    does not converge or has more vertices than the solver takes, is skipped
-    with a warning, so the channel bounds fall back to 1 and the alphabet
-    size."""
-    xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)
-    warnings = list(xi.warnings)
-
-    gc_lower, gc_lower_cert = 1.0, {"name": "trivial", "n": 1}
-    base_c = confusability_graph(channel, 1)
-    alpha_c = None
-    for n in range(1, n_max + 1):
-        try:
-            alpha, wit = independence_number(confusability_graph(channel, n), budget=budget,
-                                             base=BlockBase(base_c, base_c, n))
-        except (BudgetExceededError, CapExceededError) as exc:
-            warnings.append(f"alpha(G_c^{n}) skipped: {exc}")
-            continue
-        if n == 1:
-            alpha_c = alpha
-        value = alpha ** (1.0 / n)
-        if value > gc_lower:
-            gc_lower = value
-            gc_lower_cert = {
-                "name": "alpha_confusability_power", "n": n, "alpha": alpha,
-                "witness": list(wit.labels or wit.vertices),
-            }
-    gc_upper, gc_upper_cert = float(U.q), {"name": "alphabet_size", "q": U.q}
-    try:
-        perfect_c = in_perfect_whitelist(base_c, budget=min(budget, SHORTCUT_NODE_BUDGET))
-    except BudgetExceededError:
-        perfect_c = False
-    alpha_c = alpha_c if perfect_c else None
-    theta_c = _theta(base_c, alpha_c, tol, "theta(G_c)", warnings)
-    if theta_c is not None and theta_c + tol <= gc_upper:
-        gc_upper, gc_upper_cert = theta_c + tol, {
-            "name": "theta_confusability", "theta": theta_c, "tol": tol,
-        }
-        if alpha_c is not None:
-            gc_upper_cert["perfect"] = True
-
-    if xi.lower <= gc_lower:
-        lower, lower_cert = xi.lower, xi.lower_certificate
-    else:
-        lower, lower_cert = gc_lower, gc_lower_cert
-    if xi.upper <= gc_upper:
-        upper, upper_cert = xi.upper, xi.upper_certificate
-    else:
-        upper, upper_cert = gc_upper, gc_upper_cert
-
-    exact: ExactValue | None = None
-    if xi.exact is not None and xi.exact.value <= gc_lower + 1e-12:
-        # capacity side closes and the channel certifiably carries it
-        exact = xi.exact
-    elif xi.lower >= gc_upper:
-        # channel side closes: the capacity's certified lower bound already
-        # reaches the channel's certified zero-error ceiling
-        lower, lower_cert = gc_lower, gc_lower_cert
-        upper, upper_cert = gc_upper, gc_upper_cert
-        t = round(gc_lower)
-        if t == gc_lower and gc_upper - t <= 2 * tol:
-            exact = ExactValue(t, 1)
-
-    return CapacityBracket(
-        lower=lower,
-        lower_certificate=lower_cert,
-        upper=upper,
-        upper_certificate=upper_cert,
-        tol=tol,
-        exact=exact,
-        warnings=tuple(warnings),
-    )
 
 
 def strategy_to_json_dict(U: UtilityMatrix, g: ReceiverStrategy) -> dict:

@@ -1,4 +1,4 @@
-"""Upper-bound certificates and the two-sided capacity bracket.
+"""Upper-bound certificates and the two capacity brackets.
 
 The capacity itself is a limit and not directly computable; the bracket
 combines certified finite-blocklength lower bounds (feasible subsets,
@@ -10,23 +10,30 @@ bipartite graphs and their complements, and otherwise, by the strong
 perfect graph theorem, a graph is perfect iff it has no induced odd hole
 and no induced odd antihole, which an exact induced-path search finds.
 
-On a perfect graph theta equals the independence number (Lovasz 1979), so
-the semidefinite solver runs only on a graph that is not proved perfect, or
-whose independence number is not known: the bracket takes alpha(G_s^Sym)
-from its own blocklength-1 pass, and ``game.asymptotic_rate_bracket``
-alpha(G_c) from its own.
+Over a noisy channel the extraction rate is the smaller of the capacity and
+the channel's zero-error capacity, so ``asymptotic_rate_bracket`` brackets
+both from the same three rules: an alpha side (``_alpha_side``), a theta
+side (``_theta_side``) and an integer closure (``_integer_closure``).  On a
+perfect graph theta equals the independence number (Lovasz 1979), so the
+semidefinite solver runs only on a G_s^Sym or G_c that is not proved
+perfect, or whose independence number is not known: each bracket takes that
+alpha from its own blocklength-1 pass.  Closures compare the integers of
+the certificates, never floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .channel import Channel
 from .errors import BudgetExceededError, CapExceededError, ConvergenceError, InputError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
+    BlockBase,
     Graph,
     _bits,
     _Meter,
+    confusability_graph,
     independence_number,
     sender_graph,
     strong_power,
@@ -107,26 +114,6 @@ def _odd_hole(rows, comp: int, meter: _Meter) -> bool:
     return False
 
 
-def _theta(g: Graph, alpha: int | None, tol: float, name: str,
-           warnings: list[str]) -> float | None:
-    """theta(g), or None with a warning on ``warnings`` that names it.
-
-    Pass ``alpha`` = alpha(g) only for a g proved perfect: theta(g) is then
-    alpha(g) exactly, and no semidefinite program is solved.  Otherwise the
-    interior-point solver answers within min(tol, 1e-3), and a graph above
-    its vertex limit or a solve that does not converge is skipped.
-    """
-    if alpha is not None:
-        return float(alpha)
-    try:
-        return lovasz_theta(g, tol=min(tol, 1e-3))
-    except CapExceededError as exc:
-        warnings.append(f"{name} skipped: {exc}")
-    except ConvergenceError as exc:
-        warnings.append(f"{name} did not converge: {exc}")
-    return None
-
-
 def _reach(rows, verts: int) -> tuple[int, bool]:
     """(the component of the least vertex of verts, whether it 2-colours):
     breadth-first layers, none of which may hold an edge."""
@@ -198,6 +185,58 @@ class CapacityBracket:
         return out
 
 
+def _alpha_side(build, n: int, budget: int, name: str, graph: str,
+                warnings: list[str], base: BlockBase | None = None):
+    """The lower candidate alpha(G^n)^(1/n) for G^n = ``build()``: its
+    value, its certificate ``name`` with the witness, and the integers
+    (alpha, n).  None, after the warning "alpha(<graph>^n) skipped: ...",
+    when G^n exceeds its vertex cap or the search exceeds ``budget`` nodes.
+    """
+    try:
+        alpha, witness = independence_number(build(), budget=budget, base=base)
+    except (BudgetExceededError, CapExceededError) as exc:
+        warnings.append(f"alpha({graph}^{n}) skipped: {exc}")
+        return None
+    cert = {"name": name, "n": n, "alpha": alpha,
+            "witness": list(witness.labels or witness.vertices)}
+    return alpha ** (1.0 / n), cert, (alpha, n)
+
+
+def _theta_side(g: Graph, alpha: int | None, budget: int, tol: float, name: str,
+                graph: str, warnings: list[str]):
+    """(theta(g), its upper candidates, the perfectness verdict).
+
+    The verdict of the test of g within ``budget`` nodes is True, False, or
+    the BudgetExceededError of a test that ran out.  On a g proved perfect
+    whose independence number ``alpha`` is known, theta is alpha exactly and
+    no semidefinite program is solved (the certificate says ``"perfect":
+    true``); otherwise the solver answers within min(tol, 1e-3).  The one
+    candidate is theta + tol with certificate ``name``; a g above the
+    solver's vertex limit or a solve that does not converge gives none, and
+    theta None, after a warning naming theta(<graph>).
+    """
+    try:
+        perfect = in_perfect_whitelist(g, budget=budget)
+    except BudgetExceededError as exc:
+        perfect = exc
+    proof = {"perfect": True} if perfect is True and alpha is not None else {}
+    try:
+        theta = float(alpha) if proof else lovasz_theta(g, tol=min(tol, 1e-3))
+    except (CapExceededError, ConvergenceError) as exc:
+        fault = "skipped" if isinstance(exc, CapExceededError) else "did not converge"
+        warnings.append(f"theta({graph}) {fault}: {exc}")
+        return None, [], perfect
+    return theta, [(theta + tol, {"name": name, "theta": theta, "tol": tol, **proof})], perfect
+
+
+def _integer_closure(base: int, root: int, upper: float, tol: float) -> ExactValue | None:
+    """ExactValue(t) when base = t**root for an integer t, so the certified
+    lower bound base**(1/root) is t itself, and the upper side lies in
+    [t, t + 2*tol]; None otherwise."""
+    t = round(base ** (1.0 / root))
+    return ExactValue(t, 1) if t**root == base and t <= upper <= t + 2 * tol else None
+
+
 def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
                node_budget: int = DEFAULT_NODE_BUDGET) -> CapacityBracket:
     """Two-sided bracket on the information extraction capacity.
@@ -208,13 +247,9 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     candidates: a utility that dominates U entrywise has a supergraph of
     every G_s^n and fewer feasible subsets, so neither of its bounds can beat
     U's at the same n.  Upper side: min of the alphabet size and
-    theta(G_s^Sym) + tol.  G_s^Sym is tested for perfectness once per
-    bracket; when ``in_perfect_whitelist`` proves it perfect and the n = 1
-    pass found alpha(G_s^Sym), theta is that alpha and no semidefinite
-    program is solved (the certificate says ``"perfect": true``).  The
-    solver runs otherwise, also when the test ran out of budget, and theta
-    is skipped with a warning when it does not converge or G_s^Sym has more
-    vertices than the solver takes.  Exact value: for symmetric or
+    theta(G_s^Sym) + tol by ``_theta_side``, which tests G_s^Sym for
+    perfectness once per bracket and takes theta as the alpha(G_s^Sym) of
+    the n = 1 pass on a perfect G_s^Sym.  Exact value: for symmetric or
     two-valued-gain utilities, where G_s and G_s^Sym coincide at n = 1, the
     same verdict pins the capacity of a perfect base graph at alpha(G_s),
     taken from the n = 1 pass; otherwise it is reported when the two sides
@@ -230,12 +265,18 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     within at most ``SHORTCUT_NODE_BUDGET`` nodes and gives up silently.
     The result carries the per-blocklength records (alpha(G_s^n) and its
     witness; Gamma(U_n) with its subset, optimality and alpha(G_s^Sym,n);
-    or the skip message) and theta(G_s^Sym).  Its alpha searches take no ``graphs.BlockBase``: at
-    n_max = 2 their graphs have at most q**2 vertices, where building the
-    bases and their bounds costs more than the search they would save.
+    or the skip message) and theta(G_s^Sym).  Its alpha searches take no
+    ``graphs.BlockBase``: at n_max = 2 their graphs have at most q**2
+    vertices, where building the bases and their bounds costs more than the
+    search they would save.
+    Raises InputError when n_max < 1 or tol lies outside (0, 1e-2], the
+    solver's own range, checked here since a perfect G_s^Sym never
+    reaches the solver.
     """
     if n_max < 1:
         raise InputError("n_max must be at least 1")
+    if not 0 < tol <= 1e-2:
+        raise InputError("tol must lie in (0, 1e-2]")
     warnings: list[str] = []
     q = U.q
     base_graph = sender_graph(U, 1)
@@ -245,25 +286,17 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
 
     lowers: list[tuple[float, dict, tuple[int, int]]] = []
     per_n: list[dict] = []
-    alpha_base = None
     for n in range(1, n_max + 1):
         record: dict = {"n": n}
-        try:
-            g = base_graph if n == 1 else sender_graph(U, n)
-            alpha, witness = independence_number(g, budget=node_budget)
-            if n == 1:
-                alpha_base = alpha
-            record.update(alpha_sender=alpha, alpha_sender_rate=alpha ** (1.0 / n),
-                          alpha_witness=list(witness.labels or witness.vertices))
-            lowers.append((
-                record["alpha_sender_rate"],
-                {"name": "alpha_sender_power", "n": n, "alpha": alpha,
-                 "witness": record["alpha_witness"]},
-                (alpha, n),
-            ))
-        except (BudgetExceededError, CapExceededError) as exc:
-            record["alpha_sender_error"] = f"alpha(G_s^{n}) skipped: {exc}"
-            warnings.append(record["alpha_sender_error"])
+        side = _alpha_side(lambda: base_graph if n == 1 else sender_graph(U, n), n,
+                           node_budget, "alpha_sender_power", "G_s", warnings)
+        if side is None:
+            record["alpha_sender_error"] = warnings[-1]
+        else:
+            rate, cert, (alpha, _) = side
+            record.update(alpha_sender=alpha, alpha_sender_rate=rate,
+                          alpha_witness=cert["witness"])
+            lowers.append(side)
         try:
             value, cert = (_gamma_n(U, 1, sym_graph, node_budget) if n == 1
                            else gamma_n(U, n, node_budget=node_budget))
@@ -283,66 +316,103 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     lower_value, lower_cert, lower_root = max(
         lowers or [(1.0, {"name": "trivial", "n": 1}, (1, 1))], key=lambda t: t[0])
 
-    perfect_skipped = None
-    try:
-        perfect = in_perfect_whitelist(sym_graph, budget=node_budget if closure
-                                       else min(node_budget, SHORTCUT_NODE_BUDGET))
-    except BudgetExceededError as exc:
-        perfect, perfect_skipped = False, exc
-    uppers: list[tuple[float, dict]] = [
-        (float(q), {"name": "alphabet_size", "q": q})
-    ]
-    alpha_sym = per_n[0].get("alpha_sym") if perfect else None
-    theta_sym = _theta(sym_graph, alpha_sym, tol, "theta(G_s^Sym)", warnings)
-    if theta_sym is not None:
-        cert = {"name": "theta_symmetric_part", "theta": theta_sym, "tol": tol}
-        if alpha_sym is not None:
-            cert["perfect"] = True
-        uppers.append((theta_sym + tol, cert))
+    alpha_base = per_n[0].get("alpha_sender")
+    theta_sym, theta_upper, perfect = _theta_side(
+        sym_graph, per_n[0].get("alpha_sym"),
+        node_budget if closure else min(node_budget, SHORTCUT_NODE_BUDGET),
+        tol, "theta_symmetric_part", "G_s^Sym", warnings)
+    uppers = [(float(q), {"name": "alphabet_size", "q": q}), *theta_upper]
 
     exact: ExactValue | None = None
     if closure:
         # sym_graph is base_graph, so the verdict above is the base graph's
-        if perfect_skipped is not None:
-            warnings.append(f"perfect-graph closure skipped: {perfect_skipped}")
+        if isinstance(perfect, BudgetExceededError):
+            warnings.append(f"perfect-graph closure skipped: {perfect}")
         elif perfect and alpha_base is None:
             warnings.append("perfect-graph closure skipped: alpha(G_s^1) was not computed")
         elif perfect:
             # alpha(G_s) is already a lower candidate, so only the upper side moves
             exact = ExactValue(alpha_base, 1)
-            uppers.append((
-                float(alpha_base),
-                {"name": "perfect_graph_closure", "alpha": alpha_base},
-            ))
+            uppers.append((float(alpha_base),
+                           {"name": "perfect_graph_closure", "alpha": alpha_base}))
 
     upper_value, upper_cert = min(uppers, key=lambda t: t[0])
 
-    if exact is None and upper_value - lower_value <= 2 * tol:
+    if exact is None:
+        # integer closure: certified integer lower meets the upper side
+        exact = _integer_closure(*lower_root, upper_value, tol)
+    if exact is None and theta_sym is not None and abs(theta_sym - lower_value) <= tol:
+        # radical closure: the strong power of the symmetric base graph
+        # must achieve the same count, pinning Theta(G_s^Sym) from below;
+        # upper <= theta + tol puts the two sides within 2*tol
         base, root = lower_root
-        t = round(base ** (1.0 / root))
-        if t**root == base:
-            # integer closure: certified integer lower meets the upper side
-            if upper_value >= t:
-                exact = ExactValue(t, 1)
-        elif theta_sym is not None and abs(theta_sym - base ** (1.0 / root)) <= tol:
-            # radical closure: the strong power of the symmetric base graph
-            # must achieve the same count, pinning Theta(G_s^Sym) from below
-            try:
-                power = strong_power(sym_graph, root)
-                alpha_power, _ = independence_number(power, budget=node_budget)
-                if alpha_power == base:
-                    exact = ExactValue(base, root)
-            except (BudgetExceededError, CapExceededError) as exc:
-                warnings.append(f"radical closure check skipped: {exc}")
+        try:
+            power = strong_power(sym_graph, root)
+            alpha_power, _ = independence_number(power, budget=node_budget)
+            if alpha_power == base:
+                exact = ExactValue(base, root)
+        except (BudgetExceededError, CapExceededError) as exc:
+            warnings.append(f"radical closure check skipped: {exc}")
 
-    return CapacityBracket(
-        lower=lower_value,
-        lower_certificate=lower_cert,
-        upper=upper_value,
-        upper_certificate=upper_cert,
-        tol=tol,
-        exact=exact,
-        warnings=tuple(warnings),
-        per_n=tuple(per_n),
-        theta_sym=theta_sym,
-    )
+    return CapacityBracket(lower_value, lower_cert, upper_value, upper_cert, tol, exact,
+                           tuple(warnings), tuple(per_n), theta_sym)
+
+
+def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
+                            tol: float = 1e-3,
+                            budget: int = DEFAULT_NODE_BUDGET) -> CapacityBracket:
+    """Bracket on the noisy-channel extraction rate: the elementwise minimum
+    of the capacity bracket and the channel's zero-error capacity bracket,
+    the capacity's side winning ties.
+
+    The channel side follows the capacity bracket's rules.  Lower: the best
+    of 1 and alpha(G_c^n)^(1/n) for n <= n_max, the first of equal values
+    winning, each alpha(G_c^n) searched between alpha(G_c)^n and the clique
+    cover number of G_c to the n-th power.  Upper: theta(G_c) + tol, which
+    wins a tie with the alphabet size; theta(G_c) is alpha(G_c) from the
+    n = 1 search when ``in_perfect_whitelist`` proves G_c perfect within
+    ``budget`` and at most ``SHORTCUT_NODE_BUDGET`` nodes, and the solver's
+    otherwise, also when that test runs out, which adds no warning.  Exact
+    value: the capacity's, when the channel's certified alpha**(1/n) carries
+    it (base**n <= alpha**root); otherwise, once the capacity's certified
+    lower bound reaches the channel's ceiling, the bracket is the channel's
+    own, closed by ``_integer_closure`` on its (alpha, n).  ``budget`` is
+    per search, up to 4*n_max + 2 in all.  An alpha(G_c^n) that runs out,
+    or a theta(G_c) that does not converge or has more vertices than the
+    solver takes, is skipped with a warning, and the channel bounds fall
+    back to 1 and the alphabet size.
+    """
+    xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)
+    warnings = list(xi.warnings)
+
+    base_c = confusability_graph(channel, 1)
+    sides = [
+        _alpha_side(lambda: base_c if n == 1 else confusability_graph(channel, n), n,
+                    budget, "alpha_confusability_power", "G_c", warnings,
+                    base=BlockBase(base_c, base_c, n))
+        for n in range(1, n_max + 1)
+    ]
+    lower_c, lower_cert_c, (alpha, root) = max(
+        [(1.0, {"name": "trivial", "n": 1}, (1, 1)), *filter(None, sides)],
+        key=lambda t: t[0])
+    _, theta_upper, _ = _theta_side(
+        base_c, sides[0][2][0] if sides[0] else None, min(budget, SHORTCUT_NODE_BUDGET),
+        tol, "theta_confusability", "G_c", warnings)
+    upper_c, upper_cert_c = min(
+        [*theta_upper, (float(U.q), {"name": "alphabet_size", "q": U.q})], key=lambda t: t[0])
+
+    lowers = [(xi.lower, xi.lower_certificate), (lower_c, lower_cert_c)]
+    uppers = [(xi.upper, xi.upper_certificate), (upper_c, upper_cert_c)]
+    exact = xi.exact
+    if exact is None or exact.base**root > alpha**exact.root:
+        # the channel does not certifiably carry the capacity's exact value
+        exact = None
+        if xi.lower >= upper_c:
+            # channel side closes: the capacity's certified lower bound
+            # already reaches the channel's certified zero-error ceiling,
+            # so the channel's bounds win every tie
+            exact = _integer_closure(alpha, root, upper_c, tol)
+            lowers, uppers = lowers[::-1], uppers[::-1]
+    lower, lower_cert = min(lowers, key=lambda t: t[0])
+    upper, upper_cert = min(uppers, key=lambda t: t[0])
+    return CapacityBracket(lower, lower_cert, upper, upper_cert, tol, exact, tuple(warnings))

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from ixcap.channel import make_channel
 from ixcap.cli import corpus_path
 from ixcap.utility import (
     Alphabet,
@@ -81,6 +82,16 @@ def random_symmetric_utility(rng: random.Random, q: int) -> UtilityMatrix:
         [(u.u[i][j] + u.u[j][i]) / 2 for j in range(q)] for i in range(q)
     ]
     return UtilityMatrix(u.alphabet, tuple(tuple(r) for r in rows))
+
+
+def random_channel(rng, q: int):
+    """Rows supported on one or two outputs with random rational weights."""
+    rows = []
+    for _ in range(q):
+        weights = {z: rng.randint(1, 4) for z in rng.sample(range(q), rng.randint(1, 2))}
+        total = sum(weights.values())
+        rows.append([Fraction(weights.get(z, 0), total) for z in range(q)])
+    return make_channel(Alphabet.of_size(q), rows)
 
 
 def incremented(U: UtilityMatrix) -> UtilityMatrix:

@@ -66,9 +66,25 @@ def test_missing_file():
     ["theta", "--graph", GRAPH, "--utility", PENTAGON],
     ["theta", "--graph", GRAPH, "--part", "base"],
     ["game", "--utility", PENTAGON, "--receiver", "naive", "--budget-nodes", "1"],
+    ["analyze"],
 ])
 def test_usage_error_is_an_input_error(argv, c5_path):
     assert main([c5_path if a == GRAPH else a for a in argv]) == EXIT_INPUT
+
+
+def test_analyze_without_a_utility_names_the_flag(capsys):
+    assert main(["analyze"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "ixcap: error: --utility is required\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "capacity"])
+@pytest.mark.parametrize("tol", ["0.3", "-0.5"])
+def test_theta_tol_outside_the_solver_range(command, tol, capsys):
+    # on example1 no theta is solved, so only the bracket's own check can
+    # refuse the tolerance (at -0.5 the upper bound read 1.5, below 2)
+    argv = [command, "--utility", str(corpus_path("example1.json")), "--theta-tol", tol]
+    assert main(argv) == EXIT_INPUT
+    assert "tol must lie in (0, 1e-2]" in capsys.readouterr().err
 
 
 @pytest.fixture

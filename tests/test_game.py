@@ -11,23 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixcap.game
-import ixcap.upper_bounds
 from conftest import (
     oracle_alpha,
     oracle_lex_least_mis,
     oracle_block_sums,
     oracle_sender_edges,
+    random_channel,
     random_int_utility,
     random_utility,
 )
 from ixcap.channel import identity_channel, make_channel
 from ixcap.cli import corpus_path, main
-from ixcap.errors import ConvergenceError, InputError, VerificationError
+from ixcap.errors import InputError, VerificationError
 from ixcap.game import (
     DOMINATED,
     GameOutcome,
     ReceiverStrategy,
-    asymptotic_rate_bracket,
     equilibrium_value_noiseless,
     expected_block_utility,
     noisy_equilibrium_value,
@@ -39,12 +38,10 @@ from ixcap.game import (
 )
 from ixcap.graphs import (
     confusability_graph,
-    cycle_graph,
     graph_from_edges,
     independence_number,
     sender_graph,
 )
-from ixcap.upper_bounds import xi_bracket
 from ixcap.utility import (
     Alphabet,
     UtilityMatrix,
@@ -54,16 +51,6 @@ from ixcap.utility import (
 )
 
 SIZES = st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])
-
-
-def random_channel(rng, q: int):
-    """Rows supported on one or two outputs with random rational weights."""
-    rows = []
-    for _ in range(q):
-        weights = {z: rng.randint(1, 4) for z in rng.sample(range(q), rng.randint(1, 2))}
-        total = sum(weights.values())
-        rows.append([Fraction(weights.get(z, 0), total) for z in range(q)])
-    return make_channel(Alphabet.of_size(q), rows)
 
 
 def reference_verify(U, channel, g, xs, ys, n) -> bool:
@@ -419,58 +406,6 @@ class TestPartitionDecoder:
             noisy_receiver_strategy([0, 1], [0, 1], channel, 1)
         with pytest.raises(InputError, match="overlap"):
             noisy_receiver_strategy([0, 4], [0, 4], channel, 2)
-
-
-class TestAsymptoticRateBracket:
-    # confusability graph K2 + K3: alpha = theta = 2, below the pentagon's
-    # certified lower bound sqrt(5) but above its Gamma(U) = 2 - tol
-    K2_K3 = [[1, 0, 0, 0, 0]] * 2 + [[0, 0, 1, 0, 0]] * 3
-    # symbol i reaches outputs i and i + 1 mod 5: confusability graph C5
-    C5 = [[Fraction(1, 2) if j in (i, (i + 1) % 5) else 0 for j in range(5)]
-          for i in range(5)]
-
-    def test_channel_side_closes_on_the_certified_lower(self, pentagon):
-        channel = make_channel(Alphabet.of_size(5), self.K2_K3)
-        b = asymptotic_rate_bracket(pentagon, channel)
-        assert (b.exact.base, b.exact.root) == (2, 1)
-        assert b.lower_certificate["name"] == "alpha_confusability_power"
-        assert b.upper_certificate["name"] == "theta_confusability"
-
-    def test_unconverged_channel_theta_is_skipped(self, monkeypatch):
-        def diverge(g, **kw):
-            raise ConvergenceError("no convergence")
-
-        # the solver runs on the channel's 5-cycle only: the path utility's
-        # G_s^Sym is perfect, so its theta is its alpha with no solver
-        monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta", diverge)
-        U = utility_from_graph(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
-        channel = make_channel(Alphabet.of_size(5), self.C5)
-        b = asymptotic_rate_bracket(U, channel)
-        assert b.warnings == ("theta(G_c) did not converge: no convergence",)
-        # the channel's ceiling falls back to the alphabet size
-        assert b.upper == min(xi_bracket(U).upper, 5.0)
-
-    def test_channel_theta_skipped_above_the_solver_limit(self):
-        # the identity channel's G_c on 66 symbols is edgeless, hence
-        # perfect, and C66 is bipartite: both thetas are alphas, 66 and 33,
-        # with no solver, although both graphs exceed its limit
-        U = utility_from_graph(cycle_graph(66))
-        b = asymptotic_rate_bracket(U, identity_channel(U.alphabet), n_max=1)
-        assert b.warnings == ()
-        assert (b.exact.base, b.exact.root) == (33, 1)
-
-    def test_theta_of_a_perfect_channel_is_its_alpha(self, pentagon, monkeypatch):
-        # K2 + K3 is perfect, so theta(G_c) is alpha(G_c) = 2 with no
-        # solver; the pentagon's own 5-cycle is solved, once
-        solved = []
-        solve = ixcap.upper_bounds.lovasz_theta
-        monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta",
-                            lambda g, **kw: solved.append(g.rows) or solve(g, **kw))
-        channel = make_channel(Alphabet.of_size(5), self.K2_K3)
-        b = asymptotic_rate_bracket(pentagon, channel)
-        assert solved == [sender_graph(pentagon, 1).rows]
-        assert b.upper_certificate == {"name": "theta_confusability", "theta": 2.0,
-                                       "tol": 1e-3, "perfect": True}
 
 
 class TestVerificationError:

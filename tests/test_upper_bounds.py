@@ -1,21 +1,27 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import ixcap.upper_bounds
 from conftest import (
     capped_max,
     incremented,
+    oracle_alpha,
     oracle_perfect,
     oracle_symmetric_part,
+    random_channel,
     random_int_utility,
     random_symmetric_utility,
     random_utility,
 )
-from ixcap.errors import BudgetExceededError, InputError
+from ixcap.channel import identity_channel, make_channel
+from ixcap.errors import BudgetExceededError, ConvergenceError, InputError
 from ixcap.graphs import (
     Graph,
     complete_graph,
+    confusability_graph,
     cycle_graph,
     graph_from_edges,
     independence_number,
@@ -25,8 +31,14 @@ from ixcap.graphs import (
 from ixcap import graphs, upper_bounds
 from ixcap.lower_bounds import gamma_n
 from ixcap.theta import lovasz_theta
-from ixcap.upper_bounds import in_perfect_whitelist, is_two_valued_a_ge_b, xi_bracket
-from ixcap.utility import utility_from_graph, utility_from_json
+from ixcap.upper_bounds import (
+    ExactValue,
+    asymptotic_rate_bracket,
+    in_perfect_whitelist,
+    is_two_valued_a_ge_b,
+    xi_bracket,
+)
+from ixcap.utility import Alphabet, utility_from_graph, utility_from_json
 
 
 def _grid_graph(side: int):
@@ -93,6 +105,18 @@ def _random_utilities(seed, count):
     return [makers[i % 3](rng, rng.randint(2, 4)) for i in range(count)]
 
 
+def _random_pairs(seed, count):
+    """(utility, channel, n_max) at q <= 4 and n_max <= 2: the utilities of
+    ``_random_utilities`` and channel rows on one or two outputs."""
+    rng = random.Random(seed)
+    makers = (random_utility, random_symmetric_utility, random_int_utility)
+    pairs = []
+    for i in range(count):
+        q = rng.randint(2, 4)
+        pairs.append((makers[i % 3](rng, q), random_channel(rng, q), 1 + i % 2))
+    return pairs
+
+
 class TestXiBracket:
     @pytest.mark.parametrize("U", _random_utilities(127, 24))
     def test_invariants(self, U):
@@ -125,6 +149,15 @@ class TestXiBracket:
                 assert independence_number(sender_graph(aux, n))[0] <= \
                     independence_number(sender_graph(U, n))[0]
                 assert gamma_n(aux, n)[0] <= gamma_n(U, n)[0]
+
+    @pytest.mark.parametrize("tol", [0.3, 0.0, -0.5])
+    def test_tol_outside_the_solver_range_is_an_input_error(self, pentagon, tol):
+        # a perfect G_s^Sym never reaches the solver, so the bracket checks
+        # tol itself: at 0.3 the pentagon would otherwise close at 2, not
+        # at its capacity sqrt(5)
+        with pytest.raises(InputError, match=r"tol must lie in \(0, 1e-2\]"):
+            xi_bracket(pentagon, n_max=1, tol=tol)
+        assert xi_bracket(pentagon, n_max=2, tol=1e-2).exact == ExactValue(5, 2)
 
     def test_closure_skipped_when_alpha_is(self):
         # C4 is perfect with no search, but its alpha search runs out of
@@ -287,6 +320,79 @@ class TestXiBracket:
     def test_exact_is_reached_on_some_randoms(self):
         exact = sum(xi_bracket(U).exact is not None for U in _random_utilities(127, 24))
         assert exact >= 3
+
+
+class TestNoisyBracket:
+    @pytest.mark.parametrize("U, channel, n_max", _random_pairs(137, 30))
+    def test_invariants(self, U, channel, n_max):
+        b = asymptotic_rate_bracket(U, channel, n_max=n_max)
+        xi = xi_bracket(U, n_max=n_max)
+        assert not b.warnings
+        # the channel's certified lower bound is its best alpha(G_c^n)^(1/n)
+        channel_lower = max(oracle_alpha(confusability_graph(channel, n))[0] ** (1.0 / n)
+                            for n in range(1, n_max + 1))
+        assert b.lower == min(xi.lower, channel_lower)
+        assert b.lower <= b.upper <= min(xi.upper, U.q)
+        if b.exact is not None:
+            assert b.lower - 1e-9 <= b.exact.value <= b.upper + 1e-9
+
+    @pytest.mark.parametrize("tol", [0.3, -0.5])
+    def test_tol_is_checked_by_the_capacity_bracket(self, pentagon, tol):
+        channel = identity_channel(pentagon.alphabet)
+        with pytest.raises(InputError, match=r"tol must lie in \(0, 1e-2\]"):
+            asymptotic_rate_bracket(pentagon, channel, n_max=1, tol=tol)
+
+
+class TestAsymptoticRateBracket:
+    # confusability graph K2 + K3: alpha = theta = 2, below the pentagon's
+    # certified lower bound sqrt(5) but above its Gamma(U) = 2 - tol
+    K2_K3 = [[1, 0, 0, 0, 0]] * 2 + [[0, 0, 1, 0, 0]] * 3
+    # symbol i reaches outputs i and i + 1 mod 5: confusability graph C5
+    C5 = [[Fraction(1, 2) if j in (i, (i + 1) % 5) else 0 for j in range(5)]
+          for i in range(5)]
+
+    def test_channel_side_closes_on_the_certified_lower(self, pentagon):
+        channel = make_channel(Alphabet.of_size(5), self.K2_K3)
+        b = asymptotic_rate_bracket(pentagon, channel)
+        assert (b.exact.base, b.exact.root) == (2, 1)
+        assert b.lower_certificate["name"] == "alpha_confusability_power"
+        assert b.upper_certificate["name"] == "theta_confusability"
+
+    def test_unconverged_channel_theta_is_skipped(self, monkeypatch):
+        def diverge(g, **kw):
+            raise ConvergenceError("no convergence")
+
+        # the solver runs on the channel's 5-cycle only: the path utility's
+        # G_s^Sym is perfect, so its theta is its alpha with no solver
+        monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta", diverge)
+        U = utility_from_graph(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        channel = make_channel(Alphabet.of_size(5), self.C5)
+        b = asymptotic_rate_bracket(U, channel)
+        assert b.warnings == ("theta(G_c) did not converge: no convergence",)
+        # the channel's ceiling falls back to the alphabet size
+        assert b.upper == min(xi_bracket(U).upper, 5.0)
+
+    def test_channel_theta_skipped_above_the_solver_limit(self):
+        # the identity channel's G_c on 66 symbols is edgeless, hence
+        # perfect, and C66 is bipartite: both thetas are alphas, 66 and 33,
+        # with no solver, although both graphs exceed its limit
+        U = utility_from_graph(cycle_graph(66))
+        b = asymptotic_rate_bracket(U, identity_channel(U.alphabet), n_max=1)
+        assert b.warnings == ()
+        assert (b.exact.base, b.exact.root) == (33, 1)
+
+    def test_theta_of_a_perfect_channel_is_its_alpha(self, pentagon, monkeypatch):
+        # K2 + K3 is perfect, so theta(G_c) is alpha(G_c) = 2 with no
+        # solver; the pentagon's own 5-cycle is solved, once
+        solved = []
+        solve = ixcap.upper_bounds.lovasz_theta
+        monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta",
+                            lambda g, **kw: solved.append(g.rows) or solve(g, **kw))
+        channel = make_channel(Alphabet.of_size(5), self.K2_K3)
+        b = asymptotic_rate_bracket(pentagon, channel)
+        assert solved == [sender_graph(pentagon, 1).rows]
+        assert b.upper_certificate == {"name": "theta_confusability", "theta": 2.0,
+                                       "tol": 1e-3, "perfect": True}
 
 
 class TestPerfectWhitelist:
