@@ -24,7 +24,6 @@ from .game import (
 )
 from .graphs import (
     Graph,
-    IndependentSetWitness,
     confusability_graph,
     graph_from_edges,
     graph_from_json,
@@ -56,7 +55,6 @@ from .upper_bounds import (
 )
 from .utility import (
     Alphabet,
-    BlockSequence,
     UtilityMatrix,
     block_sums,
     block_utility,

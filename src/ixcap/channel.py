@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError
-from .utility import Alphabet, parse_rational
+from .utility import Alphabet, alphabet_from_json, parse_rational
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,6 @@ class Channel:
 
     def prob(self, z: int, y: int) -> Fraction:
         return self.rows[y][z]
-
-    def support_set(self, y: int) -> tuple[int, ...]:
-        mask = self.support[y]
-        return tuple(z for z in range(self.q) if (mask >> z) & 1)
 
     def is_noiseless(self) -> bool:
         return all(self.support[y] == 1 << y for y in range(self.q))
@@ -51,6 +47,8 @@ def make_channel(alphabet: Alphabet, rows) -> Channel:
     q = alphabet.q
     parsed = []
     for y, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"channel row {y} is not a list: {row!r}")
         if len(row) != q:
             raise InputError(f"channel row {y} has {len(row)} entries, expected {q}")
         entries = tuple(parse_rational(x) for x in row)
@@ -68,14 +66,10 @@ def make_channel(alphabet: Alphabet, rows) -> Channel:
 
 
 def channel_from_json(obj) -> Channel:
-    if not isinstance(obj, dict) or "rows" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
         raise InputError('channel JSON must be an object with a "rows" matrix')
     rows = obj["rows"]
-    if "alphabet" in obj:
-        alphabet = Alphabet(tuple(str(s) for s in obj["alphabet"]))
-    else:
-        alphabet = Alphabet.of_size(len(rows))
-    return make_channel(alphabet, rows)
+    return make_channel(alphabet_from_json(obj, len(rows)), rows)
 
 
 def load_channel(path) -> Channel:

@@ -69,7 +69,6 @@ from .theta import lovasz_theta
 from .upper_bounds import asymptotic_rate_bracket, xi_bracket
 from .utility import (
     BLOCK_CELLS,
-    BlockSequence,
     UtilityMatrix,
     load_utility,
     sequence_labels,
@@ -298,12 +297,16 @@ def cmd_alpha(args) -> int:
         U = _utility_from_args(args)
         base = sender_block_base(U, n)
         g = sender_graph(U, n)
-    alpha, wit = independence_number(g, budget=args.budget_nodes, base=base)
+    alpha, witness = independence_number(g, budget=args.budget_nodes, base=base)
+    if not args.graph:
+        # a sender graph's vertices are sequences, reported by name
+        labels = sequence_labels(U.alphabet, n)
+        witness = [labels[v] for v in witness]
     payload = {
         "alpha": alpha,
         "n": args.blocklength,
         "rate": alpha ** (1.0 / args.blocklength),
-        "witness": list(wit.labels or wit.vertices),
+        "witness": list(witness),
     }
     _write_output(payload, args.out)
     return EXIT_OK
@@ -406,8 +409,8 @@ def _corpus_checks():
     check("remark1 same base graph", True, graphs_equal(gs1, gs1p))
     g2a = sender_graph(ex1, 2)
     g2b = sender_graph(ex1p, 2)
-    i01 = BlockSequence.from_symbols(3, (0, 1)).index
-    i10 = BlockSequence.from_symbols(3, (1, 0)).index
+    words = sequence_labels(ex1.alphabet, 2)
+    i01, i10 = words.index("01"), words.index("10")
     check("remark1 01~10 under original", True, g2a.has_edge(i01, i10))
     check("remark1 01~10 absent under variant", False, g2b.has_edge(i01, i10))
 

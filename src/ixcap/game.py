@@ -18,6 +18,10 @@ q**n x q**n matrix is the n-th Kronecker power of its q x q matrix, so it is
 applied letter by letter, n mode products per column block, and never built.
 ``expected_block_utility`` is the Fraction reference definition of that
 expected utility.
+
+Strategies, decoded sets and witnesses are canonical sequence indices
+throughout; only the JSON form of a strategy names its sequences, by
+``utility.sequence_labels``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .graphs import (
     DEFAULT_NODE_BUDGET,
     BlockBase,
     Graph,
-    IndependentSetWitness,
     confusability_graph,
     independence_number,
     is_independent,
@@ -45,11 +48,11 @@ from .graphs import (
 )
 from .utility import (
     BLOCK_CELLS,
-    BlockSequence,
     UtilityMatrix,
     _expand_rows,
     block_sums,
     block_utility,
+    parse_integer,
     sequence_labels,
 )
 
@@ -100,8 +103,6 @@ def naive_receiver_strategy(q: int, n: int) -> ReceiverStrategy:
 def receiver_strategy_from_set(U: UtilityMatrix, vertices, n: int,
                                ) -> ReceiverStrategy:
     """Identity on the given independent set, error symbol elsewhere."""
-    if isinstance(vertices, IndependentSetWitness):
-        vertices = vertices.vertices
     vs = sorted(set(vertices))
     nv = U.q**n
     for v in vs:
@@ -166,9 +167,9 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     """
     g = sender_graph(U, n)
     alpha, witness = independence_number(g, budget=budget, base=sender_block_base(U, n))
-    strategy = _strategy_on(g, witness.vertices, n)
+    strategy = _strategy_on(g, witness, n)
     outcome = worst_case_decoded_set(U, strategy)
-    if outcome.decoded_size != alpha or set(outcome.decoded_worst) != set(witness.vertices):
+    if outcome.decoded_size != alpha or outcome.decoded_worst != witness:
         raise VerificationError("equilibrium verification failed")
     return alpha, strategy
 
@@ -197,21 +198,24 @@ def expected_block_utility(U: UtilityMatrix, channel: Channel,
     memoryless product channel; DOMINATED when some possible output decodes
     to the error symbol."""
     q = U.q
-    if U.alphabet.q != channel.alphabet.q:
+    if q != channel.q:
         raise InputError("utility and channel alphabets differ in size")
-    y = BlockSequence.from_index(q, n, y_index).symbols
-    x = BlockSequence.from_index(q, n, x_index).symbols
+
+    def letters(index: int) -> list[int]:
+        if not 0 <= index < q**n:
+            raise InputError(f"sequence index {index} out of range for q={q}, n={n}")
+        return [index // q**k % q for k in reversed(range(n))]
+
+    y, x = letters(y_index), letters(x_index)
     total = Fraction(0)
     for z_index in sorted(output_support_indices(channel, y_index, n)):
         target = g.decode[z_index]
         if target is None:
             return DOMINATED
-        z = BlockSequence.from_index(q, n, z_index).symbols
         prob = Fraction(1)
-        for zi, yi in zip(z, y):
+        for zi, yi in zip(letters(z_index), y):
             prob *= channel.prob(zi, yi)
-        t_symbols = BlockSequence.from_index(q, n, target).symbols
-        total += prob * block_utility(U, t_symbols, x)
+        total += prob * block_utility(U, letters(target), x)
     return total
 
 
@@ -225,8 +229,7 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
     ``_output_supports`` in row blocks of at most ``BLOCK_CELLS`` cells, and
     two inputs overlap where the summed mask exceeds 1.
     """
-    xs = sorted(I_s.vertices if isinstance(I_s, IndependentSetWitness) else I_s)
-    ys = sorted(I_c.vertices if isinstance(I_c, IndependentSetWitness) else I_c)
+    xs, ys = sorted(I_s), sorted(I_c)
     if len(xs) != len(ys):
         raise InputError(f"set sizes differ: {len(xs)} protected vs {len(ys)} inputs")
     nv = channel.q**n
@@ -341,8 +344,7 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     alpha_c, wit_c = independence_number(gc, budget=budget,
                                          base=BlockBase(base_c, base_c, n))
     d = min(alpha_s, alpha_c)
-    xs = wit_s.vertices[:d]
-    ys = wit_c.vertices[:d]
+    xs, ys = wit_s[:d], wit_c[:d]
     strategy = noisy_receiver_strategy(xs, ys, channel, n)
     if not verify_noisy_equilibrium(U, channel, strategy, xs, ys, n):
         raise VerificationError("noisy equilibrium verification failed")
@@ -359,9 +361,9 @@ def strategy_to_json_dict(U: UtilityMatrix, g: ReceiverStrategy) -> dict:
 
 
 def strategy_from_json_dict(U: UtilityMatrix, obj) -> ReceiverStrategy:
-    if not isinstance(obj, dict) or "n" not in obj or "decode" not in obj:
-        raise InputError('strategy JSON must be an object with "n" and "decode"')
-    n = int(obj["n"])
+    if not isinstance(obj, dict) or not isinstance(obj.get("decode"), dict) or "n" not in obj:
+        raise InputError('strategy JSON must be an object with "n" and a "decode" object')
+    n = parse_integer(obj["n"], "strategy blocklength")
     if n < 1:
         raise InputError("strategy blocklength must be at least 1")
     nv = U.q**n
@@ -375,7 +377,7 @@ def strategy_from_json_dict(U: UtilityMatrix, obj) -> ReceiverStrategy:
         seen.add(z)
         if t_label == "DELTA":
             decode[z] = None
-        elif t_label in label_to_index:
+        elif isinstance(t_label, str) and t_label in label_to_index:
             decode[z] = label_to_index[t_label]
         else:
             raise InputError(f"unknown decoded sequence label {t_label!r}")

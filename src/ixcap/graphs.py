@@ -1,9 +1,16 @@
 """Bitset graphs: sender graphs, confusability graphs, strong products,
 and exact maximum-independent-set search with canonical witnesses.
 
+A graph is its vertex count and one bitset row per vertex, and nothing
+more: a graph on X^n numbers its vertices by the sequences' canonical
+indices, and a witness is a tuple of vertex numbers.  Sequences are named
+only where a report is built, by ``utility.sequence_labels``.
+
 Every sender graph is a sign test on exact integer letter sums, built by
 one kernel, ``_sign_graph``, in row blocks of at most ``BLOCK_CELLS``
-cells: G_s^n on the table a = scale * u, G_s^Sym,n on a + a^T."""
+cells: G_s^n on the table a = scale * u, G_s^Sym,n on a + a^T.  Each
+blocklength construction refuses more than ``DEFAULT_VERTEX_CAP``
+vertices, read when it is called."""
 
 from __future__ import annotations
 
@@ -15,17 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
-from .utility import (
-    BLOCK_CELLS,
-    DEFAULT_VERTEX_CAP,
-    Alphabet,
-    UtilityMatrix,
-    _expand_rows,
-    _sum_table,
-    sequence_labels,
-)
+from .utility import BLOCK_CELLS, UtilityMatrix, _expand_rows, _sum_table, parse_integer
 
 DEFAULT_NODE_BUDGET = 10**8
+#: most vertices a blocklength construction (q**n) may have
+DEFAULT_VERTEX_CAP = 20_000
 #: from this many vertices on, a graph's maximum search and its witness
 #: pass both run on one copy relabelled by degree, the smallest size at
 #: which relabelling was measured to win (see ``_SearchCopy``)
@@ -72,7 +73,6 @@ class Graph:
 
     n_vertices: int
     rows: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if len(self.rows) != self.n_vertices:
@@ -94,26 +94,33 @@ class Graph:
         return tuple((full ^ self.rows[v]) & ~(1 << v) for v in range(self.n_vertices))
 
 
-def graph_from_edges(n: int, edges: Sequence[Sequence[int]],
-                     labels: Sequence[str] | None = None) -> Graph:
+def graph_from_edges(n: int, edges: Sequence[Sequence[int]]) -> Graph:
+    """The graph on vertices 0..n-1 with the given edges.  InputError
+    unless n and every endpoint are integers, and each edge is a list or
+    tuple of two distinct vertices."""
+    n = parse_integer(n, "vertex count")
+    if n < 0:
+        raise InputError(f"vertex count must be nonnegative, got {n}")
+    if not isinstance(edges, (list, tuple)):
+        raise InputError(f"edges must be a list of pairs, got {edges!r}")
     rows = [0] * n
     for e in edges:
-        if len(e) != 2:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InputError(f"edge must be a pair: {e!r}")
-        u, v = int(e[0]), int(e[1])
+        u, v = (parse_integer(x, "edge endpoint") for x in e)
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge endpoint out of range: {e!r}")
         if u == v:
             raise InputError(f"self-loops are not allowed: {e!r}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows), tuple(labels) if labels else None)
+    return Graph(n, tuple(rows))
 
 
 def graph_from_json(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InputError('graph JSON must be an object with "n" and "edges"')
-    return graph_from_edges(int(obj["n"]), obj["edges"])
+    return graph_from_edges(obj["n"], obj["edges"])
 
 
 def load_graph(path) -> Graph:
@@ -141,9 +148,10 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
 
 
-def _check_cap(n_vertices: int, cap: int):
-    if n_vertices > cap:
-        raise CapExceededError(f"{n_vertices} vertices exceed the cap of {cap}")
+def _check_cap(n_vertices: int):
+    if n_vertices > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(
+            f"{n_vertices} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
 
 
 def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
@@ -166,7 +174,7 @@ def _unpack_rows(rows: Sequence[int]) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
 
 
-def _sign_graph(ints, n: int, cap: int, alphabet: Alphabet) -> Graph:
+def _sign_graph(ints, n: int) -> Graph:
     """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
     the n-fold letterwise sum of the q x q integer table ints.  Built in row
     blocks of at most ``BLOCK_CELLS`` cells.  A symmetric table (always for
@@ -176,7 +184,7 @@ def _sign_graph(ints, n: int, cap: int, alphabet: Alphabet) -> Graph:
     if n < 1:
         raise InputError("blocklength must be at least 1")
     nv = len(ints)**n
-    _check_cap(nv, cap)
+    _check_cap(nv)
     table = _sum_table(ints, n)
     symmetric = (table == table.T).all()
     step = max(1, BLOCK_CELLS // nv)
@@ -190,31 +198,29 @@ def _sign_graph(ints, n: int, cap: int, alphabet: Alphabet) -> Graph:
             adj |= bwd >= 0
         adj[np.arange(block.size), block] = False
         rows.extend(_pack_bool_rows(adj))
-    return Graph(nv, tuple(rows), sequence_labels(alphabet, n))
+    return Graph(nv, tuple(rows))
 
 
-def sender_graph(U: UtilityMatrix, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def sender_graph(U: UtilityMatrix, n: int) -> Graph:
     """Graph on X^n with an edge when misreporting one sequence as the other
     is weakly profitable in at least one direction.
 
     Edge (x, y), x != y, iff sum_k u(y_k, x_k) >= 0 or sum_k u(x_k, y_k) >= 0
     (the 1/n factor does not affect the sign), decided on the exact integer
     table scale * u."""
-    return _sign_graph(U.scaled_integer_entries[1], n, cap, U.alphabet)
+    return _sign_graph(U.scaled_integer_entries[1], n)
 
 
-def symmetric_sender_graph(U: UtilityMatrix, n: int,
-                           cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def symmetric_sender_graph(U: UtilityMatrix, n: int) -> Graph:
     """G_s^Sym,n, the sender graph of the symmetric part (u + u^T) / 2: edge
     (x, y), x != y, iff sum_k u(x_k, y_k) + u(y_k, x_k) >= 0, decided on the
     exact integer table a + a^T of a = scale * u."""
     _, a = U.scaled_integer_entries
     q = U.q
-    return _sign_graph([[a[i][j] + a[j][i] for j in range(q)] for i in range(q)],
-                       n, cap, U.alphabet)
+    return _sign_graph([[a[i][j] + a[j][i] for j in range(q)] for i in range(q)], n)
 
 
-def strong_product(g1: Graph, g2: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def strong_product(g1: Graph, g2: Graph) -> Graph:
     """Strong graph product; vertex (a, b) maps to index a * |V2| + b.
 
     (a, b) ~ (a', b') iff a' in N[a] and b' in N[b], not both equal (N the
@@ -224,25 +230,23 @@ def strong_product(g1: Graph, g2: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph
     digit widened to n2 digits, which costs the same at any density."""
     n1, n2 = g1.n_vertices, g2.n_vertices
     nv = n1 * n2
-    _check_cap(nv, cap)
+    _check_cap(nv)
     zero, one = "0" * n2, "0" * (n2 - 1) + "1"
     spread = [int(format(row | 1 << a, "b").replace("0", zero).replace("1", one), 2)
               for a, row in enumerate(g1.rows)]
     closed2 = [row | 1 << b for b, row in enumerate(g2.rows)]
     rows = tuple((spread[a] * closed2[b]) ^ (1 << (a * n2 + b))
                  for a in range(n1) for b in range(n2))
-    labels = (tuple(f"{x},{y}" for x in g1.labels for y in g2.labels)
-              if g1.labels and g2.labels else None)
-    return Graph(nv, rows, labels)
+    return Graph(nv, rows)
 
 
-def strong_power(g: Graph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def strong_power(g: Graph, n: int) -> Graph:
     if n < 1:
         raise InputError("strong power requires n >= 1")
-    _check_cap(g.n_vertices**n, cap)
+    _check_cap(g.n_vertices**n)
     out = g
     for _ in range(n - 1):
-        out = strong_product(out, g, cap=cap)
+        out = strong_product(out, g)
     return out
 
 
@@ -260,15 +264,6 @@ def is_independent(g: Graph, vertices: Sequence[int]) -> bool:
     for v in vs:
         mask |= 1 << v
     return all(g.rows[v] & mask == 0 for v in vs)
-
-
-@dataclass(frozen=True)
-class IndependentSetWitness:
-    """A concrete independent set certifying a lower bound on alpha."""
-
-    vertices: tuple[int, ...]
-    size: int
-    labels: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -660,8 +655,9 @@ def _orbit_masks(copy: _SearchCopy, q: int, n: int):
 
 def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
                         base: BlockBase | None = None
-                        ) -> tuple[int, IndependentSetWitness]:
-    """Exact alpha(G) with the lexicographically least maximum independent set.
+                        ) -> tuple[int, tuple[int, ...]]:
+    """Exact alpha(G) with the lexicographically least maximum independent
+    set, as a tuple of vertices in increasing order.
 
     The maximum search runs on a degree-ordered copy of G (``_SearchCopy``).
     With ``base``, a ``BlockBase`` of G at n >= 2, it starts from the
@@ -698,9 +694,7 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
     None while the bases are searched, then |I|^n, the maximum search's
     incumbent, and alpha during the witness pass.
     """
-    alpha, chosen = _alpha(g, _Meter(budget), base, reports=True)
-    labels = tuple(g.labels[v] for v in chosen) if g.labels else None
-    return alpha, IndependentSetWitness(chosen, alpha, labels)
+    return _alpha(g, _Meter(budget), base, reports=True)
 
 
 def _alpha(g: Graph, meter: _Meter, base: BlockBase | None = None,
@@ -739,21 +733,21 @@ def _alpha(g: Graph, meter: _Meter, base: BlockBase | None = None,
     return alpha, _lex_least(g, copy, alpha, maxset, search)
 
 
-def confusability_graph(channel, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def confusability_graph(channel, n: int) -> Graph:
     """Inputs adjacent when some channel output has positive probability under
     both.  For n > 1 the memoryless product makes this the n-fold strong power
     of the base graph."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    q = channel.alphabet.q
-    _check_cap(q**n, cap)
+    q = channel.q
+    _check_cap(q**n)
     rows = [0] * q
     for y1 in range(q):
         for y2 in range(y1 + 1, q):
             if channel.support[y1] & channel.support[y2]:
                 rows[y1] |= 1 << y2
                 rows[y2] |= 1 << y1
-    base = Graph(q, tuple(rows), tuple(channel.alphabet.symbols))
+    base = Graph(q, tuple(rows))
     if n == 1:
         return base
-    return strong_power(base, n, cap=cap)
+    return strong_power(base, n)

@@ -38,7 +38,7 @@ from .graphs import (
     independence_number,
     symmetric_sender_graph,
 )
-from .utility import UtilityMatrix
+from .utility import UtilityMatrix, sequence_labels
 
 
 @dataclass(frozen=True)
@@ -285,11 +285,11 @@ def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, node_budget: int
     """``gamma_n`` on G_s^Sym,n already built, as ``xi_bracket`` holds it
     at n = 1."""
     alpha_sym, witness = independence_number(sym_graph, budget=node_budget)
-    subset, optimal = _largest_feasible(U, n, sym_graph, witness.vertices,
-                                        _Meter(node_budget))
+    subset, optimal = _largest_feasible(U, n, sym_graph, witness, _Meter(node_budget))
+    labels = sequence_labels(U.alphabet, n)
     cert = FeasibleSetCertificate(
         subset=subset,
-        labels=tuple(sym_graph.labels[s] for s in subset),
+        labels=tuple(labels[s] for s in subset),
         blocklength=n,
         size=len(subset),
         optimal=optimal,

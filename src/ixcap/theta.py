@@ -108,15 +108,15 @@ def _not_converged(reason: str, status) -> ConvergenceError:
     )
 
 
-def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> float:
+def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """theta(G) within additive tol for graphs of at most 64 vertices.
 
     The value is the dual objective t of the last iterate, clamped to
     [1, n].  On return the duality gap and the norms of the primal and dual
     residuals are all at most tol, so t lies within tol of theta(G) and
-    t + tol bounds theta(G) from above.  ``max_iter`` caps the number of
-    interior-point iterations; about ten are typical.
+    t + tol bounds theta(G) from above.  ``DEFAULT_MAX_ITER``, read when
+    the solver is called, caps the number of interior-point iterations;
+    about ten are typical.
 
     Raises InputError for an empty graph or tol outside (0, 1e-2], and
     CapExceededError for more than 64 vertices.  Raises ConvergenceError if
@@ -145,7 +145,7 @@ def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL,
     rp, rd = _residuals(X, y, Z, u, v)
     # the start has gap n > tol, so the first test comes after a step
     status = _status(X, y, rp, rd)
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         try:
             X, y, Z = _hkm_step(X, y, Z, rp, rd, u, v)
         except np.linalg.LinAlgError as exc:
@@ -157,4 +157,4 @@ def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL,
         status = new_status
         if max(status[2], status[3]) <= tol:
             return float(min(max(status[1], 1.0), float(n)))
-    raise _not_converged(f"iteration budget of {max_iter} exhausted", status)
+    raise _not_converged(f"iteration budget of {DEFAULT_MAX_ITER} exhausted", status)

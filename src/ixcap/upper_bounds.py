@@ -41,7 +41,7 @@ from .graphs import (
 )
 from .lower_bounds import _gamma_n, gamma_n
 from .theta import lovasz_theta
-from .utility import UtilityMatrix
+from .utility import Alphabet, UtilityMatrix, sequence_labels
 
 #: most nodes of a perfectness test whose verdict only spares the theta
 #: solver: about 0.1 s, the cost of one mid-sized solve
@@ -185,20 +185,21 @@ class CapacityBracket:
         return out
 
 
-def _alpha_side(build, n: int, budget: int, name: str, graph: str,
+def _alpha_side(build, n: int, alphabet: Alphabet, budget: int, name: str, graph: str,
                 warnings: list[str], base: BlockBase | None = None):
-    """The lower candidate alpha(G^n)^(1/n) for G^n = ``build()``: its
-    value, its certificate ``name`` with the witness, and the integers
-    (alpha, n).  None, after the warning "alpha(<graph>^n) skipped: ...",
-    when G^n exceeds its vertex cap or the search exceeds ``budget`` nodes.
+    """The lower candidate alpha(G^n)^(1/n) for G^n = ``build()``, a graph
+    on X^n: its value, its certificate ``name`` with the witness named over
+    ``alphabet``, and the integers (alpha, n).  None, after the warning
+    "alpha(<graph>^n) skipped: ...", when G^n exceeds its vertex cap or the
+    search exceeds ``budget`` nodes.
     """
     try:
         alpha, witness = independence_number(build(), budget=budget, base=base)
     except (BudgetExceededError, CapExceededError) as exc:
         warnings.append(f"alpha({graph}^{n}) skipped: {exc}")
         return None
-    cert = {"name": name, "n": n, "alpha": alpha,
-            "witness": list(witness.labels or witness.vertices)}
+    labels = sequence_labels(alphabet, n)
+    cert = {"name": name, "n": n, "alpha": alpha, "witness": [labels[v] for v in witness]}
     return alpha ** (1.0 / n), cert, (alpha, n)
 
 
@@ -289,7 +290,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     for n in range(1, n_max + 1):
         record: dict = {"n": n}
         side = _alpha_side(lambda: base_graph if n == 1 else sender_graph(U, n), n,
-                           node_budget, "alpha_sender_power", "G_s", warnings)
+                           U.alphabet, node_budget, "alpha_sender_power", "G_s", warnings)
         if side is None:
             record["alpha_sender_error"] = warnings[-1]
         else:
@@ -380,15 +381,19 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     per search, up to 4*n_max + 2 in all.  An alpha(G_c^n) that runs out,
     or a theta(G_c) that does not converge or has more vertices than the
     solver takes, is skipped with a warning, and the channel bounds fall
-    back to 1 and the alphabet size.
+    back to 1 and the alphabet size.  The channel-side witness names its
+    sequences over U's alphabet, as the sender side does.  Raises
+    InputError when U and the channel have alphabets of different sizes.
     """
+    if U.q != channel.q:
+        raise InputError("utility and channel alphabets differ in size")
     xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)
     warnings = list(xi.warnings)
 
     base_c = confusability_graph(channel, 1)
     sides = [
         _alpha_side(lambda: base_c if n == 1 else confusability_graph(channel, n), n,
-                    budget, "alpha_confusability_power", "G_c", warnings,
+                    U.alphabet, budget, "alpha_confusability_power", "G_c", warnings,
                     base=BlockBase(base_c, base_c, n))
         for n in range(1, n_max + 1)
     ]

@@ -7,12 +7,19 @@ are exact rationals; nothing in this module touches floating point.  Matrix
 convention throughout: row index = recovered symbol, column index = observed
 symbol, so ``u[i][j]`` is u(i, j).
 
-``block_sums`` is the one place block utilities are computed: the exact
-integer sums S[t, y] = scale * sum_k u(t_k, y_k) over blocklength-n
-sequences.  Every exact answer downstream (worst-case decoded sets,
-feasibility of sequence subsets, noisy dominance) is a sign test on these
-sums; the sender graphs sum a = scale * u, or a + a^T for G_s^Sym,n, by the
-same ``_expand_rows`` and ``_sum_table``.  ``block_utility`` is the Fraction reference definition, and
+Inside the library a sequence of X^n is its canonical index, base q with the
+first letter most significant, and every graph, witness and strategy holds
+such indices.  ``sequence_labels`` is the one place a sequence gets a name:
+the commands and certificates that report sequences build its table once
+per report.
+
+``block_sums`` computes the exact integer sums S[t, y] = scale * sum_k
+u(t_k, y_k) over blocklength-n sequences.  The worst-case decoded sets and
+the noisy dominance check are sign tests on these sums; the sender graphs
+sum a = scale * u, or a + a^T for G_s^Sym,n, by the same ``_expand_rows``
+and ``_sum_table``.  One consumer still sums letters itself:
+``lower_bounds._largest_feasible`` adds each pair's letter utilities in
+Python.  ``block_utility`` is the Fraction reference definition, and
 ``block_utility_rows`` a Fraction view of the kernel; neither is on the
 library's own code paths.
 """
@@ -32,8 +39,6 @@ import numpy as np
 
 from .errors import InputError
 
-#: soft cap on q**n vertices for blocklength constructions
-DEFAULT_VERTEX_CAP = 20_000
 #: most cells one dense block of block sums may hold; larger tables are
 #: built in row blocks of at most this size, and the noisy check runs its
 #: pairs in column blocks of at most this size
@@ -61,6 +66,14 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational entry {value!r}: {exc}") from exc
     raise InputError(f"unsupported entry type {type(value).__name__}: {value!r}")
+
+
+def parse_integer(value, what: str) -> int:
+    """value as an int: an int or numpy integer, never a bool, float or
+    string, which InputError names as ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -99,39 +112,6 @@ def sequence_labels(alphabet: Alphabet, n: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class BlockSequence:
-    """An element of X^n with its canonical base-q index (MSB first)."""
-
-    q: int
-    n: int
-    symbols: tuple[int, ...]
-    index: int
-
-    @staticmethod
-    def from_symbols(q: int, symbols: Sequence[int]) -> "BlockSequence":
-        symbols = tuple(symbols)
-        if not symbols:
-            raise InputError("blocklength must be at least 1")
-        if any(not 0 <= s < q for s in symbols):
-            raise InputError(f"symbol index out of range for q={q}: {symbols}")
-        index = 0
-        for s in symbols:
-            index = index * q + s
-        return BlockSequence(q, len(symbols), symbols, index)
-
-    @staticmethod
-    def from_index(q: int, n: int, index: int) -> "BlockSequence":
-        if not 0 <= index < q**n:
-            raise InputError(f"sequence index {index} out of range for q={q}, n={n}")
-        digits = []
-        rem = index
-        for _ in range(n):
-            digits.append(rem % q)
-            rem //= q
-        return BlockSequence(q, n, tuple(reversed(digits)), index)
-
-
-@dataclass(frozen=True)
 class UtilityMatrix:
     """q x q exact-rational utility with a zero diagonal.
 
@@ -152,9 +132,6 @@ class UtilityMatrix:
     @property
     def q(self) -> int:
         return self.alphabet.q
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.u[i][j]
 
     def is_symmetric(self) -> bool:
         q = self.q
@@ -186,7 +163,8 @@ def _render_rational(x: Fraction):
 
 
 def _as_matrix(raw) -> list[list[Fraction]]:
-    if not isinstance(raw, (list, tuple)) or not raw:
+    if (not isinstance(raw, (list, tuple)) or not raw
+            or not all(isinstance(row, (list, tuple)) for row in raw)):
         raise InputError("matrix must be a non-empty list of rows")
     rows = [[parse_rational(x) for x in row] for row in raw]
     q = len(rows)
@@ -218,15 +196,22 @@ def utility_from_json(obj) -> UtilityMatrix:
     if "utility" not in obj:
         raise InputError('utility JSON must contain a "utility" matrix')
     rows = _as_matrix(obj["utility"])
-    if "alphabet" in obj:
-        alphabet = Alphabet(tuple(str(s) for s in obj["alphabet"]))
-        if alphabet.q != len(rows):
-            raise InputError(
-                f"alphabet size {alphabet.q} does not match matrix dimension {len(rows)}"
-            )
-    else:
-        alphabet = Alphabet.of_size(len(rows))
+    alphabet = alphabet_from_json(obj, len(rows))
+    if alphabet.q != len(rows):
+        raise InputError(
+            f"alphabet size {alphabet.q} does not match matrix dimension {len(rows)}"
+        )
     return normalize_diagonal(rows, alphabet)
+
+
+def alphabet_from_json(obj: dict, q: int) -> Alphabet:
+    """The symbols listed under "alphabet" in a JSON object, or 0..q-1 when
+    it lists none."""
+    if "alphabet" not in obj:
+        return Alphabet.of_size(q)
+    if not isinstance(obj["alphabet"], list):
+        raise InputError('"alphabet" must be a list of symbols')
+    return Alphabet(tuple(str(s) for s in obj["alphabet"]))
 
 
 def load_utility(path) -> UtilityMatrix:
@@ -243,11 +228,10 @@ def load_utility(path) -> UtilityMatrix:
     return utility_from_json(obj)
 
 
-def block_utility(U: UtilityMatrix, xhat: Sequence[int] | BlockSequence,
-                  x: Sequence[int] | BlockSequence) -> Fraction:
-    """Average per-letter utility (1/n) * sum_i u(xhat_i, x_i), exact."""
-    a = xhat.symbols if isinstance(xhat, BlockSequence) else tuple(xhat)
-    b = x.symbols if isinstance(x, BlockSequence) else tuple(x)
+def block_utility(U: UtilityMatrix, xhat: Sequence[int], x: Sequence[int]) -> Fraction:
+    """Average per-letter utility (1/n) * sum_i u(xhat_i, x_i), exact, for
+    two letter sequences."""
+    a, b = tuple(xhat), tuple(x)
     if len(a) != len(b):
         raise InputError(f"blocklength mismatch: {len(a)} vs {len(b)}")
     if not a:

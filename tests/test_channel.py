@@ -36,7 +36,6 @@ class TestMakeChannel:
         ch = make_channel(Alphabet.of_size(3),
                           [["1/2", "1/2", 0], [0, 1, 0], ["1/4", 0, "3/4"]])
         assert ch.support == (0b011, 0b010, 0b101)
-        assert [ch.support_set(y) for y in range(3)] == [(0, 1), (1,), (0, 2)]
         assert not ch.is_noiseless()
 
     def test_permutation_is_not_noiseless(self):
@@ -70,6 +69,9 @@ class TestChannelJson:
         {"alphabet": ["a", "b", "c"], "rows": [[1, 0], [0, 1]]},  # size mismatch
         {"alphabet": ["a", "a"], "rows": [[1, 0], [0, 1]]},  # repeated labels
         {"rows": [[1, 0], [1, 1]]},
+        {"rows": 7},  # not a list of rows
+        {"rows": [5, [0, 1]]},  # a row that is not a list
+        {"alphabet": 5, "rows": [[1, 0], [0, 1]]},  # not a list of symbols
     ])
     def test_rejects_bad_objects(self, obj):
         with pytest.raises(InputError):

@@ -13,7 +13,7 @@ import ixcap.lower_bounds
 import ixcap.upper_bounds
 from conftest import oracle_alpha, oracle_sender_edges, oracle_symmetric_part
 from ixcap import cli
-from ixcap.channel import make_channel
+from ixcap.channel import load_channel, make_channel
 from ixcap.cli import EXIT_BUDGET, EXIT_GOLDEN, EXIT_INPUT, EXIT_OK, corpus_path, main
 from ixcap.errors import InputError
 from ixcap.game import ReceiverStrategy
@@ -24,10 +24,11 @@ from ixcap.graphs import (
     sender_graph,
     strong_power,
 )
-from ixcap.upper_bounds import xi_bracket
-from ixcap.utility import Alphabet, load_utility
+from ixcap.upper_bounds import asymptotic_rate_bracket, xi_bracket
+from ixcap.utility import Alphabet, load_utility, sequence_labels
 
 PENTAGON = str(corpus_path("pentagon.json"))
+EXAMPLE1 = str(corpus_path("example1.json"))
 #: stands for the path of a graph file that the test writes
 GRAPH = "<graph.json>"
 SRC = str(Path(ixcap.__file__).parents[1])
@@ -160,7 +161,9 @@ def test_alpha_of_a_power_matches_the_plain_search(source, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     alpha, witness = independence_number(g)
     assert report["alpha"] == alpha == 5
-    assert report["witness"] == list(witness.labels or witness.vertices)
+    # a file graph's vertices are numbers, a sender graph's are named words
+    labels = range(25) if source == "graph" else sequence_labels(load_utility(PENTAGON).alphabet, 2)
+    assert report["witness"] == [labels[v] for v in witness]
 
 
 def test_corpus_goldens_pass():
@@ -283,6 +286,59 @@ def test_capacity(tmp_path, channel):
     report = json.loads(out.read_text())
     assert report["bracket"]["lower"]["certificate"] == {"name": "trivial", "n": 1}
     assert any(w.startswith("alpha(G_c^1) skipped") for w in report["bracket"]["warnings"])
+
+
+def test_capacity_refuses_a_channel_on_another_alphabet(capsys):
+    # the pentagon has 5 symbols, the channel 3 inputs
+    argv = ["capacity", "--utility", PENTAGON,
+            "--channel", str(corpus_path("channel_confuse12.json"))]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "ixcap: error: utility and channel alphabets differ in size\n")
+
+
+def test_channel_witness_names_words_as_the_game_does(tmp_path, capsys):
+    # an edgeless G_s protects every word, so the rate is the channel's: the
+    # 5 words of alpha(C5^2), named as `game` names the inputs it sends
+    utility = tmp_path / "edgeless.json"
+    utility.write_text(json.dumps(
+        {"utility": [[0 if i == j else -1 for j in range(5)] for i in range(5)]}))
+    channel = tmp_path / "c5.json"
+    channel.write_text(json.dumps(
+        {"rows": [["1/2" if j in (i, (i + 1) % 5) else 0 for j in range(5)]
+                  for i in range(5)]}))
+    cert = asymptotic_rate_bracket(load_utility(utility), load_channel(channel)).lower_certificate
+    assert (cert["name"], cert["n"], cert["alpha"]) == ("alpha_confusability_power", 2, 5)
+    out = tmp_path / "report.json"
+    files = ["--utility", str(utility), "--channel", str(channel), "--out", str(out)]
+    assert main(["capacity", *files]) == EXIT_OK
+    assert json.loads(out.read_text())["bracket"]["lower"]["certificate"] == cert
+    assert main(["game", *files, "-n", "2"]) == EXIT_OK
+    game = json.loads(out.read_text())
+    assert sorted(game["input_set"]) == sorted(cert["witness"])
+    assert all(len(word) == 2 for word in cert["witness"])
+
+
+@pytest.mark.parametrize("command, content", [
+    ("alpha --graph", {"n": "x", "edges": []}),
+    ("alpha --graph", {"n": 3, "edges": 5}),
+    ("alpha --graph", {"n": 3, "edges": [5]}),
+    ("alpha --graph", {"n": 5, "edges": [[0, 1.5]]}),
+    ("capacity --channel", {"rows": 7}),
+    ("game --channel", {"rows": [5, [0, 1, 0], [0, 0, 1]]}),
+    ("game --receiver", {"n": 1, "decode": ["0", "1", "2"]}),
+    ("game --receiver", {"n": "x", "decode": {}}),
+    ("game --receiver", {"n": 1, "decode": {"0": "0", "1": ["1"], "2": "2"}}),
+], ids=["count", "edges", "edge", "endpoint", "rows", "row", "decode", "n", "target"])
+def test_malformed_file_is_an_input_error(command, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    name, flag = command.split()
+    argv = [name, flag, f"file:{path}" if flag == "--receiver" else str(path)]
+    if name != "alpha":
+        argv += ["--utility", EXAMPLE1]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("ixcap: error: ")
 
 
 def test_partition_pairs_take_the_least_input_of_a_shared_support():

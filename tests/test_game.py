@@ -72,7 +72,7 @@ def noisy_pairs(U, channel, n, d):
     """The protected sequences and inputs noisy_equilibrium_value pairs up."""
     _, wit_s = independence_number(sender_graph(U, n))
     _, wit_c = independence_number(confusability_graph(channel, n))
-    return list(wit_s.vertices[:d]), list(wit_c.vertices[:d])
+    return list(wit_s[:d]), list(wit_c[:d])
 
 
 class TestWorstCaseDecodedSet:
@@ -206,7 +206,7 @@ class TestBlockSandwichInTheGame:
             alpha, witness = independence_number(g)
             value, strategy = equilibrium_value_noiseless(U, n)
             assert value == alpha == oracle_alpha(g)[0]
-            assert strategy.image() == witness.vertices == oracle_lex_least_mis(g, alpha)
+            assert strategy.image() == witness == oracle_lex_least_mis(g, alpha)
 
     def test_noisy_matches_the_plain_search(self):
         rng = random.Random(59)
@@ -324,6 +324,16 @@ class TestNoisyVerification:
             verify_noisy_equilibrium(U, channel, g, [0, 1], [0], 1)
         with pytest.raises(InputError, match="set sizes differ"):
             verify_noisy_equilibrium(U, channel, g, [0], [0, 1], 1)
+
+    def test_expected_utility_refuses_an_index_out_of_range(self, example1):
+        channel = identity_channel(example1.alphabet)
+        g = ReceiverStrategy(2, (*range(8), 9))
+        # input 7 = "21" is decoded to itself against the source 6 = "20";
+        # input 8 reaches output 8, which decodes to 9, outside X^2
+        assert expected_block_utility(example1, channel, g, 7, 6, 2) == example1.u[1][0] / 2
+        for y, x in ((9, 0), (0, 9), (-1, 0), (8, 0)):
+            with pytest.raises(InputError, match="out of range for q=3, n=2"):
+                expected_block_utility(example1, channel, g, y, x, 2)
 
     def test_zero_utility_needs_domination_or_inclusion(self):
         # every misreport is a tie, so only the undecoded output protects x

@@ -40,7 +40,6 @@ from ixcap.graphs import (
 )
 from ixcap.utility import (
     Alphabet,
-    BlockSequence,
     UtilityMatrix,
     normalize_diagonal,
     utility_from_graph,
@@ -132,7 +131,6 @@ class TestSenderGraph:
                 if U.q**n <= 27:
                     g = symmetric_sender_graph(U, n)
                     assert set(g.edges()) == oracle_sender_edges(oracle_symmetric_part(U), n)
-                    assert g.labels == sender_graph(U, n).labels
 
     def test_symmetric_table_sums_each_block_once(self, monkeypatch):
         # a + a^T equals its transpose, so every row block is summed once;
@@ -171,7 +169,7 @@ class TestSenderGraph:
         # an edge joins two sequences whose letters differ by at most one
         # everywhere: the strong power of the path, checked on sampled rows
         rng = random.Random(41)
-        seqs = [BlockSequence.from_index(3, 9, v).symbols for v in range(3**9)]
+        seqs = list(product(range(3), repeat=9))
         for x in rng.sample(range(3**9), 25):
             expected = sum(
                 1 << y for y in range(3**9)
@@ -179,22 +177,17 @@ class TestSenderGraph:
             )
             assert g.rows[x] == expected
 
-    def test_vertex_cap(self, pentagon):
+    def test_vertex_cap(self, pentagon, monkeypatch):
+        # the cap is read when a graph is built: 5**3 = 125 vertices
+        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 125)
+        assert sender_graph(pentagon, 3).n_vertices == 125
+        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 100)
+        with pytest.raises(CapExceededError, match="125 vertices exceed the cap of 100"):
+            sender_graph(pentagon, 3)
         with pytest.raises(CapExceededError):
-            sender_graph(pentagon, 3, cap=100)
-
-    def test_labels(self, example1):
-        g = sender_graph(example1, 2)
-        assert g.labels[5] == "12"
-        # a symbol longer than one character joins every label with commas
-        symbols = ("ab", "c", "d")
-        U = UtilityMatrix(Alphabet(symbols), example1.u)
-        assert sender_graph(U, 2).labels[5] == "c,d"
-        g = sender_graph(U, 3)
-        assert g.labels[5] == "ab,c,d"
-        assert g.labels == tuple(
-            ",".join(symbols[s] for s in BlockSequence.from_index(3, 3, v).symbols)
-            for v in range(27))
+            symmetric_sender_graph(pentagon, 3)
+        with pytest.raises(CapExceededError):
+            confusability_graph(identity_channel(pentagon.alphabet), 3)
 
 
 class TestStrongProducts:
@@ -245,11 +238,14 @@ class TestStrongProducts:
             rhs2 = strong_product(g, strong_power(g, 2))
             assert graphs_equal(lhs, rhs2)
 
-    def test_power_validates(self):
+    def test_power_validates(self, monkeypatch):
         with pytest.raises(InputError):
             strong_power(cycle_graph(5), 0)
+        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 100)
         with pytest.raises(CapExceededError):
-            strong_power(cycle_graph(5), 3, cap=100)
+            strong_power(cycle_graph(5), 3)
+        with pytest.raises(CapExceededError):
+            strong_product(cycle_graph(5), complete_graph(21))
 
     def test_vertex_ordering_is_row_major(self):
         g1 = path_graph(2)
@@ -286,13 +282,12 @@ class TestIndependenceNumber:
         g = sender_graph(example1, 1)
         alpha, witness = independence_number(g)
         assert alpha == 2
-        assert witness.vertices == (0, 2)
-        assert witness.labels == ("0", "2")
+        assert witness == (0, 2)
 
     def test_edgeless_27(self):
         alpha, witness = independence_number(empty_graph(27))
         assert alpha == 27
-        assert witness.vertices == tuple(range(27))
+        assert witness == tuple(range(27))
 
     def test_pentagon_square_graphs(self, pentagon, pentagon_literal):
         assert independence_number(sender_graph(pentagon, 2))[0] == 5
@@ -321,8 +316,8 @@ class TestIndependenceNumber:
             alpha, witness = independence_number(g)
             expect_alpha, _ = oracle_alpha(g)
             assert alpha == expect_alpha
-            assert is_independent(g, witness.vertices)
-            assert witness.vertices == oracle_lex_least_mis(g, alpha)
+            assert is_independent(g, witness)
+            assert witness == oracle_lex_least_mis(g, alpha)
         assert refreshed > 0
 
     def test_edgeless_witness_needs_no_search(self):
@@ -330,7 +325,7 @@ class TestIndependenceNumber:
         # pass spends no node of the budget
         alpha, witness = independence_number(empty_graph(500), budget=1000)
         assert alpha == 500
-        assert witness.vertices == tuple(range(500))
+        assert witness == tuple(range(500))
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_an_input_error(self, budget):
@@ -342,7 +337,7 @@ class TestIndependenceNumber:
         g = cycle_graph(6)
         alpha, witness = independence_number(g)
         assert alpha == 3
-        assert witness.vertices == (0, 2, 4)
+        assert witness == (0, 2, 4)
 
     def test_budget_error_carries_best(self):
         rng = random.Random(41)
@@ -353,7 +348,7 @@ class TestIndependenceNumber:
 
     def test_empty_graph(self):
         alpha, witness = independence_number(Graph(0, ()))
-        assert alpha == 0 and witness.vertices == ()
+        assert alpha == 0 and witness == ()
 
 
 def all_graphs(n: int):
@@ -411,7 +406,7 @@ class TestDegreeOrder:
             g = random_graph(rng, rng.randint(1, 13), rng.uniform(0.05, 0.8))
             alpha, witness = independence_number(g)
             assert alpha == oracle_alpha(g)[0]
-            assert witness.vertices == oracle_lex_least_mis(g, alpha)
+            assert witness == oracle_lex_least_mis(g, alpha)
 
     def test_witness_rules_each_fire(self, search_order):
         # the witness pass settles a vertex outside its maximum set by an
@@ -454,7 +449,7 @@ class TestBlockSandwich:
         alpha, witness = independence_number(g)
         assert independence_number(g, base=base) == (alpha, witness)
         assert alpha == oracle_alpha(g)[0]
-        assert witness.vertices == oracle_lex_least_mis(g, alpha)
+        assert witness == oracle_lex_least_mis(g, alpha)
 
     def test_sender_powers_match_plain_search_and_oracle(self):
         rng = random.Random(43)
@@ -496,7 +491,7 @@ class TestBlockSandwich:
         c4 = cycle_graph(4)
         alpha, witness = independence_number(strong_power(c4, 3), base=BlockBase(c4, c4, 3))
         assert alpha == 8
-        assert witness.vertices == (0, 2, 8, 10, 32, 34, 40, 42)  # {0, 2}^3
+        assert witness == (0, 2, 8, 10, 32, 34, 40, 42)  # {0, 2}^3
         assert 64 not in sizes
 
     def test_noisy_cliff_inside_a_small_budget(self):
@@ -506,7 +501,7 @@ class TestBlockSandwich:
                                 [Fraction(-5, 3), Fraction(-4, 3), 0]])
         alpha, witness = independence_number(sender_graph(U, 5), budget=1000,
                                              base=sender_block_base(U, 5))
-        assert alpha == 32 and len(witness.vertices) == 32
+        assert alpha == 32 and len(witness) == 32
 
     def test_orbit_pruning_only_on_symmetric_graphs(self, monkeypatch):
         # the trivial base fits any graph on X^n: I^n = {0} and the ceiling
@@ -534,7 +529,7 @@ class TestBlockSandwich:
             orbits.clear()
             alpha, witness = independence_number(g, base=base[n])
             assert alpha == oracle_alpha(g)[0]
-            assert witness.vertices == oracle_lex_least_mis(g, alpha)
+            assert witness == oracle_lex_least_mis(g, alpha)
             # an edgeless draw reaches the ceiling in its first branch
             assert bool(orbits) == (symmetric and g.edge_count() > 0)
 
@@ -548,11 +543,11 @@ class TestBlockSandwich:
         g = sender_graph(U, 5)
         alpha, witness = independence_number(g, budget=20_000, base=sender_block_base(U, 5))
         assert alpha == 37
-        assert witness.vertices == (
+        assert witness == (
             17, 23, 25, 35, 47, 51, 68, 70, 76, 89, 101, 105, 121, 122, 124, 130, 134,
             140, 142, 146, 148, 150, 154, 156, 176, 178, 184, 194, 196, 200, 202, 204,
             208, 210, 217, 219, 225)
-        assert is_independent(g, witness.vertices)
+        assert is_independent(g, witness)
 
     def test_dependent_seed_is_a_verification_error(self):
         # the edgeless base makes I^2 every vertex of a complete graph
@@ -761,6 +756,27 @@ class TestGraphJson:
             graph_from_json({"n": 3, "edges": [[1, 1]]})
         with pytest.raises(InputError):
             graph_from_json({"edges": []})
+
+    @pytest.mark.parametrize("obj", [
+        {"n": "x", "edges": []},
+        {"n": 3.0, "edges": []},
+        {"n": -1, "edges": []},
+        {"n": 3, "edges": 5},
+        {"n": 3, "edges": [5]},
+        {"n": 3, "edges": [[0, 1, 2]]},
+        {"n": 5, "edges": [[0, 1.5]]},
+        {"n": 5, "edges": [[0, "1"]]},
+        {"n": 5, "edges": [[0, True]]},
+    ])
+    def test_rejects_bad_types(self, obj):
+        # a count or endpoint that is not an integer is refused, never
+        # truncated: [0, 1.5] once became the edge (0, 1)
+        with pytest.raises(InputError):
+            graph_from_json(obj)
+
+    def test_numpy_integers_are_vertex_numbers(self):
+        g = graph_from_edges(np.int64(3), [(np.int64(0), np.int32(2))])
+        assert g.n_vertices == 3 and g.edge_count() == 1 and g.has_edge(0, 2)
 
 
 class TestSupermultiplicativity:

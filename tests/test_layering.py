@@ -1,6 +1,6 @@
 """The package's import layering, read from its source with ast: the
-brackets' rules live in the bound modules alone, and the command line sits
-on top of everything."""
+brackets' rules live in the bound modules alone, the command line sits on
+top of everything, and the graph modules never name a sequence."""
 
 import ast
 from pathlib import Path
@@ -30,6 +30,12 @@ def _imports(path: Path) -> set[str]:
     return found
 
 
+def _imported_names(path: Path) -> set[str]:
+    """Every name a source file imports with ``from ... import``."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_the_reader_sees_relative_imports():
     assert {"game", "upper_bounds", "__version__"} <= _imports(SRC / "cli.py")
 
@@ -42,3 +48,11 @@ def test_no_module_imports_the_cli():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5
     assert [p.name for p in modules if "cli" in _imports(p)] == []
+
+
+def test_graph_modules_name_no_sequence():
+    # graphs and witnesses are vertex numbers; names come only from
+    # utility.sequence_labels, at the sites that build a report
+    assert "sequence_labels" in _imported_names(SRC / "upper_bounds.py")
+    for name in ("graphs.py", "theta.py"):
+        assert not _imported_names(SRC / name) & {"sequence_labels", "Alphabet"}

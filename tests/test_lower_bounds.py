@@ -81,7 +81,7 @@ class TestFeasibility:
             U = random_utility(rng, rng.randint(2, 5))
             g = sender_graph(U, 1)
             _, witness = independence_number(g)
-            assert is_feasible_O(U, witness.vertices)
+            assert is_feasible_O(U, witness)
 
     def test_methods_agree_on_randoms(self):
         rng = random.Random(67)
@@ -378,7 +378,7 @@ class TestGammaBudget:
     ], ids=["cyclic-1", "cyclic_plus_three-1", "cyclic-4", "cyclic_plus_three-2"])
     def test_floor_when_witness_infeasible(self, U, n, exhaustive):
         alpha_sym, witness = independence_number(sender_graph(oracle_symmetric_part(U), n))
-        assert not oracle_feasible(oracle_block_sums(U, n), witness.vertices)
+        assert not oracle_feasible(oracle_block_sums(U, n), witness)
         # the canonical set's test costs alpha_sym**2 nodes and the first
         # trial, a singleton, 2 more
         with pytest.raises(BudgetExceededError, match="subset search exceeded"):

@@ -77,9 +77,10 @@ def test_validates_inputs():
         lovasz_theta(empty_graph(65))
 
 
-def test_budget_exhaustion_reports_last_iterate():
-    with pytest.raises(ConvergenceError) as err:
-        lovasz_theta(cycle_graph(7), tol=1e-5, max_iter=2)
+def test_budget_exhaustion_reports_last_iterate(monkeypatch):
+    monkeypatch.setattr("ixcap.theta.DEFAULT_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="iteration budget of 2 exhausted") as err:
+        lovasz_theta(cycle_graph(7), tol=1e-5)
     assert math.isfinite(err.value.last_value)
     assert math.isfinite(err.value.residual)
 

@@ -342,6 +342,11 @@ class TestNoisyBracket:
         with pytest.raises(InputError, match=r"tol must lie in \(0, 1e-2\]"):
             asymptotic_rate_bracket(pentagon, channel, n_max=1, tol=tol)
 
+    def test_channel_on_another_alphabet_is_refused(self, pentagon, example1):
+        # no bracket is computed for a 5-symbol utility and a 3-input channel
+        with pytest.raises(InputError, match="alphabets differ in size"):
+            asymptotic_rate_bracket(pentagon, identity_channel(example1.alphabet))
+
 
 class TestAsymptoticRateBracket:
     # confusability graph K2 + K3: alpha = theta = 2, below the pentagon's

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from ixcap.errors import InputError
 from ixcap.graphs import cycle_graph, complete_graph, empty_graph, sender_graph
 from ixcap.utility import (
     Alphabet,
-    BlockSequence,
     UtilityMatrix,
     block_sums,
     block_utility,
@@ -28,6 +28,7 @@ from ixcap.utility import (
     load_utility,
     normalize_diagonal,
     parse_rational,
+    sequence_labels,
     utility_from_graph,
     utility_from_json,
 )
@@ -84,6 +85,10 @@ class TestParsing:
             utility_from_json({"utility": []})
         with pytest.raises(InputError):
             utility_from_json([1, 2])
+        with pytest.raises(InputError):
+            utility_from_json({"utility": [5, [0, 1]]})
+        with pytest.raises(InputError):
+            utility_from_json({"alphabet": 5, "utility": [[0, 1], [1, 0]]})
         with pytest.raises(InputError):
             load_utility(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
@@ -152,11 +157,10 @@ class TestBlockUtility:
 
     def test_rows_table_matches_pointwise(self, example1):
         rows = block_utility_rows(example1, 2)
+        words = list(product(range(3), repeat=2))
         for x in range(9):
             for y in range(9):
-                xs = BlockSequence.from_index(3, 2, x).symbols
-                ys = BlockSequence.from_index(3, 2, y).symbols
-                assert rows[x][y] == block_utility(example1, xs, ys)
+                assert rows[x][y] == block_utility(example1, words[x], words[y])
 
 
 class TestBlockSums:
@@ -216,25 +220,19 @@ class TestBlockSums:
             block_sums(example1, 2, [-1])
 
 
-class TestBlockSequence:
-    @given(st.integers(2, 5), st.lists(st.integers(0, 4), min_size=1, max_size=6))
-    def test_round_trip(self, q, symbols):
-        symbols = [s % q for s in symbols]
-        seq = BlockSequence.from_symbols(q, symbols)
-        back = BlockSequence.from_index(q, seq.n, seq.index)
-        assert back.symbols == tuple(symbols)
+class TestSequenceLabels:
+    def test_canonical_order_is_most_significant_first(self, example1):
+        labels = sequence_labels(example1.alphabet, 2)
+        assert labels[5] == "12"
+        assert labels == tuple(f"{a}{b}" for a in "012" for b in "012")
 
-    def test_msb_first(self):
-        assert BlockSequence.from_symbols(3, (1, 0)).index == 3
-        assert BlockSequence.from_index(3, 2, 5).symbols == (1, 2)
-
-    def test_bounds(self):
-        with pytest.raises(InputError):
-            BlockSequence.from_symbols(2, (2,))
-        with pytest.raises(InputError):
-            BlockSequence.from_index(2, 2, 4)
-        with pytest.raises(InputError):
-            BlockSequence.from_symbols(2, ())
+    def test_long_symbols_join_with_commas(self):
+        # a symbol longer than one character joins every label with commas
+        symbols = ("ab", "c", "d")
+        assert sequence_labels(Alphabet(symbols), 2)[5] == "c,d"
+        labels = sequence_labels(Alphabet(symbols), 3)
+        assert labels[5] == "ab,c,d"
+        assert labels == tuple(map(",".join, product(symbols, repeat=3)))
 
 
 def _antisymmetric_part(U):
