@@ -48,12 +48,10 @@ from .game import (
 )
 from .graphs import (
     DEFAULT_NODE_BUDGET,
-    BlockBase,
     cycle_graph,
     graphs_equal,
     independence_number,
     load_graph,
-    sender_block_base,
     sender_graph,
     strong_power,
     symmetric_sender_graph,
@@ -291,13 +289,11 @@ def cmd_game(args) -> int:
 def cmd_alpha(args) -> int:
     n = args.blocklength
     if args.graph:
-        h = load_graph(args.graph)
-        base, g = BlockBase(h, h, n), strong_power(h, n)
+        g = strong_power(load_graph(args.graph), n)
     else:
         U = _utility_from_args(args)
-        base = sender_block_base(U, n)
         g = sender_graph(U, n)
-    alpha, witness = independence_number(g, budget=args.budget_nodes, base=base)
+    alpha, witness = independence_number(g, budget=args.budget_nodes)
     if not args.graph:
         # a sender graph's vertices are sequences, reported by name
         labels = sequence_labels(U.alphabet, n)

@@ -38,12 +38,10 @@ from .channel import Channel
 from .errors import InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
-    BlockBase,
     Graph,
     confusability_graph,
     independence_number,
     is_independent,
-    sender_block_base,
     sender_graph,
 )
 from .utility import (
@@ -127,6 +125,11 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
     A source sequence x survives iff x is in the image and every other image
     element has strictly negative block utility against x; zero-utility
     alternatives are adversarial ties and disqualify x.
+
+    The block sums of the image's rows come in row blocks of at most
+    ``BLOCK_CELLS`` cells.  Each block raises the running column maxima
+    where it beats them, which drops the hits found before in those
+    columns, and adds its own hits at the maxima.
     """
     n = g.n
     nv = U.q**n
@@ -135,12 +138,24 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
     image = g.image()
     summary = [()] * nv
     if image:
-        _, sums = block_sums(U, n, image)
-        best = sums == sums.max(axis=0)
+        top = None
+        cols = rows = np.zeros(0, dtype=np.int64)
+        step = max(1, BLOCK_CELLS // nv)
+        for start in range(0, len(image), step):
+            _, sums = block_sums(U, n, image[start:start + step])
+            block_top = sums.max(axis=0)
+            if top is not None:
+                kept = ~(block_top > top)[cols]
+                cols, rows = cols[kept], rows[kept]
+                block_top = np.maximum(top, block_top)
+            top = block_top
+            new_cols, new_rows = np.nonzero((sums == top).T)
+            cols = np.concatenate([cols, new_cols])
+            rows = np.concatenate([rows, new_rows + start])
         # the best responses to x are column x's hits, in image order
-        _, rows = np.nonzero(best.T)
-        hits = np.asarray(image)[rows].tolist()
-        ends = np.cumsum(best.sum(axis=0)).tolist()
+        order = np.argsort(cols, kind="stable")
+        hits = np.asarray(image)[rows[order]].tolist()
+        ends = np.cumsum(np.bincount(cols, minlength=nv)).tolist()
         summary = [tuple(hits[a:b]) for a, b in zip([0, *ends], ends)]
     decoded = [x for x in image if summary[x] == (x,)]
     size = len(decoded)
@@ -158,15 +173,16 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     """Worst-case optimal decoded count and a strategy achieving it.
 
     The count is the independence number of the blocklength-n sender graph,
-    searched between alpha(G_s)^n and the clique cover number of G_s^Sym
-    to the n-th power (``graphs.sender_block_base``); ``budget`` bounds
-    every search, the bounds' included.  The canonical witness set is
+    which ``graphs.independence_number`` searches between alpha(G_s)^n and
+    the clique cover number of G_s^Sym to the n-th power once the graph
+    has at least ``graphs.ORDERED_MIN_VERTICES`` vertices; ``budget``
+    bounds every search, the bounds' included.  The canonical witness set is
     decoded identically and everything else maps to the error symbol.  The
     construction is re-verified via the worst-case best-response analysis
     before returning.
     """
     g = sender_graph(U, n)
-    alpha, witness = independence_number(g, budget=budget, base=sender_block_base(U, n))
+    alpha, witness = independence_number(g, budget=budget)
     strategy = _strategy_on(g, witness, n)
     outcome = worst_case_decoded_set(U, strategy)
     if outcome.decoded_size != alpha or outcome.decoded_worst != witness:
@@ -334,15 +350,12 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     """Equilibrium decoded count over a noisy channel: the smaller of the
     sender-graph and confusability-graph independence numbers, achieved by
     the partition decoder and verified by the dominance check.  Each
-    independence number is searched between its base graphs' bounds
-    (``graphs.sender_block_base``, and G_c on both sides for G_c^n) and
-    within its own ``budget`` nodes."""
-    gs = sender_graph(U, n)
-    alpha_s, wit_s = independence_number(gs, budget=budget, base=sender_block_base(U, n))
-    gc = confusability_graph(channel, n)
-    base_c = confusability_graph(channel, 1)
-    alpha_c, wit_c = independence_number(gc, budget=budget,
-                                         base=BlockBase(base_c, base_c, n))
+    independence number is searched within its own ``budget`` nodes, and
+    between the bounds of its graph's letter table once the graph is large
+    enough (G_s and G_s^Sym for G_s^n, G_c on both sides for G_c^n; see
+    ``graphs.independence_number``)."""
+    alpha_s, wit_s = independence_number(sender_graph(U, n), budget=budget)
+    alpha_c, wit_c = independence_number(confusability_graph(channel, n), budget=budget)
     d = min(alpha_s, alpha_c)
     xs, ys = wit_s[:d], wit_c[:d]
     strategy = noisy_receiver_strategy(xs, ys, channel, n)

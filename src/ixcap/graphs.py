@@ -1,21 +1,25 @@
 """Bitset graphs: sender graphs, confusability graphs, strong products,
 and exact maximum-independent-set search with canonical witnesses.
 
-A graph is its vertex count and one bitset row per vertex, and nothing
-more: a graph on X^n numbers its vertices by the sequences' canonical
-indices, and a witness is a tuple of vertex numbers.  Sequences are named
-only where a report is built, by ``utility.sequence_labels``.
+A graph is its vertex count and one bitset row per vertex: a graph on X^n
+numbers its vertices by the sequences' canonical indices, and a witness is
+a tuple of vertex numbers.  Sequences are named only where a report is
+built, by ``utility.sequence_labels``.  A block graph that the library
+builds on X^n also records its letter table (``Graph.letters``), which
+gives the search its bounds and its symmetry; the table is no part of the
+graph's identity.
 
 Every sender graph is a sign test on exact integer letter sums, built by
 one kernel, ``_sign_graph``, in row blocks of at most ``BLOCK_CELLS``
-cells: G_s^n on the table a = scale * u, G_s^Sym,n on a + a^T.  Each
+cells: G_s^n on the table a = scale * u, G_s^Sym,n on a + a^T.  A strong
+power g^n is the same sign test on g's closed-neighbourhood table.  Each
 blocklength construction refuses more than ``DEFAULT_VERTEX_CAP``
 vertices, read when it is called."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +33,10 @@ DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_VERTEX_CAP = 20_000
 #: from this many vertices on, a graph's maximum search and its witness
 #: pass both run on one copy relabelled by degree, the smallest size at
-#: which relabelling was measured to win (see ``_SearchCopy``)
+#: which relabelling was measured to win (see ``_SearchCopy``); a block
+#: graph of this size at n >= 2 is also searched between the bounds of its
+#: letter table (``_sandwich``), which cost more than they save on
+#: xi_bracket's n = 2 graphs of at most 49 vertices
 ORDERED_MIN_VERTICES = 64
 
 
@@ -69,10 +76,18 @@ def _bits(mask: int):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph with one bitset row per vertex."""
+    """Undirected simple graph with one bitset row per vertex.
+
+    ``letters`` is (t, n) on a graph on X^n that equals ``_sign_graph(t,
+    n)`` for the q x q integer table t, which has a zero diagonal; it is
+    None on any other graph.  The library's block constructions record it
+    and ``graph_from_edges`` and ``strong_product`` do not.  Equality,
+    hashing and repr ignore it."""
 
     n_vertices: int
     rows: tuple[int, ...]
+    letters: tuple[tuple[tuple[int, ...], ...], int] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.rows) != self.n_vertices:
@@ -97,10 +112,12 @@ class Graph:
 def graph_from_edges(n: int, edges: Sequence[Sequence[int]]) -> Graph:
     """The graph on vertices 0..n-1 with the given edges.  InputError
     unless n and every endpoint are integers, and each edge is a list or
-    tuple of two distinct vertices."""
+    tuple of two distinct vertices; CapExceededError, before any row is
+    allocated, when n exceeds ``DEFAULT_VERTEX_CAP``."""
     n = parse_integer(n, "vertex count")
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
+    _check_cap(n)
     if not isinstance(edges, (list, tuple)):
         raise InputError(f"edges must be a list of pairs, got {edges!r}")
     rows = [0] * n
@@ -198,7 +215,7 @@ def _sign_graph(ints, n: int) -> Graph:
             adj |= bwd >= 0
         adj[np.arange(block.size), block] = False
         rows.extend(_pack_bool_rows(adj))
-    return Graph(nv, tuple(rows))
+    return Graph(nv, tuple(rows), (tuple(map(tuple, ints)), n))
 
 
 def sender_graph(U: UtilityMatrix, n: int) -> Graph:
@@ -215,9 +232,13 @@ def symmetric_sender_graph(U: UtilityMatrix, n: int) -> Graph:
     """G_s^Sym,n, the sender graph of the symmetric part (u + u^T) / 2: edge
     (x, y), x != y, iff sum_k u(x_k, y_k) + u(y_k, x_k) >= 0, decided on the
     exact integer table a + a^T of a = scale * u."""
-    _, a = U.scaled_integer_entries
-    q = U.q
-    return _sign_graph([[a[i][j] + a[j][i] for j in range(q)] for i in range(q)], n)
+    return _sign_graph(_plus_transpose(U.scaled_integer_entries[1]), n)
+
+
+def _plus_transpose(t) -> list[list[int]]:
+    """The q x q table t + t^T."""
+    q = len(t)
+    return [[t[i][j] + t[j][i] for j in range(q)] for i in range(q)]
 
 
 def strong_product(g1: Graph, g2: Graph) -> Graph:
@@ -241,13 +262,19 @@ def strong_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def strong_power(g: Graph, n: int) -> Graph:
+    """The strong n-th power of g, lettered by g's closed-neighbourhood
+    table t (t[a, b] = 0 for b in N[a], -1 elsewhere): two words are
+    adjacent iff every letter pair lies in N, iff their letter sum is 0."""
     if n < 1:
         raise InputError("strong power requires n >= 1")
-    _check_cap(g.n_vertices**n)
+    q = g.n_vertices
+    _check_cap(q**n)
     out = g
     for _ in range(n - 1):
         out = strong_product(out, g)
-    return out
+    closed = tuple(tuple(((row | 1 << a) >> b & 1) - 1 for b in range(q))
+                   for a, row in enumerate(g.rows))
+    return Graph(out.n_vertices, out.rows, (closed, n))
 
 
 def graphs_equal(g1: Graph, g2: Graph) -> bool:
@@ -264,47 +291,6 @@ def is_independent(g: Graph, vertices: Sequence[int]) -> bool:
     for v in vs:
         mask |= 1 << v
     return all(g.rows[v] & mask == 0 for v in vs)
-
-
-@dataclass(frozen=True)
-class BlockBase:
-    """Two graphs on X that sandwich alpha of a block graph G on X^n.
-
-    ``independent``'s lexicographically least maximum independent set I
-    must give an independent set I^n of G, and the strong n-th power of
-    ``cover`` must be a subgraph of G.  Then
-    |I|^n <= alpha(G) <= cover_number(cover)^n, where the cover number is
-    the size of the smallest partition of ``cover`` into cliques: the
-    products of such a partition's cliques partition the power into
-    cliques, and an independent set of G meets each of them at most once.
-    For a strong power base^n, a confusability graph G_c^n among them, the
-    base serves on both sides.  At n = 1 the bases are no smaller than G
-    and are not used.  ``independence_number`` checks I^n's independence
-    and |I|^n against the ceiling, but not the subgraph condition: a base
-    that breaks it can give a wrong alpha.
-
-    A base also says that G lives on X^n with q = |X| letters, so that a
-    permutation of the coordinates may map G onto itself.
-    ``independence_number`` checks this invariance on G's adjacency rather
-    than assume it, and prunes by the coordinate permutations only when it
-    holds.
-    """
-
-    independent: Graph
-    cover: Graph
-    n: int
-
-
-def sender_block_base(U: UtilityMatrix, n: int) -> BlockBase:
-    """Base graphs of G_s^n: G_s and G_s^Sym, both at n = 1.
-
-    Two distinct sequences of I^n differ where u is negative both ways and
-    add u(x, x) = 0 where they agree, so both block sums are negative; two
-    sequences adjacent in the n-th power of G_s^Sym have
-    u(x_k, y_k) + u(y_k, x_k) >= 0 on every coordinate, so the two
-    directions' block sums add up to at least 0 and one of them is >= 0.
-    """
-    return BlockBase(sender_graph(U, 1), symmetric_sender_graph(U, 1), n)
 
 
 class _Found(Exception):
@@ -458,17 +444,15 @@ class _SearchCopy:
     number in the copy and ``order[i]`` the vertex numbered i.
     """
 
-    def __init__(self, g: Graph, adj: np.ndarray | None = None):
+    def __init__(self, g: Graph):
         n = g.n_vertices
         self.ordered = n >= ORDERED_MIN_VERTICES
         if not self.ordered:
             self.rows = g.complement_rows()
             self.order = self.new_of = range(n)
             return
-        if adj is None:
-            adj = _unpack_rows(g.rows)
         order = np.argsort([r.bit_count() for r in g.rows], kind="stable")
-        relabelled = ~adj.take(order, 0).take(order, 1)
+        relabelled = ~_unpack_rows(g.rows).take(order, 0).take(order, 1)
         np.fill_diagonal(relabelled, False)
         self.rows = _pack_bool_rows(relabelled)
         self.order = order.tolist()
@@ -599,15 +583,24 @@ def _cover_number(g: Graph, meter: _Meter) -> int:
     return n
 
 
-def _sandwich(g: Graph, base: BlockBase, meter: _Meter) -> tuple[int, int]:
-    """(mask of I^n, the ceiling cover_number(H)^n) for G = g."""
-    b, h, n = base.independent, base.cover, base.n
-    q = b.n_vertices
-    if h.n_vertices != q or q**n != g.n_vertices:
-        raise InputError(f"base graphs on {q} and {h.n_vertices} vertices do not "
-                         f"fit a graph on {g.n_vertices} = q**{n} vertices")
-    _, iset = _alpha(b, meter)
-    cover = _cover_number(h, meter)
+def _sandwich(g: Graph, meter: _Meter) -> tuple[int, int]:
+    """(mask of I^n, the ceiling cover_number(H)^n) for a graph g with
+    letters (t, n), from its bases I = ``_sign_graph(t, 1)`` and
+    H = ``_sign_graph(t + t^T, 1)``, I lexicographically least maximum.
+
+    Two distinct words of I^n differ where t is negative both ways and add
+    t(x, x) = 0 where they agree, so both letter sums are negative and I^n
+    is independent.  Two words adjacent in H^n have t(x_k, y_k) +
+    t(y_k, x_k) >= 0 on every coordinate, so the two directions' sums add
+    up to at least 0 and one of them is >= 0: H^n is a subgraph of g.  The
+    products of a partition of H into cliques partition H^n into cliques,
+    which an independent set of g meets at most once each.  Both claims on
+    I^n are checked again on g, since a wrong one would give a wrong
+    alpha."""
+    t, n = g.letters
+    q = len(t)
+    _, iset = _alpha(_sign_graph(t, 1), meter)
+    cover = _cover_number(_sign_graph(_plus_transpose(t), 1), meter)
     members = [0]
     for _ in range(n):
         members = [m * q + a for m in members for a in iset]
@@ -619,22 +612,6 @@ def _sandwich(g: Graph, base: BlockBase, meter: _Meter) -> tuple[int, int]:
             f"the product set I^{n} has {len(members)} vertices, above its "
             f"ceiling {cover}^{n}")
     return seed, cover**n
-
-
-def _coordinate_symmetric(adj: np.ndarray, q: int, n: int) -> bool:
-    """Whether every permutation of the n coordinates maps the graph on X^n
-    with adjacency adj onto itself.  A word's index is its base-q number,
-    first coordinate most significant.  Checked on the transposition (0 1)
-    and the cycle (0 1 ... n-1), which generate S_n."""
-    words = np.arange(q**n).reshape((q,) * n)
-    generators = [(*range(1, n), 0)]
-    if n > 2:  # at n = 2 the cycle is the transposition
-        generators.append((1, 0, *range(2, n)))
-    for coords in generators:
-        image = words.transpose(coords).ravel()
-        if not np.array_equal(adj.take(image, 0).take(image, 1), adj):
-            return False
-    return True
 
 
 def _orbit_masks(copy: _SearchCopy, q: int, n: int):
@@ -653,24 +630,22 @@ def _orbit_masks(copy: _SearchCopy, q: int, n: int):
     return orbit
 
 
-def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
-                        base: BlockBase | None = None
+def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
                         ) -> tuple[int, tuple[int, ...]]:
     """Exact alpha(G) with the lexicographically least maximum independent
     set, as a tuple of vertices in increasing order.
 
     The maximum search runs on a degree-ordered copy of G (``_SearchCopy``).
-    With ``base``, a ``BlockBase`` of G at n >= 2, it starts from the
-    incumbent I^n and stops as soon as it reaches the ceiling
-    cover_number(H)^n; when |I|^n already meets the ceiling it does not run
-    at all.  Such a G lives on X^n, and the search then checks, on G's
-    adjacency, whether the transposition (0 1) and the cycle (0 1 ... n-1)
-    of the coordinates map G onto itself.  They generate S_n, so if both
-    do, the root of the search branches on one word of each type class
-    (words with the same letters) and drops the rest of the class; deeper
-    levels branch on single vertices, and a G that fails the check is
-    searched vertex by vertex throughout.  The answer is the same either
-    way.
+    A G with letters (t, n), n >= 2, and at least ``ORDERED_MIN_VERTICES``
+    vertices is searched between the bounds of its table (``_sandwich``):
+    the search starts from the incumbent I^n and stops as soon as it
+    reaches the ceiling cover_number(H)^n, and when |I|^n already meets the
+    ceiling it does not run at all.  Such a G is the sign graph of a
+    letterwise sum, so every permutation of the n coordinates maps it onto
+    itself; the root of the search then branches on one word of each type
+    class (words with the same letters) and drops the rest of the class,
+    and deeper levels branch on single vertices.  The answer is the same as
+    a search of G's rows alone.
 
     The witness pass walks the vertices in G's own order and keeps each one
     that some maximum independent set extends.  It holds such a set W, first
@@ -687,46 +662,39 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
     and its fences, built once per call.
 
     One node budget bounds every search, the bases' included.  Raises
-    BudgetExceededError if it runs out, InputError if the budget is below 1
-    or the bases do not fit G, and VerificationError if I^n is not
-    independent in G or exceeds the ceiling.  The error's ``best`` is the
-    size of the largest independent set of G known when the budget ran out:
-    None while the bases are searched, then |I|^n, the maximum search's
-    incumbent, and alpha during the witness pass.
+    BudgetExceededError if it runs out, InputError if the budget is below
+    1, and VerificationError if I^n is not independent in G or exceeds the
+    ceiling.  The error's ``best`` is the size of the largest independent
+    set of G known when the budget ran out: None while the bases are
+    searched, then |I|^n, the maximum search's incumbent, and alpha during
+    the witness pass.
     """
-    return _alpha(g, _Meter(budget), base, reports=True)
+    return _alpha(g, _Meter(budget), reports=True)
 
 
-def _alpha(g: Graph, meter: _Meter, base: BlockBase | None = None,
-           reports: bool = False) -> tuple[int, tuple[int, ...]]:
+def _alpha(g: Graph, meter: _Meter, reports: bool = False
+           ) -> tuple[int, tuple[int, ...]]:
     """(alpha(g), the lexicographically least maximum independent set), as
     ``independence_number`` describes, with every search charged to meter.
     ``reports`` makes g's independent sets the meter's ``best``; it is off
     for a base graph searched on behalf of another graph."""
-    n = g.n_vertices
-    if n == 0:
+    nv = g.n_vertices
+    if nv == 0:
         return 0, ()
-    _ensure_recursion_headroom(n)
-    seed, ceiling = 0, n
-    blocks = base is not None and base.n > 1
-    if blocks:
-        seed, ceiling = _sandwich(g, base, meter)
+    _ensure_recursion_headroom(nv)
+    seed, ceiling = 0, nv
+    sandwiched = g.letters is not None and g.letters[1] > 1 and nv >= ORDERED_MIN_VERTICES
+    if sandwiched:
+        seed, ceiling = _sandwich(g, meter)
         if reports:
             meter.best = seed.bit_count()
-    settled = seed.bit_count() == ceiling
-    adj = (_unpack_rows(g.rows) if blocks and not settled or n >= ORDERED_MIN_VERTICES
-           else None)
-    copy = _SearchCopy(g, adj)
+    copy = _SearchCopy(g)
     search = _CliqueSearch(copy.rows, meter, reports)
-    if settled:
+    if seed.bit_count() == ceiling:
         alpha, maxset = ceiling, copy.inward(seed)
     else:
-        orbit = None
-        if blocks:
-            q = base.independent.n_vertices
-            if _coordinate_symmetric(adj, q, base.n):
-                orbit = _orbit_masks(copy, q, base.n)
-        alpha, maxset = search.maximum((1 << n) - 1, copy.inward(seed), ceiling, orbit)
+        orbit = _orbit_masks(copy, len(g.letters[0]), g.letters[1]) if sandwiched else None
+        alpha, maxset = search.maximum((1 << nv) - 1, copy.inward(seed), ceiling, orbit)
     # a reporting meter's best is now alpha; the witness pass's searches
     # find smaller sets, which must not lower it
     search.reports = False
@@ -740,14 +708,10 @@ def confusability_graph(channel, n: int) -> Graph:
     if n < 1:
         raise InputError("blocklength must be at least 1")
     q = channel.q
-    _check_cap(q**n)
     rows = [0] * q
     for y1 in range(q):
         for y2 in range(y1 + 1, q):
             if channel.support[y1] & channel.support[y2]:
                 rows[y1] |= 1 << y2
                 rows[y2] |= 1 << y1
-    base = Graph(q, tuple(rows))
-    if n == 1:
-        return base
-    return strong_power(base, n)
+    return strong_power(Graph(q, tuple(rows)), n)

@@ -271,9 +271,9 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
     out, it returns the largest feasible subset found so far, in a
     certificate not flagged optimal.  Raises BudgetExceededError when the
     maximum search runs out, or the subset search before it holds any set.
-    The maximum search takes no ``graphs.BlockBase``: ``xi_bracket`` calls
-    this at n <= 2, where the graphs are too small for the bounds to pay for
-    themselves.
+    ``xi_bracket`` calls this at n <= 2, where G_s^Sym,n is too small for
+    ``graphs.independence_number`` to bound it by its letter table unless
+    q >= 8.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")

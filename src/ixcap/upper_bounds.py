@@ -29,7 +29,6 @@ from .channel import Channel
 from .errors import BudgetExceededError, CapExceededError, ConvergenceError, InputError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
-    BlockBase,
     Graph,
     _bits,
     _Meter,
@@ -186,7 +185,7 @@ class CapacityBracket:
 
 
 def _alpha_side(build, n: int, alphabet: Alphabet, budget: int, name: str, graph: str,
-                warnings: list[str], base: BlockBase | None = None):
+                warnings: list[str]):
     """The lower candidate alpha(G^n)^(1/n) for G^n = ``build()``, a graph
     on X^n: its value, its certificate ``name`` with the witness named over
     ``alphabet``, and the integers (alpha, n).  None, after the warning
@@ -194,7 +193,7 @@ def _alpha_side(build, n: int, alphabet: Alphabet, budget: int, name: str, graph
     search exceeds ``budget`` nodes.
     """
     try:
-        alpha, witness = independence_number(build(), budget=budget, base=base)
+        alpha, witness = independence_number(build(), budget=budget)
     except (BudgetExceededError, CapExceededError) as exc:
         warnings.append(f"alpha({graph}^{n}) skipped: {exc}")
         return None
@@ -266,10 +265,10 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     within at most ``SHORTCUT_NODE_BUDGET`` nodes and gives up silently.
     The result carries the per-blocklength records (alpha(G_s^n) and its
     witness; Gamma(U_n) with its subset, optimality and alpha(G_s^Sym,n);
-    or the skip message) and theta(G_s^Sym).  Its alpha searches take no
-    ``graphs.BlockBase``: at n_max = 2 their graphs have at most q**2
-    vertices, where building the bases and their bounds costs more than the
-    search they would save.
+    or the skip message) and theta(G_s^Sym).  At n_max = 2 and q <= 7 its
+    alpha searches run on at most 49 vertices, below the size from which
+    ``graphs.independence_number`` bounds a block graph by its letter
+    table: there the bounds cost more than the search they would save.
     Raises InputError when n_max < 1 or tol lies outside (0, 1e-2], the
     solver's own range, checked here since a perfect G_s^Sym never
     reaches the solver.
@@ -393,8 +392,7 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     base_c = confusability_graph(channel, 1)
     sides = [
         _alpha_side(lambda: base_c if n == 1 else confusability_graph(channel, n), n,
-                    U.alphabet, budget, "alpha_confusability_power", "G_c", warnings,
-                    base=BlockBase(base_c, base_c, n))
+                    U.alphabet, budget, "alpha_confusability_power", "G_c", warnings)
         for n in range(1, n_max + 1)
     ]
     lower_c, lower_cert_c, (alpha, root) = max(

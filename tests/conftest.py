@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import ixcap.graphs
 from ixcap.channel import make_channel
 from ixcap.cli import corpus_path
 from ixcap.utility import (
@@ -82,6 +83,17 @@ def random_symmetric_utility(rng: random.Random, q: int) -> UtilityMatrix:
         [(u.u[i][j] + u.u[j][i]) / 2 for j in range(q)] for i in range(q)
     ]
     return UtilityMatrix(u.alphabet, tuple(tuple(r) for r in rows))
+
+
+@pytest.fixture
+def sandwich_calls(monkeypatch) -> list:
+    """The graphs that independence_number bounds by their letter tables
+    from now on, one entry per ``graphs._sandwich`` call."""
+    calls = []
+    sandwich = ixcap.graphs._sandwich
+    monkeypatch.setattr(ixcap.graphs, "_sandwich",
+                        lambda g, meter: calls.append(g) or sandwich(g, meter))
+    return calls
 
 
 def random_channel(rng, q: int):

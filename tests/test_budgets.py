@@ -17,7 +17,6 @@ from ixcap.graphs import (
     cycle_graph,
     graph_from_edges,
     independence_number,
-    sender_block_base,
     sender_graph,
 )
 from ixcap.lower_bounds import gamma, gamma_n
@@ -34,8 +33,7 @@ CYCLIC = utility_from_json({"utility": [[0, -1, 0], [0, 0, -1], [-1, 0, 0]]})
 
 @pytest.mark.parametrize("search, budget, answer", [
     (lambda b: independence_number(sender_graph(PENTAGON, 2), b)[0], 31, 5),
-    (lambda b: independence_number(sender_graph(U7, 3), b,
-                                   base=sender_block_base(U7, 3))[0], 18, 64),
+    (lambda b: independence_number(sender_graph(U7, 3), b)[0], 18, 64),
     (lambda b: in_perfect_whitelist(cycle_graph(7), b), 5, False),
     (lambda b: in_perfect_whitelist(C9_COMPLEMENT, b), 57, False),
 ], ids=["alpha-pentagon-2", "alpha-U7-3-base", "perfect-C7", "perfect-C9-complement"])
@@ -53,21 +51,20 @@ def test_smallest_budget_of_the_subset_search():
     assert (value, cert.optimal) == (4, False)
 
 
-@pytest.mark.parametrize("U, n, base", [
-    (PENTAGON, 2, False), (PENTAGON, 2, True), (U7, 3, True),
-], ids=["pentagon-2", "pentagon-2-base", "U7-3-base"])
-def test_budget_error_best_never_falls(U, n, base):
+@pytest.mark.parametrize("U, n", [(PENTAGON, 2), (U7, 3)], ids=["pentagon-2", "U7-3-base"])
+def test_budget_error_best_never_falls(U, n):
     """Out of budget, ``best`` is the largest independent set of G known:
     None while the bases are searched, then |I|^n, the maximum search's
     incumbent, and alpha in the witness pass.  So it never exceeds alpha
-    and never falls as the budget grows."""
+    and never falls as the budget grows.  G_s^3 of U7 has 343 vertices
+    and is searched between its bases; G_s^2 of the pentagon, with 25,
+    is not."""
     g = sender_graph(U, n)
-    kwargs = {"base": sender_block_base(U, n)} if base else {}
-    alpha, _ = independence_number(g, **kwargs)
+    alpha, _ = independence_number(g)
     bests = []
     for budget in count(1):
         try:
-            independence_number(g, budget, **kwargs)
+            independence_number(g, budget)
             break
         except BudgetExceededError as exc:
             bests.append(-1 if exc.best is None else exc.best)

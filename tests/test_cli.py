@@ -149,8 +149,8 @@ def test_budget_exceeded():
 
 @pytest.mark.parametrize("source", ["graph", "utility"])
 def test_alpha_of_a_power_matches_the_plain_search(source, tmp_path, capsys):
-    # the pentagon: alpha(G^2) = 5 lies strictly between 2^2 and 3^2, so the
-    # search runs between the bounds and must still give the plain witness
+    # the pentagon: alpha(G^2) = 5 lies strictly between 2^2 and 3^2; the
+    # power of a file graph and the sender graph give the plain witness
     if source == "graph":
         path = tmp_path / "c5.json"
         path.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
@@ -339,6 +339,14 @@ def test_malformed_file_is_an_input_error(command, content, tmp_path, capsys):
         argv += ["--utility", EXAMPLE1]
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("ixcap: error: ")
+
+
+def test_alpha_refuses_a_graph_file_above_the_vertex_cap(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 3_000_000, "edges": []}))
+    assert main(["alpha", "--graph", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "ixcap: error: 3000000 vertices exceed the cap of 20000\n")
 
 
 def test_partition_pairs_take_the_least_input_of_a_shared_support():

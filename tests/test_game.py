@@ -2,6 +2,7 @@
 instances (q <= 4, n <= 4), and the named verification failure."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +30,7 @@ from ixcap.game import (
     ReceiverStrategy,
     equilibrium_value_noiseless,
     expected_block_utility,
+    naive_receiver_strategy,
     noisy_equilibrium_value,
     noisy_receiver_strategy,
     output_support_indices,
@@ -221,6 +223,19 @@ class TestBlockSandwichInTheGame:
             assert strategy == noisy_receiver_strategy(xs, ys, channel, n)
 
 
+    def test_each_block_search_is_sandwiched_once(self, sandwich_calls):
+        # at q = 4, n = 3 both G_s^3 and G_c^3 have 64 vertices, enough for
+        # the bounds: one sandwich per alpha search, on the searched graph
+        rng = random.Random(67)
+        for _ in range(3):
+            U, channel = random_utility(rng, 4), random_channel(rng, 4)
+            equilibrium_value_noiseless(U, 3)
+            assert sandwich_calls == [sender_graph(U, 3)]
+            sandwich_calls.clear()
+            noisy_equilibrium_value(U, channel, 3)
+            assert sandwich_calls == [sender_graph(U, 3), confusability_graph(channel, 3)]
+            sandwich_calls.clear()
+
     def test_noisy_on_a_nonzero_diagonal_takes_no_sender_bounds(self):
         # u(x, x) = -1 would break the sender bounds' proof: G_s and G_s^Sym
         # are both K2, yet the block sums of 00 and 01 are both -1. The
@@ -236,6 +251,42 @@ class TestBlockSandwichInTheGame:
         assert d == oracle_alpha(sender_graph(U, 2))[0]  # G_c^2 is edgeless
         xs, ys = noisy_pairs(U, channel, 2, d)
         assert strategy == noisy_receiver_strategy(xs, ys, channel, 2)
+
+
+class TestWorstCaseBlocks:
+    """The block sums of a strategy's image come in row blocks of at most
+    ``BLOCK_CELLS`` cells; the outcome is that of one whole table."""
+
+    @pytest.mark.parametrize("cells", [1, 5, 64])
+    def test_row_blocks_give_the_same_outcome(self, monkeypatch, cells):
+        rng = random.Random(89)
+        cases = []
+        for i in range(12):
+            q, n = rng.randint(2, 4), rng.randint(1, 3)
+            U = (random_utility, random_int_utility)[i % 2](rng, q)
+            _, optimal = equilibrium_value_noiseless(U, n)
+            scrambled = ReceiverStrategy(n, tuple(rng.choice([None, *range(q**n)])
+                                                  for _ in range(q**n)))
+            cases += [(U, naive_receiver_strategy(q, n)), (U, optimal), (U, scrambled)]
+        whole = [worst_case_decoded_set(U, g) for U, g in cases]
+        monkeypatch.setattr(ixcap.game, "BLOCK_CELLS", cells)
+        assert [worst_case_decoded_set(U, g) for U, g in cases] == whole
+
+    def test_naive_receiver_at_n7_stays_within_its_blocks(self, monkeypatch, tmp_path):
+        # example1's naive table at n = 7 is 2187 x 2187 int64, 38 MB, and
+        # took 51 MB of traced peak in one piece; in blocks of 2**18 cells
+        # (2 MB) the whole command stays within 16 MB
+        monkeypatch.setattr(ixcap.game, "BLOCK_CELLS", 1 << 18)
+        argv = ["game", "--utility", str(corpus_path("example1.json")), "-n", "7",
+                "--receiver", "naive", "--out", str(tmp_path / "naive.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
 
 def check_against_reference(U, channel, n, rng):
     """The partition strategy passes both checks; perturbed strategies get

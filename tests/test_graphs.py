@@ -1,8 +1,9 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     oracle_lex_least_mis,
     oracle_sender_edges,
     oracle_symmetric_part,
+    random_channel,
     random_int_utility,
     random_utility,
 )
@@ -20,7 +22,6 @@ from ixcap.channel import identity_channel, make_channel
 from ixcap.errors import BudgetExceededError, CapExceededError, InputError, VerificationError
 import ixcap.graphs
 from ixcap.graphs import (
-    BlockBase,
     Graph,
     complete_graph,
     confusability_graph,
@@ -32,7 +33,6 @@ from ixcap.graphs import (
     independence_number,
     is_independent,
     path_graph,
-    sender_block_base,
     sender_graph,
     strong_power,
     strong_product,
@@ -50,22 +50,6 @@ from ixcap.utility import (
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
-
-
-def symmetric_graph(rng: random.Random, q: int, n: int, p: float) -> Graph:
-    """A random graph on X^n that every permutation of the coordinates maps
-    onto itself: each pair drawn brings all its images along."""
-    words = list(product(range(q), repeat=n))
-    index = {w: i for i, w in enumerate(words)}
-    edges = set()
-    for i, x in enumerate(words):
-        for j in range(i + 1, len(words)):
-            if rng.random() < p:
-                for perm in permutations(range(n)):
-                    a = index[tuple(x[k] for k in perm)]
-                    b = index[tuple(words[j][k] for k in perm)]
-                    edges.add((min(a, b), max(a, b)))
-    return graph_from_edges(len(words), sorted(edges))
 
 
 class TestSenderGraph:
@@ -443,11 +427,37 @@ class TestDegreeOrder:
         assert sizes == [n - 1, n] and relabelled == [n]
 
 
+def stripped(g: Graph) -> Graph:
+    """g's rows with no letter table, which no search sandwiches."""
+    return Graph(g.n_vertices, g.rows)
+
+
+def is_sandwiched(g: Graph) -> bool:
+    """Whether independence_number(g) bounds g by its letter table."""
+    return (g.letters is not None and g.letters[1] > 1
+            and g.n_vertices >= ixcap.graphs.ORDERED_MIN_VERTICES)
+
+
+def lettered(n_vertices: int, rows, table, n: int) -> Graph:
+    """A graph that claims the letter table (table, n), true or not."""
+    return Graph(n_vertices, tuple(rows), (tuple(map(tuple, table)), n))
+
+
+def edgeless_table(q: int):
+    """The q x q table whose sign graph is edgeless."""
+    return [[0 if a == b else -1 for b in range(q)] for a in range(q)]
+
+
 @pytest.mark.usefixtures("search_order")
 class TestBlockSandwich:
-    def assert_same_with_and_without(self, g, base):
-        alpha, witness = independence_number(g)
-        assert independence_number(g, base=base) == (alpha, witness)
+    """A block graph is searched between the bounds of its letter table;
+    the answer is that of the same rows with no table.  In degree order
+    (``ORDERED_MIN_VERTICES`` = 0) every block graph at n >= 2 is
+    sandwiched, however small."""
+
+    def assert_same_with_and_without(self, g):
+        alpha, witness = independence_number(stripped(g))
+        assert independence_number(g) == (alpha, witness)
         assert alpha == oracle_alpha(g)[0]
         assert witness == oracle_lex_least_mis(g, alpha)
 
@@ -455,24 +465,25 @@ class TestBlockSandwich:
         rng = random.Random(43)
         for q, n in ((3, 2), (4, 2), (3, 3)) * 4:
             U = random_utility(rng, q)
-            self.assert_same_with_and_without(sender_graph(U, n), sender_block_base(U, n))
+            self.assert_same_with_and_without(sender_graph(U, n))
+            self.assert_same_with_and_without(symmetric_sender_graph(U, n))
 
     def test_nonzero_diagonal_gets_no_base(self):
         # u(x, x) = -1 would break the sandwich: 00 and 01 are independent in
         # G_s^2 (both block sums are -1), though G_s and G_s^Sym are both K2
         # and would claim a ceiling of 1. Such a matrix cannot be built, so
-        # it never reaches sender_block_base; its column-shifted form does,
+        # no sender graph carries its table; its column-shifted form does,
         # and the sandwiched search stays exact on it.
         rows = [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]
         with pytest.raises(InputError, match="zero diagonal"):
             UtilityMatrix(Alphabet.of_size(2), tuple(map(tuple, rows)))
         U = normalize_diagonal(rows)
-        self.assert_same_with_and_without(sender_graph(U, 2), sender_block_base(U, 2))
+        self.assert_same_with_and_without(sender_graph(U, 2))
         rng = random.Random(53)
         for q, n in ((2, 3), (3, 2), (3, 3)) * 3:
             U = normalize_diagonal([[Fraction(rng.randint(-4, 3), rng.randint(1, 2))
                                      for _ in range(q)] for _ in range(q)])
-            self.assert_same_with_and_without(sender_graph(U, n), sender_block_base(U, n))
+            self.assert_same_with_and_without(sender_graph(U, n))
 
     def test_confusability_powers_match_plain_search_and_oracle(self):
         rng = random.Random(47)
@@ -481,15 +492,12 @@ class TestBlockSandwich:
             rows = [[Fraction(1, len(s)) if z in s else Fraction(0) for z in range(q)]
                     for s in supports]
             channel = make_channel(Alphabet.of_size(q), rows)
-            base = confusability_graph(channel, 1)
-            self.assert_same_with_and_without(confusability_graph(channel, n),
-                                              BlockBase(base, base, n))
+            self.assert_same_with_and_without(confusability_graph(channel, n))
 
     def test_product_set_at_the_ceiling_skips_the_maximum_search(self, monkeypatch):
         # C4 at n = 3: alpha = cover number = 2, so I^3 is maximum by the bounds
         sizes = search_sizes(monkeypatch)
-        c4 = cycle_graph(4)
-        alpha, witness = independence_number(strong_power(c4, 3), base=BlockBase(c4, c4, 3))
+        alpha, witness = independence_number(strong_power(cycle_graph(4), 3))
         assert alpha == 8
         assert witness == (0, 2, 8, 10, 32, 34, 40, 42)  # {0, 2}^3
         assert 64 not in sizes
@@ -499,49 +507,47 @@ class TestBlockSandwich:
         # I^5 is already maximum, and the search proves it within 1000 nodes
         U = normalize_diagonal([[0, -3, 1], [Fraction(-1, 2), 0, Fraction(3, 2)],
                                 [Fraction(-5, 3), Fraction(-4, 3), 0]])
-        alpha, witness = independence_number(sender_graph(U, 5), budget=1000,
-                                             base=sender_block_base(U, 5))
+        alpha, witness = independence_number(sender_graph(U, 5), budget=1000)
         assert alpha == 32 and len(witness) == 32
 
-    def test_orbit_pruning_only_on_symmetric_graphs(self, monkeypatch):
-        # the trivial base fits any graph on X^n: I^n = {0} and the ceiling
-        # is 3^n.  A random graph is not invariant under the coordinate
-        # permutations, so its root must branch vertex by vertex; a random
-        # symmetric one is, and its root drops whole orbits
-        orbits = []
-        orbit_masks = ixcap.graphs._orbit_masks
+    def test_orbit_pruning_on_every_sandwiched_search(self, monkeypatch):
+        # a block graph is the sign graph of a letterwise sum, so every
+        # coordinate permutation maps it onto itself: each sandwiched search
+        # that the bounds leave open prunes its root by the type classes.
+        # The same rows with no table get neither bounds nor orbits, and
+        # the same answer
+        calls = []
+        sandwich, orbit_masks = ixcap.graphs._sandwich, ixcap.graphs._orbit_masks
 
-        def counted(*args):
-            orbit = orbit_masks(*args)
-            return lambda i: orbits.append(i) or orbit(i)
+        def recorded_sandwich(g, meter):
+            seed, ceiling = sandwich(g, meter)
+            calls.append("settled" if seed.bit_count() == ceiling else "open")
+            return seed, ceiling
 
-        monkeypatch.setattr(ixcap.graphs, "_orbit_masks", counted)
-        base = {n: BlockBase(complete_graph(3), empty_graph(3), n) for n in (2, 3)}
+        monkeypatch.setattr(ixcap.graphs, "_sandwich", recorded_sandwich)
+        monkeypatch.setattr(ixcap.graphs, "_orbit_masks",
+                            lambda *a: calls.append("orbits") or orbit_masks(*a))
         rng = random.Random(71)
-        draws = [(n, False) for n in (2, 3) * 12] + [(n, True) for n in (2, 3) * 5]
-        for n, symmetric in draws:
-            if symmetric:
-                g = symmetric_graph(rng, 3, n, rng.uniform(0.1, 0.2) if n == 2
-                                    else rng.uniform(0.2, 0.35))
+        opened = 0
+        for n in (2, 3, 4) * 4:
+            g = sender_graph(random_int_utility(rng, 3, (-2, -1, 0, 1)), n)
+            calls.clear()
+            assert independence_number(stripped(g)) == independence_number(g)
+            if not is_sandwiched(g):
+                assert calls == []
+            elif calls == ["open", "orbits"]:
+                opened += 1
             else:
-                g = random_graph(rng, 3**n, rng.uniform(0.15, 0.5) if n == 2
-                                 else rng.uniform(0.4, 0.65))
-            orbits.clear()
-            alpha, witness = independence_number(g, base=base[n])
-            assert alpha == oracle_alpha(g)[0]
-            assert witness == oracle_lex_least_mis(g, alpha)
-            # an edgeless draw reaches the ceiling in its first branch
-            assert bool(orbits) == (symmetric and g.edge_count() > 0)
+                assert calls == ["settled"]
+        assert opened
 
     def test_noisy_cliff_at_k1_inside_a_small_budget(self):
         # perfbench's noisy structure (3, 5) k = 1: alpha(G_s^5) = 37 lies
         # strictly between 2^5 and 3^5.  Searched in index order, with no
         # orbits, the proof took about 1.5 * 10^5 nodes, most of them in the
         # witness pass; the witness is the one that search returns
-        U = normalize_diagonal([[0, 0, -3], [Fraction(-4, 3), 0, Fraction(-4, 3)],
-                                [1, -1, 0]])
-        g = sender_graph(U, 5)
-        alpha, witness = independence_number(g, budget=20_000, base=sender_block_base(U, 5))
+        g = sender_graph(_noisy_k1_utility(), 5)
+        alpha, witness = independence_number(g, budget=20_000)
         assert alpha == 37
         assert witness == (
             17, 23, 25, 35, 47, 51, 68, 70, 76, 89, 101, 105, 121, 122, 124, 130, 134,
@@ -550,26 +556,55 @@ class TestBlockSandwich:
         assert is_independent(g, witness)
 
     def test_dependent_seed_is_a_verification_error(self):
-        # the edgeless base makes I^2 every vertex of a complete graph
-        edgeless = empty_graph(3)
-        with pytest.raises(VerificationError):
-            independence_number(complete_graph(9), base=BlockBase(edgeless, edgeless, 2))
+        # the edgeless table makes I^3 every vertex of a complete graph
+        g = lettered(64, complete_graph(64).rows, edgeless_table(4), 3)
+        with pytest.raises(VerificationError, match="not independent"):
+            independence_number(g)
 
-    def test_seed_above_its_ceiling_is_a_verification_error(self):
-        # I^2 has 9 vertices, the complete base claims a ceiling of 1
-        with pytest.raises(VerificationError):
-            independence_number(empty_graph(9),
-                                base=BlockBase(empty_graph(3), complete_graph(3), 2))
-
-    def test_bases_must_fit_the_graph(self):
-        edgeless = empty_graph(3)
-        with pytest.raises(InputError):
-            independence_number(empty_graph(8), base=BlockBase(edgeless, edgeless, 2))
+    def test_seed_above_its_ceiling_is_a_verification_error(self, monkeypatch):
+        # no table can give it, since G_s^Sym is a subgraph of G_s and
+        # alpha(G_s) <= alpha(G_s^Sym) <= its cover number; a faulty cover
+        # search can, and the check refuses its ceiling 1 below |I^3| = 64
+        monkeypatch.setattr(ixcap.graphs, "_cover_number", lambda g, meter: 1)
+        g = lettered(64, empty_graph(64).rows, edgeless_table(4), 3)
+        with pytest.raises(VerificationError, match="above its ceiling"):
+            independence_number(g)
 
     def test_bases_are_charged_to_the_node_budget(self):
-        c5 = cycle_graph(5)
-        with pytest.raises(BudgetExceededError):
-            independence_number(strong_power(c5, 2), budget=2, base=BlockBase(c5, c5, 2))
+        with pytest.raises(BudgetExceededError) as exc:
+            independence_number(strong_power(cycle_graph(5), 3), budget=2)
+        assert exc.value.best is None  # it ran out inside the bases' searches
+
+
+class TestLetters:
+    """Every graph the library builds on X^n records the table it is the
+    sign graph of; the table is no part of the graph's identity."""
+
+    def test_lettered_graphs_are_their_tables_sign_graphs(self):
+        rng = random.Random(211)
+        for _ in range(25):
+            q, n = rng.randint(2, 4), rng.randint(1, 3)
+            U = random_utility(rng, q)
+            graphs = [sender_graph(U, n), symmetric_sender_graph(U, n),
+                      confusability_graph(random_channel(rng, q), n),
+                      strong_power(random_graph(rng, q, rng.random()), n)]
+            for g in graphs:
+                table, m = g.letters
+                assert m == n and len(table) == q
+                assert graphs_equal(g, ixcap.graphs._sign_graph(table, n))
+                assert all(table[a][a] == 0 for a in range(q))
+
+    def test_edge_lists_and_products_carry_no_table(self):
+        c5 = strong_power(cycle_graph(5), 1)
+        assert c5.letters is not None
+        assert graph_from_edges(3, [(0, 1)]).letters is None
+        assert strong_product(c5, c5).letters is None
+
+    def test_table_is_no_part_of_identity(self):
+        g = sender_graph(utility_from_graph(cycle_graph(5)), 2)
+        plain = stripped(g)
+        assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+        assert graphs_equal(g, plain)
 
 
 def _noisy_k1_utility():
@@ -578,8 +613,7 @@ def _noisy_k1_utility():
 
 
 def _random_sender_power(seed, q, n):
-    U = random_int_utility(random.Random(seed), q, (-2, -1, 0, 1))
-    return sender_graph(U, n), sender_block_base(U, n)
+    return sender_graph(random_int_utility(random.Random(seed), q, (-2, -1, 0, 1)), n)
 
 
 def _confusability_power(supports, n):
@@ -587,9 +621,7 @@ def _confusability_power(supports, n):
     q = len(supports)
     rows = [[Fraction(1, len(s)) if z in s else Fraction(0) for z in range(q)]
             for s in supports]
-    channel = make_channel(Alphabet.of_size(q), rows)
-    base = confusability_graph(channel, 1)
-    return confusability_graph(channel, n), BlockBase(base, base, n)
+    return confusability_graph(make_channel(Alphabet.of_size(q), rows), n)
 
 
 def _random_supports(seed, q):
@@ -601,26 +633,27 @@ class TestPinnedSearchTree:
     """Each case's alpha with the fewest nodes its whole search takes, the
     bases' searches and the witness pass included: one node fewer runs out.
     A change to the branch order, the bounds or the pruning moves these
-    counts, so the colouring kernel cannot change the search tree unseen."""
+    counts, so the colouring kernel cannot change the search tree unseen.
+    The two 49-vertex powers lie below ``ORDERED_MIN_VERTICES`` and are
+    searched without bounds or orbits."""
 
     @pytest.mark.parametrize("build, alpha, nodes", [
-        (lambda: (sender_graph(_noisy_k1_utility(), 5),
-                  sender_block_base(_noisy_k1_utility(), 5)), 37, 11_749),
+        (lambda: sender_graph(_noisy_k1_utility(), 5), 37, 11_749),
         (lambda: _random_sender_power(3, 3, 5), 51, 691),
         (lambda: _random_sender_power(5, 3, 5), 21, 6152),
         (lambda: _random_sender_power(22, 3, 4), 19, 1389),
-        (lambda: _confusability_power([(y, (y + 1) % 7) for y in range(7)], 2), 10, 1085),
-        (lambda: _confusability_power(_random_supports(7, 7), 2), 10, 2585),
+        (lambda: _confusability_power([(y, (y + 1) % 7) for y in range(7)], 2), 10, 1394),
+        (lambda: _confusability_power(_random_supports(7, 7), 2), 10, 3107),
         (lambda: _confusability_power(_random_supports(4, 6), 3), 27, 12),
-        (lambda: (random_graph(random.Random(1), 60, 0.25), None), 14, 794),
-        (lambda: (random_graph(random.Random(3), 90, 0.3), None), 13, 2203),
+        (lambda: random_graph(random.Random(1), 60, 0.25), 14, 794),
+        (lambda: random_graph(random.Random(3), 90, 0.3), 13, 2203),
     ], ids=["noisy-cliff-k1", "sender-3", "sender-5", "sender-22", "C7-squared",
             "confusability-7", "confusability-4", "random-60", "random-90"])
     def test_node_count(self, build, alpha, nodes):
-        g, base = build()
-        assert independence_number(g, budget=nodes, base=base)[0] == alpha
+        g = build()
+        assert independence_number(g, budget=nodes)[0] == alpha
         with pytest.raises(BudgetExceededError):
-            independence_number(g, budget=nodes - 1, base=base)
+            independence_number(g, budget=nodes - 1)
 
 
 class TestColorOrder:
@@ -773,6 +806,18 @@ class TestGraphJson:
         # truncated: [0, 1.5] once became the edge (0, 1)
         with pytest.raises(InputError):
             graph_from_json(obj)
+
+    def test_vertex_count_above_the_cap_is_refused_before_any_row(self):
+        # 3 * 10**6 declared vertices once cost 79 MB of rows before a
+        # later construction refused them
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="3000000 vertices exceed the cap"):
+                graph_from_json({"n": 3_000_000, "edges": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_numpy_integers_are_vertex_numbers(self):
         g = graph_from_edges(np.int64(3), [(np.int64(0), np.int32(2))])

@@ -118,6 +118,14 @@ def _random_pairs(seed, count):
 
 
 class TestXiBracket:
+    def test_small_powers_take_no_bounds(self, sandwich_calls):
+        # at q = 4 and n_max = 2 every alpha search runs on at most 16
+        # vertices, below the size from which a block graph is sandwiched
+        rng = random.Random(131)
+        for _ in range(4):
+            xi_bracket(random_utility(rng, 4), n_max=2)
+        assert sandwich_calls == []
+
     @pytest.mark.parametrize("U", _random_utilities(127, 24))
     def test_invariants(self, U):
         n_max = 2
