@@ -6,13 +6,11 @@ decided exactly on the stored rationals; no epsilon thresholds anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import InputError
-from .utility import Alphabet, alphabet_from_json, parse_rational
+from .utility import Alphabet, _read_json, _render_rational, alphabet_from_json, parse_rational
 
 
 @dataclass(frozen=True)
@@ -34,12 +32,9 @@ class Channel:
         return all(self.support[y] == 1 << y for y in range(self.q))
 
     def to_json_dict(self) -> dict:
-        def render(x: Fraction):
-            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
         return {
             "alphabet": list(self.alphabet.symbols),
-            "rows": [[render(x) for x in row] for row in self.rows],
+            "rows": [[_render_rational(x) for x in row] for row in self.rows],
         }
 
 
@@ -73,12 +68,7 @@ def channel_from_json(obj) -> Channel:
 
 
 def load_channel(path) -> Channel:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(), parse_float=Fraction)
-    except (OSError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot read channel file {path}: {exc}") from exc
-    return channel_from_json(obj)
+    return channel_from_json(_read_json(path, "channel"))
 
 
 def identity_channel(alphabet: Alphabet) -> Channel:

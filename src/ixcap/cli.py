@@ -66,8 +66,8 @@ from .lower_bounds import (
 from .theta import lovasz_theta
 from .upper_bounds import asymptotic_rate_bracket, xi_bracket
 from .utility import (
-    BLOCK_CELLS,
     UtilityMatrix,
+    _row_blocks,
     load_utility,
     sequence_labels,
     utility_from_graph,
@@ -191,13 +191,11 @@ def _partition_pairs(U: UtilityMatrix, channel: Channel, strategy, n: int):
     for z, target in enumerate(strategy.decode):
         if target is not None:
             classes.setdefault(target, set()).add(z)
-    # each output support paired with the least input that has it, the
-    # supports expanded in row blocks of at most BLOCK_CELLS cells
+    # each output support paired with the least input that has it
     first_input: dict[frozenset[int], int] = {}
-    step = max(1, BLOCK_CELLS // nv)
-    for start in range(0, nv, step):
-        supports = _output_supports(channel, range(start, min(start + step, nv)), n)
-        for y, row in enumerate(supports, start):
+    for block in _row_blocks(nv, nv):
+        supports = _output_supports(channel, range(nv)[block], n)
+        for y, row in enumerate(supports, block.start):
             first_input.setdefault(frozenset(np.flatnonzero(row).tolist()), y)
     pairs = []
     for x, outputs in sorted(classes.items()):

@@ -16,6 +16,7 @@ denominator, a positive rescaling per input sequence that keeps every sign
 and every zero of the expected utility exact.  The memoryless channel's
 q**n x q**n matrix is the n-th Kronecker power of its q x q matrix, so it is
 applied letter by letter, n mode products per column block, and never built.
+Every table on X^n here comes in the row blocks of ``utility._row_blocks``.
 ``expected_block_utility`` is the Fraction reference definition of that
 expected utility.
 
@@ -26,11 +27,9 @@ throughout; only the JSON form of a strategy names its sequences, by
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import numpy as np
 
@@ -39,15 +38,17 @@ from .errors import InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
+    _check_cap,
     confusability_graph,
     independence_number,
     is_independent,
     sender_graph,
 )
 from .utility import (
-    BLOCK_CELLS,
     UtilityMatrix,
     _expand_rows,
+    _read_json,
+    _row_blocks,
     block_sums,
     block_utility,
     parse_integer,
@@ -94,7 +95,8 @@ class GameOutcome:
 
 
 def naive_receiver_strategy(q: int, n: int) -> ReceiverStrategy:
-    """Blind identity decoding of every output sequence."""
+    """Blind identity decoding of every output sequence, within the vertex cap."""
+    _check_cap(q**n)
     return ReceiverStrategy(n, tuple(range(q**n)))
 
 
@@ -126,8 +128,8 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
     element has strictly negative block utility against x; zero-utility
     alternatives are adversarial ties and disqualify x.
 
-    The block sums of the image's rows come in row blocks of at most
-    ``BLOCK_CELLS`` cells.  Each block raises the running column maxima
+    The block sums of the image's rows come in the row blocks of
+    ``_row_blocks``.  Each block raises the running column maxima
     where it beats them, which drops the hits found before in those
     columns, and adds its own hits at the maxima.
     """
@@ -140,9 +142,8 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
     if image:
         top = None
         cols = rows = np.zeros(0, dtype=np.int64)
-        step = max(1, BLOCK_CELLS // nv)
-        for start in range(0, len(image), step):
-            _, sums = block_sums(U, n, image[start:start + step])
+        for block in _row_blocks(len(image), nv):
+            _, sums = block_sums(U, n, image[block])
             block_top = sums.max(axis=0)
             if top is not None:
                 kept = ~(block_top > top)[cols]
@@ -151,7 +152,7 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
             top = block_top
             new_cols, new_rows = np.nonzero((sums == top).T)
             cols = np.concatenate([cols, new_cols])
-            rows = np.concatenate([rows, new_rows + start])
+            rows = np.concatenate([rows, new_rows + block.start])
         # the best responses to x are column x's hits, in image order
         order = np.argsort(cols, kind="stable")
         hits = np.asarray(image)[rows[order]].tolist()
@@ -242,8 +243,8 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
 
     Pairing is by ascending canonical index on both sides; the expected
     utilities do not depend on the pairing choice.  The supports come from
-    ``_output_supports`` in row blocks of at most ``BLOCK_CELLS`` cells, and
-    two inputs overlap where the summed mask exceeds 1.
+    ``_output_supports`` in the row blocks of ``_row_blocks``, and two
+    inputs overlap where the summed mask exceeds 1.
     """
     xs, ys = sorted(I_s), sorted(I_c)
     if len(xs) != len(ys):
@@ -251,12 +252,11 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
     nv = channel.q**n
     hits = np.zeros(nv, dtype=np.int64)
     owner = np.full(nv, -1)
-    step = max(1, BLOCK_CELLS // nv)
-    for start in range(0, len(ys), step):
-        supports = _output_supports(channel, ys[start:start + step], n)
+    for block in _row_blocks(len(ys), nv):
+        supports = _output_supports(channel, ys[block], n)
         hits += supports.sum(axis=0)
         rows, zs = np.nonzero(supports)
-        owner[zs] = rows + start
+        owner[zs] = rows + block.start
     if (hits > 1).any():
         raise InputError(
             "input supports overlap; the input set is not independent "
@@ -294,7 +294,7 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     are W @ m with m[z, j] = S[decode(z), xs[j]], the dominated inputs come
     from the support pattern's power applied to the undecoded outputs, and
     support inclusion is decided letter by letter.  The pairs run in column
-    blocks of at most ``BLOCK_CELLS`` cells (q**n times the block's pairs).
+    blocks of q**n cells per pair, cut by ``_row_blocks``.
     Each channel row is written as integers over its own denominator d_y, so
     W is integral; the products run in int64 when (max d)**n * max|m| <
     2**62 bounds them, else in Python ints.
@@ -327,9 +327,7 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     # within[a, b] says the support of letter a lies inside that of b
     within = np.array([[sup[a] & ~sup[b] == 0 for b in range(q)] for a in range(q)])
 
-    step = max(1, BLOCK_CELLS // nv)
-    for start in range(0, len(xs), step):
-        block = slice(start, start + step)
+    for block in _row_blocks(len(xs), nv):
         _, cols = block_sums(U, n, xs[block], observed=True)
         # outputs decoded to the error symbol read a stand-in block sum;
         # every input that reaches one is dominated whatever its value
@@ -380,6 +378,7 @@ def strategy_from_json_dict(U: UtilityMatrix, obj) -> ReceiverStrategy:
     if n < 1:
         raise InputError("strategy blocklength must be at least 1")
     nv = U.q**n
+    _check_cap(nv)
     label_to_index = {label: i for i, label in enumerate(sequence_labels(U.alphabet, n))}
     decode: list[int | None] = [None] * nv
     seen = set()
@@ -401,9 +400,4 @@ def strategy_from_json_dict(U: UtilityMatrix, obj) -> ReceiverStrategy:
 
 
 def load_strategy(U: UtilityMatrix, path) -> ReceiverStrategy:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read strategy file {path}: {exc}") from exc
-    return strategy_from_json_dict(U, obj)
+    return strategy_from_json_dict(U, _read_json(path, "strategy"))

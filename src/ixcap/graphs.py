@@ -5,38 +5,39 @@ A graph is its vertex count and one bitset row per vertex: a graph on X^n
 numbers its vertices by the sequences' canonical indices, and a witness is
 a tuple of vertex numbers.  Sequences are named only where a report is
 built, by ``utility.sequence_labels``.  A block graph that the library
-builds on X^n also records its letter table (``Graph.letters``), which
-gives the search its bounds and its symmetry; the table is no part of the
-graph's identity.
+builds on X^n, n >= 2, also records its letter table (``Graph.letters``),
+which gives the search its bounds and its symmetry; the table is no part
+of the graph's identity.
 
 Every sender graph is a sign test on exact integer letter sums, built by
-one kernel, ``_sign_graph``, in row blocks of at most ``BLOCK_CELLS``
-cells: G_s^n on the table a = scale * u, G_s^Sym,n on a + a^T.  A strong
-power g^n is the same sign test on g's closed-neighbourhood table.  Each
-blocklength construction refuses more than ``DEFAULT_VERTEX_CAP``
-vertices, read when it is called."""
+one kernel, ``_sign_graph``: G_s^n on the table a = scale * u, G_s^Sym,n
+on a + a^T.  A strong power g^n is the same sign test on g's
+closed-neighbourhood table.  The sign graphs and the search's relabelled
+copy are dense V x V tables, built in the row blocks of
+``utility._row_blocks``.  Each blocklength construction refuses more than
+``DEFAULT_VERTEX_CAP`` vertices, read when it is called."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
-from .utility import BLOCK_CELLS, UtilityMatrix, _expand_rows, _sum_table, parse_integer
+from .utility import (UtilityMatrix, _expand_rows, _read_json, _row_blocks, _sum_table,
+                      parse_integer)
 
 DEFAULT_NODE_BUDGET = 10**8
 #: most vertices a blocklength construction (q**n) may have
 DEFAULT_VERTEX_CAP = 20_000
 #: from this many vertices on, a graph's maximum search and its witness
 #: pass both run on one copy relabelled by degree, the smallest size at
-#: which relabelling was measured to win (see ``_SearchCopy``); a block
-#: graph of this size at n >= 2 is also searched between the bounds of its
-#: letter table (``_sandwich``), which cost more than they save on
-#: xi_bracket's n = 2 graphs of at most 49 vertices
+#: which relabelling was measured to win (see ``_SearchCopy``); a lettered
+#: graph of this size is also searched between the bounds of its letter
+#: table (``_sandwich``), which cost more than they save on xi_bracket's
+#: n = 2 graphs of at most 49 vertices
 ORDERED_MIN_VERTICES = 64
 
 
@@ -80,9 +81,9 @@ class Graph:
 
     ``letters`` is (t, n) on a graph on X^n that equals ``_sign_graph(t,
     n)`` for the q x q integer table t, which has a zero diagonal; it is
-    None on any other graph.  The library's block constructions record it
-    and ``graph_from_edges`` and ``strong_product`` do not.  Equality,
-    hashing and repr ignore it."""
+    None on any other graph: block graphs carry their table only at n >= 2,
+    where the search reads it, and ``graph_from_edges`` and
+    ``strong_product`` record none.  Equality, hashing and repr ignore it."""
 
     n_vertices: int
     rows: tuple[int, ...]
@@ -141,12 +142,7 @@ def graph_from_json(obj) -> Graph:
 
 
 def load_graph(path) -> Graph:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read graph file {path}: {exc}") from exc
-    return graph_from_json(obj)
+    return graph_from_json(_read_json(path, "graph"))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -172,50 +168,41 @@ def _check_cap(n_vertices: int):
 
 
 def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Bitset rows of a boolean matrix, bit j of row i set iff adj[i, j]."""
+    """Bitset rows of a boolean matrix, bit j of row i set iff adj[i, j];
+    the zero bytes numpy drops from the end of a row are its high bits."""
     packed = np.packbits(adj, axis=1, bitorder="little")
     width = packed.shape[1]
     if not width:
         return (0,) * packed.shape[0]
-    raw = packed.tobytes()
-    return tuple([int.from_bytes(raw[i:i + width], "little")
-                  for i in range(0, len(raw), width)])
-
-
-def _unpack_rows(rows: Sequence[int]) -> np.ndarray:
-    """The n x n boolean adjacency matrix of n bitset rows."""
-    n = len(rows)
-    width = (n + 7) // 8
-    raw = b"".join(r.to_bytes(width, "little") for r in rows)
-    bits = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
+    items = packed.view(f"S{width}").ravel().tolist()
+    return tuple(map(int.from_bytes, items, repeat("little")))
 
 
 def _sign_graph(ints, n: int) -> Graph:
     """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
-    the n-fold letterwise sum of the q x q integer table ints.  Built in row
-    blocks of at most ``BLOCK_CELLS`` cells.  A symmetric table (always for
-    G_s^Sym,n) gives A = A^T, so its blocks test A[x, y] alone; otherwise one
-    block that covers all of A reads A[y, x] from its own transpose, and
-    smaller ones sum the transposed table's rows."""
+    the n-fold letterwise sum of the q x q integer table ints, lettered by
+    (ints, n) when n >= 2.  Built in the row blocks of ``_row_blocks``.  A
+    symmetric table (always for G_s^Sym,n) gives A = A^T, so its blocks test
+    A[x, y] alone; otherwise one block that covers all of A reads A[y, x]
+    from its own transpose, and smaller ones sum the transposed table's
+    rows."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
     nv = len(ints)**n
     _check_cap(nv)
     table = _sum_table(ints, n)
     symmetric = (table == table.T).all()
-    step = max(1, BLOCK_CELLS // nv)
     rows: list[int] = []
-    for start in range(0, nv, step):
-        block = np.arange(start, min(start + step, nv))
-        fwd = _expand_rows(table, n, block, np.add)
+    for block in _row_blocks(nv, nv):
+        words = np.arange(block.start, block.stop)
+        fwd = _expand_rows(table, n, words, np.add)
         adj = fwd >= 0
         if not symmetric:
-            bwd = fwd.T if step >= nv else _expand_rows(table.T, n, block, np.add)
-            adj |= bwd >= 0
-        adj[np.arange(block.size), block] = False
+            adj |= (fwd.T if words.size == nv else _expand_rows(table.T, n, words, np.add)) >= 0
+        np.fill_diagonal(adj[:, block], False)
         rows.extend(_pack_bool_rows(adj))
-    return Graph(nv, tuple(rows), (tuple(map(tuple, ints)), n))
+        del fwd, adj  # before the next block sums its own
+    return Graph(nv, tuple(rows), (tuple(map(tuple, ints)), n) if n >= 2 else None)
 
 
 def sender_graph(U: UtilityMatrix, n: int) -> Graph:
@@ -262,13 +249,16 @@ def strong_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def strong_power(g: Graph, n: int) -> Graph:
-    """The strong n-th power of g, lettered by g's closed-neighbourhood
-    table t (t[a, b] = 0 for b in N[a], -1 elsewhere): two words are
-    adjacent iff every letter pair lies in N, iff their letter sum is 0."""
+    """The strong n-th power of g, lettered at n >= 2 by g's closed-
+    neighbourhood table t (t[a, b] = 0 for b in N[a], -1 elsewhere): two
+    words are adjacent iff every letter pair lies in N, iff their letter
+    sum is 0.  At n = 1 it is g's rows, with no table."""
     if n < 1:
         raise InputError("strong power requires n >= 1")
     q = g.n_vertices
     _check_cap(q**n)
+    if n == 1:
+        return Graph(q, g.rows)
     out = g
     for _ in range(n - 1):
         out = strong_product(out, g)
@@ -441,7 +431,10 @@ class _SearchCopy:
     the degree order lost at 16, 25, 36 and 49 vertices, won or lost by
     alphabet at 64 (won at q = 4, n = 3; lost at q = 8, n = 2), and won at
     81 and 125; sizes 50-63 are unmeasured.  ``new_of[v]`` is vertex v's
-    number in the copy and ``order[i]`` the vertex numbered i.
+    number in the copy and ``order[i]`` the vertex numbered i.  Each row
+    block of ``_row_blocks`` takes g's packed rows in degree order, unpacks
+    them, takes their columns in that order, complements them and packs
+    them again, so no V x V matrix is ever held.
     """
 
     def __init__(self, g: Graph):
@@ -452,9 +445,18 @@ class _SearchCopy:
             self.order = self.new_of = range(n)
             return
         order = np.argsort([r.bit_count() for r in g.rows], kind="stable")
-        relabelled = ~_unpack_rows(g.rows).take(order, 0).take(order, 1)
-        np.fill_diagonal(relabelled, False)
-        self.rows = _pack_bool_rows(relabelled)
+        width = (n + 7) // 8
+        raw = b"".join(r.to_bytes(width, "little") for r in g.rows)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+        rows: list[int] = []
+        for block in _row_blocks(n, n):
+            adj = np.unpackbits(packed.take(order[block], 0), axis=1, count=n,
+                                bitorder="little").view(bool).take(order, 1)
+            np.logical_not(adj, out=adj)
+            np.fill_diagonal(adj[:, block], False)
+            rows.extend(_pack_bool_rows(adj))
+            del adj  # before the next block is unpacked
+        self.rows = tuple(rows)
         self.order = order.tolist()
         self.new_of = [0] * n
         for i, v in enumerate(self.order):
@@ -636,7 +638,7 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     set, as a tuple of vertices in increasing order.
 
     The maximum search runs on a degree-ordered copy of G (``_SearchCopy``).
-    A G with letters (t, n), n >= 2, and at least ``ORDERED_MIN_VERTICES``
+    A G with letters (t, n), so n >= 2, and at least ``ORDERED_MIN_VERTICES``
     vertices is searched between the bounds of its table (``_sandwich``):
     the search starts from the incumbent I^n and stops as soon as it
     reaches the ceiling cover_number(H)^n, and when |I|^n already meets the
@@ -683,7 +685,7 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False
         return 0, ()
     _ensure_recursion_headroom(nv)
     seed, ceiling = 0, nv
-    sandwiched = g.letters is not None and g.letters[1] > 1 and nv >= ORDERED_MIN_VERTICES
+    sandwiched = g.letters is not None and nv >= ORDERED_MIN_VERTICES
     if sandwiched:
         seed, ceiling = _sandwich(g, meter)
         if reports:

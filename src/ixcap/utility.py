@@ -22,6 +22,10 @@ and ``_sum_table``.  One consumer still sums letters itself:
 Python.  ``block_utility`` is the Fraction reference definition, and
 ``block_utility_rows`` a Fraction view of the kernel; neither is on the
 library's own code paths.
+
+Every dense table on X^n (block sums, sign graphs, search copies, channel
+supports) is built in the row blocks that ``_row_blocks`` alone cuts, and
+``_read_json`` alone reads input files.
 """
 
 from __future__ import annotations
@@ -39,10 +43,26 @@ import numpy as np
 
 from .errors import InputError
 
-#: most cells one dense block of block sums may hold; larger tables are
-#: built in row blocks of at most this size, and the noisy check runs its
-#: pairs in column blocks of at most this size
+#: most cells one block of a dense table on X^n may hold; read only by
+#: ``_row_blocks``
 BLOCK_CELLS = 1 << 22
+
+
+def _row_blocks(count: int, width: int) -> list[slice]:
+    """The slices that cut count rows of width cells each into blocks of at
+    most ``BLOCK_CELLS`` cells, with at least one row per block."""
+    step = max(1, BLOCK_CELLS // width)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _read_json(path, what: str):
+    """The JSON value in the file at path, its decimals exact Fractions;
+    InputError, naming it a ``what`` file, when it cannot be read or parsed."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(), parse_float=Fraction)
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def parse_rational(value) -> Fraction:
@@ -216,16 +236,7 @@ def alphabet_from_json(obj: dict, q: int) -> Alphabet:
 
 def load_utility(path) -> UtilityMatrix:
     """Load, validate and diagonal-normalize a utility matrix from JSON."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read utility file {path}: {exc}") from exc
-    try:
-        obj = json.loads(text, parse_float=Fraction)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse JSON in {path}: {exc}") from exc
-    return utility_from_json(obj)
+    return utility_from_json(_read_json(path, "utility"))
 
 
 def block_utility(U: UtilityMatrix, xhat: Sequence[int], x: Sequence[int]) -> Fraction:

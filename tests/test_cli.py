@@ -11,6 +11,7 @@ import pytest
 import ixcap.game
 import ixcap.lower_bounds
 import ixcap.upper_bounds
+import ixcap.utility
 from conftest import oracle_alpha, oracle_sender_edges, oracle_symmetric_part
 from ixcap import cli
 from ixcap.channel import load_channel, make_channel
@@ -29,6 +30,7 @@ from ixcap.utility import Alphabet, load_utility, sequence_labels
 
 PENTAGON = str(corpus_path("pentagon.json"))
 EXAMPLE1 = str(corpus_path("example1.json"))
+CONFUSE12 = str(corpus_path("channel_confuse12.json"))
 #: stands for the path of a graph file that the test writes
 GRAPH = "<graph.json>"
 SRC = str(Path(ixcap.__file__).parents[1])
@@ -363,5 +365,40 @@ def test_partition_pairs_take_the_least_input_of_a_shared_support():
 
 def test_partition_pairs_at_one_cell_per_block(monkeypatch):
     # each input's support expanded in a block of its own gives the same pairs
-    monkeypatch.setattr(cli, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 1)
     test_partition_pairs_take_the_least_input_of_a_shared_support()
+
+
+def test_noisy_game_replays_its_own_strategy_file(tmp_path, capsys):
+    # the optimal partition decoder, saved and read back as a file, decodes
+    # the same sequences from the same inputs
+    report = tmp_path / "game.json"
+    noisy = ["game", "--utility", EXAMPLE1, "--channel", CONFUSE12, "-n", "2"]
+    assert main([*noisy, "--out", str(report)]) == EXIT_OK
+    optimal = json.loads(report.read_text())
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps(optimal["strategy"]))
+    assert main([*noisy, "--receiver", f"file:{strategy}", "--out", str(report)]) == EXIT_OK
+    replay = json.loads(report.read_text())
+    for key in ("decoded_size", "decoded_set", "input_set"):
+        assert replay[key] == optimal[key]
+    # the class decoded to 02 moved to 01, which no class decodes to: still
+    # a partition, but not an equilibrium
+    decode = optimal["strategy"]["decode"]
+    assert "02" in decode.values() and "01" not in decode.values()
+    moved = {z: "01" if t == "02" else t for z, t in decode.items()}
+    strategy.write_text(json.dumps({"n": 2, "decode": moved}))
+    assert main([*noisy, "--receiver", f"file:{strategy}"]) == EXIT_INPUT
+    assert "fails the per-alternative-input dominance verification" in capsys.readouterr().err
+
+
+def test_noisy_game_refuses_the_naive_receiver(capsys):
+    argv = ["game", "--utility", EXAMPLE1, "--channel", CONFUSE12, "--receiver", "naive"]
+    assert main(argv) == EXIT_INPUT
+    assert "the naive receiver is not in the partition family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel", [[], ["--channel", CONFUSE12]], ids=["noiseless", "noisy"])
+def test_game_refuses_an_unknown_receiver(channel, capsys):
+    assert main(["game", "--utility", EXAMPLE1, *channel, "--receiver", "bogus"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "ixcap: error: unknown receiver spec 'bogus'\n"

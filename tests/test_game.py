@@ -1,6 +1,7 @@
 """Differential tests of the game layer against Fraction brute force on tiny
 instances (q <= 4, n <= 4), and the named verification failure."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixcap.game
+import ixcap.utility
 from conftest import (
     oracle_alpha,
     oracle_lex_least_mis,
@@ -23,7 +25,7 @@ from conftest import (
 )
 from ixcap.channel import identity_channel, make_channel
 from ixcap.cli import corpus_path, main
-from ixcap.errors import InputError, VerificationError
+from ixcap.errors import CapExceededError, InputError, VerificationError
 from ixcap.game import (
     DOMINATED,
     GameOutcome,
@@ -35,6 +37,7 @@ from ixcap.game import (
     noisy_receiver_strategy,
     output_support_indices,
     receiver_strategy_from_set,
+    strategy_from_json_dict,
     verify_noisy_equilibrium,
     worst_case_decoded_set,
 )
@@ -269,14 +272,14 @@ class TestWorstCaseBlocks:
                                                   for _ in range(q**n)))
             cases += [(U, naive_receiver_strategy(q, n)), (U, optimal), (U, scrambled)]
         whole = [worst_case_decoded_set(U, g) for U, g in cases]
-        monkeypatch.setattr(ixcap.game, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", cells)
         assert [worst_case_decoded_set(U, g) for U, g in cases] == whole
 
     def test_naive_receiver_at_n7_stays_within_its_blocks(self, monkeypatch, tmp_path):
         # example1's naive table at n = 7 is 2187 x 2187 int64, 38 MB, and
         # took 51 MB of traced peak in one piece; in blocks of 2**18 cells
         # (2 MB) the whole command stays within 16 MB
-        monkeypatch.setattr(ixcap.game, "BLOCK_CELLS", 1 << 18)
+        monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 1 << 18)
         argv = ["game", "--utility", str(corpus_path("example1.json")), "-n", "7",
                 "--receiver", "naive", "--out", str(tmp_path / "naive.json")]
         tracemalloc.start()
@@ -364,7 +367,7 @@ class TestNoisyVerification:
                     cases.append((U, channel, g, xs, ys, n))
         verdicts = [verify_noisy_equilibrium(*case) for case in cases]
         assert True in verdicts and False in verdicts
-        monkeypatch.setattr(ixcap.game, "BLOCK_CELLS", 1)
+        monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 1)
         assert [verify_noisy_equilibrium(*case) for case in cases] == verdicts
 
     def test_unequal_pair_lists_are_rejected(self):
@@ -454,7 +457,7 @@ class TestPartitionDecoder:
                 for z in output_support_indices(channel, y, n):
                     decode[z] = x
             assert strategy.decode == tuple(decode)
-            monkeypatch.setattr(ixcap.game, "BLOCK_CELLS", 1)
+            monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 1)
             assert noisy_receiver_strategy(xs, ys, channel, n) == strategy
             monkeypatch.undo()
 
@@ -489,3 +492,28 @@ class TestVerificationError:
         code = main(["game", "--utility", str(corpus_path("example1.json")), "-n", "1"])
         assert code == 1
         assert "equilibrium verification failed" in capsys.readouterr().err
+
+
+class TestVertexCap:
+    """A strategy on X^n is refused above the vertex cap before any table
+    of q**n sequences is built."""
+
+    def test_strategy_file_above_the_cap(self, example1):
+        # at n = 12 the labels alone once took 1.2 s and 66 MB traced
+        with pytest.raises(CapExceededError, match="59049 vertices exceed the cap"):
+            strategy_from_json_dict(example1, {"n": 10, "decode": {}})
+
+    def test_naive_receiver_above_the_cap(self):
+        with pytest.raises(CapExceededError, match="59049 vertices exceed the cap"):
+            naive_receiver_strategy(3, 10)
+
+    @pytest.mark.parametrize("receiver", ["naive", "file"])
+    def test_cli_exits_1_with_the_cap_message(self, receiver, tmp_path, capsys):
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps({"n": 10, "decode": {}}))
+        spec = f"file:{path}" if receiver == "file" else receiver
+        argv = ["game", "--utility", str(corpus_path("example1.json")), "-n", "10",
+                "--receiver", spec]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "ixcap: error: 59049 vertices exceed the cap of 20000\n")

@@ -21,6 +21,7 @@ from conftest import (
 from ixcap.channel import identity_channel, make_channel
 from ixcap.errors import BudgetExceededError, CapExceededError, InputError, VerificationError
 import ixcap.graphs
+import ixcap.utility
 from ixcap.graphs import (
     Graph,
     complete_graph,
@@ -87,7 +88,7 @@ class TestSenderGraph:
     def test_row_blocks_match_definition_oracle(self, monkeypatch):
         # blocks of a few rows each, so the transposed-utility half of every
         # block matters on these asymmetric utilities
-        monkeypatch.setattr(ixcap.graphs, "BLOCK_CELLS", 40)
+        monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 40)
         rng = random.Random(37)
         for _ in range(10):
             U = random_utility(rng, rng.randint(2, 3))
@@ -103,7 +104,7 @@ class TestSenderGraph:
         # G_s^Sym,n from the integer table a + a^T against the sender graph
         # of the Fraction symmetric part, in one block and in row blocks
         if block_cells:
-            monkeypatch.setattr(ixcap.graphs, "BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", block_cells)
         rng = random.Random(43)
         utilities = [random_utility(rng, rng.randint(2, 4)) for _ in range(8)]
         utilities += [random_int_utility(rng, rng.randint(2, 4)) for _ in range(8)]
@@ -119,7 +120,7 @@ class TestSenderGraph:
     def test_symmetric_table_sums_each_block_once(self, monkeypatch):
         # a + a^T equals its transpose, so every row block is summed once;
         # an asymmetric G_s^n block also sums the transposed table's rows
-        monkeypatch.setattr(ixcap.graphs, "BLOCK_CELLS", 40)
+        monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 40)
         calls = []
         expand = ixcap.graphs._expand_rows
         monkeypatch.setattr(ixcap.graphs, "_expand_rows",
@@ -427,15 +428,67 @@ class TestDegreeOrder:
         assert sizes == [n - 1, n] and relabelled == [n]
 
 
+def relabelled_complement(g: Graph, new_of) -> list[int]:
+    """The complement of g with vertex v renamed new_of[v], row by row."""
+    rows = [0] * g.n_vertices
+    for v, row in enumerate(g.complement_rows()):
+        rows[new_of[v]] = ixcap.graphs._relabel(row, new_of)
+    return rows
+
+
+class TestSearchCopy:
+    """A relabelled copy is built in row blocks, and never as one V x V
+    matrix; its rows are those of the whole relabelled complement."""
+
+    def graphs(self):
+        rng = random.Random(83)
+        graphs = [random_graph(rng, rng.randint(60, 300), rng.uniform(0.05, 0.9))
+                  for _ in range(12)]
+        graphs += [_random_sender_power(seed, 4, 3) for seed in range(4)]
+        return graphs + [empty_graph(64), complete_graph(65), strong_power(cycle_graph(5), 3)]
+
+    def test_copy_is_the_relabelled_complement(self):
+        for g in self.graphs():
+            copy = ixcap.graphs._SearchCopy(g)
+            assert copy.ordered
+            assert list(copy.rows) == relabelled_complement(g, copy.new_of)
+            assert sorted(copy.order) == list(range(g.n_vertices))
+
+    @pytest.mark.parametrize("cells", [1, 50, 1000])
+    def test_row_blocks_give_the_same_copy(self, monkeypatch, cells):
+        graphs = self.graphs()
+        whole = [ixcap.graphs._SearchCopy(g) for g in graphs]
+        monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", cells)
+        for g, copy in zip(graphs, whole):
+            blocked = ixcap.graphs._SearchCopy(g)
+            assert blocked.rows == copy.rows and blocked.order == copy.order
+
+    def test_peak_memory_stays_near_the_graph(self):
+        # a q = 3, n = 8 sender graph has 6561 vertices, 5.4 MB of packed
+        # rows; the copy once unpacked them into one V x V matrix and read
+        # 82 MB of traced peak, and in row blocks it stays within 4 times
+        # the rows
+        g = _random_sender_power(5, 3, 8)
+        packed_bytes = g.n_vertices * ((g.n_vertices + 7) // 8)
+        tracemalloc.start()
+        try:
+            copy = ixcap.graphs._SearchCopy(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(copy.rows) == g.n_vertices
+        assert peak < 4 * packed_bytes
+
+
 def stripped(g: Graph) -> Graph:
     """g's rows with no letter table, which no search sandwiches."""
     return Graph(g.n_vertices, g.rows)
 
 
 def is_sandwiched(g: Graph) -> bool:
-    """Whether independence_number(g) bounds g by its letter table."""
-    return (g.letters is not None and g.letters[1] > 1
-            and g.n_vertices >= ixcap.graphs.ORDERED_MIN_VERTICES)
+    """Whether independence_number(g) bounds g by its letter table, which
+    only a block graph at n >= 2 carries."""
+    return g.letters is not None and g.n_vertices >= ixcap.graphs.ORDERED_MIN_VERTICES
 
 
 def lettered(n_vertices: int, rows, table, n: int) -> Graph:
@@ -577,8 +630,9 @@ class TestBlockSandwich:
 
 
 class TestLetters:
-    """Every graph the library builds on X^n records the table it is the
-    sign graph of; the table is no part of the graph's identity."""
+    """Every graph the library builds on X^n, n >= 2, records the table it
+    is the sign graph of, and none at n = 1; the table is no part of the
+    graph's identity."""
 
     def test_lettered_graphs_are_their_tables_sign_graphs(self):
         rng = random.Random(211)
@@ -589,16 +643,36 @@ class TestLetters:
                       confusability_graph(random_channel(rng, q), n),
                       strong_power(random_graph(rng, q, rng.random()), n)]
             for g in graphs:
+                if n == 1:
+                    assert g.letters is None
+                    continue
                 table, m = g.letters
                 assert m == n and len(table) == q
                 assert graphs_equal(g, ixcap.graphs._sign_graph(table, n))
                 assert all(table[a][a] == 0 for a in range(q))
 
     def test_edge_lists_and_products_carry_no_table(self):
-        c5 = strong_power(cycle_graph(5), 1)
-        assert c5.letters is not None
+        c5 = cycle_graph(5)
+        assert strong_power(c5, 2).letters is not None
         assert graph_from_edges(3, [(0, 1)]).letters is None
         assert strong_product(c5, c5).letters is None
+
+    def test_single_letters_carry_no_table(self):
+        U = utility_from_graph(cycle_graph(5))
+        channel = identity_channel(Alphabet.of_size(3))
+        for g in (strong_power(cycle_graph(5), 1), sender_graph(U, 1),
+                  symmetric_sender_graph(U, 1), confusability_graph(channel, 1),
+                  ixcap.graphs._sign_graph(edgeless_table(3), 1)):
+            assert g.letters is None
+
+    def test_first_power_of_a_large_graph_builds_no_table(self):
+        # the closed-neighbourhood table of a 3000-vertex graph took 23.8 s
+        # and 69 MB, and nothing at n = 1 reads it
+        g = path_graph(3000)
+        start = time.perf_counter()
+        power = strong_power(g, 1)
+        assert time.perf_counter() - start < 1
+        assert graphs_equal(power, g) and power.letters is None
 
     def test_table_is_no_part_of_identity(self):
         g = sender_graph(utility_from_graph(cycle_graph(5)), 2)

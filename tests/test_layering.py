@@ -56,3 +56,20 @@ def test_graph_modules_name_no_sequence():
     assert "sequence_labels" in _imported_names(SRC / "upper_bounds.py")
     for name in ("graphs.py", "theta.py"):
         assert not _imported_names(SRC / name) & {"sequence_labels", "Alphabet"}
+
+
+def _json_loads_calls(path: Path) -> int:
+    """How many times a source file calls ``json.loads``."""
+    return sum(1 for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "loads" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "json")
+
+
+def test_block_and_file_policies_live_in_utility():
+    # utility._row_blocks is the one reader of BLOCK_CELLS, and
+    # utility._read_json the one reader of input files
+    modules = sorted(SRC.glob("*.py"))
+    assert [p.name for p in modules if "BLOCK_CELLS" in _imported_names(p)] == []
+    assert [p.name for p in modules
+            if _json_loads_calls(p) or "loads" in _imported_names(p)] == ["utility.py"]
