@@ -217,6 +217,8 @@ def cmd_game(args) -> int:
         raise InputError("blocklength must be at least 1")
     channel = load_channel(args.channel) if args.channel else None
     receiver = args.receiver
+    if receiver not in ("naive", "optimal") and not receiver.startswith("file:"):
+        raise InputError(f"unknown receiver spec {receiver!r}")
     if args.budget_nodes is not None and receiver != "optimal":
         raise InputError("--budget-nodes bounds the optimal receiver's search; "
                          f"the {receiver!r} receiver runs none")
@@ -235,10 +237,8 @@ def cmd_game(args) -> int:
         elif receiver == "optimal":
             value, strategy = equilibrium_value_noiseless(U, n, budget=budget)
             payload["equilibrium_value"] = value
-        elif receiver.startswith("file:"):
-            strategy = _strategy_file(U, receiver, n)
         else:
-            raise InputError(f"unknown receiver spec {receiver!r}")
+            strategy = _strategy_file(U, receiver, n)
         outcome = worst_case_decoded_set(U, strategy)
         labels = sequence_labels(U.alphabet, n)
         payload["decoded_set"] = [labels[x] for x in outcome.decoded_worst]
@@ -248,7 +248,6 @@ def cmd_game(args) -> int:
             label: [labels[x] for x in targets]
             for label, targets in zip(labels, outcome.best_response_summary)
         }
-        payload["strategy"] = strategy_to_json_dict(U, strategy)
     else:
         if receiver == "naive":
             raise InputError(
@@ -258,7 +257,7 @@ def cmd_game(args) -> int:
         if receiver == "optimal":
             value, strategy = noisy_equilibrium_value(U, channel, n, budget=budget)
             pairs = _partition_pairs(U, channel, strategy, n)
-        elif receiver.startswith("file:"):
+        else:
             strategy = _strategy_file(U, receiver, n)
             pairs = _partition_pairs(U, channel, strategy, n)
             value = len(pairs)
@@ -269,8 +268,6 @@ def cmd_game(args) -> int:
                     "partition strategy fails the per-alternative-input "
                     "dominance verification; its decoded set is not guaranteed"
                 )
-        else:
-            raise InputError(f"unknown receiver spec {receiver!r}")
         labels = sequence_labels(U.alphabet, n)
         payload["channel"] = str(args.channel)
         payload["decoded_size"] = value
@@ -278,7 +275,7 @@ def cmd_game(args) -> int:
         payload["decoded_set"] = [labels[x] for x, _ in pairs]
         payload["input_set"] = [labels[y] for _, y in pairs]
         payload["dominance_verified"] = True
-        payload["strategy"] = strategy_to_json_dict(U, strategy)
+    payload["strategy"] = strategy_to_json_dict(U, strategy)
 
     _write_output(payload, args.out)
     return EXIT_OK

@@ -96,8 +96,7 @@ class GameOutcome:
 
 def naive_receiver_strategy(q: int, n: int) -> ReceiverStrategy:
     """Blind identity decoding of every output sequence, within the vertex cap."""
-    _check_cap(q**n)
-    return ReceiverStrategy(n, tuple(range(q**n)))
+    return ReceiverStrategy(n, tuple(range(_check_cap(q, n))))
 
 
 def receiver_strategy_from_set(U: UtilityMatrix, vertices, n: int,
@@ -377,23 +376,21 @@ def strategy_from_json_dict(U: UtilityMatrix, obj) -> ReceiverStrategy:
     n = parse_integer(obj["n"], "strategy blocklength")
     if n < 1:
         raise InputError("strategy blocklength must be at least 1")
-    nv = U.q**n
-    _check_cap(nv)
+    nv = _check_cap(U.q, n)
     label_to_index = {label: i for i, label in enumerate(sequence_labels(U.alphabet, n))}
     decode: list[int | None] = [None] * nv
-    seen = set()
     for z_label, t_label in obj["decode"].items():
         if z_label not in label_to_index:
             raise InputError(f"unknown output sequence label {z_label!r}")
         z = label_to_index[z_label]
-        seen.add(z)
         if t_label == "DELTA":
             decode[z] = None
         elif isinstance(t_label, str) and t_label in label_to_index:
             decode[z] = label_to_index[t_label]
         else:
             raise InputError(f"unknown decoded sequence label {t_label!r}")
-    missing = nv - len(seen)
+    # distinct keys, each a known label, name distinct outputs
+    missing = nv - len(obj["decode"])
     if missing:
         raise InputError(f"strategy table is missing {missing} output sequences")
     return ReceiverStrategy(n, tuple(decode))

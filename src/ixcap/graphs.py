@@ -161,10 +161,14 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
 
 
-def _check_cap(n_vertices: int):
-    if n_vertices > DEFAULT_VERTEX_CAP:
-        raise CapExceededError(
-            f"{n_vertices} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
+def _check_cap(q: int, n: int = 1) -> int:
+    """q**n, the vertices of a construction on X^n; CapExceededError above
+    ``DEFAULT_VERTEX_CAP``, naming q^n unexpanded for q >= 2 and an n past
+    the cap's bit length, whose power is never computed."""
+    size = f"{q}^{n}" if q > 1 and n > DEFAULT_VERTEX_CAP.bit_length() else q**n
+    if isinstance(size, str) or size > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(f"{size} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
+    return size
 
 
 def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
@@ -188,8 +192,7 @@ def _sign_graph(ints, n: int) -> Graph:
     rows."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    nv = len(ints)**n
-    _check_cap(nv)
+    nv = _check_cap(len(ints), n)
     table = _sum_table(ints, n)
     symmetric = (table == table.T).all()
     rows: list[int] = []
@@ -256,7 +259,7 @@ def strong_power(g: Graph, n: int) -> Graph:
     if n < 1:
         raise InputError("strong power requires n >= 1")
     q = g.n_vertices
-    _check_cap(q**n)
+    _check_cap(q, n)
     if n == 1:
         return Graph(q, g.rows)
     out = g

@@ -60,9 +60,16 @@ def _read_json(path, what: str):
     InputError, naming it a ``what`` file, when it cannot be read or parsed."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(), parse_float=Fraction)
+        return json.loads(path.read_text(), parse_float=_exact_decimal)
     except (OSError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _exact_decimal(text: str) -> Fraction:
+    """Fraction(text), refusing an exponent of over 4 digits that it would expand."""
+    if len(text.lower().partition("e")[2].lstrip("+-")) > 4:
+        raise ValueError(f"the exponent of {text[:40]} has more than 4 digits")
+    return Fraction(text)
 
 
 def parse_rational(value) -> Fraction:
@@ -82,7 +89,7 @@ def parse_rational(value) -> Fraction:
         value = repr(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return _exact_decimal(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational entry {value!r}: {exc}") from exc
     raise InputError(f"unsupported entry type {type(value).__name__}: {value!r}")

@@ -508,12 +508,15 @@ class TestVertexCap:
             naive_receiver_strategy(3, 10)
 
     @pytest.mark.parametrize("receiver", ["naive", "file"])
-    def test_cli_exits_1_with_the_cap_message(self, receiver, tmp_path, capsys):
+    @pytest.mark.parametrize("n, size", [(10, "59049"), (10000, "3^10000")])
+    def test_cli_exits_1_with_the_cap_message(self, receiver, n, size, tmp_path, capsys):
+        # 3**10000 has more digits than an int may print, so the message
+        # names the power
         path = tmp_path / "strategy.json"
-        path.write_text(json.dumps({"n": 10, "decode": {}}))
+        path.write_text(json.dumps({"n": n, "decode": {}}))
         spec = f"file:{path}" if receiver == "file" else receiver
-        argv = ["game", "--utility", str(corpus_path("example1.json")), "-n", "10",
+        argv = ["game", "--utility", str(corpus_path("example1.json")), "-n", str(n),
                 "--receiver", spec]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            "ixcap: error: 59049 vertices exceed the cap of 20000\n")
+            f"ixcap: error: {size} vertices exceed the cap of 20000\n")

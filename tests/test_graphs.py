@@ -31,6 +31,7 @@ from ixcap.graphs import (
     graph_from_edges,
     graph_from_json,
     graphs_equal,
+    load_graph,
     independence_number,
     is_independent,
     path_graph,
@@ -173,6 +174,16 @@ class TestSenderGraph:
             symmetric_sender_graph(pentagon, 3)
         with pytest.raises(CapExceededError):
             confusability_graph(identity_channel(pentagon.alphabet), 3)
+
+    def test_a_huge_blocklength_is_refused_without_its_power(self, pentagon):
+        # 3**10000 has more digits than an int may print; 5**10**6 would
+        # take seconds to compute
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=r"^5\^1000000 vertices exceed the cap"):
+            sender_graph(pentagon, 10**6)
+        with pytest.raises(CapExceededError, match=r"^5\^1000000 vertices"):
+            strong_power(cycle_graph(5), 10**6)
+        assert time.perf_counter() - start < 1
 
 
 class TestStrongProducts:
@@ -653,9 +664,10 @@ class TestLetters:
 
     def test_edge_lists_and_products_carry_no_table(self):
         c5 = cycle_graph(5)
-        assert strong_power(c5, 2).letters is not None
+        c25 = strong_power(c5, 2)
+        assert c25.letters is not None
         assert graph_from_edges(3, [(0, 1)]).letters is None
-        assert strong_product(c5, c5).letters is None
+        assert strong_product(c25, c5).letters is None
 
     def test_single_letters_carry_no_table(self):
         U = utility_from_graph(cycle_graph(5))
@@ -892,6 +904,16 @@ class TestGraphJson:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_a_huge_decimal_exponent_is_refused_at_once(self, tmp_path):
+        # Fraction("1e999999999") would compute 10**999999999 before the
+        # endpoint was found not to be an integer
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1e999999999]]}')
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="cannot read graph file .* more than 4 digits"):
+            load_graph(path)
+        assert time.perf_counter() - start < 1
 
     def test_numpy_integers_are_vertex_numbers(self):
         g = graph_from_edges(np.int64(3), [(np.int64(0), np.int32(2))])

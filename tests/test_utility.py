@@ -50,6 +50,16 @@ class TestParsing:
         with pytest.raises(InputError):
             parse_rational(None)
 
+    def test_decimal_exponents_beyond_four_digits_are_refused(self, tmp_path):
+        # Fraction would expand each into a power of ten of 10**9 digits
+        assert parse_rational("1e-9999") == Fraction(1, 10**9999)
+        with pytest.raises(InputError, match="more than 4 digits"):
+            parse_rational("1e999999999")
+        path = tmp_path / "u.json"
+        path.write_text('{"utility": [[0, -1e-999999999], [-1, 0]]}')
+        with pytest.raises(InputError, match="cannot read utility file .* more than 4 digits"):
+            load_utility(path)
+
     def test_load_example1(self, tmp_path, example1):
         # entries straight from the worked 3-symbol example
         assert example1.u[1][0] == 1
