@@ -10,7 +10,9 @@ values the bracket compared; its perfect-graph closure rests on an exact
 perfectness test run under ``--budget-nodes``, never on a user's word.
 ``gamma`` reports the largest feasible subset at blocklength ``-n``, searched
 within ``--budget-nodes``, or with ``--subset`` the feasibility of one subset
-and, when it is infeasible, the closed chain that proves it.
+and, when it is infeasible, the closed chain that proves it.  ``game`` reads
+a noisy strategy's pairs from ``game._partition_pairs``; no table on X^n is
+built here.
 
 Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
 internal verification, 2 resource budget exceeded, 3 corpus golden mismatch.
@@ -31,16 +33,14 @@ import time
 from importlib.resources import files as resource_files
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .channel import Channel, identity_channel, load_channel
+from .channel import identity_channel, load_channel
 from .errors import BudgetExceededError, ConvergenceError, InputError, IxcapError
 from .game import (
     equilibrium_value_noiseless,
     load_strategy,
     naive_receiver_strategy,
-    _output_supports,
+    _partition_pairs,
     noisy_equilibrium_value,
     strategy_to_json_dict,
     verify_noisy_equilibrium,
@@ -67,7 +67,6 @@ from .theta import lovasz_theta
 from .upper_bounds import asymptotic_rate_bracket, xi_bracket
 from .utility import (
     UtilityMatrix,
-    _row_blocks,
     load_utility,
     sequence_labels,
     utility_from_graph,
@@ -180,36 +179,6 @@ def _strategy_file(U: UtilityMatrix, receiver: str, n: int):
     return strategy
 
 
-def _partition_pairs(U: UtilityMatrix, channel: Channel, strategy, n: int):
-    """Recover (protected x, input y) pairs from a partition-form strategy.
-
-    Raises InputError when the strategy is not of the partition family, whose
-    worst-case analysis is the only one specified for noisy channels.
-    """
-    nv = U.q**n
-    classes: dict[int, set[int]] = {}
-    for z, target in enumerate(strategy.decode):
-        if target is not None:
-            classes.setdefault(target, set()).add(z)
-    # each output support paired with the least input that has it
-    first_input: dict[frozenset[int], int] = {}
-    for block in _row_blocks(nv, nv):
-        supports = _output_supports(channel, range(nv)[block], n)
-        for y, row in enumerate(supports, block.start):
-            first_input.setdefault(frozenset(np.flatnonzero(row).tolist()), y)
-    pairs = []
-    for x, outputs in sorted(classes.items()):
-        y = first_input.get(frozenset(outputs))
-        if y is None:
-            raise InputError(
-                "strategy is not of the partition form (a decoded class is "
-                "not the exact output support of any input); worst-case "
-                "analysis of general noisy strategies is unsupported"
-            )
-        pairs.append((x, y))
-    return pairs
-
-
 def cmd_game(args) -> int:
     U = _utility_from_args(args)
     n = args.blocklength
@@ -255,23 +224,21 @@ def cmd_game(args) -> int:
                 "for noisy channels; use optimal or a partition-form file"
             )
         if receiver == "optimal":
-            value, strategy = noisy_equilibrium_value(U, channel, n, budget=budget)
-            pairs = _partition_pairs(U, channel, strategy, n)
+            _, strategy = noisy_equilibrium_value(U, channel, n, budget=budget)
         else:
             strategy = _strategy_file(U, receiver, n)
-            pairs = _partition_pairs(U, channel, strategy, n)
-            value = len(pairs)
-            if not verify_noisy_equilibrium(
-                    U, channel, strategy,
-                    [x for x, _ in pairs], [y for _, y in pairs], n):
-                raise InputError(
-                    "partition strategy fails the per-alternative-input "
-                    "dominance verification; its decoded set is not guaranteed"
-                )
+        # the optimal strategy was verified as it was built
+        pairs = _partition_pairs(channel, strategy)
+        if receiver != "optimal" and not verify_noisy_equilibrium(
+                U, channel, strategy, [x for x, _ in pairs], [y for _, y in pairs], n):
+            raise InputError(
+                "partition strategy fails the per-alternative-input "
+                "dominance verification; its decoded set is not guaranteed"
+            )
         labels = sequence_labels(U.alphabet, n)
         payload["channel"] = str(args.channel)
-        payload["decoded_size"] = value
-        payload["rate"] = value ** (1.0 / n)
+        payload["decoded_size"] = len(pairs)
+        payload["rate"] = len(pairs) ** (1.0 / n)
         payload["decoded_set"] = [labels[x] for x, _ in pairs]
         payload["input_set"] = [labels[y] for _, y in pairs]
         payload["dominance_verified"] = True

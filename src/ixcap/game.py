@@ -18,7 +18,9 @@ q**n x q**n matrix is the n-th Kronecker power of its q x q matrix, so it is
 applied letter by letter, n mode products per column block, and never built.
 Every table on X^n here comes in the row blocks of ``utility._row_blocks``.
 ``expected_block_utility`` is the Fraction reference definition of that
-expected utility.
+expected utility.  The partition form is this module's alone, built by
+``noisy_receiver_strategy`` and read back letter by letter by
+``_partition_pairs``.
 
 Strategies, decoded sets and witnesses are canonical sequence indices
 throughout; only the JSON form of a strategy names its sequences, by
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -262,6 +264,38 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
             "in the confusability graph"
         )
     return ReceiverStrategy(n, tuple(None if r < 0 else xs[r] for r in owner.tolist()))
+
+
+def _partition_pairs(channel: Channel, g: ReceiverStrategy) -> list[tuple[int, int]]:
+    """The inverse of ``noisy_receiver_strategy``: the pairs (x, y) in
+    ascending x, y the least input whose output support is the class decoded
+    to x.  A support is the product of its letters' supports, so a class is
+    one exactly when its size is the product of its projections' sizes and
+    each projection is a letter's support; the least such input takes the
+    least such letter in each coordinate.  InputError for any other form."""
+    q, n = channel.q, g.n
+    if len(g.decode) != q**n:
+        raise InputError(f"strategy table has {len(g.decode)} entries, expected {q**n}")
+    least = {support: a for a, support in reversed(list(enumerate(channel.support)))}
+    # x: [the class's size, its projections as letter masks, last letter first]
+    classes: dict[int, list[int]] = {}
+    for z, x in enumerate(g.decode):
+        if x is not None:
+            cls = classes.setdefault(x, [0] * (n + 1))
+            cls[0] += 1
+            for k in range(1, n + 1):
+                cls[k] |= 1 << z % q
+                z //= q
+    pairs = []
+    for x, (size, *masks) in sorted(classes.items()):
+        if size != prod(m.bit_count() for m in masks) or not all(m in least for m in masks):
+            raise InputError(
+                "strategy is not of the partition form (a decoded class is "
+                "not the exact output support of any input); worst-case "
+                "analysis of general noisy strategies is unsupported"
+            )
+        pairs.append((x, sum(least[m] * q**k for k, m in enumerate(masks))))
+    return pairs
 
 
 def _apply_letters(w1: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:

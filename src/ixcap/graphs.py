@@ -185,11 +185,11 @@ def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
 def _sign_graph(ints, n: int) -> Graph:
     """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
     the n-fold letterwise sum of the q x q integer table ints, lettered by
-    (ints, n) when n >= 2.  Built in the row blocks of ``_row_blocks``.  A
-    symmetric table (always for G_s^Sym,n) gives A = A^T, so its blocks test
-    A[x, y] alone; otherwise one block that covers all of A reads A[y, x]
-    from its own transpose, and smaller ones sum the transposed table's
-    rows."""
+    (ints, n) when n >= 2.  Built in the row blocks of ``_row_blocks``, each
+    compared with 0 as soon as it is summed.  A symmetric table (always for
+    G_s^Sym,n) gives A = A^T, so its blocks test A[x, y] alone; otherwise
+    one block that covers all of A reads A[y, x] >= 0 as its own comparison
+    transposed, and smaller ones compare the transposed table's rows."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
     nv = _check_cap(len(ints), n)
@@ -198,13 +198,12 @@ def _sign_graph(ints, n: int) -> Graph:
     rows: list[int] = []
     for block in _row_blocks(nv, nv):
         words = np.arange(block.start, block.stop)
-        fwd = _expand_rows(table, n, words, np.add)
-        adj = fwd >= 0
+        adj = _expand_rows(table, n, words, np.add) >= 0
         if not symmetric:
-            adj |= (fwd.T if words.size == nv else _expand_rows(table.T, n, words, np.add)) >= 0
+            adj |= adj.T if words.size == nv else _expand_rows(table.T, n, words, np.add) >= 0
         np.fill_diagonal(adj[:, block], False)
         rows.extend(_pack_bool_rows(adj))
-        del fwd, adj  # before the next block sums its own
+        del adj  # before the next block sums its own
     return Graph(nv, tuple(rows), (tuple(map(tuple, ints)), n) if n >= 2 else None)
 
 
@@ -540,17 +539,10 @@ def _colour_classes(search: _CliqueSearch) -> list[int]:
     """The classes of ``_color_order``'s greedy colouring of all of the
     search's vertices, as masks: independent in the search's graph, so
     cliques of the graph it complements."""
-    fences = search.fences
-    classes: list[int] = []
-    remaining = (1 << len(fences)) - 1
-    while remaining:
-        avail, members = remaining, 0
-        while avail:
-            low = avail & -avail
-            members |= low
-            avail &= fences[low.bit_length() - 1]
-        remaining ^= members
-        classes.append(members)
+    order = search._color_order((1 << len(search.rows)) - 1)
+    classes = [0] * (order[-1][1] if order else 0)
+    for v, colour in order:
+        classes[colour - 1] |= 1 << v
     return classes
 
 

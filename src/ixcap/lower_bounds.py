@@ -96,11 +96,12 @@ def _nonneg_chain(u, subset: Sequence[int]) -> tuple[int, ...] | None:
     k = |subset|.  A simple cycle of L <= k arcs with utility sum s weighs
     -(k + 1) * s - L, which is negative for s >= 0 and, since the sums are
     integers, at least k + 1 - L > 0 for s <= -1: the negative cycles are
-    exactly the chains that break feasibility, ties included.  A vertex
-    still relaxed in round k leads back along its predecessors into one.
-    The chain comes in arc order (chain[m] is reported as chain[m + 1]),
-    smallest symbol first, and its sum is checked exactly before it is
-    returned.
+    exactly the chains that break feasibility, ties included.  A cycle among
+    the predecessors is always negative, so the pass stops at the first
+    round whose last relaxed vertex leads back into one; a vertex still
+    relaxed in round k always does.  The chain comes in arc order (chain[m]
+    is reported as chain[m + 1]), smallest symbol first, and its sum is
+    checked exactly before it is returned.
     """
     k = len(subset)
     if k < 2:
@@ -120,9 +121,12 @@ def _nonneg_chain(u, subset: Sequence[int]) -> tuple[int, ...] | None:
                     last = b
         if last is None:
             return None
-    # k steps back from a vertex relaxed in round k land on a cycle
-    for _ in range(k):
-        last = pred[last]
+        seen = set()
+        while last != -1 and last not in seen:
+            seen.add(last)
+            last = pred[last]
+        if last != -1:
+            break
     cycle = [last]
     v = pred[last]
     while v != last:

@@ -330,3 +330,23 @@ def oracle_best_responses(raw_rows, q: int) -> list[tuple[int, ...]]:
         best = max(col)
         out.append(tuple(i for i in range(q) if col[i] == best))
     return out
+
+
+def oracle_partition_pairs(channel, g) -> list[tuple[int, int]] | None:
+    """The (x, y) pairs of a partition-form strategy by a scan of every
+    input: each output support, expanded word by word from the definition,
+    is paired with the least input that has it, and each decoded class x
+    with the input whose support it is.  None when some class is no input's
+    support."""
+    words = list(product(range(channel.q), repeat=g.n))
+    first_input: dict[frozenset[int], int] = {}
+    for y, letters in enumerate(words):
+        support = frozenset(z for z, outs in enumerate(words)
+                            if all(channel.support[a] >> b & 1 for a, b in zip(letters, outs)))
+        first_input.setdefault(support, y)
+    classes: dict[int, set[int]] = {}
+    for z, x in enumerate(g.decode):
+        if x is not None:
+            classes.setdefault(x, set()).add(z)
+    pairs = [(x, first_input.get(frozenset(zs))) for x, zs in sorted(classes.items())]
+    return None if any(y is None for _, y in pairs) else pairs

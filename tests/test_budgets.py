@@ -45,9 +45,9 @@ def test_smallest_budget(search, budget, answer):
 
 
 def test_smallest_budget_of_the_subset_search():
-    value, cert = gamma_n(CYCLIC, 2, node_budget=1681)
+    value, cert = gamma_n(CYCLIC, 2, node_budget=1697)
     assert (value, cert.optimal) == (4, True)
-    value, cert = gamma_n(CYCLIC, 2, node_budget=1680)
+    value, cert = gamma_n(CYCLIC, 2, node_budget=1696)
     assert (value, cert.optimal) == (4, False)
 
 

@@ -11,13 +11,12 @@ import pytest
 import ixcap.game
 import ixcap.lower_bounds
 import ixcap.upper_bounds
-import ixcap.utility
 from conftest import oracle_alpha, oracle_sender_edges, oracle_symmetric_part
 from ixcap import cli
 from ixcap.channel import load_channel, make_channel
 from ixcap.cli import EXIT_BUDGET, EXIT_GOLDEN, EXIT_INPUT, EXIT_OK, corpus_path, main
 from ixcap.errors import InputError
-from ixcap.game import ReceiverStrategy
+from ixcap.game import ReceiverStrategy, _partition_pairs
 from ixcap.graphs import (
     cycle_graph,
     graph_from_edges,
@@ -357,16 +356,9 @@ def test_partition_pairs_take_the_least_input_of_a_shared_support():
     channel = make_channel(Alphabet.of_size(3), [[Fraction(1, 2), Fraction(1, 2), 0],
                                                  [Fraction(1, 2), Fraction(1, 2), 0],
                                                  [0, 0, 1]])
-    U = load_utility(corpus_path("example1.json"))
-    assert cli._partition_pairs(U, channel, ReceiverStrategy(1, (1, 1, 2)), 1) == [(1, 0), (2, 2)]
+    assert _partition_pairs(channel, ReceiverStrategy(1, (1, 1, 2))) == [(1, 0), (2, 2)]
     with pytest.raises(InputError, match="partition form"):
-        cli._partition_pairs(U, channel, ReceiverStrategy(1, (0, 1, 1)), 1)
-
-
-def test_partition_pairs_at_one_cell_per_block(monkeypatch):
-    # each input's support expanded in a block of its own gives the same pairs
-    monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 1)
-    test_partition_pairs_take_the_least_input_of_a_shared_support()
+        _partition_pairs(channel, ReceiverStrategy(1, (0, 1, 1)))
 
 
 def test_noisy_game_replays_its_own_strategy_file(tmp_path, capsys):

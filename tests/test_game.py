@@ -3,6 +3,7 @@ instances (q <= 4, n <= 4), and the named verification failure."""
 
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -18,6 +19,7 @@ from conftest import (
     oracle_alpha,
     oracle_lex_least_mis,
     oracle_block_sums,
+    oracle_partition_pairs,
     oracle_sender_edges,
     random_channel,
     random_int_utility,
@@ -470,6 +472,91 @@ class TestPartitionDecoder:
             noisy_receiver_strategy([0, 1], [0, 1], channel, 1)
         with pytest.raises(InputError, match="overlap"):
             noisy_receiver_strategy([0, 4], [0, 4], channel, 2)
+
+
+def _words(q: int, n: int) -> list[tuple[int, ...]]:
+    return list(product(range(q), repeat=n))
+
+
+class TestPartitionPairs:
+    # letters 0 and 1 both reach outputs {0, 1}, letter 2 reaches {2}
+    CHANNEL = make_channel(Alphabet.of_size(3), [[Fraction(1, 2), Fraction(1, 2), 0],
+                                                 [Fraction(1, 2), Fraction(1, 2), 0],
+                                                 [0, 0, 1]])
+
+    def strategy(self, classes, n=2):
+        """The strategy decoding each word of classes[x] to x."""
+        decode = [None] * 3**n
+        words = _words(3, n)
+        for x, members in classes.items():
+            for word in members:
+                decode[words.index(word)] = x
+        return ReceiverStrategy(n, tuple(decode))
+
+    def test_a_product_class_pairs_with_its_least_input(self):
+        # {0, 1} x {2} is the support of inputs 02 and 12, {2} x {0, 1} of
+        # 20 and 21: each class takes the least
+        g = self.strategy({7: [(0, 2), (1, 2)], 4: [(2, 0), (2, 1)]})
+        assert ixcap.game._partition_pairs(self.CHANNEL, g) == [(4, 6), (7, 2)]
+
+    @pytest.mark.parametrize("members", [
+        [(0, 0), (0, 1), (1, 0)],
+        [(2, 0), (2, 2)],
+    ], ids=["output-missing", "no-letter-support"])
+    def test_a_class_that_is_no_support_is_refused(self, members):
+        # {0, 1} x {0, 1} less 11 has a letter's support in each coordinate,
+        # and {2} x {0, 2} has the size of its projections' product
+        with pytest.raises(InputError, match="partition form"):
+            ixcap.game._partition_pairs(self.CHANNEL, self.strategy({0: members}))
+
+    def test_matches_the_support_scan(self):
+        # partition strategies of random disjoint supports, and the same with
+        # one output moved to another class, a new one or the error symbol
+        rng = random.Random(97)
+        refused = 0
+        for _ in range(60):
+            q, n = rng.randint(1, 3), rng.randint(1, 3)
+            rows = []
+            for _ in range(q):
+                support = rng.sample(range(q), rng.randint(1, q))
+                rows.append([Fraction(1, len(support)) if z in support else 0
+                             for z in range(q)])
+            channel = make_channel(Alphabet.of_size(q), rows)
+            words, nv = _words(q, n), q**n
+            decode, xs = [None] * nv, iter(rng.sample(range(nv), nv))
+            for y in rng.sample(range(nv), rng.randint(1, nv)):
+                outs = [z for z, word in enumerate(words)
+                        if all(channel.support[a] >> b & 1 for a, b in zip(words[y], word))]
+                if all(decode[z] is None for z in outs):
+                    x = next(xs)
+                    for z in outs:
+                        decode[z] = x
+            perturbed = list(decode)
+            perturbed[rng.randrange(nv)] = rng.choice([None, *range(nv)])
+            for table in (decode, perturbed):
+                g = ReceiverStrategy(n, tuple(table))
+                expected = oracle_partition_pairs(channel, g)
+                if expected is None:
+                    refused += 1
+                    with pytest.raises(InputError, match="partition form"):
+                        ixcap.game._partition_pairs(channel, g)
+                else:
+                    assert ixcap.game._partition_pairs(channel, g) == expected
+        assert refused > 10
+
+    def test_one_class_of_every_output_at_n8(self):
+        # q = 3, every letter reaching every output: the one class is the
+        # support of every input, 6561 outputs, and pairs with input 0,
+        # where a scan of every input's support expands 6561 x 6561 cells
+        channel = make_channel(Alphabet.of_size(3), [[Fraction(1, 3)] * 3] * 3)
+        g = ReceiverStrategy(8, (5,) * 3**8)
+        start = time.perf_counter()
+        assert ixcap.game._partition_pairs(channel, g) == [(5, 0)]
+        assert time.perf_counter() - start < 1
+
+    def test_refuses_a_table_of_another_length(self):
+        with pytest.raises(InputError, match="strategy table has 4 entries, expected 9"):
+            ixcap.game._partition_pairs(self.CHANNEL, ReceiverStrategy(2, (0,) * 4))
 
 
 class TestVerificationError:

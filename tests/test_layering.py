@@ -31,9 +31,9 @@ def _imports(path: Path) -> set[str]:
 
 
 def _imported_names(path: Path) -> set[str]:
-    """Every name a source file imports with ``from ... import``."""
+    """Every name a source file imports, with ``import`` or ``from ... import``."""
     return {alias.name for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
 
 
 def test_the_reader_sees_relative_imports():
@@ -73,3 +73,9 @@ def test_block_and_file_policies_live_in_utility():
     assert [p.name for p in modules if "BLOCK_CELLS" in _imported_names(p)] == []
     assert [p.name for p in modules
             if _json_loads_calls(p) or "loads" in _imported_names(p)] == ["utility.py"]
+
+
+def test_the_cli_builds_no_table_on_sequences():
+    # a strategy's pairs come from game._partition_pairs, letter by letter
+    assert not _imported_names(SRC / "cli.py") & {
+        "numpy", "_row_blocks", "_expand_rows", "_output_supports"}

@@ -28,6 +28,7 @@ from ixcap.lower_bounds import (
     sufficient_margin_check,
 )
 from ixcap.utility import (
+    block_sums,
     block_utility_rows,
     utility_from_json,
 )
@@ -133,6 +134,27 @@ class TestFeasibility:
                     lowered = [[x - Fraction(1, size + 1) for x in row] for row in U.u]
                     ties += oracle_feasible_by_walks(lowered, subset)
         assert 2 * ties > infeasible
+
+    def test_an_infeasible_set_stops_at_its_first_chain(self):
+        # every word of a cyclic q = 3 utility at n = 6: all k rounds of
+        # k * k relaxations on these 729 members once took 45 s, and the
+        # pass now stops at the first cycle among its predecessors
+        U = utility_from_json({"utility": [[0, -2, 1], [1, 0, -2], [-2, 1, 0]]})
+        sums = block_sums(U, 6)[1].tolist()
+        start = time.perf_counter()
+        chain = _nonneg_chain(sums, range(729))
+        assert time.perf_counter() - start < 2
+        k = len(chain)
+        assert k >= 2 and len(set(chain)) == k
+        assert sum(sums[chain[(m + 1) % k]][chain[m]] for m in range(k)) >= 0
+
+    def test_a_chain_through_every_member(self):
+        # each member reported as the next gains 1, any other misreport
+        # loses 300: the one nonnegative chain has all 200 members
+        k = 200
+        u = [[1 if b == (a + 1) % k else 0 if a == b else -300 for a in range(k)]
+             for b in range(k)]
+        assert _nonneg_chain(u, range(k)) == tuple(range(k))
 
     def test_zero_weight_chain_infeasible(self, pentagon_literal):
         # ties poison feasibility: this code admits a zero-sum 3-chain
