@@ -33,11 +33,15 @@ DEFAULT_NODE_BUDGET = 10**8
 #: most vertices a blocklength construction (q**n) may have
 DEFAULT_VERTEX_CAP = 20_000
 #: from this many vertices on, a graph's maximum search and its witness
-#: pass both run on one copy relabelled by degree, the smallest size at
-#: which relabelling was measured to win (see ``_SearchCopy``); a lettered
-#: graph of this size is also searched between the bounds of its letter
-#: table (``_sandwich``), which cost more than they save on xi_bracket's
-#: n = 2 graphs of at most 49 vertices
+#: pass both run on one copy relabelled by degree (see ``_SearchCopy``),
+#: the smallest size at which relabelling was measured to win.  Under the
+#: bottom-up greedy of the time, the degree order lost on random sender
+#: graphs at 16, 25, 36 and 49 vertices, won or lost by alphabet at 64
+#: (won at q = 4, n = 3; lost at q = 8, n = 2), and won at 81 and 125;
+#: sizes 50-63 were unmeasured, and the top-down greedy was not
+#: remeasured.  A lettered graph of this size is also searched between the
+#: bounds of its letter table (``_sandwich``), which cost more than they
+#: save on xi_bracket's n = 2 graphs of at most 49 vertices
 ORDERED_MIN_VERTICES = 64
 
 
@@ -142,7 +146,12 @@ def graph_from_json(obj) -> Graph:
 
 
 def load_graph(path) -> Graph:
-    return graph_from_json(_read_json(path, "graph"))
+    """The graph in a JSON file; InputError for one with no vertex, which
+    no command can report on."""
+    g = graph_from_json(_read_json(path, "graph"))
+    if not g.n_vertices:
+        raise InputError("graph must have at least one vertex")
+    return g
 
 
 def cycle_graph(n: int) -> Graph:
@@ -303,23 +312,26 @@ class _CliqueSearch:
     a symmetry group's orbits; no other level, and no ``at_least``, does.
 
     The colouring (Tomita et al. 2003/2010, San Segundo et al. 2011) takes
-    each candidate's lowest vertex v into the open colour class and then
-    keeps only what ``fences[v]``, the vertices outside v's closed
-    neighbourhood, allows in it; a fence is a nonnegative mask, since a
-    negative int costs extra in every ``&``.  A node at clique size ``size``
-    lists only the classes from kmin = best_size - size + 1 up: the lower
-    ones are still coloured, since the greedy needs them, but the branch
-    loop, which walks the list from its highest class down, would stop at
-    the first of them, and best_size only grows while it walks.  So each
-    node branches on the same vertices in the same order as a full listing
-    would, and the search tree, its node count and its answer are
-    unchanged.
+    each candidate's highest vertex into the open colour class, found by
+    one ``bit_length`` b (Python has no cheap lowest bit), and then keeps
+    only what ``fences[b]``, the vertices outside the closed neighbourhood
+    of vertex b - 1, allows in it.  ``fences`` and ``bits`` are indexed by
+    bit length, so vertex v sits at v + 1 and entry 0 is never read; a
+    fence is a nonnegative mask, since a negative int costs extra in every
+    ``&``.  A node at clique size ``size`` lists only the classes from
+    kmin = best_size - size + 1 up: the lower ones are still coloured,
+    since the greedy needs them, but the branch loop, which walks the list
+    from its highest class down, would stop at the first of them, and
+    best_size only grows while it walks.  So each node branches on the same
+    vertices in the same order as a full listing would, and the search
+    tree, its node count and its answer are unchanged.
     """
 
     def __init__(self, rows: tuple[int, ...], meter: _Meter, reports: bool = False):
         self.rows = rows
         full = (1 << len(rows)) - 1
-        self.fences = [full ^ (row | 1 << v) for v, row in enumerate(rows)]
+        self.bits = bits = [0, *(1 << v for v in range(len(rows)))]
+        self.fences = [0, *(full ^ (row | bits[v]) for v, row in enumerate(rows, 1))]
         self.meter = meter
         self.reports = reports
         self.best_size = 0
@@ -327,9 +339,9 @@ class _CliqueSearch:
         self.stop_at: int | None = None
 
     def _color_order(self, cand: int, kmin: int = 1) -> list[tuple[int, int]]:
-        # greedy sequential coloring; returns (vertex, color#) in color
-        # order for the colors from kmin up
-        fences = self.fences
+        # greedy sequential coloring from the highest vertex down; returns
+        # (vertex, color#) in color order for the colors from kmin up
+        fences, bits = self.fences, self.bits
         order = []
         color = 0
         remaining = cand
@@ -338,16 +350,15 @@ class _CliqueSearch:
             avail = remaining
             if color < kmin:
                 while avail:
-                    low = avail & -avail
-                    remaining ^= low
-                    avail &= fences[low.bit_length() - 1]
+                    b = avail.bit_length()
+                    remaining ^= bits[b]
+                    avail &= fences[b]
                 continue
             while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                order.append((v, color))
-                remaining ^= low
-                avail &= fences[v]
+                b = avail.bit_length()
+                order.append((b - 1, color))
+                remaining ^= bits[b]
+                avail &= fences[b]
         return order
 
     def _expand(self, current_mask: int, size: int, cand: int, orbit=None):
@@ -426,17 +437,18 @@ def _relabel(mask: int, new_of: Sequence[int]) -> int:
 class _SearchCopy:
     """The complement of g on which every search of g runs, relabelled.
 
-    The copy puts g's smallest-degree vertices first, ties by index, so the
-    colouring bound starts from the vertices of fewest conflicts (the
-    initial order of Tomita et al. 2010).  Graphs below
-    ``ORDERED_MIN_VERTICES`` keep their own order: on random sender graphs
-    the degree order lost at 16, 25, 36 and 49 vertices, won or lost by
-    alphabet at 64 (won at q = 4, n = 3; lost at q = 8, n = 2), and won at
-    81 and 125; sizes 50-63 are unmeasured.  ``new_of[v]`` is vertex v's
-    number in the copy and ``order[i]`` the vertex numbered i.  Each row
-    block of ``_row_blocks`` takes g's packed rows in degree order, unpacks
-    them, takes their columns in that order, complements them and packs
-    them again, so no V x V matrix is ever held.
+    The copy numbers g's vertices from the top by ascending degree, ties by
+    index: g's smallest-degree vertex is the copy's highest, where the
+    top-down colouring of ``_CliqueSearch`` starts, so the colouring bound
+    starts from the vertices of fewest conflicts (the initial order of
+    Tomita et al. 2010).  Graphs below ``ORDERED_MIN_VERTICES`` keep g's
+    own numbering, so their colouring starts from g's last vertex; a copy
+    reversed to start from its first cost more than it saved.
+    ``new_of[v]`` is vertex v's number in the copy and ``order[i]`` the
+    vertex numbered i.  Each row block of ``_row_blocks`` takes g's packed
+    rows in the copy's order, unpacks them, takes their columns in that
+    order, complements them and packs them again, so no V x V matrix is
+    ever held.
     """
 
     def __init__(self, g: Graph):
@@ -446,7 +458,7 @@ class _SearchCopy:
             self.rows = g.complement_rows()
             self.order = self.new_of = range(n)
             return
-        order = np.argsort([r.bit_count() for r in g.rows], kind="stable")
+        order = np.argsort([r.bit_count() for r in g.rows], kind="stable")[::-1]
         width = (n + 7) // 8
         raw = b"".join(r.to_bytes(width, "little") for r in g.rows)
         packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)

@@ -350,6 +350,14 @@ def test_alpha_refuses_a_graph_file_above_the_vertex_cap(tmp_path, capsys):
         "ixcap: error: 3000000 vertices exceed the cap of 20000\n")
 
 
+@pytest.mark.parametrize("command", ["alpha", "theta"])
+def test_a_graph_file_with_no_vertex_is_refused(command, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    assert main([command, "--graph", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "ixcap: error: graph must have at least one vertex\n"
+
+
 def test_partition_pairs_take_the_least_input_of_a_shared_support():
     # inputs 0 and 1 both reach outputs {0, 1}: the class decoded to 1 pairs
     # with input 0, and a class that is no input's support is rejected
