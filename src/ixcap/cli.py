@@ -10,9 +10,11 @@ values the bracket compared; its perfect-graph closure rests on an exact
 perfectness test run under ``--budget-nodes``, never on a user's word.
 ``gamma`` reports the largest feasible subset at blocklength ``-n``, searched
 within ``--budget-nodes``, or with ``--subset`` the feasibility of one subset
-and, when it is infeasible, the closed chain that proves it.  ``game`` reads
-a noisy strategy's pairs from ``game._partition_pairs``; no table on X^n is
-built here.
+and, when it is infeasible, the closed chain that proves it.  ``game``
+reports the sequences any strategy recovers under every best response, over
+a noiseless channel by ``game.worst_case_decoded_set`` and over a noisy one
+by ``game.verify_noisy_equilibrium``, with each recovered sequence's least
+input; no table on X^n is built here.
 
 Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
 internal verification, 2 resource budget exceeded, 3 corpus golden mismatch.
@@ -40,7 +42,6 @@ from .game import (
     equilibrium_value_noiseless,
     load_strategy,
     naive_receiver_strategy,
-    _partition_pairs,
     noisy_equilibrium_value,
     strategy_to_json_dict,
     verify_noisy_equilibrium,
@@ -200,16 +201,19 @@ def cmd_game(args) -> int:
         "receiver": receiver,
     }
 
-    if channel is None or channel.is_noiseless():
-        if receiver == "naive":
-            strategy = naive_receiver_strategy(U.q, n)
-        elif receiver == "optimal":
-            value, strategy = equilibrium_value_noiseless(U, n, budget=budget)
-            payload["equilibrium_value"] = value
-        else:
-            strategy = _strategy_file(U, receiver, n)
+    noiseless = channel is None or channel.is_noiseless()
+    if receiver == "naive":
+        strategy = naive_receiver_strategy(U.q, n)
+    elif receiver == "optimal" and noiseless:
+        value, strategy = equilibrium_value_noiseless(U, n, budget=budget)
+        payload["equilibrium_value"] = value
+    elif receiver == "optimal":
+        _, strategy = noisy_equilibrium_value(U, channel, n, budget=budget)
+    else:
+        strategy = _strategy_file(U, receiver, n)
+    labels = sequence_labels(U.alphabet, n)
+    if noiseless:
         outcome = worst_case_decoded_set(U, strategy)
-        labels = sequence_labels(U.alphabet, n)
         payload["decoded_set"] = [labels[x] for x in outcome.decoded_worst]
         payload["decoded_size"] = outcome.decoded_size
         payload["rate"] = outcome.rate
@@ -218,29 +222,14 @@ def cmd_game(args) -> int:
             for label, targets in zip(labels, outcome.best_response_summary)
         }
     else:
-        if receiver == "naive":
-            raise InputError(
-                "the naive receiver is not in the partition family analyzed "
-                "for noisy channels; use optimal or a partition-form file"
-            )
-        if receiver == "optimal":
-            _, strategy = noisy_equilibrium_value(U, channel, n, budget=budget)
-        else:
-            strategy = _strategy_file(U, receiver, n)
-        # the optimal strategy was verified as it was built
-        pairs = _partition_pairs(channel, strategy)
-        if receiver != "optimal" and not verify_noisy_equilibrium(
-                U, channel, strategy, [x for x, _ in pairs], [y for _, y in pairs], n):
-            raise InputError(
-                "partition strategy fails the per-alternative-input "
-                "dominance verification; its decoded set is not guaranteed"
-            )
-        labels = sequence_labels(U.alphabet, n)
+        outcome = verify_noisy_equilibrium(U, channel, strategy)
         payload["channel"] = str(args.channel)
-        payload["decoded_size"] = len(pairs)
-        payload["rate"] = len(pairs) ** (1.0 / n)
-        payload["decoded_set"] = [labels[x] for x, _ in pairs]
-        payload["input_set"] = [labels[y] for _, y in pairs]
+        payload["decoded_size"] = outcome.decoded_size
+        payload["rate"] = outcome.rate
+        payload["decoded_set"] = [labels[x] for x in outcome.decoded_worst]
+        # each recovered sequence's least best response
+        payload["input_set"] = [labels[outcome.best_response_summary[x][0]]
+                                for x in outcome.decoded_worst]
         payload["dominance_verified"] = True
     payload["strategy"] = strategy_to_json_dict(U, strategy)
 

@@ -7,9 +7,12 @@ The pessimistic worst case over best responses never enumerates the
 exponential response set: block utilities are separable per source sequence,
 so a sequence survives every best response exactly when decoding it
 truthfully is the sender's unique argmax among the strategy's image.  A tie
-is adversarial and destroys the guarantee.
+is adversarial and destroys the guarantee.  Over a noisy channel the truthful
+reports of x are the inputs whose every possible output decodes to x, and x
+survives when every other input is dominated or strictly worse; both
+analyses take any strategy.
 
-Both verifications are sign tests on the exact integer block sums of
+Both analyses are sign tests on the exact integer block sums of
 ``utility.block_sums``, read only where the strategy needs them.  Over a
 noisy channel each channel row is written as integers over its own
 denominator, a positive rescaling per input sequence that keeps every sign
@@ -18,9 +21,8 @@ q**n x q**n matrix is the n-th Kronecker power of its q x q matrix, so it is
 applied letter by letter, n mode products per column block, and never built.
 Every table on X^n here comes in the row blocks of ``utility._row_blocks``.
 ``expected_block_utility`` is the Fraction reference definition of that
-expected utility.  The partition form is this module's alone, built by
-``noisy_receiver_strategy`` and read back letter by letter by
-``_partition_pairs``.
+expected utility.  ``noisy_receiver_strategy`` builds the partition decoder
+that reaches the noisy equilibrium.
 
 Strategies, decoded sets and witnesses are canonical sequence indices
 throughout; only the JSON form of a strategy names its sequences, by
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 
@@ -194,8 +196,7 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
 
 def _letter_supports(channel: Channel, dtype=bool) -> np.ndarray:
     """The q x q table s1[y, z] = 1 iff P(z | y) > 0."""
-    q, sup = channel.q, channel.support
-    return np.array([[sup[y] >> z & 1 for z in range(q)] for y in range(q)], dtype=dtype)
+    return (np.array(channel.support)[:, None] >> np.arange(channel.q) & 1).astype(dtype)
 
 
 def _output_supports(channel: Channel, ys, n: int) -> np.ndarray:
@@ -251,6 +252,8 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
     if len(xs) != len(ys):
         raise InputError(f"set sizes differ: {len(xs)} protected vs {len(ys)} inputs")
     nv = channel.q**n
+    if xs and not 0 <= xs[0] <= xs[-1] < nv:
+        raise InputError(f"protected sequence index out of range for n={n}")
     hits = np.zeros(nv, dtype=np.int64)
     owner = np.full(nv, -1)
     for block in _row_blocks(len(ys), nv):
@@ -264,38 +267,6 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
             "in the confusability graph"
         )
     return ReceiverStrategy(n, tuple(None if r < 0 else xs[r] for r in owner.tolist()))
-
-
-def _partition_pairs(channel: Channel, g: ReceiverStrategy) -> list[tuple[int, int]]:
-    """The inverse of ``noisy_receiver_strategy``: the pairs (x, y) in
-    ascending x, y the least input whose output support is the class decoded
-    to x.  A support is the product of its letters' supports, so a class is
-    one exactly when its size is the product of its projections' sizes and
-    each projection is a letter's support; the least such input takes the
-    least such letter in each coordinate.  InputError for any other form."""
-    q, n = channel.q, g.n
-    if len(g.decode) != q**n:
-        raise InputError(f"strategy table has {len(g.decode)} entries, expected {q**n}")
-    least = {support: a for a, support in reversed(list(enumerate(channel.support)))}
-    # x: [the class's size, its projections as letter masks, last letter first]
-    classes: dict[int, list[int]] = {}
-    for z, x in enumerate(g.decode):
-        if x is not None:
-            cls = classes.setdefault(x, [0] * (n + 1))
-            cls[0] += 1
-            for k in range(1, n + 1):
-                cls[k] |= 1 << z % q
-                z //= q
-    pairs = []
-    for x, (size, *masks) in sorted(classes.items()):
-        if size != prod(m.bit_count() for m in masks) or not all(m in least for m in masks):
-            raise InputError(
-                "strategy is not of the partition form (a decoded class is "
-                "not the exact output support of any input); worst-case "
-                "analysis of general noisy strategies is unsupported"
-            )
-        pairs.append((x, sum(least[m] * q**k for k, m in enumerate(masks))))
-    return pairs
 
 
 def _apply_letters(w1: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
@@ -312,67 +283,104 @@ def _apply_letters(w1: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     return x.reshape(q**n, -1)
 
 
+#: float64 holds every integer below this bound exactly
+_FLOAT_EXACT = 2**53
+
+
+def _sole_targets(channel: Channel, decode: np.ndarray, error: np.ndarray, n: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per input sequence, the one target that all its possible outputs
+    decode to, q**n when two of them differ or one is undecoded; and
+    whether one is undecoded.  ``decode`` holds each output's target and
+    ``error`` marks the outputs decoded to the error symbol.
+
+    One ``_apply_letters`` product of the support pattern sums, over each
+    input's outputs, 1, the error mark, the target t and t**2.  With c the
+    floor of the mean target, the targets all equal c iff their sum is c
+    times their count and the sum of t**2 is c times their sum, that is iff
+    the sum of (t - c)**2 is zero.  Every sum is below q**(3n), so float64
+    adds them exactly while q**(3n) < ``_FLOAT_EXACT`` (q**n up to 2**17),
+    and Python ints do beyond.
+    """
+    nv = len(decode)
+    dtype = np.float64 if nv**3 < _FLOAT_EXACT else object
+    moments = np.ones((nv, 4), dtype)
+    moments[:, 1], moments[:, 2], moments[:, 3] = error, decode, decode * decode
+    count, errors, total, squares = _apply_letters(
+        _letter_supports(channel, dtype), n, moments).T
+    sole = total // count
+    dominated = errors > 0
+    single = ~dominated & (sole * count == total) & (sole * total == squares)
+    return np.where(single, sole, nv).astype(np.int64), dominated
+
+
 def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
-                             g: ReceiverStrategy, xs, ys, n: int) -> bool:
-    """Per-alternative-input dominance check for the partition strategy.
+                             g: ReceiverStrategy) -> GameOutcome:
+    """Sources recovered under *every* best response to any strategy over a
+    noisy channel: the worst-case analysis ``worst_case_decoded_set`` makes
+    over a noiseless one.
 
-    For each protected source x paired with input y*, every alternative input
-    is either dominated (can hit an undecoded output), strictly worse, or has
-    its support inside y*'s support with expected utility exactly zero, so
-    truthful signalling is forced and x is recovered under every best
-    response.
+    An input whose possible outputs all decode to x has expected utility
+    exactly 0 against x, the diagonal's.  So x survives iff some input
+    decodes wholly to x and every input is dominated (reaches an undecoded
+    output), strictly negative against x, or also decodes wholly to x; the
+    inputs decoding wholly to x are then x's best responses.
+    ``best_response_summary[x]`` lists them, ascending, for each recovered
+    x, and is empty for every other source.
 
-    The channel matrix of the memoryless channel is the n-th Kronecker power
-    of its q x q matrix, applied by ``_apply_letters``: the expected values
-    are W @ m with m[z, j] = S[decode(z), xs[j]], the dominated inputs come
-    from the support pattern's power applied to the undecoded outputs, and
-    support inclusion is decided letter by letter.  The pairs run in column
-    blocks of q**n cells per pair, cut by ``_row_blocks``.
-    Each channel row is written as integers over its own denominator d_y, so
-    W is integral; the products run in int64 when (max d)**n * max|m| <
+    Each input's sole target comes from ``_sole_targets``, and only the
+    sources xs that some input decodes wholly to are valued.  The expected
+    values are W @ m with m[z, j] = S[decode(z), xs[j]], applied by
+    ``_apply_letters`` to column blocks of q**n cells per source, cut by
+    ``_row_blocks``.  Each channel row is written as integers over its own
+    denominator d_y, a positive rescaling per input that keeps every sign,
+    so W is integral; the products run in int64 when (max d)**n * max|m| <
     2**62 bounds them, else in Python ints.
     """
-    q = U.q
+    q, n = U.q, g.n
     if channel.q != q:
         raise InputError("utility and channel alphabets differ in size")
     nv = q**n
     if len(g.decode) != nv:
         raise InputError(f"strategy table has {len(g.decode)} entries, expected {nv}")
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise InputError(f"set sizes differ: {len(xs)} protected vs {len(ys)} inputs")
-    if any(not 0 <= x < nv for x in xs):
-        raise InputError(f"protected sequence index out of range for n={n}")
     error = np.array([t is None for t in g.decode])
     decode = np.array([0 if t is None else t for t in g.decode], dtype=np.int64)
     if decode.min() < 0 or decode.max() >= nv:
         raise InputError(f"decoded sequence index out of range for n={n}")
 
+    sole, dominated = _sole_targets(channel, decode, error, n)
+    # the sources xs that some input decodes wholly to, and those inputs
+    truthful: dict[int, list[int]] = {}
+    wholly = np.flatnonzero(sole < nv)
+    for y, x in zip(wholly.tolist(), sole[wholly].tolist()):
+        truthful.setdefault(x, []).append(y)
+    xs = sorted(truthful)
     # channel row y over its own denominator d_y, so W[y, z] = P^n(z|y) *
     # prod_k d_{y_k} is an integer no larger than (max d)**n
     dens = [lcm(*(p.denominator for p in row)) for row in channel.rows]
     w1 = [[p.numerator * (d // p.denominator) for p in row]
           for row, d in zip(channel.rows, dens)]
-    sup = channel.support
-    s1 = _letter_supports(channel, np.int64)
-    dominated = _apply_letters(s1, n, error.astype(np.int64)) > 0
-    # supports are products of letter supports, so inclusion is letterwise:
-    # within[a, b] says the support of letter a lies inside that of b
-    within = np.array([[sup[a] & ~sup[b] == 0 for b in range(q)] for a in range(q)])
-
+    survives = np.zeros(len(xs), dtype=bool)
     for block in _row_blocks(len(xs), nv):
-        _, cols = block_sums(U, n, xs[block], observed=True)
         # outputs decoded to the error symbol read a stand-in block sum;
         # every input that reaches one is dominated whatever its value
-        m = cols.T[decode]
+        m = block_sums(U, n, xs[block], observed=True)[1].T[decode]
         big = max(dens) ** n * max(1, int(abs(m).max(initial=0))) >= 2**62
         w = np.array(w1, dtype=object if big else np.int64)
         value = _apply_letters(w, n, m.astype(object) if big else m)
-        inside = _expand_rows(within.T, n, ys[block], np.logical_and).T
-        ok = dominated | (value < 0) | ((value == 0) & inside)
-        if not ok.all():
-            return False
-    return True
+        ok = dominated[:, None] | (value < 0) | (sole[:, None] == xs[block])
+        survives[block] = ok.all(axis=0)
+    decoded = [x for x, ok in zip(xs, survives.tolist()) if ok]
+    summary = [()] * nv
+    for x in decoded:
+        summary[x] = tuple(truthful[x])
+    size = len(decoded)
+    return GameOutcome(
+        decoded_worst=tuple(decoded),
+        decoded_size=size,
+        rate=size ** (1.0 / n),
+        best_response_summary=tuple(summary),
+    )
 
 
 def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
@@ -380,7 +388,8 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
                             ) -> tuple[int, ReceiverStrategy]:
     """Equilibrium decoded count over a noisy channel: the smaller of the
     sender-graph and confusability-graph independence numbers, achieved by
-    the partition decoder and verified by the dominance check.  Each
+    the partition decoder, whose decoded set ``verify_noisy_equilibrium``
+    must find to be the sender graph's witness.  Each
     independence number is searched within its own ``budget`` nodes, and
     between the bounds of its graph's letter table once the graph is large
     enough (G_s and G_s^Sym for G_s^n, G_c on both sides for G_c^n; see
@@ -388,9 +397,8 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     alpha_s, wit_s = independence_number(sender_graph(U, n), budget=budget)
     alpha_c, wit_c = independence_number(confusability_graph(channel, n), budget=budget)
     d = min(alpha_s, alpha_c)
-    xs, ys = wit_s[:d], wit_c[:d]
-    strategy = noisy_receiver_strategy(xs, ys, channel, n)
-    if not verify_noisy_equilibrium(U, channel, strategy, xs, ys, n):
+    strategy = noisy_receiver_strategy(wit_s[:d], wit_c[:d], channel, n)
+    if verify_noisy_equilibrium(U, channel, strategy).decoded_worst != wit_s[:d]:
         raise VerificationError("noisy equilibrium verification failed")
     return d, strategy
 

@@ -16,6 +16,7 @@ import pytest
 import ixcap.graphs
 from ixcap.channel import make_channel
 from ixcap.cli import corpus_path
+from ixcap.game import DOMINATED, expected_block_utility
 from ixcap.utility import (
     Alphabet,
     UtilityMatrix,
@@ -332,21 +333,29 @@ def oracle_best_responses(raw_rows, q: int) -> list[tuple[int, ...]]:
     return out
 
 
-def oracle_partition_pairs(channel, g) -> list[tuple[int, int]] | None:
-    """The (x, y) pairs of a partition-form strategy by a scan of every
-    input: each output support, expanded word by word from the definition,
-    is paired with the least input that has it, and each decoded class x
-    with the input whose support it is.  None when some class is no input's
-    support."""
-    words = list(product(range(channel.q), repeat=g.n))
-    first_input: dict[frozenset[int], int] = {}
-    for y, letters in enumerate(words):
-        support = frozenset(z for z, outs in enumerate(words)
-                            if all(channel.support[a] >> b & 1 for a, b in zip(letters, outs)))
-        first_input.setdefault(support, y)
-    classes: dict[int, set[int]] = {}
-    for z, x in enumerate(g.decode):
-        if x is not None:
-            classes.setdefault(x, set()).add(z)
-    pairs = [(x, first_input.get(frozenset(zs))) for x, zs in sorted(classes.items())]
-    return None if any(y is None for _, y in pairs) else pairs
+def oracle_noisy_outcome(U: UtilityMatrix, channel, g
+                         ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The pessimistic worst case of a receiver map g over a noisy channel,
+    from the definition in Fractions: (the sources recovered under every best
+    response, each source's best responses if it is recovered, else ()).
+
+    The sender's best responses to x are the inputs of greatest expected
+    utility (``expected_block_utility``) among those that reach no undecoded
+    output; x is recovered when there are some and every possible output of
+    every one of them decodes to x.  Supports are expanded word by word."""
+    n = g.n
+    words = list(product(range(U.q), repeat=n))
+    supports = [[z for z, outs in enumerate(words)
+                 if all(channel.support[a] >> b & 1 for a, b in zip(letters, outs))]
+                for letters in words]
+    decoded, summary = [], []
+    for x in range(len(words)):
+        values = {y: expected_block_utility(U, channel, g, y, x, n) for y in range(len(words))}
+        live = {y: v for y, v in values.items() if v is not DOMINATED}
+        best = max(live.values(), default=None)
+        responses = tuple(y for y, v in live.items() if v == best)
+        recovered = responses and all(g.decode[z] == x for y in responses for z in supports[y])
+        if recovered:
+            decoded.append(x)
+        summary.append(responses if recovered else ())
+    return tuple(decoded), tuple(summary)

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,10 +12,8 @@ import ixcap.lower_bounds
 import ixcap.upper_bounds
 from conftest import oracle_alpha, oracle_sender_edges, oracle_symmetric_part
 from ixcap import cli
-from ixcap.channel import load_channel, make_channel
+from ixcap.channel import load_channel
 from ixcap.cli import EXIT_BUDGET, EXIT_GOLDEN, EXIT_INPUT, EXIT_OK, corpus_path, main
-from ixcap.errors import InputError
-from ixcap.game import ReceiverStrategy, _partition_pairs
 from ixcap.graphs import (
     cycle_graph,
     graph_from_edges,
@@ -25,7 +22,7 @@ from ixcap.graphs import (
     strong_power,
 )
 from ixcap.upper_bounds import asymptotic_rate_bracket, xi_bracket
-from ixcap.utility import Alphabet, load_utility, sequence_labels
+from ixcap.utility import load_utility, sequence_labels
 
 PENTAGON = str(corpus_path("pentagon.json"))
 EXAMPLE1 = str(corpus_path("example1.json"))
@@ -358,18 +355,30 @@ def test_a_graph_file_with_no_vertex_is_refused(command, tmp_path, capsys):
     assert capsys.readouterr().err == "ixcap: error: graph must have at least one vertex\n"
 
 
-def test_partition_pairs_take_the_least_input_of_a_shared_support():
-    # inputs 0 and 1 both reach outputs {0, 1}: the class decoded to 1 pairs
-    # with input 0, and a class that is no input's support is rejected
-    channel = make_channel(Alphabet.of_size(3), [[Fraction(1, 2), Fraction(1, 2), 0],
-                                                 [Fraction(1, 2), Fraction(1, 2), 0],
-                                                 [0, 0, 1]])
-    assert _partition_pairs(channel, ReceiverStrategy(1, (1, 1, 2))) == [(1, 0), (2, 2)]
-    with pytest.raises(InputError, match="partition form"):
-        _partition_pairs(channel, ReceiverStrategy(1, (0, 1, 1)))
+@pytest.mark.parametrize("rows, decode, decoded_set, input_set", [
+    ([["1/2", "1/2", 0], ["1/2", "1/2", 0], [0, 0, 1]], ["1", "1", "2"], ["1", "2"], ["0", "2"]),
+    ([[1, 0, 0], ["1/2", "1/2", 0], [0, 0, 1]], ["2", "2", "1"], ["1", "2"], ["2", "0"]),
+], ids=["shared-support", "inner-support"])
+def test_input_set_names_the_least_wholly_decoded_input(rows, decode, decoded_set, input_set,
+                                                         tmp_path):
+    # the outputs {0, 1} decode to one sequence: inputs 0 and 1 share that
+    # support, or input 0's support {0} lies strictly inside input 1's; both
+    # decode wholly to it, and the report names input 0 either way
+    files = {"utility": {"utility": [[0, -1, -1], [-1, 0, -1], [-1, -1, 0]]},
+             "channel": {"rows": rows},
+             "strategy": {"n": 1, "decode": dict(zip("012", decode))}}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    report = tmp_path / "game.json"
+    argv = ["game", "--utility", str(tmp_path / "utility.json"),
+            "--channel", str(tmp_path / "channel.json"),
+            "--receiver", f"file:{tmp_path / 'strategy.json'}", "--out", str(report)]
+    assert main(argv) == EXIT_OK
+    got = json.loads(report.read_text())
+    assert (got["decoded_set"], got["input_set"]) == (decoded_set, input_set)
 
 
-def test_noisy_game_replays_its_own_strategy_file(tmp_path, capsys):
+def test_noisy_game_replays_its_own_strategy_file(tmp_path):
     # the optimal partition decoder, saved and read back as a file, decodes
     # the same sequences from the same inputs
     report = tmp_path / "game.json"
@@ -383,19 +392,29 @@ def test_noisy_game_replays_its_own_strategy_file(tmp_path, capsys):
     for key in ("decoded_size", "decoded_set", "input_set"):
         assert replay[key] == optimal[key]
     # the class decoded to 02 moved to 01, which no class decodes to: still
-    # a partition, but not an equilibrium
+    # a partition, but not an equilibrium.  Input 01 now reports 01 truthfully,
+    # and against the source 00 it gains u(1, 0) = 1, so 00 is lost
     decode = optimal["strategy"]["decode"]
     assert "02" in decode.values() and "01" not in decode.values()
     moved = {z: "01" if t == "02" else t for z, t in decode.items()}
     strategy.write_text(json.dumps({"n": 2, "decode": moved}))
-    assert main([*noisy, "--receiver", f"file:{strategy}"]) == EXIT_INPUT
-    assert "fails the per-alternative-input dominance verification" in capsys.readouterr().err
+    assert main([*noisy, "--receiver", f"file:{strategy}", "--out", str(report)]) == EXIT_OK
+    replay = json.loads(report.read_text())
+    assert optimal["decoded_set"] == ["00", "02", "20", "22"]
+    assert (replay["decoded_size"], replay["decoded_set"], replay["input_set"]) == (
+        3, ["01", "20", "22"], ["01", "10", "11"])
 
 
-def test_noisy_game_refuses_the_naive_receiver(capsys):
-    argv = ["game", "--utility", EXAMPLE1, "--channel", CONFUSE12, "--receiver", "naive"]
-    assert main(argv) == EXIT_INPUT
-    assert "the naive receiver is not in the partition family" in capsys.readouterr().err
+def test_noisy_game_reports_the_naive_receiver(tmp_path):
+    # only input 0 decodes wholly, to 0; inputs 1 and 2 reach outputs 1 and
+    # 2, worth u(1, 0) = 1 and u(2, 0) = -1 against the source 0, a tie
+    report = tmp_path / "game.json"
+    argv = ["game", "--utility", EXAMPLE1, "--channel", CONFUSE12, "--receiver", "naive",
+            "--out", str(report)]
+    assert main(argv) == EXIT_OK
+    got = json.loads(report.read_text())
+    assert (got["decoded_size"], got["decoded_set"], got["input_set"]) == (0, [], [])
+    assert got["strategy"]["decode"] == {"0": "0", "1": "1", "2": "2"}
 
 
 @pytest.mark.parametrize("channel", [[], ["--channel", CONFUSE12]], ids=["noiseless", "noisy"])

@@ -76,6 +76,7 @@ def test_block_and_file_policies_live_in_utility():
 
 
 def test_the_cli_builds_no_table_on_sequences():
-    # a strategy's pairs come from game._partition_pairs, letter by letter
+    # a noisy strategy's outcome comes from game.verify_noisy_equilibrium,
+    # which applies the channel letter by letter
     assert not _imported_names(SRC / "cli.py") & {
         "numpy", "_row_blocks", "_expand_rows", "_output_supports"}
