@@ -230,7 +230,6 @@ def cmd_game(args) -> int:
         # each recovered sequence's least best response
         payload["input_set"] = [labels[outcome.best_response_summary[x][0]]
                                 for x in outcome.decoded_worst]
-        payload["dominance_verified"] = True
     payload["strategy"] = strategy_to_json_dict(U, strategy)
 
     _write_output(payload, args.out)

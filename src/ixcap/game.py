@@ -17,12 +17,13 @@ Both analyses are sign tests on the exact integer block sums of
 noisy channel each channel row is written as integers over its own
 denominator, a positive rescaling per input sequence that keeps every sign
 and every zero of the expected utility exact.  The memoryless channel's
-q**n x q**n matrix is the n-th Kronecker power of its q x q matrix, so it is
-applied letter by letter, n mode products per column block, and never built.
-Every table on X^n here comes in the row blocks of ``utility._row_blocks``.
+q**n x q**n matrix is the n-th Kronecker power of its q x q matrix, and
+``_apply_letters`` is the one way this module applies it or its support
+pattern: n mode products, never the matrix.  A table with a q**n-wide row
+per sequence (block sums, expected values) comes in the row blocks of
+``utility._row_blocks``; a q**n x k table, k <= 4, is built whole.
 ``expected_block_utility`` is the Fraction reference definition of that
-expected utility.  ``noisy_receiver_strategy`` builds the partition decoder
-that reaches the noisy equilibrium.
+expected utility.
 
 Strategies, decoded sets and witnesses are canonical sequence indices
 throughout; only the JSON form of a strategy names its sequences, by
@@ -50,7 +51,6 @@ from .graphs import (
 )
 from .utility import (
     UtilityMatrix,
-    _expand_rows,
     _read_json,
     _row_blocks,
     block_sums,
@@ -194,20 +194,19 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     return alpha, strategy
 
 
-def _letter_supports(channel: Channel, dtype=bool) -> np.ndarray:
+def _letter_supports(channel: Channel, dtype) -> np.ndarray:
     """The q x q table s1[y, z] = 1 iff P(z | y) > 0."""
     return (np.array(channel.support)[:, None] >> np.arange(channel.q) & 1).astype(dtype)
 
 
-def _output_supports(channel: Channel, ys, n: int) -> np.ndarray:
-    """Row r marks the output sequences reachable from input sequence
-    ys[r]: a product channel's support is the product of its letters'."""
-    return _expand_rows(_letter_supports(channel), n, ys, np.logical_and)
-
-
 def output_support_indices(channel: Channel, y_index: int, n: int) -> frozenset[int]:
     """Indices of output sequences reachable from input sequence y."""
-    return frozenset(np.flatnonzero(_output_supports(channel, [y_index], n)[0]).tolist())
+    nv = channel.q**n
+    if not 0 <= y_index < nv:
+        raise InputError(f"input sequence index out of range for n={n}")
+    onehot = np.arange(nv) == y_index
+    reach = _apply_letters(_letter_supports(channel, np.int64).T, n, onehot)
+    return frozenset(np.flatnonzero(reach).tolist())
 
 
 def expected_block_utility(U: UtilityMatrix, channel: Channel,
@@ -244,29 +243,29 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
     one protected source sequence, everything else to the error symbol.
 
     Pairing is by ascending canonical index on both sides; the expected
-    utilities do not depend on the pairing choice.  The supports come from
-    ``_output_supports`` in the row blocks of ``_row_blocks``, and two
-    inputs overlap where the summed mask exceeds 1.
+    utilities do not depend on the pairing choice.  One ``_apply_letters``
+    product of marks that hold 1 and the rank from 1 at each input, 0
+    elsewhere, gives every output the count of inputs that reach it and,
+    where that is 1, the input's rank; a count above 1 is an overlap.
     """
     xs, ys = sorted(I_s), sorted(I_c)
     if len(xs) != len(ys):
         raise InputError(f"set sizes differ: {len(xs)} protected vs {len(ys)} inputs")
     nv = channel.q**n
-    if xs and not 0 <= xs[0] <= xs[-1] < nv:
-        raise InputError(f"protected sequence index out of range for n={n}")
-    hits = np.zeros(nv, dtype=np.int64)
-    owner = np.full(nv, -1)
-    for block in _row_blocks(len(ys), nv):
-        supports = _output_supports(channel, ys[block], n)
-        hits += supports.sum(axis=0)
-        rows, zs = np.nonzero(supports)
-        owner[zs] = rows + block.start
-    if (hits > 1).any():
+    # numpy would read a negative index from the far end
+    for what, words in (("protected", xs), ("input", ys)):
+        if words and not 0 <= words[0] <= words[-1] < nv:
+            raise InputError(f"{what} sequence index out of range for n={n}")
+    marks = np.zeros((nv, 2), dtype=np.int64)
+    np.add.at(marks[:, 0], ys, 1)
+    marks[ys, 1] = np.arange(1, len(ys) + 1)
+    count, rank = _apply_letters(_letter_supports(channel, np.int64).T, n, marks).T
+    if (count > 1).any():
         raise InputError(
             "input supports overlap; the input set is not independent "
             "in the confusability graph"
         )
-    return ReceiverStrategy(n, tuple(None if r < 0 else xs[r] for r in owner.tolist()))
+    return ReceiverStrategy(n, tuple(xs[r - 1] if r else None for r in rank.tolist()))
 
 
 def _apply_letters(w1: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
@@ -361,7 +360,8 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     w1 = [[p.numerator * (d // p.denominator) for p in row]
           for row, d in zip(channel.rows, dens)]
     survives = np.zeros(len(xs), dtype=bool)
-    for block in _row_blocks(len(xs), nv):
+    # m, a letter product's intermediate and value are alive at once
+    for block in _row_blocks(len(xs), 3 * nv):
         # outputs decoded to the error symbol read a stand-in block sum;
         # every input that reaches one is dominated whatever its value
         m = block_sums(U, n, xs[block], observed=True)[1].T[decode]

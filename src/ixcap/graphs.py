@@ -207,9 +207,9 @@ def _sign_graph(ints, n: int) -> Graph:
     rows: list[int] = []
     for block in _row_blocks(nv, nv):
         words = np.arange(block.start, block.stop)
-        adj = _expand_rows(table, n, words, np.add) >= 0
+        adj = _expand_rows(table, n, words) >= 0
         if not symmetric:
-            adj |= adj.T if words.size == nv else _expand_rows(table.T, n, words, np.add) >= 0
+            adj |= adj.T if words.size == nv else _expand_rows(table.T, n, words) >= 0
         np.fill_diagonal(adj[:, block], False)
         rows.extend(_pack_bool_rows(adj))
         del adj  # before the next block sums its own

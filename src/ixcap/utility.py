@@ -17,15 +17,16 @@ per report.
 u(t_k, y_k) over blocklength-n sequences.  The worst-case decoded sets and
 the noisy dominance check are sign tests on these sums; the sender graphs
 sum a = scale * u, or a + a^T for G_s^Sym,n, by the same ``_expand_rows``
-and ``_sum_table``.  One consumer still sums letters itself:
-``lower_bounds._largest_feasible`` adds each pair's letter utilities in
-Python.  ``block_utility`` is the Fraction reference definition, and
-``block_utility_rows`` a Fraction view of the kernel; neither is on the
-library's own code paths.
+and ``_sum_table``; ``_expand_rows`` only sums.  One consumer still sums
+letters itself: ``lower_bounds._largest_feasible`` adds each pair's letter
+utilities in Python.  ``block_utility`` is the Fraction reference
+definition, and ``block_utility_rows`` a Fraction view of the kernel;
+neither is on the library's own code paths.
 
-Every dense table on X^n (block sums, sign graphs, search copies, channel
-supports) is built in the row blocks that ``_row_blocks`` alone cuts, and
-``_read_json`` alone reads input files.
+Every table with a q**n-wide row per sequence of X^n (block sums, sign
+graphs, search copies, the noisy check's expected values) is built in the
+row blocks that ``_row_blocks`` alone cuts; a q**n x k table with k <= 4
+is built whole.  ``_read_json`` alone reads input files.
 """
 
 from __future__ import annotations
@@ -266,14 +267,13 @@ def block_utility_rows(U: UtilityMatrix, n: int) -> list[list[Fraction]]:
     return [[Fraction(v, scale * n) for v in row] for row in sums.tolist()]
 
 
-def _expand_rows(table: np.ndarray, n: int, rows, combine) -> np.ndarray:
-    """Rows of the n-fold letterwise combination of a q x q table.
+def _expand_rows(table: np.ndarray, n: int, rows) -> np.ndarray:
+    """Rows of the n-fold letterwise sum of a q x q table.
 
-    ``out[r, y] = combine_k table[t_k, y_k]`` with t = rows[r], for every
-    y in X^n; sequences are canonical MSB-first indices.  ``combine`` is a
-    numpy ufunc such as ``np.add`` (block sums) or ``np.logical_and``
-    (inclusion of product channel supports).  The table's dtype carries
-    through, so an object table computes in Python ints.
+    ``out[r, y] = sum_k table[t_k, y_k]`` with t = rows[r], for every y in
+    X^n; sequences are canonical MSB-first indices.  The block sums and the
+    sign graphs are its only callers.  The table's dtype carries through,
+    so an object table sums in Python ints.
     """
     q = table.shape[0]
     t = np.asarray(rows, dtype=np.int64).reshape(-1)
@@ -283,7 +283,7 @@ def _expand_rows(table: np.ndarray, n: int, rows, combine) -> np.ndarray:
     out = table[t % q]
     for k in range(1, n):
         letter = table[t // q**k % q]
-        out = combine(letter[:, :, None], out[:, None, :]).reshape(t.size, q ** (k + 1))
+        out = (letter[:, :, None] + out[:, None, :]).reshape(t.size, q ** (k + 1))
     return out
 
 
@@ -315,7 +315,7 @@ def block_sums(U: UtilityMatrix, n: int, rows=None, *,
     if rows is None:
         rows = range(U.q**n)
     table = _sum_table(ints, n)
-    return scale, _expand_rows(table.T if observed else table, n, rows, np.add)
+    return scale, _expand_rows(table.T if observed else table, n, rows)
 
 
 def utility_from_graph(graph, alphabet: Alphabet | None = None) -> UtilityMatrix:

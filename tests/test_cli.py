@@ -385,6 +385,8 @@ def test_noisy_game_replays_its_own_strategy_file(tmp_path):
     noisy = ["game", "--utility", EXAMPLE1, "--channel", CONFUSE12, "-n", "2"]
     assert main([*noisy, "--out", str(report)]) == EXIT_OK
     optimal = json.loads(report.read_text())
+    # the analysis runs on every strategy, so no field claims a verdict
+    assert "dominance_verified" not in optimal
     strategy = tmp_path / "strategy.json"
     strategy.write_text(json.dumps(optimal["strategy"]))
     assert main([*noisy, "--receiver", f"file:{strategy}", "--out", str(report)]) == EXIT_OK

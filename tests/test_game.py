@@ -328,7 +328,7 @@ class TestWorstCaseBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 6e6
         noiseless = worst_case_decoded_set(load_utility(corpus_path("example1.json")),
                                            naive_receiver_strategy(3, 7))
         labels = sequence_labels(Alphabet.of_size(3), 7)
@@ -567,8 +567,7 @@ class TestPartitionDecoder:
                           if all(channel.support[a] >> b & 1 for a, b in zip(letters, outs))}
                 assert output_support_indices(channel, y, n) == expect
 
-    def test_decode_table_matches_a_per_input_loop(self, monkeypatch):
-        # one pair per block, through the blocked supports, gives the same table
+    def test_decode_table_matches_a_per_input_loop(self):
         rng = random.Random(89)
         for q, n in ((2, 3), (3, 2), (3, 3)):
             U, channel = random_utility(rng, q), random_channel(rng, q)
@@ -579,9 +578,32 @@ class TestPartitionDecoder:
                 for z in output_support_indices(channel, y, n):
                     decode[z] = x
             assert strategy.decode == tuple(decode)
-            monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 1)
-            assert noisy_receiver_strategy(xs, ys, channel, n) == strategy
-            monkeypatch.undo()
+
+    def test_decoder_builds_no_table_per_input(self):
+        # 512 inputs over {0, 2} at n = 9 partition the 19683 outputs; one
+        # support row per input would be a 512 x 19683 table, over 10 MB
+        channel = make_channel(Alphabet.of_size(3), [[Fraction(1, 2), Fraction(1, 2), 0],
+                                                     [0, 1, 0], [0, 0, 1]])
+        ys = [int("".join(word), 3) for word in product("02", repeat=9)]
+        tracemalloc.start()
+        try:
+            strategy = noisy_receiver_strategy(ys, ys, channel, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert strategy.decoded_count() == 3**9
+        assert strategy.decode[int("011111111", 3)] == 0
+
+    @pytest.mark.parametrize("y", [-1, 3**2])
+    def test_input_indices_outside_the_words_are_rejected(self, y):
+        # numpy would read index -1 as the last word
+        channel = make_channel(Alphabet.of_size(3), [[Fraction(1, 2), Fraction(1, 2), 0],
+                                                     [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(InputError, match="sequence index out of range"):
+            noisy_receiver_strategy([0], [y], channel, 2)
+        with pytest.raises(InputError, match="sequence index out of range"):
+            output_support_indices(channel, y, 2)
 
     def test_protected_indices_outside_the_words_are_rejected(self):
         # the inputs were checked already; a protected index once became a

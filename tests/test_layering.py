@@ -79,4 +79,4 @@ def test_the_cli_builds_no_table_on_sequences():
     # a noisy strategy's outcome comes from game.verify_noisy_equilibrium,
     # which applies the channel letter by letter
     assert not _imported_names(SRC / "cli.py") & {
-        "numpy", "_row_blocks", "_expand_rows", "_output_supports"}
+        "numpy", "_row_blocks", "_expand_rows", "_apply_letters"}
