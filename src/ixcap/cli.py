@@ -186,6 +186,8 @@ def cmd_game(args) -> int:
     if n < 1:
         raise InputError("blocklength must be at least 1")
     channel = load_channel(args.channel) if args.channel else None
+    if channel is not None and channel.q != U.q:
+        raise InputError("utility and channel alphabets differ in size")
     receiver = args.receiver
     if receiver not in ("naive", "optimal") and not receiver.startswith("file:"):
         raise InputError(f"unknown receiver spec {receiver!r}")
@@ -246,8 +248,7 @@ def cmd_alpha(args) -> int:
     alpha, witness = independence_number(g, budget=args.budget_nodes)
     if not args.graph:
         # a sender graph's vertices are sequences, reported by name
-        labels = sequence_labels(U.alphabet, n)
-        witness = [labels[v] for v in witness]
+        witness = sequence_labels(U.alphabet, n, witness)
     payload = {
         "alpha": alpha,
         "n": args.blocklength,
@@ -326,8 +327,7 @@ def _corpus_checks():
     value, strategy = equilibrium_value_noiseless(ex1, 1)
     check("example1 equilibrium value", 2, value)
     check("example1 equilibrium set", ("0", "2"),
-          tuple(sequence_labels(ex1.alphabet, 1)[x]
-                for x in worst_case_decoded_set(ex1, strategy).decoded_worst))
+          sequence_labels(ex1.alphabet, 1, worst_case_decoded_set(ex1, strategy).decoded_worst))
 
     check("example2 feasible (cycles)", True, is_feasible_O(ex2, (0, 1, 2)))
     check("example2 margin check fails", False, sufficient_margin_check(ex2, (0, 1, 2)))

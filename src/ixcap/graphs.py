@@ -197,20 +197,22 @@ def _sign_graph(ints, n: int) -> Graph:
     (ints, n) when n >= 2.  Built in the row blocks of ``_row_blocks``, each
     compared with 0 as soon as it is summed.  A symmetric table (always for
     G_s^Sym,n) gives A = A^T, so its blocks test A[x, y] alone; otherwise
-    one block that covers all of A reads A[y, x] >= 0 as its own comparison
-    transposed, and smaller ones compare the transposed table's rows."""
+    one block that covers all of A, summed whole by ``_expand_rows`` with
+    no rows, reads A[y, x] >= 0 as its own comparison transposed, and
+    smaller ones compare the transposed table's rows."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
     nv = _check_cap(len(ints), n)
     table = _sum_table(ints, n)
     symmetric = (table == table.T).all()
+    blocks = _row_blocks(nv, nv)
     rows: list[int] = []
-    for block in _row_blocks(nv, nv):
-        words = np.arange(block.start, block.stop)
+    for block in blocks:
+        words = None if len(blocks) == 1 else np.arange(block.start, block.stop)
         adj = _expand_rows(table, n, words) >= 0
         if not symmetric:
-            adj |= adj.T if words.size == nv else _expand_rows(table.T, n, words) >= 0
-        np.fill_diagonal(adj[:, block], False)
+            adj |= adj.T if words is None else _expand_rows(table.T, n, words) >= 0
+        adj.flat[block.start::nv + 1] = False  # cells (x, x) of the block's rows
         rows.extend(_pack_bool_rows(adj))
         del adj  # before the next block sums its own
     return Graph(nv, tuple(rows), (tuple(map(tuple, ints)), n) if n >= 2 else None)

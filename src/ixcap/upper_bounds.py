@@ -197,8 +197,8 @@ def _alpha_side(build, n: int, alphabet: Alphabet, budget: int, name: str, graph
     except (BudgetExceededError, CapExceededError) as exc:
         warnings.append(f"alpha({graph}^{n}) skipped: {exc}")
         return None
-    labels = sequence_labels(alphabet, n)
-    cert = {"name": name, "n": n, "alpha": alpha, "witness": [labels[v] for v in witness]}
+    cert = {"name": name, "n": n, "alpha": alpha,
+            "witness": list(sequence_labels(alphabet, n, witness))}
     return alpha ** (1.0 / n), cert, (alpha, n)
 
 

@@ -10,23 +10,25 @@ symbol, so ``u[i][j]`` is u(i, j).
 Inside the library a sequence of X^n is its canonical index, base q with the
 first letter most significant, and every graph, witness and strategy holds
 such indices.  ``sequence_labels`` is the one place a sequence gets a name:
-the commands and certificates that report sequences build its table once
-per report.
+the commands and certificates that report sequences name the ones they
+report, or build its whole table once per report.
 
 ``block_sums`` computes the exact integer sums S[t, y] = scale * sum_k
 u(t_k, y_k) over blocklength-n sequences.  The worst-case decoded sets and
 the noisy dominance check are sign tests on these sums; the sender graphs
 sum a = scale * u, or a + a^T for G_s^Sym,n, by the same ``_expand_rows``
-and ``_sum_table``; ``_expand_rows`` only sums.  One consumer still sums
-letters itself: ``lower_bounds._largest_feasible`` adds each pair's letter
-utilities in Python.  ``block_utility`` is the Fraction reference
-definition, and ``block_utility_rows`` a Fraction view of the kernel;
-neither is on the library's own code paths.
+and ``_sum_table``; ``_expand_rows`` only sums, and with no rows it sums
+the whole table.  ``lower_bounds._largest_feasible`` reads its pair sums
+from the whole table while that is small, and adds letters in Python
+above that.  ``block_utility`` is the Fraction reference definition, and
+``block_utility_rows`` a Fraction view of the kernel; neither is on the
+library's own code paths.
 
 Every table with a q**n-wide row per sequence of X^n (block sums, sign
 graphs, search copies, the noisy check's expected values) is built in the
-row blocks that ``_row_blocks`` alone cuts; a q**n x k table with k <= 4
-is built whole.  ``_read_json`` alone reads input files.
+row blocks that ``_row_blocks`` alone cuts; a q**n x k table with k <= 4,
+and the subset search's table of at most ``lower_bounds.PAIR_TABLE_CELLS``
+cells, are built whole.  ``_read_json`` alone reads input files.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from math import gcd
 from pathlib import Path
 from typing import Sequence
@@ -131,12 +133,17 @@ class Alphabet:
         return Alphabet(tuple(str(i) for i in range(q)))
 
 
-def sequence_labels(alphabet: Alphabet, n: int) -> tuple[str, ...]:
-    """Labels of all q**n sequences of X^n in canonical index order: the
-    symbols joined by "", or by "," when some symbol is longer than one
-    character."""
-    sep = "" if all(len(s) == 1 for s in alphabet.symbols) else ","
-    return tuple(map(sep.join, iter_product(alphabet.symbols, repeat=n)))
+def sequence_labels(alphabet: Alphabet, n: int, indices=None) -> tuple[str, ...]:
+    """Labels of the sequences of X^n with the given canonical indices, or
+    of all q**n in index order: the symbols joined by "", or by "," when
+    some symbol is longer than one character."""
+    symbols = alphabet.symbols
+    sep = "" if all(len(s) == 1 for s in symbols) else ","
+    if indices is None:
+        return tuple(map(sep.join, iter_product(symbols, repeat=n)))
+    q = len(symbols)
+    powers = [q**k for k in reversed(range(n))]
+    return tuple(sep.join([symbols[i // p % q] for p in powers]) for i in indices)
 
 
 @dataclass(frozen=True)
@@ -267,15 +274,24 @@ def block_utility_rows(U: UtilityMatrix, n: int) -> list[list[Fraction]]:
     return [[Fraction(v, scale * n) for v in row] for row in sums.tolist()]
 
 
-def _expand_rows(table: np.ndarray, n: int, rows) -> np.ndarray:
+def _expand_rows(table: np.ndarray, n: int, rows=None) -> np.ndarray:
     """Rows of the n-fold letterwise sum of a q x q table.
 
     ``out[r, y] = sum_k table[t_k, y_k]`` with t = rows[r], for every y in
-    X^n; sequences are canonical MSB-first indices.  The block sums and the
-    sign graphs are its only callers.  The table's dtype carries through,
-    so an object table sums in Python ints.
+    X^n; sequences are canonical MSB-first indices.  With no rows, the
+    whole q**n x q**n table, by Kronecker sums: one broadcast add per
+    letter, the wide axis innermost, with no gather or range check, since
+    every index is in range by construction.  The block sums and the sign
+    graphs are its only callers.  The table's dtype carries through, so an
+    object table sums in Python ints.
     """
     q = table.shape[0]
+    if rows is None:
+        out = table
+        for k in range(1, n):
+            # a new most significant letter for both sequences
+            out = (table[:, None, :, None] + out[None, :, None, :]).reshape(q ** (k + 1), -1)
+        return out
     t = np.asarray(rows, dtype=np.int64).reshape(-1)
     if t.size and (t.min() < 0 or t.max() >= q**n):
         raise InputError(f"sequence index out of range for q={q}, n={n}")
@@ -291,8 +307,9 @@ def _sum_table(ints, n: int) -> np.ndarray:
     """The q x q integer table ints as an array whose n-fold letter sums
     cannot overflow: int64 when max|entry| * n < 2**62, else object (Python
     ints)."""
-    max_abs = max(abs(x) for row in ints for x in row)
-    return np.array(ints, dtype=np.int64 if max_abs * n < 2**62 else object)
+    flat = list(chain.from_iterable(ints))
+    dtype = np.int64 if max(map(abs, flat)) * n < 2**62 else object
+    return np.array(flat, dtype=dtype).reshape(len(ints), -1)
 
 
 def block_sums(U: UtilityMatrix, n: int, rows=None, *,
@@ -305,15 +322,14 @@ def block_sums(U: UtilityMatrix, n: int, rows=None, *,
 
     ``scale`` is the common denominator from ``scaled_integer_entries``, so
     S / (scale * n) is the average block utility and every sign and tie is
-    exact.  ``rows`` defaults to all q**n sequences; consumers ask for the
-    rows they read.  The dtype follows ``_sum_table``, so no sum can
+    exact.  With no ``rows``, S is the whole q**n x q**n table, summed by
+    ``_expand_rows``' whole-table form; consumers of large tables ask for
+    the rows they read.  The dtype follows ``_sum_table``, so no sum can
     overflow.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
     scale, ints = U.scaled_integer_entries
-    if rows is None:
-        rows = range(U.q**n)
     table = _sum_table(ints, n)
     return scale, _expand_rows(table.T if observed else table, n, rows)
 

@@ -295,6 +295,19 @@ def test_capacity_refuses_a_channel_on_another_alphabet(capsys):
         "ixcap: error: utility and channel alphabets differ in size\n")
 
 
+@pytest.mark.parametrize("channel", ["channel_identity3.json", "channel_confuse12.json"])
+def test_game_refuses_a_channel_on_another_alphabet(tmp_path, capsys, channel):
+    # a noiseless channel on 3 inputs is refused as a noisy one is, not
+    # dropped from a report on the pentagon's 5 symbols
+    out = tmp_path / "game.json"
+    argv = ["game", "--utility", PENTAGON, "--channel", str(corpus_path(channel)),
+            "-n", "1", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "ixcap: error: utility and channel alphabets differ in size\n")
+    assert not out.exists()
+
+
 def test_channel_witness_names_words_as_the_game_does(tmp_path, capsys):
     # an edgeless G_s protects every word, so the rate is the channel's: the
     # 5 words of alpha(C5^2), named as `game` names the inputs it sends

@@ -121,14 +121,24 @@ class TestSenderGraph:
 
     def test_symmetric_table_sums_each_block_once(self, monkeypatch):
         # a + a^T equals its transpose, so every row block is summed once;
-        # an asymmetric G_s^n block also sums the transposed table's rows
-        monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 40)
+        # an asymmetric G_s^n block also sums the transposed table's rows.
+        # A table in one block is summed whole, once per graph, and an
+        # asymmetric one reads the transpose of its own sums
         calls = []
         expand = ixcap.graphs._expand_rows
-        monkeypatch.setattr(ixcap.graphs, "_expand_rows",
-                            lambda *args: calls.append(args[2]) or expand(*args))
+
+        def counted(table, n, rows=None):
+            calls.append(rows)
+            return expand(table, n, rows)
+
+        monkeypatch.setattr(ixcap.graphs, "_expand_rows", counted)
         U = utility_from_json({"utility": [[0, -1, 2], [1, 0, -3], [-2, 1, 0]]})
-        # one block covers n = 1 and reads the transpose of its own sums
+        for n in (1, 2, 3):
+            for build in (symmetric_sender_graph, sender_graph):
+                calls.clear()
+                build(U, n)
+                assert calls == [None]
+        monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 40)
         for n, blocks, asymmetric in ((1, 1, 1), (2, 3, 6), (3, 27, 54)):
             calls.clear()
             symmetric_sender_graph(U, n)
@@ -136,6 +146,7 @@ class TestSenderGraph:
             calls.clear()
             sender_graph(U, n)
             assert len(calls) == asymmetric
+            assert any(rows is None for rows in calls) == (n == 1)
 
     def test_peak_memory_keeps_only_booleans(self):
         # each row block is compared with 0 as soon as it is summed: with

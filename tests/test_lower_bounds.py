@@ -17,9 +17,17 @@ from conftest import (
     random_symmetric_utility,
     random_utility,
 )
+import ixcap.lower_bounds
 from ixcap.errors import BudgetExceededError, InputError
-from ixcap.graphs import independence_number, is_independent, sender_graph
+from ixcap.graphs import (
+    _Meter,
+    independence_number,
+    is_independent,
+    sender_graph,
+    symmetric_sender_graph,
+)
 from ixcap.lower_bounds import (
+    _largest_feasible,
     _nonneg_chain,
     feasibility_report,
     gamma,
@@ -249,9 +257,10 @@ class TestGammaBlocklength:
         assert cert.optimal
 
     def test_peak_memory_stays_near_the_graph(self):
-        # candidates are summed letter by letter, never from a q**n x q**n
-        # table: at q=3, n=6 (729 sequences) the peak stays within 1.5x that
-        # of building the symmetric-part sender graph alone
+        # above PAIR_TABLE_CELLS, candidates are summed letter by letter,
+        # never from a q**n x q**n table: at q=3, n=6 (729 sequences) the
+        # peak stays within 1.5x that of building the symmetric-part sender
+        # graph alone
         U = utility_from_json({"utility": [[0, 0, 0], [-1, 0, 0], [1, 0, 0]]})
 
         def peak(build):
@@ -428,6 +437,40 @@ class TestGammaBudget:
             for node_budget in (10, 100, 1000):
                 answered += self._check_spent(U, n, node_budget) is not None
         assert answered >= 8
+
+    def test_pair_table_and_letter_sums_search_alike(self, monkeypatch):
+        # below PAIR_TABLE_CELLS the subset search reads its pair sums from
+        # the whole block-sum table, above it adds letters: the same subset,
+        # optimality flag and nodes spent, in budget and out of it.  A
+        # cycle of weakly profitable misreports among otherwise costly ones
+        # leaves G_s^Sym,n's canonical set infeasible, so the search runs
+        rng = random.Random(131)
+
+        def cyclic(rng, q):
+            u = [[0 if i == j else rng.choice((-3, -2, -1)) for j in range(q)]
+                 for i in range(q)]
+            order = rng.sample(range(q), q)
+            for a, b in zip(order, order[1:] + order[:1]):
+                u[b][a] = rng.choice((0, 1))
+            return utility_from_json({"utility": u})
+
+        for trial in range(18):
+            q = rng.randint(2, 4)
+            U = (random_utility, random_int_utility, cyclic)[trial % 3](rng, q)
+            for n in (1, 2, 3):
+                sym = symmetric_sender_graph(U, n)
+                _, first = independence_number(sym)
+                for node_budget in (30, 300, 10**4):
+                    outcomes = []
+                    for cells in (q ** (2 * n) - 1, q ** (2 * n)):
+                        monkeypatch.setattr(ixcap.lower_bounds, "PAIR_TABLE_CELLS", cells)
+                        meter = _Meter(node_budget)
+                        try:
+                            found = _largest_feasible(U, n, sym, first, meter)
+                        except BudgetExceededError:
+                            found = None
+                        outcomes.append((found, meter.spent))
+                    assert outcomes[0] == outcomes[1]
 
 
 class TestTypeClassLift:

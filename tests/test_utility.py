@@ -221,6 +221,23 @@ class TestBlockSums:
         assert scale == 6
         assert sums.tolist() == [[-3, 0, -1, 2], [-3, -1, 0, 2]]
 
+    @pytest.mark.parametrize("unit", [1, 2**70])
+    def test_whole_table_equals_all_rows(self, unit):
+        # the whole-table form (no rows, Kronecker sums) against the rows
+        # form over every sequence, in int64 and in Python ints alike
+        rng = random.Random(31)
+        dtypes = set()
+        for q in (1, 2, 3, 4):
+            for n in (1, 2, 3, 4):
+                U = random_int_utility(rng, q, values=(-unit - 1, -unit, 0, unit))
+                for observed in (False, True):
+                    _, whole = block_sums(U, n, observed=observed)
+                    _, rows = block_sums(U, n, range(q**n), observed=observed)
+                    assert whole.shape == (q**n, q**n) and whole.dtype == rows.dtype
+                    assert whole.tolist() == rows.tolist()
+                    dtypes.add(whole.dtype)
+        assert (np.dtype(object) in dtypes) == (unit > 1)
+
     def test_validates(self, example1):
         with pytest.raises(InputError):
             block_sums(example1, 0)
@@ -235,6 +252,14 @@ class TestSequenceLabels:
         labels = sequence_labels(example1.alphabet, 2)
         assert labels[5] == "12"
         assert labels == tuple(f"{a}{b}" for a in "012" for b in "012")
+
+    def test_named_indices_are_those_of_the_whole_table(self):
+        for symbols, n in ((("0", "1", "2"), 3), (("ab", "c", "d"), 2), (("x",), 4)):
+            alphabet = Alphabet(symbols)
+            labels = sequence_labels(alphabet, n)
+            picked = [i % len(labels) for i in (1, 5, len(labels) - 2, 0, 1)]
+            assert sequence_labels(alphabet, n, picked) == tuple(labels[i] for i in picked)
+            assert sequence_labels(alphabet, n, ()) == ()
 
     def test_long_symbols_join_with_commas(self):
         # a symbol longer than one character joins every label with commas
