@@ -260,11 +260,12 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    if args.subset and args.blocklength is not None:
+    if args.subset is not None and args.blocklength is not None:
         raise InputError("--subset tests symbols at blocklength 1 and takes no -n")
     U = _utility_from_args(args)
-    if args.subset:
-        subset = [U.alphabet.index_of(s.strip()) for s in args.subset.split(",")]
+    if args.subset is not None:
+        labels = args.subset.split(",") if args.subset.strip() else []
+        subset = [U.alphabet.index_of(s.strip()) for s in labels]
         payload = feasibility_report(U, subset)
         payload["sufficient_margin"] = sufficient_margin_check(U, subset)
         _write_output(payload, args.out)

@@ -12,10 +12,20 @@ of the graph's identity.
 Every sender graph is a sign test on exact integer letter sums, built by
 one kernel, ``_sign_graph``: G_s^n on the table a = scale * u, G_s^Sym,n
 on a + a^T.  A strong power g^n is the same sign test on g's
-closed-neighbourhood table.  The sign graphs and the search's relabelled
-copy are dense V x V tables, built in the row blocks of
+closed-neighbourhood table.  At n = 1 the sign graph is the table's own
+sign pattern, read in Python; at n >= 2 the sign graphs and the search's
+relabelled copy are dense V x V tables, built in the row blocks of
 ``utility._row_blocks``.  Each blocklength construction refuses more than
-``DEFAULT_VERTEX_CAP`` vertices, read when it is called."""
+``DEFAULT_VERTEX_CAP`` vertices, read when it is called.
+
+A block graph of at least ``ORDERED_MIN_VERTICES`` vertices is bounded by
+Shannon's sandwich, alpha(I)^n <= alpha(G) <= cover_number(H)^n, from its
+two q-vertex bases (``_sandwich``).  When the two sides meet, the sandwich
+is closed: alpha and one maximum set, I^n, are known, no maximum search
+runs, and the witness pass walks G's own rows with the product cliques of
+H as its partition, building the degree-ordered copy only if some vertex
+still needs a search (``_ClosedSearch``).  Every other graph is searched
+on its copy (``_SearchCopy``, ``_CliqueSearch``)."""
 
 from __future__ import annotations
 
@@ -32,8 +42,8 @@ from .utility import (UtilityMatrix, _expand_rows, _read_json, _row_blocks, _sum
 DEFAULT_NODE_BUDGET = 10**8
 #: most vertices a blocklength construction (q**n) may have
 DEFAULT_VERTEX_CAP = 20_000
-#: from this many vertices on, a graph's maximum search and its witness
-#: pass both run on one copy relabelled by degree (see ``_SearchCopy``),
+#: from this many vertices on, a graph's searches run on one copy
+#: relabelled by degree (see ``_SearchCopy``),
 #: the smallest size at which relabelling was measured to win.  Under the
 #: bottom-up greedy of the time, the degree order lost on random sender
 #: graphs at 16, 25, 36 and 49 vertices, won or lost by alphabet at 64
@@ -194,15 +204,40 @@ def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
 def _sign_graph(ints, n: int) -> Graph:
     """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
     the n-fold letterwise sum of the q x q integer table ints, lettered by
-    (ints, n) when n >= 2.  Built in the row blocks of ``_row_blocks``, each
-    compared with 0 as soon as it is summed.  A symmetric table (always for
-    G_s^Sym,n) gives A = A^T, so its blocks test A[x, y] alone; otherwise
-    one block that covers all of A, summed whole by ``_expand_rows`` with
-    no rows, reads A[y, x] >= 0 as its own comparison transposed, and
-    smaller ones compare the transposed table's rows."""
+    (ints, n) when n >= 2.  At n = 1, A is the table itself, whose sign
+    pattern ``_letter_sign_rows`` reads in Python; longer blocks go through
+    the numpy kernel ``_block_sign_rows``."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
     nv = _check_cap(len(ints), n)
+    if n == 1:
+        return Graph(nv, _letter_sign_rows(ints))
+    return Graph(nv, _block_sign_rows(ints, n, nv), (tuple(map(tuple, ints)), n))
+
+
+def _letter_sign_rows(ints) -> tuple[int, ...]:
+    """The rows of the sign graph of the q x q table ints itself: bit y of
+    row x set iff x != y and ints[x][y] >= 0 or ints[y][x] >= 0, read entry
+    by entry with no array (about 3 us at q = 4, where the block kernel
+    took 16 us)."""
+    rows = []
+    for x, (row, col) in enumerate(zip(ints, zip(*ints))):
+        bits = 0
+        for y, (a, b) in enumerate(zip(row, col)):
+            if a >= 0 or b >= 0:
+                bits |= 1 << y
+        rows.append(bits & ~(1 << x))
+    return tuple(rows)
+
+
+def _block_sign_rows(ints, n: int, nv: int) -> tuple[int, ...]:
+    """The rows of ``_sign_graph(ints, n)`` on its nv = q**n vertices, built
+    in the row blocks of ``_row_blocks``, each compared with 0 as soon as it
+    is summed.  A symmetric table (always for G_s^Sym,n) gives A = A^T, so
+    its blocks test A[x, y] alone; otherwise one block that covers all of A,
+    summed whole by ``_expand_rows`` with no rows, reads A[y, x] >= 0 as its
+    own comparison transposed, and smaller ones compare the transposed
+    table's rows."""
     table = _sum_table(ints, n)
     symmetric = (table == table.T).all()
     blocks = _row_blocks(nv, nv)
@@ -215,7 +250,7 @@ def _sign_graph(ints, n: int) -> Graph:
         adj.flat[block.start::nv + 1] = False  # cells (x, x) of the block's rows
         rows.extend(_pack_bool_rows(adj))
         del adj  # before the next block sums its own
-    return Graph(nv, tuple(rows), (tuple(map(tuple, ints)), n) if n >= 2 else None)
+    return tuple(rows)
 
 
 def sender_graph(U: UtilityMatrix, n: int) -> Graph:
@@ -406,6 +441,16 @@ class _CliqueSearch:
             self.stop_at = None
         return self.best_size, self.best_mask
 
+    def clique_partition(self) -> list[int]:
+        """The classes of ``_color_order``'s greedy colouring of all of the
+        search's vertices, as masks: independent in the search's graph, so
+        cliques of the graph it complements."""
+        order = self._color_order((1 << len(self.rows)) - 1)
+        classes = [0] * (order[-1][1] if order else 0)
+        for v, colour in order:
+            classes[colour - 1] |= 1 << v
+        return classes
+
     def at_least(self, cand: int, target: int) -> bool:
         """True iff the graph restricted to cand has a clique of size >= target."""
         if target <= 0:
@@ -482,39 +527,93 @@ class _SearchCopy:
         """A set of g's vertices in the copy's numbering."""
         return _relabel(mask, self.new_of) if self.ordered else mask
 
+    def outward(self, mask: int) -> int:
+        """A set of the copy's vertices in g's numbering."""
+        return _relabel(mask, self.order) if self.ordered else mask
 
-def _lex_least(g: Graph, copy: _SearchCopy, alpha: int, maxset: int,
-               search: _CliqueSearch) -> tuple[int, ...]:
+
+class _OwnRows:
+    """The complement rows of g in g's own numbering, each made when it is
+    read: a walk reads few of them, and all of them cost about 50 us at 216
+    vertices."""
+
+    def __init__(self, g: Graph):
+        self.rows = g.rows
+        self.full = (1 << g.n_vertices) - 1
+
+    def __getitem__(self, v: int) -> int:
+        return self.full ^ self.rows[v] ^ (1 << v)
+
+
+class _ClosedSearch:
+    """The witness pass's partition and searches on a closed sandwich, in
+    g's own numbering.  The partition is the product cliques of cliques, a
+    minimum clique partition of H (see ``_sandwich``), made when the pass
+    first needs it.  The ``at_least`` searches run on g's degree-ordered
+    copy and its fences, built at the first search.  A pass that needs
+    neither builds neither."""
+
+    def __init__(self, g: Graph, meter: _Meter, cliques: list[int]):
+        self.g = g
+        self.meter = meter
+        self.cliques = cliques
+        self.best_mask = 0
+        self.copy: _SearchCopy | None = None
+        self.search: _CliqueSearch | None = None
+
+    def clique_partition(self) -> list[int]:
+        t, n = self.g.letters
+        return _product_parts(self.cliques, len(t), n)
+
+    def at_least(self, cand: int, target: int) -> bool:
+        if self.search is None:
+            self.copy = _SearchCopy(self.g)
+            self.search = _CliqueSearch(self.copy.rows, self.meter)
+        found = self.search.at_least(self.copy.inward(cand), target)
+        if found:
+            self.best_mask = self.copy.outward(self.search.best_mask)
+        return found
+
+
+def _lex_least(g: Graph, alpha: int, maxset: int, rows, new_of,
+               search: _CliqueSearch | _ClosedSearch) -> tuple[int, ...]:
     """The lexicographically least maximum independent set, from alpha and
-    one maximum set (in the copy's numbering), in g's own index order.
+    one maximum set, in g's own index order.
 
     The walk visits g's vertices in g's order and keeps its sets in the
-    copy's numbering.  The chosen vertices and the open part maxset & cand
-    always form a maximum independent set W, and cand holds no vertex below
-    v, so rest holds none up to v.  A vertex i in W is kept.  Any other is
-    settled by the first rule that applies, each counted in the meter's
-    ``settled``:
+    search's numbering, in which rows[i] is the complement row of vertex i
+    and new_of[v] is vertex v's number: the copy's (``_SearchCopy``) under
+    a ``_CliqueSearch``, g's own under a ``_ClosedSearch``.  The chosen
+    vertices and the open part maxset & cand always form a maximum
+    independent set W, and cand holds no vertex below v, so rest holds none
+    up to v.  A vertex i in W is kept.  Any other is settled by the first
+    rule that applies, each counted in the meter's ``settled``:
 
     - it conflicts in g with exactly one open member w of W: W - w + i is
       maximum, so i is kept ("exchange");
     - it conflicts with none: W + i would beat alpha, a VerificationError;
     - rest meets fewer than needed - 1 classes of a clique partition of g:
       no set in rest is large enough, so i is rejected ("partition").  The
-      partition is one greedy colouring of the copy, made at the first
-      vertex that needs it.  It charges no node: a pass makes at most one,
-      the work of one search node;
-    - otherwise ``search.at_least`` decides, and on success its set becomes
-      W's open part ("search").  Each search only asks whether a set exists,
-      so it runs on the copy, whatever the copy's order."""
-    rows, meter = copy.rows, search.meter
+      partition is the search's ``clique_partition``, made at the first
+      vertex that needs it: one greedy colouring, or a closed sandwich's
+      product cliques.  It charges no node: a pass makes at most one, the
+      work of one search node.  The classes that miss cand, which miss
+      every later rest, are dropped before the first test after each kept
+      vertex;
+    - otherwise ``search.at_least`` decides, and on success its set
+      ``search.best_mask`` becomes W's open part ("search").  Each search
+      only asks whether a set exists, so it runs on the search copy,
+      whatever the copy's order."""
+    meter = search.meter
     chosen: list[int] = []
     cand = (1 << g.n_vertices) - 1
     needed = alpha
     classes: list[int] | None = None
+    cut = None  # needed when classes were last cut to those meeting cand
     for v in range(g.n_vertices):
         if needed == 0:
             break
-        i = copy.new_of[v]
+        i = new_of[v]
         if not (cand >> i) & 1:
             continue
         rest = cand & rows[i]
@@ -530,8 +629,11 @@ def _lex_least(g: Graph, copy: _SearchCopy, alpha: int, maxset: int,
                 maxset = kept
             else:
                 if classes is None:
-                    classes = _colour_classes(search)
-                if sum(1 for c in classes if c & rest) < needed - 1:
+                    classes = search.clique_partition()
+                if cut != needed:  # a vertex was kept since the last cut
+                    classes = [c for c in classes if c & cand]
+                    cut = needed
+                if _meets_fewer(classes, rest, needed - 1):
                     meter.settled["partition"] += 1
                     cand ^= 1 << i
                     continue
@@ -549,19 +651,21 @@ def _lex_least(g: Graph, copy: _SearchCopy, alpha: int, maxset: int,
     return tuple(chosen)
 
 
-def _colour_classes(search: _CliqueSearch) -> list[int]:
-    """The classes of ``_color_order``'s greedy colouring of all of the
-    search's vertices, as masks: independent in the search's graph, so
-    cliques of the graph it complements."""
-    order = search._color_order((1 << len(search.rows)) - 1)
-    classes = [0] * (order[-1][1] if order else 0)
-    for v, colour in order:
-        classes[colour - 1] |= 1 << v
-    return classes
+def _meets_fewer(classes: list[int], rest: int, k: int) -> bool:
+    """Whether rest meets fewer than k of the classes, read only until the
+    misses show it."""
+    misses = len(classes) - k  # the most classes that rest may miss
+    for c in classes:
+        if not c & rest:
+            if not misses:
+                return True
+            misses -= 1
+    return False
 
 
-def _cover_number(g: Graph, meter: _Meter) -> int:
-    """The smallest number of cliques that partition g's vertices.
+def _cover_number(g: Graph, meter: _Meter) -> list[int]:
+    """A partition of g's vertices into the fewest cliques, as masks: its
+    length is g's clique cover number.
 
     Backtracking for each k from alpha(g) up: vertices in index order join
     an open clique whose members are all neighbours, or open the next one;
@@ -590,28 +694,34 @@ def _cover_number(g: Graph, meter: _Meter) -> int:
 
     for k in range(max(lower, 1), n):
         if place(0, k):
-            return k
-    return n
+            return cliques
+    return [1 << v for v in range(n)]
 
 
-def _sandwich(g: Graph, meter: _Meter) -> tuple[int, int]:
-    """(mask of I^n, the ceiling cover_number(H)^n) for a graph g with
-    letters (t, n), from its bases I = ``_sign_graph(t, 1)`` and
-    H = ``_sign_graph(t + t^T, 1)``, I lexicographically least maximum.
+def _sandwich(g: Graph, meter: _Meter) -> tuple[int, int, list[int]]:
+    """(mask of I^n, the ceiling cover_number(H)^n, a minimum partition of H
+    into cliques) for a graph g with letters (t, n), from its bases
+    I = ``_sign_graph(t, 1)`` and H = ``_sign_graph(t + t^T, 1)``, I
+    lexicographically least maximum.
 
     Two distinct words of I^n differ where t is negative both ways and add
     t(x, x) = 0 where they agree, so both letter sums are negative and I^n
     is independent.  Two words adjacent in H^n have t(x_k, y_k) +
     t(y_k, x_k) >= 0 on every coordinate, so the two directions' sums add
     up to at least 0 and one of them is >= 0: H^n is a subgraph of g.  The
-    products of a partition of H into cliques partition H^n into cliques,
-    which an independent set of g meets at most once each.  Both claims on
-    I^n are checked again on g, since a wrong one would give a wrong
-    alpha."""
+    products of a minimum partition of H into cliques partition H^n into
+    cover_number(H)^n cliques of g, which an independent set of g meets at
+    most once each.  Both claims on I^n are checked again on g, since a
+    wrong one would give a wrong alpha.
+
+    The sandwich is closed when |I|^n meets the ceiling: then I^n is
+    maximum, and every maximum independent set meets each product clique
+    (``_product_parts``) exactly once."""
     t, n = g.letters
     q = len(t)
     _, iset = _alpha(_sign_graph(t, 1), meter)
-    cover = _cover_number(_sign_graph(_plus_transpose(t), 1), meter)
+    cliques = _cover_number(_sign_graph(_plus_transpose(t), 1), meter)
+    cover = len(cliques)
     members = [0]
     for _ in range(n):
         members = [m * q + a for m in members for a in iset]
@@ -622,7 +732,19 @@ def _sandwich(g: Graph, meter: _Meter) -> tuple[int, int]:
         raise VerificationError(
             f"the product set I^{n} has {len(members)} vertices, above its "
             f"ceiling {cover}^{n}")
-    return seed, cover**n
+    return seed, cover**n, cliques
+
+
+def _product_parts(cliques: list[int], q: int, n: int) -> list[int]:
+    """The products c_1 x ... x c_n of the cliques, masks of letters, as
+    masks of words of X^n.  A new most significant letter a moves a word w
+    to a * q**k + w, so a clique spread to the fields of width q**k, times a
+    part of X^k, is their product part of X^(k+1), with no carry."""
+    parts = cliques
+    for k in range(1, n):
+        spread = [sum(1 << (a * q**k) for a in _bits(c)) for c in cliques]
+        parts = [s * p for s in spread for p in parts]
+    return parts
 
 
 def _orbit_masks(copy: _SearchCopy, q: int, n: int):
@@ -646,31 +768,36 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     """Exact alpha(G) with the lexicographically least maximum independent
     set, as a tuple of vertices in increasing order.
 
-    The maximum search runs on a degree-ordered copy of G (``_SearchCopy``).
     A G with letters (t, n), so n >= 2, and at least ``ORDERED_MIN_VERTICES``
-    vertices is searched between the bounds of its table (``_sandwich``):
-    the search starts from the incumbent I^n and stops as soon as it
-    reaches the ceiling cover_number(H)^n, and when |I|^n already meets the
-    ceiling it does not run at all.  Such a G is the sign graph of a
-    letterwise sum, so every permutation of the n coordinates maps it onto
-    itself; the root of the search then branches on one word of each type
-    class (words with the same letters) and drops the rest of the class,
-    and deeper levels branch on single vertices.  The answer is the same as
-    a search of G's rows alone.
+    vertices is bounded by its table (``_sandwich``): I^n is independent and
+    cover_number(H)^n is a ceiling.  When |I|^n meets the ceiling, the
+    sandwich is closed: alpha is the ceiling and I^n a maximum set, with no
+    search.  Otherwise the maximum search runs on a degree-ordered copy of
+    G (``_SearchCopy``), from the incumbent I^n, and stops as soon as it
+    reaches the ceiling.  A lettered G is the sign graph of a letterwise
+    sum, so every permutation of the n coordinates maps it onto itself; the
+    root of the search then branches on one word of each type class (words
+    with the same letters) and drops the rest of the class, and deeper
+    levels branch on single vertices.  Any other G is searched on its copy
+    with no bounds.  The answer is the same as a search of G's rows alone.
 
     The witness pass walks the vertices in G's own order and keeps each one
     that some maximum independent set extends.  It holds such a set W, first
-    the maximum search's own, that contains every vertex kept so far and no
+    the maximum set found, that contains every vertex kept so far and no
     vertex rejected.  A vertex in W is kept with no search.  One outside W
     that conflicts with a single open member of W is kept by exchanging the
     two; one that conflicts with none would make W larger than alpha, a
     VerificationError.  Else the vertex is rejected when the vertices still
-    open beside it meet too few classes of one clique partition of G, a
-    greedy colouring made once per pass.  Only a vertex that these rules
-    leave open costs an ``at_least`` search, and on success W becomes the
-    kept vertices plus the set that search found.  An edgeless graph needs
-    no search.  The searches reuse the maximum search's degree-ordered copy
-    and its fences, built once per call.
+    open beside it meet too few classes of one clique partition of G: the
+    greedy colouring of the copy, made once per pass, or on a closed
+    sandwich the cover_number(H)^n product cliques, each of which every
+    maximum set meets once.  Only a vertex that these rules leave open
+    costs an ``at_least`` search, and on success W becomes the kept
+    vertices plus the set that search found.  An edgeless graph needs no
+    search.  The searches reuse the maximum search's degree-ordered copy
+    and its fences, built once per call; a closed sandwich's pass walks G's
+    own rows and builds the copy and its fences only at its first search
+    (``_ClosedSearch``).
 
     One node budget bounds every search, the bases' included.  Raises
     BudgetExceededError if it runs out, InputError if the budget is below
@@ -696,20 +823,21 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False
     seed, ceiling = 0, nv
     sandwiched = g.letters is not None and nv >= ORDERED_MIN_VERTICES
     if sandwiched:
-        seed, ceiling = _sandwich(g, meter)
+        seed, ceiling, cliques = _sandwich(g, meter)
         if reports:
             meter.best = seed.bit_count()
+        if seed.bit_count() == ceiling:
+            # closed: I^n is maximum, and the walk runs on g's own rows
+            return ceiling, _lex_least(g, ceiling, seed, _OwnRows(g), range(nv),
+                                       _ClosedSearch(g, meter, cliques))
     copy = _SearchCopy(g)
     search = _CliqueSearch(copy.rows, meter, reports)
-    if seed.bit_count() == ceiling:
-        alpha, maxset = ceiling, copy.inward(seed)
-    else:
-        orbit = _orbit_masks(copy, len(g.letters[0]), g.letters[1]) if sandwiched else None
-        alpha, maxset = search.maximum((1 << nv) - 1, copy.inward(seed), ceiling, orbit)
+    orbit = _orbit_masks(copy, len(g.letters[0]), g.letters[1]) if sandwiched else None
+    alpha, maxset = search.maximum((1 << nv) - 1, copy.inward(seed), ceiling, orbit)
     # a reporting meter's best is now alpha; the witness pass's searches
     # find smaller sets, which must not lower it
     search.reports = False
-    return alpha, _lex_least(g, copy, alpha, maxset, search)
+    return alpha, _lex_least(g, alpha, maxset, copy.rows, copy.new_of, search)
 
 
 def confusability_graph(channel, n: int) -> Graph:

@@ -82,7 +82,11 @@ class FeasibleSetCertificate:
 
 
 def _validate_subset(q: int, subset: Sequence[int]) -> tuple[int, ...]:
+    """subset as a tuple; InputError if it is empty, repeats a symbol or
+    names one outside 0..q-1."""
     subset = tuple(subset)
+    if not subset:
+        raise InputError("subset must be nonempty")
     if len(set(subset)) != len(subset):
         raise InputError(f"subset has repeated symbols: {subset}")
     for s in subset:
@@ -150,8 +154,6 @@ def is_feasible_O(U: UtilityMatrix, subset: Sequence[int]) -> bool:
     """Whether every non-identity permutation of subset has negative total
     utility (equivalently, every closed chain is strictly negative)."""
     subset = _validate_subset(U.q, subset)
-    if not subset:
-        raise InputError("subset must be nonempty")
     return _nonneg_chain(U.scaled_integer_entries[1], subset) is None
 
 

@@ -6,9 +6,10 @@ independent sets) with upper bounds that hold at every blocklength (the
 theta number of the symmetric-part graph, the trivial alphabet cap, and
 special-case closures for symmetric or two-valued inputs whose base graph
 is perfect).  Perfectness is decided, not assumed: a 2-colouring settles
-bipartite graphs and their complements, and otherwise, by the strong
-perfect graph theorem, a graph is perfect iff it has no induced odd hole
-and no induced odd antihole, which an exact induced-path search finds.
+bipartite graphs and their complements, block by block when a whole
+component does not 2-colour, and otherwise, by the strong perfect graph
+theorem, a graph is perfect iff it has no induced odd hole and no induced
+odd antihole, which an exact induced-path search finds.
 
 Over a noisy channel the extraction rate is the smaller of the capacity and
 the channel's zero-error capacity, so ``asymptotic_rate_bracket`` brackets
@@ -62,35 +63,49 @@ def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Whether g is perfect, decided exactly (the old whitelist's name is
     kept for the benchmark's per-layer metrics).
 
-    g is perfect iff each of its connected components is, and every odd
-    hole or antihole lies inside one component, so each component C is
-    decided on its own.  A bipartite graph is perfect, and so is its
-    complement (Konig's theorem), so a 2-colouring of C or of its
-    complement within C settles it first: the path search below is
-    exponential on grid-like bipartite graphs.  Otherwise, by the strong
-    perfect graph theorem (Chudnovsky, Robertson, Seymour and Thomas,
-    2006), C is perfect iff neither C nor its complement has an induced
-    cycle of odd length at least 5.  For each vertex s, a depth-first
-    search grows induced paths s, p1, ..., pk over vertices of C above s; a
-    neighbour of pk adjacent to s and to no interior vertex closes an
-    induced cycle of k + 2 vertices, so every hole is found from its least
-    vertex.
+    Every odd hole and odd antihole is 2-connected, so it lies inside one
+    block (maximal 2-connected subgraph) of g, and g is perfect iff each of
+    its blocks is.  A bipartite graph is perfect, and so is its complement
+    (Konig's theorem), so a 2-colouring of a connected component C or of
+    its complement within C settles C first, and only a component that
+    neither settles is split into its blocks (``_blocks``), each tried the
+    same way: the path search below is exponential on grid-like bipartite
+    graphs.  A block of fewer than 5 vertices holds no odd hole or
+    antihole.  Otherwise, by the strong perfect graph theorem (Chudnovsky,
+    Robertson, Seymour and Thomas, 2006), a block B is perfect iff neither
+    B nor its complement has an induced cycle of odd length at least 5.
+    For each vertex s, a depth-first search grows induced paths s, p1, ...,
+    pk over vertices of B above s; a neighbour of pk adjacent to s and to
+    no interior vertex closes an induced cycle of k + 2 vertices, so every
+    hole is found from its least vertex.
 
-    Each path step costs one node; the 2-colourings cost none.  Raises
-    BudgetExceededError beyond ``budget`` nodes, and InputError if the
-    budget is below 1.
+    Each path step costs one node; the 2-colourings and the block split
+    cost none.  Raises BudgetExceededError beyond ``budget`` nodes, and
+    InputError if the budget is below 1.
     """
     meter = _Meter(budget)
     left = (1 << g.n_vertices) - 1
     while left:
         comp, flat = _reach(g.rows, left)
         left ^= comp
-        co_rows = {v: comp ^ g.rows[v] ^ (1 << v) for v in _bits(comp)}
-        if flat or _bipartite(co_rows, comp):
+        if flat or _bipartite(_complement_within(g.rows, comp), comp):
             continue
-        if _odd_hole(g.rows, comp, meter) or _odd_hole(co_rows, comp, meter):
-            return False
+        for block in _blocks(g.rows, comp):
+            if block.bit_count() < 5:
+                continue
+            rows = {v: g.rows[v] & block for v in _bits(block)}
+            co_rows = _complement_within(rows, block)
+            if _bipartite(rows, block) or _bipartite(co_rows, block):
+                continue
+            if _odd_hole(rows, block, meter) or _odd_hole(co_rows, block, meter):
+                return False
     return True
+
+
+def _complement_within(rows, verts: int) -> dict[int, int]:
+    """The rows of the complement, within verts, of the graph on verts,
+    which no row leaves."""
+    return {v: verts ^ rows[v] ^ (1 << v) for v in _bits(verts)}
 
 
 def _odd_hole(rows, comp: int, meter: _Meter) -> bool:
@@ -126,6 +141,40 @@ def _reach(rows, verts: int) -> tuple[int, bool]:
         layer = reach & ~seen
         seen |= layer
     return seen, flat
+
+
+def _blocks(rows, comp: int) -> list[int]:
+    """The blocks of the connected graph on comp, which no row leaves, as
+    vertex masks: its maximal 2-connected subgraphs and its bridges.  One
+    depth-first search (Hopcroft and Tarjan 1973), with a stack of its own:
+    when a child v of u has no back edge above u (low[v] >= depth[u]), u and
+    the vertices pushed since v form a block."""
+    root = (comp & -comp).bit_length() - 1
+    depth = {root: 0}
+    low = {root: 0}
+    pushed = [root]
+    path = [(root, _bits(rows[root]))]
+    blocks = []
+    while path:
+        v, neighbours = path[-1]
+        for w in neighbours:
+            if w not in depth:
+                depth[w] = low[w] = len(path)
+                pushed.append(w)
+                path.append((w, _bits(rows[w])))
+                break
+            low[v] = min(low[v], depth[w])
+        else:
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= depth[u]:
+                    block = 1 << u
+                    while block >> v & 1 == 0:
+                        block |= 1 << pushed.pop()
+                    blocks.append(block)
+    return blocks
 
 
 def _bipartite(rows, verts: int) -> bool:

@@ -16,9 +16,9 @@ report, or build its whole table once per report.
 ``block_sums`` computes the exact integer sums S[t, y] = scale * sum_k
 u(t_k, y_k) over blocklength-n sequences.  The worst-case decoded sets and
 the noisy dominance check are sign tests on these sums; the sender graphs
-sum a = scale * u, or a + a^T for G_s^Sym,n, by the same ``_expand_rows``
-and ``_sum_table``; ``_expand_rows`` only sums, and with no rows it sums
-the whole table.  ``lower_bounds._largest_feasible`` reads its pair sums
+at n >= 2 sum a = scale * u, or a + a^T for G_s^Sym,n, by the same
+``_expand_rows`` and ``_sum_table``; ``_expand_rows`` only sums, and with
+no rows it sums the whole table.  ``lower_bounds._largest_feasible`` reads its pair sums
 from the whole table while that is small, and adds letters in Python
 above that.  ``block_utility`` is the Fraction reference definition, and
 ``block_utility_rows`` a Fraction view of the kernel; neither is on the

@@ -62,3 +62,36 @@ def test_witness_pass_searches_little(name, most, monkeypatch):
         except workloads.EXPECTED_FAILURES:
             pass
     assert 0 < searches <= most
+
+
+@pytest.mark.parametrize("name", ["equilibrium", "noisy"])
+def test_closed_sandwich_builds_no_search_copy(name, monkeypatch):
+    # a sandwich that closes answers alpha from its bounds, and on these
+    # jobs its witness pass needs no search, so no degree-ordered copy of
+    # the graph is built (a seed-1 pass built 16 and 30 of them, one per
+    # sandwiched graph, where 11 and 19 sandwiches close)
+    closed, copied = [], []
+    sandwich = ixcap.graphs._sandwich
+    copy_init = ixcap.graphs._SearchCopy.__init__
+
+    def recorded_sandwich(g, meter):
+        seed, ceiling, cliques = sandwich(g, meter)
+        if seed.bit_count() == ceiling:
+            closed.append(g)
+        return seed, ceiling, cliques
+
+    def recorded_copy(self, g):
+        copy_init(self, g)
+        if self.ordered:
+            copied.append(g)
+
+    monkeypatch.setattr(ixcap.graphs, "_sandwich", recorded_sandwich)
+    monkeypatch.setattr(ixcap.graphs._SearchCopy, "__init__", recorded_copy)
+    workload = workloads.WORKLOADS[name]
+    for job in workload.make_jobs(1, ROOT):
+        try:
+            workload.call(job)
+        except workloads.EXPECTED_FAILURES:
+            pass
+    assert closed and copied
+    assert not any(g is c for g in closed for c in copied)

@@ -61,6 +61,10 @@ def test_missing_file():
     ["analyze", "--utility", PENTAGON, "--assume-perfect"],
     ["gamma", "--utility", PENTAGON, "--subset", "0,1", "--budget-nodes", "5"],
     ["gamma", "--utility", PENTAGON, "--subset", "0,2", "-n", "3"],
+    ["gamma", "--utility", PENTAGON, "--subset", "", "-n", "3"],
+    ["gamma", "--utility", PENTAGON, "--subset", ""],
+    ["gamma", "--utility", PENTAGON, "--subset", " "],
+    ["gamma", "--utility", PENTAGON, "--subset", "0,"],
     ["alpha", "--graph", GRAPH, "--utility", PENTAGON],
     ["theta", "--graph", GRAPH, "--utility", PENTAGON],
     ["theta", "--graph", GRAPH, "--part", "base"],
@@ -69,6 +73,13 @@ def test_missing_file():
 ])
 def test_usage_error_is_an_input_error(argv, c5_path):
     assert main([c5_path if a == GRAPH else a for a in argv]) == EXIT_INPUT
+
+
+def test_empty_subset_names_the_fault(capsys):
+    # an empty --subset once skipped the subset check, ran the whole Gamma
+    # search and exited 0
+    assert main(["gamma", "--utility", PENTAGON, "--subset", ""]) == EXIT_INPUT
+    assert capsys.readouterr().err == "ixcap: error: subset must be nonempty\n"
 
 
 def test_analyze_without_a_utility_names_the_flag(capsys):

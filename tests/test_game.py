@@ -3,10 +3,13 @@ instances (q <= 4, n <= 4), and the named verification failure."""
 
 import json
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,6 +649,24 @@ class TestVerificationError:
         code = main(["game", "--utility", str(corpus_path("example1.json")), "-n", "1"])
         assert code == 1
         assert "equilibrium verification failed" in capsys.readouterr().err
+
+
+class TestOptimizedInterpreter:
+    def test_verification_errors_survive_python_O(self):
+        # python -O strips assert statements; every equilibrium check raises
+        # VerificationError instead, so TestVerificationError must pass
+        # unchanged in an optimized interpreter, which the runner refuses
+        # to be anything else
+        root = Path(__file__).parents[1]
+        runner = ("import sys, pytest\n"
+                  "if not sys.flags.optimize: sys.exit(3)\n"
+                  "sys.exit(pytest.main(sys.argv[1:]))")
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", runner, "-q", "-p", "no:cacheprovider",
+             "tests/test_game.py::TestVerificationError"],
+            cwd=root, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines()[-1].startswith("3 passed")
 
 
 class TestVertexCap:

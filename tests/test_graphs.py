@@ -123,7 +123,8 @@ class TestSenderGraph:
         # a + a^T equals its transpose, so every row block is summed once;
         # an asymmetric G_s^n block also sums the transposed table's rows.
         # A table in one block is summed whole, once per graph, and an
-        # asymmetric one reads the transpose of its own sums
+        # asymmetric one reads the transpose of its own sums.  At n = 1 the
+        # graph is the table's own sign pattern, and nothing is summed
         calls = []
         expand = ixcap.graphs._expand_rows
 
@@ -137,16 +138,16 @@ class TestSenderGraph:
             for build in (symmetric_sender_graph, sender_graph):
                 calls.clear()
                 build(U, n)
-                assert calls == [None]
+                assert calls == ([] if n == 1 else [None])
         monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 40)
-        for n, blocks, asymmetric in ((1, 1, 1), (2, 3, 6), (3, 27, 54)):
+        for n, blocks, asymmetric in ((1, 0, 0), (2, 3, 6), (3, 27, 54)):
             calls.clear()
             symmetric_sender_graph(U, n)
             assert len(calls) == blocks
             calls.clear()
             sender_graph(U, n)
             assert len(calls) == asymmetric
-            assert any(rows is None for rows in calls) == (n == 1)
+            assert all(rows is not None for rows in calls)
 
     def test_peak_memory_keeps_only_booleans(self):
         # each row block is compared with 0 as soon as it is summed: with
@@ -393,7 +394,13 @@ def search_sizes(monkeypatch) -> list[int]:
 
 
 def cover_number(g, budget=10**6):
-    return ixcap.graphs._cover_number(g, ixcap.graphs._Meter(budget))
+    """g's clique cover number, after checking that the partition the cover
+    search returns is one into that many cliques."""
+    cliques = ixcap.graphs._cover_number(g, ixcap.graphs._Meter(budget))
+    assert sum(cliques) == (1 << g.n_vertices) - 1
+    assert sum(c.bit_count() for c in cliques) == g.n_vertices
+    assert all(c & ~(g.rows[v] | 1 << v) == 0 for c in cliques for v in ixcap.graphs._bits(c))
+    return len(cliques)
 
 
 class TestCliqueCover:
@@ -451,7 +458,8 @@ class TestDegreeOrder:
         copy = ixcap.graphs._SearchCopy(g)
         search = ixcap.graphs._CliqueSearch(copy.rows, ixcap.graphs._Meter(100))
         with pytest.raises(VerificationError, match="alpha is above 1"):
-            ixcap.graphs._lex_least(g, copy, 1, copy.inward(1 << 2), search)
+            ixcap.graphs._lex_least(g, 1, copy.inward(1 << 2), copy.rows, copy.new_of,
+                                    search)
 
     def test_large_graphs_are_relabelled(self, monkeypatch):
         sizes = search_sizes(monkeypatch)
@@ -610,9 +618,9 @@ class TestBlockSandwich:
         sandwich, orbit_masks = ixcap.graphs._sandwich, ixcap.graphs._orbit_masks
 
         def recorded_sandwich(g, meter):
-            seed, ceiling = sandwich(g, meter)
+            seed, ceiling, cliques = sandwich(g, meter)
             calls.append("settled" if seed.bit_count() == ceiling else "open")
-            return seed, ceiling
+            return seed, ceiling, cliques
 
         monkeypatch.setattr(ixcap.graphs, "_sandwich", recorded_sandwich)
         monkeypatch.setattr(ixcap.graphs, "_orbit_masks",
@@ -655,7 +663,8 @@ class TestBlockSandwich:
         # no table can give it, since G_s^Sym is a subgraph of G_s and
         # alpha(G_s) <= alpha(G_s^Sym) <= its cover number; a faulty cover
         # search can, and the check refuses its ceiling 1 below |I^3| = 64
-        monkeypatch.setattr(ixcap.graphs, "_cover_number", lambda g, meter: 1)
+        monkeypatch.setattr(ixcap.graphs, "_cover_number",
+                            lambda g, meter: [(1 << g.n_vertices) - 1])
         g = lettered(64, empty_graph(64).rows, edgeless_table(4), 3)
         with pytest.raises(VerificationError, match="above its ceiling"):
             independence_number(g)
@@ -769,6 +778,142 @@ class TestPinnedSearchTree:
             independence_number(g, budget=nodes - 1)
 
 
+def closed_sandwich_graphs():
+    """Small block graphs whose sandwich closes: strong powers of perfect
+    graphs (every graph of at most 4 vertices is; alpha = cover number, so
+    |I|^n meets the ceiling) and sender graphs of sign tables with
+    |I| = cover_number(H)."""
+    rng = random.Random(223)
+    graphs = []
+    for q, n in ((3, 2), (4, 2), (2, 3), (3, 3)) * 3:
+        supports = [rng.sample(range(q), rng.randint(1, 2)) for _ in range(q)]
+        graphs.append(_confusability_power(supports, n))
+        graphs.append(sender_graph(random_int_utility(rng, q, (-2, -1, 0, 1)), n))
+    closed = []
+    for g in graphs:
+        seed, ceiling, _ = ixcap.graphs._sandwich(g, ixcap.graphs._Meter(10**6))
+        if seed.bit_count() == ceiling:
+            closed.append(g)
+    return closed
+
+
+class TestClosedSandwich:
+    """When |I|^n meets the ceiling, I^n is maximum: no maximum search runs,
+    and the witness pass walks g's own rows, partitioned by the product
+    cliques of H's minimum clique partition."""
+
+    def test_witness_is_the_lex_least_maximum_set(self, monkeypatch):
+        # in degree order every block graph at n >= 2 is sandwiched
+        monkeypatch.setattr(ixcap.graphs, "ORDERED_MIN_VERTICES", 0)
+        graphs = closed_sandwich_graphs()
+        assert len(graphs) >= 12
+        walks = Counter()
+        lex_least = ixcap.graphs._lex_least
+
+        def recorded(g, alpha, maxset, rows, new_of, search):
+            # count each walk, and the partition rule's settles in closed ones
+            before = search.meter.settled["partition"]
+            witness = lex_least(g, alpha, maxset, rows, new_of, search)
+            kind = type(search).__name__
+            walks[kind] += 1
+            walks[kind, "partition"] += search.meter.settled["partition"] - before
+            return witness
+
+        monkeypatch.setattr(ixcap.graphs, "_lex_least", recorded)
+        sizes = search_sizes(monkeypatch)
+        partitioned = 0
+        for g in graphs:
+            walks.clear()
+            sizes.clear()
+            alpha, witness = independence_number(g)
+            # g's walk is closed, base I's is not; only the bases are searched
+            assert (walks["_ClosedSearch"], walks["_CliqueSearch"]) == (1, 1)
+            assert max(sizes) == len(g.letters[0]) < g.n_vertices
+            assert alpha == oracle_alpha(g)[0]
+            assert witness == oracle_lex_least_mis(g, alpha)
+            partitioned += walks["_ClosedSearch", "partition"]
+            walks.clear()
+            assert independence_number(stripped(g)) == (alpha, witness)
+            assert walks["_ClosedSearch"] == 0
+        assert partitioned > 0
+
+    def test_searches_alone_give_the_same_witness(self, monkeypatch):
+        # with the partition rule off, every vertex it would settle costs a
+        # search on the copy built at the first one; none of these finds a
+        # set, as the rule foresaw, and the witness is unchanged
+        monkeypatch.setattr(ixcap.graphs, "ORDERED_MIN_VERTICES", 0)
+        monkeypatch.setattr(ixcap.graphs, "_meets_fewer", lambda classes, rest, k: False)
+        searched = []
+        at_least = ixcap.graphs._ClosedSearch.at_least
+        monkeypatch.setattr(ixcap.graphs._ClosedSearch, "at_least",
+                            lambda self, cand, target: searched.append(target) or
+                            at_least(self, cand, target))
+        for g in closed_sandwich_graphs():
+            alpha, witness = independence_number(g)
+            assert witness == oracle_lex_least_mis(g, alpha)
+        assert searched
+
+    def test_a_search_answers_in_the_graphs_own_numbering(self, monkeypatch):
+        # the copy is numbered by degree; a search takes its candidates and
+        # returns its set in g's numbering
+        monkeypatch.setattr(ixcap.graphs, "ORDERED_MIN_VERTICES", 0)
+        rng = random.Random(233)
+        for g in closed_sandwich_graphs():
+            meter = ixcap.graphs._Meter(10**6)
+            search = ixcap.graphs._ClosedSearch(g, meter, ixcap.graphs._sandwich(g, meter)[2])
+            for _ in range(6):
+                cand = rng.getrandbits(g.n_vertices)
+                members = list(ixcap.graphs._bits(cand))
+                induced = Graph(len(members), tuple(
+                    sum(1 << k for k, u in enumerate(members) if g.has_edge(u, v))
+                    for v in members))
+                alpha = oracle_alpha(induced)[0]
+                assert search.at_least(cand, alpha)
+                assert search.best_mask & ~cand == 0
+                assert search.best_mask.bit_count() == alpha
+                assert is_independent(g, list(ixcap.graphs._bits(search.best_mask)))
+                assert not search.at_least(cand, alpha + 1)
+            assert search.copy.ordered
+
+    def test_product_parts_partition_the_words_into_cliques(self):
+        # the partition that a closed walk reads; no test input so far
+        # keeps a vertex that the partition rule tests, so a missing part
+        # would show only here
+        rng = random.Random(227)
+        graphs = [sender_graph(random_int_utility(rng, q, (-2, -1, 0, 1)), n)
+                  for q, n in ((3, 2), (4, 2), (3, 3), (5, 2), (4, 3)) * 4]
+        graphs += [_confusability_power(_random_supports(seed, 5), 3) for seed in range(4)]
+        for g in graphs:
+            meter = ixcap.graphs._Meter(10**6)
+            seed, ceiling, cliques = ixcap.graphs._sandwich(g, meter)
+            parts = ixcap.graphs._ClosedSearch(g, meter, cliques).clique_partition()
+            assert len(parts) == ceiling == len(cliques) ** g.letters[1]
+            assert sum(parts) == (1 << g.n_vertices) - 1
+            assert sum(p.bit_count() for p in parts) == g.n_vertices
+            for p in parts:
+                members = list(ixcap.graphs._bits(p))
+                assert all(g.has_edge(u, v) for i, u in enumerate(members)
+                           for v in members[i + 1:])
+            if seed.bit_count() == ceiling:
+                # the product set meets every part once
+                assert all((p & seed).bit_count() == 1 for p in parts)
+
+    def test_letter_rows_match_the_block_kernel(self):
+        # an n = 1 sign graph reads its table in Python; the numpy kernel
+        # that builds every longer block gives the same rows, also on
+        # entries past int64, which it sums as Python ints
+        rng = random.Random(229)
+        huge = 2**70
+        for _ in range(60):
+            q = rng.randint(1, 8)
+            values = rng.choice([(-2, -1, 0, 1), (-huge, -huge + 1, huge - 1, huge)])
+            table = [[0 if a == b else rng.choice(values) for b in range(q)] for a in range(q)]
+            for t in (table, ixcap.graphs._plus_transpose(table)):
+                rows = ixcap.graphs._letter_sign_rows(t)
+                assert rows == ixcap.graphs._block_sign_rows(t, 1, q)
+                assert ixcap.graphs._sign_graph(t, 1).rows == rows
+
+
 class TestColorOrder:
     def test_kmin_lists_the_classes_from_kmin_up(self):
         # the cut drops the low classes from the full colouring and nothing
@@ -793,7 +938,7 @@ class TestColorOrder:
             classes = [0] * g.n_vertices
             for v, c in greedy_coloring(g.rows, (1 << g.n_vertices) - 1):
                 classes[c - 1] |= 1 << v
-            assert ixcap.graphs._colour_classes(search) == [c for c in classes if c]
+            assert search.clique_partition() == [c for c in classes if c]
 
     def test_a_large_copy_is_coloured_as_its_reverse_was_bottom_up(self):
         # a copy of 64 or more vertices numbers the ascending degree order

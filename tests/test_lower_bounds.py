@@ -173,10 +173,13 @@ class TestFeasibility:
         assert value == 4
 
     def test_empty_subset_rejected(self, example1):
-        with pytest.raises(InputError):
-            is_feasible_O(example1, [])
-        with pytest.raises(InputError):
-            is_feasible_O(example1, [0, 0])
+        # the report once called the empty subset feasible and the margin
+        # check passed it, where is_feasible_O refused it
+        for check in (is_feasible_O, feasibility_report, sufficient_margin_check):
+            with pytest.raises(InputError, match="subset must be nonempty"):
+                check(example1, [])
+            with pytest.raises(InputError, match="repeated"):
+                check(example1, [0, 0])
 
     def test_report_has_witness(self, example1):
         report = feasibility_report(example1, [0, 1])

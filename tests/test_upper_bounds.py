@@ -50,9 +50,8 @@ def _grid_graph(side: int):
 def _grid_and_triangle(side: int, tied: bool = False):
     """The side x side grid beside a triangle: perfect, but neither it nor
     its complement is bipartite.  Apart, each component 2-colours; ``tied``
-    joins the grid's last corner to the triangle by one edge, and only the
-    induced-path search proves that connected graph perfect, in millions of
-    nodes at side 7."""
+    joins the grid's last corner to the triangle by one edge, a bridge, and
+    each block of that connected graph 2-colours."""
     n = side * side
     grid = _grid_graph(side)
     tie = [(n - 1, n)] if tied else []
@@ -60,10 +59,22 @@ def _grid_and_triangle(side: int, tied: bool = False):
                                     *tie])
 
 
+def _chorded_grid(side: int):
+    """The side x side grid with one chord across its first square: perfect
+    and 2-connected, but neither it nor its complement is bipartite, so
+    only the induced-path search proves it perfect: in 6537 nodes at side 5
+    and 2 699 025 at side 7.  Every cycle through the chord enters vertex 0
+    by one of the square's two other corners, both adjacent to the chord's
+    far end, so the graph has no odd hole, and only two triangles, too few
+    for an odd antihole."""
+    grid = _grid_graph(side)
+    return graph_from_edges(side * side, [*grid.edges(), (0, side + 1)])
+
+
 def _skewed_grid_utility(side: int):
     """A utility, neither symmetric nor two-valued, whose symmetric part is
-    that of the graph utility of ``_grid_and_triangle(side, tied=True)``."""
-    grid = utility_from_graph(_grid_and_triangle(side, tied=True))
+    that of the graph utility of ``_chorded_grid(side)``."""
+    grid = utility_from_graph(_chorded_grid(side))
     rows = [list(r) for r in grid.u]
     assert rows[0][2] == rows[2][0] == -1
     rows[0][2], rows[2][0] = 0, -2
@@ -187,17 +198,18 @@ class TestXiBracket:
         # the graph's alpha fits the budget but its perfectness test does
         # not: the closure is dropped with a warning, and theta still closes
         # the bracket at the integer alpha
-        b = xi_bracket(utility_from_graph(_grid_and_triangle(7, tied=True)), n_max=1,
-                       node_budget=10_000)
+        b = xi_bracket(utility_from_graph(_chorded_grid(7)), n_max=1, node_budget=10_000)
         assert b.warnings == ("perfect-graph closure skipped: "
                               "perfectness test exceeded 10000 nodes",)
         assert b.upper_certificate["name"] == "theta_symmetric_part"
-        assert (b.exact.base, b.exact.root) == (26, 1)
-        # the bipartite grid alone is proved perfect by its 2-colouring
-        b = xi_bracket(utility_from_graph(_grid_graph(7)), n_max=1, node_budget=10_000)
-        assert b.warnings == ()
-        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 25}
-        assert (b.exact.base, b.exact.root) == (25, 1)
+        assert (b.exact.base, b.exact.root) == (24, 1)
+        # the bipartite grid alone is proved perfect by its 2-colouring, and
+        # the grid tied to a triangle by its blocks' 2-colourings
+        for g, alpha in ((_grid_graph(7), 25), (_grid_and_triangle(7, tied=True), 26)):
+            b = xi_bracket(utility_from_graph(g), n_max=1, node_budget=10_000)
+            assert b.warnings == ()
+            assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": alpha}
+            assert (b.exact.base, b.exact.root) == (alpha, 1)
 
     @pytest.mark.parametrize("k, exact, upper", [(66, 33, 33), (65, None, 65)])
     def test_theta_skipped_above_the_solver_limit(self, k, exact, upper):
@@ -277,25 +289,24 @@ class TestXiBracket:
         b = xi_bracket(U, n_max=1, node_budget=1_000)
         assert (len(calls), b.warnings) == (1, ())
         assert "perfect" not in b.upper_certificate
-        assert b.upper == pytest.approx(14 + 1e-3, abs=1e-3)
+        assert b.upper == pytest.approx(12 + 1e-3, abs=1e-3)
         # with the budget to prove the graph perfect, no solver runs
         calls.clear()
         b = xi_bracket(U, n_max=1)
-        assert (len(calls), b.warnings, b.theta_sym) == (0, (), 14.0)
-        assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": 14.0,
+        assert (len(calls), b.warnings, b.theta_sym) == (0, (), 12.0)
+        assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": 12.0,
                                        "tol": 1e-3, "perfect": True}
 
     def test_perfectness_test_that_only_spares_the_solver_is_bounded(self, monkeypatch):
-        # proving the 7 x 7 grid tied to a triangle perfect takes millions of
-        # nodes, and the solver answers in a fraction of that time
+        # proving the chorded 7 x 7 grid perfect takes millions of nodes,
+        # and the solver answers in a fraction of that time
         U = _skewed_grid_utility(7)
         calls = _count_solves(monkeypatch)
         b = xi_bracket(U, n_max=1)
         assert (len(calls), b.warnings) == (1, ())
-        assert b.upper == pytest.approx(26 + 1e-3, abs=1e-3)
+        assert b.upper == pytest.approx(24 + 1e-3, abs=1e-3)
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(_grid_and_triangle(7, tied=True),
-                                 budget=upper_bounds.SHORTCUT_NODE_BUDGET)
+            in_perfect_whitelist(_chorded_grid(7), budget=upper_bounds.SHORTCUT_NODE_BUDGET)
 
     def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch):
         # G_s^n and G_s^Sym,n at n = 1 and 2: G_s^Sym is built once, for the
@@ -408,6 +419,24 @@ class TestAsymptoticRateBracket:
                                        "tol": 1e-3, "perfect": True}
 
 
+def _biconnected(g: Graph, vertices) -> bool:
+    """Whether the vertices induce a connected graph that stays connected
+    without any one of them (an edge counts as 2-connected)."""
+    def connected(vs):
+        mask = sum(1 << v for v in vs)
+        seen = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for v in range(g.n_vertices):
+                if frontier >> v & 1:
+                    reach |= g.rows[v] & mask
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == mask
+    return connected(vertices) and (len(vertices) == 2 or all(
+        connected([u for u in vertices if u != v]) for v in vertices))
+
+
 class TestPerfectWhitelist:
     def test_pentagon_is_not_whitelisted(self):
         assert not in_perfect_whitelist(cycle_graph(5))
@@ -468,6 +497,39 @@ class TestPerfectWhitelist:
         shifted = [(u + 5, v + 5) for u, v in grid] + [(i, (i + 1) % 5) for i in range(5)]
         assert not in_perfect_whitelist(graph_from_edges(n + 5, shifted))
 
+    def test_blocks_are_decided_apart(self):
+        # the grid tied to a triangle by a bridge took 3 084 552 path nodes
+        # (4.2 s) as one component; its blocks, the grid, the bridge and the
+        # triangle, each 2-colour or are too small for a hole
+        assert in_perfect_whitelist(_grid_and_triangle(7, tied=True), budget=1)
+        # a 5-cycle hung from the grid's corner by a cut vertex is still
+        # found, and so is a 5-antihole sharing a vertex with a triangle
+        grid = list(_grid_graph(7).edges())
+        c5 = [(48, 49), (49, 50), (50, 51), (51, 52), (52, 48)]
+        assert not in_perfect_whitelist(graph_from_edges(53, grid + c5), budget=10_000)
+        antihole = [(i, (i + 2) % 5) for i in range(5)]
+        assert not in_perfect_whitelist(graph_from_edges(7, antihole + [(0, 5), (5, 6),
+                                                                       (0, 6)]))
+
+    def test_blocks_match_their_definition(self):
+        # the blocks of a connected graph are its maximal vertex sets of 2
+        # or more that induce a connected graph with no cut vertex
+        rng = random.Random(187)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            g = graph_from_edges(n, [e for e in combinations(range(n), 2)
+                                     if rng.random() < 0.3])
+            comp, _ = upper_bounds._reach(g.rows, (1 << n) - 1)
+            vs = [v for v in range(n) if comp >> v & 1]
+            whole = [sum(1 << v for v in c) for k in range(2, len(vs) + 1)
+                     for c in combinations(vs, k) if _biconnected(g, c)]
+            maximal = {m for m in whole if not any(m != o and m & o == m for o in whole)}
+            blocks = upper_bounds._blocks(g.rows, comp)
+            assert len(blocks) == len(maximal) and set(blocks) == maximal
+            checked += len(blocks) > 1
+        assert checked > 20
+
     def test_components_match_the_definition(self):
         # a graph on 5 or 6 vertices, where the smallest odd hole fits,
         # beside a smaller one, against the definition; half the large ones
@@ -491,9 +553,8 @@ class TestPerfectWhitelist:
         assert imperfect > 0
 
     def test_budget(self):
-        # the 7 x 7 grid tied to a triangle has millions of induced paths
-        # to rule out
+        # the chorded 7 x 7 grid has millions of induced paths to rule out
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(_grid_and_triangle(7, tied=True), budget=10_000)
+            in_perfect_whitelist(_chorded_grid(7), budget=10_000)
         with pytest.raises(InputError):
             in_perfect_whitelist(cycle_graph(5), budget=0)
