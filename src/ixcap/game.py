@@ -7,10 +7,13 @@ The pessimistic worst case over best responses never enumerates the
 exponential response set: block utilities are separable per source sequence,
 so a sequence survives every best response exactly when decoding it
 truthfully is the sender's unique argmax among the strategy's image.  A tie
-is adversarial and destroys the guarantee.  Over a noisy channel the truthful
-reports of x are the inputs whose every possible output decodes to x, and x
-survives when every other input is dominated or strictly worse; both
-analyses take any strategy.
+is adversarial and destroys the guarantee.  ``_rivalled`` is that rule, read
+on the image's own columns only; ``equilibrium_value_noiseless`` checks its
+witness W with it on the |W| x |W| block, and ``worst_case_decoded_set``
+adds the per-source table of best responses that reports list.  Over a
+noisy channel the truthful reports of x are the inputs whose every possible
+output decodes to x, and x survives when every other input is dominated or
+strictly worse; both analyses take any strategy.
 
 Both analyses are sign tests on the exact integer block sums of
 ``utility.block_sums``, read only where the strategy needs them.  Over a
@@ -124,29 +127,58 @@ def _strategy_on(gs: Graph, vs, n: int) -> ReceiverStrategy:
     return ReceiverStrategy(n, tuple(decode))
 
 
+def _rivalled(sums: np.ndarray, words: np.ndarray, block: slice) -> np.ndarray:
+    """The survivor rule on one row block: given the block's sums
+    S[words[block], :], which words x some other word y of the block
+    rivals, with S[y, x] >= 0.  A word survives every best response iff no
+    block rivals it: decoding it truthfully is worth 0 (the zero diagonal),
+    so another word worth 0 or more ties or beats it.  Only the words' own
+    columns are read."""
+    rival = sums[:, words] >= 0
+    rows = np.arange(block.stop - block.start)
+    rival[rows, rows + block.start] = False
+    return rival.any(axis=0)
+
+
+def _survivors(U: UtilityMatrix, n: int, words) -> tuple[int, ...]:
+    """The words, ascending distinct sequence indices, that ``_rivalled``
+    finds no rival for.  Their block sums come in the row blocks of
+    ``_row_blocks``, each reduced at the words' columns, so no
+    |W| x q**n table is held whole."""
+    words = np.asarray(words, dtype=np.int64)
+    rivalled = np.zeros(len(words), dtype=bool)
+    for block in _row_blocks(len(words), U.q**n):
+        rivalled |= _rivalled(block_sums(U, n, words[block])[1], words, block)
+    return tuple(words[~rivalled].tolist())
+
+
 def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome:
     """Sequences recovered under *every* best response to the strategy.
 
     A source sequence x survives iff x is in the image and every other image
     element has strictly negative block utility against x; zero-utility
-    alternatives are adversarial ties and disqualify x.
+    alternatives are adversarial ties and disqualify x.  ``_rivalled``
+    decides that on each row block of the image's block sums, as it does
+    for ``equilibrium_value_noiseless``.
 
-    The block sums of the image's rows come in the row blocks of
-    ``_row_blocks``.  Each block raises the running column maxima
-    where it beats them, which drops the hits found before in those
-    columns, and adds its own hits at the maxima.
+    ``best_response_summary`` lists every source's best responses for
+    reports.  Each block raises the running column maxima over all q**n
+    sources where it beats them, which drops the hits found before in
+    those columns, and adds its own hits at the maxima.
     """
     n = g.n
     nv = U.q**n
     if len(g.decode) != nv:
         raise InputError(f"strategy table has {len(g.decode)} entries, expected {nv}")
-    image = g.image()
+    image = np.asarray(g.image(), dtype=np.int64)
     summary = [()] * nv
-    if image:
+    rivalled = np.zeros(len(image), dtype=bool)
+    if len(image):
         top = None
         cols = rows = np.zeros(0, dtype=np.int64)
         for block in _row_blocks(len(image), nv):
             _, sums = block_sums(U, n, image[block])
+            rivalled |= _rivalled(sums, image, block)
             block_top = sums.max(axis=0)
             if top is not None:
                 kept = ~(block_top > top)[cols]
@@ -158,10 +190,10 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
             rows = np.concatenate([rows, new_rows + block.start])
         # the best responses to x are column x's hits, in image order
         order = np.argsort(cols, kind="stable")
-        hits = np.asarray(image)[rows[order]].tolist()
+        hits = image[rows[order]].tolist()
         ends = np.cumsum(np.bincount(cols, minlength=nv)).tolist()
         summary = [tuple(hits[a:b]) for a, b in zip([0, *ends], ends)]
-    decoded = [x for x in image if summary[x] == (x,)]
+    decoded = image[~rivalled].tolist()
     size = len(decoded)
     return GameOutcome(
         decoded_worst=tuple(decoded),
@@ -180,16 +212,20 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     which ``graphs.independence_number`` searches between alpha(G_s)^n and
     the clique cover number of G_s^Sym to the n-th power once the graph
     has at least ``graphs.ORDERED_MIN_VERTICES`` vertices; ``budget``
-    bounds every search, the bounds' included.  The canonical witness set is
-    decoded identically and everything else maps to the error symbol.  The
-    construction is re-verified via the worst-case best-response analysis
-    before returning.
+    bounds every search, the bounds' included.  The canonical witness set W
+    is decoded identically and everything else maps to the error symbol.
+
+    Before returning, the strategy is re-verified: its image must be
+    independent in the sender graph, and every word of it must survive
+    ``_rivalled`` on block sums recomputed from U, not read from the graph,
+    so that the survivors are W and number alpha.  Only the |W| x |W| block
+    S[W, W] is read; no best-response table over X^n is built.
     """
     g = sender_graph(U, n)
     alpha, witness = independence_number(g, budget=budget)
     strategy = _strategy_on(g, witness, n)
-    outcome = worst_case_decoded_set(U, strategy)
-    if outcome.decoded_size != alpha or outcome.decoded_worst != witness:
+    decoded = _survivors(U, n, strategy.image())
+    if len(decoded) != alpha or decoded != witness:
         raise VerificationError("equilibrium verification failed")
     return alpha, strategy
 

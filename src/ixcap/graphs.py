@@ -300,7 +300,11 @@ def strong_power(g: Graph, n: int) -> Graph:
     """The strong n-th power of g, lettered at n >= 2 by g's closed-
     neighbourhood table t (t[a, b] = 0 for b in N[a], -1 elsewhere): two
     words are adjacent iff every letter pair lies in N, iff their letter
-    sum is 0.  At n = 1 it is g's rows, with no table."""
+    sum is 0.  At n = 1 it is g's rows, with no table.
+
+    Each step puts g on the left, as the new most significant letter, so
+    ``strong_product`` spreads g's q rows, not the growing power's; the
+    numbering is that of the left fold g x g x ... x g."""
     if n < 1:
         raise InputError("strong power requires n >= 1")
     q = g.n_vertices
@@ -309,7 +313,7 @@ def strong_power(g: Graph, n: int) -> Graph:
         return Graph(q, g.rows)
     out = g
     for _ in range(n - 1):
-        out = strong_product(out, g)
+        out = strong_product(g, out)
     closed = tuple(tuple(((row | 1 << a) >> b & 1) - 1 for b in range(q))
                    for a, row in enumerate(g.rows))
     return Graph(out.n_vertices, out.rows, (closed, n))

@@ -136,12 +136,16 @@ class Alphabet:
 def sequence_labels(alphabet: Alphabet, n: int, indices=None) -> tuple[str, ...]:
     """Labels of the sequences of X^n with the given canonical indices, or
     of all q**n in index order: the symbols joined by "", or by "," when
-    some symbol is longer than one character."""
+    some symbol is longer than one character.  InputError when an index
+    lies outside X^n."""
     symbols = alphabet.symbols
     sep = "" if all(len(s) == 1 for s in symbols) else ","
     if indices is None:
         return tuple(map(sep.join, iter_product(symbols, repeat=n)))
     q = len(symbols)
+    indices = list(indices)
+    if indices and (min(indices) < 0 or max(indices) >= q**n):
+        raise InputError(f"sequence index out of range for q={q}, n={n}")
     powers = [q**k for k in reversed(range(n))]
     return tuple(sep.join([symbols[i // p % q] for p in powers]) for i in indices)
 

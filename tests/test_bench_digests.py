@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import ixcap.game
 import ixcap.graphs
 
 ROOT = Path(__file__).parents[1]
@@ -62,6 +63,32 @@ def test_witness_pass_searches_little(name, most, monkeypatch):
         except workloads.EXPECTED_FAILURES:
             pass
     assert 0 < searches <= most
+
+
+def test_equilibrium_check_sums_only_the_witness_rows(monkeypatch):
+    # each seed-1 equilibrium job checks its witness W on the block sums of
+    # W's rows alone, in one call, and builds no best-response table
+    calls, tables = [], []
+    block_sums = ixcap.game.block_sums
+
+    def recorded_sums(U, n, rows=None, **kwargs):
+        calls.append(None if rows is None else list(rows))
+        return block_sums(U, n, rows, **kwargs)
+
+    monkeypatch.setattr(ixcap.game, "block_sums", recorded_sums)
+    monkeypatch.setattr(ixcap.game, "worst_case_decoded_set",
+                        lambda *args: tables.append(args))
+    workload = workloads.WORKLOADS["equilibrium"]
+    checked = 0
+    for job in workload.make_jobs(1, ROOT):
+        calls.clear()
+        try:
+            _, strategy = workload.call(job)
+        except workloads.EXPECTED_FAILURES:
+            continue
+        assert calls == [list(strategy.image())]
+        checked += 1
+    assert checked and not tables
 
 
 @pytest.mark.parametrize("name", ["equilibrium", "noisy"])

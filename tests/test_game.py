@@ -119,6 +119,37 @@ class TestWorstCaseDecodedSet:
             assert worst_case_decoded_set(U, g).best_response_summary == expected
 
 
+class TestSurvivorRule:
+    """``_survivors`` keeps the words x with S[y, x] < 0 for every other
+    word y, reading the words' own columns in row blocks.  Its rule,
+    ``_rivalled``, also gives ``worst_case_decoded_set`` its decoded set."""
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 2, 3])
+    @given(st.integers(2, 4), st.integers(1, 2), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_brute_force(self, rows_per_block, q, n, rng):
+        # random images, mostly not independent in the sender graph, of
+        # rational utilities and of {-1, 0, 1} ones, which tie at 0 often
+        U = (random_utility, random_int_utility)[rng.randrange(2)](rng, q)
+        nv = q**n
+        keep = rng.choice((0.1, 0.5, 1))
+        g = ReceiverStrategy(n, tuple(rng.randrange(nv) if rng.random() < keep else None
+                                      for _ in range(nv)))
+        words = g.image()
+        sums = oracle_block_sums(U, n, words)
+        expected = tuple(x for i, x in enumerate(words)
+                         if all(row[x] < 0 for j, row in enumerate(sums) if j != i))
+        with pytest.MonkeyPatch.context() as patch:
+            if rows_per_block:
+                patch.setattr(ixcap.utility, "BLOCK_CELLS", rows_per_block * nv)
+            got = ixcap.game._survivors(U, n, words)
+            outcome = worst_case_decoded_set(U, g)
+        assert got == expected
+        assert outcome.decoded_worst == expected
+        # the per-source table, built apart from the rule, agrees
+        assert expected == tuple(x for x in words if outcome.best_response_summary[x] == (x,))
+
+
 def pessimistic_score(sums, decode) -> int:
     """The paper's pessimistic count of a receiver map (output -> decoded
     sequence, None for the error symbol) over a noiseless channel: source x
@@ -629,10 +660,14 @@ class TestPartitionDecoder:
             noisy_receiver_strategy([0, 4], [0, 4], channel, 2)
 
 
+def every_word_rivalled(sums, words, block):
+    """A survivor rule that disagrees with every witness."""
+    return np.ones(len(words), dtype=bool)
+
+
 class TestVerificationError:
     def test_noiseless_mismatch_raises(self, example1, monkeypatch):
-        monkeypatch.setattr(ixcap.game, "worst_case_decoded_set",
-                            lambda U, g: GameOutcome((), 0, 0.0, ()))
+        monkeypatch.setattr(ixcap.game, "_rivalled", every_word_rivalled)
         with pytest.raises(VerificationError):
             equilibrium_value_noiseless(example1, 1)
 
@@ -644,8 +679,7 @@ class TestVerificationError:
             noisy_equilibrium_value(example1, channel, 1)
 
     def test_cli_reports_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(ixcap.game, "worst_case_decoded_set",
-                            lambda U, g: GameOutcome((), 0, 0.0, ()))
+        monkeypatch.setattr(ixcap.game, "_rivalled", every_word_rivalled)
         code = main(["game", "--utility", str(corpus_path("example1.json")), "-n", "1"])
         assert code == 1
         assert "equilibrium verification failed" in capsys.readouterr().err

@@ -8,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     oracle_alpha,
@@ -260,6 +262,22 @@ class TestStrongProducts:
             assert graphs_equal(lhs, rhs)
             rhs2 = strong_product(g, strong_power(g, 2))
             assert graphs_equal(lhs, rhs2)
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_power_is_the_left_fold(self, q, n, rng):
+        # each step puts g on the left; the power is the same graph, in the
+        # same numbering, as ((g x g) x g) x ..., and carries g's closed-
+        # neighbourhood table at n >= 2
+        g = random_graph(rng, q, rng.random())
+        fold = g
+        for _ in range(n - 1):
+            fold = strong_product(fold, g)
+        power = strong_power(g, n)
+        assert graphs_equal(power, fold)
+        closed = tuple(tuple(0 if a == b or g.has_edge(a, b) else -1 for b in range(q))
+                       for a in range(q))
+        assert power.letters == (None if n == 1 else (closed, n))
 
     def test_power_validates(self, monkeypatch):
         with pytest.raises(InputError):

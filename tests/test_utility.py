@@ -261,6 +261,14 @@ class TestSequenceLabels:
             assert sequence_labels(alphabet, n, picked) == tuple(labels[i] for i in picked)
             assert sequence_labels(alphabet, n, ()) == ()
 
+    def test_indices_outside_the_words_are_refused(self):
+        # at q = 2, n = 2 index 4 was named "00" and index -1 "11"
+        alphabet = Alphabet(("0", "1"))
+        assert sequence_labels(alphabet, 2, [0, 3]) == ("00", "11")
+        for index in (4, -1, 2**70):
+            with pytest.raises(InputError, match="out of range for q=2, n=2"):
+                sequence_labels(alphabet, 2, [1, index])
+
     def test_long_symbols_join_with_commas(self):
         # a symbol longer than one character joins every label with commas
         symbols = ("ab", "c", "d")
