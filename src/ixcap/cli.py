@@ -6,8 +6,9 @@ Every sub-command writes a JSON report to stdout or ``--out``.  Only
 ``corpus`` prints its checks as markdown unless ``--format json`` is given.
 ``analyze`` runs one ``xi_bracket`` pass and prints its per-blocklength
 records and theta(G_s^Sym) next to the bracket, so the table shows the very
-values the bracket compared; its perfect-graph closure rests on an exact
-perfectness test run under ``--budget-nodes``, never on a user's word.
+values the bracket compared, one row per blocklength run; its perfect-graph
+closure rests on an exact perfectness test run under ``--budget-nodes``,
+never on a user's word.
 ``gamma`` reports the largest feasible subset at blocklength ``-n``, searched
 within ``--budget-nodes``, or with ``--subset`` the feasibility of one subset
 and, when it is infeasible, the closed chain that proves it.  ``game``
@@ -411,7 +412,9 @@ def _add_common(p, utility=True, graph=False, blocklength=False, max_n=False,
     if blocklength:
         p.add_argument("-n", "--blocklength", type=int, default=1)
     if max_n:
-        p.add_argument("--max-n", dest="max_n", type=int, default=2)
+        p.add_argument("--max-n", dest="max_n", type=int, default=2,
+                       help="largest blocklength tried; the bracket stops at the first "
+                            "that closes")
     if theta_tol:
         p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-3)
     if budget_nodes:

@@ -19,7 +19,8 @@ perfect graph theta equals the independence number (Lovasz 1979), so the
 semidefinite solver runs only on a G_s^Sym or G_c that is not proved
 perfect, or whose independence number is not known: each bracket takes that
 alpha from its own blocklength-1 pass.  Closures compare the integers of
-the certificates, never floats.
+the certificates, never floats.  The capacity bracket stops at the first
+blocklength that closes; the channel side runs every one up to its cap.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ class CapacityBracket:
     """Certified [lower, upper] interval around an uncomputable limit.
 
     ``per_n`` and ``theta_sym`` report what ``xi_bracket`` computed on the
-    way: one record per blocklength, and theta(G_s^Sym), None when it did not
-    converge.  Neither is part of ``to_json_dict``."""
+    way: one record per blocklength run, and theta(G_s^Sym), None when it
+    did not converge.  Neither is part of ``to_json_dict``."""
 
     lower: float
     lower_certificate: dict
@@ -290,36 +291,40 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
                node_budget: int = DEFAULT_NODE_BUDGET) -> CapacityBracket:
     """Two-sided bracket on the information extraction capacity.
 
-    Lower side: the best of alpha(G_s^n)^(1/n) and Gamma(U_n)^(1/n) for
-    n <= n_max, the first of equal values winning, or the trivial bound 1
-    when every search ran out of budget.  Only U's own bounds are
-    candidates: a utility that dominates U entrywise has a supergraph of
-    every G_s^n and fewer feasible subsets, so neither of its bounds can beat
-    U's at the same n.  Upper side: min of the alphabet size and
-    theta(G_s^Sym) + tol by ``_theta_side``, which tests G_s^Sym for
-    perfectness once per bracket and takes theta as the alpha(G_s^Sym) of
-    the n = 1 pass on a perfect G_s^Sym.  Exact value: for symmetric or
-    two-valued-gain utilities, where G_s and G_s^Sym coincide at n = 1, the
-    same verdict pins the capacity of a perfect base graph at alpha(G_s),
-    taken from the n = 1 pass; otherwise it is reported when the two sides
-    meet within 2*tol along an integer or radical closure.  ``node_budget``
-    is per search, not per bracket: each of up to 3*n_max + 2 searches gets
-    the full budget afresh, namely alpha(G_s^n), alpha(G_s^Sym,n) and
-    Gamma's subset search at each n, the perfectness test and the radical
-    closure's alpha.  A search that exhausts its budget drops its candidate,
-    and the closure that needs it, with a warning, except Gamma's subset
-    search, whose largest feasible subset found so far stays a candidate,
-    flagged not optimal in its record.  Where no perfect-graph closure
-    needs its verdict, the perfectness test only spares the solver: it runs
-    within at most ``SHORTCUT_NODE_BUDGET`` nodes and gives up silently.
-    The result carries the per-blocklength records (alpha(G_s^n) and its
-    witness; Gamma(U_n) with its subset, optimality and alpha(G_s^Sym,n);
-    or the skip message) and theta(G_s^Sym).  At n_max = 2 and q <= 7 its
-    alpha searches run on at most 49 vertices, below the size from which
-    ``graphs.independence_number`` bounds a block graph by its letter
-    table: there the bounds cost more than the search they would save.
-    Raises InputError when n_max < 1 or tol lies outside (0, 1e-2], the
-    solver's own range, checked here since a perfect G_s^Sym never
+    Blocklengths n = 1, 2, ... run in order up to the cap ``n_max``, and the
+    bracket stops at the first n where it closes.  Lower side: the best of
+    alpha(G_s^n)^(1/n) and Gamma(U_n)^(1/n) over the n run, the first of
+    equal values winning, or the trivial bound 1 when every search ran out
+    of budget.  Only U's own bounds are candidates: a utility that dominates
+    U entrywise has a supergraph of every G_s^n and fewer feasible subsets,
+    so neither of its bounds can beat U's at the same n.  Upper side, set
+    after the n = 1 pass: min of the alphabet size and theta(G_s^Sym) + tol
+    by ``_theta_side``, which tests G_s^Sym for perfectness once per bracket
+    and takes theta as the alpha(G_s^Sym) of the n = 1 pass on a perfect
+    G_s^Sym.  Exact value: for symmetric or two-valued-gain utilities, where
+    G_s and G_s^Sym coincide at n = 1, the same verdict pins the capacity of
+    a perfect base graph at alpha(G_s), taken from the n = 1 pass; otherwise
+    it is reported when the two sides meet within 2*tol along an integer or
+    radical closure, tried after each n.  No larger cap moves a closed
+    answer t: a later candidate above t would exceed the upper side, at most
+    t + 2*tol, and a tie loses to the earlier one.  ``node_budget`` is per
+    search, not per bracket: each search gets it afresh, namely
+    alpha(G_s^n), alpha(G_s^Sym,n) and Gamma's subset search at each n run,
+    the perfectness test, and the radical closure's alpha, once per lower
+    certificate it tries.  A search that exhausts its budget drops its
+    candidate, and the closure that needs it, with a warning, except Gamma's
+    subset search, whose largest feasible subset found so far stays a
+    candidate, flagged not optimal in its record.  Where no perfect-graph
+    closure needs its verdict, the perfectness test only spares the solver:
+    it runs within at most ``SHORTCUT_NODE_BUDGET`` nodes and gives up
+    silently.  The result carries the records of the n run (alpha(G_s^n) and
+    its witness; Gamma(U_n) with its subset, optimality and
+    alpha(G_s^Sym,n); or the skip message) and theta(G_s^Sym).  At n_max = 2
+    and q <= 7 its alpha searches run on at most 49 vertices, below the size
+    from which ``graphs.independence_number`` bounds a block graph by its
+    letter table: there the bounds cost more than the search they would
+    save.  Raises InputError when n_max < 1 or tol lies outside (0, 1e-2],
+    the solver's own range, checked here since a perfect G_s^Sym never
     reaches the solver.
     """
     if n_max < 1:
@@ -335,6 +340,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
 
     lowers: list[tuple[float, dict, tuple[int, int]]] = []
     per_n: list[dict] = []
+    exact: ExactValue | None = None
     for n in range(1, n_max + 1):
         record: dict = {"n": n}
         side = _alpha_side(lambda: base_graph if n == 1 else sender_graph(U, n), n,
@@ -362,46 +368,50 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
             record["gamma_error"] = f"gamma(U_{n}) skipped: {exc}"
             warnings.append(record["gamma_error"])
         per_n.append(record)
-    lower_value, lower_cert, lower_root = max(
-        lowers or [(1.0, {"name": "trivial", "n": 1}, (1, 1))], key=lambda t: t[0])
 
-    alpha_base = per_n[0].get("alpha_sender")
-    theta_sym, theta_upper, perfect = _theta_side(
-        sym_graph, per_n[0].get("alpha_sym"),
-        node_budget if closure else min(node_budget, SHORTCUT_NODE_BUDGET),
-        tol, "theta_symmetric_part", "G_s^Sym", warnings)
-    uppers = [(float(q), {"name": "alphabet_size", "q": q}), *theta_upper]
+        if n == 1:
+            # the upper side needs only the n = 1 records
+            alpha_base = record.get("alpha_sender")
+            theta_sym, theta_upper, perfect = _theta_side(
+                sym_graph, record.get("alpha_sym"),
+                node_budget if closure else min(node_budget, SHORTCUT_NODE_BUDGET),
+                tol, "theta_symmetric_part", "G_s^Sym", warnings)
+            uppers = [(float(q), {"name": "alphabet_size", "q": q}), *theta_upper]
+            if closure:
+                # sym_graph is base_graph, so the verdict above is the base graph's
+                if isinstance(perfect, BudgetExceededError):
+                    warnings.append(f"perfect-graph closure skipped: {perfect}")
+                elif perfect and alpha_base is None:
+                    warnings.append("perfect-graph closure skipped: "
+                                    "alpha(G_s^1) was not computed")
+                elif perfect:
+                    # alpha(G_s) is already a lower candidate, so only the upper side moves
+                    exact = ExactValue(alpha_base, 1)
+                    uppers.append((float(alpha_base),
+                                   {"name": "perfect_graph_closure", "alpha": alpha_base}))
+            upper_value, upper_cert = min(uppers, key=lambda t: t[0])
 
-    exact: ExactValue | None = None
-    if closure:
-        # sym_graph is base_graph, so the verdict above is the base graph's
-        if isinstance(perfect, BudgetExceededError):
-            warnings.append(f"perfect-graph closure skipped: {perfect}")
-        elif perfect and alpha_base is None:
-            warnings.append("perfect-graph closure skipped: alpha(G_s^1) was not computed")
-        elif perfect:
-            # alpha(G_s) is already a lower candidate, so only the upper side moves
-            exact = ExactValue(alpha_base, 1)
-            uppers.append((float(alpha_base),
-                           {"name": "perfect_graph_closure", "alpha": alpha_base}))
-
-    upper_value, upper_cert = min(uppers, key=lambda t: t[0])
-
-    if exact is None:
-        # integer closure: certified integer lower meets the upper side
-        exact = _integer_closure(*lower_root, upper_value, tol)
-    if exact is None and theta_sym is not None and abs(theta_sym - lower_value) <= tol:
-        # radical closure: the strong power of the symmetric base graph
-        # must achieve the same count, pinning Theta(G_s^Sym) from below;
-        # upper <= theta + tol puts the two sides within 2*tol
+        lower_value, lower_cert, lower_root = max(
+            lowers or [(1.0, {"name": "trivial", "n": 1}, (1, 1))], key=lambda t: t[0])
+        if exact is None:
+            # integer closure: certified integer lower meets the upper side
+            exact = _integer_closure(*lower_root, upper_value, tol)
         base, root = lower_root
-        try:
-            power = strong_power(sym_graph, root)
-            alpha_power, _ = independence_number(power, budget=node_budget)
-            if alpha_power == base:
-                exact = ExactValue(base, root)
-        except (BudgetExceededError, CapExceededError) as exc:
-            warnings.append(f"radical closure check skipped: {exc}")
+        if (exact is None and root == n and theta_sym is not None
+                and abs(theta_sym - lower_value) <= tol):
+            # radical closure, tried once per lower certificate, at the
+            # blocklength it comes from: the strong power of the symmetric
+            # base graph must achieve the same count, pinning Theta(G_s^Sym)
+            # from below; upper <= theta + tol puts the two sides within 2*tol
+            try:
+                power = strong_power(sym_graph, root)
+                alpha_power, _ = independence_number(power, budget=node_budget)
+                if alpha_power == base:
+                    exact = ExactValue(base, root)
+            except (BudgetExceededError, CapExceededError) as exc:
+                warnings.append(f"radical closure check at n = {root} skipped: {exc}")
+        if exact is not None:
+            break
 
     return CapacityBracket(lower_value, lower_cert, upper_value, upper_cert, tol, exact,
                            tuple(warnings), tuple(per_n), theta_sym)
@@ -426,7 +436,9 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     it (base**n <= alpha**root); otherwise, once the capacity's certified
     lower bound reaches the channel's ceiling, the bracket is the channel's
     own, closed by ``_integer_closure`` on its (alpha, n).  ``budget`` is
-    per search, up to 4*n_max + 2 in all.  An alpha(G_c^n) that runs out,
+    per search: the capacity bracket's, which count only the blocklengths
+    it runs, then alpha(G_c^n) at every n <= n_max and G_c's perfectness
+    test.  An alpha(G_c^n) that runs out,
     or a theta(G_c) that does not converge or has more vertices than the
     solver takes, is skipped with a warning, and the channel bounds fall
     back to 1 and the alphabet size.  The channel-side witness names its

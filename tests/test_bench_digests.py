@@ -4,8 +4,9 @@
 the seeded inputs and one of the exact answers.  This recomputes both, the
 way ``perfbench/run.py`` does on its first pass, so a change that moves any
 answer fails here and not only in a benchmark run.  It also caps the
-searches that the canonical-witness pass runs on the seed-1 jobs.  Nothing
-under ``perfbench/`` is written.
+searches that the canonical-witness pass runs on the seed-1 jobs, and pins
+which seed-1 brackets run a second blocklength.  Nothing under
+``perfbench/`` is written.
 """
 
 import json
@@ -16,6 +17,7 @@ import pytest
 
 import ixcap.game
 import ixcap.graphs
+import ixcap.upper_bounds
 
 ROOT = Path(__file__).parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -122,3 +124,27 @@ def test_closed_sandwich_builds_no_search_copy(name, monkeypatch):
             pass
     assert closed and copied
     assert not any(g is c for g in closed for c in copied)
+
+
+def test_bracket_runs_blocklength_2_only_where_blocklength_1_stays_open(monkeypatch):
+    # a bracket stops at the first blocklength that closes: of the 35
+    # seed-1 jobs only the pentagon and one random input stay open at
+    # n = 1, so only they build G_s^2 and search Gamma(U_2)
+    workload = workloads.WORKLOADS["bracket"]
+    jobs = workload.make_jobs(1, ROOT)
+    still_open = [i for i, job in enumerate(jobs)
+                  if ixcap.xi_bracket(*job.args, **{**job.kwargs, "n_max": 1}).exact is None]
+    assert [jobs[i].label for i in still_open] == ["corpus:pentagon", "random:q4"]
+
+    calls = []
+    gamma_n = ixcap.upper_bounds.gamma_n
+    sender_graph = ixcap.upper_bounds.sender_graph
+    monkeypatch.setattr(ixcap.upper_bounds, "gamma_n", lambda U, n, **kw:
+                        calls.append(("gamma_n", n)) or gamma_n(U, n, **kw))
+    monkeypatch.setattr(ixcap.upper_bounds, "sender_graph", lambda U, n:
+                        calls.append(("sender_graph", n)) or sender_graph(U, n))
+    for i, job in enumerate(jobs):
+        calls.clear()
+        workload.call(job)
+        later = [("sender_graph", 2), ("gamma_n", 2)] if i in still_open else []
+        assert calls == [("sender_graph", 1), *later]

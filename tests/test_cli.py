@@ -256,6 +256,27 @@ def test_analyze_out_of_budget_still_reports(tmp_path):
     assert all("alpha_sender_error" in r and "gamma_error" in r for r in report["per_n"])
 
 
+@pytest.mark.parametrize("name, budget", [
+    ("example1", 5), ("example1_prime", 9), ("example2", 9), ("example3", 9)])
+def test_a_bracket_closed_at_1_needs_no_budget_for_2(tmp_path, name, budget):
+    # each example closes at n = 1 within this budget, and its n = 2 searches
+    # would not fit it: the bracket stops at n = 1, so none is skipped
+    path = str(corpus_path(f"{name}.json"))
+    rows = {}
+    for fmt in ("json", "csv", "md"):
+        out = tmp_path / f"report.{fmt}"
+        assert main(["analyze", "--utility", path, "--max-n", "2", "--budget-nodes",
+                     str(budget), "--format", fmt, "--out", str(out)]) == EXIT_OK
+        rows[fmt] = out.read_text()
+    report = json.loads(rows["json"])
+    assert not report["budget_exceeded"] and "warnings" not in report["bracket"]
+    assert report["bracket"]["exact"]["root"] == 1
+    assert [record["n"] for record in report["per_n"]] == [1]
+    assert len(rows["csv"].splitlines()) == 1 + 1
+    assert sum(line.startswith("| ") and line[2].isdigit()
+               for line in rows["md"].splitlines()) == 1
+
+
 def _count_calls(monkeypatch, name) -> list:
     """Count calls of a library function under every module that imports it."""
     calls = []

@@ -143,17 +143,24 @@ class TestXiBracket:
         b = xi_bracket(U, n_max=n_max)
         assert not b.warnings
         assert b.lower <= b.upper <= U.q
+        # blocklengths 1..m run, and only a closed bracket stops below n_max
+        ran = [record["n"] for record in b.per_n]
+        assert ran == list(range(1, len(ran) + 1))
+        assert 1 <= len(ran) <= n_max
+        assert len(ran) == n_max or b.exact is not None
         own = []
-        assert len(b.per_n) == n_max
-        for k, record in enumerate(b.per_n, start=1):
+        for k in range(1, n_max + 1):
             alpha, _ = independence_number(sender_graph(U, k))
             value, _ = gamma_n(U, k)
             alpha_sym, _ = independence_number(sender_graph(oracle_symmetric_part(U), k))
             own += [alpha ** (1.0 / k), value ** (1.0 / k)]
-            # the bracket reports the per-blocklength values it compared
-            assert (record["n"], record["alpha_sender"], record["gamma"],
-                    record["alpha_sym"]) == (k, alpha, value, alpha_sym)
-        # the lower side is U's own best bound, nothing else
+            if k <= len(ran):
+                # the bracket reports the per-blocklength values it compared
+                record = b.per_n[k - 1]
+                assert (record["alpha_sender"], record["gamma"],
+                        record["alpha_sym"]) == (alpha, value, alpha_sym)
+        # the lower side is U's own best bound at every n <= n_max, so
+        # stopping early loses nothing
         assert b.lower == max(own)
         if b.exact is not None:
             assert b.lower - 1e-9 <= b.exact.value <= b.upper + 1e-9
@@ -308,12 +315,17 @@ class TestXiBracket:
         with pytest.raises(BudgetExceededError):
             in_perfect_whitelist(_chorded_grid(7), budget=upper_bounds.SHORTCUT_NODE_BUDGET)
 
-    def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch):
-        # G_s^n and G_s^Sym,n at n = 1 and 2: G_s^Sym is built once, for the
-        # perfectness test, theta and Gamma(U_1) alike
+    def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch, pentagon):
+        # G_s^n and G_s^Sym,n at each blocklength run: G_s^Sym is built
+        # once, for the perfectness test, theta and Gamma(U_1) alike.  The
+        # random utility closes at n = 1; the pentagon stays open there and
+        # closes at n = 2, on sqrt(5)
         built = _count_builds(monkeypatch)
-        xi_bracket(random_utility(random.Random(167), 5), n_max=2)
-        assert sorted(built) == [1, 1, 2, 2]
+        for U, ran in ((random_utility(random.Random(167), 5), 1), (pentagon, 2)):
+            built.clear()
+            b = xi_bracket(U, n_max=2)
+            assert (len(b.per_n), b.exact is not None) == (ran, True)
+            assert sorted(built) == [1, 1, 2, 2][:2 * ran]
 
     def test_sym_graph_is_the_base_graph_under_the_closure(self, monkeypatch):
         # symmetric and two-valued-gain utilities have G_s^Sym = G_s at
@@ -333,8 +345,25 @@ class TestXiBracket:
             if closure:
                 assert sender_graph(U, 1).rows == sender_graph(oracle_symmetric_part(U), 1).rows
             built.clear()
-            xi_bracket(U, n_max=2)
-            assert len(built) == (3 if closure else 4)
+            b = xi_bracket(U, n_max=2)
+            # n = 1 builds one graph under the closure and two otherwise,
+            # and every later blocklength run builds G_s^n and G_s^Sym,n
+            assert sorted(built) == [1] * (1 if closure else 2) + [2] * (2 * len(b.per_n) - 2)
+
+    def test_raising_the_cap_never_changes_a_closed_answer(self, pentagon):
+        # a closed bracket is the whole answer: a larger cap runs no further
+        # blocklength and reports the very same bracket
+        b = xi_bracket(pentagon, n_max=2)
+        assert (b.exact, len(b.per_n)) == (ExactValue(5, 2), 2)
+        assert xi_bracket(pentagon, n_max=3) == b
+        closed = 0
+        for U in _random_utilities(179, 60):
+            b = xi_bracket(U, n_max=1)
+            if b.exact is None:
+                continue
+            closed += 1
+            assert xi_bracket(U, n_max=3) == b
+        assert closed >= 40
 
     def test_exact_is_reached_on_some_randoms(self):
         exact = sum(xi_bracket(U).exact is not None for U in _random_utilities(127, 24))
