@@ -12,7 +12,11 @@ It returns the offending chain itself, checked by its exact utility sum.
 ``gamma_n`` has one search, a branch and bound over the independent sets of
 the symmetric-part graph G_s^Sym,n in index order, and one budget,
 ``node_budget``, which counts the work of its trials and tests; out of
-budget, it returns the largest feasible subset found.  ``gamma`` is
+budget, it returns the largest feasible subset found.  A feasible subset is
+independent in G_s^Sym,n, so it meets each clique of a clique partition at
+most once: a branch is cut when the open candidates split into too few
+cliques, by the greedy colouring of ``graphs._CliqueSearch`` on the
+complement, to lift its members past the largest subset found.  ``gamma`` is
 ``gamma_n`` at n = 1.  All arithmetic is exact, on the integer utilities a
 of ``UtilityMatrix.scaled_integer_entries``; G_s^Sym,n is
 ``graphs.symmetric_sender_graph``, signs of the letter sums of a + a^T.
@@ -33,6 +37,7 @@ from .errors import BudgetExceededError, InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
+    _CliqueSearch,
     _Meter,
     _ensure_recursion_headroom,
     independence_number,
@@ -185,23 +190,37 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     as an infeasible core, and a trial that contains a known core is
     skipped untested, since supersets of an infeasible set are infeasible.
     The members are feasible and all below the new vertex v, so only cores
-    whose largest vertex is v can lie in the trial.  The incumbent changes
-    only for a strictly larger set, and a branch that cannot beat it is
-    pruned, so the first largest set found is the lexicographically least.
+    whose largest vertex is v can lie in the trial.
+
+    Each branch is bounded by a clique cover of its open candidates in
+    G_s^Sym,n: the greedy colouring of ``graphs._CliqueSearch`` on the
+    complement, whose colour classes are cliques of G_s^Sym,n, made once
+    per search.  A feasible subset is independent there and meets each
+    clique at most once, so when the members plus the cliques come to no
+    more than the incumbent, no set in the branch beats it, and the branch
+    is cut (``_color_order`` lists no class from the one needed up).  The
+    incumbent changes only for a strictly larger set, and the order (lowest
+    open vertex first, including it before excluding it) is that of the
+    unbounded search, whose first largest set found is the
+    lexicographically least.  The branch that holds that set is never cut,
+    since its open part is independent and so needs as many cliques as it
+    has members: the bound changes the node count, never the answer.
+
     Each trial costs one node, and the test of a k-member set k*k more, its
-    Bellman-Ford rows.  The members' k x k block sums grow by one row and
-    one column per trial.  They are read from the whole block-sum table
-    while it has at most ``PAIR_TABLE_CELLS`` cells, and above that summed
-    letter by letter from the q x q integer utility, so no large
-    q**n x q**n table is ever built.
+    Bellman-Ford rows; the cover charges none.  The members' k x k block
+    sums grow by one row and one column per trial.  At n = 1 they are the
+    integer utility's own entries.  At n >= 2 they are read from the whole
+    block-sum table while it has at most ``PAIR_TABLE_CELLS`` cells, and
+    above that summed letter by letter from the q x q integer utility, so
+    no large q**n x q**n table is ever built.
     """
     rows, ceiling = sym_graph.rows, len(first)
     cores: list[list[int]] = [[] for _ in range(sym_graph.n_vertices)]
     best: tuple[int, ...] = ()
     meter.charge(ceiling * ceiling, f"feasibility test of {ceiling} members")
 
-    if U.q ** (2 * n) <= PAIR_TABLE_CELLS:
-        table = block_sums(U, n)[1].tolist()
+    if n == 1 or U.q ** (2 * n) <= PAIR_TABLE_CELLS:
+        table = U.scaled_integer_entries[1] if n == 1 else block_sums(U, n)[1].tolist()
 
         def pair(t: int, y: int) -> int:
             return table[t][y]
@@ -222,10 +241,13 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     if feasible(first, [[pair(t, y) for y in first] for t in first]):
         return first, True
 
+    # colour classes of the complement are cliques of G_s^Sym,n
+    cover = _CliqueSearch(sym_graph.complement_rows(), meter)
+
     def search(members: list[int], sums: list[list[int]], mask: int, cand: int) -> bool:
         """Extend members from cand; True once best meets the ceiling."""
         nonlocal best
-        while cand and len(members) + cand.bit_count() > len(best):
+        while cover._color_order(cand, len(best) - len(members) + 1):
             v = (cand & -cand).bit_length() - 1
             cand ^= 1 << v
             trial = mask | 1 << v
@@ -303,11 +325,14 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
     return _gamma_n(U, n, symmetric_sender_graph(U, n), node_budget)
 
 
-def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, node_budget: int
+def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, node_budget: int,
+             found: tuple[int, tuple[int, ...]] | None = None
              ) -> tuple[int, FeasibleSetCertificate]:
     """``gamma_n`` on G_s^Sym,n already built, as ``xi_bracket`` holds it
-    at n = 1."""
-    alpha_sym, witness = independence_number(sym_graph, budget=node_budget)
+    at n = 1, with ``found``, when given, as its (alpha_sym, canonical
+    witness): ``xi_bracket`` passes the n = 1 answer of a graph with the
+    same rows, which the search would give again."""
+    alpha_sym, witness = found or independence_number(sym_graph, budget=node_budget)
     subset, optimal = _largest_feasible(U, n, sym_graph, witness, _Meter(node_budget))
     cert = FeasibleSetCertificate(
         subset=subset,

@@ -52,8 +52,10 @@ SHORTCUT_NODE_BUDGET = 10**5
 def is_two_valued_a_ge_b(U: UtilityMatrix) -> bool:
     """Whether off-diagonal entries take exactly the two values a and -b with
     a >= b > 0 (gain at least the penalty), the shape with the strong-product
-    upper bound."""
-    values = {U.u[i][j] for i in range(U.q) for j in range(U.q) if i != j}
+    upper bound.  Read on the integer table scale * u: a positive scale
+    keeps every equality, sign and ratio."""
+    ints = U.scaled_integer_entries[1]
+    values = {x for i, row in enumerate(ints) for j, x in enumerate(row) if i != j}
     if len(values) != 2:
         return False
     hi, lo = max(values), min(values)
@@ -237,19 +239,20 @@ class CapacityBracket:
 def _alpha_side(build, n: int, alphabet: Alphabet, budget: int, name: str, graph: str,
                 warnings: list[str]):
     """The lower candidate alpha(G^n)^(1/n) for G^n = ``build()``, a graph
-    on X^n: its value, its certificate ``name`` with the witness named over
-    ``alphabet``, and the integers (alpha, n).  None, after the warning
+    on X^n, and the search's answer: (its value, its certificate ``name``
+    with the witness named over ``alphabet``, the integers (alpha, n)), and
+    (alpha, the witness's vertices).  None, after the warning
     "alpha(<graph>^n) skipped: ...", when G^n exceeds its vertex cap or the
     search exceeds ``budget`` nodes.
     """
     try:
-        alpha, witness = independence_number(build(), budget=budget)
+        found = alpha, witness = independence_number(build(), budget=budget)
     except (BudgetExceededError, CapExceededError) as exc:
         warnings.append(f"alpha({graph}^{n}) skipped: {exc}")
         return None
     cert = {"name": name, "n": n, "alpha": alpha,
             "witness": list(sequence_labels(alphabet, n, witness))}
-    return alpha ** (1.0 / n), cert, (alpha, n)
+    return (alpha ** (1.0 / n), cert, (alpha, n)), found
 
 
 def _theta_side(g: Graph, alpha: int | None, budget: int, tol: float, name: str,
@@ -307,8 +310,12 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     it is reported when the two sides meet within 2*tol along an integer or
     radical closure, tried after each n.  No larger cap moves a closed
     answer t: a later candidate above t would exceed the upper side, at most
-    t + 2*tol, and a tie loses to the earlier one.  ``node_budget`` is per
-    search, not per bracket: each search gets it afresh, namely
+    t + 2*tol, and a tie loses to the earlier one.  Where G_s^Sym has the
+    rows of G_s at n = 1, under the closure or not, Gamma(U_1) takes
+    alpha(G_s^Sym) and its witness from the alpha(G_s) search instead of
+    searching the same graph again; when that search ran out of budget,
+    Gamma(U_1) runs its own.  ``node_budget`` is per search, not per
+    bracket: each search gets it afresh, namely
     alpha(G_s^n), alpha(G_s^Sym,n) and Gamma's subset search at each n run,
     the perfectness test, and the radical closure's alpha, once per lower
     certificate it tries.  A search that exhausts its budget drops its
@@ -337,23 +344,28 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     # for symmetric or two-valued-gain utilities G_s^Sym is G_s at n = 1
     closure = U.is_symmetric() or is_two_valued_a_ge_b(U)
     sym_graph = base_graph if closure else symmetric_sender_graph(U, 1)
+    # alpha(G_s^Sym) and its witness, when the n = 1 pass's alpha(G_s) gives them
+    alpha_sym_found = None
 
     lowers: list[tuple[float, dict, tuple[int, int]]] = []
     per_n: list[dict] = []
     exact: ExactValue | None = None
     for n in range(1, n_max + 1):
         record: dict = {"n": n}
-        side = _alpha_side(lambda: base_graph if n == 1 else sender_graph(U, n), n,
-                           U.alphabet, node_budget, "alpha_sender_power", "G_s", warnings)
-        if side is None:
+        answer = _alpha_side(lambda: base_graph if n == 1 else sender_graph(U, n), n,
+                             U.alphabet, node_budget, "alpha_sender_power", "G_s", warnings)
+        if answer is None:
             record["alpha_sender_error"] = warnings[-1]
         else:
+            side, found = answer
             rate, cert, (alpha, _) = side
             record.update(alpha_sender=alpha, alpha_sender_rate=rate,
                           alpha_witness=cert["witness"])
             lowers.append(side)
+            if n == 1 and sym_graph.rows == base_graph.rows:
+                alpha_sym_found = found
         try:
-            value, cert = (_gamma_n(U, 1, sym_graph, node_budget) if n == 1
+            value, cert = (_gamma_n(U, 1, sym_graph, node_budget, alpha_sym_found) if n == 1
                            else gamma_n(U, n, node_budget=node_budget))
             record.update(gamma=value, gamma_rate=value ** (1.0 / n),
                           gamma_subset=list(cert.labels), gamma_optimal=cert.optimal,
@@ -457,10 +469,10 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
         for n in range(1, n_max + 1)
     ]
     lower_c, lower_cert_c, (alpha, root) = max(
-        [(1.0, {"name": "trivial", "n": 1}, (1, 1)), *filter(None, sides)],
+        [(1.0, {"name": "trivial", "n": 1}, (1, 1)), *(s for s, _ in filter(None, sides))],
         key=lambda t: t[0])
     _, theta_upper, _ = _theta_side(
-        base_c, sides[0][2][0] if sides[0] else None, min(budget, SHORTCUT_NODE_BUDGET),
+        base_c, sides[0][1][0] if sides[0] else None, min(budget, SHORTCUT_NODE_BUDGET),
         tol, "theta_confusability", "G_c", warnings)
     upper_c, upper_cert_c = min(
         [*theta_upper, (float(U.q), {"name": "alphabet_size", "q": U.q})], key=lambda t: t[0])

@@ -18,9 +18,10 @@ u(t_k, y_k) over blocklength-n sequences.  The worst-case decoded sets and
 the noisy dominance check are sign tests on these sums; the sender graphs
 at n >= 2 sum a = scale * u, or a + a^T for G_s^Sym,n, by the same
 ``_expand_rows`` and ``_sum_table``; ``_expand_rows`` only sums, and with
-no rows it sums the whole table.  ``lower_bounds._largest_feasible`` reads its pair sums
-from the whole table while that is small, and adds letters in Python
-above that.  ``block_utility`` is the Fraction reference definition, and
+no rows it sums the whole table.  ``lower_bounds._largest_feasible`` reads
+its pair sums from the integer utility itself at n = 1, from the whole
+table while that is small, and adds letters in Python above that.
+``block_utility`` is the Fraction reference definition, and
 ``block_utility_rows`` a Fraction view of the kernel; neither is on the
 library's own code paths.
 
@@ -173,8 +174,10 @@ class UtilityMatrix:
         return self.alphabet.q
 
     def is_symmetric(self) -> bool:
-        q = self.q
-        return all(self.u[i][j] == self.u[j][i] for i in range(q) for j in range(i))
+        """Whether u = u^T, read on the integer table scale * u, whose
+        positive scale keeps every equality."""
+        ints = self.scaled_integer_entries[1]
+        return ints == tuple(zip(*ints))
 
     @cached_property
     def scaled_integer_entries(self) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -11,6 +11,7 @@ from conftest import (
     oracle_block_sums,
     oracle_feasible,
     oracle_feasible_by_walks,
+    oracle_alpha,
     oracle_largest_feasible,
     oracle_symmetric_part,
     random_int_utility,
@@ -331,6 +332,31 @@ class TestGammaBlocklength:
             value, cert = gamma_n(U, n)
             assert (value, cert.subset, cert.optimal) == (len(best), best, True)
 
+    @pytest.mark.parametrize("q, n", [(3, 2), (4, 2)])
+    def test_matches_the_oracle_on_symmetric_and_sign_utilities(self, q, n):
+        # symmetric utilities, on which every independent set of G_s^Sym,n
+        # is feasible, and {-1, 0, 1} utilities, among them three drawn from
+        # {-1, 0} whose zero-sum chains leave Gamma(U_n) below alpha_sym:
+        # there the canonical set fails its test, and the subset search
+        # runs under its clique cover bound
+        rng = random.Random(151 + q)
+        cases = [make(rng, q) for _ in range(4)
+                 for make in (random_symmetric_utility, random_int_utility)]
+        below = []
+        for _ in range(400):
+            U = random_int_utility(rng, q, (-1, 0))
+            alpha_sym = oracle_alpha(sender_graph(oracle_symmetric_part(U), n))[0]
+            if len(oracle_largest_feasible(U, n)) < alpha_sym:
+                below.append(U)
+                if len(below) == 3:
+                    break
+        assert len(below) == 3
+        for U, pruned in [(U, False) for U in cases] + [(U, True) for U in below]:
+            best = oracle_largest_feasible(U, n)
+            value, cert = gamma_n(U, n)
+            assert (value, cert.subset, cert.optimal) == (len(best), best, True)
+            assert value < cert.alpha_sym or not pruned
+
     def test_matches_brute_force_over_all_subsets(self):
         # the lexicographically first largest feasible subset of X^n, by
         # the permutation oracle over every subset, for q**n <= 8
@@ -368,6 +394,24 @@ def _cyclic_plus_three():
             if i != j:
                 rows[i][j] = CYCLIC[i][j]
     return utility_from_json({"utility": rows})
+
+
+class TestPinnedSubsetSearch:
+    """The fewest nodes in which the subset search proves Gamma(U_n) on the
+    open bracket input, whose canonical set of G_s^Sym,n is infeasible: one
+    node fewer leaves the answer not optimal.  A change to the branch
+    order, the bound or the core skipping moves these counts.  Bounded by
+    the member count plus the open candidates alone, the search took 24
+    nodes at n = 1 and 3000 at n = 2; the clique cover of G_s^Sym,n takes
+    17 and 1746, and finds the same subsets."""
+
+    @pytest.mark.parametrize("n, nodes, subset", [(1, 17, (0, 1)), (2, 1746, (0, 1, 4, 5))])
+    def test_node_count(self, n, nodes, subset):
+        U = utility_from_json({"utility": OPEN_BRACKET_INPUT})
+        value, cert = gamma_n(U, n, node_budget=nodes)
+        assert (value, cert.subset, cert.optimal) == (len(subset), subset, True)
+        assert cert.alpha_sym == 3**n
+        assert not gamma_n(U, n, node_budget=nodes - 1)[1].optimal
 
 
 class TestGammaBudget:
@@ -443,7 +487,8 @@ class TestGammaBudget:
 
     def test_pair_table_and_letter_sums_search_alike(self, monkeypatch):
         # below PAIR_TABLE_CELLS the subset search reads its pair sums from
-        # the whole block-sum table, above it adds letters: the same subset,
+        # the whole block-sum table, above it adds letters (at n = 1 both
+        # read the integer utility itself): the same subset,
         # optimality flag and nodes spent, in budget and out of it.  A
         # cycle of weakly profitable misreports among otherwise costly ones
         # leaves G_s^Sym,n's canonical set infeasible, so the search runs

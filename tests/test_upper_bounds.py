@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,8 +28,9 @@ from ixcap.graphs import (
     independence_number,
     path_graph,
     sender_graph,
+    symmetric_sender_graph,
 )
-from ixcap import graphs, upper_bounds
+from ixcap import graphs, lower_bounds, upper_bounds
 from ixcap.lower_bounds import gamma_n
 from ixcap.theta import lovasz_theta
 from ixcap.upper_bounds import (
@@ -38,7 +40,7 @@ from ixcap.upper_bounds import (
     is_two_valued_a_ge_b,
     xi_bracket,
 )
-from ixcap.utility import Alphabet, utility_from_graph, utility_from_json
+from ixcap.utility import Alphabet, UtilityMatrix, utility_from_graph, utility_from_json
 
 
 def _grid_graph(side: int):
@@ -82,6 +84,37 @@ def _skewed_grid_utility(side: int):
     assert not U.is_symmetric() and not is_two_valued_a_ge_b(U)
     assert oracle_symmetric_part(U).u == grid.u
     return U
+
+
+class TestShapePredicates:
+    def test_integer_reads_match_the_fraction_definitions(self):
+        # is_symmetric and is_two_valued_a_ge_b read the integer table
+        # scale * u; on random, rescaled, symmetric and two-valued
+        # utilities they agree with their definitions on the Fractions
+        rng = random.Random(191)
+        cases = []
+        for _ in range(12):
+            q = rng.randint(2, 5)
+            hi, lo = (Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(2))
+            two = [[0 if i == j else rng.choice((hi, -lo)) for j in range(q)] for i in range(q)]
+            mirrored = [[two[max(i, j)][min(i, j)] for j in range(q)] for i in range(q)]
+            cases += [random_utility(rng, q), random_symmetric_utility(rng, q),
+                      random_int_utility(rng, q), utility_from_json({"utility": two}),
+                      utility_from_json({"utility": mirrored})]
+        cases += [UtilityMatrix(U.alphabet, tuple(tuple(x * Fraction(rng.randint(1, 9),
+                                                                      rng.randint(1, 9))
+                                                        for x in row) for row in U.u))
+                  for U in cases]
+        shapes = set()
+        for U in cases:
+            q = U.q
+            symmetric = all(U.u[i][j] == U.u[j][i] for i in range(q) for j in range(q))
+            values = {U.u[i][j] for i in range(q) for j in range(q) if i != j}
+            two_valued = (len(values) == 2 and max(values) > 0 > min(values)
+                          and max(values) >= -min(values))
+            assert (U.is_symmetric(), is_two_valued_a_ge_b(U)) == (symmetric, two_valued)
+            shapes.add((symmetric, two_valued))
+        assert shapes == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def _count_solves(monkeypatch) -> list:
@@ -349,6 +382,28 @@ class TestXiBracket:
             # n = 1 builds one graph under the closure and two otherwise,
             # and every later blocklength run builds G_s^n and G_s^Sym,n
             assert sorted(built) == [1] * (1 if closure else 2) + [2] * (2 * len(b.per_n) - 2)
+
+    def test_alpha_of_equal_rows_is_searched_once(self, monkeypatch):
+        # where G_s^Sym has the rows of G_s at n = 1, under the closure or
+        # not, Gamma(U_1) takes alpha(G_s^Sym) and its witness from the
+        # alpha(G_s) search; its record is the one gamma_n gives alone
+        searched = []
+        search = lower_bounds.independence_number
+        monkeypatch.setattr(lower_bounds, "independence_number",
+                            lambda g, **kw: searched.append(g.n_vertices) or search(g, **kw))
+        same = Counter()
+        for U in _random_utilities(181, 30):
+            equal = sender_graph(U, 1).rows == symmetric_sender_graph(U, 1).rows
+            closure = U.is_symmetric() or is_two_valued_a_ge_b(U)
+            searched.clear()
+            record = xi_bracket(U, n_max=2).per_n[0]
+            assert searched.count(U.q) == (not equal)
+            value, cert = gamma_n(U, 1)
+            assert (record["gamma"], record["gamma_subset"], record["alpha_sym"]) == (
+                value, list(cert.labels), cert.alpha_sym)
+            same[equal, closure] += 1
+        assert same[True, True] and same[True, False] and same[False, False]
+        assert not same[False, True]
 
     def test_raising_the_cap_never_changes_a_closed_answer(self, pentagon):
         # a closed bracket is the whole answer: a larger cap runs no further
