@@ -24,12 +24,18 @@ two q-vertex bases (``_sandwich``).  When the two sides meet, the sandwich
 is closed: alpha and one maximum set, I^n, are known, no maximum search
 runs, and the witness pass walks G's own rows with the product cliques of
 H as its partition, building the degree-ordered copy only if some vertex
-still needs a search (``_ClosedSearch``).  Every other graph is searched
-on its copy (``_SearchCopy``, ``_CliqueSearch``)."""
+still needs a search (``_ClosedSearch``).  Every coordinate permutation
+maps a block graph onto itself, so the type classes of X^n (the words
+with the same letters, ``_type_classes``) are its orbits: an open
+sandwich's search starts from the largest union of whole classes that a
+small search over the classes finds (``_best_union``), when it beats I^n,
+and prunes its root by the classes.  Every other graph is searched on its
+copy (``_SearchCopy``, ``_CliqueSearch``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
 
@@ -336,7 +342,7 @@ def is_independent(g: Graph, vertices: Sequence[int]) -> bool:
 
 
 class _Found(Exception):
-    """Internal signal: the early-exit target clique size was reached."""
+    """Internal signal: a search reached its target size or its node cap."""
 
 
 class _CliqueSearch:
@@ -751,20 +757,99 @@ def _product_parts(cliques: list[int], q: int, n: int) -> list[int]:
     return parts
 
 
-def _orbit_masks(copy: _SearchCopy, q: int, n: int):
-    """``orbit(i)``: the mask, in the copy's numbering, of the type class of
-    the copy's vertex i (the words with the same letters in any order, its
-    orbit under the coordinate permutations), built only for the vertices
-    the root branches on."""
+@lru_cache(maxsize=4)
+def _type_classes(q: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(of, masks): the type classes of X^n, the words with the same letters
+    in any order, which are the orbits of the coordinate permutations.
+    of[w] is the class of word w and masks[c] the words of class c, the
+    classes numbered by their least word.  Every lettered graph on X^n
+    shares the table, so it is kept for the last few (q, n); one holds q^n
+    bits per class, less than a graph's own rows."""
     powers = q ** np.arange(n)
-    types = np.sort(np.arange(q**n)[:, None] // powers % q, axis=1) @ powers
+    keys = (np.sort(np.arange(q**n)[:, None] // powers % q, axis=1) @ powers).tolist()
+    number: dict[int, int] = {}
+    of = tuple(number.setdefault(key, len(number)) for key in keys)
+    masks = [0] * len(number)
+    for w, c in enumerate(of):
+        masks[c] |= 1 << w
+    return of, tuple(masks)
 
-    def orbit(i: int) -> int:
-        mask = 0
-        for w in np.flatnonzero(types == types[copy.order[i]]).tolist():
-            mask |= 1 << copy.new_of[w]
-        return mask
-    return orbit
+
+def _best_union(g: Graph, seed: int, ceiling: int, meter: _Meter) -> int:
+    """The largest union of type classes of g's words that a capped search
+    finds above the independent set seed, or seed itself, as a mask of g's
+    vertices.
+
+    Every coordinate permutation maps a lettered g onto itself and each
+    class onto itself, so a test on one member of a class (its highest
+    word) holds for all: a class with no inner edge is independent, and two
+    such classes conflict iff one's member has a neighbour in the other.
+    The search picks non-conflicting classes of the most words: each node
+    takes the heaviest open class first, and a node whose words plus the
+    words of its open classes, counted by one popcount per class size,
+    cannot beat the best union is cut.  It stops at the ceiling or after
+    one node per class, each charged to meter.  The union is checked again
+    on g's rows, since a g that is not symmetric would make it wrong:
+    VerificationError if it is not independent."""
+    t, n = g.letters
+    of, masks = _type_classes(len(t), n)
+    rows = g.rows
+    kept = sorted((m for m in masks if not rows[m.bit_length() - 1] & m),
+                  key=int.bit_count, reverse=True)
+    position = {of[m.bit_length() - 1]: j for j, m in enumerate(kept)}
+    conflicts = [0] * len(kept)
+    later = 0  # the words of the classes after the j-th
+    for m in kept:
+        later |= m
+    for j, m in enumerate(kept):
+        later ^= m
+        hit = rows[m.bit_length() - 1] & later
+        while hit:
+            c = of[hit.bit_length() - 1]
+            hit ^= hit & masks[c]
+            k = position[c]
+            conflicts[j] |= 1 << k
+            conflicts[k] |= 1 << j
+    sizes = [m.bit_count() for m in kept]
+    by_size: dict[int, int] = {}
+    for j, size in enumerate(sizes):
+        by_size[size] = by_size.get(size, 0) | 1 << j
+    groups = list(by_size.items())
+    best_size, best, nodes = seed.bit_count(), 0, len(kept)
+
+    def expand(chosen: int, weight: int, cand: int):
+        nonlocal best_size, best, nodes
+        if not nodes:
+            raise _Found
+        nodes -= 1
+        meter.charge(1, "type class search")
+        bound = weight + sum(size * (cand & group).bit_count() for size, group in groups)
+        while cand and bound > best_size:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            if weight + sizes[j] > best_size:
+                best_size, best = weight + sizes[j], chosen | low
+                if best_size >= ceiling:
+                    raise _Found
+            rest = cand ^ (cand & conflicts[j])
+            if rest:
+                expand(chosen | low, weight + sizes[j], rest)
+            bound -= sizes[j]
+
+    try:
+        if kept:
+            expand(0, 0, (1 << len(kept)) - 1)
+    except _Found:
+        pass
+    if not best:
+        return seed
+    union = 0
+    for j in _bits(best):
+        union |= kept[j]
+    if any(rows[v] & union for v in _bits(union)):
+        raise VerificationError("a union of type classes is not independent")
+    return union
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
@@ -776,14 +861,19 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     vertices is bounded by its table (``_sandwich``): I^n is independent and
     cover_number(H)^n is a ceiling.  When |I|^n meets the ceiling, the
     sandwich is closed: alpha is the ceiling and I^n a maximum set, with no
-    search.  Otherwise the maximum search runs on a degree-ordered copy of
-    G (``_SearchCopy``), from the incumbent I^n, and stops as soon as it
-    reaches the ceiling.  A lettered G is the sign graph of a letterwise
-    sum, so every permutation of the n coordinates maps it onto itself; the
-    root of the search then branches on one word of each type class (words
-    with the same letters) and drops the rest of the class, and deeper
-    levels branch on single vertices.  Any other G is searched on its copy
-    with no bounds.  The answer is the same as a search of G's rows alone.
+    search.  A lettered G is the sign graph of a letterwise sum, so every
+    permutation of the n coordinates maps it onto itself and each type
+    class (words with the same letters) onto itself.  On an open sandwich,
+    a search over the classes with no inner edge, at most one node per
+    class, looks for the union of non-conflicting classes with the most
+    words (``_best_union``), and that union replaces I^n as the incumbent
+    when it is larger; a union at the ceiling closes the sandwich as I^n
+    would.  Otherwise the maximum search runs on a degree-ordered copy of G
+    (``_SearchCopy``), from the incumbent, and stops as soon as it reaches
+    the ceiling; its root branches on one word of each type class and drops
+    the rest of the class, and deeper levels branch on single vertices.
+    Any other G is searched on its copy with no bounds.  The answer is the
+    same as a search of G's rows alone.
 
     The witness pass walks the vertices in G's own order and keeps each one
     that some maximum independent set extends.  It holds such a set W, first
@@ -803,13 +893,15 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     own rows and builds the copy and its fences only at its first search
     (``_ClosedSearch``).
 
-    One node budget bounds every search, the bases' included.  Raises
-    BudgetExceededError if it runs out, InputError if the budget is below
-    1, and VerificationError if I^n is not independent in G or exceeds the
-    ceiling.  The error's ``best`` is the size of the largest independent
-    set of G known when the budget ran out: None while the bases are
-    searched, then |I|^n, the maximum search's incumbent, and alpha during
-    the witness pass.
+    One node budget bounds every search, the bases' and the classes'
+    included.  Raises BudgetExceededError if it runs out, InputError if the
+    budget is below 1, and VerificationError if I^n is not independent in G
+    or exceeds the ceiling, or if the union of classes is not independent
+    in G's rows (a G whose rows break the coordinate symmetry that its
+    table claims).  The error's ``best`` is the size of the largest
+    independent set of G known when the budget ran out: None while the
+    bases are searched, then |I|^n while the classes are searched, the
+    maximum search's incumbent, and alpha during the witness pass.
     """
     return _alpha(g, _Meter(budget), reports=True)
 
@@ -830,13 +922,22 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False
         seed, ceiling, cliques = _sandwich(g, meter)
         if reports:
             meter.best = seed.bit_count()
+        if seed.bit_count() < ceiling:
+            seed = _best_union(g, seed, ceiling, meter)
+            if reports:
+                meter.best = seed.bit_count()
         if seed.bit_count() == ceiling:
-            # closed: I^n is maximum, and the walk runs on g's own rows
+            # closed: the incumbent is maximum, and the walk runs on g's own rows
             return ceiling, _lex_least(g, ceiling, seed, _OwnRows(g), range(nv),
                                        _ClosedSearch(g, meter, cliques))
     copy = _SearchCopy(g)
     search = _CliqueSearch(copy.rows, meter, reports)
-    orbit = _orbit_masks(copy, len(g.letters[0]), g.letters[1]) if sandwiched else None
+    orbit = None
+    if sandwiched:
+        of, masks = _type_classes(len(g.letters[0]), g.letters[1])
+
+        def orbit(i: int) -> int:
+            return copy.inward(masks[of[copy.order[i]]])
     alpha, maxset = search.maximum((1 << nv) - 1, copy.inward(seed), ceiling, orbit)
     # a reporting meter's best is now alpha; the witness pass's searches
     # find smaller sets, which must not lower it

@@ -240,19 +240,20 @@ def _alpha_side(build, n: int, alphabet: Alphabet, budget: int, name: str, graph
                 warnings: list[str]):
     """The lower candidate alpha(G^n)^(1/n) for G^n = ``build()``, a graph
     on X^n, and the search's answer: (its value, its certificate ``name``
-    with the witness named over ``alphabet``, the integers (alpha, n)), and
-    (alpha, the witness's vertices).  None, after the warning
+    with the witness named over ``alphabet``, the integers (alpha, n)),
+    (alpha, the witness's vertices), and G^n.  None, after the warning
     "alpha(<graph>^n) skipped: ...", when G^n exceeds its vertex cap or the
     search exceeds ``budget`` nodes.
     """
     try:
-        found = alpha, witness = independence_number(build(), budget=budget)
+        g = build()
+        found = alpha, witness = independence_number(g, budget=budget)
     except (BudgetExceededError, CapExceededError) as exc:
         warnings.append(f"alpha({graph}^{n}) skipped: {exc}")
         return None
     cert = {"name": name, "n": n, "alpha": alpha,
             "witness": list(sequence_labels(alphabet, n, witness))}
-    return (alpha ** (1.0 / n), cert, (alpha, n)), found
+    return (alpha ** (1.0 / n), cert, (alpha, n)), found, g
 
 
 def _theta_side(g: Graph, alpha: int | None, budget: int, tol: float, name: str,
@@ -314,19 +315,22 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     rows of G_s at n = 1, under the closure or not, Gamma(U_1) takes
     alpha(G_s^Sym) and its witness from the alpha(G_s) search instead of
     searching the same graph again; when that search ran out of budget,
-    Gamma(U_1) runs its own.  ``node_budget`` is per search, not per
-    bracket: each search gets it afresh, namely
-    alpha(G_s^n), alpha(G_s^Sym,n) and Gamma's subset search at each n run,
-    the perfectness test, and the radical closure's alpha, once per lower
-    certificate it tries.  A search that exhausts its budget drops its
-    candidate, and the closure that needs it, with a warning, except Gamma's
-    subset search, whose largest feasible subset found so far stays a
-    candidate, flagged not optimal in its record.  Where no perfect-graph
-    closure needs its verdict, the perfectness test only spares the solver:
-    it runs within at most ``SHORTCUT_NODE_BUDGET`` nodes and gives up
-    silently.  The result carries the records of the n run (alpha(G_s^n) and
-    its witness; Gamma(U_n) with its subset, optimality and
-    alpha(G_s^Sym,n); or the skip message) and theta(G_s^Sym).  At n_max = 2
+    Gamma(U_1) runs its own.  Likewise the radical closure takes the alpha
+    of the strong power of G_s^Sym from the alpha(G_s^n) search of the same
+    n when the two graphs have the same rows, as on the pentagon at n = 2.
+    ``node_budget`` is per search, not per bracket: each search gets it
+    afresh, namely alpha(G_s^n), alpha(G_s^Sym,n) and Gamma's subset search
+    at each n run, the perfectness test, and the radical closure's alpha,
+    once per lower certificate it tries.  A search that exhausts its budget
+    drops its candidate, and the closure that needs it, with a warning,
+    except Gamma's subset search, whose largest feasible subset found so far
+    stays a candidate, flagged not optimal in its record.  Where no
+    perfect-graph closure needs its verdict, the perfectness test only
+    spares the solver: it runs within at most ``SHORTCUT_NODE_BUDGET``
+    nodes and gives up silently.  The result carries the records of the n
+    run (alpha(G_s^n) and its witness; Gamma(U_n) with its subset,
+    optimality and alpha(G_s^Sym,n); or the skip message) and
+    theta(G_s^Sym).  At n_max = 2
     and q <= 7 its alpha searches run on at most 49 vertices, below the size
     from which ``graphs.independence_number`` bounds a block graph by its
     letter table: there the bounds cost more than the search they would
@@ -354,10 +358,11 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
         record: dict = {"n": n}
         answer = _alpha_side(lambda: base_graph if n == 1 else sender_graph(U, n), n,
                              U.alphabet, node_budget, "alpha_sender_power", "G_s", warnings)
+        searched = None  # G_s^n, once its alpha is known
         if answer is None:
             record["alpha_sender_error"] = warnings[-1]
         else:
-            side, found = answer
+            side, found, searched = answer
             rate, cert, (alpha, _) = side
             record.update(alpha_sender=alpha, alpha_sender_rate=rate,
                           alpha_witness=cert["witness"])
@@ -417,7 +422,10 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
             # from below; upper <= theta + tol puts the two sides within 2*tol
             try:
                 power = strong_power(sym_graph, root)
-                alpha_power, _ = independence_number(power, budget=node_budget)
+                if searched is not None and power.rows == searched.rows:
+                    alpha_power = record["alpha_sender"]  # searched at this n
+                else:
+                    alpha_power, _ = independence_number(power, budget=node_budget)
                 if alpha_power == base:
                     exact = ExactValue(base, root)
             except (BudgetExceededError, CapExceededError) as exc:
@@ -469,7 +477,7 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
         for n in range(1, n_max + 1)
     ]
     lower_c, lower_cert_c, (alpha, root) = max(
-        [(1.0, {"name": "trivial", "n": 1}, (1, 1)), *(s for s, _ in filter(None, sides))],
+        [(1.0, {"name": "trivial", "n": 1}, (1, 1)), *(s for s, *_ in filter(None, sides))],
         key=lambda t: t[0])
     _, theta_upper, _ = _theta_side(
         base_c, sides[0][1][0] if sides[0] else None, min(budget, SHORTCUT_NODE_BUDGET),

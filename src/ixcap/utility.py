@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product as iter_product
-from math import gcd
+from math import lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -185,11 +185,9 @@ class UtilityMatrix:
 
         Computed once per matrix; the rows are tuples, so no caller can
         change the shared table."""
-        denom = 1
-        for row in self.u:
-            for x in row:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        return denom, tuple(tuple(int(x * denom) for x in row) for row in self.u)
+        denom = lcm(*(x.denominator for row in self.u for x in row))
+        return denom, tuple(tuple(x.numerator * (denom // x.denominator) for x in row)
+                            for row in self.u)
 
     def to_json_dict(self) -> dict:
         return {

@@ -629,11 +629,12 @@ class TestBlockSandwich:
     def test_orbit_pruning_on_every_sandwiched_search(self, monkeypatch):
         # a block graph is the sign graph of a letterwise sum, so every
         # coordinate permutation maps it onto itself: each sandwiched search
-        # that the bounds leave open prunes its root by the type classes.
-        # The same rows with no table get neither bounds nor orbits, and
-        # the same answer
+        # that the bounds leave open reads the type classes for its
+        # incumbent, and again to prune its root by them unless that
+        # incumbent meets the ceiling.  The same rows with no table get
+        # neither bounds nor classes, and the same answer
         calls = []
-        sandwich, orbit_masks = ixcap.graphs._sandwich, ixcap.graphs._orbit_masks
+        sandwich, type_classes = ixcap.graphs._sandwich, ixcap.graphs._type_classes
 
         def recorded_sandwich(g, meter):
             seed, ceiling, cliques = sandwich(g, meter)
@@ -641,21 +642,20 @@ class TestBlockSandwich:
             return seed, ceiling, cliques
 
         monkeypatch.setattr(ixcap.graphs, "_sandwich", recorded_sandwich)
-        monkeypatch.setattr(ixcap.graphs, "_orbit_masks",
-                            lambda *a: calls.append("orbits") or orbit_masks(*a))
+        monkeypatch.setattr(ixcap.graphs, "_type_classes",
+                            lambda q, n: calls.append("classes") or type_classes(q, n))
         rng = random.Random(71)
-        opened = 0
+        seen = Counter()
         for n in (2, 3, 4) * 4:
             g = sender_graph(random_int_utility(rng, 3, (-2, -1, 0, 1)), n)
             calls.clear()
             assert independence_number(stripped(g)) == independence_number(g)
-            if not is_sandwiched(g):
-                assert calls == []
-            elif calls == ["open", "orbits"]:
-                opened += 1
+            if is_sandwiched(g):
+                assert calls in (["settled"], ["open", "classes", "classes"])
             else:
-                assert calls == ["settled"]
-        assert opened
+                assert calls == []
+            seen[tuple(calls)] += 1
+        assert seen["open", "classes", "classes"]
 
     def test_noisy_cliff_at_k1_inside_a_small_budget(self):
         # perfbench's noisy structure (3, 5) k = 1: alpha(G_s^5) = 37 lies
@@ -691,6 +691,114 @@ class TestBlockSandwich:
         with pytest.raises(BudgetExceededError) as exc:
             independence_number(strong_power(cycle_graph(5), 3), budget=2)
         assert exc.value.best is None  # it ran out inside the bases' searches
+
+
+def recorded_unions(monkeypatch) -> list[tuple[Graph, int, int]]:
+    """Record (g, I^n, the incumbent) of every class search from now on."""
+    unions = []
+    best_union = ixcap.graphs._best_union
+
+    def recorded(g, seed, ceiling, meter):
+        union = best_union(g, seed, ceiling, meter)
+        unions.append((g, seed, union))
+        return union
+
+    monkeypatch.setattr(ixcap.graphs, "_best_union", recorded)
+    return unions
+
+
+def assert_class_union(g: Graph, seed: int, union: int):
+    """The incumbent is independent in g, a union of whole type classes,
+    and holds at least the |I|^n words of I^n."""
+    table, n = g.letters
+    _, masks = ixcap.graphs._type_classes(len(table), n)
+    assert is_independent(g, list(ixcap.graphs._bits(union)))
+    assert all(union & m in (0, m) for m in masks)
+    assert union.bit_count() >= seed.bit_count()
+
+
+def random_sender_powers(rng: random.Random, sizes, repeats: int) -> list[Graph]:
+    """Sender powers of random and small-integer utilities, each (q, n) of
+    sizes repeats times."""
+    graphs = []
+    for q, n in sizes * repeats:
+        graphs.append(sender_graph(random_utility(rng, q), n))
+        graphs.append(sender_graph(random_int_utility(rng, q, (-2, -1, 0, 1)), n))
+    return graphs
+
+
+def random_confusability_powers(rng: random.Random, sizes, repeats: int) -> list[Graph]:
+    """Confusability powers of random channels on one or two outputs each."""
+    return [_confusability_power(
+        [rng.sample(range(q), rng.randint(1, 2)) for _ in range(q)], n)
+            for q, n in sizes * repeats]
+
+
+class TestTypeClassIncumbent:
+    """An open sandwiched search starts from the largest union of type
+    classes that its class search finds, when that beats I^n; alpha and the
+    witness stay those of a search of the same rows with no table."""
+
+    def test_small_powers_match_the_oracle(self, monkeypatch):
+        # in degree order every block graph at n >= 2 is sandwiched; a base
+        # graph on at most 4 letters is perfect, so a confusability power
+        # stays open only from 5 letters on
+        monkeypatch.setattr(ixcap.graphs, "ORDERED_MIN_VERTICES", 0)
+        unions = recorded_unions(monkeypatch)
+        rng = random.Random(235)
+        senders = random_sender_powers(
+            rng, ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)), 2)
+        channels = random_confusability_powers(rng, ((4, 2), (3, 3)), 2) + [
+            _confusability_power([(y, (y + step) % 5) for y in range(5)], 2)
+            for step in (1, 2)]
+        for g in senders + channels:
+            alpha, witness = independence_number(g)
+            assert alpha == oracle_alpha(g)[0]
+            assert witness == oracle_lex_least_mis(g, alpha)
+            assert independence_number(stripped(g)) == (alpha, witness)
+        assert {g.n_vertices for g, _, _ in unions} >= {8, 9, 16, 25, 27}
+        for g, seed, union in unions:
+            assert_class_union(g, seed, union)
+        # on these strong powers I^n is as large as every union found; on
+        # the sender powers unions gain
+        assert any(union.bit_count() > seed.bit_count() for _, seed, union in unions)
+
+    def test_large_powers_match_the_plain_search(self, monkeypatch):
+        unions = recorded_unions(monkeypatch)
+        rng = random.Random(229)
+        for g in random_sender_powers(rng, ((4, 3), (3, 4), (4, 4)), 2):
+            assert independence_number(stripped(g)) == independence_number(g)
+        assert len(unions) >= 6
+        for g, seed, union in unions:
+            assert_class_union(g, seed, union)
+        assert sum(union.bit_count() > seed.bit_count() for _, seed, union in unions) >= 3
+
+    def test_rows_that_break_the_symmetry_are_a_verification_error(self):
+        # the incumbent of the noisy-q4 graph holds the class of 0013; an
+        # edge between 0013 and 0031, which the tests on the class's
+        # highest word 3100 never read, makes that union dependent.  The
+        # broken rows have alpha 18, so a search from the union's 19 words
+        # would have reported a wrong alpha
+        g = sender_graph(_noisy_q4_utility(), 4)
+        rows = list(g.rows)
+        rows[7] |= 1 << 13
+        rows[13] |= 1 << 7
+        broken = lettered(g.n_vertices, rows, *g.letters)
+        assert independence_number(stripped(broken))[0] == 18
+        with pytest.raises(VerificationError, match="union of type classes"):
+            independence_number(broken)
+
+    def test_class_search_spends_at_most_one_node_per_class(self):
+        # 400 words in 210 classes, and an open sandwich
+        U = random_int_utility(random.Random(1), 20, (-2, -1, 0, 1))
+        g = sender_graph(U, 2)
+        seed, ceiling, _ = ixcap.graphs._sandwich(g, ixcap.graphs._Meter(10**6))
+        assert seed.bit_count() < ceiling
+        masks = ixcap.graphs._type_classes(20, 2)[1]
+        meter = ixcap.graphs._Meter(10**6)
+        union = ixcap.graphs._best_union(g, seed, ceiling, meter)
+        assert_class_union(g, seed, union)
+        assert 0 < meter.spent <= len(masks) == 210
 
 
 class TestLetters:
@@ -751,6 +859,11 @@ def _noisy_k1_utility():
                                [1, -1, 0]])
 
 
+def _noisy_q4_utility():
+    return normalize_diagonal([[0, 60, -90, -150], [-75, 0, -90, -180],
+                               [10, -150, 0, 90], [-30, 90, 15, 0]])
+
+
 def _random_sender_power(seed, q, n):
     return sender_graph(random_int_utility(random.Random(seed), q, (-2, -1, 0, 1)), n)
 
@@ -775,19 +888,27 @@ class TestPinnedSearchTree:
     counts, so the colouring kernel cannot change the search tree unseen.
     The two 49-vertex powers and random-60 lie below
     ``ORDERED_MIN_VERTICES``: they are searched in their own numbering,
-    coloured from their last vertex, without bounds or orbits."""
+    coloured from their last vertex, without bounds, incumbent or orbits.
+
+    The type-class incumbent moved the four sender powers: noisy-cliff-k1
+    from 11 749 nodes, sender-3 from 691 and sender-22 from 1 389, whose
+    searches start from a union at alpha, and sender-5 from 6 152 by the 6
+    nodes of its class search alone (its union of 15 words leaves the
+    maximum search's tree as it was from I^5).  noisy-q4, the structure of
+    perfbench's noisy job 10, took 1 363 nodes from I^4."""
 
     @pytest.mark.parametrize("build, alpha, nodes", [
-        (lambda: sender_graph(_noisy_k1_utility(), 5), 37, 11_749),
-        (lambda: _random_sender_power(3, 3, 5), 51, 691),
-        (lambda: _random_sender_power(5, 3, 5), 21, 6152),
-        (lambda: _random_sender_power(22, 3, 4), 19, 1389),
+        (lambda: sender_graph(_noisy_k1_utility(), 5), 37, 7881),
+        (lambda: _random_sender_power(3, 3, 5), 51, 34),
+        (lambda: _random_sender_power(5, 3, 5), 21, 6158),
+        (lambda: _random_sender_power(22, 3, 4), 19, 1395),
+        (lambda: sender_graph(_noisy_q4_utility(), 4), 19, 806),
         (lambda: _confusability_power([(y, (y + 1) % 7) for y in range(7)], 2), 10, 1394),
         (lambda: _confusability_power(_random_supports(7, 7), 2), 10, 441),
         (lambda: _confusability_power(_random_supports(4, 6), 3), 27, 12),
         (lambda: random_graph(random.Random(1), 60, 0.25), 14, 562),
         (lambda: random_graph(random.Random(3), 90, 0.3), 13, 2203),
-    ], ids=["noisy-cliff-k1", "sender-3", "sender-5", "sender-22", "C7-squared",
+    ], ids=["noisy-cliff-k1", "sender-3", "sender-5", "sender-22", "noisy-q4", "C7-squared",
             "confusability-7", "confusability-4", "random-60", "random-90"])
     def test_node_count(self, build, alpha, nodes):
         g = build()

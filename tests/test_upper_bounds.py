@@ -28,6 +28,7 @@ from ixcap.graphs import (
     independence_number,
     path_graph,
     sender_graph,
+    strong_power,
     symmetric_sender_graph,
 )
 from ixcap import graphs, lower_bounds, upper_bounds
@@ -404,6 +405,20 @@ class TestXiBracket:
             same[equal, closure] += 1
         assert same[True, True] and same[True, False] and same[False, False]
         assert not same[False, True]
+
+    def test_radical_closure_reuses_the_alpha_of_equal_rows(self, pentagon, monkeypatch):
+        # on the pentagon the strong square of G_s^Sym has the rows of
+        # G_s^2, so the radical closure takes alpha = 5 from the lower
+        # side's search of that 25-vertex graph instead of a second search
+        searched = []
+        search = upper_bounds.independence_number
+        monkeypatch.setattr(upper_bounds, "independence_number",
+                            lambda g, **kw: searched.append(g.rows) or search(g, **kw))
+        square = sender_graph(pentagon, 2)
+        assert strong_power(symmetric_sender_graph(pentagon, 1), 2).rows == square.rows
+        b = xi_bracket(pentagon, n_max=2)
+        assert b.exact == ExactValue(5, 2)
+        assert searched.count(square.rows) == 1
 
     def test_raising_the_cap_never_changes_a_closed_answer(self, pentagon):
         # a closed bracket is the whole answer: a larger cap runs no further

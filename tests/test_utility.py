@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -324,6 +325,25 @@ class TestPerMatrixTables:
         assert isinstance(ints, tuple) and all(isinstance(row, tuple) for row in ints)
         assert all(Fraction(ints[i][j], scale) == U.u[i][j] for i in range(4) for j in range(4))
         assert U == utility_from_json(U.to_json_dict())  # the caches are not fields
+
+    def test_integers_match_the_fraction_formula(self):
+        # scale is the least common denominator and scale * u is read from
+        # each entry's own numerator and denominator; the Fraction products
+        # int(x * scale) give the same integers
+        rng = random.Random(17)
+        for trial in range(60):
+            q = rng.randint(1, 5)
+            top = 10 ** rng.choice((1, 6, 30))
+            rows = [[Fraction(0) if i == j else Fraction(rng.randint(-top, top),
+                                                        rng.randint(1, top))
+                     for j in range(q)] for i in range(q)]
+            U = UtilityMatrix(Alphabet.of_size(q), tuple(map(tuple, rows)))
+            scale = 1
+            for row in rows:
+                for x in row:
+                    scale = scale * x.denominator // gcd(scale, x.denominator)
+            assert U.scaled_integer_entries == (
+                scale, tuple(tuple(int(x * scale) for x in row) for row in rows))
 
 
 class TestCappedUtilities:
