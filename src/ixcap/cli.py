@@ -171,7 +171,9 @@ def cmd_analyze(args) -> int:
         "md": "\n".join(md_lines),
     }
     _write_output(payload, args.out, texts.get(args.format))
-    return EXIT_BUDGET if bracket.warnings else EXIT_OK
+    # a search skipped for its budget stays in the report, but only one that
+    # leaves the bracket open fails the run: an exact value needs no more
+    return EXIT_BUDGET if bracket.warnings and bracket.exact is None else EXIT_OK
 
 
 def _strategy_file(U: UtilityMatrix, receiver: str, n: int):

@@ -16,7 +16,13 @@ budget, it returns the largest feasible subset found.  A feasible subset is
 independent in G_s^Sym,n, so it meets each clique of a clique partition at
 most once: a branch is cut when the open candidates split into too few
 cliques, by the greedy colouring of ``graphs._CliqueSearch`` on the
-complement, to lift its members past the largest subset found.  ``gamma`` is
+complement, to lift its members past the largest subset found.  Once the
+canonical maximum independent set fails its test, the search also builds,
+when its (q**n)**3 cells fit one row block, a mask per ordered pair of words
+of the words that close a 3-cycle of sum >= 0 with them: every 3-member
+infeasible core.  Each child drops from its candidates the masks of its new
+vertex with every member, so no set of at most three members needs a test,
+and the clique cover sees only the words that can still join.  ``gamma`` is
 ``gamma_n`` at n = 1.  All arithmetic is exact, on the integer utilities a
 of ``UtilityMatrix.scaled_integer_entries``; G_s^Sym,n is
 ``graphs.symmetric_sender_graph``, signs of the letter sums of a + a^T.
@@ -33,6 +39,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
+import numpy as np
+
 from .errors import BudgetExceededError, InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
@@ -40,10 +48,11 @@ from .graphs import (
     _CliqueSearch,
     _Meter,
     _ensure_recursion_headroom,
+    _pack_bool_rows,
     independence_number,
     symmetric_sender_graph,
 )
-from .utility import UtilityMatrix, block_sums, sequence_labels
+from .utility import UtilityMatrix, _row_blocks, _sum_table, block_sums, sequence_labels
 
 #: most cells of a q**n x q**n block-sum table that the subset search reads
 #: whole; above it, its pair sums are added letter by letter.  On a 2-vCPU
@@ -176,6 +185,38 @@ def feasibility_report(U: UtilityMatrix, subset: Sequence[int]) -> dict:
     return report
 
 
+def _triple_masks(ints, n: int) -> list[tuple[int, ...]] | None:
+    """masks[a][b], bit c set iff the words a, b, c of X^n are distinct
+    and one of their two 3-cycles, a -> b -> c -> a or a -> c -> b -> a
+    (each word reported as the next), has utility sum >= 0; None when the
+    (q**n)**3 cells do not fit one ``_row_blocks`` block.
+
+    The sums are the n-fold letterwise sum of the q x q x q table
+    t[b][a] + t[c][b] + t[a][c] on the q x q integer table ints, one
+    broadcast add per letter as in ``utility._expand_rows``, in a dtype that
+    ``_sum_table`` keeps from overflowing."""
+    q = len(ints)
+    nv = q**n
+    if len(_row_blocks(nv * nv, nv)) > 1:
+        return None
+    t = _sum_table(ints, 3 * n)
+    cyc = t.T[:, :, None] + t.T[None, :, :] + t[:, None, :]
+    sums = cyc
+    for k in range(1, n):
+        # a new most significant letter for all three words
+        m = q ** (k + 1)
+        sums = (cyc[:, None, :, None, :, None] + sums[None, :, None, :, None, :]).reshape(m, m, m)
+    closes = sums >= 0
+    del sums
+    closes |= closes.transpose(0, 2, 1)
+    words = np.arange(nv)
+    closes[words, words, :] = False
+    closes[words, :, words] = False
+    closes[:, words, words] = False
+    packed = _pack_bool_rows(closes.reshape(nv * nv, nv))
+    return [packed[a * nv:(a + 1) * nv] for a in range(nv)]
+
+
 def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[int, ...],
                       meter: _Meter) -> tuple[tuple[int, ...], bool]:
     """(the lexicographically first largest feasible subset of X^n, True),
@@ -192,6 +233,18 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     The members are feasible and all below the new vertex v, so only cores
     whose largest vertex is v can lie in the trial.
 
+    When the canonical set fails, ``_triple_masks`` gives, for each pair of
+    words, the words that close a 3-cycle of sum >= 0 with them, summed from
+    the letter table whichever source the pair sums come from, so both
+    sources prune alike.  A child's candidates lose G_s^Sym,n's neighbours
+    of its new vertex v, as before, and the mask of (v, m) for each member
+    m: every set in the child holds v and m, so none can hold a word of
+    that mask.  Every pair and triple of a set built this way is then
+    feasible, and sets of at most three members go untested (at most two
+    when the masks would not fit one row block).  Only sets that contain an
+    infeasible triple leave the search, so the first largest set is
+    unchanged.
+
     Each branch is bounded by a clique cover of its open candidates in
     G_s^Sym,n: the greedy colouring of ``graphs._CliqueSearch`` on the
     complement, whose colour classes are cliques of G_s^Sym,n, made once
@@ -207,9 +260,10 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     has members: the bound changes the node count, never the answer.
 
     Each trial costs one node, and the test of a k-member set k*k more, its
-    Bellman-Ford rows; the cover charges none.  The members' k x k block
-    sums grow by one row and one column per trial.  At n = 1 they are the
-    integer utility's own entries.  At n >= 2 they are read from the whole
+    Bellman-Ford rows, also when the masks make the test unneeded, so a
+    budget buys the same trials either way; the cover and the masks charge
+    none.  The members' k x k block sums grow by one row and one column per
+    trial.  At n = 1 they are the integer utility's own entries.  At n >= 2 they are read from the whole
     block-sum table while it has at most ``PAIR_TABLE_CELLS`` cells, and
     above that summed letter by letter from the q x q integer utility, so
     no large q**n x q**n table is ever built.
@@ -243,6 +297,8 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
 
     # colour classes of the complement are cliques of G_s^Sym,n
     cover = _CliqueSearch(sym_graph.complement_rows(), meter)
+    triples = _triple_masks(U.scaled_integer_entries[1], n)
+    tested = 3 if triples is None else 4
 
     def search(members: list[int], sums: list[list[int]], mask: int, cand: int) -> bool:
         """Extend members from cand; True once best meets the ceiling."""
@@ -257,12 +313,16 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
                 continue
             for m, row in zip(members, sums):
                 row.append(pair(m, v))
+            drop = rows[v]
+            if triples is not None:
+                for m in members:
+                    drop |= triples[v][m]
             members.append(v)
             sums.append([pair(v, m) for m in members])
-            if feasible(members, sums):
+            if len(members) < tested or feasible(members, sums):
                 if len(members) > len(best):
                     best = tuple(members)
-                if len(best) == ceiling or search(members, sums, trial, cand & ~rows[v]):
+                if len(best) == ceiling or search(members, sums, trial, cand & ~drop):
                     return True
             members.pop()
             sums.pop()

@@ -29,7 +29,8 @@ Every table with a q**n-wide row per sequence of X^n (block sums, sign
 graphs, search copies, the noisy check's expected values) is built in the
 row blocks that ``_row_blocks`` alone cuts; a q**n x k table with k <= 4,
 and the subset search's table of at most ``lower_bounds.PAIR_TABLE_CELLS``
-cells, are built whole.  ``_read_json`` alone reads input files.
+cells, are built whole, and its (q**n)**3 triple sums only when one row
+block holds them.  ``_read_json`` alone reads input files.
 """
 
 from __future__ import annotations

@@ -233,8 +233,10 @@ def test_analyze_prints_the_bracket_records(tmp_path, pentagon):
 
 
 def test_gamma_stops_at_its_node_budget(tmp_path):
-    # Gamma = 8 at n = 3 on the cyclic utility takes about 34 s to prove at
-    # the default budget; a small budget cuts it short with a report
+    # Gamma = 8 at n = 3 on the cyclic utility takes 11 079 385 nodes, 10-14
+    # s, to prove at the default budget (14 164 979 nodes, 12.5-20 s, before
+    # the subset search pruned infeasible triples); a small budget cuts it
+    # short with a report
     utility = tmp_path / "cyclic.json"
     utility.write_text(json.dumps({"utility": [[0, -1, 0], [0, 0, -1], [-1, 0, 0]]}))
     out = tmp_path / "gamma.json"
@@ -254,6 +256,20 @@ def test_analyze_out_of_budget_still_reports(tmp_path):
     assert report["budget_exceeded"]
     assert report["bracket"]["lower"]["certificate"] == {"name": "trivial", "n": 1}
     assert all("alpha_sender_error" in r and "gamma_error" in r for r in report["per_n"])
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+def test_a_skipped_search_does_not_fail_an_exact_bracket(tmp_path, budget):
+    # alpha(G_s) = 2 closes example 1 at n = 1 while Gamma(U_1), which the
+    # answer does not need, runs out: the report keeps the skip, and the
+    # exact value exits OK
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--utility", EXAMPLE1, "--max-n", "2", "--budget-nodes",
+                 str(budget), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["budget_exceeded"]
+    assert report["bracket"]["exact"] == {"base": 2, "root": 1, "value": 2.0}
+    assert [w.split(":")[0] for w in report["bracket"]["warnings"]] == ["gamma(U_1) skipped"]
 
 
 @pytest.mark.parametrize("name, budget", [

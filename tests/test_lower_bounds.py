@@ -3,7 +3,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -30,6 +30,7 @@ from ixcap.graphs import (
 from ixcap.lower_bounds import (
     _largest_feasible,
     _nonneg_chain,
+    _triple_masks,
     feasibility_report,
     gamma,
     gamma_n,
@@ -38,6 +39,7 @@ from ixcap.lower_bounds import (
 )
 from ixcap.utility import (
     block_sums,
+    block_utility,
     block_utility_rows,
     utility_from_json,
 )
@@ -400,18 +402,110 @@ class TestPinnedSubsetSearch:
     """The fewest nodes in which the subset search proves Gamma(U_n) on the
     open bracket input, whose canonical set of G_s^Sym,n is infeasible: one
     node fewer leaves the answer not optimal.  A change to the branch
-    order, the bound or the core skipping moves these counts.  Bounded by
-    the member count plus the open candidates alone, the search took 24
-    nodes at n = 1 and 3000 at n = 2; the clique cover of G_s^Sym,n takes
-    17 and 1746, and finds the same subsets."""
+    order, the bound, the triple masks or the core skipping moves these
+    counts.  Bounded by the member count plus the open candidates alone,
+    the search took 24 nodes at n = 1 and 3000 at n = 2; the clique cover
+    of G_s^Sym,n took 17 and 1746; with each child's candidates also
+    cleared of the words that close a 3-cycle of sum >= 0 with two
+    members, it takes 16 and 954, and finds the same subsets."""
 
-    @pytest.mark.parametrize("n, nodes, subset", [(1, 17, (0, 1)), (2, 1746, (0, 1, 4, 5))])
+    @pytest.mark.parametrize("n, nodes, subset", [(1, 16, (0, 1)), (2, 954, (0, 1, 4, 5))],
+                             ids=["n1", "n2"])
     def test_node_count(self, n, nodes, subset):
         U = utility_from_json({"utility": OPEN_BRACKET_INPUT})
         value, cert = gamma_n(U, n, node_budget=nodes)
         assert (value, cert.subset, cert.optimal) == (len(subset), subset, True)
         assert cert.alpha_sym == 3**n
         assert not gamma_n(U, n, node_budget=nodes - 1)[1].optimal
+
+    def test_open_input_at_n3_is_proved_inside_three_million_nodes(self):
+        # 2 788 319 nodes, about 2-3 s; 5 740 921 without the triple masks
+        U = utility_from_json({"utility": OPEN_BRACKET_INPUT})
+        value, cert = gamma_n(U, 3, node_budget=3 * 10**6)
+        assert cert.optimal and cert.alpha_sym == 27
+        assert cert.subset == (0, 1, 4, 5, 16, 17, 20, 21)
+
+
+def _cyclic_utility(rng, q):
+    """Costly misreports, -3 to -1, except along one random cycle through
+    every symbol, whose arcs gain 0 or 1: G_s^Sym,n's canonical set is
+    often infeasible, so the subset search runs."""
+    u = [[0 if i == j else rng.choice((-3, -2, -1)) for j in range(q)] for i in range(q)]
+    order = rng.sample(range(q), q)
+    for a, b in zip(order, order[1:] + order[:1]):
+        u[b][a] = rng.choice((0, 1))
+    return utility_from_json({"utility": u})
+
+
+class TestTripleMasks:
+    """Once the canonical set fails, the subset search clears from each
+    child's candidates every word that closes a 3-cycle of sum >= 0 with
+    the new vertex and a member, read from ``_triple_masks``."""
+
+    @pytest.mark.parametrize("q, n", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2),
+                                      (2, 3), (3, 3), (4, 3)])
+    def test_masks_match_the_fraction_cycles(self, q, n):
+        # bit c of masks[a][b] iff a, b, c are distinct and a -> b -> c -> a
+        # or a -> c -> b -> a has block utility sum >= 0 (u(b, a) for a
+        # reported as b); every pair (a, b) below 16 words, 200 drawn above
+        rng = random.Random(167 + 10 * q + n)
+        words = list(product(range(q), repeat=n))
+        nv = len(words)
+        for trial in range(3):
+            U = (random_utility, random_int_utility, _cyclic_utility)[trial](rng, q)
+            rows = [[block_utility(U, t, y) for y in words] for t in words]
+            masks = _triple_masks(U.scaled_integer_entries[1], n)
+            pairs = (list(product(range(nv), repeat=2)) if nv <= 16 else
+                     [(rng.randrange(nv), rng.randrange(nv)) for _ in range(200)])
+            for a, b in pairs:
+                expected = sum(
+                    1 << c for c in range(nv) if len({a, b, c}) == 3 and (
+                        rows[b][a] + rows[c][b] + rows[a][c] >= 0
+                        or rows[c][a] + rows[b][c] + rows[a][b] >= 0))
+                assert masks[a][b] == expected
+
+    def test_masks_only_while_one_block_holds_them(self):
+        # 161**3 cells fit one block of 2**22, 162**3 do not
+        ints = ((0, -1), (-1, 0))
+        assert len(_triple_masks(ints, 7)) == 128
+        assert _triple_masks(ints, 8) is None
+        assert _triple_masks([[0 if i == j else -1 for j in range(162)]
+                              for i in range(162)], 1) is None
+
+    def test_no_chain_test_below_four_members(self, monkeypatch):
+        # the canonical set is tested first; inside the search every set of
+        # at most three members is feasible by construction
+        sizes = []
+
+        def counted(u, subset):
+            sizes.append(len(subset))
+            return _nonneg_chain(u, subset)
+
+        monkeypatch.setattr(ixcap.lower_bounds, "_nonneg_chain", counted)
+        rng = random.Random(173)
+        searched = 0
+        for trial in range(24):
+            q = rng.randint(3, 4)
+            U = (random_int_utility, _cyclic_utility)[trial % 2](rng, q)
+            for n in (1, 2):
+                sizes.clear()
+                gamma_n(U, n)
+                searched += len(sizes) > 1
+                assert all(k >= 4 for k in sizes[1:])
+        assert searched >= 5
+
+    @pytest.mark.parametrize("q, n", [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2)])
+    def test_matches_the_enumeration_oracle_when_the_search_runs(self, q, n, monkeypatch):
+        built = []
+        monkeypatch.setattr(ixcap.lower_bounds, "_triple_masks",
+                            lambda ints, n: built.append(n) or _triple_masks(ints, n))
+        rng = random.Random(179 + 10 * q + n)
+        for trial in range(12):
+            U = (random_int_utility, _cyclic_utility, random_utility)[trial % 3](rng, q)
+            best = oracle_largest_feasible(U, n)
+            value, cert = gamma_n(U, n)
+            assert (value, cert.subset, cert.optimal) == (len(best), best, True)
+        assert built
 
 
 class TestGammaBudget:
@@ -519,6 +613,31 @@ class TestGammaBudget:
                             found = None
                         outcomes.append((found, meter.spent))
                     assert outcomes[0] == outcomes[1]
+
+
+    def test_pair_sources_search_alike_above_64_words(self, monkeypatch):
+        # q = 3, n = 4: 81 words and 6561 table cells, above the 4096 the
+        # benchmark's inputs reach, so both pair sources are forced here;
+        # the budgets run past the canonical set's test into the search
+        rng = random.Random(181)
+        searched = 0
+        for trial in range(4):
+            U = _cyclic_utility(rng, 3)
+            sym = symmetric_sender_graph(U, 4)
+            alpha_sym, first = independence_number(sym)
+            for extra in (40, 400, 4000):
+                outcomes = []
+                for cells in (3**8 - 1, 3**8):
+                    monkeypatch.setattr(ixcap.lower_bounds, "PAIR_TABLE_CELLS", cells)
+                    meter = _Meter(alpha_sym**2 + extra)
+                    try:
+                        found = _largest_feasible(U, 4, sym, first, meter)
+                    except BudgetExceededError:
+                        found = None
+                    outcomes.append((found, meter.spent))
+                assert outcomes[0] == outcomes[1]
+                searched += outcomes[0][0] is not None and outcomes[0][0][0] != first
+        assert searched
 
 
 class TestTypeClassLift:
