@@ -309,7 +309,9 @@ def cmd_capacity(args) -> int:
         "bracket": bracket.to_json_dict(),
     }
     _write_output(payload, args.out)
-    return EXIT_BUDGET if bracket.warnings else EXIT_OK
+    # as in cmd_analyze, only a skipped search that leaves the bracket open
+    # fails the run
+    return EXIT_BUDGET if bracket.warnings and bracket.exact is None else EXIT_OK
 
 
 def _corpus_checks():

@@ -47,8 +47,9 @@ from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
     _check_cap,
+    _closed_table,
+    block_independence_number,
     confusability_graph,
-    independence_number,
     is_independent,
     sender_graph,
 )
@@ -114,14 +115,15 @@ def receiver_strategy_from_set(U: UtilityMatrix, vertices, n: int,
     for v in vs:
         if not 0 <= v < nv:
             raise InputError(f"sequence index {v} out of range for n={n}")
-    return _strategy_on(sender_graph(U, n), vs, n)
+    return _strategy_on(vs, n, nv, sender_graph(U, n))
 
 
-def _strategy_on(gs: Graph, vs, n: int) -> ReceiverStrategy:
-    """Identity on vs, checked independent in the sender graph gs."""
-    if not is_independent(gs, vs):
+def _strategy_on(vs, n: int, nv: int, gs: Graph | None = None) -> ReceiverStrategy:
+    """Identity on vs among the nv words of X^n, checked independent in the
+    sender graph gs when one is given."""
+    if gs is not None and not is_independent(gs, vs):
         raise InputError("the set is not independent in the sender graph")
-    decode = [None] * gs.n_vertices
+    decode = [None] * nv
     for v in vs:
         decode[v] = v
     return ReceiverStrategy(n, tuple(decode))
@@ -212,18 +214,22 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     which ``graphs.independence_number`` searches between alpha(G_s)^n and
     the clique cover number of G_s^Sym to the n-th power once the graph
     has at least ``graphs.ORDERED_MIN_VERTICES`` vertices; ``budget``
-    bounds every search, the bounds' included.  The canonical witness set W
-    is decoded identically and everything else maps to the error symbol.
+    bounds every search, the bounds' included.  When G_s has the rows of
+    G_s^Sym and its two sides meet, ``graphs.block_independence_number``
+    answers from U's letters alone, and G_s^n is never built.  The
+    canonical witness set W is decoded identically and everything else
+    maps to the error symbol.
 
-    Before returning, the strategy is re-verified: its image must be
-    independent in the sender graph, and every word of it must survive
-    ``_rivalled`` on block sums recomputed from U, not read from the graph,
-    so that the survivors are W and number alpha.  Only the |W| x |W| block
-    S[W, W] is read; no best-response table over X^n is built.
+    Before returning, the strategy is re-verified: every word of W must
+    survive ``_rivalled`` on block sums recomputed from U, not read from
+    any graph, so that the survivors are W and number alpha.  Survival of
+    every word also makes W independent in G_s^n; where G_s^n was built,
+    W is checked on its rows as well.  Only the |W| x |W| block S[W, W] is
+    read; no best-response table over X^n is built.
     """
-    g = sender_graph(U, n)
-    alpha, witness = independence_number(g, budget=budget)
-    strategy = _strategy_on(g, witness, n)
+    alpha, witness, g = block_independence_number(
+        U.scaled_integer_entries[1], n, lambda: sender_graph(U, n), budget)
+    strategy = _strategy_on(witness, n, U.q**n, g)
     decoded = _survivors(U, n, strategy.image())
     if len(decoded) != alpha or decoded != witness:
         raise VerificationError("equilibrium verification failed")
@@ -429,11 +435,28 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     independence number is searched within its own ``budget`` nodes, and
     between the bounds of its graph's letter table once the graph is large
     enough (G_s and G_s^Sym for G_s^n, G_c on both sides for G_c^n; see
-    ``graphs.independence_number``)."""
-    alpha_s, wit_s = independence_number(sender_graph(U, n), budget=budget)
-    alpha_c, wit_c = independence_number(confusability_graph(channel, n), budget=budget)
+    ``graphs.independence_number``).  ``graphs.block_independence_number``
+    answers a side from its letters alone, with no graph built, when its
+    two bases meet and agree: G_c^n whenever alpha(G_c) is G_c's clique
+    cover number, G_s^n as in ``equilibrium_value_noiseless``.
+
+    Every path is checked the same way: the partition decoder refuses
+    inputs whose output supports overlap, so the channel witness is
+    independent in G_c^n, and ``verify_noisy_equilibrium`` recovers the
+    sender witness from U.  Either refusal of the library's own witnesses
+    is a VerificationError."""
+    if channel.q != U.q:
+        raise InputError("utility and channel alphabets differ in size")
+    alpha_s, wit_s, _ = block_independence_number(
+        U.scaled_integer_entries[1], n, lambda: sender_graph(U, n), budget)
+    alpha_c, wit_c, _ = block_independence_number(
+        _closed_table(confusability_graph(channel, 1)), n,
+        lambda: confusability_graph(channel, n), budget)
     d = min(alpha_s, alpha_c)
-    strategy = noisy_receiver_strategy(wit_s[:d], wit_c[:d], channel, n)
+    try:
+        strategy = noisy_receiver_strategy(wit_s[:d], wit_c[:d], channel, n)
+    except InputError as exc:
+        raise VerificationError(f"noisy equilibrium verification failed: {exc}") from exc
     if verify_noisy_equilibrium(U, channel, strategy).decoded_worst != wit_s[:d]:
         raise VerificationError("noisy equilibrium verification failed")
     return d, strategy

@@ -20,11 +20,16 @@ relabelled copy are dense V x V tables, built in the row blocks of
 
 A block graph of at least ``ORDERED_MIN_VERTICES`` vertices is bounded by
 Shannon's sandwich, alpha(I)^n <= alpha(G) <= cover_number(H)^n, from its
-two q-vertex bases (``_sandwich``).  When the two sides meet, the sandwich
-is closed: alpha and one maximum set, I^n, are known, no maximum search
-runs, and the witness pass walks G's own rows with the product cliques of
-H as its partition, building the degree-ordered copy only if some vertex
-still needs a search (``_ClosedSearch``).  Every coordinate permutation
+two q-vertex bases (``_letter_bases``, ``_sandwich``).  When the two sides
+meet, the sandwich is closed: alpha and one maximum set, I^n, are known,
+and no maximum search runs.  If I also has H's rows, as for every
+symmetric table and every strong power, the letter rule of
+``_letter_bases`` gives the witness too: L^n, L the lexicographically
+least maximum set of I, with no walk; ``block_independence_number``
+answers so from the table alone, before G is built.  Otherwise the
+witness pass walks G's own rows with the product cliques of H as its
+partition, building the degree-ordered copy only if some vertex still
+needs a search (``_ClosedSearch``).  Every coordinate permutation
 maps a block graph onto itself, so the type classes of X^n (the words
 with the same letters, ``_type_classes``) are its orbits: an open
 sandwich's search starts from the largest union of whole classes that a
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -320,9 +325,16 @@ def strong_power(g: Graph, n: int) -> Graph:
     out = g
     for _ in range(n - 1):
         out = strong_product(g, out)
-    closed = tuple(tuple(((row | 1 << a) >> b & 1) - 1 for b in range(q))
-                   for a, row in enumerate(g.rows))
-    return Graph(out.n_vertices, out.rows, (closed, n))
+    return Graph(out.n_vertices, out.rows, (_closed_table(g), n))
+
+
+def _closed_table(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """g's closed-neighbourhood table t: t[a, b] = 0 for b in N[a], -1
+    elsewhere.  Its sign graph is g, and that of its n-fold letter sum is
+    the strong power g^n."""
+    q = g.n_vertices
+    return tuple(tuple(((row | 1 << a) >> b & 1) - 1 for b in range(q))
+                 for a, row in enumerate(g.rows))
 
 
 def graphs_equal(g1: Graph, g2: Graph) -> bool:
@@ -708,11 +720,72 @@ def _cover_number(g: Graph, meter: _Meter) -> list[int]:
     return [1 << v for v in range(n)]
 
 
-def _sandwich(g: Graph, meter: _Meter) -> tuple[int, int, list[int]]:
+class _Bases(NamedTuple):
+    """What the letter table (t, n) of a block graph G gives its alpha
+    search from its two q-vertex bases, by ``_letter_bases``."""
+
+    #: L^n in ascending order, L the lexicographically least maximum
+    #: independent set of I
+    words: tuple[int, ...]
+    #: a minimum partition of H into cliques, as masks of letters
+    cliques: list[int]
+    #: whether words is G's lexicographically least maximum independent set
+    lex_least: bool
+
+
+def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
+    """The bases of G, the sign graph of the n-fold letter sum of the q x q
+    table t: I = ``_sign_graph(t, 1)``, whose lexicographically least
+    maximum independent set L gives L^n, and H = ``_sign_graph(t + t^T,
+    1)``, partitioned into the fewest cliques, both searched on q vertices
+    and charged to meter.  No graph on X^n is built.
+
+    The rule: when I has H's rows and alpha(I) = |L| is H's clique cover
+    number c, alpha(G) = c^n and L^n is G's lexicographically least maximum
+    independent set, with no search and no walk of G (``lex_least``).  L^n
+    is listed in ascending order: the word m * q + a for each word m of
+    L^(n-1) and letter a of L.
+
+    Why it is exact.  alpha(G) = c^n is the closed sandwich (``_sandwich``):
+    L^n is independent in G, and the c^n product cliques of H's partition
+    are cliques of G that cover X^n.  The witness takes two steps:
+
+    - Fibre lemma.  A maximum set S of G meets each product clique once.
+      Fix the cliques of every coordinate but k: that fibre is c product
+      cliques, so S has c words in it.  Off k their letters agree or are
+      adjacent in H, so each of those coordinates adds >= 0 to t(x, y) +
+      t(y, x).  Both directed letter sums are < 0, so the k-th letters are
+      distinct and pairwise non-adjacent in H = I: a maximum set of I.
+    - No maximum set sorts below L^n.  Suppose S does, and its first word
+      that differs is w = S_m < (L^n)_m.  Let k be the first coordinate
+      with w_k not in L.  Its fibre gives a maximum set T of I that holds
+      w_k, so T sorts above L and first differs at a position r, with l =
+      L_r not in T and l < w_k.  Take w'' = (w_1..w_(k-1), l, u_(k+1)..u_n),
+      u_i the member of L in w_i's clique.  Then w'' is in L^n and below w,
+      so it is among S's first m - 1 words.  It is also in w's fibre, so l
+      is in T, a contradiction.
+
+    The condition I = H is needed: u = [[0, 0, 1, 1, 2], [-1, 0, 1, -2,
+    -1], [2, -3, 0, 1, 0], [0, -1, 2, 0, -2], [-1, 1, 2, -3, 0]] closes its
+    sandwich (alpha(I) = 2 = c, L = (1, 3)) with I != H, and at n = 3 its
+    lexicographically least maximum set holds the word 74 where L^3 has
+    81."""
+    q = len(t)
+    i, h = _sign_graph(t, 1), _sign_graph(_plus_transpose(t), 1)
+    _, iset = _alpha(i, meter)
+    cliques = _cover_number(h, meter)
+    words = [0]
+    for _ in range(n):
+        words = [m * q + a for m in words for a in iset]
+    return _Bases(tuple(words), cliques, i.rows == h.rows and len(iset) == len(cliques))
+
+
+def _sandwich(g: Graph, meter: _Meter, bases: _Bases | None = None
+              ) -> tuple[int, int, list[int]]:
     """(mask of I^n, the ceiling cover_number(H)^n, a minimum partition of H
-    into cliques) for a graph g with letters (t, n), from its bases
-    I = ``_sign_graph(t, 1)`` and H = ``_sign_graph(t + t^T, 1)``, I
-    lexicographically least maximum.
+    into cliques) for a graph g with letters (t, n), from the bases of
+    ``_letter_bases``, found here unless given: I = ``_sign_graph(t, 1)``
+    and H = ``_sign_graph(t + t^T, 1)``, I lexicographically least maximum.
 
     Two distinct words of I^n differ where t is negative both ways and add
     t(x, x) = 0 where they agree, so both letter sums are negative and I^n
@@ -728,19 +801,14 @@ def _sandwich(g: Graph, meter: _Meter) -> tuple[int, int, list[int]]:
     maximum, and every maximum independent set meets each product clique
     (``_product_parts``) exactly once."""
     t, n = g.letters
-    q = len(t)
-    _, iset = _alpha(_sign_graph(t, 1), meter)
-    cliques = _cover_number(_sign_graph(_plus_transpose(t), 1), meter)
+    words, cliques, _ = bases or _letter_bases(t, n, meter)
     cover = len(cliques)
-    members = [0]
-    for _ in range(n):
-        members = [m * q + a for m in members for a in iset]
-    seed = sum(1 << m for m in members)
-    if any(g.rows[m] & seed for m in members):
+    seed = sum(1 << m for m in words)
+    if any(g.rows[m] & seed for m in words):
         raise VerificationError(f"the product set I^{n} is not independent")
-    if len(members) > cover**n:
+    if len(words) > cover**n:
         raise VerificationError(
-            f"the product set I^{n} has {len(members)} vertices, above its "
+            f"the product set I^{n} has {len(words)} vertices, above its "
             f"ceiling {cover}^{n}")
     return seed, cover**n, cliques
 
@@ -861,8 +929,13 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     vertices is bounded by its table (``_sandwich``): I^n is independent and
     cover_number(H)^n is a ceiling.  When |I|^n meets the ceiling, the
     sandwich is closed: alpha is the ceiling and I^n a maximum set, with no
-    search.  A lettered G is the sign graph of a letterwise sum, so every
-    permutation of the n coordinates maps it onto itself and each type
+    search.  When I moreover has the rows of H, the letter rule of
+    ``_letter_bases``, proved in its docstring, makes L^n the witness, L
+    the lexicographically least maximum set of I, with no walk of G;
+    ``block_independence_number`` gives the same answer from the table
+    alone, with no G built.  A lettered G is the sign graph of a
+    letterwise sum, so every permutation of the n coordinates maps it
+    onto itself and each type
     class (words with the same letters) onto itself.  On an open sandwich,
     a search over the classes with no inner edge, at most one node per
     class, looks for the union of non-conflicting classes with the most
@@ -906,12 +979,35 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     return _alpha(g, _Meter(budget), reports=True)
 
 
-def _alpha(g: Graph, meter: _Meter, reports: bool = False
+def block_independence_number(t, n: int, build, budget: int = DEFAULT_NODE_BUDGET
+                              ) -> tuple[int, tuple[int, ...], Graph | None]:
+    """(alpha, witness, g) of ``independence_number(g)``, g = build() the
+    block graph with letters (t, n), or (alpha, witness, None) with no g
+    built when the rule of ``_letter_bases`` answers from t alone.
+
+    The rule runs where g would be sandwiched (n >= 2 and q**n at least
+    ``ORDERED_MIN_VERTICES``), and a g built after it declines takes the
+    bases it found, so both paths spend the nodes of ``independence_number``
+    and give its answer.  CapExceededError above ``DEFAULT_VERTEX_CAP``
+    before anything is built or searched."""
+    nv = _check_cap(len(t), n)
+    meter = _Meter(budget)
+    bases = None
+    if n >= 2 and nv >= ORDERED_MIN_VERTICES:
+        bases = _letter_bases(t, n, meter)
+        if bases.lex_least:
+            return len(bases.cliques) ** n, bases.words, None
+    g = build()
+    return (*_alpha(g, meter, True, bases), g)
+
+
+def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None = None
            ) -> tuple[int, tuple[int, ...]]:
     """(alpha(g), the lexicographically least maximum independent set), as
     ``independence_number`` describes, with every search charged to meter.
     ``reports`` makes g's independent sets the meter's ``best``; it is off
-    for a base graph searched on behalf of another graph."""
+    for a base graph searched on behalf of another graph.  ``bases`` are
+    g's ``_letter_bases``, if already found."""
     nv = g.n_vertices
     if nv == 0:
         return 0, ()
@@ -919,9 +1015,12 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False
     seed, ceiling = 0, nv
     sandwiched = g.letters is not None and nv >= ORDERED_MIN_VERTICES
     if sandwiched:
-        seed, ceiling, cliques = _sandwich(g, meter)
+        bases = bases or _letter_bases(*g.letters, meter)
+        seed, ceiling, cliques = _sandwich(g, meter, bases)
         if reports:
             meter.best = seed.bit_count()
+        if bases.lex_least:
+            return ceiling, bases.words
         if seed.bit_count() < ceiling:
             seed = _best_union(g, seed, ceiling, meter)
             if reports:

@@ -93,7 +93,7 @@ def sandwich_calls(monkeypatch) -> list:
     calls = []
     sandwich = ixcap.graphs._sandwich
     monkeypatch.setattr(ixcap.graphs, "_sandwich",
-                        lambda g, meter: calls.append(g) or sandwich(g, meter))
+                        lambda g, *args: calls.append(g) or sandwich(g, *args))
     return calls
 
 
@@ -152,19 +152,46 @@ def oracle_alpha(graph) -> tuple[int, tuple[int, ...]]:
 
 
 def oracle_lex_least_mis(graph, alpha: int) -> tuple[int, ...]:
-    """Lexicographically least maximum independent set by full enumeration."""
-    n = graph.n_vertices
-    for combo in combinations(range(n), alpha):
-        mask = 0
-        ok = True
-        for v in combo:
-            if graph.rows[v] & mask:
-                ok = False
-                break
-            mask |= 1 << v
-        if ok:
-            return combo
-    raise AssertionError("no independent set of the claimed size")
+    """Lexicographically least maximum independent set by enumerating the
+    alpha-sets in lexicographic order.  A prefix that is not independent,
+    or has too few vertices after it to reach alpha, is skipped with every
+    set it starts, none of which could be the answer."""
+    n, rows, chosen = graph.n_vertices, graph.rows, []
+
+    def first(start: int, mask: int) -> bool:
+        if len(chosen) == alpha:
+            return True
+        for v in range(start, n - (alpha - len(chosen)) + 1):
+            if not rows[v] & mask:
+                chosen.append(v)
+                if first(v + 1, mask | 1 << v):
+                    return True
+                chosen.pop()
+        return False
+
+    if not first(0, 0):
+        raise AssertionError("no independent set of the claimed size")
+    return tuple(chosen)
+
+
+def oracle_letter_rule(table) -> bool:
+    """Whether the q x q table t meets the condition under which a block
+    graph is answered from its letters, read from the definitions: the sign
+    graph I of t (a ~ b iff t(a, b) >= 0 or t(b, a) >= 0) has the edges of
+    the sign graph H of t + t^T, and alpha(I) is H's clique cover number."""
+    q = len(table)
+    pairs = list(combinations(range(q), 2))
+    i_edges = [(a, b) for a, b in pairs if table[a][b] >= 0 or table[b][a] >= 0]
+    h_edges = [(a, b) for a, b in pairs if table[a][b] + table[b][a] >= 0]
+    i_graph = ixcap.graphs.graph_from_edges(q, i_edges)
+    return i_edges == h_edges and oracle_alpha(i_graph)[0] == oracle_clique_cover(i_graph)
+
+
+#: a closed sandwich with I != H: alpha(I) = 2 = H's clique cover number
+#: and L = (1, 3), yet at n = 3 the lexicographically least maximum set of
+#: G_s^3 holds 74 where L^3 has 81
+LEX_COUNTEREXAMPLE = [[0, 0, 1, 1, 2], [-1, 0, 1, -2, -1], [2, -3, 0, 1, 0],
+                      [0, -1, 2, 0, -2], [-1, 1, 2, -3, 0]]
 
 
 def oracle_perfect(graph) -> bool:

@@ -103,8 +103,8 @@ def test_closed_sandwich_builds_no_search_copy(name, monkeypatch):
     sandwich = ixcap.graphs._sandwich
     copy_init = ixcap.graphs._SearchCopy.__init__
 
-    def recorded_sandwich(g, meter):
-        seed, ceiling, cliques = sandwich(g, meter)
+    def recorded_sandwich(g, *args):
+        seed, ceiling, cliques = sandwich(g, *args)
         if seed.bit_count() == ceiling:
             closed.append(g)
         return seed, ceiling, cliques

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixcap.game
+import ixcap.graphs
 import ixcap.utility
 from conftest import (
+    LEX_COUNTEREXAMPLE,
     oracle_alpha,
+    oracle_letter_rule,
     oracle_lex_least_mis,
     oracle_block_sums,
     oracle_noisy_outcome,
@@ -46,7 +50,9 @@ from ixcap.game import (
     worst_case_decoded_set,
 )
 from ixcap.graphs import (
+    DEFAULT_VERTEX_CAP,
     confusability_graph,
+    cycle_graph,
     graph_from_edges,
     independence_number,
     sender_graph,
@@ -229,12 +235,22 @@ class TestReceiverStrategyFromSet:
             receiver_strategy_from_set(example1, [example1.q], 1)
 
     def test_equilibrium_builds_the_sender_graph_once(self, monkeypatch, pentagon):
+        """The pentagon's G_s^2 is built once.  Before the letter rule every
+        equilibrium built its sender graph; the graph utility of C4, whose
+        alpha is its clique cover number, is answered at n = 3 from its
+        letters and builds none."""
         calls = []
         build = ixcap.game.sender_graph
         monkeypatch.setattr(ixcap.game, "sender_graph",
                             lambda *args: calls.append(args) or build(*args))
         equilibrium_value_noiseless(pentagon, 2)
         assert len(calls) == 1
+        calls.clear()
+        c4 = utility_from_graph(cycle_graph(4))
+        value, strategy = equilibrium_value_noiseless(c4, 3)
+        assert calls == []
+        assert (value, strategy.image()) == (8, (0, 2, 8, 10, 32, 34, 40, 42))
+        assert receiver_strategy_from_set(c4, strategy.image(), 3) == strategy
 
 
 class TestBlockSandwichInTheGame:
@@ -280,17 +296,41 @@ class TestBlockSandwichInTheGame:
 
 
     def test_each_block_search_is_sandwiched_once(self, sandwich_calls):
-        # at q = 4, n = 3 both G_s^3 and G_c^3 have 64 vertices, enough for
-        # the bounds: one sandwich per alpha search, on the searched graph
+        """At q = 4, n = 3 both G_s^3 and G_c^3 have 64 vertices, enough
+        for the bounds, and at q = 5 125: one sandwich per alpha search, on
+        the searched graph.  Before the letter rule every G_c^n was
+        sandwiched; now a side is sandwiched only where the rule declines
+        it, and a side it answers builds no graph.  Every G_c on 4 letters
+        is perfect, so its side is answered; the pentagon's G_c is not."""
         rng = random.Random(67)
-        for _ in range(3):
-            U, channel = random_utility(rng, 4), random_channel(rng, 4)
+        pentagon = make_channel(Alphabet.of_size(5), [
+            [Fraction(1, 2) if z in (y, (y + 1) % 5) else 0 for z in range(5)]
+            for y in range(5)])
+        cases = [(random_utility(rng, 4), random_channel(rng, 4)) for _ in range(3)]
+        cases.append((random_utility(rng, 5), pentagon))
+        declined = Counter()
+        for U, channel in cases:
+            sender = [] if oracle_letter_rule(U.scaled_integer_entries[1]) else [
+                sender_graph(U, 3)]
+            table = ixcap.graphs._closed_table(confusability_graph(channel, 1))
+            receiver = [] if oracle_letter_rule(table) else [confusability_graph(channel, 3)]
+            declined["sender"] += len(sender)
+            declined["channel"] += len(receiver)
             equilibrium_value_noiseless(U, 3)
-            assert sandwich_calls == [sender_graph(U, 3)]
+            assert sandwich_calls == sender
             sandwich_calls.clear()
             noisy_equilibrium_value(U, channel, 3)
-            assert sandwich_calls == [sender_graph(U, 3), confusability_graph(channel, 3)]
+            assert sandwich_calls == sender + receiver
             sandwich_calls.clear()
+        assert declined == {"sender": 4, "channel": 1}
+
+    def test_a_closed_sandwich_with_i_unlike_h_keeps_its_walk(self, sandwich_calls):
+        # the rule declines this closed sandwich, whose least maximum set is
+        # not L^3 = {1, 3}^3: G_s^3 is built, sandwiched and walked
+        U = utility_from_json({"utility": LEX_COUNTEREXAMPLE})
+        value, strategy = equilibrium_value_noiseless(U, 3)
+        assert (value, strategy.image()) == (8, (31, 33, 41, 43, 74, 83, 91, 93))
+        assert sandwich_calls == [sender_graph(U, 3)]
 
     def test_noisy_on_a_nonzero_diagonal_takes_no_sender_bounds(self):
         # u(x, x) = -1 would break the sender bounds' proof: G_s and G_s^Sym
@@ -678,6 +718,23 @@ class TestVerificationError:
         with pytest.raises(VerificationError):
             noisy_equilibrium_value(example1, channel, 1)
 
+    def test_overlapping_channel_witness_raises(self, example1, monkeypatch):
+        # the partition decoder refuses overlapping supports as bad input;
+        # on the library's own witnesses that is its fault.  Inputs 0 and
+        # 1 both reach output 1, so (0, 1) is no independent set of G_c
+        monkeypatch.setattr(ixcap.game, "block_independence_number",
+                            lambda t, n, build, budget: (2, (0, 1), None))
+        channel = make_channel(example1.alphabet, [[Fraction(1, 2), Fraction(1, 2), 0],
+                                                   [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(VerificationError, match="input supports overlap"):
+            noisy_equilibrium_value(example1, channel, 1)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_a_channel_on_another_alphabet_stays_an_input_error(self, example1, q):
+        # the user's mismatch, not a fault of the library's witnesses
+        with pytest.raises(InputError, match="alphabets differ"):
+            noisy_equilibrium_value(example1, identity_channel(Alphabet.of_size(q)), 1)
+
     def test_cli_reports_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(ixcap.game, "_rivalled", every_word_rivalled)
         code = main(["game", "--utility", str(corpus_path("example1.json")), "-n", "1"])
@@ -700,7 +757,7 @@ class TestOptimizedInterpreter:
              "tests/test_game.py::TestVerificationError"],
             cwd=root, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert done.stdout.splitlines()[-1].startswith("3 passed")
+        assert done.stdout.splitlines()[-1].startswith("6 passed")
 
 
 class TestVertexCap:
@@ -715,6 +772,32 @@ class TestVertexCap:
     def test_naive_receiver_above_the_cap(self):
         with pytest.raises(CapExceededError, match="59049 vertices exceed the cap"):
             naive_receiver_strategy(3, 10)
+
+    def test_letter_rule_inputs_above_the_cap(self):
+        # both sides would be answered from their letters (the path P5 is
+        # perfect, the identity channel's G_c edgeless), yet 5^7 words
+        # exceed the cap, which both equilibria check before any table on
+        # X^7 exists: a list of 78125 words alone holds over 600 kB
+        U = utility_from_graph(graph_from_edges(5, [(i, i + 1) for i in range(4)]))
+        channel = identity_channel(U.alphabet)
+        assert 5**7 > DEFAULT_VERTEX_CAP
+        for table in (U.scaled_integer_entries[1],
+                      ixcap.graphs._closed_table(confusability_graph(channel, 1))):
+            assert oracle_letter_rule(table)
+        calls = [lambda: equilibrium_value_noiseless(U, 7),
+                 lambda: noisy_equilibrium_value(U, channel, 7),
+                 lambda: ixcap.graphs.block_independence_number(
+                     ixcap.graphs._closed_table(confusability_graph(channel, 1)), 7,
+                     lambda: confusability_graph(channel, 7))]
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(CapExceededError, match="78125 vertices exceed the cap"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
     @pytest.mark.parametrize("receiver", ["naive", "file"])
     @pytest.mark.parametrize("n, size", [(10, "59049"), (10000, "3^10000")])

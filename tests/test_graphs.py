@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LEX_COUNTEREXAMPLE,
     oracle_alpha,
     oracle_clique_cover,
+    oracle_letter_rule,
     oracle_lex_least_mis,
     oracle_sender_edges,
     oracle_symmetric_part,
     random_channel,
     random_int_utility,
+    random_symmetric_utility,
     random_utility,
 )
 from ixcap.channel import identity_channel, make_channel
@@ -636,8 +639,8 @@ class TestBlockSandwich:
         calls = []
         sandwich, type_classes = ixcap.graphs._sandwich, ixcap.graphs._type_classes
 
-        def recorded_sandwich(g, meter):
-            seed, ceiling, cliques = sandwich(g, meter)
+        def recorded_sandwich(g, *args):
+            seed, ceiling, cliques = sandwich(g, *args)
             calls.append("settled" if seed.bit_count() == ceiling else "open")
             return seed, ceiling, cliques
 
@@ -921,13 +924,16 @@ def closed_sandwich_graphs():
     """Small block graphs whose sandwich closes: strong powers of perfect
     graphs (every graph of at most 4 vertices is; alpha = cover number, so
     |I|^n meets the ceiling) and sender graphs of sign tables with
-    |I| = cover_number(H)."""
+    |I| = cover_number(H).  The letter rule answers the strong powers; it
+    declines the sender graphs whose I differs from H, among them
+    ``LEX_COUNTEREXAMPLE`` at n = 2."""
     rng = random.Random(223)
     graphs = []
     for q, n in ((3, 2), (4, 2), (2, 3), (3, 3)) * 3:
         supports = [rng.sample(range(q), rng.randint(1, 2)) for _ in range(q)]
         graphs.append(_confusability_power(supports, n))
         graphs.append(sender_graph(random_int_utility(rng, q, (-2, -1, 0, 1)), n))
+    graphs.append(sender_graph(utility_from_json({"utility": LEX_COUNTEREXAMPLE}), 2))
     closed = []
     for g in graphs:
         seed, ceiling, _ = ixcap.graphs._sandwich(g, ixcap.graphs._Meter(10**6))
@@ -942,10 +948,14 @@ class TestClosedSandwich:
     cliques of H's minimum clique partition."""
 
     def test_witness_is_the_lex_least_maximum_set(self, monkeypatch):
+        """Every closed graph's witness is the oracle's.  Each one walked
+        g's rows before the letter rule; now only those whose I differs
+        from H do, and the rule answers the others with no walk of g."""
         # in degree order every block graph at n >= 2 is sandwiched
         monkeypatch.setattr(ixcap.graphs, "ORDERED_MIN_VERTICES", 0)
         graphs = closed_sandwich_graphs()
         assert len(graphs) >= 12
+        kinds = Counter()
         walks = Counter()
         lex_least = ixcap.graphs._lex_least
 
@@ -965,8 +975,11 @@ class TestClosedSandwich:
             walks.clear()
             sizes.clear()
             alpha, witness = independence_number(g)
-            # g's walk is closed, base I's is not; only the bases are searched
-            assert (walks["_ClosedSearch"], walks["_CliqueSearch"]) == (1, 1)
+            # base I's walk is not closed; g's is, where the rule declines.
+            # Only the bases are searched
+            answered = oracle_letter_rule(g.letters[0])
+            kinds[answered] += 1
+            assert (walks["_ClosedSearch"], walks["_CliqueSearch"]) == (1 - answered, 1)
             assert max(sizes) == len(g.letters[0]) < g.n_vertices
             assert alpha == oracle_alpha(g)[0]
             assert witness == oracle_lex_least_mis(g, alpha)
@@ -975,6 +988,7 @@ class TestClosedSandwich:
             assert independence_number(stripped(g)) == (alpha, witness)
             assert walks["_ClosedSearch"] == 0
         assert partitioned > 0
+        assert kinds[True] >= 6 and kinds[False] >= 3
 
     def test_searches_alone_give_the_same_witness(self, monkeypatch):
         # with the partition rule off, every vertex it would settle costs a
@@ -1051,6 +1065,80 @@ class TestClosedSandwich:
                 rows = ixcap.graphs._letter_sign_rows(t)
                 assert rows == ixcap.graphs._block_sign_rows(t, 1, q)
                 assert ixcap.graphs._sign_graph(t, 1).rows == rows
+
+
+def sign_symmetric_table(rng: random.Random, q: int):
+    """A random q x q letter table whose sign graph is that of t + t^T: a
+    symmetric utility's, a 0/-1 graph utility's or a strong power's."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_symmetric_utility(rng, q).scaled_integer_entries[1]
+    g = random_graph(rng, q, rng.uniform(0.2, 0.8))
+    if kind == 1:
+        return utility_from_graph(g).scaled_integer_entries[1]
+    return ixcap.graphs._closed_table(g)
+
+
+class TestLetterRule:
+    """A block graph whose table t has a sign graph I with the rows of H,
+    the sign graph of t + t^T, and alpha(I) = cover_number(H) = c is
+    answered from t alone: alpha = c^n, and L^n is the lexicographically
+    least maximum set, L that of I.  No graph on X^n is built or walked."""
+
+    def test_rule_is_the_oracle_and_the_walk(self):
+        rng = random.Random(241)
+        compared = Counter()
+        for _ in range(120):
+            q, n = rng.randint(2, 5), rng.randint(2, 3)
+            t = sign_symmetric_table(rng, q)
+            meter = ixcap.graphs._Meter(10**6)
+            bases = ixcap.graphs._letter_bases(t, n, meter)
+            assert bases.lex_least == oracle_letter_rule(t)
+            if not bases.lex_least:
+                continue
+            g = ixcap.graphs._sign_graph(t, n)
+            alpha, witness = len(bases.cliques) ** n, bases.words
+            assert independence_number(stripped(g))[0] == alpha
+            # the walk that answered a closed sandwich before the rule
+            seed, ceiling, cliques = ixcap.graphs._sandwich(g, meter, bases)
+            assert (seed, ceiling) == (sum(1 << w for w in witness), alpha)
+            assert witness == ixcap.graphs._lex_least(
+                g, alpha, seed, ixcap.graphs._OwnRows(g), range(g.n_vertices),
+                ixcap.graphs._ClosedSearch(g, meter, cliques))
+            compared["walk"] += 1
+            if g.n_vertices <= 64:
+                assert witness == oracle_lex_least_mis(g, alpha)
+                compared["oracle"] += 1
+        assert compared["walk"] > compared["oracle"] >= 90
+
+    def test_graph_and_table_paths_agree(self):
+        # from 64 vertices on, independence_number(g) answers by the rule
+        # once its sandwich has checked I^n on g's rows, and the table path
+        # answers with no g; a table that the rule declines builds g
+        rng = random.Random(251)
+        for q, n in ((4, 3), (5, 3)) * 4:
+            t = sign_symmetric_table(rng, q)
+            g = ixcap.graphs._sign_graph(t, n)
+            built = []
+            alpha, witness, graph = ixcap.graphs.block_independence_number(
+                t, n, lambda: built.append(g) or g)
+            assert independence_number(g) == (alpha, witness)
+            assert graph is (None if oracle_letter_rule(t) else g)
+            assert built == ([] if graph is None else [g])
+
+    def test_declines_where_I_differs_from_H(self):
+        U = utility_from_json({"utility": LEX_COUNTEREXAMPLE})
+        t = U.scaled_integer_entries[1]
+        assert not oracle_letter_rule(t)
+        bases = ixcap.graphs._letter_bases(t, 3, ixcap.graphs._Meter(10**6))
+        # the sandwich closes at 8, yet the least maximum set is not L^3
+        assert len(bases.words) == len(bases.cliques) ** 3 == 8
+        assert not bases.lex_least
+        assert 81 in bases.words and 74 not in bases.words
+        g = sender_graph(U, 3)
+        alpha, witness, graph = ixcap.graphs.block_independence_number(t, 3, lambda: g)
+        assert graph is g
+        assert (alpha, witness) == (8, (31, 33, 41, 43, 74, 83, 91, 93))
 
 
 class TestColorOrder:
