@@ -685,15 +685,17 @@ def _meets_fewer(classes: list[int], rest: int, k: int) -> bool:
     return False
 
 
-def _cover_number(g: Graph, meter: _Meter) -> list[int]:
+def _cover_number(g: Graph, meter: _Meter, alpha: int | None = None) -> list[int]:
     """A partition of g's vertices into the fewest cliques, as masks: its
     length is g's clique cover number.
 
     Backtracking for each k from alpha(g) up: vertices in index order join
     an open clique whose members are all neighbours, or open the next one;
-    each placement is one node, charged with the alpha search to meter."""
+    each placement is one node, charged to meter with the alpha search,
+    which runs only when ``alpha`` is not given."""
     n = g.n_vertices
-    lower, _ = _CliqueSearch(_SearchCopy(g).rows, meter).maximum((1 << n) - 1)
+    if alpha is None:
+        alpha, _ = _CliqueSearch(_SearchCopy(g).rows, meter).maximum((1 << n) - 1)
     cliques: list[int] = []
 
     def place(v: int, k: int) -> bool:
@@ -714,7 +716,7 @@ def _cover_number(g: Graph, meter: _Meter) -> list[int]:
                 cliques.pop()
         return False
 
-    for k in range(max(lower, 1), n):
+    for k in range(max(alpha, 1), n):
         if place(0, k):
             return cliques
     return [1 << v for v in range(n)]
@@ -738,7 +740,9 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     table t: I = ``_sign_graph(t, 1)``, whose lexicographically least
     maximum independent set L gives L^n, and H = ``_sign_graph(t + t^T,
     1)``, partitioned into the fewest cliques, both searched on q vertices
-    and charged to meter.  No graph on X^n is built.
+    and charged to meter; when I has H's rows, the cover search starts from
+    alpha(H) = |L| with no alpha search of its own.  No graph on X^n is
+    built.
 
     The rule: when I has H's rows and alpha(I) = |L| is H's clique cover
     number c, alpha(G) = c^n and L^n is G's lexicographically least maximum
@@ -773,11 +777,12 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     q = len(t)
     i, h = _sign_graph(t, 1), _sign_graph(_plus_transpose(t), 1)
     _, iset = _alpha(i, meter)
-    cliques = _cover_number(h, meter)
+    same = i.rows == h.rows
+    cliques = _cover_number(h, meter, len(iset) if same else None)
     words = [0]
     for _ in range(n):
         words = [m * q + a for m in words for a in iset]
-    return _Bases(tuple(words), cliques, i.rows == h.rows and len(iset) == len(cliques))
+    return _Bases(tuple(words), cliques, same and len(iset) == len(cliques))
 
 
 def _sandwich(g: Graph, meter: _Meter, bases: _Bases | None = None

@@ -17,7 +17,7 @@ independent in G_s^Sym,n, so it meets each clique of a clique partition at
 most once: a branch is cut when the open candidates split into too few
 cliques, by the greedy colouring of ``graphs._CliqueSearch`` on the
 complement, to lift its members past the largest subset found.  Once the
-canonical maximum independent set fails its test, the search also builds,
+canonical maximum independent set fails at n >= 2, the search also builds,
 when its (q**n)**3 cells fit one row block, a mask per ordered pair of words
 of the words that close a 3-cycle of sum >= 0 with them: every 3-member
 infeasible core.  Each child drops from its candidates the masks of its new
@@ -241,6 +241,7 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     m: every set in the child holds v and m, so none can hold a word of
     that mask.  Every pair and triple of a set built this way is then
     feasible, and sets of at most three members go untested (at most two
+    at n = 1, where the build costs more than the node or so it saves, or
     when the masks would not fit one row block).  Only sets that contain an
     infeasible triple leave the search, so the first largest set is
     unchanged.
@@ -297,7 +298,7 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
 
     # colour classes of the complement are cliques of G_s^Sym,n
     cover = _CliqueSearch(sym_graph.complement_rows(), meter)
-    triples = _triple_masks(U.scaled_integer_entries[1], n)
+    triples = None if n == 1 else _triple_masks(U.scaled_integer_entries[1], n)
     tested = 3 if triples is None else 4
 
     def search(members: list[int], sums: list[list[int]], mask: int, cand: int) -> bool:
@@ -376,9 +377,9 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
     out, it returns the largest feasible subset found so far, in a
     certificate not flagged optimal.  Raises BudgetExceededError when the
     maximum search runs out, or the subset search before it holds any set.
-    ``xi_bracket`` calls this at n <= 2, where G_s^Sym,n is too small for
-    ``graphs.independence_number`` to bound it by its letter table unless
-    q >= 8.
+    ``xi_bracket`` calls this at n <= 2 on a U that is not symmetric, where
+    G_s^Sym,n is too small for ``graphs.independence_number`` to bound it
+    by its letter table unless q >= 8.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")

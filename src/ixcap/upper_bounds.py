@@ -12,20 +12,22 @@ theorem, a graph is perfect iff it has no induced odd hole and no induced
 odd antihole, which an exact induced-path search finds.
 
 Over a noisy channel the extraction rate is the smaller of the capacity and
-the channel's zero-error capacity, so ``asymptotic_rate_bracket`` brackets
-both from the same three rules: an alpha side (``_alpha_side``), a theta
-side (``_theta_side``) and an integer closure (``_integer_closure``).  On a
-perfect graph theta equals the independence number (Lovasz 1979), so the
-semidefinite solver runs only on a G_s^Sym or G_c that is not proved
-perfect, or whose independence number is not known: each bracket takes that
-alpha from its own blocklength-1 pass.  Closures compare the integers of
-the certificates, never floats.  The capacity bracket stops at the first
-blocklength that closes; the channel side runs every one up to its cap.
+the channel's zero-error capacity C_0 = Theta(G_c), which is itself the
+extraction capacity of the 0/-1 utility of G_c.  So ``xi_bracket`` is the
+one bracket, and ``asymptotic_rate_bracket`` takes the elementwise minimum
+of its brackets on U and on that utility.  Its upper side is theta(G_s^Sym)
+(``_theta_side``), closed on integers (``_integer_closure``).  On a perfect
+graph theta equals the independence number (Lovasz 1979), so the
+semidefinite solver runs only on a G_s^Sym that is not proved perfect, or
+whose independence number is not known: the bracket takes that alpha from
+its own blocklength-1 pass.  Closures compare the integers of the
+certificates, never floats, and each bracket stops at the first
+blocklength that closes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .channel import Channel
 from .errors import BudgetExceededError, CapExceededError, ConvergenceError, InputError
@@ -42,7 +44,7 @@ from .graphs import (
 )
 from .lower_bounds import _gamma_n, gamma_n
 from .theta import lovasz_theta
-from .utility import Alphabet, UtilityMatrix, sequence_labels
+from .utility import UtilityMatrix, sequence_labels, utility_from_graph
 
 #: most nodes of a perfectness test whose verdict only spares the theta
 #: solver: about 0.1 s, the cost of one mid-sized solve
@@ -236,28 +238,7 @@ class CapacityBracket:
         return out
 
 
-def _alpha_side(build, n: int, alphabet: Alphabet, budget: int, name: str, graph: str,
-                warnings: list[str]):
-    """The lower candidate alpha(G^n)^(1/n) for G^n = ``build()``, a graph
-    on X^n, and the search's answer: (its value, its certificate ``name``
-    with the witness named over ``alphabet``, the integers (alpha, n)),
-    (alpha, the witness's vertices), and G^n.  None, after the warning
-    "alpha(<graph>^n) skipped: ...", when G^n exceeds its vertex cap or the
-    search exceeds ``budget`` nodes.
-    """
-    try:
-        g = build()
-        found = alpha, witness = independence_number(g, budget=budget)
-    except (BudgetExceededError, CapExceededError) as exc:
-        warnings.append(f"alpha({graph}^{n}) skipped: {exc}")
-        return None
-    cert = {"name": name, "n": n, "alpha": alpha,
-            "witness": list(sequence_labels(alphabet, n, witness))}
-    return (alpha ** (1.0 / n), cert, (alpha, n)), found, g
-
-
-def _theta_side(g: Graph, alpha: int | None, budget: int, tol: float, name: str,
-                graph: str, warnings: list[str]):
+def _theta_side(g: Graph, alpha: int | None, budget: int, tol: float, warnings: list[str]):
     """(theta(g), its upper candidates, the perfectness verdict).
 
     The verdict of the test of g within ``budget`` nodes is True, False, or
@@ -265,9 +246,9 @@ def _theta_side(g: Graph, alpha: int | None, budget: int, tol: float, name: str,
     whose independence number ``alpha`` is known, theta is alpha exactly and
     no semidefinite program is solved (the certificate says ``"perfect":
     true``); otherwise the solver answers within min(tol, 1e-3).  The one
-    candidate is theta + tol with certificate ``name``; a g above the
-    solver's vertex limit or a solve that does not converge gives none, and
-    theta None, after a warning naming theta(<graph>).
+    candidate is theta + tol with certificate ``theta_symmetric_part``; a g
+    above the solver's vertex limit or a solve that does not converge gives
+    none, and theta None, after a warning naming theta(G_s^Sym).
     """
     try:
         perfect = in_perfect_whitelist(g, budget=budget)
@@ -278,9 +259,10 @@ def _theta_side(g: Graph, alpha: int | None, budget: int, tol: float, name: str,
         theta = float(alpha) if proof else lovasz_theta(g, tol=min(tol, 1e-3))
     except (CapExceededError, ConvergenceError) as exc:
         fault = "skipped" if isinstance(exc, CapExceededError) else "did not converge"
-        warnings.append(f"theta({graph}) {fault}: {exc}")
+        warnings.append(f"theta(G_s^Sym) {fault}: {exc}")
         return None, [], perfect
-    return theta, [(theta + tol, {"name": name, "theta": theta, "tol": tol, **proof})], perfect
+    return theta, [(theta + tol, {"name": "theta_symmetric_part", "theta": theta, "tol": tol,
+                                  **proof})], perfect
 
 
 def _integer_closure(base: int, root: int, upper: float, tol: float) -> ExactValue | None:
@@ -315,9 +297,18 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     rows of G_s at n = 1, under the closure or not, Gamma(U_1) takes
     alpha(G_s^Sym) and its witness from the alpha(G_s) search instead of
     searching the same graph again; when that search ran out of budget,
-    Gamma(U_1) runs its own.  Likewise the radical closure takes the alpha
-    of the strong power of G_s^Sym from the alpha(G_s^n) search of the same
-    n when the two graphs have the same rows, as on the pentagon at n = 2.
+    Gamma(U_1) runs its own.  For a symmetric U, Gamma(U_n) is
+    alpha(G_s^n), and the lexicographically first largest feasible subset
+    is the lexicographically least maximum independent set, so Gamma's
+    record and candidate come from the alpha(G_s^n) search at every n, with
+    no subset search and no warning of their own.  Why: the letter sums A of
+    a symmetric U are symmetric, so G_s^n joins x and y iff A[x, y] >= 0,
+    and is G_s^Sym,n.  A feasible set is independent there, since the
+    2-cycle x -> y -> x sums to 2 A[x, y] < 0; an independent set is
+    feasible, since every arc of a chain inside it is negative.  Likewise
+    the radical closure takes the alpha of the strong power of G_s^Sym from
+    the alpha(G_s^n) search of the same n when the two graphs have the same
+    rows, as on the pentagon at n = 2.
     ``node_budget`` is per search, not per bracket: each search gets it
     afresh, namely alpha(G_s^n), alpha(G_s^Sym,n) and Gamma's subset search
     at each n run, the perfectness test, and the radical closure's alpha,
@@ -345,8 +336,9 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     warnings: list[str] = []
     q = U.q
     base_graph = sender_graph(U, 1)
+    symmetric = U.is_symmetric()
     # for symmetric or two-valued-gain utilities G_s^Sym is G_s at n = 1
-    closure = U.is_symmetric() or is_two_valued_a_ge_b(U)
+    closure = symmetric or is_two_valued_a_ge_b(U)
     sym_graph = base_graph if closure else symmetric_sender_graph(U, 1)
     # alpha(G_s^Sym) and its witness, when the n = 1 pass's alpha(G_s) gives them
     alpha_sym_found = None
@@ -356,34 +348,41 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     exact: ExactValue | None = None
     for n in range(1, n_max + 1):
         record: dict = {"n": n}
-        answer = _alpha_side(lambda: base_graph if n == 1 else sender_graph(U, n), n,
-                             U.alphabet, node_budget, "alpha_sender_power", "G_s", warnings)
-        searched = None  # G_s^n, once its alpha is known
-        if answer is None:
-            record["alpha_sender_error"] = warnings[-1]
+        gamma = None  # (Gamma(U_n), its subset, optimal, alpha(G_s^Sym,n))
+        try:
+            searched = base_graph if n == 1 else sender_graph(U, n)
+            alpha, witness = found = independence_number(searched, budget=node_budget)
+        except (BudgetExceededError, CapExceededError) as exc:
+            searched = None
+            record["alpha_sender_error"] = f"alpha(G_s^{n}) skipped: {exc}"
+            warnings.append(record["alpha_sender_error"])
         else:
-            side, found, searched = answer
-            rate, cert, (alpha, _) = side
-            record.update(alpha_sender=alpha, alpha_sender_rate=rate,
-                          alpha_witness=cert["witness"])
-            lowers.append(side)
+            record.update(alpha_sender=alpha, alpha_sender_rate=alpha ** (1.0 / n),
+                          alpha_witness=list(sequence_labels(U.alphabet, n, witness)))
+            lowers.append((record["alpha_sender_rate"],
+                           {"name": "alpha_sender_power", "n": n, "alpha": alpha,
+                            "witness": record["alpha_witness"]}, (alpha, n)))
             if n == 1 and sym_graph.rows == base_graph.rows:
                 alpha_sym_found = found
-        try:
-            value, cert = (_gamma_n(U, 1, sym_graph, node_budget, alpha_sym_found) if n == 1
-                           else gamma_n(U, n, node_budget=node_budget))
-            record.update(gamma=value, gamma_rate=value ** (1.0 / n),
-                          gamma_subset=list(cert.labels), gamma_optimal=cert.optimal,
-                          alpha_sym=cert.alpha_sym)
-            lowers.append((
-                record["gamma_rate"],
-                {"name": "gamma_blocklength", "n": n, "gamma": value,
-                 "subset": record["gamma_subset"], "optimal": cert.optimal},
-                (value, n),
-            ))
-        except (BudgetExceededError, CapExceededError) as exc:
-            record["gamma_error"] = f"gamma(U_{n}) skipped: {exc}"
-            warnings.append(record["gamma_error"])
+            if symmetric:
+                # Gamma(U_n) = alpha(G_s^n), with the same witness
+                gamma = alpha, list(record["alpha_witness"]), True, alpha
+        if not symmetric:
+            try:
+                value, gamma_cert = (_gamma_n(U, 1, sym_graph, node_budget, alpha_sym_found)
+                                     if n == 1 else gamma_n(U, n, node_budget=node_budget))
+                gamma = (value, list(gamma_cert.labels), gamma_cert.optimal,
+                         gamma_cert.alpha_sym)
+            except (BudgetExceededError, CapExceededError) as exc:
+                record["gamma_error"] = f"gamma(U_{n}) skipped: {exc}"
+                warnings.append(record["gamma_error"])
+        if gamma:
+            value, subset, optimal, alpha_sym = gamma
+            record.update(gamma=value, gamma_rate=value ** (1.0 / n), gamma_subset=subset,
+                          gamma_optimal=optimal, alpha_sym=alpha_sym)
+            lowers.append((record["gamma_rate"],
+                           {"name": "gamma_blocklength", "n": n, "gamma": value,
+                            "subset": subset, "optimal": optimal}, (value, n)))
         per_n.append(record)
 
         if n == 1:
@@ -392,7 +391,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
             theta_sym, theta_upper, perfect = _theta_side(
                 sym_graph, record.get("alpha_sym"),
                 node_budget if closure else min(node_budget, SHORTCUT_NODE_BUDGET),
-                tol, "theta_symmetric_part", "G_s^Sym", warnings)
+                tol, warnings)
             uppers = [(float(q), {"name": "alphabet_size", "q": q}), *theta_upper]
             if closure:
                 # sym_graph is base_graph, so the verdict above is the base graph's
@@ -440,63 +439,52 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
 def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
                             tol: float = 1e-3,
                             budget: int = DEFAULT_NODE_BUDGET) -> CapacityBracket:
-    """Bracket on the noisy-channel extraction rate: the elementwise minimum
-    of the capacity bracket and the channel's zero-error capacity bracket,
-    the capacity's side winning ties.
+    """Bracket on the noisy-channel extraction rate min(Xi(U), C_0): the
+    elementwise minimum of the capacity bracket and the channel's zero-error
+    capacity bracket, the capacity's side winning ties.
 
-    The channel side follows the capacity bracket's rules.  Lower: the best
-    of 1 and alpha(G_c^n)^(1/n) for n <= n_max, the first of equal values
-    winning, each alpha(G_c^n) searched between alpha(G_c)^n and the clique
-    cover number of G_c to the n-th power.  Upper: theta(G_c) + tol, which
-    wins a tie with the alphabet size; theta(G_c) is alpha(G_c) from the
-    n = 1 search when ``in_perfect_whitelist`` proves G_c perfect within
-    ``budget`` and at most ``SHORTCUT_NODE_BUDGET`` nodes, and the solver's
-    otherwise, also when that test runs out, which adds no warning.  Exact
-    value: the capacity's, when the channel's certified alpha**(1/n) carries
-    it (base**n <= alpha**root); otherwise, once the capacity's certified
-    lower bound reaches the channel's ceiling, the bracket is the channel's
-    own, closed by ``_integer_closure`` on its (alpha, n).  ``budget`` is
-    per search: the capacity bracket's, which count only the blocklengths
-    it runs, then alpha(G_c^n) at every n <= n_max and G_c's perfectness
-    test.  An alpha(G_c^n) that runs out,
-    or a theta(G_c) that does not converge or has more vertices than the
-    solver takes, is skipped with a warning, and the channel bounds fall
-    back to 1 and the alphabet size.  The channel-side witness names its
-    sequences over U's alphabet, as the sender side does.  Raises
-    InputError when U and the channel have alphabets of different sizes.
+    C_0 is the Shannon capacity Theta(G_c) (Shannon 1956), which is the
+    extraction capacity of the 0/-1 utility ``utility_from_graph(G_c)``:
+    its sender graphs are exactly the strong powers G_c^n, in the same
+    numbering.  So the channel side is ``xi_bracket`` of that utility, with
+    every rule of the capacity bracket: alpha(G_c^n) below, theta(G_c) +
+    tol above, the perfect-graph, integer and radical closures, and the stop
+    at the first blocklength that closes.  Its certificates and warnings
+    name G_c: ``alpha_confusability_power``, ``theta_confusability`` and,
+    e.g., "alpha(G_c^2) skipped"; its witnesses name sequences over U's
+    alphabet.  The rate is exact at e when one side is exact at e and the
+    other side's certified lower bound base**(1/root) reaches it, compared
+    on the integers (e.base**root <= base**e.root), the capacity's side
+    tried first.  ``budget`` is per search, as in ``xi_bracket``, for each
+    of the two brackets.  Raises InputError when U and the channel have
+    alphabets of different sizes.
     """
     if U.q != channel.q:
         raise InputError("utility and channel alphabets differ in size")
-    xi = xi_bracket(U, n_max=n_max, tol=tol, node_budget=budget)
-    warnings = list(xi.warnings)
+    xi = xi_bracket(U, n_max, tol, budget)
+    c0 = xi_bracket(utility_from_graph(confusability_graph(channel, 1), U.alphabet),
+                    n_max, tol, budget)
+    c0 = replace(c0, lower_certificate=_on_g_c(c0.lower_certificate),
+                 upper_certificate=_on_g_c(c0.upper_certificate),
+                 warnings=tuple(w.replace("G_s^Sym", "G_c").replace("G_s", "G_c")
+                                for w in c0.warnings))
+    exact = xi.exact if _reaches(c0, xi.exact) else c0.exact if _reaches(xi, c0.exact) else None
+    lower = min((xi.lower, xi.lower_certificate), (c0.lower, c0.lower_certificate),
+                key=lambda t: t[0])
+    upper = min((xi.upper, xi.upper_certificate), (c0.upper, c0.upper_certificate),
+                key=lambda t: t[0])
+    return CapacityBracket(*lower, *upper, tol, exact, xi.warnings + c0.warnings)
 
-    base_c = confusability_graph(channel, 1)
-    sides = [
-        _alpha_side(lambda: base_c if n == 1 else confusability_graph(channel, n), n,
-                    U.alphabet, budget, "alpha_confusability_power", "G_c", warnings)
-        for n in range(1, n_max + 1)
-    ]
-    lower_c, lower_cert_c, (alpha, root) = max(
-        [(1.0, {"name": "trivial", "n": 1}, (1, 1)), *(s for s, *_ in filter(None, sides))],
-        key=lambda t: t[0])
-    _, theta_upper, _ = _theta_side(
-        base_c, sides[0][1][0] if sides[0] else None, min(budget, SHORTCUT_NODE_BUDGET),
-        tol, "theta_confusability", "G_c", warnings)
-    upper_c, upper_cert_c = min(
-        [*theta_upper, (float(U.q), {"name": "alphabet_size", "q": U.q})], key=lambda t: t[0])
 
-    lowers = [(xi.lower, xi.lower_certificate), (lower_c, lower_cert_c)]
-    uppers = [(xi.upper, xi.upper_certificate), (upper_c, upper_cert_c)]
-    exact = xi.exact
-    if exact is None or exact.base**root > alpha**exact.root:
-        # the channel does not certifiably carry the capacity's exact value
-        exact = None
-        if xi.lower >= upper_c:
-            # channel side closes: the capacity's certified lower bound
-            # already reaches the channel's certified zero-error ceiling,
-            # so the channel's bounds win every tie
-            exact = _integer_closure(alpha, root, upper_c, tol)
-            lowers, uppers = lowers[::-1], uppers[::-1]
-    lower, lower_cert = min(lowers, key=lambda t: t[0])
-    upper, upper_cert = min(uppers, key=lambda t: t[0])
-    return CapacityBracket(lower, lower_cert, upper, upper_cert, tol, exact, tuple(warnings))
+def _on_g_c(cert: dict) -> dict:
+    """A channel-side certificate, named after G_c."""
+    name = cert["name"].replace("sender_power", "confusability_power")
+    return {**cert, "name": name.replace("symmetric_part", "confusability")}
+
+
+def _reaches(b: CapacityBracket, e: ExactValue | None) -> bool:
+    """Whether b's certified lower bound base**(1/root), read from its
+    certificate, is at least e, compared on the integers; False for no e."""
+    cert = b.lower_certificate
+    base = cert.get("alpha", cert.get("gamma", 1))  # 1 for the trivial bound
+    return e is not None and e.base ** cert["n"] <= base ** e.root

@@ -33,12 +33,14 @@ CYCLIC = utility_from_json({"utility": [[0, -1, 0], [0, 0, -1], [-1, 0, 0]]})
 
 @pytest.mark.parametrize("search, budget, answer", [
     (lambda b: independence_number(sender_graph(PENTAGON, 2), b)[0], 27, 5),
-    (lambda b: independence_number(sender_graph(U7, 3), b)[0], 21, 64),
+    (lambda b: independence_number(sender_graph(U7, 3), b)[0], 17, 64),
     (lambda b: in_perfect_whitelist(cycle_graph(7), b), 5, False),
     (lambda b: in_perfect_whitelist(C9_COMPLEMENT, b), 57, False),
 ], ids=["alpha-pentagon-2", "alpha-U7-3-base", "perfect-C7", "perfect-C9-complement"])
 def test_smallest_budget(search, budget, answer):
-    # every node a search spends is pinned: one node fewer runs out
+    # every node a search spends is pinned: one node fewer runs out.
+    # alpha-U7-3-base took 21 nodes while the cover search of its H, which
+    # has the rows of I, ran an alpha search of its own
     assert search(budget) == answer
     with pytest.raises(BudgetExceededError):
         search(budget - 1)

@@ -335,22 +335,25 @@ def test_capacity(tmp_path, channel):
 
 
 @pytest.mark.parametrize("budget, exact, skipped, code", [
-    (3, {"base": 2, "root": 1, "value": 2.0}, [], EXIT_OK),
-    (2, None, ["alpha(G_c^1) skipped"], EXIT_BUDGET),
+    (3, {"base": 2, "root": 1, "value": 2.0}, ["gamma(U_1) skipped"], EXIT_OK),
+    (2, None, ["gamma(U_1) skipped", "alpha(G_c^1) skipped", "perfect-graph closure skipped",
+               "alpha(G_c^2) skipped"], EXIT_BUDGET),
 ])
 def test_capacity_fails_only_an_open_bracket(tmp_path, budget, exact, skipped, code):
     # as for analyze: at 3 nodes alpha(G_s) = 2 closes example 1 at n = 1
-    # over the identity channel, while Gamma(U_1) and alpha(G_c^2) run out,
-    # and the exact value exits OK.  At 2 nodes alpha(G_c) runs out too,
-    # the bracket stays open, and the run fails.  Both reports keep every
-    # skip
+    # over the identity channel while Gamma(U_1) runs out, and the exact
+    # value exits OK.  The channel side closes at n = 1 too, on its edgeless
+    # G_c, so it never reaches G_c^2 (its alpha ran out there when the
+    # channel side searched every n up to the cap).  At 2 nodes alpha(G_c)
+    # runs out, which also leaves its perfect-graph closure without an
+    # alpha, and G_c^2 runs out; the bracket stays open, and the run fails.
+    # Both reports keep every skip
     out = tmp_path / "report.json"
     assert main(["capacity", "--utility", EXAMPLE1, "--max-n", "2", "--budget-nodes",
                  str(budget), "--out", str(out)]) == code
     bracket = json.loads(out.read_text())["bracket"]
     assert bracket["exact"] == exact
-    assert [w.split(":")[0] for w in bracket["warnings"]] == [
-        "gamma(U_1) skipped", *skipped, "alpha(G_c^2) skipped"]
+    assert [w.split(":")[0] for w in bracket["warnings"]] == skipped
 
 
 def test_capacity_refuses_a_channel_on_another_alphabet(capsys):

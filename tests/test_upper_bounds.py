@@ -439,6 +439,39 @@ class TestXiBracket:
         exact = sum(xi_bracket(U).exact is not None for U in _random_utilities(127, 24))
         assert exact >= 3
 
+    def test_symmetric_gamma_is_the_alpha_search(self, monkeypatch):
+        """A symmetric U's feasible sets are the independent sets of G_s^n,
+        so each Gamma record is the alpha search's, with no subset search
+        and no Gamma warning, and equals ``gamma_n``'s.  Weighted 5-cycles
+        do not close at n = 1, so their n = 2 records are checked too."""
+        def subset_search(*args, **kw):
+            raise AssertionError("a subset search ran on a symmetric utility")
+
+        monkeypatch.setattr(upper_bounds, "gamma_n", subset_search)
+        monkeypatch.setattr(upper_bounds, "_gamma_n", subset_search)
+        rng = random.Random(241)
+        utilities = [random_symmetric_utility(rng, rng.randint(2, 5)) for _ in range(30)]
+        for _ in range(10):
+            u = [[0] * 5 for _ in range(5)]
+            for i, j in combinations(range(5), 2):
+                u[i][j] = u[j][i] = (rng.choice((0, 1, 2)) if j - i in (1, 4)
+                                     else rng.choice((-3, -2, -1)))
+            utilities.append(utility_from_json({"utility": u}))
+        at_two = skipped = 0
+        for U in utilities:
+            for record in xi_bracket(U, n_max=2).per_n:
+                value, cert = gamma_n(U, record["n"])
+                assert (record["gamma"], record["gamma_subset"], record["gamma_optimal"],
+                        record["alpha_sym"]) == (value, list(cert.labels), True, cert.alpha_sym)
+                at_two += record["n"] == 2
+            # an alpha search out of budget takes Gamma's record with it
+            starved = xi_bracket(U, n_max=1, node_budget=1)
+            record = starved.per_n[0]
+            assert ("gamma" in record) == ("alpha_sender" in record)
+            assert not any(w.startswith("gamma") for w in starved.warnings)
+            skipped += "alpha_sender_error" in record
+        assert at_two >= 10 and skipped >= 10
+
 
 class TestNoisyBracket:
     @pytest.mark.parametrize("U, channel, n_max", _random_pairs(137, 30))
@@ -475,11 +508,57 @@ class TestAsymptoticRateBracket:
           for i in range(5)]
 
     def test_channel_side_closes_on_the_certified_lower(self, pentagon):
+        # the perfect K2 + K3 closes the channel side at alpha(G_c) = 2,
+        # reached by the pentagon's certified 5^(1/2); the channel's upper
+        # is that integer, no longer theta(G_c) + tol
         channel = make_channel(Alphabet.of_size(5), self.K2_K3)
         b = asymptotic_rate_bracket(pentagon, channel)
         assert (b.exact.base, b.exact.root) == (2, 1)
+        assert (b.lower, b.upper) == (2.0, 2.0)
+        assert b.lower_certificate["name"] == "alpha_confusability_power"
+        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 2}
+
+    def test_a_perfect_channel_closes_the_rate_at_n1(self):
+        # perfbench's seed-1 noisy job 7: G_c has the edges (0, 2), (0, 3),
+        # (1, 3) and (2, 3), so C_0 = alpha(G_c) = 2, which the capacity's
+        # certified Gamma(U_1) = 2 reaches; theta(G_c) + tol left it open
+        U = utility_from_json({"utility": [
+            ["0", "-10/27", "0", "0"], ["2/27", "0", "-4/3", "4/9"],
+            ["-2/9", "4/9", "0", "0"], ["8/27", "-2/27", "-10/9", "0"]]})
+        channel = make_channel(U.alphabet, [["1/3", 0, "2/3", 0], [0, 0, 0, 1], [0, 0, 1, 0],
+                                            [0, 0, "2/3", "1/3"]])
+        b = asymptotic_rate_bracket(U, channel, n_max=1)
+        assert (b.exact.base, b.exact.root) == (2, 1)
+        assert (b.lower, b.upper) == (2.0, 2.0)
+        assert b.lower_certificate["name"] == "gamma_blocklength"
+        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 2}
+
+    def test_an_edgeless_utility_over_c5_is_the_channels_radical(self):
+        # every word is protected, so the rate is C_0(C5) = 5^(1/2), pinned
+        # by the channel side's radical closure at n = 2
+        U = utility_from_graph(graph_from_edges(5, []))
+        b = asymptotic_rate_bracket(U, make_channel(U.alphabet, self.C5))
+        assert (b.exact.base, b.exact.root) == (5, 2)
         assert b.lower_certificate["name"] == "alpha_confusability_power"
         assert b.upper_certificate["name"] == "theta_confusability"
+
+    def test_a_closed_channel_side_builds_no_power(self, monkeypatch):
+        # P4's graph utility over y -> {y, y + 1 mod 4}: G_c is the perfect
+        # C4, so both sides close at n = 1 and no graph on X^n, n >= 2, is
+        # built; the channel side built G_c^2 and G_c^3 (3 strong products)
+        blocklengths, products = [], []
+        sign_graph, strong_product = graphs._sign_graph, graphs.strong_product
+        monkeypatch.setattr(graphs, "_sign_graph",
+                            lambda ints, n: blocklengths.append(n) or sign_graph(ints, n))
+        monkeypatch.setattr(graphs, "strong_product",
+                            lambda g1, g2: products.append(g2) or strong_product(g1, g2))
+        U = utility_from_graph(path_graph(4))
+        channel = make_channel(U.alphabet, [[Fraction(1, 2) if j in (i, (i + 1) % 4) else 0
+                                             for j in range(4)] for i in range(4)])
+        b = asymptotic_rate_bracket(U, channel, n_max=3)
+        assert (b.exact.base, b.exact.root) == (2, 1)
+        assert set(blocklengths) == {1}
+        assert products == []
 
     def test_unconverged_channel_theta_is_skipped(self, monkeypatch):
         def diverge(g, **kw):
@@ -506,7 +585,9 @@ class TestAsymptoticRateBracket:
 
     def test_theta_of_a_perfect_channel_is_its_alpha(self, pentagon, monkeypatch):
         # K2 + K3 is perfect, so theta(G_c) is alpha(G_c) = 2 with no
-        # solver; the pentagon's own 5-cycle is solved, once
+        # solver, and the channel's upper is the integer alpha of the
+        # perfect-graph closure (it was theta + tol); the pentagon's own
+        # 5-cycle is solved, once
         solved = []
         solve = ixcap.upper_bounds.lovasz_theta
         monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta",
@@ -514,8 +595,7 @@ class TestAsymptoticRateBracket:
         channel = make_channel(Alphabet.of_size(5), self.K2_K3)
         b = asymptotic_rate_bracket(pentagon, channel)
         assert solved == [sender_graph(pentagon, 1).rows]
-        assert b.upper_certificate == {"name": "theta_confusability", "theta": 2.0,
-                                       "tol": 1e-3, "perfect": True}
+        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 2}
 
 
 def _biconnected(g: Graph, vertices) -> bool:
