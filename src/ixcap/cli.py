@@ -1,9 +1,10 @@
 """Command-line front end: analysis reports, game replay, thin wrappers over
 the bound computations, and the bundled worked-example corpus runner.
 
-Every sub-command writes a JSON report to stdout or ``--out``.  Only
-``analyze`` offers other renderings (``--format csv`` or ``md``), and
-``corpus`` prints its checks as markdown unless ``--format json`` is given.
+Each run writes one document, to stdout or ``--out``: by default a JSON
+report.  Only ``analyze`` offers other renderings (``--format csv`` or
+``md``), and ``corpus`` prints its checks as markdown unless ``--format
+json`` or ``--out`` is given; its ``--out`` file holds the JSON report.
 ``analyze`` runs one ``xi_bracket`` pass and prints its per-blocklength
 records and theta(G_s^Sym) next to the bracket, so the table shows the very
 values the bracket compared, one row per blocklength run; its perfect-graph
@@ -103,6 +104,13 @@ def _write_output(payload: dict, out, text: str | None = None):
         sys.stdout.write(text)
 
 
+def _bracket_exit(bracket) -> int:
+    """EXIT_BUDGET when a search skipped for its budget leaves the bracket
+    open.  The skip stays in the report, but an exact value needs no more,
+    so it fails no run."""
+    return EXIT_BUDGET if bracket.warnings and bracket.exact is None else EXIT_OK
+
+
 def _utility_from_args(args) -> UtilityMatrix:
     if getattr(args, "utility", None):
         return load_utility(args.utility)
@@ -132,48 +140,29 @@ def cmd_analyze(args) -> int:
         "budget_exceeded": bool(bracket.warnings),
     }
 
-    csv_rows = [(
-        "n", "alpha_sender", "alpha_sender_rate", "gamma", "gamma_rate",
-        "alpha_sym",
-    )]
-    for row in bracket.per_n:
-        csv_rows.append((
-            row["n"],
-            row.get("alpha_sender", ""),
-            _fmt(row["alpha_sender_rate"]) if "alpha_sender_rate" in row else "",
-            row.get("gamma", ""),
-            _fmt(row["gamma_rate"]) if "gamma_rate" in row else "",
-            row.get("alpha_sym", ""),
-        ))
-
-    md_lines = [
-        f"# Capacity analysis: {utility_path.name}",
-        "",
-        f"- alphabet size q = {U.q}",
-        f"- bracket: [{_fmt(bracket.lower)}, {_fmt(bracket.upper)}]"
-        + (f", exact = {_fmt(bracket.exact.value)}" if bracket.exact else ""),
-        "",
-        "| n | alpha(G_s^n) | rate | Gamma(U_n) | rate | alpha sym |",
-        "|---|---|---|---|---|---|",
-    ]
-    for row in bracket.per_n:
-        md_lines.append(
-            f"| {row['n']} | {row.get('alpha_sender', '-')} "
-            f"| {_fmt(row['alpha_sender_rate']) if 'alpha_sender_rate' in row else '-'} "
-            f"| {row.get('gamma', '-')} "
-            f"| {_fmt(row['gamma_rate']) if 'gamma_rate' in row else '-'} "
-            f"| {row.get('alpha_sym', '-')} |"
-        )
-    md_lines.append("")
-
+    # a record lacks the fields of a search skipped for its budget: None here
+    columns = ("n", "alpha_sender", "alpha_sender_rate", "gamma", "gamma_rate", "alpha_sym")
+    cells = [[_fmt(row[key]) if key.endswith("_rate") and key in row else row.get(key)
+              for key in columns] for row in bracket.per_n]
     texts = {
-        "csv": "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n",
-        "md": "\n".join(md_lines),
+        "csv": "".join(",".join("" if c is None else str(c) for c in row) + "\n"
+                       for row in [columns, *cells]),
+        "md": "\n".join([
+            f"# Capacity analysis: {utility_path.name}",
+            "",
+            f"- alphabet size q = {U.q}",
+            f"- bracket: [{_fmt(bracket.lower)}, {_fmt(bracket.upper)}]"
+            + (f", exact = {_fmt(bracket.exact.value)}" if bracket.exact else ""),
+            "",
+            "| n | alpha(G_s^n) | rate | Gamma(U_n) | rate | alpha sym |",
+            "|---|---|---|---|---|---|",
+            *("| " + " | ".join("-" if c is None else str(c) for c in row) + " |"
+              for row in cells),
+            "",
+        ]),
     }
     _write_output(payload, args.out, texts.get(args.format))
-    # a search skipped for its budget stays in the report, but only one that
-    # leaves the bracket open fails the run: an exact value needs no more
-    return EXIT_BUDGET if bracket.warnings and bracket.exact is None else EXIT_OK
+    return _bracket_exit(bracket)
 
 
 def _strategy_file(U: UtilityMatrix, receiver: str, n: int):
@@ -216,22 +205,19 @@ def cmd_game(args) -> int:
         _, strategy = noisy_equilibrium_value(U, channel, n, budget=budget)
     else:
         strategy = _strategy_file(U, receiver, n)
+    outcome = (worst_case_decoded_set(U, strategy) if noiseless
+               else verify_noisy_equilibrium(U, channel, strategy))
     labels = sequence_labels(U.alphabet, n)
+    payload["decoded_set"] = [labels[x] for x in outcome.decoded_worst]
+    payload["decoded_size"] = outcome.decoded_size
+    payload["rate"] = outcome.rate
     if noiseless:
-        outcome = worst_case_decoded_set(U, strategy)
-        payload["decoded_set"] = [labels[x] for x in outcome.decoded_worst]
-        payload["decoded_size"] = outcome.decoded_size
-        payload["rate"] = outcome.rate
         payload["best_response_targets"] = {
             label: [labels[x] for x in targets]
             for label, targets in zip(labels, outcome.best_response_summary)
         }
     else:
-        outcome = verify_noisy_equilibrium(U, channel, strategy)
         payload["channel"] = str(args.channel)
-        payload["decoded_size"] = outcome.decoded_size
-        payload["rate"] = outcome.rate
-        payload["decoded_set"] = [labels[x] for x in outcome.decoded_worst]
         # each recovered sequence's least best response
         payload["input_set"] = [labels[outcome.best_response_summary[x][0]]
                                 for x in outcome.decoded_worst]
@@ -309,9 +295,7 @@ def cmd_capacity(args) -> int:
         "bracket": bracket.to_json_dict(),
     }
     _write_output(payload, args.out)
-    # as in cmd_analyze, only a skipped search that leaves the bracket open
-    # fails the run
-    return EXIT_BUDGET if bracket.warnings and bracket.exact is None else EXIT_OK
+    return _bracket_exit(bracket)
 
 
 def _corpus_checks():
@@ -376,7 +360,6 @@ def _corpus_checks():
 
 def cmd_corpus(args) -> int:
     checks = _corpus_checks()
-    ok = all(c["pass"] for c in checks)
     payload = {
         "tool": {"name": "ixcap", "version": __version__, "command": "corpus"},
         "passed": sum(1 for c in checks if c["pass"]),
@@ -388,12 +371,9 @@ def cmd_corpus(args) -> int:
         status = "PASS" if c["pass"] else "FAIL"
         lines.append(f"[{status}] {c['name']}: expected {c['expected']}, got {c['got']}")
     lines.append(f"{payload['passed']} passed, {payload['failed']} failed")
-    md_text = "\n".join(lines) + "\n"
-    if args.format == "json" or args.out:
-        _write_output(payload, args.out)
-    if not args.out:
-        sys.stdout.write(md_text)
-    return EXIT_OK if ok else EXIT_GOLDEN
+    md_text = None if args.out or args.format == "json" else "\n".join(lines) + "\n"
+    _write_output(payload, args.out, md_text)
+    return EXIT_GOLDEN if payload["failed"] else EXIT_OK
 
 
 def _add_budget_nodes(p):

@@ -119,6 +119,11 @@ class Alphabet:
             raise InputError("alphabet must contain at least one symbol")
         if len(set(self.symbols)) != len(self.symbols):
             raise InputError("alphabet labels must be distinct")
+        # sequence_labels joins the symbols with "," unless each is one
+        # character; a symbol holding "," would then make two words one label
+        if any(len(s) != 1 for s in self.symbols) and any("," in s for s in self.symbols):
+            raise InputError("a symbol contains ',', which joins the symbols of "
+                             "a sequence label when some symbol is not one character")
 
     @property
     def q(self) -> int:

@@ -68,6 +68,7 @@ class TestChannelJson:
         {"matrix": [[1, 0], [0, 1]]},  # no "rows"
         {"alphabet": ["a", "b", "c"], "rows": [[1, 0], [0, 1]]},  # size mismatch
         {"alphabet": ["a", "a"], "rows": [[1, 0], [0, 1]]},  # repeated labels
+        {"alphabet": ["a", "a,a"], "rows": [[1, 0], [0, 1]]},  # a comma in joined labels
         {"rows": [[1, 0], [1, 1]]},
         {"rows": 7},  # not a list of rows
         {"rows": [5, [0, 1]]},  # a row that is not a list

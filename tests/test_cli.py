@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -179,6 +181,31 @@ def test_corpus_goldens_pass():
     assert main(["corpus"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ["alpha", "--utility", PENTAGON],
+    ["gamma", "--utility", PENTAGON],
+    ["gamma", "--utility", PENTAGON, "--subset", "0,2"],
+    ["theta", "--utility", PENTAGON],
+    ["capacity", "--utility", EXAMPLE1, "--channel", CONFUSE12],
+    ["game", "--utility", EXAMPLE1],
+    ["game", "--utility", EXAMPLE1, "--channel", CONFUSE12],
+    ["analyze", "--utility", PENTAGON, "--format", "json"],
+    ["corpus", "--format", "json"],
+], ids=["alpha", "gamma", "gamma-subset", "theta", "capacity", "game-noiseless", "game-noisy",
+        "analyze", "corpus"])
+def test_a_json_report_on_stdout_is_one_document(argv, tmp_path, capsys):
+    # once corpus --format json printed its markdown after the report
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout)
+    assert stdout == json.dumps(report, indent=2) + "\n"
+    if argv[0] == "corpus":
+        out = tmp_path / "corpus.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text()) == report
+
+
 def test_corpus_golden_mismatch(monkeypatch):
     monkeypatch.setattr(cli, "gamma", lambda U, **kw: (99, None))
     assert main(["corpus"]) == EXIT_GOLDEN
@@ -230,6 +257,32 @@ def test_analyze_prints_the_bracket_records(tmp_path, pentagon):
     assert len(csv_text.splitlines()) == 1 + 2
     _, md_text = _analyze(tmp_path, fmt="md")
     assert sum(line.startswith("| ") and line[2].isdigit() for line in md_text.splitlines()) == 2
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget-nodes", "1"], ["--budget-nodes", "3"]],
+                         ids=["default", "budget-1", "budget-3"])
+def test_analyze_tables_carry_the_json_records(tmp_path, budget):
+    # each csv and markdown row holds its JSON record's fields: a rate as
+    # _fmt prints it, and a field the record lacks blank in csv, "-" in md
+    _, text = _analyze(tmp_path, *budget)
+    records = json.loads(text)["per_n"]
+    keys = ["n", "alpha_sender", "alpha_sender_rate", "gamma", "gamma_rate", "alpha_sym"]
+
+    def expected(record, missing):
+        return [missing if key not in record
+                else cli._fmt(record[key]) if key.endswith("_rate") else str(record[key])
+                for key in keys]
+
+    _, csv_text = _analyze(tmp_path, *budget, fmt="csv")
+    header, *rows = csv.reader(io.StringIO(csv_text))
+    assert header == keys
+    assert rows == [expected(record, "") for record in records]
+    _, md_text = _analyze(tmp_path, *budget, fmt="md")
+    rows = [line[2:-2].split(" | ") for line in md_text.splitlines()
+            if line.startswith("| ") and line[2].isdigit()]
+    assert rows == [expected(record, "-") for record in records]
+    # out of budget, a record lacks fields, and its cells are blank
+    assert bool(budget) == any(key not in record for record in records for key in keys)
 
 
 def test_gamma_stops_at_its_node_budget(tmp_path):

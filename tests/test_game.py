@@ -46,6 +46,7 @@ from ixcap.game import (
     output_support_indices,
     receiver_strategy_from_set,
     strategy_from_json_dict,
+    strategy_to_json_dict,
     verify_noisy_equilibrium,
     worst_case_decoded_set,
 )
@@ -758,6 +759,27 @@ class TestOptimizedInterpreter:
             cwd=root, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.splitlines()[-1].startswith("6 passed")
+
+
+def test_a_strategy_on_a_mixed_alphabet_round_trips():
+    # symbols of one and of several characters, the one-character "," among
+    # them where all are one character: every output keeps its own label
+    rng = random.Random(38)
+    singles, longs = ["a", "b", ",", "c"], ["ab", "ba", "abc", ""]
+    for _ in range(40):
+        symbols = rng.sample(singles, rng.randint(1, 3))
+        if rng.random() < 0.7:
+            symbols = [s for s in symbols if s != ","] + rng.sample(longs, rng.randint(1, 2))
+        rng.shuffle(symbols)
+        q = len(symbols)
+        U = normalize_diagonal([[0] * q] * q, Alphabet(tuple(symbols)))
+        for n in (1, 2, 3):
+            words = range(q**n)
+            for g in (naive_receiver_strategy(q, n),
+                      ReceiverStrategy(n, tuple(rng.choice([None, *words]) for _ in words))):
+                table = strategy_to_json_dict(U, g)
+                assert len(table["decode"]) == q**n
+                assert strategy_from_json_dict(U, json.loads(json.dumps(table))) == g
 
 
 class TestVertexCap:

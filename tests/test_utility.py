@@ -278,6 +278,37 @@ class TestSequenceLabels:
         assert labels[5] == "ab,c,d"
         assert labels == tuple(map(",".join, product(symbols, repeat=3)))
 
+    @pytest.mark.parametrize("symbols", [("a", "a,a"), (",", "ab"), ("0", "1", "x,")])
+    def test_a_comma_in_a_comma_joined_label_is_refused(self, symbols):
+        # once "a,a" gave the label "a,a,a" to both ("a", "a,a") and ("a,a", "a")
+        with pytest.raises(InputError, match="contains ','"):
+            Alphabet(symbols)
+        q = len(symbols)
+        with pytest.raises(InputError, match="contains ','"):
+            utility_from_json({"alphabet": list(symbols), "utility": [[0] * q] * q})
+
+    def test_a_one_character_comma_stays_legal(self):
+        # every symbol is one character, so the labels join with ""
+        labels = sequence_labels(Alphabet((",", "a")), 2)
+        assert labels == (",,", ",a", "a,", "aa")
+
+    def test_labels_of_mixed_alphabets_are_distinct(self):
+        rng = random.Random(38)
+        pool = ["a", "b", ",", "ab", "ba", "a,", ",b", "abc", ""]
+        legal = 0
+        for _ in range(200):
+            symbols = tuple(rng.sample(pool, rng.randint(1, 4)))
+            joined = any(len(s) != 1 for s in symbols)
+            if joined and any("," in s for s in symbols):
+                with pytest.raises(InputError):
+                    Alphabet(symbols)
+                continue
+            legal += 1
+            for n in (1, 2, 3):
+                labels = sequence_labels(Alphabet(symbols), n)
+                assert len(set(labels)) == len(symbols) ** n
+        assert legal >= 50
+
 
 def _antisymmetric_part(U):
     return [[(U.u[i][j] - U.u[j][i]) / 2 for j in range(U.q)] for i in range(U.q)]
