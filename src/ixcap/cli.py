@@ -253,8 +253,7 @@ def cmd_gamma(args) -> int:
         raise InputError("--subset tests symbols at blocklength 1 and takes no -n")
     U = _utility_from_args(args)
     if args.subset is not None:
-        labels = args.subset.split(",") if args.subset.strip() else []
-        subset = [U.alphabet.index_of(s.strip()) for s in labels]
+        subset = U.alphabet.indices_of(args.subset)
         payload = feasibility_report(U, subset)
         payload["sufficient_margin"] = sufficient_margin_check(U, subset)
         _write_output(payload, args.out)

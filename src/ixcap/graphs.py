@@ -35,7 +35,8 @@ with the same letters, ``_type_classes``) are its orbits: an open
 sandwich's search starts from the largest union of whole classes that a
 small search over the classes finds (``_best_union``), when it beats I^n,
 and prunes its root by the classes.  Every other graph is searched on its
-copy (``_SearchCopy``, ``_CliqueSearch``)."""
+copy (``_SearchCopy``, ``_CliqueSearch``).  Every search reads its graph's
+own rows, relabelled or not, and no complement is built."""
 
 from __future__ import annotations
 
@@ -358,13 +359,14 @@ class _Found(Exception):
 
 
 class _CliqueSearch:
-    """Exact maximum clique by branch and bound with greedy-coloring bounds.
+    """Exact maximum independent set by branch and bound with colouring bounds.
 
-    Run on the complement, a maximum clique is a maximum independent set.
+    ``rows`` are the graph's rows in the search's numbering: a branch on v
+    drops v's closed neighbourhood, and each colour class is a clique.
     Every expansion charges one node to ``meter``, which the other searches
     of the same answer share: the maximum search, the witness pass, and the
-    searches that derived their bounds.  With ``reports``, each larger
-    clique that ``maximum`` finds becomes the meter's ``best``.  After a run
+    searches that derived their bounds.  With ``reports``, each larger set
+    that ``maximum`` finds becomes the meter's ``best``.  After a run
     that finds its set, ``best_mask`` holds that set, which the witness pass
     reuses; ``at_least`` with a target of 0 or less returns True without a
     run and leaves ``best_mask`` stale.  ``maximum`` can prune the root by
@@ -373,24 +375,22 @@ class _CliqueSearch:
     The colouring (Tomita et al. 2003/2010, San Segundo et al. 2011) takes
     each candidate's highest vertex into the open colour class, found by
     one ``bit_length`` b (Python has no cheap lowest bit), and then keeps
-    only what ``fences[b]``, the vertices outside the closed neighbourhood
-    of vertex b - 1, allows in it.  ``fences`` and ``bits`` are indexed by
-    bit length, so vertex v sits at v + 1 and entry 0 is never read; a
-    fence is a nonnegative mask, since a negative int costs extra in every
-    ``&``.  A node at clique size ``size`` lists only the classes from
-    kmin = best_size - size + 1 up: the lower ones are still coloured,
-    since the greedy needs them, but the branch loop, which walks the list
-    from its highest class down, would stop at the first of them, and
-    best_size only grows while it walks.  So each node branches on the same
-    vertices in the same order as a full listing would, and the search
-    tree, its node count and its answer are unchanged.
+    only what ``fences[b]``, the row of vertex b - 1, allows in it.
+    ``fences`` and ``bits`` are indexed by bit length, so vertex v sits at
+    v + 1 and entry 0 is never read.  A node at set size ``size`` lists
+    only the classes from kmin = best_size - size + 1 up: the lower ones
+    are still coloured, since the greedy needs them, but the branch loop,
+    which walks the list from its highest class down, would stop at the
+    first of them, and best_size only grows while it walks.  So each node
+    branches on the same vertices in the same order as a full listing
+    would, and the search tree, its node count and its answer are
+    unchanged.
     """
 
     def __init__(self, rows: tuple[int, ...], meter: _Meter, reports: bool = False):
         self.rows = rows
-        full = (1 << len(rows)) - 1
-        self.bits = bits = [0, *(1 << v for v in range(len(rows)))]
-        self.fences = [0, *(full ^ (row | bits[v]) for v, row in enumerate(rows, 1))]
+        self.bits = [0, *(1 << v for v in range(len(rows)))]
+        self.fences = [0, *rows]
         self.meter = meter
         self.reports = reports
         self.best_size = 0
@@ -428,7 +428,7 @@ class _CliqueSearch:
                 return
             if orbit and not (cand >> v) & 1:
                 continue  # its orbit was searched
-            new_cand = cand & self.rows[v]
+            new_cand = cand & ~(self.rows[v] | 1 << v)
             new_mask = current_mask | (1 << v)
             if size + 1 > self.best_size:
                 self.best_size = size + 1
@@ -443,12 +443,13 @@ class _CliqueSearch:
 
     def maximum(self, cand: int, seed: int = 0, ceiling: int | None = None,
                 orbit=None) -> tuple[int, int]:
-        """A maximum clique within cand, searched from the incumbent clique
-        ``seed`` and stopped as soon as one reaches ``ceiling``.
+        """A maximum independent set within cand, searched from the
+        incumbent set ``seed`` and stopped as soon as one reaches
+        ``ceiling``.
 
         ``orbit(v)``, if given, is the mask of v's orbit under a group of
         automorphisms that maps cand onto itself.  The root then drops the
-        whole orbit of each vertex it has branched on: a clique through
+        whole orbit of each vertex it has branched on: a set through
         another member is the image of one through v, which that branch
         searched, and what stays in cand is still a union of orbits.
         Deeper levels branch on single vertices."""
@@ -465,8 +466,7 @@ class _CliqueSearch:
 
     def clique_partition(self) -> list[int]:
         """The classes of ``_color_order``'s greedy colouring of all of the
-        search's vertices, as masks: independent in the search's graph, so
-        cliques of the graph it complements."""
+        search's vertices, as masks: cliques of the search's graph."""
         order = self._color_order((1 << len(self.rows)) - 1)
         classes = [0] * (order[-1][1] if order else 0)
         for v, colour in order:
@@ -474,7 +474,7 @@ class _CliqueSearch:
         return classes
 
     def at_least(self, cand: int, target: int) -> bool:
-        """True iff the graph restricted to cand has a clique of size >= target."""
+        """True iff cand holds an independent set of size >= target."""
         if target <= 0:
             return True
         self.best_size, self.best_mask = target - 1, 0
@@ -504,7 +504,7 @@ def _relabel(mask: int, new_of: Sequence[int]) -> int:
 
 
 class _SearchCopy:
-    """The complement of g on which every search of g runs, relabelled.
+    """g's rows relabelled, on which every search of g runs.
 
     The copy numbers g's vertices from the top by ascending degree, ties by
     index: g's smallest-degree vertex is the copy's highest, where the
@@ -516,15 +516,14 @@ class _SearchCopy:
     ``new_of[v]`` is vertex v's number in the copy and ``order[i]`` the
     vertex numbered i.  Each row block of ``_row_blocks`` takes g's packed
     rows in the copy's order, unpacks them, takes their columns in that
-    order, complements them and packs them again, so no V x V matrix is
-    ever held.
+    order and packs them again, so no V x V matrix is ever held.
     """
 
     def __init__(self, g: Graph):
         n = g.n_vertices
         self.ordered = n >= ORDERED_MIN_VERTICES
         if not self.ordered:
-            self.rows = g.complement_rows()
+            self.rows = g.rows
             self.order = self.new_of = range(n)
             return
         order = np.argsort([r.bit_count() for r in g.rows], kind="stable")[::-1]
@@ -535,8 +534,6 @@ class _SearchCopy:
         for block in _row_blocks(n, n):
             adj = np.unpackbits(packed.take(order[block], 0), axis=1, count=n,
                                 bitorder="little").view(bool).take(order, 1)
-            np.logical_not(adj, out=adj)
-            np.fill_diagonal(adj[:, block], False)
             rows.extend(_pack_bool_rows(adj))
             del adj  # before the next block is unpacked
         self.rows = tuple(rows)
@@ -554,26 +551,13 @@ class _SearchCopy:
         return _relabel(mask, self.order) if self.ordered else mask
 
 
-class _OwnRows:
-    """The complement rows of g in g's own numbering, each made when it is
-    read: a walk reads few of them, and all of them cost about 50 us at 216
-    vertices."""
-
-    def __init__(self, g: Graph):
-        self.rows = g.rows
-        self.full = (1 << g.n_vertices) - 1
-
-    def __getitem__(self, v: int) -> int:
-        return self.full ^ self.rows[v] ^ (1 << v)
-
-
 class _ClosedSearch:
     """The witness pass's partition and searches on a closed sandwich, in
-    g's own numbering.  The partition is the product cliques of cliques, a
-    minimum clique partition of H (see ``_sandwich``), made when the pass
-    first needs it.  The ``at_least`` searches run on g's degree-ordered
-    copy and its fences, built at the first search.  A pass that needs
-    neither builds neither."""
+    g's own numbering, in which the walk reads g's rows.  The partition is
+    the product cliques of cliques, a minimum clique partition of H (see
+    ``_sandwich``), made when the pass first needs it.  The ``at_least``
+    searches run on g's degree-ordered copy, built at the first search.  A
+    pass that needs neither builds neither."""
 
     def __init__(self, g: Graph, meter: _Meter, cliques: list[int]):
         self.g = g
@@ -603,10 +587,11 @@ def _lex_least(g: Graph, alpha: int, maxset: int, rows, new_of,
     one maximum set, in g's own index order.
 
     The walk visits g's vertices in g's order and keeps its sets in the
-    search's numbering, in which rows[i] is the complement row of vertex i
-    and new_of[v] is vertex v's number: the copy's (``_SearchCopy``) under
-    a ``_CliqueSearch``, g's own under a ``_ClosedSearch``.  The chosen
-    vertices and the open part maxset & cand always form a maximum
+    search's numbering, in which rows[i] is the row of vertex i and
+    new_of[v] is vertex v's number: the copy's (``_SearchCopy``) under a
+    ``_CliqueSearch``, g's own under a ``_ClosedSearch``.  rest is what
+    stays open beside vertex i: cand outside i's closed neighbourhood.  The
+    chosen vertices and the open part maxset & cand always form a maximum
     independent set W, and cand holds no vertex below v, so rest holds none
     up to v.  A vertex i in W is kept.  Any other is settled by the first
     rule that applies, each counted in the meter's ``settled``:
@@ -638,7 +623,7 @@ def _lex_least(g: Graph, alpha: int, maxset: int, rows, new_of,
         i = new_of[v]
         if not (cand >> i) & 1:
             continue
-        rest = cand & rows[i]
+        rest = cand & ~(rows[i] | 1 << i)
         if not (maxset >> i) & 1:
             kept = maxset & rest
             conflicts = ((maxset & cand) ^ kept).bit_count()
@@ -1032,7 +1017,7 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None 
                 meter.best = seed.bit_count()
         if seed.bit_count() == ceiling:
             # closed: the incumbent is maximum, and the walk runs on g's own rows
-            return ceiling, _lex_least(g, ceiling, seed, _OwnRows(g), range(nv),
+            return ceiling, _lex_least(g, ceiling, seed, g.rows, range(nv),
                                        _ClosedSearch(g, meter, cliques))
     copy = _SearchCopy(g)
     search = _CliqueSearch(copy.rows, meter, reports)

@@ -15,8 +15,8 @@ the symmetric-part graph G_s^Sym,n in index order, and one budget,
 budget, it returns the largest feasible subset found.  A feasible subset is
 independent in G_s^Sym,n, so it meets each clique of a clique partition at
 most once: a branch is cut when the open candidates split into too few
-cliques, by the greedy colouring of ``graphs._CliqueSearch`` on the
-complement, to lift its members past the largest subset found.  Once the
+cliques, by the greedy colouring of ``graphs._CliqueSearch`` on G_s^Sym,n's
+own rows, to lift its members past the largest subset found.  Once the
 canonical maximum independent set fails at n >= 2, the search also builds,
 when its (q**n)**3 cells fit one row block, a mask per ordered pair of words
 of the words that close a 3-cycle of sum >= 0 with them: every 3-member
@@ -247,8 +247,8 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     unchanged.
 
     Each branch is bounded by a clique cover of its open candidates in
-    G_s^Sym,n: the greedy colouring of ``graphs._CliqueSearch`` on the
-    complement, whose colour classes are cliques of G_s^Sym,n, made once
+    G_s^Sym,n: the greedy colouring of ``graphs._CliqueSearch`` on
+    G_s^Sym,n's own rows, whose colour classes are its cliques, made once
     per search.  A feasible subset is independent there and meets each
     clique at most once, so when the members plus the cliques come to no
     more than the incumbent, no set in the branch beats it, and the branch
@@ -296,8 +296,7 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     if feasible(first, [[pair(t, y) for y in first] for t in first]):
         return first, True
 
-    # colour classes of the complement are cliques of G_s^Sym,n
-    cover = _CliqueSearch(sym_graph.complement_rows(), meter)
+    cover = _CliqueSearch(sym_graph.rows, meter)
     triples = None if n == 1 else _triple_masks(U.scaled_integer_entries[1], n)
     tested = 3 if triples is None else 4
 

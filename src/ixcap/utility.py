@@ -36,6 +36,7 @@ block holds them.  ``_read_json`` alone reads input files.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -134,6 +135,20 @@ class Alphabet:
             return self.symbols.index(label)
         except ValueError:
             raise InputError(f"unknown symbol {label!r}") from None
+
+    def indices_of(self, text: str) -> list[int]:
+        """The indices of the symbols that text lists, separated by "," and
+        spaces, read symbol by symbol: where a symbol is due, a one-character
+        symbol "," is that symbol, so ",,a" lists "," and "a".  None for a
+        blank text; InputError for an item, up to its ",", that is no symbol."""
+        item = re.compile(r"\s*(%s)\s*(,|\Z)" % "|".join(map(re.escape, self.symbols)))
+        found, pos, more = [], 0, bool(text.strip())
+        while more:
+            m = item.match(text, pos)
+            # an item that no symbol matches is none, and index_of raises
+            found.append(self.index_of(m[1] if m else text[pos:].split(",")[0].strip()))
+            pos, more = m.end(), bool(m[2])
+        return found
 
     @staticmethod
     def of_size(q: int) -> "Alphabet":

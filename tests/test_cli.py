@@ -84,6 +84,48 @@ def test_empty_subset_names_the_fault(capsys):
     assert capsys.readouterr().err == "ixcap: error: subset must be nonempty\n"
 
 
+def _alphabet_utility(tmp_path, symbols) -> str:
+    """The path of a utility file on the given symbols, u = -1 off the
+    diagonal, so every subset is feasible."""
+    path = tmp_path / "alphabet.json"
+    q = len(symbols)
+    utility = [[0 if i == j else -1 for j in range(q)] for i in range(q)]
+    path.write_text(json.dumps({"alphabet": symbols, "utility": utility}))
+    return str(path)
+
+
+@pytest.mark.parametrize("symbols, text, subset", [
+    ([",", "a", "b"], ",,a", [",", "a"]),
+    ([",", "a", "b"], "a, ,", ["a", ","]),
+    ([",", "a", "b"], "b,a", ["b", "a"]),
+    (["0", "1", "2"], "0,1,2", ["0", "1", "2"]),
+    (["a", "b", "c"], "a, b", ["a", "b"]),
+    (["ab", "ba", "a"], "ab,ba", ["ab", "ba"]),
+    (["ab", "ba", "a"], " a ,ab", ["a", "ab"]),
+])
+def test_subset_is_read_by_the_alphabets_symbols(tmp_path, capsys, symbols, text, subset):
+    # a one-character "," is a symbol where one is due: ",,a" once split
+    # into "", "" and "a" and exited 1 with "unknown symbol ''"
+    argv = ["gamma", "--utility", _alphabet_utility(tmp_path, symbols), "--subset", text]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["subset"] == subset
+
+
+@pytest.mark.parametrize("symbols, text, unknown", [
+    ([",", "a", "b"], ",,", ""),
+    ([",", "a", "b"], "a,", ""),
+    ([",", "a", "b"], "ab", "ab"),
+    ([",", "a", "b"], "a b", "a b"),
+    ([",", "a", "b"], "c,a", "c"),
+    (["ab", "ba", "a"], "ab,,ba", ""),
+    (["ab", "ba", "a"], "abba", "abba"),
+])
+def test_a_malformed_subset_is_an_input_error(tmp_path, capsys, symbols, text, unknown):
+    argv = ["gamma", "--utility", _alphabet_utility(tmp_path, symbols), "--subset", text]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"ixcap: error: unknown symbol {unknown!r}\n"
+
+
 def test_analyze_without_a_utility_names_the_flag(capsys):
     assert main(["analyze"]) == EXIT_INPUT
     assert capsys.readouterr().err == "ixcap: error: --utility is required\n"

@@ -494,17 +494,18 @@ class TestDegreeOrder:
         assert sizes == [n - 1, n] and relabelled == [n]
 
 
-def relabelled_complement(g: Graph, new_of) -> list[int]:
-    """The complement of g with vertex v renamed new_of[v], row by row."""
-    rows = [0] * g.n_vertices
-    for v, row in enumerate(g.complement_rows()):
-        rows[new_of[v]] = ixcap.graphs._relabel(row, new_of)
-    return rows
+def relabelled(rows, new_of) -> list[int]:
+    """The graph with the given rows and vertex v renamed new_of[v], row by
+    row."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        out[new_of[v]] = ixcap.graphs._relabel(row, new_of)
+    return out
 
 
 class TestSearchCopy:
     """A relabelled copy is built in row blocks, and never as one V x V
-    matrix; its rows are those of the whole relabelled complement."""
+    matrix; its rows are g's own rows, relabelled."""
 
     def graphs(self):
         rng = random.Random(83)
@@ -513,12 +514,21 @@ class TestSearchCopy:
         graphs += [_random_sender_power(seed, 4, 3) for seed in range(4)]
         return graphs + [empty_graph(64), complete_graph(65), strong_power(cycle_graph(5), 3)]
 
-    def test_copy_is_the_relabelled_complement(self):
-        for g in self.graphs():
-            copy = ixcap.graphs._SearchCopy(g)
-            assert copy.ordered
-            assert list(copy.rows) == relabelled_complement(g, copy.new_of)
-            assert sorted(copy.order) == list(range(g.n_vertices))
+    def test_copy_is_the_relabelled_graph(self, monkeypatch):
+        graphs = self.graphs()
+        for cells in (None, 50):  # whole, then in blocks of a row or less
+            if cells:
+                monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", cells)
+            for g in graphs:
+                copy = ixcap.graphs._SearchCopy(g)
+                assert copy.ordered
+                assert list(copy.rows) == relabelled(g.rows, copy.new_of)
+                assert sorted(copy.order) == list(range(g.n_vertices))
+
+    def test_a_small_copy_is_the_graph_itself(self):
+        g = cycle_graph(ixcap.graphs.ORDERED_MIN_VERTICES - 1)
+        copy = ixcap.graphs._SearchCopy(g)
+        assert not copy.ordered and copy.rows is g.rows
 
     @pytest.mark.parametrize("cells", [1, 50, 1000])
     def test_row_blocks_give_the_same_copy(self, monkeypatch, cells):
@@ -1105,7 +1115,7 @@ class TestLetterRule:
             seed, ceiling, cliques = ixcap.graphs._sandwich(g, meter, bases)
             assert (seed, ceiling) == (sum(1 << w for w in witness), alpha)
             assert witness == ixcap.graphs._lex_least(
-                g, alpha, seed, ixcap.graphs._OwnRows(g), range(g.n_vertices),
+                g, alpha, seed, g.rows, range(g.n_vertices),
                 ixcap.graphs._ClosedSearch(g, meter, cliques))
             compared["walk"] += 1
             if g.n_vertices <= 64:
@@ -1146,11 +1156,13 @@ class TestLetterRule:
 class TestColorOrder:
     def test_kmin_lists_the_classes_from_kmin_up(self):
         # the cut drops the low classes from the full colouring and nothing
-        # else; kmin = 1 is the full greedy colouring itself
+        # else; kmin = 1 is the full greedy colouring itself.  The search on
+        # the complement's rows colours into cliques of the complement, the
+        # independent sets of g that greedy_coloring(g.rows) builds
         rng = random.Random(191)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 40), rng.uniform(0.05, 0.9))
-            search = ixcap.graphs._CliqueSearch(g.rows, ixcap.graphs._Meter(1))
+            search = ixcap.graphs._CliqueSearch(g.complement_rows(), ixcap.graphs._Meter(1))
             for _ in range(5):
                 cand = rng.getrandbits(g.n_vertices)
                 full = search._color_order(cand)
@@ -1160,10 +1172,11 @@ class TestColorOrder:
                         (v, c) for v, c in full if c >= kmin]
 
     def test_colour_classes_are_the_full_colouring(self):
+        # cliques of the complement, as above
         rng = random.Random(193)
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 40), rng.uniform(0.05, 0.9))
-            search = ixcap.graphs._CliqueSearch(g.rows, ixcap.graphs._Meter(1))
+            search = ixcap.graphs._CliqueSearch(g.complement_rows(), ixcap.graphs._Meter(1))
             classes = [0] * g.n_vertices
             for v, c in greedy_coloring(g.rows, (1 << g.n_vertices) - 1):
                 classes[c - 1] |= 1 << v
@@ -1183,7 +1196,7 @@ class TestColorOrder:
             up_of = [0] * g.n_vertices
             for i, v in enumerate(ascending):
                 up_of[v] = i
-            up_rows = relabelled_complement(g, up_of)
+            up_rows = relabelled(g.complement_rows(), up_of)
             search = ixcap.graphs._CliqueSearch(copy.rows, ixcap.graphs._Meter(1))
             for cand in [(1 << g.n_vertices) - 1] + [rng.getrandbits(g.n_vertices)
                                                      for _ in range(3)]:

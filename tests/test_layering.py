@@ -1,6 +1,7 @@
 """The package's import layering, read from its source with ast: the
 brackets' rules live in the bound modules alone, the command line sits on
-top of everything, and the graph modules never name a sequence."""
+top of everything, the graph modules never name a sequence, and no search
+reads a complement."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,27 @@ def test_the_cli_builds_no_table_on_sequences():
     # which applies the channel letter by letter
     assert not _imported_names(SRC / "cli.py") & {
         "numpy", "_row_blocks", "_expand_rows", "_apply_letters"}
+
+
+def _complement_reads(path: Path) -> list[int]:
+    """The lines of a source file that read ``complement_rows``, outside
+    the definition of class ``Graph``."""
+    def walk(node):
+        if isinstance(node, ast.ClassDef) and node.name == "Graph":
+            return
+        if (isinstance(node, ast.Attribute) and node.attr == "complement_rows"
+                or isinstance(node, ast.Name) and node.id == "complement_rows"):
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child)
+    return list(walk(ast.parse(path.read_text())))
+
+
+def test_every_search_reads_its_graphs_own_rows():
+    # the searches take a graph's rows as they are; Graph.complement_rows
+    # is kept for callers that want the complement as a graph of its own
+    reads = {p.name: _complement_reads(p) for p in sorted(SRC.glob("*.py"))}
+    assert len(reads) > 5
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+    # the check sees a read where one is: the tests build complements
+    assert _complement_reads(Path(__file__).with_name("test_upper_bounds.py"))
