@@ -16,7 +16,7 @@ output decodes to x, and x survives when every other input is dominated or
 strictly worse; both analyses take any strategy.
 
 Both analyses are sign tests on the exact integer block sums of
-``utility.block_sums``, read only where the strategy needs them.  Over a
+``utility._block_sums``, read only where the strategy needs them.  Over a
 noisy channel each channel row is written as integers over its own
 denominator, a positive rescaling per input sequence that keeps every sign
 and every zero of the expected utility exact.  The memoryless channel's
@@ -56,8 +56,8 @@ from .graphs import (
 from .utility import (
     UtilityMatrix,
     _read_json,
+    _block_sums,
     _row_blocks,
-    block_sums,
     block_utility,
     parse_integer,
     sequence_labels,
@@ -136,9 +136,8 @@ def _rivalled(sums: np.ndarray, words: np.ndarray, block: slice) -> np.ndarray:
     block rivals it: decoding it truthfully is worth 0 (the zero diagonal),
     so another word worth 0 or more ties or beats it.  Only the words' own
     columns are read."""
-    rival = sums[:, words] >= 0
-    rows = np.arange(block.stop - block.start)
-    rival[rows, rows + block.start] = False
+    rival = sums.take(words, 1) >= 0
+    rival.flat[block.start::len(words) + 1] = False  # cells (y, y) of the block's rows
     return rival.any(axis=0)
 
 
@@ -150,7 +149,7 @@ def _survivors(U: UtilityMatrix, n: int, words) -> tuple[int, ...]:
     words = np.asarray(words, dtype=np.int64)
     rivalled = np.zeros(len(words), dtype=bool)
     for block in _row_blocks(len(words), U.q**n):
-        rivalled |= _rivalled(block_sums(U, n, words[block])[1], words, block)
+        rivalled |= _rivalled(_block_sums(U, n, words[block])[1], words, block)
     return tuple(words[~rivalled].tolist())
 
 
@@ -179,7 +178,7 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
         top = None
         cols = rows = np.zeros(0, dtype=np.int64)
         for block in _row_blocks(len(image), nv):
-            _, sums = block_sums(U, n, image[block])
+            _, sums = _block_sums(U, n, image[block])
             rivalled |= _rivalled(sums, image, block)
             block_top = sums.max(axis=0)
             if top is not None:
@@ -406,7 +405,7 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     for block in _row_blocks(len(xs), 3 * nv):
         # outputs decoded to the error symbol read a stand-in block sum;
         # every input that reaches one is dominated whatever its value
-        m = block_sums(U, n, xs[block], observed=True)[1].T[decode]
+        m = _block_sums(U, n, xs[block], observed=True)[1].T[decode]
         big = max(dens) ** n * max(1, int(abs(m).max(initial=0))) >= 2**62
         w = np.array(w1, dtype=object if big else np.int64)
         value = _apply_letters(w, n, m.astype(object) if big else m)

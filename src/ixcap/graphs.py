@@ -15,7 +15,12 @@ on a + a^T.  A strong power g^n is the same sign test on g's
 closed-neighbourhood table.  At n = 1 the sign graph is the table's own
 sign pattern, read in Python; at n >= 2 the sign graphs and the search's
 relabelled copy are dense V x V tables, built in the row blocks of
-``utility._row_blocks``.  Each blocklength construction refuses more than
+``utility._row_blocks``.  Each block graph is one narrow dense pass: its
+letter sums come in ``utility._sum_table``'s narrowest exact integer type,
+both directions are tested on rows read in memory order, and the packed
+uint8 block that the rows are read from stays on the graph
+(``Graph.packed``) until its first search, whose copy starts from it
+with no second packing.  Each blocklength construction refuses more than
 ``DEFAULT_VERTEX_CAP`` vertices, read when it is called.
 
 A block graph of at least ``ORDERED_MIN_VERTICES`` vertices is bounded by
@@ -36,7 +41,9 @@ sandwich's search starts from the largest union of whole classes that a
 small search over the classes finds (``_best_union``), when it beats I^n,
 and prunes its root by the classes.  Every other graph is searched on its
 copy (``_SearchCopy``, ``_CliqueSearch``).  Every search reads its graph's
-own rows, relabelled or not, and no complement is built."""
+own rows, relabelled or not, and no complement is built.  An open search
+colours its whole graph once: the maximum search's root colouring, whose
+classes the witness pass reuses as its clique partition."""
 
 from __future__ import annotations
 
@@ -109,12 +116,18 @@ class Graph:
     n)`` for the q x q integer table t, which has a zero diagonal; it is
     None on any other graph: block graphs carry their table only at n >= 2,
     where the search reads it, and ``graph_from_edges`` and
-    ``strong_product`` record none.  Equality, hashing and repr ignore it."""
+    ``strong_product`` record none.  ``packed`` is the V x ceil(V / 8)
+    uint8 block of the rows, bit j of row i at bit j % 8 of byte j // 8,
+    that the sign kernel made them from at n >= 2, handed to the graph's
+    first search: ``_alpha`` takes it off the graph, which then holds its
+    rows alone, and gives it to the search copy (``_SearchCopy``).
+    Equality, hashing and repr ignore both."""
 
     n_vertices: int
     rows: tuple[int, ...]
     letters: tuple[tuple[tuple[int, ...], ...], int] | None = field(
         default=None, compare=False, repr=False)
+    packed: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.rows) != self.n_vertices:
@@ -203,9 +216,14 @@ def _check_cap(q: int, n: int = 1) -> int:
 
 
 def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Bitset rows of a boolean matrix, bit j of row i set iff adj[i, j];
-    the zero bytes numpy drops from the end of a row are its high bits."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
+    """Bitset rows of a boolean matrix, bit j of row i set iff adj[i, j]."""
+    return _packed_rows(np.packbits(adj, axis=1, bitorder="little"))
+
+
+def _packed_rows(packed: np.ndarray) -> tuple[int, ...]:
+    """Bitset rows of a C-contiguous packed uint8 block, little-endian within
+    and across bytes; the zero bytes numpy drops from the end of a row are
+    its high bits."""
     width = packed.shape[1]
     if not width:
         return (0,) * packed.shape[0]
@@ -213,18 +231,27 @@ def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
     return tuple(map(int.from_bytes, items, repeat("little")))
 
 
+def _pack_rows(rows: tuple[int, ...], width: int) -> np.ndarray:
+    """The packed uint8 block of bitset rows, width bytes a row: the block
+    that ``_packed_rows`` reads back."""
+    raw = b"".join([r.to_bytes(width, "little") for r in rows])
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width)
+
+
 def _sign_graph(ints, n: int) -> Graph:
     """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
     the n-fold letterwise sum of the q x q integer table ints, lettered by
     (ints, n) when n >= 2.  At n = 1, A is the table itself, whose sign
     pattern ``_letter_sign_rows`` reads in Python; longer blocks go through
-    the numpy kernel ``_block_sign_rows``."""
+    the numpy kernel ``_block_sign_rows``, whose packed block the graph
+    keeps for its first search's copy."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
     nv = _check_cap(len(ints), n)
     if n == 1:
         return Graph(nv, _letter_sign_rows(ints))
-    return Graph(nv, _block_sign_rows(ints, n, nv), (tuple(map(tuple, ints)), n))
+    packed = _block_sign_rows(ints, n, nv)
+    return Graph(nv, _packed_rows(packed), (tuple(map(tuple, ints)), n), packed)
 
 
 def _letter_sign_rows(ints) -> tuple[int, ...]:
@@ -242,27 +269,32 @@ def _letter_sign_rows(ints) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _block_sign_rows(ints, n: int, nv: int) -> tuple[int, ...]:
-    """The rows of ``_sign_graph(ints, n)`` on its nv = q**n vertices, built
-    in the row blocks of ``_row_blocks``, each compared with 0 as soon as it
-    is summed.  A symmetric table (always for G_s^Sym,n) gives A = A^T, so
-    its blocks test A[x, y] alone; otherwise one block that covers all of A,
-    summed whole by ``_expand_rows`` with no rows, reads A[y, x] >= 0 as its
-    own comparison transposed, and smaller ones compare the transposed
-    table's rows."""
+def _block_sign_rows(ints, n: int, nv: int) -> np.ndarray:
+    """The rows of ``_sign_graph(ints, n)`` on its nv = q**n vertices as one
+    packed uint8 block (``_packed_rows`` reads it), built in the row blocks
+    of ``_row_blocks``, each compared with 0 as soon as it is summed, in
+    ``_sum_table``'s narrowest exact type.  A symmetric table (always for
+    G_s^Sym,n), decided on its q x q entries, gives A = A^T, so its blocks
+    test A[x, y] alone; otherwise each block also tests A[y, x] >= 0 on the
+    same rows of the transposed table's sums, which, unlike a transposed
+    comparison, reads memory in order.  One block that covers all of A is
+    summed whole by ``_expand_rows`` with no rows."""
     table = _sum_table(ints, n)
-    symmetric = (table == table.T).all()
+    symmetric = list(map(tuple, ints)) == list(zip(*ints))
     blocks = _row_blocks(nv, nv)
-    rows: list[int] = []
+    packed = np.empty((nv, (nv + 7) // 8), dtype=np.uint8) if len(blocks) > 1 else None
     for block in blocks:
-        words = None if len(blocks) == 1 else np.arange(block.start, block.stop)
+        words = None if packed is None else np.arange(block.start, block.stop)
         adj = _expand_rows(table, n, words) >= 0
         if not symmetric:
-            adj |= adj.T if words is None else _expand_rows(table.T, n, words) >= 0
+            adj |= _expand_rows(table.T, n, words) >= 0
         adj.flat[block.start::nv + 1] = False  # cells (x, x) of the block's rows
-        rows.extend(_pack_bool_rows(adj))
+        bits = np.packbits(adj, axis=1, bitorder="little")
         del adj  # before the next block sums its own
-    return tuple(rows)
+        if packed is None:
+            return bits
+        packed[block] = bits
+    return packed
 
 
 def sender_graph(U: UtilityMatrix, n: int) -> Graph:
@@ -385,6 +417,11 @@ class _CliqueSearch:
     branches on the same vertices in the same order as a full listing
     would, and the search tree, its node count and its answer are
     unchanged.
+
+    A ``maximum`` whose root holds every vertex colours the whole graph
+    there, and ``_color_order`` records that colouring's classes as masks
+    (``partition``); ``clique_partition`` returns them, so the witness pass
+    colours the graph no second time.
     """
 
     def __init__(self, rows: tuple[int, ...], meter: _Meter, reports: bool = False):
@@ -396,33 +433,38 @@ class _CliqueSearch:
         self.best_size = 0
         self.best_mask = 0
         self.stop_at: int | None = None
+        self.partition: list[int] | None = None
 
-    def _color_order(self, cand: int, kmin: int = 1) -> list[tuple[int, int]]:
+    def _color_order(self, cand: int, kmin: int = 1, classes: list[int] | None = None
+                     ) -> list[tuple[int, int]]:
         # greedy sequential coloring from the highest vertex down; returns
-        # (vertex, color#) in color order for the colors from kmin up
+        # (vertex, color#) in color order for the colors from kmin up, and
+        # appends every class's mask to classes, if given
         fences, bits = self.fences, self.bits
         order = []
         color = 0
         remaining = cand
         while remaining:
             color += 1
-            avail = remaining
+            avail = start = remaining
             if color < kmin:
                 while avail:
                     b = avail.bit_length()
                     remaining ^= bits[b]
                     avail &= fences[b]
-                continue
-            while avail:
-                b = avail.bit_length()
-                order.append((b - 1, color))
-                remaining ^= bits[b]
-                avail &= fences[b]
+            else:
+                while avail:
+                    b = avail.bit_length()
+                    order.append((b - 1, color))
+                    remaining ^= bits[b]
+                    avail &= fences[b]
+            if classes is not None:
+                classes.append(start ^ remaining)
         return order
 
-    def _expand(self, current_mask: int, size: int, cand: int, orbit=None):
+    def _expand(self, current_mask: int, size: int, cand: int, orbit=None, classes=None):
         self.meter.charge(1, "independence search")
-        order = self._color_order(cand, self.best_size - size + 1)
+        order = self._color_order(cand, self.best_size - size + 1, classes)
         for v, color in reversed(order):
             if size + color <= self.best_size:
                 return
@@ -452,26 +494,31 @@ class _CliqueSearch:
         whole orbit of each vertex it has branched on: a set through
         another member is the image of one through v, which that branch
         searched, and what stays in cand is still a union of orbits.
-        Deeper levels branch on single vertices."""
+        Deeper levels branch on single vertices.  A root that holds every
+        vertex records its colouring's classes for ``clique_partition``."""
         self.best_size, self.best_mask = seed.bit_count(), seed
         self.stop_at = ceiling
+        classes = [] if cand == (1 << len(self.rows)) - 1 else None
         try:
             if cand:
-                self._expand(0, 0, cand, orbit)
+                self._expand(0, 0, cand, orbit, classes)
         except _Found:
             pass
         finally:
             self.stop_at = None
+        if classes is not None:
+            self.partition = classes
         return self.best_size, self.best_mask
 
     def clique_partition(self) -> list[int]:
         """The classes of ``_color_order``'s greedy colouring of all of the
-        search's vertices, as masks: cliques of the search's graph."""
-        order = self._color_order((1 << len(self.rows)) - 1)
-        classes = [0] * (order[-1][1] if order else 0)
-        for v, colour in order:
-            classes[colour - 1] |= 1 << v
-        return classes
+        search's vertices, as masks: cliques of the search's graph.  They
+        are the root colouring of the last full-root ``maximum``, when one
+        ran, and are coloured here, listing no vertex, otherwise."""
+        if self.partition is None:
+            self.partition = []
+            self._color_order((1 << len(self.rows)) - 1, len(self.rows) + 1, self.partition)
+        return self.partition
 
     def at_least(self, cand: int, target: int) -> bool:
         """True iff cand holds an independent set of size >= target."""
@@ -514,12 +561,15 @@ class _SearchCopy:
     own numbering, so their colouring starts from g's last vertex; a copy
     reversed to start from its first cost more than it saved.
     ``new_of[v]`` is vertex v's number in the copy and ``order[i]`` the
-    vertex numbered i.  Each row block of ``_row_blocks`` takes g's packed
-    rows in the copy's order, unpacks them, takes their columns in that
-    order and packs them again, so no V x V matrix is ever held.
+    vertex numbered i.  The copy starts from g's packed uint8 block: the one
+    the sign kernel made (``Graph.packed``), when the caller hands it over
+    as ``packed``, or else g's rows packed here.  Each row block of
+    ``_row_blocks`` takes the packed rows in the copy's order, unpacks
+    them, takes their columns in that order and packs them again, so no
+    V x V matrix is ever held.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, packed: np.ndarray | None = None):
         n = g.n_vertices
         self.ordered = n >= ORDERED_MIN_VERTICES
         if not self.ordered:
@@ -527,9 +577,8 @@ class _SearchCopy:
             self.order = self.new_of = range(n)
             return
         order = np.argsort([r.bit_count() for r in g.rows], kind="stable")[::-1]
-        width = (n + 7) // 8
-        raw = b"".join(r.to_bytes(width, "little") for r in g.rows)
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+        if packed is None:
+            packed = _pack_rows(g.rows, (n + 7) // 8)
         rows: list[int] = []
         for block in _row_blocks(n, n):
             adj = np.unpackbits(packed.take(order[block], 0), axis=1, count=n,
@@ -556,13 +605,16 @@ class _ClosedSearch:
     g's own numbering, in which the walk reads g's rows.  The partition is
     the product cliques of cliques, a minimum clique partition of H (see
     ``_sandwich``), made when the pass first needs it.  The ``at_least``
-    searches run on g's degree-ordered copy, built at the first search.  A
-    pass that needs neither builds neither."""
+    searches run on g's degree-ordered copy, built at the first search from
+    ``packed``, g's block if the caller holds it.  A pass that needs
+    neither builds neither."""
 
-    def __init__(self, g: Graph, meter: _Meter, cliques: list[int]):
+    def __init__(self, g: Graph, meter: _Meter, cliques: list[int],
+                 packed: np.ndarray | None = None):
         self.g = g
         self.meter = meter
         self.cliques = cliques
+        self.packed = packed
         self.best_mask = 0
         self.copy: _SearchCopy | None = None
         self.search: _CliqueSearch | None = None
@@ -573,8 +625,9 @@ class _ClosedSearch:
 
     def at_least(self, cand: int, target: int) -> bool:
         if self.search is None:
-            self.copy = _SearchCopy(self.g)
+            self.copy = _SearchCopy(self.g, self.packed)
             self.search = _CliqueSearch(self.copy.rows, self.meter)
+            self.packed = None
         found = self.search.at_least(self.copy.inward(cand), target)
         if found:
             self.best_mask = self.copy.outward(self.search.best_mask)
@@ -601,12 +654,12 @@ def _lex_least(g: Graph, alpha: int, maxset: int, rows, new_of,
     - it conflicts with none: W + i would beat alpha, a VerificationError;
     - rest meets fewer than needed - 1 classes of a clique partition of g:
       no set in rest is large enough, so i is rejected ("partition").  The
-      partition is the search's ``clique_partition``, made at the first
-      vertex that needs it: one greedy colouring, or a closed sandwich's
-      product cliques.  It charges no node: a pass makes at most one, the
-      work of one search node.  The classes that miss cand, which miss
-      every later rest, are dropped before the first test after each kept
-      vertex;
+      partition is the search's ``clique_partition``, read at the first
+      vertex that needs it: the greedy colouring that the maximum search's
+      root made of every vertex, recorded there, so g is coloured no second
+      time, or a closed sandwich's product cliques.  It charges no node.
+      The classes that miss cand, which miss every later rest, are dropped
+      before the first test after each kept vertex;
     - otherwise ``search.at_least`` decides, and on success its set
       ``search.best_mask`` becomes W's open part ("search").  Each search
       only asks whether a set exists, so it runs on the search copy,
@@ -946,9 +999,9 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     two; one that conflicts with none would make W larger than alpha, a
     VerificationError.  Else the vertex is rejected when the vertices still
     open beside it meet too few classes of one clique partition of G: the
-    greedy colouring of the copy, made once per pass, or on a closed
-    sandwich the cover_number(H)^n product cliques, each of which every
-    maximum set meets once.  Only a vertex that these rules leave open
+    greedy colouring of the copy that the maximum search's root made, or on
+    a closed sandwich the cover_number(H)^n product cliques, each of which
+    every maximum set meets once.  Only a vertex that these rules leave open
     costs an ``at_least`` search, and on success W becomes the kept
     vertices plus the set that search found.  An edgeless graph needs no
     search.  The searches reuse the maximum search's degree-ordered copy
@@ -997,7 +1050,11 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None 
     ``independence_number`` describes, with every search charged to meter.
     ``reports`` makes g's independent sets the meter's ``best``; it is off
     for a base graph searched on behalf of another graph.  ``bases`` are
-    g's ``_letter_bases``, if already found."""
+    g's ``_letter_bases``, if already found.  The search takes g's packed
+    block (``Graph.packed``) for its copy, and g keeps its rows alone."""
+    packed = g.packed
+    if packed is not None:
+        object.__setattr__(g, "packed", None)  # no part of g's value
     nv = g.n_vertices
     if nv == 0:
         return 0, ()
@@ -1018,8 +1075,8 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None 
         if seed.bit_count() == ceiling:
             # closed: the incumbent is maximum, and the walk runs on g's own rows
             return ceiling, _lex_least(g, ceiling, seed, g.rows, range(nv),
-                                       _ClosedSearch(g, meter, cliques))
-    copy = _SearchCopy(g)
+                                       _ClosedSearch(g, meter, cliques, packed))
+    copy = _SearchCopy(g, packed)
     search = _CliqueSearch(copy.rows, meter, reports)
     orbit = None
     if sandwiched:

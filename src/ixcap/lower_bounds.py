@@ -52,7 +52,7 @@ from .graphs import (
     independence_number,
     symmetric_sender_graph,
 )
-from .utility import UtilityMatrix, _row_blocks, _sum_table, block_sums, sequence_labels
+from .utility import UtilityMatrix, _block_sums, _row_blocks, _sum_table, sequence_labels
 
 #: most cells of a q**n x q**n block-sum table that the subset search reads
 #: whole; above it, its pair sums are added letter by letter.  On a 2-vCPU
@@ -275,7 +275,7 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     meter.charge(ceiling * ceiling, f"feasibility test of {ceiling} members")
 
     if n == 1 or U.q ** (2 * n) <= PAIR_TABLE_CELLS:
-        table = U.scaled_integer_entries[1] if n == 1 else block_sums(U, n)[1].tolist()
+        table = U.scaled_integer_entries[1] if n == 1 else _block_sums(U, n)[1].tolist()
 
         def pair(t: int, y: int) -> int:
             return table[t][y]

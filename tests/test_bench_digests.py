@@ -71,13 +71,13 @@ def test_equilibrium_check_sums_only_the_witness_rows(monkeypatch):
     # each seed-1 equilibrium job checks its witness W on the block sums of
     # W's rows alone, in one call, and builds no best-response table
     calls, tables = [], []
-    block_sums = ixcap.game.block_sums
+    block_sums = ixcap.game._block_sums
 
     def recorded_sums(U, n, rows=None, **kwargs):
         calls.append(None if rows is None else list(rows))
         return block_sums(U, n, rows, **kwargs)
 
-    monkeypatch.setattr(ixcap.game, "block_sums", recorded_sums)
+    monkeypatch.setattr(ixcap.game, "_block_sums", recorded_sums)
     monkeypatch.setattr(ixcap.game, "worst_case_decoded_set",
                         lambda *args: tables.append(args))
     workload = workloads.WORKLOADS["equilibrium"]
@@ -109,8 +109,8 @@ def test_closed_sandwich_builds_no_search_copy(name, monkeypatch):
             closed.append(g)
         return seed, ceiling, cliques
 
-    def recorded_copy(self, g):
-        copy_init(self, g)
+    def recorded_copy(self, g, *args):
+        copy_init(self, g, *args)
         if self.ordered:
             copied.append(g)
 

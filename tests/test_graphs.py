@@ -127,9 +127,10 @@ class TestSenderGraph:
     def test_symmetric_table_sums_each_block_once(self, monkeypatch):
         # a + a^T equals its transpose, so every row block is summed once;
         # an asymmetric G_s^n block also sums the transposed table's rows.
-        # A table in one block is summed whole, once per graph, and an
-        # asymmetric one reads the transpose of its own sums.  At n = 1 the
-        # graph is the table's own sign pattern, and nothing is summed
+        # A table in one block is summed whole, once per graph when it is
+        # symmetric, and an asymmetric one sums the transposed table whole
+        # too.  At n = 1 the graph is the table's own sign pattern, and
+        # nothing is summed
         calls = []
         expand = ixcap.graphs._expand_rows
 
@@ -140,10 +141,10 @@ class TestSenderGraph:
         monkeypatch.setattr(ixcap.graphs, "_expand_rows", counted)
         U = utility_from_json({"utility": [[0, -1, 2], [1, 0, -3], [-2, 1, 0]]})
         for n in (1, 2, 3):
-            for build in (symmetric_sender_graph, sender_graph):
+            for build, sums in ((symmetric_sender_graph, 1), (sender_graph, 2)):
                 calls.clear()
                 build(U, n)
-                assert calls == ([] if n == 1 else [None])
+                assert calls == ([] if n == 1 else [None] * sums)
         monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", 40)
         for n, blocks, asymmetric in ((1, 0, 0), (2, 3, 6), (3, 27, 54)):
             calls.clear()
@@ -539,6 +540,43 @@ class TestSearchCopy:
             blocked = ixcap.graphs._SearchCopy(g)
             assert blocked.rows == copy.rows and blocked.order == copy.order
 
+    @pytest.mark.parametrize("cells", [None, 50])
+    def test_the_sign_kernels_block_gives_the_packed_rows_copy(self, monkeypatch, cells):
+        # a graph that hands the sign kernel's packed block to its copy and
+        # the same rows with no block (packed by the copy itself) give the
+        # same copy, alpha, witness and meter counts, whole and in row
+        # blocks; the search takes the block off the graph
+        if cells:
+            monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", cells)
+        rng = random.Random(241)
+        graphs = [_random_sender_power(seed, q, n) for seed, (q, n) in
+                  enumerate([(4, 3), (5, 3), (3, 4), (4, 3), (5, 3)])]
+        graphs += [symmetric_sender_graph(random_utility(rng, 4), 3) for _ in range(3)]
+        for g in graphs:
+            assert g.packed is not None
+            width = (g.n_vertices + 7) // 8
+            assert g.packed.shape == (g.n_vertices, width) and g.packed.dtype == np.uint8
+            assert g.packed.tobytes() == ixcap.graphs._pack_rows(g.rows, width).tobytes()
+            bare = Graph(g.n_vertices, g.rows, g.letters)
+            handed = ixcap.graphs._SearchCopy(g, g.packed)
+            packed = ixcap.graphs._SearchCopy(bare)
+            assert handed.ordered
+            assert handed.rows == packed.rows and handed.order == packed.order
+            meters = [ixcap.graphs._Meter(10**7) for _ in range(2)]
+            answers = [ixcap.graphs._alpha(h, meter) for h, meter in zip((g, bare), meters)]
+            assert answers[0] == answers[1]
+            assert (meters[0].spent, meters[0].settled) == (meters[1].spent, meters[1].settled)
+            assert g.packed is None and g == bare
+
+    def test_graph_identity_ignores_the_block(self):
+        g = _random_sender_power(3, 4, 3)
+        bare = Graph(g.n_vertices, g.rows)
+        other = Graph(g.n_vertices, g.rows, g.letters, np.zeros_like(g.packed))
+        for h in (bare, other):
+            assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+        assert "packed" not in repr(g)
+        assert g != Graph(g.n_vertices, (0,) * g.n_vertices, g.letters, g.packed)
+
     def test_peak_memory_stays_near_the_graph(self):
         # a q = 3, n = 8 sender graph has 6561 vertices, 5.4 MB of packed
         # rows; the copy once unpacked them into one V x V matrix and read
@@ -553,6 +591,20 @@ class TestSearchCopy:
         finally:
             tracemalloc.stop()
         assert len(copy.rows) == g.n_vertices
+        assert peak < 4 * packed_bytes
+
+    def test_peak_memory_of_a_handed_block_stays_near_the_graph(self):
+        # the same bound when the copy is handed the sign kernel's block
+        # instead of packing the rows itself
+        g = _random_sender_power(5, 3, 8)
+        packed_bytes = g.n_vertices * ((g.n_vertices + 7) // 8)
+        tracemalloc.start()
+        try:
+            copy = ixcap.graphs._SearchCopy(g, g.packed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert copy.rows == ixcap.graphs._SearchCopy(Graph(g.n_vertices, g.rows)).rows
         assert peak < 4 * packed_bytes
 
 
@@ -1065,8 +1117,8 @@ class TestClosedSandwich:
 
     def test_letter_rows_match_the_block_kernel(self):
         # an n = 1 sign graph reads its table in Python; the numpy kernel
-        # that builds every longer block gives the same rows, also on
-        # entries past int64, which it sums as Python ints
+        # that builds every longer block gives the same rows from its packed
+        # block, also on entries past int64, which it sums as Python ints
         rng = random.Random(229)
         huge = 2**70
         for _ in range(60):
@@ -1075,7 +1127,9 @@ class TestClosedSandwich:
             table = [[0 if a == b else rng.choice(values) for b in range(q)] for a in range(q)]
             for t in (table, ixcap.graphs._plus_transpose(table)):
                 rows = ixcap.graphs._letter_sign_rows(t)
-                assert rows == ixcap.graphs._block_sign_rows(t, 1, q)
+                packed = ixcap.graphs._block_sign_rows(t, 1, q)
+                assert packed.shape == (q, (q + 7) // 8) and packed.dtype == np.uint8
+                assert rows == ixcap.graphs._packed_rows(packed)
                 assert ixcap.graphs._sign_graph(t, 1).rows == rows
 
 
@@ -1181,6 +1235,53 @@ class TestColorOrder:
             for v, c in greedy_coloring(g.rows, (1 << g.n_vertices) - 1):
                 classes[c - 1] |= 1 << v
             assert search.clique_partition() == [c for c in classes if c]
+
+    def test_a_full_root_records_the_fresh_colouring(self):
+        # a maximum search whose root holds every vertex records its root
+        # colouring's classes, which are a fresh greedy colouring of the
+        # whole graph, whatever its ceiling; a search on fewer vertices
+        # leaves the record as it was
+        rng = random.Random(251)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 90), rng.uniform(0.05, 0.9))
+            nv = g.n_vertices
+            full = (1 << nv) - 1
+            classes = [0] * nv
+            for v, c in greedy_coloring(g.rows, full):
+                classes[c - 1] |= 1 << v
+            fresh = [c for c in classes if c]
+            assert ixcap.graphs._CliqueSearch(
+                g.complement_rows(), ixcap.graphs._Meter(1)).clique_partition() == fresh
+            search = ixcap.graphs._CliqueSearch(g.complement_rows(), ixcap.graphs._Meter(10**7))
+            search.maximum(full, 0, rng.choice([None, 1, 2]))
+            assert search.partition == fresh
+            search.maximum(rng.getrandbits(nv) & (full >> 1))
+            assert search.clique_partition() == fresh
+
+    def test_an_open_search_colours_the_whole_graph_once(self, monkeypatch):
+        # the witness pass reads the maximum search's root colouring: no
+        # other colouring of every vertex runs in an open search
+        colour = ixcap.graphs._CliqueSearch._color_order
+        whole = []
+
+        def counted(self, cand, *args):
+            if cand == (1 << len(self.rows)) - 1:
+                whole.append(len(self.rows))
+            return colour(self, cand, *args)
+
+        monkeypatch.setattr(ixcap.graphs._CliqueSearch, "_color_order", counted)
+        rng = random.Random(257)
+        partitions = 0
+        for size in [*range(2, 30), 64, 70, 80]:
+            g = random_graph(rng, size, rng.uniform(0.1, 0.8))
+            whole.clear()
+            meter = ixcap.graphs._Meter(10**7)
+            alpha, witness = ixcap.graphs._alpha(g, meter)
+            if size < 30:
+                assert witness == oracle_lex_least_mis(g, alpha)
+            assert whole == [g.n_vertices]
+            partitions += meter.settled["partition"]
+        assert partitions
 
     def test_a_large_copy_is_coloured_as_its_reverse_was_bottom_up(self):
         # a copy of 64 or more vertices numbers the ascending degree order

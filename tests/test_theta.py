@@ -95,3 +95,52 @@ def test_numerical_breakdown_is_a_convergence_error(monkeypatch, fill):
         lovasz_theta(cycle_graph(7), tol=1e-5)
     assert math.isfinite(err.value.last_value)
     assert math.isfinite(err.value.residual)
+
+
+def ix_schur(X, W, u, v):
+    """The Schur complement by np.ix_ gathers, one grid per term: the
+    reference the solver's row-then-column gathers must match bit for bit."""
+    m = 1 + len(u)
+    M = np.empty((m, m))
+    M[0, 0] = np.sum(X * W)
+    XW = X @ W
+    M[0, 1:] = M[1:, 0] = XW[u, v] + XW[v, u]
+    M[1:, 1:] = (X[np.ix_(v, u)] * W[np.ix_(u, v)] + X[np.ix_(v, v)] * W[np.ix_(u, u)]
+                 + X[np.ix_(u, u)] * W[np.ix_(v, v)] + X[np.ix_(u, v)] * W[np.ix_(v, u)])
+    return M
+
+
+def test_schur_gathers_keep_every_iterate_bitwise(monkeypatch):
+    # every iterate (X, y, Z) of 300 random graphs of 5-16 vertices, under
+    # the solver's gathers and under the np.ix_ reference
+    import ixcap.theta as theta
+
+    step = theta._hkm_step
+    iterates = []
+
+    def recorded(*args):
+        out = step(*args)
+        iterates.append(tuple(a.tobytes() for a in out))
+        return out
+
+    monkeypatch.setattr(theta, "_hkm_step", recorded)
+    rng = random.Random(239)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(5, 16)
+        p = rng.uniform(0.1, 0.9)
+        graphs.append(graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                           if rng.random() < p]))
+    runs = []
+    for schur in (theta._schur, ix_schur):
+        monkeypatch.setattr(theta, "_schur", schur)
+        iterates.clear()
+        values = []
+        for g in graphs:
+            try:
+                values.append(lovasz_theta(g, tol=1e-5))
+            except ConvergenceError as exc:
+                values.append(("failed", exc.last_value))
+        runs.append((values, list(iterates)))
+    assert len(runs[0][1]) > 300
+    assert runs[0] == runs[1]

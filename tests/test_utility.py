@@ -14,15 +14,34 @@ from conftest import (
     incremented,
     oracle_best_responses,
     oracle_block_sums,
+    oracle_noisy_outcome,
+    oracle_sender_edges,
     oracle_symmetric_part,
+    random_channel,
     random_int_utility,
     random_utility,
 )
 from ixcap.errors import InputError
-from ixcap.graphs import cycle_graph, complete_graph, empty_graph, sender_graph
+from ixcap.game import (
+    ReceiverStrategy,
+    _survivors,
+    verify_noisy_equilibrium,
+    worst_case_decoded_set,
+)
+from ixcap.graphs import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    sender_graph,
+    symmetric_sender_graph,
+)
+from ixcap.lower_bounds import _triple_masks
 from ixcap.utility import (
     Alphabet,
     UtilityMatrix,
+    _block_sums,
+    _expand_rows,
+    _sum_table,
     block_sums,
     block_utility,
     block_utility_rows,
@@ -174,10 +193,73 @@ class TestBlockUtility:
                 assert rows[x][y] == block_utility(example1, words[x], words[y])
 
 
+def narrowest_type(bound: int):
+    """The type that ``_sum_table`` gives a table with max|entry| * n =
+    bound: the narrowest integer type that holds every sum of magnitude up
+    to bound (int64 only below 2**62), else Python ints."""
+    for dtype, top in ((np.int8, 2**7), (np.int16, 2**15), (np.int32, 2**31),
+                       (np.int64, 2**62)):
+        if bound < top:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+def check_types_at_bound(top: int, narrow, wide, n: int):
+    """On either side of top, on a 3 x 3 integer utility whose sums reach
+    +-n * big: the letter table and its n-fold sums, also the library's
+    ``_block_sums``, take the narrow type for the largest entry big below
+    top / n and the wide one for big + 1,
+    ``block_sums`` gives them as int64 or, past 2**62, Python ints, and
+    every consumer of the sums matches its Fraction oracle on both sides:
+    the block sums themselves, G_s^n and G_s^Sym,n, the subset search's
+    triple masks (whose bound is 3 * n * big, so they are checked on either
+    side of theirs), the survivor rule, the decoded sets and the noisy
+    check."""
+    rng = random.Random(top + n)
+    words = list(product(range(3), repeat=n))
+    for per_sum in (n, 3 * n):
+        for big, dtype in (((top - 1) // per_sum, narrow), ((top - 1) // per_sum + 1, wide)):
+            U = utility_from_json({"utility": [[0, big, -1], [-big, 0, big - 1],
+                                               [big, -big + 1, 0]]})
+            ints = [[int(v) for v in row] for row in oracle_block_sums(U, n)]
+            if per_sum == 3 * n:
+                masks = _triple_masks(U.scaled_integer_entries[1], n)
+                for a, b in product(range(len(words)), repeat=2):
+                    assert masks[a][b] == sum(
+                        1 << c for c in range(len(words)) if len({a, b, c}) == 3 and (
+                            ints[b][a] + ints[c][b] + ints[a][c] >= 0
+                            or ints[c][a] + ints[b][c] + ints[a][b] >= 0))
+                continue
+            summed = _expand_rows(_sum_table(U.scaled_integer_entries[1], n), n)
+            assert summed.dtype == np.dtype(dtype) and summed.tolist() == ints
+            assert _block_sums(U, n)[1].dtype == np.dtype(dtype)
+            scale, sums = block_sums(U, n)
+            assert scale == 1
+            assert sums.dtype == (np.dtype(object) if dtype is object else np.int64)
+            assert sums.tolist() == ints
+            assert max(map(max, ints)) == n * big and min(map(min, ints)) == -n * big
+            assert set(sender_graph(U, n).edges()) == oracle_sender_edges(U, n)
+            assert (set(symmetric_sender_graph(U, n).edges())
+                    == oracle_sender_edges(oracle_symmetric_part(U), n))
+            nv = len(words)
+            image = sorted(rng.sample(range(nv), rng.randint(1, nv)))
+            assert _survivors(U, n, image) == tuple(
+                x for x in image if all(ints[y][x] < 0 for y in image if y != x))
+            g = ReceiverStrategy(n, tuple(rng.choice([None, *image]) for _ in range(nv)))
+            outcome = worst_case_decoded_set(U, g)
+            assert outcome.decoded_worst == tuple(
+                x for x in g.image() if all(ints[y][x] < 0 for y in g.image() if y != x))
+            channel = random_channel(rng, 3)
+            noisy = verify_noisy_equilibrium(U, channel, g)
+            assert ((noisy.decoded_worst, noisy.best_response_summary)
+                    == oracle_noisy_outcome(U, channel, g))
+
+
 class TestBlockSums:
     @given(st.integers(1, 4), st.integers(1, 3), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_matches_fraction_oracle(self, q, n, rng):
+        # the sums are int64, summed in the narrowest type that holds them
         U = random_utility(rng, q)
         nv = q**n
         rows = rng.sample(range(nv), rng.randint(0, nv))
@@ -186,6 +268,10 @@ class TestBlockSums:
         assert sums.dtype == np.int64
         expected = oracle_block_sums(U, n, rows)
         assert [[Fraction(v, scale) for v in row] for row in sums.tolist()] == expected
+        ints = U.scaled_integer_entries[1]
+        table = _sum_table(ints, n)
+        assert table.dtype == narrowest_type(max(abs(v) for row in ints for v in row) * n)
+        assert _expand_rows(table, n, rows).tolist() == sums.tolist()
 
     @pytest.mark.parametrize("unit", [1, 2**70])
     def test_observed_rows_are_columns(self, unit):
@@ -208,13 +294,16 @@ class TestBlockSums:
     def test_dtype_switches_at_two_to_the_62(self, n):
         # the largest entry for which no block sum can reach 2**62 keeps
         # int64; one more moves every sum to Python ints
-        for big, dtype in (((2**62 - 1) // n, np.int64), ((2**62 - 1) // n + 1, object)):
-            U = utility_from_json({"utility": [[0, big, -1], [-big, 0, big - 1],
-                                               [big, -big + 1, 0]]})
-            scale, sums = block_sums(U, n)
-            assert scale == 1
-            assert sums.dtype == dtype
-            assert sums.tolist() == oracle_block_sums(U, n)
+        check_types_at_bound(2**62, np.int64, object, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("top, narrow, wide", [(2**7, np.int8, np.int16),
+                                                   (2**15, np.int16, np.int32),
+                                                   (2**31, np.int32, np.int64)])
+    def test_dtype_switches_at_each_narrow_bound(self, top, narrow, wide, n):
+        # the largest entry for which no block sum can reach top keeps the
+        # narrow type; one more moves every sum to the next wider one
+        check_types_at_bound(top, narrow, wide, n)
 
     def test_fraction_entries_use_common_denominator(self):
         U = utility_from_json({"utility": [[0, "1/3"], ["-1/2", 0]]})
@@ -238,6 +327,19 @@ class TestBlockSums:
                     assert whole.tolist() == rows.tolist()
                     dtypes.add(whole.dtype)
         assert (np.dtype(object) in dtypes) == (unit > 1)
+
+    def test_public_sums_are_int64_below_two_to_the_62(self):
+        # sums that fit int8 still come out of block_sums as int64, so a
+        # caller may add two of them: S + S^T reaches +-254 at n = 1
+        U = utility_from_json({"utility": [[0, 127, -127], [127, 0, 1], [-127, 1, 0]]})
+        assert _sum_table(U.scaled_integer_entries[1], 1).dtype == np.int8
+        for n in (1, 2):
+            ints = [[int(v) for v in row] for row in oracle_block_sums(U, n)]
+            _, sums = block_sums(U, n)
+            assert sums.dtype == np.int64
+            assert (sums + sums.T).tolist() == [
+                [a + b for a, b in zip(row, col)] for row, col in zip(ints, zip(*ints))]
+            assert block_sums(U, n, [0], observed=True)[1].dtype == np.int64
 
     def test_validates(self, example1):
         with pytest.raises(InputError):
