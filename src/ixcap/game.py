@@ -47,9 +47,8 @@ from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
     _check_cap,
-    _closed_table,
+    _confusability_table,
     block_independence_number,
-    confusability_graph,
     is_independent,
     sender_graph,
 )
@@ -165,10 +164,11 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
     ``best_response_summary`` lists every source's best responses for
     reports.  Each block raises the running column maxima over all q**n
     sources where it beats them, which drops the hits found before in
-    those columns, and adds its own hits at the maxima.
+    those columns, and adds its own hits at the maxima.  CapExceededError
+    above ``DEFAULT_VERTEX_CAP`` sequences, before any table is built.
     """
     n = g.n
-    nv = U.q**n
+    nv = _check_cap(U.q, n)
     if len(g.decode) != nv:
         raise InputError(f"strategy table has {len(g.decode)} entries, expected {nv}")
     image = np.asarray(g.image(), dtype=np.int64)
@@ -211,13 +211,13 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
 
     The count is the independence number of the blocklength-n sender graph,
     which ``graphs.independence_number`` searches between alpha(G_s)^n and
-    the clique cover number of G_s^Sym to the n-th power once the graph
-    has at least ``graphs.ORDERED_MIN_VERTICES`` vertices; ``budget``
-    bounds every search, the bounds' included.  When G_s has the rows of
-    G_s^Sym and its two sides meet, ``graphs.block_independence_number``
-    answers from U's letters alone, and G_s^n is never built.  The
-    canonical witness set W is decoded identically and everything else
-    maps to the error symbol.
+    the clique cover number of G_s^Sym to the n-th power once the graph has
+    at least ``graphs.ORDERED_MIN_VERTICES`` vertices; ``budget`` bounds
+    every search, the bounds' included.
+    ``graphs.block_independence_number`` builds G_s^n from U's integer table
+    only where its letters do not answer: when G_s has the rows of G_s^Sym
+    and its two sides meet, G_s^n is never built.  The canonical witness set
+    W is decoded identically and everything else maps to the error symbol.
 
     Before returning, the strategy is re-verified: every word of W must
     survive ``_rivalled`` on block sums recomputed from U, not read from
@@ -226,8 +226,7 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     W is checked on its rows as well.  Only the |W| x |W| block S[W, W] is
     read; no best-response table over X^n is built.
     """
-    alpha, witness, g = block_independence_number(
-        U.scaled_integer_entries[1], n, lambda: sender_graph(U, n), budget)
+    alpha, witness, g = block_independence_number(U.scaled_integer_entries[1], n, budget)
     strategy = _strategy_on(witness, n, U.q**n, g)
     decoded = _survivors(U, n, strategy.image())
     if len(decoded) != alpha or decoded != witness:
@@ -323,10 +322,6 @@ def _apply_letters(w1: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     return x.reshape(q**n, -1)
 
 
-#: float64 holds every integer below this bound exactly
-_FLOAT_EXACT = 2**53
-
-
 def _sole_targets(channel: Channel, decode: np.ndarray, error: np.ndarray, n: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per input sequence, the one target that all its possible outputs
@@ -338,16 +333,15 @@ def _sole_targets(channel: Channel, decode: np.ndarray, error: np.ndarray, n: in
     input's outputs, 1, the error mark, the target t and t**2.  With c the
     floor of the mean target, the targets all equal c iff their sum is c
     times their count and the sum of t**2 is c times their sum, that is iff
-    the sum of (t - c)**2 is zero.  Every sum is below q**(3n), so float64
-    adds them exactly while q**(3n) < ``_FLOAT_EXACT`` (q**n up to 2**17),
-    and Python ints do beyond.
+    the sum of (t - c)**2 is zero.  Every sum is below q**(3n), and q**n
+    is within ``DEFAULT_VERTEX_CAP``, whose cube is below 2**53, so float64
+    adds them exactly.
     """
     nv = len(decode)
-    dtype = np.float64 if nv**3 < _FLOAT_EXACT else object
-    moments = np.ones((nv, 4), dtype)
+    moments = np.ones((nv, 4))
     moments[:, 1], moments[:, 2], moments[:, 3] = error, decode, decode * decode
     count, errors, total, squares = _apply_letters(
-        _letter_supports(channel, dtype), n, moments).T
+        _letter_supports(channel, np.float64), n, moments).T
     sole = total // count
     dominated = errors > 0
     single = ~dominated & (sole * count == total) & (sole * total == squares)
@@ -375,12 +369,13 @@ def verify_noisy_equilibrium(U: UtilityMatrix, channel: Channel,
     ``_row_blocks``.  Each channel row is written as integers over its own
     denominator d_y, a positive rescaling per input that keeps every sign,
     so W is integral; the products run in int64 when (max d)**n * max|m| <
-    2**62 bounds them, else in Python ints.
+    2**62 bounds them, else in Python ints.  CapExceededError above
+    ``DEFAULT_VERTEX_CAP`` sequences, before any table is built.
     """
     q, n = U.q, g.n
     if channel.q != q:
         raise InputError("utility and channel alphabets differ in size")
-    nv = q**n
+    nv = _check_cap(q, n)
     if len(g.decode) != nv:
         raise InputError(f"strategy table has {len(g.decode)} entries, expected {nv}")
     error = np.array([t is None for t in g.decode])
@@ -434,10 +429,12 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     independence number is searched within its own ``budget`` nodes, and
     between the bounds of its graph's letter table once the graph is large
     enough (G_s and G_s^Sym for G_s^n, G_c on both sides for G_c^n; see
-    ``graphs.independence_number``).  ``graphs.block_independence_number``
-    answers a side from its letters alone, with no graph built, when its
-    two bases meet and agree: G_c^n whenever alpha(G_c) is G_c's clique
-    cover number, G_s^n as in ``equilibrium_value_noiseless``.
+    ``graphs.independence_number``).  Each side is
+    ``graphs.block_independence_number`` of its letter table, U's integer
+    table or the channel's 0/-1 table, which answers from the letters alone,
+    with no graph built, when its two bases meet and agree: G_c^n whenever
+    alpha(G_c) is G_c's clique cover number, G_s^n as in
+    ``equilibrium_value_noiseless``.
 
     Every path is checked the same way: the partition decoder refuses
     inputs whose output supports overlap, so the channel witness is
@@ -446,11 +443,8 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     is a VerificationError."""
     if channel.q != U.q:
         raise InputError("utility and channel alphabets differ in size")
-    alpha_s, wit_s, _ = block_independence_number(
-        U.scaled_integer_entries[1], n, lambda: sender_graph(U, n), budget)
-    alpha_c, wit_c, _ = block_independence_number(
-        _closed_table(confusability_graph(channel, 1)), n,
-        lambda: confusability_graph(channel, n), budget)
+    alpha_s, wit_s, _ = block_independence_number(U.scaled_integer_entries[1], n, budget)
+    alpha_c, wit_c, _ = block_independence_number(_confusability_table(channel), n, budget)
     d = min(alpha_s, alpha_c)
     try:
         strategy = noisy_receiver_strategy(wit_s[:d], wit_c[:d], channel, n)

@@ -9,16 +9,16 @@ builds on X^n, n >= 2, also records its letter table (``Graph.letters``),
 which gives the search its bounds and its symmetry; the table is no part
 of the graph's identity.
 
-Every sender graph is a sign test on exact integer letter sums, built by
+Every block graph is a sign test on exact integer letter sums, built by
 one kernel, ``_sign_graph``: G_s^n on the table a = scale * u, G_s^Sym,n
-on a + a^T.  A strong power g^n is the same sign test on g's
-closed-neighbourhood table.  At n = 1 the sign graph is the table's own
-sign pattern, read in Python; at n >= 2 the sign graphs and the search's
-relabelled copy are dense V x V tables, built in the row blocks of
-``utility._row_blocks``.  Each block graph is one narrow dense pass: its
-letter sums come in ``utility._sum_table``'s narrowest exact integer type,
-both directions are tested on rows read in memory order, and the packed
-uint8 block that the rows are read from stays on the graph
+on a + a^T, a strong power g^n on g's closed-neighbourhood table, and
+G_c^n on the channel's 0/-1 table.  At n = 1 the sign graph is the
+table's own sign pattern, read in Python; at n >= 2 the sign graphs and
+the search's relabelled copy are dense V x V tables, built in the row
+blocks of ``utility._row_blocks``.  Each block graph is one narrow dense
+pass: its letter sums come in ``utility._sum_table``'s narrowest exact
+integer type, both directions are tested on rows read in memory order,
+and the packed uint8 block that the rows are read from stays on the graph
 (``Graph.packed``) until its first search, whose copy starts from it
 with no second packing.  Each blocklength construction refuses more than
 ``DEFAULT_VERTEX_CAP`` vertices, read when it is called.
@@ -112,16 +112,16 @@ def _bits(mask: int):
 class Graph:
     """Undirected simple graph with one bitset row per vertex.
 
-    ``letters`` is (t, n) on a graph on X^n that equals ``_sign_graph(t,
-    n)`` for the q x q integer table t, which has a zero diagonal; it is
-    None on any other graph: block graphs carry their table only at n >= 2,
-    where the search reads it, and ``graph_from_edges`` and
-    ``strong_product`` record none.  ``packed`` is the V x ceil(V / 8)
-    uint8 block of the rows, bit j of row i at bit j % 8 of byte j // 8,
-    that the sign kernel made them from at n >= 2, handed to the graph's
-    first search: ``_alpha`` takes it off the graph, which then holds its
-    rows alone, and gives it to the search copy (``_SearchCopy``).
-    Equality, hashing and repr ignore both."""
+    ``letters`` is (t, n) on a graph on X^n, n >= 2, that ``_sign_graph(t,
+    n)`` built for the q x q integer table t, which has a zero diagonal:
+    every sender graph, strong power and G_c^n at n >= 2, where the search
+    reads it.  It is None on any other graph: a block graph at n = 1, and
+    the graphs of ``graph_from_edges`` and ``strong_product``.  ``packed``
+    is the V x ceil(V / 8) uint8 block of the rows, bit j of row i at bit
+    j % 8 of byte j // 8, that the sign kernel made them from at n >= 2,
+    handed to the graph's first search: ``_alpha`` takes it off the graph,
+    which then holds its rows alone, and gives it to the search copy
+    (``_SearchCopy``).  Equality, hashing and repr ignore both."""
 
     n_vertices: int
     rows: tuple[int, ...]
@@ -242,13 +242,14 @@ def _sign_graph(ints, n: int) -> Graph:
     """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
     the n-fold letterwise sum of the q x q integer table ints, lettered by
     (ints, n) when n >= 2.  At n = 1, A is the table itself, whose sign
-    pattern ``_letter_sign_rows`` reads in Python; longer blocks go through
-    the numpy kernel ``_block_sign_rows``, whose packed block the graph
-    keeps for its first search's copy."""
+    pattern ``_letter_sign_rows`` reads in Python, as it reads the empty
+    table's no rows at any n; longer blocks go through the numpy kernel
+    ``_block_sign_rows``, whose packed block the graph keeps for its first
+    search's copy."""
     if n < 1:
         raise InputError("blocklength must be at least 1")
     nv = _check_cap(len(ints), n)
-    if n == 1:
+    if n == 1 or not nv:
         return Graph(nv, _letter_sign_rows(ints))
     packed = _block_sign_rows(ints, n, nv)
     return Graph(nv, _packed_rows(packed), (tuple(map(tuple, ints)), n), packed)
@@ -327,7 +328,9 @@ def strong_product(g1: Graph, g2: Graph) -> Graph:
     closed neighbourhood).  Row (a, b) is N[b] placed in the n2-bit field of
     each a' in N[a], by one multiply with spread[a] = sum 2**(a' * n2) that
     cannot carry, less its own bit.  spread[a] is N[a] in binary with each
-    digit widened to n2 digits, which costs the same at any density."""
+    digit widened to n2 digits, which costs the same at any density.  The
+    library builds strong powers with the sign kernel (``strong_power``);
+    this is the general product of two graphs."""
     n1, n2 = g1.n_vertices, g2.n_vertices
     nv = n1 * n2
     _check_cap(nv)
@@ -341,24 +344,19 @@ def strong_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def strong_power(g: Graph, n: int) -> Graph:
-    """The strong n-th power of g, lettered at n >= 2 by g's closed-
-    neighbourhood table t (t[a, b] = 0 for b in N[a], -1 elsewhere): two
-    words are adjacent iff every letter pair lies in N, iff their letter
-    sum is 0.  At n = 1 it is g's rows, with no table.
-
-    Each step puts g on the left, as the new most significant letter, so
-    ``strong_product`` spreads g's q rows, not the growing power's; the
-    numbering is that of the left fold g x g x ... x g."""
+    """The strong n-th power of g: at n >= 2 the sign graph of the n-fold
+    letter sum of g's closed-neighbourhood table t (t[a, b] = 0 for b in
+    N[a], -1 elsewhere), lettered by it: two words are adjacent iff every
+    letter pair lies in N, iff their letter sum is 0.  Its numbering is
+    that of the fold g x g x ... x g of ``strong_product``.  At n = 1 it is
+    g's rows, with no table."""
     if n < 1:
         raise InputError("strong power requires n >= 1")
     q = g.n_vertices
     _check_cap(q, n)
     if n == 1:
         return Graph(q, g.rows)
-    out = g
-    for _ in range(n - 1):
-        out = strong_product(g, out)
-    return Graph(out.n_vertices, out.rows, (_closed_table(g), n))
+    return _sign_graph(_closed_table(g), n)
 
 
 def _closed_table(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -823,12 +821,11 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     return _Bases(tuple(words), cliques, same and len(iset) == len(cliques))
 
 
-def _sandwich(g: Graph, meter: _Meter, bases: _Bases | None = None
-              ) -> tuple[int, int, list[int]]:
+def _sandwich(g: Graph, bases: _Bases) -> tuple[int, int, list[int]]:
     """(mask of I^n, the ceiling cover_number(H)^n, a minimum partition of H
-    into cliques) for a graph g with letters (t, n), from the bases of
-    ``_letter_bases``, found here unless given: I = ``_sign_graph(t, 1)``
-    and H = ``_sign_graph(t + t^T, 1)``, I lexicographically least maximum.
+    into cliques) for a graph g with letters (t, n), from its bases, which
+    ``_letter_bases`` found: I = ``_sign_graph(t, 1)`` and H =
+    ``_sign_graph(t + t^T, 1)``, I lexicographically least maximum.
 
     Two distinct words of I^n differ where t is negative both ways and add
     t(x, x) = 0 where they agree, so both letter sums are negative and I^n
@@ -843,8 +840,8 @@ def _sandwich(g: Graph, meter: _Meter, bases: _Bases | None = None
     The sandwich is closed when |I|^n meets the ceiling: then I^n is
     maximum, and every maximum independent set meets each product clique
     (``_product_parts``) exactly once."""
-    t, n = g.letters
-    words, cliques, _ = bases or _letter_bases(t, n, meter)
+    n = g.letters[1]
+    words, cliques, _ = bases
     cover = len(cliques)
     seed = sum(1 << m for m in words)
     if any(g.rows[m] & seed for m in words):
@@ -1022,11 +1019,12 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     return _alpha(g, _Meter(budget), reports=True)
 
 
-def block_independence_number(t, n: int, build, budget: int = DEFAULT_NODE_BUDGET
+def block_independence_number(t, n: int, budget: int = DEFAULT_NODE_BUDGET
                               ) -> tuple[int, tuple[int, ...], Graph | None]:
-    """(alpha, witness, g) of ``independence_number(g)``, g = build() the
-    block graph with letters (t, n), or (alpha, witness, None) with no g
-    built when the rule of ``_letter_bases`` answers from t alone.
+    """(alpha, witness, g) of ``independence_number(g)``, g =
+    ``_sign_graph(t, n)`` the block graph of the q x q table t, built here,
+    or (alpha, witness, None) with no g built when the rule of
+    ``_letter_bases`` answers from t alone.
 
     The rule runs where g would be sandwiched (n >= 2 and q**n at least
     ``ORDERED_MIN_VERTICES``), and a g built after it declines takes the
@@ -1040,7 +1038,7 @@ def block_independence_number(t, n: int, build, budget: int = DEFAULT_NODE_BUDGE
         bases = _letter_bases(t, n, meter)
         if bases.lex_least:
             return len(bases.cliques) ** n, bases.words, None
-    g = build()
+    g = _sign_graph(t, n)
     return (*_alpha(g, meter, True, bases), g)
 
 
@@ -1063,7 +1061,7 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None 
     sandwiched = g.letters is not None and nv >= ORDERED_MIN_VERTICES
     if sandwiched:
         bases = bases or _letter_bases(*g.letters, meter)
-        seed, ceiling, cliques = _sandwich(g, meter, bases)
+        seed, ceiling, cliques = _sandwich(g, bases)
         if reports:
             meter.best = seed.bit_count()
         if bases.lex_least:
@@ -1092,16 +1090,15 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None 
 
 
 def confusability_graph(channel, n: int) -> Graph:
-    """Inputs adjacent when some channel output has positive probability under
-    both.  For n > 1 the memoryless product makes this the n-fold strong power
-    of the base graph."""
-    if n < 1:
-        raise InputError("blocklength must be at least 1")
-    q = channel.q
-    rows = [0] * q
-    for y1 in range(q):
-        for y2 in range(y1 + 1, q):
-            if channel.support[y1] & channel.support[y2]:
-                rows[y1] |= 1 << y2
-                rows[y2] |= 1 << y1
-    return strong_power(Graph(q, tuple(rows)), n)
+    """Inputs adjacent when some channel output has positive probability
+    under both: the sign graph of the n-fold letter sum of the channel's
+    0/-1 table (``_confusability_table``), which for n > 1 the memoryless
+    product makes the n-fold strong power of the base graph G_c."""
+    return _sign_graph(_confusability_table(channel), n)
+
+
+def _confusability_table(channel) -> tuple[tuple[int, ...], ...]:
+    """The channel's 0/-1 table t: t[a, b] = 0 when inputs a and b share a
+    possible output, a = b included, and -1 otherwise.  It is G_c's
+    closed-neighbourhood table (``_closed_table``)."""
+    return tuple(tuple(0 if a & b else -1 for b in channel.support) for a in channel.support)

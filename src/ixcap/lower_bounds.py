@@ -376,23 +376,24 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
     out, it returns the largest feasible subset found so far, in a
     certificate not flagged optimal.  Raises BudgetExceededError when the
     maximum search runs out, or the subset search before it holds any set.
-    ``xi_bracket`` calls this at n <= 2 on a U that is not symmetric, where
-    G_s^Sym,n is too small for ``graphs.independence_number`` to bound it
-    by its letter table unless q >= 8.
+    ``xi_bracket`` runs the same search through ``_gamma_n`` at every n,
+    on a U that is not symmetric, taking alpha_sym from its own memo of
+    searches; at n_max = 2, G_s^Sym,n is too small for
+    ``graphs.independence_number`` to bound it by its letter table unless
+    q >= 8.
     """
     if n < 1:
         raise InputError("blocklength must be at least 1")
-    return _gamma_n(U, n, symmetric_sender_graph(U, n), node_budget)
+    sym_graph = symmetric_sender_graph(U, n)
+    return _gamma_n(U, n, sym_graph, independence_number(sym_graph, budget=node_budget),
+                    node_budget)
 
 
-def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, node_budget: int,
-             found: tuple[int, tuple[int, ...]] | None = None
-             ) -> tuple[int, FeasibleSetCertificate]:
-    """``gamma_n`` on G_s^Sym,n already built, as ``xi_bracket`` holds it
-    at n = 1, with ``found``, when given, as its (alpha_sym, canonical
-    witness): ``xi_bracket`` passes the n = 1 answer of a graph with the
-    same rows, which the search would give again."""
-    alpha_sym, witness = found or independence_number(sym_graph, budget=node_budget)
+def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, found: tuple[int, tuple[int, ...]],
+             node_budget: int) -> tuple[int, FeasibleSetCertificate]:
+    """``gamma_n`` on G_s^Sym,n already built and searched: ``found`` is
+    its (alpha_sym, canonical witness)."""
+    alpha_sym, witness = found
     subset, optimal = _largest_feasible(U, n, sym_graph, witness, _Meter(node_budget))
     cert = FeasibleSetCertificate(
         subset=subset,

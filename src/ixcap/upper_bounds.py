@@ -42,7 +42,7 @@ from .graphs import (
     strong_power,
     symmetric_sender_graph,
 )
-from .lower_bounds import _gamma_n, gamma_n
+from .lower_bounds import _gamma_n
 from .theta import lovasz_theta
 from .utility import UtilityMatrix, sequence_labels, utility_from_graph
 
@@ -293,41 +293,39 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     it is reported when the two sides meet within 2*tol along an integer or
     radical closure, tried after each n.  No larger cap moves a closed
     answer t: a later candidate above t would exceed the upper side, at most
-    t + 2*tol, and a tie loses to the earlier one.  Where G_s^Sym has the
-    rows of G_s at n = 1, under the closure or not, Gamma(U_1) takes
-    alpha(G_s^Sym) and its witness from the alpha(G_s) search instead of
-    searching the same graph again; when that search ran out of budget,
-    Gamma(U_1) runs its own.  For a symmetric U, Gamma(U_n) is
-    alpha(G_s^n), and the lexicographically first largest feasible subset
-    is the lexicographically least maximum independent set, so Gamma's
-    record and candidate come from the alpha(G_s^n) search at every n, with
-    no subset search and no warning of their own.  Why: the letter sums A of
-    a symmetric U are symmetric, so G_s^n joins x and y iff A[x, y] >= 0,
-    and is G_s^Sym,n.  A feasible set is independent there, since the
-    2-cycle x -> y -> x sums to 2 A[x, y] < 0; an independent set is
-    feasible, since every arc of a chain inside it is negative.  Likewise
-    the radical closure takes the alpha of the strong power of G_s^Sym from
-    the alpha(G_s^n) search of the same n when the two graphs have the same
-    rows, as on the pentagon at n = 2.
-    ``node_budget`` is per search, not per bracket: each search gets it
-    afresh, namely alpha(G_s^n), alpha(G_s^Sym,n) and Gamma's subset search
-    at each n run, the perfectness test, and the radical closure's alpha,
-    once per lower certificate it tries.  A search that exhausts its budget
-    drops its candidate, and the closure that needs it, with a warning,
-    except Gamma's subset search, whose largest feasible subset found so far
-    stays a candidate, flagged not optimal in its record.  Where no
-    perfect-graph closure needs its verdict, the perfectness test only
-    spares the solver: it runs within at most ``SHORTCUT_NODE_BUDGET``
+    t + 2*tol, and a tie loses to the earlier one.  For a symmetric U,
+    Gamma(U_n) is alpha(G_s^n), and the lexicographically first largest
+    feasible subset is the lexicographically least maximum independent set,
+    so Gamma's record and candidate come from the alpha(G_s^n) search at
+    every n, with no subset search and no warning of their own.  Why: the
+    letter sums A of a symmetric U are symmetric, so G_s^n joins x and y
+    iff A[x, y] >= 0, and is G_s^Sym,n.  A feasible set is independent
+    there, since the 2-cycle x -> y -> x sums to 2 A[x, y] < 0; an
+    independent set is feasible, since every arc of a chain inside it is
+    negative.  Each distinct graph is searched once per bracket:
+    alpha(G_s^n), alpha(G_s^Sym,n) for Gamma(U_n) and the radical closure's
+    alpha of the strong power of G_s^Sym come from one memo keyed by the
+    graph's rows, so the pentagon's G_s^2, G_s^Sym,2 and strong square of
+    G_s^Sym cost one search.  A search that ran out of budget raises its
+    error again for a graph with the same rows and letter table, which would
+    search alike.  ``node_budget`` is per search, not per bracket: each
+    distinct graph's alpha search gets it afresh, as do Gamma's subset
+    search at each n run and the perfectness test.  A search that exhausts
+    its budget drops its candidate, and the closure that needs it, with a
+    warning, except Gamma's subset search, whose largest feasible subset
+    found so far stays a candidate, flagged not optimal in its record.
+    Where no perfect-graph closure needs its verdict, the perfectness test
+    only spares the solver: it runs within at most ``SHORTCUT_NODE_BUDGET``
     nodes and gives up silently.  The result carries the records of the n
     run (alpha(G_s^n) and its witness; Gamma(U_n) with its subset,
     optimality and alpha(G_s^Sym,n); or the skip message) and
-    theta(G_s^Sym).  At n_max = 2
-    and q <= 7 its alpha searches run on at most 49 vertices, below the size
-    from which ``graphs.independence_number`` bounds a block graph by its
-    letter table: there the bounds cost more than the search they would
-    save.  Raises InputError when n_max < 1 or tol lies outside (0, 1e-2],
-    the solver's own range, checked here since a perfect G_s^Sym never
-    reaches the solver.
+    theta(G_s^Sym).  At n_max = 2 and q <= 7 its alpha searches run on at
+    most 49 vertices, below the size from which
+    ``graphs.independence_number`` bounds a block graph by its letter table:
+    there the bounds cost more than the search they would save.  Raises
+    InputError when n_max < 1 or tol lies outside (0, 1e-2], the solver's
+    own range, checked here since a perfect G_s^Sym never reaches the
+    solver.
     """
     if n_max < 1:
         raise InputError("n_max must be at least 1")
@@ -340,8 +338,19 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     # for symmetric or two-valued-gain utilities G_s^Sym is G_s at n = 1
     closure = symmetric or is_two_valued_a_ge_b(U)
     sym_graph = base_graph if closure else symmetric_sender_graph(U, 1)
-    # alpha(G_s^Sym) and its witness, when the n = 1 pass's alpha(G_s) gives them
-    alpha_sym_found = None
+    # rows -> (alpha, witness); (rows, letters) -> the BudgetExceededError
+    searches: dict = {}
+
+    def alpha_of(g: Graph) -> tuple[int, tuple[int, ...]]:
+        found = searches.get(g.rows) or searches.get((g.rows, g.letters))
+        if found is None:
+            try:
+                found = searches[g.rows] = independence_number(g, budget=node_budget)
+            except BudgetExceededError as exc:
+                found = searches[g.rows, g.letters] = exc
+        if isinstance(found, BudgetExceededError):
+            raise found
+        return found
 
     lowers: list[tuple[float, dict, tuple[int, int]]] = []
     per_n: list[dict] = []
@@ -350,10 +359,8 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
         record: dict = {"n": n}
         gamma = None  # (Gamma(U_n), its subset, optimal, alpha(G_s^Sym,n))
         try:
-            searched = base_graph if n == 1 else sender_graph(U, n)
-            alpha, witness = found = independence_number(searched, budget=node_budget)
+            alpha, witness = alpha_of(base_graph if n == 1 else sender_graph(U, n))
         except (BudgetExceededError, CapExceededError) as exc:
-            searched = None
             record["alpha_sender_error"] = f"alpha(G_s^{n}) skipped: {exc}"
             warnings.append(record["alpha_sender_error"])
         else:
@@ -362,15 +369,13 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
             lowers.append((record["alpha_sender_rate"],
                            {"name": "alpha_sender_power", "n": n, "alpha": alpha,
                             "witness": record["alpha_witness"]}, (alpha, n)))
-            if n == 1 and sym_graph.rows == base_graph.rows:
-                alpha_sym_found = found
             if symmetric:
                 # Gamma(U_n) = alpha(G_s^n), with the same witness
                 gamma = alpha, list(record["alpha_witness"]), True, alpha
         if not symmetric:
             try:
-                value, gamma_cert = (_gamma_n(U, 1, sym_graph, node_budget, alpha_sym_found)
-                                     if n == 1 else gamma_n(U, n, node_budget=node_budget))
+                sym = sym_graph if n == 1 else symmetric_sender_graph(U, n)
+                value, gamma_cert = _gamma_n(U, n, sym, alpha_of(sym), node_budget)
                 gamma = (value, list(gamma_cert.labels), gamma_cert.optimal,
                          gamma_cert.alpha_sym)
             except (BudgetExceededError, CapExceededError) as exc:
@@ -420,11 +425,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
             # base graph must achieve the same count, pinning Theta(G_s^Sym)
             # from below; upper <= theta + tol puts the two sides within 2*tol
             try:
-                power = strong_power(sym_graph, root)
-                if searched is not None and power.rows == searched.rows:
-                    alpha_power = record["alpha_sender"]  # searched at this n
-                else:
-                    alpha_power, _ = independence_number(power, budget=node_budget)
+                alpha_power, _ = alpha_of(strong_power(sym_graph, root))
                 if alpha_power == base:
                     exact = ExactValue(base, root)
             except (BudgetExceededError, CapExceededError) as exc:

@@ -4,8 +4,9 @@
 the seeded inputs and one of the exact answers.  This recomputes both, the
 way ``perfbench/run.py`` does on its first pass, so a change that moves any
 answer fails here and not only in a benchmark run.  It also caps the
-searches that the canonical-witness pass runs on the seed-1 jobs, and pins
-which seed-1 brackets run a second blocklength.  Nothing under
+searches that the canonical-witness pass runs on the seed-1 jobs, pins
+which seed-1 brackets run a second blocklength, and counts the alpha
+searches of a seed-1 bracket pass, none repeated.  Nothing under
 ``perfbench/`` is written.
 """
 
@@ -17,6 +18,7 @@ import pytest
 
 import ixcap.game
 import ixcap.graphs
+import ixcap.lower_bounds
 import ixcap.upper_bounds
 
 ROOT = Path(__file__).parents[1]
@@ -136,15 +138,38 @@ def test_bracket_runs_blocklength_2_only_where_blocklength_1_stays_open(monkeypa
                   if ixcap.xi_bracket(*job.args, **{**job.kwargs, "n_max": 1}).exact is None]
     assert [jobs[i].label for i in still_open] == ["corpus:pentagon", "random:q4"]
 
+    # Gamma(U_1) runs on every input that is not symmetric
     calls = []
-    gamma_n = ixcap.upper_bounds.gamma_n
+    gamma_n = ixcap.upper_bounds._gamma_n
     sender_graph = ixcap.upper_bounds.sender_graph
-    monkeypatch.setattr(ixcap.upper_bounds, "gamma_n", lambda U, n, **kw:
-                        calls.append(("gamma_n", n)) or gamma_n(U, n, **kw))
+    monkeypatch.setattr(ixcap.upper_bounds, "_gamma_n", lambda U, n, *args:
+                        calls.append(("gamma_n", n)) or gamma_n(U, n, *args))
     monkeypatch.setattr(ixcap.upper_bounds, "sender_graph", lambda U, n:
                         calls.append(("sender_graph", n)) or sender_graph(U, n))
     for i, job in enumerate(jobs):
         calls.clear()
         workload.call(job)
+        gamma = [] if job.args[0].is_symmetric() else [("gamma_n", 1)]
         later = [("sender_graph", 2), ("gamma_n", 2)] if i in still_open else []
-        assert calls == [("sender_graph", 1), *later]
+        assert calls == [("sender_graph", 1), *gamma, *later]
+
+
+def test_bracket_searches_each_graph_once(monkeypatch):
+    # one seed-1 pass makes 61 alpha searches, and no bracket searches a
+    # graph with the rows of one it searched before (62 with 1 repeat when
+    # the pentagon's G_s^Sym,2 was searched again for Gamma(U_2))
+    searched = []
+    for module in (ixcap.upper_bounds, ixcap.lower_bounds):
+        def search(g, *args, _search=module.independence_number, **kw):
+            searched.append(g.rows)
+            return _search(g, *args, **kw)
+
+        monkeypatch.setattr(module, "independence_number", search)
+    workload = workloads.WORKLOADS["bracket"]
+    total = 0
+    for job in workload.make_jobs(1, ROOT):
+        searched.clear()
+        workload.call(job)
+        assert len(set(searched)) == len(searched)
+        total += len(searched)
+    assert total == 61

@@ -236,20 +236,21 @@ class TestReceiverStrategyFromSet:
             receiver_strategy_from_set(example1, [example1.q], 1)
 
     def test_equilibrium_builds_the_sender_graph_once(self, monkeypatch, pentagon):
-        """The pentagon's G_s^2 is built once.  Before the letter rule every
-        equilibrium built its sender graph; the graph utility of C4, whose
-        alpha is its clique cover number, is answered at n = 3 from its
-        letters and builds none."""
+        """The pentagon's G_s^2 is built once, by the sign kernel that builds
+        every block graph.  Before the letter rule every equilibrium built
+        its sender graph; the graph utility of C4, whose alpha is its clique
+        cover number, is answered at n = 3 from its letters and builds none
+        on X^3 (its two bases are the sign graphs of single letters)."""
         calls = []
-        build = ixcap.game.sender_graph
-        monkeypatch.setattr(ixcap.game, "sender_graph",
-                            lambda *args: calls.append(args) or build(*args))
+        build = ixcap.graphs._sign_graph
+        monkeypatch.setattr(ixcap.graphs, "_sign_graph",
+                            lambda ints, n: calls.append(n) or build(ints, n))
         equilibrium_value_noiseless(pentagon, 2)
-        assert len(calls) == 1
+        assert calls == [2]
         calls.clear()
         c4 = utility_from_graph(cycle_graph(4))
         value, strategy = equilibrium_value_noiseless(c4, 3)
-        assert calls == []
+        assert calls == [1, 1]
         assert (value, strategy.image()) == (8, (0, 2, 8, 10, 32, 34, 40, 42))
         assert receiver_strategy_from_set(c4, strategy.image(), 3) == strategy
 
@@ -313,7 +314,7 @@ class TestBlockSandwichInTheGame:
         for U, channel in cases:
             sender = [] if oracle_letter_rule(U.scaled_integer_entries[1]) else [
                 sender_graph(U, 3)]
-            table = ixcap.graphs._closed_table(confusability_graph(channel, 1))
+            table = ixcap.graphs._confusability_table(channel)
             receiver = [] if oracle_letter_rule(table) else [confusability_graph(channel, 3)]
             declined["sender"] += len(sender)
             declined["channel"] += len(receiver)
@@ -460,20 +461,12 @@ class TestNoisyVerification:
         for _ in range(4):
             check_against_reference(random_utility(rng, q), random_channel(rng, q), n, rng)
 
-    def test_sole_targets_in_python_ints_match_float64(self, monkeypatch):
-        # past 2**53 the sums of t**2 over q**n outputs leave float64's exact
-        # range; the same sums then run in Python ints
-        rng = random.Random(79)
-        cases = []
-        for _ in range(20):
-            q, n = rng.randint(2, 3), rng.randint(1, 3)
-            U, channel = random_int_utility(rng, q), random_channel(rng, q)
-            g = ReceiverStrategy(n, tuple(rng.choice([None, *range(q**n)]) for _ in range(q**n)))
-            cases += [(U, channel, g), (U, channel, naive_receiver_strategy(q, n))]
-        outcomes = [verify_noisy_equilibrium(*case) for case in cases]
-        assert any(outcome.decoded_size for outcome in outcomes)
-        monkeypatch.setattr(ixcap.game, "_FLOAT_EXACT", 0)
-        assert [verify_noisy_equilibrium(*case) for case in cases] == outcomes
+    def test_sole_targets_stay_exact_in_float64_within_the_cap(self):
+        # the moments that _sole_targets sums over q**n outputs are below
+        # (q**n)**3, and the analysis refuses a q**n above the cap, so
+        # float64 adds them exactly (the sums of t**2 once ran in Python
+        # ints past 2**53, which no accepted strategy reaches)
+        assert DEFAULT_VERTEX_CAP ** 3 < 2 ** 53
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("columns", [1, 3])
@@ -724,7 +717,7 @@ class TestVerificationError:
         # on the library's own witnesses that is its fault.  Inputs 0 and
         # 1 both reach output 1, so (0, 1) is no independent set of G_c
         monkeypatch.setattr(ixcap.game, "block_independence_number",
-                            lambda t, n, build, budget: (2, (0, 1), None))
+                            lambda t, n, budget: (2, (0, 1), None))
         channel = make_channel(example1.alphabet, [[Fraction(1, 2), Fraction(1, 2), 0],
                                                    [0, 1, 0], [0, 0, 1]])
         with pytest.raises(VerificationError, match="input supports overlap"):
@@ -803,14 +796,12 @@ class TestVertexCap:
         U = utility_from_graph(graph_from_edges(5, [(i, i + 1) for i in range(4)]))
         channel = identity_channel(U.alphabet)
         assert 5**7 > DEFAULT_VERTEX_CAP
-        for table in (U.scaled_integer_entries[1],
-                      ixcap.graphs._closed_table(confusability_graph(channel, 1))):
+        channel_table = ixcap.graphs._confusability_table(channel)
+        for table in (U.scaled_integer_entries[1], channel_table):
             assert oracle_letter_rule(table)
         calls = [lambda: equilibrium_value_noiseless(U, 7),
                  lambda: noisy_equilibrium_value(U, channel, 7),
-                 lambda: ixcap.graphs.block_independence_number(
-                     ixcap.graphs._closed_table(confusability_graph(channel, 1)), 7,
-                     lambda: confusability_graph(channel, 7))]
+                 lambda: ixcap.graphs.block_independence_number(channel_table, 7)]
         tracemalloc.start()
         try:
             for call in calls:
@@ -820,6 +811,27 @@ class TestVertexCap:
         finally:
             tracemalloc.stop()
         assert peak < 1e5
+
+    def test_noiseless_analysis_above_the_cap(self, example1, monkeypatch):
+        # 3**4 = 81 words: analysed at a cap of 81, refused at 80 before
+        # any block sum is taken
+        g = naive_receiver_strategy(3, 4)
+        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 81)
+        assert worst_case_decoded_set(example1, g).decoded_worst == (80,)
+        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 80)
+        monkeypatch.setattr(ixcap.game, "_block_sums", None)
+        with pytest.raises(CapExceededError, match="81 vertices exceed the cap of 80"):
+            worst_case_decoded_set(example1, g)
+
+    def test_noisy_analysis_above_the_cap(self, example1, monkeypatch):
+        g = naive_receiver_strategy(3, 4)
+        channel = identity_channel(example1.alphabet)
+        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 81)
+        assert verify_noisy_equilibrium(example1, channel, g).decoded_worst == (80,)
+        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 80)
+        monkeypatch.setattr(ixcap.game, "_sole_targets", None)
+        with pytest.raises(CapExceededError, match="81 vertices exceed the cap of 80"):
+            verify_noisy_equilibrium(example1, channel, g)
 
     @pytest.mark.parametrize("receiver", ["naive", "file"])
     @pytest.mark.parametrize("n, size", [(10, "59049"), (10000, "3^10000")])

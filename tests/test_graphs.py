@@ -232,6 +232,15 @@ class TestStrongProducts:
         assert oracle_alpha(p)[0] == 5
         assert independence_number(p)[0] == 5
 
+    def test_empty_graph_powers(self):
+        # the 0-vertex graph has an empty letter table, whose powers are
+        # the 0-vertex graph again
+        g = graph_from_edges(0, [])
+        for n in (1, 2, 3):
+            p = strong_power(g, n)
+            assert p.n_vertices == 0 and p.rows == ()
+            assert independence_number(p) == (0, ())
+
     def test_complete_products(self):
         k3 = complete_graph(3)
         assert graphs_equal(strong_product(k3, k3), complete_graph(9))
@@ -857,7 +866,8 @@ class TestTypeClassIncumbent:
         # 400 words in 210 classes, and an open sandwich
         U = random_int_utility(random.Random(1), 20, (-2, -1, 0, 1))
         g = sender_graph(U, 2)
-        seed, ceiling, _ = ixcap.graphs._sandwich(g, ixcap.graphs._Meter(10**6))
+        bases = ixcap.graphs._letter_bases(*g.letters, ixcap.graphs._Meter(10**6))
+        seed, ceiling, _ = ixcap.graphs._sandwich(g, bases)
         assert seed.bit_count() < ceiling
         masks = ixcap.graphs._type_classes(20, 2)[1]
         meter = ixcap.graphs._Meter(10**6)
@@ -1000,7 +1010,8 @@ def closed_sandwich_graphs():
     graphs.append(sender_graph(utility_from_json({"utility": LEX_COUNTEREXAMPLE}), 2))
     closed = []
     for g in graphs:
-        seed, ceiling, _ = ixcap.graphs._sandwich(g, ixcap.graphs._Meter(10**6))
+        bases = ixcap.graphs._letter_bases(*g.letters, ixcap.graphs._Meter(10**6))
+        seed, ceiling, _ = ixcap.graphs._sandwich(g, bases)
         if seed.bit_count() == ceiling:
             closed.append(g)
     return closed
@@ -1077,7 +1088,8 @@ class TestClosedSandwich:
         rng = random.Random(233)
         for g in closed_sandwich_graphs():
             meter = ixcap.graphs._Meter(10**6)
-            search = ixcap.graphs._ClosedSearch(g, meter, ixcap.graphs._sandwich(g, meter)[2])
+            cliques = ixcap.graphs._letter_bases(*g.letters, meter).cliques
+            search = ixcap.graphs._ClosedSearch(g, meter, cliques)
             for _ in range(6):
                 cand = rng.getrandbits(g.n_vertices)
                 members = list(ixcap.graphs._bits(cand))
@@ -1102,7 +1114,8 @@ class TestClosedSandwich:
         graphs += [_confusability_power(_random_supports(seed, 5), 3) for seed in range(4)]
         for g in graphs:
             meter = ixcap.graphs._Meter(10**6)
-            seed, ceiling, cliques = ixcap.graphs._sandwich(g, meter)
+            seed, ceiling, cliques = ixcap.graphs._sandwich(
+                g, ixcap.graphs._letter_bases(*g.letters, meter))
             parts = ixcap.graphs._ClosedSearch(g, meter, cliques).clique_partition()
             assert len(parts) == ceiling == len(cliques) ** g.letters[1]
             assert sum(parts) == (1 << g.n_vertices) - 1
@@ -1166,7 +1179,7 @@ class TestLetterRule:
             alpha, witness = len(bases.cliques) ** n, bases.words
             assert independence_number(stripped(g))[0] == alpha
             # the walk that answered a closed sandwich before the rule
-            seed, ceiling, cliques = ixcap.graphs._sandwich(g, meter, bases)
+            seed, ceiling, cliques = ixcap.graphs._sandwich(g, bases)
             assert (seed, ceiling) == (sum(1 << w for w in witness), alpha)
             assert witness == ixcap.graphs._lex_least(
                 g, alpha, seed, g.rows, range(g.n_vertices),
@@ -1177,20 +1190,27 @@ class TestLetterRule:
                 compared["oracle"] += 1
         assert compared["walk"] > compared["oracle"] >= 90
 
-    def test_graph_and_table_paths_agree(self):
+    def test_graph_and_table_paths_agree(self, monkeypatch):
         # from 64 vertices on, independence_number(g) answers by the rule
         # once its sandwich has checked I^n on g's rows, and the table path
-        # answers with no g; a table that the rule declines builds g
+        # answers with no g; a table that the rule declines builds g, the
+        # sign graph of its letters, once
         rng = random.Random(251)
+        built = []
+        build = ixcap.graphs._sign_graph
+        monkeypatch.setattr(ixcap.graphs, "_sign_graph",
+                            lambda ints, n: built.append(n) or build(ints, n))
         for q, n in ((4, 3), (5, 3)) * 4:
             t = sign_symmetric_table(rng, q)
-            g = ixcap.graphs._sign_graph(t, n)
-            built = []
-            alpha, witness, graph = ixcap.graphs.block_independence_number(
-                t, n, lambda: built.append(g) or g)
+            g = build(t, n)
+            built.clear()
+            alpha, witness, graph = ixcap.graphs.block_independence_number(t, n)
             assert independence_number(g) == (alpha, witness)
-            assert graph is (None if oracle_letter_rule(t) else g)
-            assert built == ([] if graph is None else [g])
+            if oracle_letter_rule(t):
+                assert graph is None
+            else:
+                assert graphs_equal(graph, g) and graph.letters == g.letters
+            assert built.count(n) == (graph is not None)
 
     def test_declines_where_I_differs_from_H(self):
         U = utility_from_json({"utility": LEX_COUNTEREXAMPLE})
@@ -1201,9 +1221,8 @@ class TestLetterRule:
         assert len(bases.words) == len(bases.cliques) ** 3 == 8
         assert not bases.lex_least
         assert 81 in bases.words and 74 not in bases.words
-        g = sender_graph(U, 3)
-        alpha, witness, graph = ixcap.graphs.block_independence_number(t, 3, lambda: g)
-        assert graph is g
+        alpha, witness, graph = ixcap.graphs.block_independence_number(t, 3)
+        assert graphs_equal(graph, sender_graph(U, 3))
         assert (alpha, witness) == (8, (31, 33, 41, 43, 74, 83, 91, 93))
 
 
@@ -1385,6 +1404,9 @@ class TestConfusabilityGraph:
                 rows.append([f"{s}/{total}" for s in support])
             ch = make_channel(Alphabet.of_size(q), rows)
             g2 = confusability_graph(ch, 2)
+            # the channel's 0/-1 table is G_c's closed-neighbourhood table
+            g1 = confusability_graph(ch, 1)
+            assert ixcap.graphs._confusability_table(ch) == ixcap.graphs._closed_table(g1)
             # oracle: inputs adjacent iff all letter supports intersect
             for a in range(q**2):
                 for b in range(a + 1, q**2):

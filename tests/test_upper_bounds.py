@@ -137,6 +137,19 @@ def _count_builds(monkeypatch) -> list:
     return built
 
 
+def _count_searches(monkeypatch) -> list:
+    """The rows of each graph whose independence number a bracket
+    searches, from either bounds module."""
+    searched = []
+    for module in (upper_bounds, lower_bounds):
+        def search(g, *args, _search=module.independence_number, **kw):
+            searched.append(g.rows)
+            return _search(g, *args, **kw)
+
+        monkeypatch.setattr(module, "independence_number", search)
+    return searched
+
+
 def _q5_utilities(seed, count):
     """conftest's random rational and small-integer utilities at q = 5, the
     smallest alphabet whose G_s^Sym can be imperfect (a 5-cycle)."""
@@ -353,13 +366,15 @@ class TestXiBracket:
         # G_s^n and G_s^Sym,n at each blocklength run: G_s^Sym is built
         # once, for the perfectness test, theta and Gamma(U_1) alike.  The
         # random utility closes at n = 1; the pentagon stays open there and
-        # closes at n = 2, on sqrt(5)
+        # closes at n = 2, on sqrt(5), by the radical closure, whose strong
+        # square of G_s^Sym the same kernel builds
         built = _count_builds(monkeypatch)
-        for U, ran in ((random_utility(random.Random(167), 5), 1), (pentagon, 2)):
+        for U, ran, powers in ((random_utility(random.Random(167), 5), 1, []),
+                               (pentagon, 2, [2])):
             built.clear()
             b = xi_bracket(U, n_max=2)
             assert (len(b.per_n), b.exact is not None) == (ran, True)
-            assert sorted(built) == [1, 1, 2, 2][:2 * ran]
+            assert sorted(built) == [1, 1, 2, 2][:2 * ran] + powers
 
     def test_sym_graph_is_the_base_graph_under_the_closure(self, monkeypatch):
         # symmetric and two-valued-gain utilities have G_s^Sym = G_s at
@@ -389,8 +404,8 @@ class TestXiBracket:
         # not, Gamma(U_1) takes alpha(G_s^Sym) and its witness from the
         # alpha(G_s) search; its record is the one gamma_n gives alone
         searched = []
-        search = lower_bounds.independence_number
-        monkeypatch.setattr(lower_bounds, "independence_number",
+        search = upper_bounds.independence_number
+        monkeypatch.setattr(upper_bounds, "independence_number",
                             lambda g, **kw: searched.append(g.n_vertices) or search(g, **kw))
         same = Counter()
         for U in _random_utilities(181, 30):
@@ -398,13 +413,43 @@ class TestXiBracket:
             closure = U.is_symmetric() or is_two_valued_a_ge_b(U)
             searched.clear()
             record = xi_bracket(U, n_max=2).per_n[0]
-            assert searched.count(U.q) == (not equal)
+            assert searched.count(U.q) == 1 + (not equal)
             value, cert = gamma_n(U, 1)
             assert (record["gamma"], record["gamma_subset"], record["alpha_sym"]) == (
                 value, list(cert.labels), cert.alpha_sym)
             same[equal, closure] += 1
         assert same[True, True] and same[True, False] and same[False, False]
         assert not same[False, True]
+
+    def test_each_graph_is_searched_once_per_bracket(self, pentagon, monkeypatch):
+        # one memo of alpha searches per bracket: G_s^n, G_s^Sym,n and the
+        # radical closure's power share a search where they share their
+        # rows.  The pentagon's G_s^Sym,2, which has the rows of G_s^2, was
+        # searched twice by each bracket, once for Gamma(U_2).  The rate
+        # bracket runs two brackets, whose graphs may coincide (G_s = G_c =
+        # K2): each is checked on its own
+        searched = _count_searches(monkeypatch)
+        counts = []
+        bracket = upper_bounds.xi_bracket
+
+        def checked(*args, **kw):
+            searched.clear()
+            b = bracket(*args, **kw)
+            assert len(set(searched)) == len(searched)
+            counts.append(len(searched))
+            return b
+
+        monkeypatch.setattr(upper_bounds, "xi_bracket", checked)
+        for U in _random_utilities(181, 30):
+            checked(U, n_max=2)
+            # a search out of budget is not run again either
+            checked(U, n_max=2, node_budget=1)
+        for pair in _random_pairs(137, 30):
+            asymptotic_rate_bracket(*pair)
+        assert len(counts) == 120 and sum(counts) > 120
+        counts.clear()
+        checked(pentagon, n_max=2)
+        assert counts == [2]  # G_s and G_s^2
 
     def test_radical_closure_reuses_the_alpha_of_equal_rows(self, pentagon, monkeypatch):
         # on the pentagon the strong square of G_s^Sym has the rows of
@@ -447,7 +492,6 @@ class TestXiBracket:
         def subset_search(*args, **kw):
             raise AssertionError("a subset search ran on a symmetric utility")
 
-        monkeypatch.setattr(upper_bounds, "gamma_n", subset_search)
         monkeypatch.setattr(upper_bounds, "_gamma_n", subset_search)
         rng = random.Random(241)
         utilities = [random_symmetric_utility(rng, rng.randint(2, 5)) for _ in range(30)]
@@ -545,20 +589,19 @@ class TestAsymptoticRateBracket:
     def test_a_closed_channel_side_builds_no_power(self, monkeypatch):
         # P4's graph utility over y -> {y, y + 1 mod 4}: G_c is the perfect
         # C4, so both sides close at n = 1 and no graph on X^n, n >= 2, is
-        # built; the channel side built G_c^2 and G_c^3 (3 strong products)
-        blocklengths, products = [], []
-        sign_graph, strong_product = graphs._sign_graph, graphs.strong_product
+        # built; the channel side built G_c^2 and G_c^3 (3 strong products).
+        # Every block graph, strong powers and G_c^n included, comes from
+        # the one sign kernel, so its blocklengths show every graph built
+        blocklengths = []
+        sign_graph = graphs._sign_graph
         monkeypatch.setattr(graphs, "_sign_graph",
                             lambda ints, n: blocklengths.append(n) or sign_graph(ints, n))
-        monkeypatch.setattr(graphs, "strong_product",
-                            lambda g1, g2: products.append(g2) or strong_product(g1, g2))
         U = utility_from_graph(path_graph(4))
         channel = make_channel(U.alphabet, [[Fraction(1, 2) if j in (i, (i + 1) % 4) else 0
                                              for j in range(4)] for i in range(4)])
         b = asymptotic_rate_bracket(U, channel, n_max=3)
         assert (b.exact.base, b.exact.root) == (2, 1)
         assert set(blocklengths) == {1}
-        assert products == []
 
     def test_unconverged_channel_theta_is_skipped(self, monkeypatch):
         def diverge(g, **kw):
