@@ -240,8 +240,9 @@ def _letter_supports(channel: Channel, dtype) -> np.ndarray:
 
 
 def output_support_indices(channel: Channel, y_index: int, n: int) -> frozenset[int]:
-    """Indices of output sequences reachable from input sequence y."""
-    nv = channel.q**n
+    """Indices of output sequences reachable from input sequence y, for a
+    blocklength n >= 1 within the vertex cap."""
+    nv = _check_cap(channel.q, n)
     if not 0 <= y_index < nv:
         raise InputError(f"input sequence index out of range for n={n}")
     onehot = np.arange(nv) == y_index
@@ -287,11 +288,12 @@ def noisy_receiver_strategy(I_s, I_c, channel: Channel, n: int
     product of marks that hold 1 and the rank from 1 at each input, 0
     elsewhere, gives every output the count of inputs that reach it and,
     where that is 1, the input's rank; a count above 1 is an overlap.
+    Refuses a blocklength below 1, and q**n above the vertex cap.
     """
     xs, ys = sorted(I_s), sorted(I_c)
     if len(xs) != len(ys):
         raise InputError(f"set sizes differ: {len(xs)} protected vs {len(ys)} inputs")
-    nv = channel.q**n
+    nv = _check_cap(channel.q, n)
     # numpy would read a negative index from the far end
     for what, words in (("protected", xs), ("input", ys)):
         if words and not 0 <= words[0] <= words[-1] < nv:

@@ -206,9 +206,12 @@ def empty_graph(n: int) -> Graph:
 
 
 def _check_cap(q: int, n: int = 1) -> int:
-    """q**n, the vertices of a construction on X^n; CapExceededError above
-    ``DEFAULT_VERTEX_CAP``, naming q^n unexpanded for q >= 2 and an n past
-    the cap's bit length, whose power is never computed."""
+    """q**n, the vertices of a construction on X^n; InputError when n < 1,
+    and CapExceededError above ``DEFAULT_VERTEX_CAP``, naming q^n unexpanded
+    for q >= 2 and an n past the cap's bit length, whose power is never
+    computed."""
+    if n < 1:
+        raise InputError("blocklength must be at least 1")
     size = f"{q}^{n}" if q > 1 and n > DEFAULT_VERTEX_CAP.bit_length() else q**n
     if isinstance(size, str) or size > DEFAULT_VERTEX_CAP:
         raise CapExceededError(f"{size} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
@@ -246,8 +249,6 @@ def _sign_graph(ints, n: int) -> Graph:
     table's no rows at any n; longer blocks go through the numpy kernel
     ``_block_sign_rows``, whose packed block the graph keeps for its first
     search's copy."""
-    if n < 1:
-        raise InputError("blocklength must be at least 1")
     nv = _check_cap(len(ints), n)
     if n == 1 or not nv:
         return Graph(nv, _letter_sign_rows(ints))

@@ -15,14 +15,15 @@ Over a noisy channel the extraction rate is the smaller of the capacity and
 the channel's zero-error capacity C_0 = Theta(G_c), which is itself the
 extraction capacity of the 0/-1 utility of G_c.  So ``xi_bracket`` is the
 one bracket, and ``asymptotic_rate_bracket`` takes the elementwise minimum
-of its brackets on U and on that utility.  Its upper side is theta(G_s^Sym)
-(``_theta_side``), closed on integers (``_integer_closure``).  On a perfect
-graph theta equals the independence number (Lovasz 1979), so the
-semidefinite solver runs only on a G_s^Sym that is not proved perfect, or
-whose independence number is not known: the bracket takes that alpha from
-its own blocklength-1 pass.  Closures compare the integers of the
-certificates, never floats, and each bracket stops at the first
-blocklength that closes.
+of its brackets on U and on that utility.  Its upper side bounds
+Theta(G_s^Sym) by one candidate, chosen by one perfectness verdict on
+G_s^Sym.  On a perfect graph theta equals the independence number (Lovasz
+1979), so where G_s^Sym is proved perfect the candidate is the integer
+alpha(G_s^Sym), which the bracket's own memo of alpha searches holds, and
+the semidefinite solver runs only on a G_s^Sym not proved perfect, or whose
+alpha the memo lacks, giving theta + tol.  Closures compare the integers of
+the certificates, never floats (``_integer_closure``), and each bracket
+stops at the first blocklength that closes.
 """
 
 from __future__ import annotations
@@ -213,8 +214,9 @@ class CapacityBracket:
     """Certified [lower, upper] interval around an uncomputable limit.
 
     ``per_n`` and ``theta_sym`` report what ``xi_bracket`` computed on the
-    way: one record per blocklength run, and theta(G_s^Sym), None when it
-    did not converge.  Neither is part of ``to_json_dict``."""
+    way: one record per blocklength run, and theta(G_s^Sym), None when the
+    solver was skipped or did not converge.  Neither is part of
+    ``to_json_dict``."""
 
     lower: float
     lower_certificate: dict
@@ -238,33 +240,6 @@ class CapacityBracket:
         return out
 
 
-def _theta_side(g: Graph, alpha: int | None, budget: int, tol: float, warnings: list[str]):
-    """(theta(g), its upper candidates, the perfectness verdict).
-
-    The verdict of the test of g within ``budget`` nodes is True, False, or
-    the BudgetExceededError of a test that ran out.  On a g proved perfect
-    whose independence number ``alpha`` is known, theta is alpha exactly and
-    no semidefinite program is solved (the certificate says ``"perfect":
-    true``); otherwise the solver answers within min(tol, 1e-3).  The one
-    candidate is theta + tol with certificate ``theta_symmetric_part``; a g
-    above the solver's vertex limit or a solve that does not converge gives
-    none, and theta None, after a warning naming theta(G_s^Sym).
-    """
-    try:
-        perfect = in_perfect_whitelist(g, budget=budget)
-    except BudgetExceededError as exc:
-        perfect = exc
-    proof = {"perfect": True} if perfect is True and alpha is not None else {}
-    try:
-        theta = float(alpha) if proof else lovasz_theta(g, tol=min(tol, 1e-3))
-    except (CapExceededError, ConvergenceError) as exc:
-        fault = "skipped" if isinstance(exc, CapExceededError) else "did not converge"
-        warnings.append(f"theta(G_s^Sym) {fault}: {exc}")
-        return None, [], perfect
-    return theta, [(theta + tol, {"name": "theta_symmetric_part", "theta": theta, "tol": tol,
-                                  **proof})], perfect
-
-
 def _integer_closure(base: int, root: int, upper: float, tol: float) -> ExactValue | None:
     """ExactValue(t) when base = t**root for an integer t, so the certified
     lower bound base**(1/root) is t itself, and the upper side lies in
@@ -284,14 +259,18 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     of budget.  Only U's own bounds are candidates: a utility that dominates
     U entrywise has a supergraph of every G_s^n and fewer feasible subsets,
     so neither of its bounds can beat U's at the same n.  Upper side, set
-    after the n = 1 pass: min of the alphabet size and theta(G_s^Sym) + tol
-    by ``_theta_side``, which tests G_s^Sym for perfectness once per bracket
-    and takes theta as the alpha(G_s^Sym) of the n = 1 pass on a perfect
-    G_s^Sym.  Exact value: for symmetric or two-valued-gain utilities, where
-    G_s and G_s^Sym coincide at n = 1, the same verdict pins the capacity of
-    a perfect base graph at alpha(G_s), taken from the n = 1 pass; otherwise
-    it is reported when the two sides meet within 2*tol along an integer or
-    radical closure, tried after each n.  No larger cap moves a closed
+    after the n = 1 pass: the min of the alphabet size and one candidate,
+    chosen by one perfectness verdict on G_s^Sym, a bool; a test that runs
+    out of budget counts as not proved.  Where G_s^Sym is proved perfect
+    and the memo below holds its alpha, theta = alpha and the candidate is
+    that integer, with no solver and no tol: ``perfect_graph_closure`` for
+    symmetric or two-valued-gain utilities, where G_s^Sym is G_s at n = 1,
+    and ``theta_symmetric_part`` with ``"perfect": true`` otherwise.
+    Elsewhere it is the solver's theta(G_s^Sym) + tol.  Exact value:
+    reported when the two sides meet within 2*tol along an integer or
+    radical closure, tried after each n; under the perfect-graph closure
+    the integer closure pins the capacity at alpha(G_s) at n = 1, since
+    alpha(G_s) is a lower candidate there.  No larger cap moves a closed
     answer t: a later candidate above t would exceed the upper side, at most
     t + 2*tol, and a tie loses to the earlier one.  For a symmetric U,
     Gamma(U_n) is alpha(G_s^n), and the lexicographically first largest
@@ -303,10 +282,11 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     there, since the 2-cycle x -> y -> x sums to 2 A[x, y] < 0; an
     independent set is feasible, since every arc of a chain inside it is
     negative.  Each distinct graph is searched once per bracket:
-    alpha(G_s^n), alpha(G_s^Sym,n) for Gamma(U_n) and the radical closure's
-    alpha of the strong power of G_s^Sym come from one memo keyed by the
-    graph's rows, so the pentagon's G_s^2, G_s^Sym,2 and strong square of
-    G_s^Sym cost one search.  A search that ran out of budget raises its
+    alpha(G_s^n), alpha(G_s^Sym,n) for Gamma(U_n), the upper side's
+    alpha(G_s^Sym), which the n = 1 pass has always searched, and the
+    radical closure's alpha of the strong power of G_s^Sym come from one
+    memo keyed by the graph's rows, so the pentagon's G_s^2, G_s^Sym,2 and
+    strong square of G_s^Sym cost one search.  A search that ran out of budget raises its
     error again for a graph with the same rows and letter table, which would
     search alike.  ``node_budget`` is per search, not per bracket: each
     distinct graph's alpha search gets it afresh, as do Gamma's subset
@@ -391,25 +371,37 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
         per_n.append(record)
 
         if n == 1:
-            # the upper side needs only the n = 1 records
-            alpha_base = record.get("alpha_sender")
-            theta_sym, theta_upper, perfect = _theta_side(
-                sym_graph, record.get("alpha_sym"),
-                node_budget if closure else min(node_budget, SHORTCUT_NODE_BUDGET),
-                tol, warnings)
-            uppers = [(float(q), {"name": "alphabet_size", "q": q}), *theta_upper]
-            if closure:
-                # sym_graph is base_graph, so the verdict above is the base graph's
-                if isinstance(perfect, BudgetExceededError):
-                    warnings.append(f"perfect-graph closure skipped: {perfect}")
-                elif perfect and alpha_base is None:
-                    warnings.append("perfect-graph closure skipped: "
-                                    "alpha(G_s^1) was not computed")
-                elif perfect:
-                    # alpha(G_s) is already a lower candidate, so only the upper side moves
-                    exact = ExactValue(alpha_base, 1)
-                    uppers.append((float(alpha_base),
-                                   {"name": "perfect_graph_closure", "alpha": alpha_base}))
+            # the upper side needs only the n = 1 pass
+            uppers = [(float(q), {"name": "alphabet_size", "q": q})]
+            skipped = None  # why a perfect-graph closure is not tried
+            try:
+                perfect = in_perfect_whitelist(
+                    sym_graph, node_budget if closure else min(node_budget, SHORTCUT_NODE_BUDGET))
+            except BudgetExceededError as exc:
+                perfect, skipped = False, exc
+            try:
+                # a hit or a stored error: the pass above searched sym_graph
+                alpha_perfect = alpha_of(sym_graph)[0] if perfect else None
+            except BudgetExceededError:
+                alpha_perfect, skipped = None, "alpha(G_s^1) was not computed"
+            if alpha_perfect is not None:
+                # theta = alpha on a perfect graph (Lovasz 1979); under the
+                # closure the integer closure pins the capacity at it
+                theta_sym = float(alpha_perfect)
+                cert = ({"name": "perfect_graph_closure", "alpha": alpha_perfect} if closure
+                        else {"name": "theta_symmetric_part", "theta": theta_sym, "perfect": True})
+                uppers.append((theta_sym, cert))
+            else:
+                theta_sym = None
+                try:
+                    theta_sym = lovasz_theta(sym_graph, tol=min(tol, 1e-3))
+                    uppers.append((theta_sym + tol, {"name": "theta_symmetric_part",
+                                                     "theta": theta_sym, "tol": tol}))
+                except (CapExceededError, ConvergenceError) as exc:
+                    fault = "skipped" if isinstance(exc, CapExceededError) else "did not converge"
+                    warnings.append(f"theta(G_s^Sym) {fault}: {exc}")
+                if closure and skipped:
+                    warnings.append(f"perfect-graph closure skipped: {skipped}")
             upper_value, upper_cert = min(uppers, key=lambda t: t[0])
 
         lower_value, lower_cert, lower_root = max(
@@ -448,17 +440,17 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     extraction capacity of the 0/-1 utility ``utility_from_graph(G_c)``:
     its sender graphs are exactly the strong powers G_c^n, in the same
     numbering.  So the channel side is ``xi_bracket`` of that utility, with
-    every rule of the capacity bracket: alpha(G_c^n) below, theta(G_c) +
-    tol above, the perfect-graph, integer and radical closures, and the stop
-    at the first blocklength that closes.  Its certificates and warnings
-    name G_c: ``alpha_confusability_power``, ``theta_confusability`` and,
-    e.g., "alpha(G_c^2) skipped"; its witnesses name sequences over U's
-    alphabet.  The rate is exact at e when one side is exact at e and the
-    other side's certified lower bound base**(1/root) reaches it, compared
-    on the integers (e.base**root <= base**e.root), the capacity's side
-    tried first.  ``budget`` is per search, as in ``xi_bracket``, for each
-    of the two brackets.  Raises InputError when U and the channel have
-    alphabets of different sizes.
+    every rule of the capacity bracket: alpha(G_c^n) below, alpha(G_c) on
+    a perfect G_c or theta(G_c) + tol above, the perfect-graph, integer and
+    radical closures, and the stop at the first blocklength that closes.
+    Its certificates and warnings name G_c: ``alpha_confusability_power``,
+    ``theta_confusability`` and, e.g., "alpha(G_c^2) skipped"; its
+    witnesses name sequences over U's alphabet.  The rate is exact at e
+    when one side is exact at e and the other side's certified lower bound
+    base**(1/root) reaches it, compared on the integers (e.base**root <=
+    base**e.root), the capacity's side tried first.  ``budget`` is per
+    search, as in ``xi_bracket``, for each of the two brackets.  Raises
+    InputError when U and the channel have alphabets of different sizes.
     """
     if U.q != channel.q:
         raise InputError("utility and channel alphabets differ in size")

@@ -77,6 +77,15 @@ def test_usage_error_is_an_input_error(argv, c5_path):
     assert main([c5_path if a == GRAPH else a for a in argv]) == EXIT_INPUT
 
 
+def test_an_unwritable_report_path_exits_1(tmp_path, capsys):
+    # the OSError of writing --out into a directory that does not exist
+    out = tmp_path / "missing" / "x.json"
+    assert main(["alpha", "--utility", PENTAGON, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"ixcap: error: [Errno 2] No such file or directory: '{out}'\n")
+    assert not out.parent.exists()
+
+
 def test_empty_subset_names_the_fault(capsys):
     # an empty --subset once skipped the subset check, ran the whole Gamma
     # search and exited 0

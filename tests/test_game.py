@@ -775,6 +775,44 @@ def test_a_strategy_on_a_mixed_alphabet_round_trips():
                 assert strategy_from_json_dict(U, json.loads(json.dumps(table))) == g
 
 
+class TestInputRefusals:
+    """Each public entry point refuses malformed input with an InputError
+    that names the fault, before any table is built."""
+
+    @pytest.mark.parametrize("call", [
+        lambda channel: naive_receiver_strategy(3, 0),
+        lambda channel: noisy_receiver_strategy([0], [0], channel, 0),
+        lambda channel: output_support_indices(channel, 0, 0),
+    ], ids=["naive", "noisy", "supports"])
+    def test_blocklength_zero(self, example1, call):
+        # X^0 holds one empty word: each of these once answered for it, as
+        # a strategy with decode (0,) or the support {0}
+        with pytest.raises(InputError) as info:
+            call(identity_channel(example1.alphabet))
+        assert (type(info.value), str(info.value)) == (
+            InputError, "blocklength must be at least 1")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda U: worst_case_decoded_set(U, ReceiverStrategy(1, (0,))),
+         "strategy table has 1 entries, expected 3"),
+        (lambda U: expected_block_utility(U, identity_channel(Alphabet.of_size(2)),
+                                          naive_receiver_strategy(3, 1), 0, 0, 1),
+         "utility and channel alphabets differ in size"),
+        (lambda U: verify_noisy_equilibrium(U, identity_channel(Alphabet.of_size(2)),
+                                            naive_receiver_strategy(3, 1)),
+         "utility and channel alphabets differ in size"),
+        (lambda U: strategy_from_json_dict(U, {"n": 1, "decode": {"9": "0"}}),
+         "unknown output sequence label '9'"),
+        (lambda U: strategy_from_json_dict(U, {"n": 1, "decode": {"0": "0"}}),
+         "strategy table is missing 2 output sequences"),
+    ], ids=["table-length", "expected-channel", "noisy-channel", "unknown-output",
+            "missing-outputs"])
+    def test_refusal(self, example1, call, message):
+        with pytest.raises(InputError) as info:
+            call(example1)
+        assert (type(info.value), str(info.value)) == (InputError, message)
+
+
 class TestVertexCap:
     """A strategy on X^n is refused above the vertex cap before any table
     of q**n sequences is built."""

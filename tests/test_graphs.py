@@ -939,6 +939,13 @@ def _noisy_q4_utility():
                                [10, -150, 0, 90], [-30, 90, 15, 0]])
 
 
+def _closed_q3_utility():
+    """A q = 3 utility whose sender graph at n = 4 (81 words, alpha = 16)
+    has a closed sandwich with I != H, so its witness pass walks g's rows
+    and runs ``at_least`` searches with the partition rule on."""
+    return utility_from_json({"utility": [[0, -3, -1], [1, 0, -1], [1, -1, 0]]})
+
+
 def _random_sender_power(seed, q, n):
     return sender_graph(random_int_utility(random.Random(seed), q, (-2, -1, 0, 1)), n)
 
@@ -972,7 +979,9 @@ class TestPinnedSearchTree:
     maximum search's tree as it was from I^5).  noisy-q4, the structure of
     perfbench's noisy job 10, took 1 363 nodes from I^4.  confusability-4
     took 12 nodes while H's cover search ran its own alpha search of the
-    rows of I, whose |L| it now starts from."""
+    rows of I, whose |L| it now starts from.  closed-sender-4's sandwich is
+    closed, so no maximum search runs: its 12 nodes are the bases' and the
+    closed walk's 5 refused ``at_least`` searches."""
 
     @pytest.mark.parametrize("build, alpha, nodes", [
         (lambda: sender_graph(_noisy_k1_utility(), 5), 37, 7881),
@@ -985,8 +994,10 @@ class TestPinnedSearchTree:
         (lambda: _confusability_power(_random_supports(4, 6), 3), 27, 9),
         (lambda: random_graph(random.Random(1), 60, 0.25), 14, 562),
         (lambda: random_graph(random.Random(3), 90, 0.3), 13, 2203),
+        (lambda: sender_graph(_closed_q3_utility(), 4), 16, 12),
     ], ids=["noisy-cliff-k1", "sender-3", "sender-5", "sender-22", "noisy-q4", "C7-squared",
-            "confusability-7", "confusability-4", "random-60", "random-90"])
+            "confusability-7", "confusability-4", "random-60", "random-90",
+            "closed-sender-4"])
     def test_node_count(self, build, alpha, nodes):
         g = build()
         assert independence_number(g, budget=nodes)[0] == alpha
@@ -1080,6 +1091,27 @@ class TestClosedSandwich:
             alpha, witness = independence_number(g)
             assert witness == oracle_lex_least_mis(g, alpha)
         assert searched
+
+    def test_searches_with_the_partition_rule_on(self, monkeypatch):
+        # at its own size, with no threshold lowered, the closed walk of
+        # closed-sender-4 settles 36 vertices by the partition rule and
+        # runs 5 at_least searches, each of which refuses; with the rule
+        # off, the walk runs 40 searches, all refused, and the witness holds
+        g = sender_graph(_closed_q3_utility(), 4)
+        assert g.n_vertices >= ixcap.graphs.ORDERED_MIN_VERTICES
+        found = []
+        at_least = ixcap.graphs._ClosedSearch.at_least
+        monkeypatch.setattr(ixcap.graphs._ClosedSearch, "at_least",
+                            lambda self, cand, target: found.append(
+                                at_least(self, cand, target)) or found[-1])
+        meter = ixcap.graphs._Meter(10**6)
+        alpha, witness = ixcap.graphs._alpha(g, meter)
+        assert (alpha, meter.spent, found) == (16, 12, [False] * 5)
+        assert meter.settled == {"exchange": 0, "partition": 36, "search": 5}
+        monkeypatch.setattr(ixcap.graphs, "_meets_fewer", lambda classes, rest, k: False)
+        found.clear()
+        assert independence_number(g) == (alpha, witness)
+        assert found == [False] * 40
 
     def test_a_search_answers_in_the_graphs_own_numbering(self, monkeypatch):
         # the copy is numbered by degree; a search takes its candidates and
@@ -1490,6 +1522,16 @@ class TestGraphJson:
         with pytest.raises(InputError, match="cannot read graph file .* more than 4 digits"):
             load_graph(path)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sender_graph(utility_from_json({"utility": [[0, 1], [-1, 0]]}), 0),
+         "blocklength must be at least 1"),
+        (lambda: Graph(2, (0,)), "adjacency rows must match the vertex count"),
+    ], ids=["sender-blocklength-0", "rows-of-another-count"])
+    def test_refusal(self, call, message):
+        with pytest.raises(InputError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (InputError, message)
 
     def test_numpy_integers_are_vertex_numbers(self):
         g = graph_from_edges(np.int64(3), [(np.int64(0), np.int32(2))])

@@ -1,7 +1,7 @@
 """The package's import layering, read from its source with ast: the
 brackets' rules live in the bound modules alone, the command line sits on
-top of everything, the graph modules never name a sequence, and no search
-reads a complement."""
+top of everything, the graph modules never name a sequence, no search
+reads a complement, and the bracket reads every alpha from one memo."""
 
 import ast
 from pathlib import Path
@@ -105,3 +105,27 @@ def test_every_search_reads_its_graphs_own_rows():
     assert {name: lines for name, lines in reads.items() if lines} == {}
     # the check sees a read where one is: the tests build complements
     assert _complement_reads(Path(__file__).with_name("test_upper_bounds.py"))
+
+
+def _call_sites(path: Path, name: str) -> list[tuple[str, ...]]:
+    """The enclosing function names, outermost first, of each call of
+    ``name`` in a source file."""
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (*scope, node.name)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    return list(walk(ast.parse(path.read_text()), ()))
+
+
+def test_the_bracket_reads_every_alpha_from_its_one_memo():
+    # every alpha the bracket reads, the upper side's included, comes from
+    # xi_bracket's memo alpha_of, and theta is solved at one site
+    path = SRC / "upper_bounds.py"
+    assert _call_sites(path, "independence_number") == [("xi_bracket", "alpha_of")]
+    assert _call_sites(path, "lovasz_theta") == [("xi_bracket",)]
+    # the check sees a call where one is
+    assert len(_call_sites(SRC / "lower_bounds.py", "independence_number")) >= 1

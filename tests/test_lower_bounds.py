@@ -184,6 +184,14 @@ class TestFeasibility:
             with pytest.raises(InputError, match="repeated"):
                 check(example1, [0, 0])
 
+    @pytest.mark.parametrize("check", [is_feasible_O, feasibility_report,
+                                       sufficient_margin_check])
+    def test_symbol_out_of_range_rejected(self, example1, check):
+        with pytest.raises(InputError) as info:
+            check(example1, (0, 5))
+        assert (type(info.value), str(info.value)) == (
+            InputError, "symbol index 5 out of range for q=3")
+
     def test_report_has_witness(self, example1):
         report = feasibility_report(example1, [0, 1])
         assert report["feasible"] is False

@@ -75,6 +75,10 @@ def test_validates_inputs():
         lovasz_theta(cycle_graph(5), tol=0.0)
     with pytest.raises(CapExceededError, match="65 vertices exceed the solver's limit of 64"):
         lovasz_theta(empty_graph(65))
+    with pytest.raises(InputError) as info:
+        lovasz_theta(empty_graph(0))
+    assert (type(info.value), str(info.value)) == (
+        InputError, "graph must have at least one vertex")
 
 
 def test_budget_exhaustion_reports_last_iterate(monkeypatch):

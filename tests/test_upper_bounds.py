@@ -18,7 +18,7 @@ from conftest import (
     random_utility,
 )
 from ixcap.channel import identity_channel, make_channel
-from ixcap.errors import BudgetExceededError, ConvergenceError, InputError
+from ixcap.errors import BudgetExceededError, CapExceededError, ConvergenceError, InputError
 from ixcap.graphs import (
     Graph,
     complete_graph,
@@ -344,12 +344,13 @@ class TestXiBracket:
         assert (len(calls), b.warnings) == (1, ())
         assert "perfect" not in b.upper_certificate
         assert b.upper == pytest.approx(12 + 1e-3, abs=1e-3)
-        # with the budget to prove the graph perfect, no solver runs
+        # with the budget to prove the graph perfect, no solver runs, and
+        # the upper side is the integer alpha itself, with no tol
         calls.clear()
         b = xi_bracket(U, n_max=1)
-        assert (len(calls), b.warnings, b.theta_sym) == (0, (), 12.0)
+        assert (len(calls), b.warnings, b.theta_sym, b.upper) == (0, (), 12.0, 12.0)
         assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": 12.0,
-                                       "tol": 1e-3, "perfect": True}
+                                       "perfect": True}
 
     def test_perfectness_test_that_only_spares_the_solver_is_bounded(self, monkeypatch):
         # proving the chorded 7 x 7 grid perfect takes millions of nodes,
@@ -464,6 +465,25 @@ class TestXiBracket:
         b = xi_bracket(pentagon, n_max=2)
         assert b.exact == ExactValue(5, 2)
         assert searched.count(square.rows) == 1
+
+    def test_radical_closure_skipped_leaves_the_bracket_open(self, pentagon, monkeypatch):
+        # a strong power of G_s^Sym that cannot be built drops the radical
+        # closure with a warning: the pentagon stays at sqrt(5) below and
+        # theta + tol above, with no exact value
+        def refused(g, n):
+            raise CapExceededError(f"{g.n_vertices}^{n} vertices exceed the cap")
+
+        monkeypatch.setattr(upper_bounds, "strong_power", refused)
+        b = xi_bracket(pentagon, n_max=2)
+        assert b.warnings == ("radical closure check at n = 2 skipped: "
+                              "5^2 vertices exceed the cap",)
+        assert b.exact is None
+        assert b.lower == pytest.approx(5 ** 0.5)
+        assert b.lower_certificate["alpha"] == 5
+        assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": b.theta_sym,
+                                       "tol": 1e-3}
+        assert b.upper == b.theta_sym + 1e-3
+        assert b.theta_sym == pytest.approx(5 ** 0.5, abs=1e-3)
 
     def test_raising_the_cap_never_changes_a_closed_answer(self, pentagon):
         # a closed bracket is the whole answer: a larger cap runs no further

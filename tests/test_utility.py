@@ -92,6 +92,18 @@ class TestParsing:
         assert U.q == 1
         assert U.u == ((Fraction(0),),)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: UtilityMatrix(Alphabet.of_size(2), ((Fraction(0),),)),
+         "utility matrix must be 2x2 to match the alphabet"),
+        (lambda: utility_from_json({}), 'utility JSON must contain a "utility" matrix'),
+        (lambda: block_utility(utility_from_json({"utility": [[0]]}), (), ()),
+         "blocklength must be at least 1"),
+    ], ids=["rows-of-another-alphabet", "no-utility", "empty-words"])
+    def test_refusal(self, call, message):
+        with pytest.raises(InputError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (InputError, message)
+
     def test_nonzero_diagonal_is_rejected_by_the_constructor(self):
         # every loader and transform normalizes first; a matrix built
         # directly with u(x, x) != 0 would break the sender graphs' bounds
