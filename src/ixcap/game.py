@@ -9,7 +9,8 @@ so a sequence survives every best response exactly when decoding it
 truthfully is the sender's unique argmax among the strategy's image.  A tie
 is adversarial and destroys the guarantee.  ``_rivalled`` is that rule, read
 on the image's own columns only; ``equilibrium_value_noiseless`` checks its
-witness W with it on the |W| x |W| block, and ``worst_case_decoded_set``
+witness W with it on the |W| x |W| block, or, when W is a product L^n, on
+its letters alone (``_unrivalled_letters``), and ``worst_case_decoded_set``
 adds the per-source table of best responses that reports list.  Over a
 noisy channel the truthful reports of x are the inputs whose every possible
 output decodes to x, and x survives when every other input is dominated or
@@ -46,7 +47,6 @@ from .errors import InputError, VerificationError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
-    _check_cap,
     _confusability_table,
     block_independence_number,
     is_independent,
@@ -54,8 +54,10 @@ from .graphs import (
 )
 from .utility import (
     UtilityMatrix,
-    _read_json,
     _block_sums,
+    _check_cap,
+    _product_words,
+    _read_json,
     _row_blocks,
     block_utility,
     parse_integer,
@@ -110,7 +112,7 @@ def receiver_strategy_from_set(U: UtilityMatrix, vertices, n: int,
                                ) -> ReceiverStrategy:
     """Identity on the given independent set, error symbol elsewhere."""
     vs = sorted(set(vertices))
-    nv = U.q**n
+    nv = _check_cap(U.q, n)
     for v in vs:
         if not 0 <= v < nv:
             raise InputError(f"sequence index {v} out of range for n={n}")
@@ -140,14 +142,33 @@ def _rivalled(sums: np.ndarray, words: np.ndarray, block: slice) -> np.ndarray:
     return rival.any(axis=0)
 
 
+def _unrivalled_letters(t, letters) -> list[int]:
+    """The survivor rule on the letters L of a product L^n: the letters b
+    of L that no other letter a of L rivals, with t[a][b] >= 0, for t the
+    integer table scale * u.  Only the |L| x |L| entries are read."""
+    return [b for b in letters if all(t[a][b] < 0 for a in letters if a != b)]
+
+
 def _survivors(U: UtilityMatrix, n: int, words) -> tuple[int, ...]:
     """The words, ascending distinct sequence indices, that ``_rivalled``
-    finds no rival for.  Their block sums come in the row blocks of
-    ``_row_blocks``, each reduced at the words' columns, so no
-    |W| x q**n table is held whole."""
+    finds no rival for.
+
+    A product, the words equal to L^n for L their last letters, is read on
+    its letters: its survivors are L'^n, L' the ``_unrivalled_letters`` of
+    L, with no block sum taken.  A word x of L'^n differs from every other
+    word y of L^n where t[y_k][x_k] < 0 and agrees elsewhere, adding the
+    zero diagonal, so S[y, x] < 0.  A word x with a letter x_k = b outside
+    L' is rivalled by the word y with that b replaced by the a of L with
+    t[a][b] >= 0, since S[y, x] = t[a][b].  Any other set's block sums come
+    in the row blocks of ``_row_blocks``, each reduced at the words'
+    columns, so no |W| x q**n table is held whole."""
+    q = U.q
+    letters = sorted({w % q for w in words})
+    if len(words) == len(letters) ** n and tuple(words) == _product_words(letters, q, n):
+        return _product_words(_unrivalled_letters(U.scaled_integer_entries[1], letters), q, n)
     words = np.asarray(words, dtype=np.int64)
     rivalled = np.zeros(len(words), dtype=bool)
-    for block in _row_blocks(len(words), U.q**n):
+    for block in _row_blocks(len(words), q**n):
         rivalled |= _rivalled(_block_sums(U, n, words[block])[1], words, block)
     return tuple(words[~rivalled].tolist())
 
@@ -219,12 +240,13 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
     and its two sides meet, G_s^n is never built.  The canonical witness set
     W is decoded identically and everything else maps to the error symbol.
 
-    Before returning, the strategy is re-verified: every word of W must
-    survive ``_rivalled`` on block sums recomputed from U, not read from
-    any graph, so that the survivors are W and number alpha.  Survival of
-    every word also makes W independent in G_s^n; where G_s^n was built,
-    W is checked on its rows as well.  Only the |W| x |W| block S[W, W] is
-    read; no best-response table over X^n is built.
+    Before returning, the strategy is re-verified by ``_survivors`` from
+    U, not from any graph: its survivors must be W and number alpha.
+    Survival of every word also makes W independent in G_s^n; where G_s^n
+    was built, W is checked on its rows as well.  A product witness L^n,
+    as every answer from the letters is, is read on its letters, |L| x |L|
+    entries of U; any other W on the |W| x |W| block S[W, W] of its block
+    sums.  No best-response table over X^n is built.
     """
     alpha, witness, g = block_independence_number(U.scaled_integer_entries[1], n, budget)
     strategy = _strategy_on(witness, n, U.q**n, g)
@@ -259,9 +281,10 @@ def expected_block_utility(U: UtilityMatrix, channel: Channel,
     q = U.q
     if q != channel.q:
         raise InputError("utility and channel alphabets differ in size")
+    nv = _check_cap(q, n)
 
     def letters(index: int) -> list[int]:
-        if not 0 <= index < q**n:
+        if not 0 <= index < nv:
             raise InputError(f"sequence index {index} out of range for q={q}, n={n}")
         return [index // q**k % q for k in reversed(range(n))]
 

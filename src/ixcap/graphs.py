@@ -21,7 +21,7 @@ integer type, both directions are tested on rows read in memory order,
 and the packed uint8 block that the rows are read from stays on the graph
 (``Graph.packed``) until its first search, whose copy starts from it
 with no second packing.  Each blocklength construction refuses more than
-``DEFAULT_VERTEX_CAP`` vertices, read when it is called.
+``utility.DEFAULT_VERTEX_CAP`` vertices, by ``utility._check_cap``.
 
 A block graph of at least ``ORDERED_MIN_VERTICES`` vertices is bounded by
 Shannon's sandwich, alpha(I)^n <= alpha(G) <= cover_number(H)^n, from its
@@ -54,13 +54,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, CapExceededError, InputError, VerificationError
-from .utility import (UtilityMatrix, _expand_rows, _read_json, _row_blocks, _sum_table,
-                      parse_integer)
+from .errors import BudgetExceededError, InputError, VerificationError
+from .utility import (UtilityMatrix, _check_cap, _expand_rows, _product_words, _read_json,
+                      _row_blocks, _sum_table, parse_integer)
 
 DEFAULT_NODE_BUDGET = 10**8
-#: most vertices a blocklength construction (q**n) may have
-DEFAULT_VERTEX_CAP = 20_000
 #: from this many vertices on, a graph's searches run on one copy
 #: relabelled by degree (see ``_SearchCopy``),
 #: the smallest size at which relabelling was measured to win.  Under the
@@ -83,7 +81,9 @@ class _Meter:
     knows none.  Each search that takes a budget makes a fresh meter from it
     (``gamma_n`` has one for its alpha search and one for its subset search).
     ``settled`` counts how the witness passes settled the vertices outside
-    their maximum set: by "exchange", "partition" or "search".
+    their maximum set: by "exchange", "partition" or "search".  Only the
+    passes over the searched graphs' own vertices count; the walk of a
+    letter base (``_letter_bases``) is charged its nodes and counts none.
     """
 
     def __init__(self, budget: int):
@@ -203,19 +203,6 @@ def complete_graph(n: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
-
-
-def _check_cap(q: int, n: int = 1) -> int:
-    """q**n, the vertices of a construction on X^n; InputError when n < 1,
-    and CapExceededError above ``DEFAULT_VERTEX_CAP``, naming q^n unexpanded
-    for q >= 2 and an n past the cap's bit length, whose power is never
-    computed."""
-    if n < 1:
-        raise InputError("blocklength must be at least 1")
-    size = f"{q}^{n}" if q > 1 and n > DEFAULT_VERTEX_CAP.bit_length() else q**n
-    if isinstance(size, str) or size > DEFAULT_VERTEX_CAP:
-        raise CapExceededError(f"{size} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
-    return size
 
 
 def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
@@ -779,13 +766,13 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     1)``, partitioned into the fewest cliques, both searched on q vertices
     and charged to meter; when I has H's rows, the cover search starts from
     alpha(H) = |L| with no alpha search of its own.  No graph on X^n is
-    built.
+    built.  I's witness pass settles none of G's vertices, so it leaves
+    the meter's ``settled`` as it was.
 
     The rule: when I has H's rows and alpha(I) = |L| is H's clique cover
     number c, alpha(G) = c^n and L^n is G's lexicographically least maximum
     independent set, with no search and no walk of G (``lex_least``).  L^n
-    is listed in ascending order: the word m * q + a for each word m of
-    L^(n-1) and letter a of L.
+    is listed in ascending order, by ``utility._product_words``.
 
     Why it is exact.  alpha(G) = c^n is the closed sandwich (``_sandwich``):
     L^n is independent in G, and the c^n product cliques of H's partition
@@ -811,15 +798,14 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     sandwich (alpha(I) = 2 = c, L = (1, 3)) with I != H, and at n = 3 its
     lexicographically least maximum set holds the word 74 where L^3 has
     81."""
-    q = len(t)
     i, h = _sign_graph(t, 1), _sign_graph(_plus_transpose(t), 1)
+    settled = dict(meter.settled)
     _, iset = _alpha(i, meter)
+    meter.settled = settled
     same = i.rows == h.rows
     cliques = _cover_number(h, meter, len(iset) if same else None)
-    words = [0]
-    for _ in range(n):
-        words = [m * q + a for m in words for a in iset]
-    return _Bases(tuple(words), cliques, same and len(iset) == len(cliques))
+    return _Bases(_product_words(iset, len(t), n), cliques,
+                  same and len(iset) == len(cliques))
 
 
 def _sandwich(g: Graph, bases: _Bases) -> tuple[int, int, list[int]]:

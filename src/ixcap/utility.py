@@ -34,7 +34,9 @@ library's own code paths.
 
 Every table with a q**n-wide row per sequence of X^n (block sums, sign
 graphs, search copies, the noisy check's expected values) is built in the
-row blocks that ``_row_blocks`` alone cuts; a q**n x k table with k <= 4,
+row blocks that ``_row_blocks`` alone cuts, and none has more than
+``DEFAULT_VERTEX_CAP`` rows or columns: ``_check_cap`` refuses a larger
+X^n before any power or array is computed.  A q**n x k table with k <= 4,
 and the subset search's table of at most ``lower_bounds.PAIR_TABLE_CELLS``
 cells, are built whole, and its (q**n)**3 triple sums only when one row
 block holds them.  ``_read_json`` alone reads input files.
@@ -54,11 +56,28 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 
 #: most cells one block of a dense table on X^n may hold; read only by
 #: ``_row_blocks``
 BLOCK_CELLS = 1 << 22
+#: most sequences (q**n) a table, graph or strategy on X^n may have; read
+#: only by ``_check_cap``, when it is called
+DEFAULT_VERTEX_CAP = 20_000
+
+
+def _check_cap(q: int, n: int = 1) -> int:
+    """q**n, the sequences of X^n; InputError when n < 1, and
+    CapExceededError above ``DEFAULT_VERTEX_CAP``, naming q^n unexpanded
+    for q >= 2 and an n past the cap's bit length, whose power is never
+    computed.  Every function that computes or allocates over X^n calls it
+    first."""
+    if n < 1:
+        raise InputError("blocklength must be at least 1")
+    size = f"{q}^{n}" if q > 1 and n > DEFAULT_VERTEX_CAP.bit_length() else q**n
+    if isinstance(size, str) or size > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(f"{size} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
+    return size
 
 
 def _row_blocks(count: int, width: int) -> list[slice]:
@@ -166,17 +185,29 @@ def sequence_labels(alphabet: Alphabet, n: int, indices=None) -> tuple[str, ...]
     """Labels of the sequences of X^n with the given canonical indices, or
     of all q**n in index order: the symbols joined by "", or by "," when
     some symbol is longer than one character.  InputError when an index
-    lies outside X^n."""
+    lies outside X^n, and CapExceededError, before any label, when X^n is
+    above the vertex cap."""
     symbols = alphabet.symbols
+    q = len(symbols)
+    nv = _check_cap(q, n)
     sep = "" if all(len(s) == 1 for s in symbols) else ","
     if indices is None:
         return tuple(map(sep.join, iter_product(symbols, repeat=n)))
-    q = len(symbols)
     indices = list(indices)
-    if indices and (min(indices) < 0 or max(indices) >= q**n):
+    if indices and (min(indices) < 0 or max(indices) >= nv):
         raise InputError(f"sequence index out of range for q={q}, n={n}")
     powers = [q**k for k in reversed(range(n))]
     return tuple(sep.join([symbols[i // p % q] for p in powers]) for i in indices)
+
+
+def _product_words(letters, q: int, n: int) -> tuple[int, ...]:
+    """L^n for the ascending letters L of a q-letter alphabet, as ascending
+    canonical indices: the word m * q + a for each word m of L^(n-1) and
+    letter a of L."""
+    words = [0]
+    for _ in range(n):
+        words = [m * q + a for m in words for a in letters]
+    return tuple(words)
 
 
 @dataclass(frozen=True)
@@ -370,7 +401,8 @@ def block_sums(U: UtilityMatrix, n: int, rows=None, *,
     the rows they read.  S is int64 when max|scale * u| * n < 2**62, else
     object (Python ints), so no sum can overflow, nor can the sum or
     difference of two.  The library's own consumers read ``_block_sums``,
-    the same sums in ``_sum_table``'s narrowest type.
+    the same sums in ``_sum_table``'s narrowest type.  CapExceededError
+    when q**n is above the vertex cap, with rows or without.
     """
     scale, sums = _block_sums(U, n, rows, observed=observed)
     return scale, sums if sums.dtype == object else sums.astype(np.int64, copy=False)
@@ -383,9 +415,9 @@ def _block_sums(U: UtilityMatrix, n: int, rows=None, *,
     to 2**62), else object.  Exact as they stand, these sums are read only
     by consumers that compare them with 0 or with each other, list them,
     or promote them (the noisy check's matmul with int64 W), and never by
-    one that adds two of them."""
-    if n < 1:
-        raise InputError("blocklength must be at least 1")
+    one that adds two of them.  CapExceededError above the vertex cap,
+    before any row is summed."""
+    _check_cap(U.q, n)
     scale, ints = U.scaled_integer_entries
     table = _sum_table(ints, n)
     return scale, _expand_rows(table.T if observed else table, n, rows)

@@ -51,7 +51,6 @@ from ixcap.game import (
     worst_case_decoded_set,
 )
 from ixcap.graphs import (
-    DEFAULT_VERTEX_CAP,
     confusability_graph,
     cycle_graph,
     graph_from_edges,
@@ -59,8 +58,11 @@ from ixcap.graphs import (
     sender_graph,
 )
 from ixcap.utility import (
+    DEFAULT_VERTEX_CAP,
     Alphabet,
     UtilityMatrix,
+    block_sums,
+    block_utility_rows,
     load_utility,
     normalize_diagonal,
     sequence_labels,
@@ -155,6 +157,57 @@ class TestSurvivorRule:
         assert outcome.decoded_worst == expected
         # the per-source table, built apart from the rule, agrees
         assert expected == tuple(x for x in words if outcome.best_response_summary[x] == (x,))
+
+    def test_a_product_is_read_on_its_letters(self, monkeypatch):
+        # identity on L^n, analysed by worst_case_decoded_set on its dense
+        # row blocks, keeps exactly L'^n, L' the letters of L that no other
+        # letter of L rivals; _survivors finds that with no block sum.
+        # L^n less one word, no product at n >= 2 when |L| >= 2, sums its
+        # own rows once, and so does L^n with one word swapped for another
+        # of the same last letters, a set of L^n's own size
+        rng = random.Random(43)
+        rows_summed = []
+        sums = ixcap.game._block_sums
+        monkeypatch.setattr(ixcap.game, "_block_sums", lambda U, n, rows, **kw:
+                            rows_summed.append(list(rows)) or sums(U, n, rows, **kw))
+
+        def dense(U, n, words):
+            chosen = set(words)
+            g = ReceiverStrategy(n, tuple(w if w in chosen else None for w in range(U.q**n)))
+            return worst_case_decoded_set(U, g).decoded_worst
+
+        kinds = Counter()
+        for _ in range(300):
+            q, n = rng.randint(2, 5), rng.randint(1, 3)
+            U = random_int_utility(rng, q, rng.choice([(-1, 0, 1), (-3, -2, -1, 0, 1)]))
+            if rng.random() < 0.5:
+                letters = independence_number(sender_graph(U, 1))[1]
+            else:
+                letters = sorted(rng.sample(range(q), rng.randint(1, q)))
+            words = tuple(sorted(sum(a * q**k for k, a in enumerate(w))
+                                 for w in product(letters, repeat=n)))
+            t = U.scaled_integer_entries[1]
+            independent = all(t[a][b] < 0 for a in letters for b in letters if a != b)
+            expected = dense(U, n, words)
+            kinds[independent, expected == words] += 1
+            rows_summed.clear()
+            assert ixcap.game._survivors(U, n, words) == expected
+            assert rows_summed == []
+            if n >= 2 and len(letters) >= 2:
+                fewer = words[:(k := rng.randrange(len(words)))] + words[k + 1:]
+                others = [fewer]
+                outside = [w for w in range(q**n) if w % q in letters and w not in words]
+                if outside:
+                    others.append(tuple(sorted(fewer + (rng.choice(outside),))))
+                for other in others:
+                    expected = dense(U, n, other)
+                    rows_summed.clear()
+                    assert ixcap.game._survivors(U, n, other) == expected
+                    assert rows_summed == [list(other)]
+                    kinds["dense", len(other) == len(words)] += 1
+        # independent sets keep every word; the others lose some or all
+        assert set(kinds) == {(True, True), (False, False), ("dense", False), ("dense", True)}
+        assert min(kinds.values()) >= 40
 
 
 def pessimistic_score(sums, decode) -> int:
@@ -694,16 +747,27 @@ class TestPartitionDecoder:
             noisy_receiver_strategy([0, 4], [0, 4], channel, 2)
 
 
-def every_word_rivalled(sums, words, block):
-    """A survivor rule that disagrees with every witness."""
-    return np.ones(len(words), dtype=bool)
+def rival_every_word(monkeypatch):
+    """A survivor rule that disagrees with every witness: it rivals every
+    word of a dense check and every letter of a product's."""
+    monkeypatch.setattr(ixcap.game, "_rivalled",
+                        lambda sums, words, block: np.ones(len(words), dtype=bool))
+    monkeypatch.setattr(ixcap.game, "_unrivalled_letters", lambda t, letters: [])
 
 
 class TestVerificationError:
     def test_noiseless_mismatch_raises(self, example1, monkeypatch):
-        monkeypatch.setattr(ixcap.game, "_rivalled", every_word_rivalled)
+        rival_every_word(monkeypatch)
         with pytest.raises(VerificationError):
             equilibrium_value_noiseless(example1, 1)
+
+    def test_a_dense_witness_mismatch_raises(self, pentagon, monkeypatch):
+        # the pentagon's witness at n = 2, (0, 7, 14, 16, 23), is no
+        # product, so it is checked on its block sums by _rivalled alone
+        monkeypatch.setattr(ixcap.game, "_rivalled",
+                            lambda sums, words, block: np.ones(len(words), dtype=bool))
+        with pytest.raises(VerificationError):
+            equilibrium_value_noiseless(pentagon, 2)
 
     def test_noisy_rejection_raises(self, example1, monkeypatch):
         monkeypatch.setattr(ixcap.game, "verify_noisy_equilibrium",
@@ -730,7 +794,7 @@ class TestVerificationError:
             noisy_equilibrium_value(example1, identity_channel(Alphabet.of_size(q)), 1)
 
     def test_cli_reports_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(ixcap.game, "_rivalled", every_word_rivalled)
+        rival_every_word(monkeypatch)
         code = main(["game", "--utility", str(corpus_path("example1.json")), "-n", "1"])
         assert code == 1
         assert "equilibrium verification failed" in capsys.readouterr().err
@@ -751,7 +815,7 @@ class TestOptimizedInterpreter:
              "tests/test_game.py::TestVerificationError"],
             cwd=root, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert done.stdout.splitlines()[-1].startswith("6 passed")
+        assert done.stdout.splitlines()[-1].startswith("7 passed")
 
 
 def test_a_strategy_on_a_mixed_alphabet_round_trips():
@@ -822,6 +886,30 @@ class TestVertexCap:
         with pytest.raises(CapExceededError, match="59049 vertices exceed the cap"):
             strategy_from_json_dict(example1, {"n": 10, "decode": {}})
 
+    @pytest.mark.parametrize("call", [
+        lambda U: receiver_strategy_from_set(U, [0], 10**7),
+        lambda U: expected_block_utility(U, identity_channel(U.alphabet),
+                                         ReceiverStrategy(1, (0, 1, 2)), 0, 0, 10**7),
+        lambda U: block_sums(U, 10**7, [0]),
+        lambda U: block_sums(U, 10**7),
+        lambda U: block_utility_rows(U, 10**7),
+        lambda U: sequence_labels(U.alphabet, 10**7, [0]),
+        lambda U: sequence_labels(U.alphabet, 10**7),
+    ], ids=["strategy-from-set", "expected-utility", "block-sums-rows", "block-sums",
+            "block-utility-rows", "labels-of-indices", "labels"])
+    def test_refused_before_any_power(self, example1, call):
+        # 3**(10**7) alone took seconds to compute, and the tables after it
+        # could not be held; the cap refuses it unexpanded
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=r"3\^10000000 vertices exceed the cap"):
+            call(example1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_block_sums_refuse_rows_above_the_cap(self, example1):
+        # one row of 3**10 = 59049 sums was returned above the cap of 20000
+        with pytest.raises(CapExceededError, match="59049 vertices exceed the cap"):
+            block_sums(example1, 10, [0])
+
     def test_naive_receiver_above_the_cap(self):
         with pytest.raises(CapExceededError, match="59049 vertices exceed the cap"):
             naive_receiver_strategy(3, 10)
@@ -854,9 +942,9 @@ class TestVertexCap:
         # 3**4 = 81 words: analysed at a cap of 81, refused at 80 before
         # any block sum is taken
         g = naive_receiver_strategy(3, 4)
-        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 81)
+        monkeypatch.setattr(ixcap.utility, "DEFAULT_VERTEX_CAP", 81)
         assert worst_case_decoded_set(example1, g).decoded_worst == (80,)
-        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 80)
+        monkeypatch.setattr(ixcap.utility, "DEFAULT_VERTEX_CAP", 80)
         monkeypatch.setattr(ixcap.game, "_block_sums", None)
         with pytest.raises(CapExceededError, match="81 vertices exceed the cap of 80"):
             worst_case_decoded_set(example1, g)
@@ -864,9 +952,9 @@ class TestVertexCap:
     def test_noisy_analysis_above_the_cap(self, example1, monkeypatch):
         g = naive_receiver_strategy(3, 4)
         channel = identity_channel(example1.alphabet)
-        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 81)
+        monkeypatch.setattr(ixcap.utility, "DEFAULT_VERTEX_CAP", 81)
         assert verify_noisy_equilibrium(example1, channel, g).decoded_worst == (80,)
-        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 80)
+        monkeypatch.setattr(ixcap.utility, "DEFAULT_VERTEX_CAP", 80)
         monkeypatch.setattr(ixcap.game, "_sole_targets", None)
         with pytest.raises(CapExceededError, match="81 vertices exceed the cap of 80"):
             verify_noisy_equilibrium(example1, channel, g)

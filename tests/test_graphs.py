@@ -198,9 +198,9 @@ class TestSenderGraph:
 
     def test_vertex_cap(self, pentagon, monkeypatch):
         # the cap is read when a graph is built: 5**3 = 125 vertices
-        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 125)
+        monkeypatch.setattr(ixcap.utility, "DEFAULT_VERTEX_CAP", 125)
         assert sender_graph(pentagon, 3).n_vertices == 125
-        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 100)
+        monkeypatch.setattr(ixcap.utility, "DEFAULT_VERTEX_CAP", 100)
         with pytest.raises(CapExceededError, match="125 vertices exceed the cap of 100"):
             sender_graph(pentagon, 3)
         with pytest.raises(CapExceededError):
@@ -295,7 +295,7 @@ class TestStrongProducts:
     def test_power_validates(self, monkeypatch):
         with pytest.raises(InputError):
             strong_power(cycle_graph(5), 0)
-        monkeypatch.setattr(ixcap.graphs, "DEFAULT_VERTEX_CAP", 100)
+        monkeypatch.setattr(ixcap.utility, "DEFAULT_VERTEX_CAP", 100)
         with pytest.raises(CapExceededError):
             strong_power(cycle_graph(5), 3)
         with pytest.raises(CapExceededError):
@@ -1094,9 +1094,12 @@ class TestClosedSandwich:
 
     def test_searches_with_the_partition_rule_on(self, monkeypatch):
         # at its own size, with no threshold lowered, the closed walk of
-        # closed-sender-4 settles 36 vertices by the partition rule and
+        # closed-sender-4 settles 35 vertices by the partition rule and
         # runs 5 at_least searches, each of which refuses; with the rule
-        # off, the walk runs 40 searches, all refused, and the witness holds
+        # off, the walk runs 40 searches, all refused, and the witness
+        # holds.  The meter's settled counts g's own walk alone: the walk
+        # of its letter base I settles one more vertex, by the partition
+        # rule or, with the rule off, by a search
         g = sender_graph(_closed_q3_utility(), 4)
         assert g.n_vertices >= ixcap.graphs.ORDERED_MIN_VERTICES
         found = []
@@ -1107,11 +1110,13 @@ class TestClosedSandwich:
         meter = ixcap.graphs._Meter(10**6)
         alpha, witness = ixcap.graphs._alpha(g, meter)
         assert (alpha, meter.spent, found) == (16, 12, [False] * 5)
-        assert meter.settled == {"exchange": 0, "partition": 36, "search": 5}
+        assert meter.settled == {"exchange": 0, "partition": 35, "search": 5}
         monkeypatch.setattr(ixcap.graphs, "_meets_fewer", lambda classes, rest, k: False)
         found.clear()
-        assert independence_number(g) == (alpha, witness)
+        meter = ixcap.graphs._Meter(10**6)
+        assert ixcap.graphs._alpha(g, meter) == (alpha, witness)
         assert found == [False] * 40
+        assert meter.settled == {"exchange": 0, "partition": 0, "search": 40}
 
     def test_a_search_answers_in_the_graphs_own_numbering(self, monkeypatch):
         # the copy is numbered by degree; a search takes its candidates and
