@@ -7,11 +7,12 @@ The pessimistic worst case over best responses never enumerates the
 exponential response set: block utilities are separable per source sequence,
 so a sequence survives every best response exactly when decoding it
 truthfully is the sender's unique argmax among the strategy's image.  A tie
-is adversarial and destroys the guarantee.  ``_rivalled`` is that rule, read
-on the image's own columns only; ``equilibrium_value_noiseless`` checks its
-witness W with it on the |W| x |W| block, or, when W is a product L^n, on
-its letters alone (``_unrivalled_letters``), and ``worst_case_decoded_set``
-adds the per-source table of best responses that reports list.  Over a
+is adversarial and destroys the guarantee.  ``_survivors`` reads that rule
+(``_rivalled``) on the |W| x |W| block of a set W, or on its letters when
+W is a product L^n (``_unrivalled_letters``).  Every word of W survives
+iff W is independent in G_s^n, so it checks the equilibrium's witness and
+a caller's set alike, and the game reads no graph.  ``worst_case_decoded_set``
+reads the rule off the per-source table of best responses.  Over a
 noisy channel the truthful reports of x are the inputs whose every possible
 output decodes to x, and x survives when every other input is dominated or
 strictly worse; both analyses take any strategy.
@@ -44,14 +45,7 @@ import numpy as np
 
 from .channel import Channel
 from .errors import InputError, VerificationError
-from .graphs import (
-    DEFAULT_NODE_BUDGET,
-    Graph,
-    _confusability_table,
-    block_independence_number,
-    is_independent,
-    sender_graph,
-)
+from .graphs import DEFAULT_NODE_BUDGET, _confusability_table, block_independence_number
 from .utility import (
     UtilityMatrix,
     _block_sums,
@@ -110,20 +104,21 @@ def naive_receiver_strategy(q: int, n: int) -> ReceiverStrategy:
 
 def receiver_strategy_from_set(U: UtilityMatrix, vertices, n: int,
                                ) -> ReceiverStrategy:
-    """Identity on the given independent set, error symbol elsewhere."""
-    vs = sorted(set(vertices))
+    """Identity on the given independent set W, error symbol elsewhere.
+    ``_survivors`` checks W on its block sums or letters, with no graph:
+    every word of W survives iff W is independent in G_s^n."""
+    vs = tuple(sorted(set(vertices)))
     nv = _check_cap(U.q, n)
     for v in vs:
         if not 0 <= v < nv:
             raise InputError(f"sequence index {v} out of range for n={n}")
-    return _strategy_on(vs, n, nv, sender_graph(U, n))
-
-
-def _strategy_on(vs, n: int, nv: int, gs: Graph | None = None) -> ReceiverStrategy:
-    """Identity on vs among the nv words of X^n, checked independent in the
-    sender graph gs when one is given."""
-    if gs is not None and not is_independent(gs, vs):
+    if _survivors(U, n, vs) != vs:
         raise InputError("the set is not independent in the sender graph")
+    return _strategy_on(vs, n, nv)
+
+
+def _strategy_on(vs, n: int, nv: int) -> ReceiverStrategy:
+    """Identity on vs among the nv words of X^n, unchecked."""
     decode = [None] * nv
     for v in vs:
         decode[v] = v
@@ -178,9 +173,9 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
 
     A source sequence x survives iff x is in the image and every other image
     element has strictly negative block utility against x; zero-utility
-    alternatives are adversarial ties and disqualify x.  ``_rivalled``
-    decides that on each row block of the image's block sums, as it does
-    for ``equilibrium_value_noiseless``.
+    alternatives are adversarial ties and disqualify x.  Truthful decoding
+    is worth S[x, x] = 0, so that rule (``_rivalled``) reads off the table
+    of best responses: x survives iff they are (x,) alone.
 
     ``best_response_summary`` lists every source's best responses for
     reports.  Each block raises the running column maxima over all q**n
@@ -194,13 +189,11 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
         raise InputError(f"strategy table has {len(g.decode)} entries, expected {nv}")
     image = np.asarray(g.image(), dtype=np.int64)
     summary = [()] * nv
-    rivalled = np.zeros(len(image), dtype=bool)
     if len(image):
         top = None
         cols = rows = np.zeros(0, dtype=np.int64)
         for block in _row_blocks(len(image), nv):
             _, sums = _block_sums(U, n, image[block])
-            rivalled |= _rivalled(sums, image, block)
             block_top = sums.max(axis=0)
             if top is not None:
                 kept = ~(block_top > top)[cols]
@@ -215,7 +208,7 @@ def worst_case_decoded_set(U: UtilityMatrix, g: ReceiverStrategy) -> GameOutcome
         hits = image[rows[order]].tolist()
         ends = np.cumsum(np.bincount(cols, minlength=nv)).tolist()
         summary = [tuple(hits[a:b]) for a, b in zip([0, *ends], ends)]
-    decoded = image[~rivalled].tolist()
+    decoded = [x for x in image.tolist() if summary[x] == (x,)]
     size = len(decoded)
     return GameOutcome(
         decoded_worst=tuple(decoded),
@@ -242,14 +235,14 @@ def equilibrium_value_noiseless(U: UtilityMatrix, n: int,
 
     Before returning, the strategy is re-verified by ``_survivors`` from
     U, not from any graph: its survivors must be W and number alpha.
-    Survival of every word also makes W independent in G_s^n; where G_s^n
-    was built, W is checked on its rows as well.  A product witness L^n,
-    as every answer from the letters is, is read on its letters, |L| x |L|
-    entries of U; any other W on the |W| x |W| block S[W, W] of its block
-    sums.  No best-response table over X^n is built.
+    Survival of every word is the same test as W's independence in G_s^n,
+    so no graph is read here.  A product witness L^n, as every answer from
+    the letters is, is read on its letters, |L| x |L| entries of U; any
+    other W on the |W| x |W| block S[W, W] of its block sums.  No
+    best-response table over X^n is built.
     """
-    alpha, witness, g = block_independence_number(U.scaled_integer_entries[1], n, budget)
-    strategy = _strategy_on(witness, n, U.q**n, g)
+    alpha, witness = block_independence_number(U.scaled_integer_entries[1], n, budget)
+    strategy = _strategy_on(witness, n, U.q**n)
     decoded = _survivors(U, n, strategy.image())
     if len(decoded) != alpha or decoded != witness:
         raise VerificationError("equilibrium verification failed")
@@ -468,8 +461,8 @@ def noisy_equilibrium_value(U: UtilityMatrix, channel: Channel, n: int,
     is a VerificationError."""
     if channel.q != U.q:
         raise InputError("utility and channel alphabets differ in size")
-    alpha_s, wit_s, _ = block_independence_number(U.scaled_integer_entries[1], n, budget)
-    alpha_c, wit_c, _ = block_independence_number(_confusability_table(channel), n, budget)
+    alpha_s, wit_s = block_independence_number(U.scaled_integer_entries[1], n, budget)
+    alpha_c, wit_c = block_independence_number(_confusability_table(channel), n, budget)
     d = min(alpha_s, alpha_c)
     try:
         strategy = noisy_receiver_strategy(wit_s[:d], wit_c[:d], channel, n)

@@ -10,17 +10,17 @@ which gives the search its bounds and its symmetry; the table is no part
 of the graph's identity.
 
 Every block graph is a sign test on exact integer letter sums, built by
-one kernel, ``_sign_graph``: G_s^n on the table a = scale * u, G_s^Sym,n
+one kernel, ``_sign_block``: G_s^n on the table a = scale * u, G_s^Sym,n
 on a + a^T, a strong power g^n on g's closed-neighbourhood table, and
 G_c^n on the channel's 0/-1 table.  At n = 1 the sign graph is the
 table's own sign pattern, read in Python; at n >= 2 the sign graphs and
 the search's relabelled copy are dense V x V tables, built in the row
 blocks of ``utility._row_blocks``.  Each block graph is one narrow dense
 pass: its letter sums come in ``utility._sum_table``'s narrowest exact
-integer type, both directions are tested on rows read in memory order,
-and the packed uint8 block that the rows are read from stays on the graph
-(``Graph.packed``) until its first search, whose copy starts from it
-with no second packing.  Each blocklength construction refuses more than
+integer type, and both directions are tested on rows read in memory
+order.  ``block_independence_number`` hands the packed uint8 block that
+the rows are read from to its search's copy by argument, so no graph
+holds it.  Each blocklength construction refuses more than
 ``utility.DEFAULT_VERTEX_CAP`` vertices, by ``utility._check_cap``.
 
 A block graph of at least ``ORDERED_MIN_VERTICES`` vertices is bounded by
@@ -116,18 +116,14 @@ class Graph:
     n)`` built for the q x q integer table t, which has a zero diagonal:
     every sender graph, strong power and G_c^n at n >= 2, where the search
     reads it.  It is None on any other graph: a block graph at n = 1, and
-    the graphs of ``graph_from_edges`` and ``strong_product``.  ``packed``
-    is the V x ceil(V / 8) uint8 block of the rows, bit j of row i at bit
-    j % 8 of byte j // 8, that the sign kernel made them from at n >= 2,
-    handed to the graph's first search: ``_alpha`` takes it off the graph,
-    which then holds its rows alone, and gives it to the search copy
-    (``_SearchCopy``).  Equality, hashing and repr ignore both."""
+    the graphs of ``graph_from_edges`` and ``strong_product``.  Equality,
+    hashing and repr ignore it.  A graph holds its rows and no array: the
+    sign kernel's packed block goes to a search by argument."""
 
     n_vertices: int
     rows: tuple[int, ...]
     letters: tuple[tuple[tuple[int, ...], ...], int] | None = field(
         default=None, compare=False, repr=False)
-    packed: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.rows) != self.n_vertices:
@@ -229,18 +225,23 @@ def _pack_rows(rows: tuple[int, ...], width: int) -> np.ndarray:
 
 
 def _sign_graph(ints, n: int) -> Graph:
-    """Graph on X^n with x ~ y, x != y, iff A[x, y] >= 0 or A[y, x] >= 0, A
-    the n-fold letterwise sum of the q x q integer table ints, lettered by
-    (ints, n) when n >= 2.  At n = 1, A is the table itself, whose sign
-    pattern ``_letter_sign_rows`` reads in Python, as it reads the empty
-    table's no rows at any n; longer blocks go through the numpy kernel
-    ``_block_sign_rows``, whose packed block the graph keeps for its first
-    search's copy."""
+    """The graph of ``_sign_block(ints, n)``, without its block."""
+    return _sign_block(ints, n)[0]
+
+
+def _sign_block(ints, n: int) -> tuple[Graph, np.ndarray | None]:
+    """(g, its packed block): g the graph on X^n with x ~ y, x != y, iff
+    A[x, y] >= 0 or A[y, x] >= 0, A the n-fold letterwise sum of the q x q
+    integer table ints, lettered by (ints, n) when n >= 2.  At n = 1, A is
+    the table itself, whose sign pattern ``_letter_sign_rows`` reads in
+    Python with no block (None), as it reads the empty table's no rows at
+    any n; longer blocks go through the numpy kernel ``_block_sign_rows``,
+    whose block a search copy (``_SearchCopy``) can start from."""
     nv = _check_cap(len(ints), n)
     if n == 1 or not nv:
-        return Graph(nv, _letter_sign_rows(ints))
+        return Graph(nv, _letter_sign_rows(ints)), None
     packed = _block_sign_rows(ints, n, nv)
-    return Graph(nv, _packed_rows(packed), (tuple(map(tuple, ints)), n), packed)
+    return Graph(nv, _packed_rows(packed), (tuple(map(tuple, ints)), n)), packed
 
 
 def _letter_sign_rows(ints) -> tuple[int, ...]:
@@ -548,7 +549,7 @@ class _SearchCopy:
     reversed to start from its first cost more than it saved.
     ``new_of[v]`` is vertex v's number in the copy and ``order[i]`` the
     vertex numbered i.  The copy starts from g's packed uint8 block: the one
-    the sign kernel made (``Graph.packed``), when the caller hands it over
+    the sign kernel made (``_sign_block``), when the caller hands it over
     as ``packed``, or else g's rows packed here.  Each row block of
     ``_row_blocks`` takes the packed rows in the copy's order, unpacks
     them, takes their columns in that order and packs them again, so no
@@ -1007,11 +1008,11 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
 
 
 def block_independence_number(t, n: int, budget: int = DEFAULT_NODE_BUDGET
-                              ) -> tuple[int, tuple[int, ...], Graph | None]:
-    """(alpha, witness, g) of ``independence_number(g)``, g =
-    ``_sign_graph(t, n)`` the block graph of the q x q table t, built here,
-    or (alpha, witness, None) with no g built when the rule of
-    ``_letter_bases`` answers from t alone.
+                              ) -> tuple[int, tuple[int, ...]]:
+    """(alpha, witness) of ``independence_number(g)``, g = ``_sign_graph(t,
+    n)``, built here with the block its search's copy starts from
+    (``_sign_block``).  Neither leaves the call, and neither is built when
+    the rule of ``_letter_bases`` answers from the q x q table t alone.
 
     The rule runs where g would be sandwiched (n >= 2 and q**n at least
     ``ORDERED_MIN_VERTICES``), and a g built after it declines takes the
@@ -1024,22 +1025,19 @@ def block_independence_number(t, n: int, budget: int = DEFAULT_NODE_BUDGET
     if n >= 2 and nv >= ORDERED_MIN_VERTICES:
         bases = _letter_bases(t, n, meter)
         if bases.lex_least:
-            return len(bases.cliques) ** n, bases.words, None
-    g = _sign_graph(t, n)
-    return (*_alpha(g, meter, True, bases), g)
+            return len(bases.cliques) ** n, bases.words
+    g, packed = _sign_block(t, n)
+    return _alpha(g, meter, True, bases, packed)
 
 
-def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None = None
-           ) -> tuple[int, tuple[int, ...]]:
+def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None = None,
+           packed: np.ndarray | None = None) -> tuple[int, tuple[int, ...]]:
     """(alpha(g), the lexicographically least maximum independent set), as
     ``independence_number`` describes, with every search charged to meter.
     ``reports`` makes g's independent sets the meter's ``best``; it is off
     for a base graph searched on behalf of another graph.  ``bases`` are
-    g's ``_letter_bases``, if already found.  The search takes g's packed
-    block (``Graph.packed``) for its copy, and g keeps its rows alone."""
-    packed = g.packed
-    if packed is not None:
-        object.__setattr__(g, "packed", None)  # no part of g's value
+    g's ``_letter_bases``, if already found, and ``packed`` g's block from
+    ``_sign_block``, if the caller holds it, for the search's copy."""
     nv = g.n_vertices
     if nv == 0:
         return 0, ()

@@ -52,7 +52,8 @@ from .graphs import (
     independence_number,
     symmetric_sender_graph,
 )
-from .utility import UtilityMatrix, _block_sums, _row_blocks, _sum_table, sequence_labels
+from .utility import (UtilityMatrix, _block_sums, _expand_rows, _row_blocks, _sum_table,
+                      sequence_labels)
 
 #: most cells of a q**n x q**n block-sum table that the subset search reads
 #: whole; above it, its pair sums are added letter by letter.  On a 2-vCPU
@@ -191,23 +192,15 @@ def _triple_masks(ints, n: int) -> list[tuple[int, ...]] | None:
     (each word reported as the next), has utility sum >= 0; None when the
     (q**n)**3 cells do not fit one ``_row_blocks`` block.
 
-    The sums are the n-fold letterwise sum of the q x q x q table
-    t[b][a] + t[c][b] + t[a][c] on the q x q integer table ints, one
-    broadcast add per letter as in ``utility._expand_rows``, in a dtype that
-    ``_sum_table`` keeps from overflowing."""
-    q = len(ints)
-    nv = q**n
+    The cycle a -> b -> c -> a sums S[b, a] + S[c, b] + S[a, c], S the
+    pair sums of ``utility._expand_rows`` on the q x q integer table ints,
+    in a dtype that ``_sum_table`` keeps from overflowing for three of
+    them."""
+    nv = len(ints) ** n
     if len(_row_blocks(nv * nv, nv)) > 1:
         return None
-    t = _sum_table(ints, 3 * n)
-    cyc = t.T[:, :, None] + t.T[None, :, :] + t[:, None, :]
-    sums = cyc
-    for k in range(1, n):
-        # a new most significant letter for all three words
-        m = q ** (k + 1)
-        sums = (cyc[:, None, :, None, :, None] + sums[None, :, None, :, None, :]).reshape(m, m, m)
-    closes = sums >= 0
-    del sums
+    s = _expand_rows(_sum_table(ints, 3 * n), n)
+    closes = s.T[:, :, None] + s.T[None, :, :] + s[:, None, :] >= 0
     closes |= closes.transpose(0, 2, 1)
     words = np.arange(nv)
     closes[words, words, :] = False

@@ -406,9 +406,8 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
 
         lower_value, lower_cert, lower_root = max(
             lowers or [(1.0, {"name": "trivial", "n": 1}, (1, 1))], key=lambda t: t[0])
-        if exact is None:
-            # integer closure: certified integer lower meets the upper side
-            exact = _integer_closure(*lower_root, upper_value, tol)
+        # integer closure: certified integer lower meets the upper side
+        exact = _integer_closure(*lower_root, upper_value, tol)
         base, root = lower_root
         if (exact is None and root == n and theta_sym is not None
                 and abs(theta_sym - lower_value) <= tol):

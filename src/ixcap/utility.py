@@ -345,9 +345,10 @@ def _expand_rows(table: np.ndarray, n: int, rows=None) -> np.ndarray:
     X^n; sequences are canonical MSB-first indices.  With no rows, the
     whole q**n x q**n table, by Kronecker sums: one broadcast add per
     letter, the wide axis innermost, with no gather or range check, since
-    every index is in range by construction.  The block sums and the sign
-    graphs are its only callers.  The table's dtype carries through, so an
-    object table sums in Python ints.
+    every index is in range by construction.  It is the one n-fold pair-sum
+    kernel: the block sums, the sign graphs and the subset search's 3-cycle
+    sums (``lower_bounds._triple_masks``) all read it.  The table's dtype
+    carries through, so an object table sums in Python ints.
     """
     q = table.shape[0]
     if rows is None:

@@ -55,12 +55,14 @@ from ixcap.graphs import (
     cycle_graph,
     graph_from_edges,
     independence_number,
+    is_independent,
     sender_graph,
 )
 from ixcap.utility import (
     DEFAULT_VERTEX_CAP,
     Alphabet,
     UtilityMatrix,
+    _product_words,
     block_sums,
     block_utility_rows,
     load_utility,
@@ -130,33 +132,43 @@ class TestWorstCaseDecodedSet:
 
 class TestSurvivorRule:
     """``_survivors`` keeps the words x with S[y, x] < 0 for every other
-    word y, reading the words' own columns in row blocks.  Its rule,
-    ``_rivalled``, also gives ``worst_case_decoded_set`` its decoded set."""
+    word y, reading the words' own columns in row blocks (``_rivalled``),
+    or a product's letters.  ``worst_case_decoded_set`` reads the same rule
+    off its table of best responses: x survives iff they are (x,) alone."""
 
     @pytest.mark.parametrize("rows_per_block", [None, 1, 2, 3])
-    @given(st.integers(2, 4), st.integers(1, 2), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_fraction_brute_force(self, rows_per_block, q, n, rng):
+    def test_matches_fraction_brute_force(self, monkeypatch, rows_per_block):
         # random images, mostly not independent in the sender graph, of
-        # rational utilities and of {-1, 0, 1} ones, which tie at 0 often
-        U = (random_utility, random_int_utility)[rng.randrange(2)](rng, q)
-        nv = q**n
-        keep = rng.choice((0.1, 0.5, 1))
-        g = ReceiverStrategy(n, tuple(rng.randrange(nv) if rng.random() < keep else None
-                                      for _ in range(nv)))
-        words = g.image()
-        sums = oracle_block_sums(U, n, words)
-        expected = tuple(x for i, x in enumerate(words)
-                         if all(row[x] < 0 for j, row in enumerate(sums) if j != i))
-        with pytest.MonkeyPatch.context() as patch:
-            if rows_per_block:
-                patch.setattr(ixcap.utility, "BLOCK_CELLS", rows_per_block * nv)
-            got = ixcap.game._survivors(U, n, words)
-            outcome = worst_case_decoded_set(U, g)
-        assert got == expected
-        assert outcome.decoded_worst == expected
-        # the per-source table, built apart from the rule, agrees
-        assert expected == tuple(x for x in words if outcome.best_response_summary[x] == (x,))
+        # rational utilities and of {-1, 0, 1} ones, which tie at 0 often.
+        # At n >= 2 most images are no product, so _survivors reads them
+        # on their row blocks, which BLOCK_CELLS cuts
+        rng = random.Random(139 + (rows_per_block or 0))
+        summed = []
+        sums = ixcap.game._block_sums
+        monkeypatch.setattr(ixcap.game, "_block_sums",
+                            lambda *args, **kw: summed.append(1) or sums(*args, **kw))
+        draws = dense = 0
+        for _ in range(60):
+            q, n = rng.randint(2, 4), rng.randint(2, 3)
+            U = (random_utility, random_int_utility)[rng.randrange(2)](rng, q)
+            nv = q**n
+            keep = rng.choice((0.1, 0.5, 1))
+            g = ReceiverStrategy(n, tuple(rng.randrange(nv) if rng.random() < keep else None
+                                          for _ in range(nv)))
+            words = g.image()
+            table = oracle_block_sums(U, n, words)
+            expected = tuple(x for i, x in enumerate(words)
+                             if all(row[x] < 0 for j, row in enumerate(table) if j != i))
+            with pytest.MonkeyPatch.context() as patch:
+                if rows_per_block:
+                    patch.setattr(ixcap.utility, "BLOCK_CELLS", rows_per_block * nv)
+                summed.clear()
+                got = ixcap.game._survivors(U, n, words)
+                draws, dense = draws + 1, dense + bool(summed)
+                outcome = worst_case_decoded_set(U, g)
+            assert got == expected
+            assert outcome.decoded_worst == expected
+        assert dense > 0.8 * draws
 
     def test_a_product_is_read_on_its_letters(self, monkeypatch):
         # identity on L^n, analysed by worst_case_decoded_set on its dense
@@ -290,13 +302,15 @@ class TestReceiverStrategyFromSet:
 
     def test_equilibrium_builds_the_sender_graph_once(self, monkeypatch, pentagon):
         """The pentagon's G_s^2 is built once, by the sign kernel that builds
-        every block graph.  Before the letter rule every equilibrium built
-        its sender graph; the graph utility of C4, whose alpha is its clique
-        cover number, is answered at n = 3 from its letters and builds none
-        on X^3 (its two bases are the sign graphs of single letters)."""
+        every block graph, inside ``block_independence_number``.  Before the
+        letter rule every equilibrium built its sender graph; the graph
+        utility of C4, whose alpha is its clique cover number, is answered
+        at n = 3 from its letters and builds none on X^3 (its two bases are
+        the sign graphs of single letters).  A caller's set is checked on
+        its block sums, with no graph."""
         calls = []
-        build = ixcap.graphs._sign_graph
-        monkeypatch.setattr(ixcap.graphs, "_sign_graph",
+        build = ixcap.graphs._sign_block
+        monkeypatch.setattr(ixcap.graphs, "_sign_block",
                             lambda ints, n: calls.append(n) or build(ints, n))
         equilibrium_value_noiseless(pentagon, 2)
         assert calls == [2]
@@ -306,6 +320,49 @@ class TestReceiverStrategyFromSet:
         assert calls == [1, 1]
         assert (value, strategy.image()) == (8, (0, 2, 8, 10, 32, 34, 40, 42))
         assert receiver_strategy_from_set(c4, strategy.image(), 3) == strategy
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["dense", "product"])
+    def test_refuses_a_dependent_set_on_its_block_sums(self, monkeypatch, pentagon, n, kind):
+        # the equilibrium's witness with one more word, which no maximum
+        # set admits, is read on its block sums; L^n with L = (0, 1), an
+        # edge of G_s, on its letters alone.  Both refusals keep the message
+        # of the sender graph's test, which agrees that they are dependent
+        if kind == "dense":
+            witness = equilibrium_value_noiseless(pentagon, n)[1].image()
+            words = tuple(sorted((*witness, next(w for w in range(5**n) if w not in witness))))
+        else:
+            words = _product_words((0, 1), 5, n)
+        assert not is_independent(sender_graph(pentagon, n), words)
+        summed = []
+        sums = ixcap.game._block_sums
+        monkeypatch.setattr(ixcap.game, "_block_sums",
+                            lambda *args, **kw: summed.append(1) or sums(*args, **kw))
+        with pytest.raises(InputError) as info:
+            receiver_strategy_from_set(pentagon, reversed(words), n)
+        assert str(info.value) == "the set is not independent in the sender graph"
+        assert bool(summed) == (kind == "dense")
+
+    def test_builds_no_graph(self, monkeypatch):
+        # C4's graph utility at n = 7 has 16384 words; its equilibrium set
+        # L^7 is checked on its letters, where building the sender graph on
+        # X^7 to test it once held about 95 MB of traced peak
+        def refuse(*args):
+            raise AssertionError("a sign graph was built")
+
+        c4 = utility_from_graph(cycle_graph(4))
+        words = _product_words((0, 2), 4, 7)
+        monkeypatch.setattr(ixcap.graphs, "_sign_graph", refuse)
+        monkeypatch.setattr(ixcap.graphs, "_sign_block", refuse)
+        tracemalloc.start()
+        try:
+            strategy = receiver_strategy_from_set(c4, words, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert strategy.image() == words and strategy.decoded_count() == 128
+        assert peak < 2e6
 
 
 class TestBlockSandwichInTheGame:
@@ -781,11 +838,24 @@ class TestVerificationError:
         # on the library's own witnesses that is its fault.  Inputs 0 and
         # 1 both reach output 1, so (0, 1) is no independent set of G_c
         monkeypatch.setattr(ixcap.game, "block_independence_number",
-                            lambda t, n, budget: (2, (0, 1), None))
+                            lambda t, n, budget: (2, (0, 1)))
         channel = make_channel(example1.alphabet, [[Fraction(1, 2), Fraction(1, 2), 0],
                                                    [0, 1, 0], [0, 0, 1]])
         with pytest.raises(VerificationError, match="input supports overlap"):
             noisy_equilibrium_value(example1, channel, 1)
+
+    @pytest.mark.parametrize("kind", ["dense", "product"])
+    def test_a_dependent_witness_raises(self, pentagon, monkeypatch, kind):
+        # a search that answered a dependent set of alpha's size is caught
+        # by _survivors alone, which reads no graph: the pentagon's five
+        # lowest words at n = 2 on their block sums, and L^2 with L = (0,
+        # 1), an edge of G_s, on its letters
+        words = (0, 1, 2, 3, 4) if kind == "dense" else _product_words((0, 1), 5, 2)
+        assert not is_independent(sender_graph(pentagon, 2), words)
+        monkeypatch.setattr(ixcap.game, "block_independence_number",
+                            lambda t, n, budget: (len(words), words))
+        with pytest.raises(VerificationError, match="equilibrium verification failed"):
+            equilibrium_value_noiseless(pentagon, 2)
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_a_channel_on_another_alphabet_stays_an_input_error(self, example1, q):
@@ -815,7 +885,7 @@ class TestOptimizedInterpreter:
              "tests/test_game.py::TestVerificationError"],
             cwd=root, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert done.stdout.splitlines()[-1].startswith("7 passed")
+        assert done.stdout.splitlines()[-1].startswith("9 passed")
 
 
 def test_a_strategy_on_a_mixed_alphabet_round_trips():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import time
@@ -551,40 +552,46 @@ class TestSearchCopy:
 
     @pytest.mark.parametrize("cells", [None, 50])
     def test_the_sign_kernels_block_gives_the_packed_rows_copy(self, monkeypatch, cells):
-        # a graph that hands the sign kernel's packed block to its copy and
-        # the same rows with no block (packed by the copy itself) give the
-        # same copy, alpha, witness and meter counts, whole and in row
-        # blocks; the search takes the block off the graph
+        # a search handed the sign kernel's packed block for its copy and a
+        # search of the same rows with no block (packed by the copy itself)
+        # give the same copy, alpha, witness and meter counts, whole and in
+        # row blocks; the block stays apart from the graph
         if cells:
             monkeypatch.setattr(ixcap.utility, "BLOCK_CELLS", cells)
         rng = random.Random(241)
-        graphs = [_random_sender_power(seed, q, n) for seed, (q, n) in
+        tables = [(_random_sender_table(seed, q), n) for seed, (q, n) in
                   enumerate([(4, 3), (5, 3), (3, 4), (4, 3), (5, 3)])]
-        graphs += [symmetric_sender_graph(random_utility(rng, 4), 3) for _ in range(3)]
-        for g in graphs:
-            assert g.packed is not None
+        tables += [(ixcap.graphs._plus_transpose(
+            random_utility(rng, 4).scaled_integer_entries[1]), 3) for _ in range(3)]
+        for t, n in tables:
+            g, block = ixcap.graphs._sign_block(t, n)
+            assert block is not None
             width = (g.n_vertices + 7) // 8
-            assert g.packed.shape == (g.n_vertices, width) and g.packed.dtype == np.uint8
-            assert g.packed.tobytes() == ixcap.graphs._pack_rows(g.rows, width).tobytes()
+            assert block.shape == (g.n_vertices, width) and block.dtype == np.uint8
+            assert block.tobytes() == ixcap.graphs._pack_rows(g.rows, width).tobytes()
             bare = Graph(g.n_vertices, g.rows, g.letters)
-            handed = ixcap.graphs._SearchCopy(g, g.packed)
+            handed = ixcap.graphs._SearchCopy(g, block)
             packed = ixcap.graphs._SearchCopy(bare)
             assert handed.ordered
             assert handed.rows == packed.rows and handed.order == packed.order
             meters = [ixcap.graphs._Meter(10**7) for _ in range(2)]
-            answers = [ixcap.graphs._alpha(h, meter) for h, meter in zip((g, bare), meters)]
+            answers = [ixcap.graphs._alpha(g, meters[0], packed=block),
+                       ixcap.graphs._alpha(bare, meters[1])]
             assert answers[0] == answers[1]
             assert (meters[0].spent, meters[0].settled) == (meters[1].spent, meters[1].settled)
-            assert g.packed is None and g == bare
+            assert g == bare and graphs_equal(g, ixcap.graphs._sign_graph(t, n))
 
-    def test_graph_identity_ignores_the_block(self):
+    def test_a_graph_holds_its_rows_and_no_array(self):
+        # the sign kernel's block reaches a search by argument only, so a
+        # graph is its vertex count, rows and letter table, and the table
+        # is no part of its identity
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n_vertices", "rows", "letters"]
         g = _random_sender_power(3, 4, 3)
+        assert g.letters is not None
+        assert not [v for v in vars(g).values() if isinstance(v, np.ndarray)]
         bare = Graph(g.n_vertices, g.rows)
-        other = Graph(g.n_vertices, g.rows, g.letters, np.zeros_like(g.packed))
-        for h in (bare, other):
-            assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
-        assert "packed" not in repr(g)
-        assert g != Graph(g.n_vertices, (0,) * g.n_vertices, g.letters, g.packed)
+        assert bare == g and hash(bare) == hash(g) and repr(bare) == repr(g)
+        assert g != Graph(g.n_vertices, (0,) * g.n_vertices, g.letters)
 
     def test_peak_memory_stays_near_the_graph(self):
         # a q = 3, n = 8 sender graph has 6561 vertices, 5.4 MB of packed
@@ -605,11 +612,11 @@ class TestSearchCopy:
     def test_peak_memory_of_a_handed_block_stays_near_the_graph(self):
         # the same bound when the copy is handed the sign kernel's block
         # instead of packing the rows itself
-        g = _random_sender_power(5, 3, 8)
+        g, block = ixcap.graphs._sign_block(_random_sender_table(5, 3), 8)
         packed_bytes = g.n_vertices * ((g.n_vertices + 7) // 8)
         tracemalloc.start()
         try:
-            copy = ixcap.graphs._SearchCopy(g, g.packed)
+            copy = ixcap.graphs._SearchCopy(g, block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -946,6 +953,11 @@ def _closed_q3_utility():
     return utility_from_json({"utility": [[0, -3, -1], [1, 0, -1], [1, -1, 0]]})
 
 
+def _random_sender_table(seed, q):
+    """The integer table of a random {-2, -1, 0, 1} utility."""
+    return random_int_utility(random.Random(seed), q, (-2, -1, 0, 1)).scaled_integer_entries[1]
+
+
 def _random_sender_power(seed, q, n):
     return sender_graph(random_int_utility(random.Random(seed), q, (-2, -1, 0, 1)), n)
 
@@ -1231,23 +1243,19 @@ class TestLetterRule:
         # from 64 vertices on, independence_number(g) answers by the rule
         # once its sandwich has checked I^n on g's rows, and the table path
         # answers with no g; a table that the rule declines builds g, the
-        # sign graph of its letters, once
+        # sign graph of its letters, once, with its block
         rng = random.Random(251)
         built = []
-        build = ixcap.graphs._sign_graph
-        monkeypatch.setattr(ixcap.graphs, "_sign_graph",
+        build = ixcap.graphs._sign_block
+        monkeypatch.setattr(ixcap.graphs, "_sign_block",
                             lambda ints, n: built.append(n) or build(ints, n))
         for q, n in ((4, 3), (5, 3)) * 4:
             t = sign_symmetric_table(rng, q)
-            g = build(t, n)
+            g = build(t, n)[0]
             built.clear()
-            alpha, witness, graph = ixcap.graphs.block_independence_number(t, n)
-            assert independence_number(g) == (alpha, witness)
-            if oracle_letter_rule(t):
-                assert graph is None
-            else:
-                assert graphs_equal(graph, g) and graph.letters == g.letters
-            assert built.count(n) == (graph is not None)
+            answer = ixcap.graphs.block_independence_number(t, n)
+            assert built.count(n) == (not oracle_letter_rule(t))
+            assert answer == independence_number(g)
 
     def test_declines_where_I_differs_from_H(self):
         U = utility_from_json({"utility": LEX_COUNTEREXAMPLE})
@@ -1258,9 +1266,9 @@ class TestLetterRule:
         assert len(bases.words) == len(bases.cliques) ** 3 == 8
         assert not bases.lex_least
         assert 81 in bases.words and 74 not in bases.words
-        alpha, witness, graph = ixcap.graphs.block_independence_number(t, 3)
-        assert graphs_equal(graph, sender_graph(U, 3))
-        assert (alpha, witness) == (8, (31, 33, 41, 43, 74, 83, 91, 93))
+        answer = ixcap.graphs.block_independence_number(t, 3)
+        assert answer == independence_number(ixcap.graphs._sign_graph(t, 3))
+        assert answer == (8, (31, 33, 41, 43, 74, 83, 91, 93))
 
 
 class TestColorOrder:

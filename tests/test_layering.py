@@ -1,7 +1,8 @@
 """The package's import layering, read from its source with ast: the
 brackets' rules live in the bound modules alone, the command line sits on
 top of everything, the graph modules never name a sequence, no search
-reads a complement, and the bracket reads every alpha from one memo."""
+reads a complement, the bracket reads every alpha from one memo, and the
+game reads no graph."""
 
 import ast
 from pathlib import Path
@@ -129,3 +130,34 @@ def test_the_bracket_reads_every_alpha_from_its_one_memo():
     assert _call_sites(path, "lovasz_theta") == [("xi_bracket",)]
     # the check sees a call where one is
     assert len(_call_sites(SRC / "lower_bounds.py", "independence_number")) >= 1
+
+
+def _names_from(path: Path, module: str) -> set[str]:
+    """The names a source file imports from the ixcap module ``module``."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").removeprefix("ixcap.").lstrip(".") == module
+            for alias in node.names}
+
+
+def _object_setattr_calls(source: str) -> list[int]:
+    """The lines of Python source that call ``object.__setattr__``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"]
+
+
+def test_the_game_reads_no_graph():
+    # the game checks every set on its block sums (game._survivors) and
+    # takes alpha and its witness from graphs.block_independence_number,
+    # which keeps its graph and the graph's packed block to itself: no
+    # Graph reaches the game, and none is changed after it is built
+    assert _names_from(SRC / "game.py", "graphs") == {
+        "DEFAULT_NODE_BUDGET", "_confusability_table", "block_independence_number"}
+    calls = {p.name: _object_setattr_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert len(calls) > 5
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+    # the checks see an import and a call where they are
+    assert "Graph" in _names_from(SRC / "lower_bounds.py", "graphs")
+    assert _object_setattr_calls('x = 1\nobject.__setattr__(g, "rows", ())') == [2]
