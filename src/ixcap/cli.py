@@ -16,7 +16,11 @@ and, when it is infeasible, the closed chain that proves it.  ``game``
 reports the sequences any strategy recovers under every best response, over
 a noiseless channel by ``game.worst_case_decoded_set`` and over a noisy one
 by ``game.verify_noisy_equilibrium``, with each recovered sequence's least
-input; no table on X^n is built here.
+input; no table on X^n is built here.  ``alpha`` takes alpha and its
+witness from ``graphs.block_independence_number``, as the game does, on
+U's integer table or, at n >= 2, a file graph's closed-neighbourhood
+table, so no graph on X^n is built where the letter rule answers; a file
+graph at n = 1 is searched as loaded.
 
 Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
 internal verification, 2 resource budget exceeded, 3 corpus golden mismatch.
@@ -51,6 +55,8 @@ from .game import (
 )
 from .graphs import (
     DEFAULT_NODE_BUDGET,
+    _closed_table,
+    block_independence_number,
     cycle_graph,
     graphs_equal,
     independence_number,
@@ -70,6 +76,7 @@ from .theta import lovasz_theta
 from .upper_bounds import asymptotic_rate_bracket, xi_bracket
 from .utility import (
     UtilityMatrix,
+    _check_cap,
     load_utility,
     sequence_labels,
     utility_from_graph,
@@ -228,20 +235,21 @@ def cmd_game(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    n = args.blocklength
+    n, budget = args.blocklength, args.budget_nodes
     if args.graph:
-        g = strong_power(load_graph(args.graph), n)
+        g = load_graph(args.graph)
+        _check_cap(g.n_vertices, n)  # before the q x q table of a power
+        alpha, witness = (independence_number(g, budget) if n == 1 else
+                          block_independence_number(_closed_table(g), n, budget))
     else:
         U = _utility_from_args(args)
-        g = sender_graph(U, n)
-    alpha, witness = independence_number(g, budget=args.budget_nodes)
-    if not args.graph:
+        alpha, witness = block_independence_number(U.scaled_integer_entries[1], n, budget)
         # a sender graph's vertices are sequences, reported by name
         witness = sequence_labels(U.alphabet, n, witness)
     payload = {
         "alpha": alpha,
-        "n": args.blocklength,
-        "rate": alpha ** (1.0 / args.blocklength),
+        "n": n,
+        "rate": alpha ** (1.0 / n),
         "witness": list(witness),
     }
     _write_output(payload, args.out)
@@ -330,7 +338,7 @@ def _corpus_checks():
     g2, cert2 = gamma_n(pent, 2)
     check("pentagon gamma_2", 5, g2)
     check("pentagon gamma_2 witness", ("00", "12", "24", "31", "43"), cert2.labels)
-    alpha2, _ = independence_number(sender_graph(pent, 2))
+    alpha2, _ = block_independence_number(pent.scaled_integer_entries[1], 2)
     check("pentagon alpha(G_s^2)", 5, alpha2)
     theta_pent = lovasz_theta(symmetric_sender_graph(pent, 1), tol=1e-5)
     check("pentagon theta is sqrt(5) within 1e-4", True,

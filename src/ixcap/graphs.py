@@ -117,8 +117,15 @@ class Graph:
     every sender graph, strong power and G_c^n at n >= 2, where the search
     reads it.  It is None on any other graph: a block graph at n = 1, and
     the graphs of ``graph_from_edges`` and ``strong_product``.  Equality,
-    hashing and repr ignore it.  A graph holds its rows and no array: the
-    sign kernel's packed block goes to a search by argument."""
+    hashing and repr ignore it, and no module but this one reads it.  The
+    search reads t only through q, n and the q-vertex graphs I =
+    ``_sign_graph(t, 1)`` and H = ``_sign_graph(t + t^T, 1)``, and these
+    are the graph's own rows: t's diagonal is zero, so the words (a, 0,
+    ..., 0) and (b, 0, ..., 0) are adjacent iff ab is an edge of I, and
+    (a, b, 0, ..., 0) and (b, a, 0, ..., 0) iff ab is an edge of H.  So
+    two lettered graphs on q letters with the same rows are searched
+    alike.  A graph holds its rows and no array: the sign kernel's packed
+    block goes to a search by argument."""
 
     n_vertices: int
     rows: tuple[int, ...]
@@ -338,9 +345,9 @@ def strong_power(g: Graph, n: int) -> Graph:
     N[a], -1 elsewhere), lettered by it: two words are adjacent iff every
     letter pair lies in N, iff their letter sum is 0.  Its numbering is
     that of the fold g x g x ... x g of ``strong_product``.  At n = 1 it is
-    g's rows, with no table."""
-    if n < 1:
-        raise InputError("strong power requires n >= 1")
+    g's rows, with no table.  ``utility._check_cap`` refuses n < 1 and q**n
+    above the vertex cap before the table is built.  ``ixcap alpha`` hands
+    the same table to ``block_independence_number`` instead."""
     q = g.n_vertices
     _check_cap(q, n)
     if n == 1:
@@ -1018,7 +1025,9 @@ def block_independence_number(t, n: int, budget: int = DEFAULT_NODE_BUDGET
     ``ORDERED_MIN_VERTICES``), and a g built after it declines takes the
     bases it found, so both paths spend the nodes of ``independence_number``
     and give its answer.  CapExceededError above ``DEFAULT_VERTEX_CAP``
-    before anything is built or searched."""
+    before anything is built or searched.  Its callers are the game's
+    equilibria and ``ixcap alpha``, on U's table or a file graph's
+    closed-neighbourhood table (``_closed_table``)."""
     nv = _check_cap(len(t), n)
     meter = _Meter(budget)
     bases = None

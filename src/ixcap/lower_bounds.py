@@ -375,8 +375,6 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
     ``graphs.independence_number`` to bound it by its letter table unless
     q >= 8.
     """
-    if n < 1:
-        raise InputError("blocklength must be at least 1")
     sym_graph = symmetric_sender_graph(U, n)
     return _gamma_n(U, n, sym_graph, independence_number(sym_graph, budget=node_budget),
                     node_budget)

@@ -286,9 +286,11 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     alpha(G_s^Sym), which the n = 1 pass has always searched, and the
     radical closure's alpha of the strong power of G_s^Sym come from one
     memo keyed by the graph's rows, so the pentagon's G_s^2, G_s^Sym,2 and
-    strong square of G_s^Sym cost one search.  A search that ran out of budget raises its
-    error again for a graph with the same rows and letter table, which would
-    search alike.  ``node_budget`` is per search, not per bracket: each
+    strong square of G_s^Sym cost one search.  A search that ran out of
+    budget raises its error again for a graph with the same rows, which
+    would search alike: every graph of one bracket is on U's q letters, and
+    ``graphs.Graph`` shows why the rows fix the search.  The memo reads no
+    letter table.  ``node_budget`` is per search, not per bracket: each
     distinct graph's alpha search gets it afresh, as do Gamma's subset
     search at each n run and the perfectness test.  A search that exhausts
     its budget drops its candidate, and the closure that needs it, with a
@@ -318,16 +320,16 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     # for symmetric or two-valued-gain utilities G_s^Sym is G_s at n = 1
     closure = symmetric or is_two_valued_a_ge_b(U)
     sym_graph = base_graph if closure else symmetric_sender_graph(U, 1)
-    # rows -> (alpha, witness); (rows, letters) -> the BudgetExceededError
+    # rows -> (alpha, witness) or the BudgetExceededError
     searches: dict = {}
 
     def alpha_of(g: Graph) -> tuple[int, tuple[int, ...]]:
-        found = searches.get(g.rows) or searches.get((g.rows, g.letters))
+        found = searches.get(g.rows)
         if found is None:
             try:
                 found = searches[g.rows] = independence_number(g, budget=node_budget)
             except BudgetExceededError as exc:
-                found = searches[g.rows, g.letters] = exc
+                found = searches[g.rows] = exc
         if isinstance(found, BudgetExceededError):
             raise found
         return found

@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import ixcap.game
+import ixcap.graphs
 import ixcap.lower_bounds
 import ixcap.upper_bounds
 from conftest import oracle_alpha, oracle_sender_edges, oracle_symmetric_part
@@ -24,7 +27,7 @@ from ixcap.graphs import (
     strong_power,
 )
 from ixcap.upper_bounds import asymptotic_rate_bracket, xi_bracket
-from ixcap.utility import load_utility, sequence_labels
+from ixcap.utility import load_utility, sequence_labels, utility_from_graph
 
 PENTAGON = str(corpus_path("pentagon.json"))
 EXAMPLE1 = str(corpus_path("example1.json"))
@@ -226,6 +229,29 @@ def test_alpha_of_a_power_matches_the_plain_search(source, tmp_path, capsys):
     # a file graph's vertices are numbers, a sender graph's are named words
     labels = range(25) if source == "graph" else sequence_labels(load_utility(PENTAGON).alphabet, 2)
     assert report["witness"] == [labels[v] for v in witness]
+
+
+@pytest.mark.parametrize("source", ["graph", "utility"])
+def test_alpha_of_a_power_is_answered_from_its_letters(source, tmp_path, capsys, monkeypatch):
+    # C4 is perfect and sign-symmetric, so alpha(C4^7) = 2^7 and the
+    # witness {0, 2}^7 come from its 4 x 4 table and its two 4-vertex
+    # bases, with no graph on 4^7 words
+    def letters_only(ints, n, _build=ixcap.graphs._sign_block):
+        assert n == 1, "a graph on X^n was built"
+        return _build(ints, n)
+
+    monkeypatch.setattr(ixcap.graphs, "_sign_block", letters_only)
+    c4 = cycle_graph(4)
+    if source == "graph":
+        path, content = tmp_path / "c4.json", {"n": 4, "edges": [list(e) for e in c4.edges()]}
+    else:
+        path, content = tmp_path / "c4-utility.json", utility_from_graph(c4).to_json_dict()
+    path.write_text(json.dumps(content))
+    assert main(["alpha", f"--{source}", str(path), "-n", "7"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    words = ["".join(w) for w in product("02", repeat=7)]
+    assert report["alpha"] == 128 and report["n"] == 7
+    assert report["witness"] == ([int(w, 4) for w in words] if source == "graph" else words)
 
 
 def test_corpus_goldens_pass():
@@ -532,6 +558,18 @@ def test_alpha_refuses_a_graph_file_above_the_vertex_cap(tmp_path, capsys):
     assert main(["alpha", "--graph", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
         "ixcap: error: 3000000 vertices exceed the cap of 20000\n")
+
+
+def test_alpha_refuses_a_power_above_the_cap_before_its_table(tmp_path, capsys):
+    # a 3000-vertex path squared has 9 * 10^6 words; its 3000 x 3000
+    # closed-neighbourhood table is never built
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": 3000, "edges": [[i, i + 1] for i in range(2999)]}))
+    start = time.perf_counter()
+    assert main(["alpha", "--graph", str(path), "-n", "2"]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "ixcap: error: 9000000 vertices exceed the cap of 20000\n")
 
 
 @pytest.mark.parametrize("command", ["alpha", "theta"])

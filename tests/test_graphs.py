@@ -294,7 +294,7 @@ class TestStrongProducts:
         assert power.letters == (None if n == 1 else (closed, n))
 
     def test_power_validates(self, monkeypatch):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^blocklength must be at least 1$"):
             strong_power(cycle_graph(5), 0)
         monkeypatch.setattr(ixcap.utility, "DEFAULT_VERTEX_CAP", 100)
         with pytest.raises(CapExceededError):
@@ -928,6 +928,25 @@ class TestLetters:
         power = strong_power(g, 1)
         assert time.perf_counter() - start < 1
         assert graphs_equal(power, g) and power.letters is None
+
+    def test_the_bases_are_the_graphs_own_rows(self):
+        # the search reads a table only through q, n and its bases I and H,
+        # and G's rows give both: (a, 0, ..) ~ (b, 0, ..) iff ab is an edge
+        # of I, and (a, b, 0, ..) ~ (b, a, 0, ..) iff ab is an edge of H.  So
+        # a memo of searches may key on rows alone (upper_bounds.xi_bracket)
+        rng = random.Random(4509)
+        for _ in range(300):
+            q, n = rng.randint(2, 6), rng.randint(2, 3)
+            t = [[0 if a == b else rng.randint(-3, 3) for b in range(q)] for a in range(q)]
+            g = ixcap.graphs._sign_graph(t, n)
+            first, second = q ** (n - 1), q ** (n - 2)
+            i_rows = [sum(g.has_edge(a * first, b * first) << b for b in range(q))
+                      for a in range(q)]
+            h_rows = [sum(g.has_edge(a * first + b * second, b * first + a * second) << b
+                          for b in range(q) if b != a) for a in range(q)]
+            assert tuple(i_rows) == ixcap.graphs._sign_graph(t, 1).rows
+            assert tuple(h_rows) == ixcap.graphs._sign_graph(
+                ixcap.graphs._plus_transpose(t), 1).rows
 
     def test_table_is_no_part_of_identity(self):
         g = sender_graph(utility_from_graph(cycle_graph(5)), 2)

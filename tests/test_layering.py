@@ -1,8 +1,8 @@
 """The package's import layering, read from its source with ast: the
 brackets' rules live in the bound modules alone, the command line sits on
 top of everything, the graph modules never name a sequence, no search
-reads a complement, the bracket reads every alpha from one memo, and the
-game reads no graph."""
+reads a complement, the bracket reads every alpha from one memo, the
+game reads no graph, and only the graph module reads a letter table."""
 
 import ast
 from pathlib import Path
@@ -161,3 +161,22 @@ def test_the_game_reads_no_graph():
     # the checks see an import and a call where they are
     assert "Graph" in _names_from(SRC / "lower_bounds.py", "graphs")
     assert _object_setattr_calls('x = 1\nobject.__setattr__(g, "rows", ())') == [2]
+
+
+def _attribute_reads(path: Path, attr: str) -> list[int]:
+    """The lines of a source file that read the attribute ``attr``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def test_only_graphs_reads_the_letter_table():
+    # a block graph's letter table serves its own search; xi_bracket's memo
+    # keys on rows, and ixcap alpha hands block_independence_number a table
+    # as the game does, with no graph built by the command
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    assert [p.name for p in modules if _attribute_reads(p, "letters")] == ["graphs.py"]
+    cli = SRC / "cli.py"
+    assert ("cmd_alpha",) in _call_sites(cli, "block_independence_number")
+    for name in ("sender_graph", "symmetric_sender_graph", "strong_power"):
+        assert ("cmd_alpha",) not in _call_sites(cli, name)

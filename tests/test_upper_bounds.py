@@ -452,6 +452,24 @@ class TestXiBracket:
         checked(pentagon, n_max=2)
         assert counts == [2]  # G_s and G_s^2
 
+    def test_a_search_out_of_budget_is_keyed_by_rows_alone(self, monkeypatch):
+        # two-valued but not symmetric: G_s^2 and G_s^Sym,2 share their rows
+        # under different tables, and a search's failure on one is its
+        # failure on the other, so each row set is searched once
+        U = utility_from_json({"utility": [[0, -1, 3, -1], [3, 0, -1, 3],
+                                           [3, -1, 0, -1], [3, -1, 3, 0]]})
+        assert is_two_valued_a_ge_b(U) and not U.is_symmetric()
+        assert sender_graph(U, 2).rows == symmetric_sender_graph(U, 2).rows
+        searched = _count_searches(monkeypatch)
+        b = xi_bracket(U, n_max=2, node_budget=1)
+        assert len(searched) == len(set(searched)) == 2
+        assert b.warnings == (
+            "alpha(G_s^1) skipped: independence search exceeded 1 nodes",
+            "gamma(U_1) skipped: independence search exceeded 1 nodes",
+            "perfect-graph closure skipped: alpha(G_s^1) was not computed",
+            "alpha(G_s^2) skipped: independence search exceeded 1 nodes",
+            "gamma(U_2) skipped: independence search exceeded 1 nodes")
+
     def test_radical_closure_reuses_the_alpha_of_equal_rows(self, pentagon, monkeypatch):
         # on the pentagon the strong square of G_s^Sym has the rows of
         # G_s^2, so the radical closure takes alpha = 5 from the lower
