@@ -27,7 +27,6 @@ from .graphs import (
     confusability_graph,
     graph_from_edges,
     graph_from_json,
-    graphs_equal,
     independence_number,
     is_independent,
     load_graph,

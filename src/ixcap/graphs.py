@@ -42,8 +42,9 @@ small search over the classes finds (``_best_union``), when it beats I^n,
 and prunes its root by the classes.  Every other graph is searched on its
 copy (``_SearchCopy``, ``_CliqueSearch``).  Every search reads its graph's
 own rows, relabelled or not, and no complement is built.  An open search
-colours its whole graph once: the maximum search's root colouring, whose
-classes the witness pass reuses as its clique partition."""
+colours its whole graph once: the maximum search always starts from every
+vertex, and the witness pass reads its recorded root colouring as its
+clique partition."""
 
 from __future__ import annotations
 
@@ -139,17 +140,10 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
     def edges(self):
         for u, row in enumerate(self.rows):
             for v in _bits(row >> (u + 1) << (u + 1)):
                 yield (u, v)
-
-    def complement_rows(self) -> tuple[int, ...]:
-        full = (1 << self.n_vertices) - 1
-        return tuple((full ^ self.rows[v]) & ~(1 << v) for v in range(self.n_vertices))
 
 
 def graph_from_edges(n: int, edges: Sequence[Sequence[int]]) -> Graph:
@@ -194,18 +188,6 @@ def load_graph(path) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
 
 
 def _pack_bool_rows(adj: np.ndarray) -> tuple[int, ...]:
@@ -364,11 +346,6 @@ def _closed_table(g: Graph) -> tuple[tuple[int, ...], ...]:
                  for a, row in enumerate(g.rows))
 
 
-def graphs_equal(g1: Graph, g2: Graph) -> bool:
-    """Exact bitset equality on the shared index order; size mismatch is False."""
-    return g1.n_vertices == g2.n_vertices and g1.rows == g2.rows
-
-
 def is_independent(g: Graph, vertices: Sequence[int]) -> bool:
     vs = list(vertices)
     for v in vs:
@@ -394,9 +371,8 @@ class _CliqueSearch:
     searches that derived their bounds.  With ``reports``, each larger set
     that ``maximum`` finds becomes the meter's ``best``.  After a run
     that finds its set, ``best_mask`` holds that set, which the witness pass
-    reuses; ``at_least`` with a target of 0 or less returns True without a
-    run and leaves ``best_mask`` stale.  ``maximum`` can prune the root by
-    a symmetry group's orbits; no other level, and no ``at_least``, does.
+    reuses.  ``maximum`` can prune the root by a symmetry group's orbits; no
+    other level, and no ``at_least``, does.
 
     The colouring (Tomita et al. 2003/2010, San Segundo et al. 2011) takes
     each candidate's highest vertex into the open colour class, found by
@@ -412,8 +388,8 @@ class _CliqueSearch:
     would, and the search tree, its node count and its answer are
     unchanged.
 
-    A ``maximum`` whose root holds every vertex colours the whole graph
-    there, and ``_color_order`` records that colouring's classes as masks
+    ``maximum`` searches every vertex, so its root colours the whole graph,
+    and ``_color_order`` records that colouring's classes as masks
     (``partition``); ``clique_partition`` returns them, so the witness pass
     colours the graph no second time.
     """
@@ -427,7 +403,7 @@ class _CliqueSearch:
         self.best_size = 0
         self.best_mask = 0
         self.stop_at: int | None = None
-        self.partition: list[int] | None = None
+        self.partition: list[int] = []
 
     def _color_order(self, cand: int, kmin: int = 1, classes: list[int] | None = None
                      ) -> list[tuple[int, int]]:
@@ -477,47 +453,41 @@ class _CliqueSearch:
                 self._expand(new_mask, size + 1, new_cand)
             cand &= ~(orbit(v) if orbit else 1 << v)
 
-    def maximum(self, cand: int, seed: int = 0, ceiling: int | None = None,
-                orbit=None) -> tuple[int, int]:
-        """A maximum independent set within cand, searched from the
-        incumbent set ``seed`` and stopped as soon as one reaches
+    def maximum(self, seed: int = 0, ceiling: int | None = None, orbit=None
+                ) -> tuple[int, int]:
+        """A maximum independent set of the search's graph, searched from
+        the incumbent set ``seed`` and stopped as soon as one reaches
         ``ceiling``.
 
         ``orbit(v)``, if given, is the mask of v's orbit under a group of
-        automorphisms that maps cand onto itself.  The root then drops the
-        whole orbit of each vertex it has branched on: a set through
-        another member is the image of one through v, which that branch
-        searched, and what stays in cand is still a union of orbits.
-        Deeper levels branch on single vertices.  A root that holds every
-        vertex records its colouring's classes for ``clique_partition``."""
+        automorphisms of the graph.  The root then drops the whole orbit of
+        each vertex it has branched on: a set through another member is the
+        image of one through v, which that branch searched, and what stays
+        open is still a union of orbits.  Deeper levels branch on single
+        vertices.  The root records its colouring's classes for
+        ``clique_partition``."""
         self.best_size, self.best_mask = seed.bit_count(), seed
         self.stop_at = ceiling
-        classes = [] if cand == (1 << len(self.rows)) - 1 else None
+        self.partition = []
         try:
-            if cand:
-                self._expand(0, 0, cand, orbit, classes)
+            self._expand(0, 0, (1 << len(self.rows)) - 1, orbit, self.partition)
         except _Found:
             pass
         finally:
             self.stop_at = None
-        if classes is not None:
-            self.partition = classes
         return self.best_size, self.best_mask
 
     def clique_partition(self) -> list[int]:
-        """The classes of ``_color_order``'s greedy colouring of all of the
-        search's vertices, as masks: cliques of the search's graph.  They
-        are the root colouring of the last full-root ``maximum``, when one
-        ran, and are coloured here, listing no vertex, otherwise."""
-        if self.partition is None:
-            self.partition = []
-            self._color_order((1 << len(self.rows)) - 1, len(self.rows) + 1, self.partition)
+        """The classes of the last ``maximum``'s root colouring, a greedy
+        colouring (``_color_order``) of all of the search's vertices, as
+        masks: cliques of the search's graph."""
         return self.partition
 
     def at_least(self, cand: int, target: int) -> bool:
-        """True iff cand holds an independent set of size >= target."""
-        if target <= 0:
-            return True
+        """True iff cand holds an independent set of size >= target, for a
+        target of at least 1: the witness pass asks for needed - 1 only
+        where a vertex conflicts with two or more open members of its
+        maximum set, so needed >= 2."""
         self.best_size, self.best_mask = target - 1, 0
         self.stop_at = target
         try:
@@ -727,7 +697,7 @@ def _cover_number(g: Graph, meter: _Meter, alpha: int | None = None) -> list[int
     which runs only when ``alpha`` is not given."""
     n = g.n_vertices
     if alpha is None:
-        alpha, _ = _CliqueSearch(_SearchCopy(g).rows, meter).maximum((1 << n) - 1)
+        alpha, _ = _CliqueSearch(_SearchCopy(g).rows, meter).maximum()
     cliques: list[int] = []
 
     def place(v: int, k: int) -> bool:
@@ -878,7 +848,7 @@ def _type_classes(q: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return of, tuple(masks)
 
 
-def _best_union(g: Graph, seed: int, ceiling: int, meter: _Meter) -> int:
+def _best_union(g: Graph, seed: int, meter: _Meter) -> int:
     """The largest union of type classes of g's words that a capped search
     finds above the independent set seed, or seed itself, as a mask of g's
     vertices.
@@ -890,10 +860,11 @@ def _best_union(g: Graph, seed: int, ceiling: int, meter: _Meter) -> int:
     The search picks non-conflicting classes of the most words: each node
     takes the heaviest open class first, and a node whose words plus the
     words of its open classes, counted by one popcount per class size,
-    cannot beat the best union is cut.  It stops at the ceiling or after
-    one node per class, each charged to meter.  The union is checked again
-    on g's rows, since a g that is not symmetric would make it wrong:
-    VerificationError if it is not independent."""
+    cannot beat the best union is cut.  It stops after one node per class,
+    each charged to meter; no union of an open sandwich has been seen to
+    reach the ceiling cover_number(H)^n, so it has no stop there.  The union
+    is checked again on g's rows, since a g that is not symmetric would make
+    it wrong: VerificationError if it is not independent."""
     t, n = g.letters
     of, masks = _type_classes(len(t), n)
     rows = g.rows
@@ -933,8 +904,6 @@ def _best_union(g: Graph, seed: int, ceiling: int, meter: _Meter) -> int:
             j = low.bit_length() - 1
             if weight + sizes[j] > best_size:
                 best_size, best = weight + sizes[j], chosen | low
-                if best_size >= ceiling:
-                    raise _Found
             rest = cand ^ (cand & conflicts[j])
             if rest:
                 expand(chosen | low, weight + sizes[j], rest)
@@ -969,19 +938,17 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET
     the lexicographically least maximum set of I, with no walk of G;
     ``block_independence_number`` gives the same answer from the table
     alone, with no G built.  A lettered G is the sign graph of a
-    letterwise sum, so every permutation of the n coordinates maps it
-    onto itself and each type
-    class (words with the same letters) onto itself.  On an open sandwich,
-    a search over the classes with no inner edge, at most one node per
-    class, looks for the union of non-conflicting classes with the most
-    words (``_best_union``), and that union replaces I^n as the incumbent
-    when it is larger; a union at the ceiling closes the sandwich as I^n
-    would.  Otherwise the maximum search runs on a degree-ordered copy of G
-    (``_SearchCopy``), from the incumbent, and stops as soon as it reaches
-    the ceiling; its root branches on one word of each type class and drops
-    the rest of the class, and deeper levels branch on single vertices.
-    Any other G is searched on its copy with no bounds.  The answer is the
-    same as a search of G's rows alone.
+    letterwise sum, so every permutation of the n coordinates maps it onto
+    itself and each type class (words with the same letters) onto itself.
+    On an open sandwich, a search over the classes with no inner edge, at
+    most one node per class, looks for the union of non-conflicting
+    classes with the most words (``_best_union``), and that union replaces
+    I^n as the incumbent when it is larger.  The maximum search then runs
+    on a degree-ordered copy of G (``_SearchCopy``), from the incumbent,
+    and stops as soon as it reaches the ceiling; its root branches on one
+    word of each type class and drops the rest of the class, and deeper
+    levels branch on single vertices.  Any other G is searched on its copy
+    with no bounds.  The answer is the same as a search of G's rows alone.
 
     The witness pass walks the vertices in G's own order and keeps each one
     that some maximum independent set extends.  It holds such a set W, first
@@ -1061,7 +1028,7 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None 
         if bases.lex_least:
             return ceiling, bases.words
         if seed.bit_count() < ceiling:
-            seed = _best_union(g, seed, ceiling, meter)
+            seed = _best_union(g, seed, meter)
             if reports:
                 meter.best = seed.bit_count()
         if seed.bit_count() == ceiling:
@@ -1076,7 +1043,7 @@ def _alpha(g: Graph, meter: _Meter, reports: bool = False, bases: _Bases | None 
 
         def orbit(i: int) -> int:
             return copy.inward(masks[of[copy.order[i]]])
-    alpha, maxset = search.maximum((1 << nv) - 1, copy.inward(seed), ceiling, orbit)
+    alpha, maxset = search.maximum(copy.inward(seed), ceiling, orbit)
     # a reporting meter's best is now alpha; the witness pass's searches
     # find smaller sets, which must not lower it
     search.reports = False

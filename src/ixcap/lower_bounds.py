@@ -47,10 +47,11 @@ from .graphs import (
     Graph,
     _CliqueSearch,
     _Meter,
+    _alpha,
     _ensure_recursion_headroom,
     _pack_bool_rows,
-    independence_number,
-    symmetric_sender_graph,
+    _plus_transpose,
+    _sign_block,
 )
 from .utility import (UtilityMatrix, _block_sums, _expand_rows, _row_blocks, _sum_table,
                       sequence_labels)
@@ -369,15 +370,16 @@ def gamma_n(U: UtilityMatrix, n: int, node_budget: int = DEFAULT_NODE_BUDGET
     out, it returns the largest feasible subset found so far, in a
     certificate not flagged optimal.  Raises BudgetExceededError when the
     maximum search runs out, or the subset search before it holds any set.
-    ``xi_bracket`` runs the same search through ``_gamma_n`` at every n,
-    on a U that is not symmetric, taking alpha_sym from its own memo of
-    searches; at n_max = 2, G_s^Sym,n is too small for
+    The alpha search's copy starts from the sign kernel's block
+    (``graphs._sign_block``).  ``xi_bracket`` runs the same search through
+    ``_gamma_n`` at every n, on a U that is not symmetric, taking alpha_sym
+    from its own memo of searches; at n_max = 2, G_s^Sym,n is too small for
     ``graphs.independence_number`` to bound it by its letter table unless
     q >= 8.
     """
-    sym_graph = symmetric_sender_graph(U, n)
-    return _gamma_n(U, n, sym_graph, independence_number(sym_graph, budget=node_budget),
-                    node_budget)
+    sym_graph, packed = _sign_block(_plus_transpose(U.scaled_integer_entries[1]), n)
+    found = _alpha(sym_graph, _Meter(node_budget), True, packed=packed)
+    return _gamma_n(U, n, sym_graph, found, node_budget)
 
 
 def _gamma_n(U: UtilityMatrix, n: int, sym_graph: Graph, found: tuple[int, tuple[int, ...]],

@@ -17,6 +17,7 @@ import ixcap.graphs
 from ixcap.channel import make_channel
 from ixcap.cli import corpus_path
 from ixcap.game import DOMINATED, expected_block_utility
+from ixcap.graphs import Graph, graph_from_edges
 from ixcap.utility import (
     Alphabet,
     UtilityMatrix,
@@ -53,6 +54,28 @@ def pentagon():
 @pytest.fixture(scope="session")
 def pentagon_literal():
     return load_utility(corpus_path("example4_literal.json"))
+
+
+def path_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph(n, (0,) * n)
+
+
+def edge_count(g: Graph) -> int:
+    return sum(r.bit_count() for r in g.rows) // 2
+
+
+def complement_rows(g: Graph) -> tuple[int, ...]:
+    """The rows of g's complement: every other vertex that g's row lacks."""
+    full = (1 << g.n_vertices) - 1
+    return tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.rows))
 
 
 def random_utility(rng: random.Random, q: int, den: int = 4,

@@ -160,12 +160,13 @@ def test_bracket_searches_each_graph_once(monkeypatch):
     # graph with the rows of one it searched before (62 with 1 repeat when
     # the pentagon's G_s^Sym,2 was searched again for Gamma(U_2))
     searched = []
-    for module in (ixcap.upper_bounds, ixcap.lower_bounds):
-        def search(g, *args, _search=module.independence_number, **kw):
+    for module, name in ((ixcap.upper_bounds, "independence_number"),
+                         (ixcap.lower_bounds, "_alpha")):
+        def search(g, *args, _search=getattr(module, name), **kw):
             searched.append(g.rows)
             return _search(g, *args, **kw)
 
-        monkeypatch.setattr(module, "independence_number", search)
+        monkeypatch.setattr(module, name, search)
     workload = workloads.WORKLOADS["bracket"]
     total = 0
     for job in workload.make_jobs(1, ROOT):

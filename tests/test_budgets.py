@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ixcap
-from conftest import random_int_utility, random_utility
+from conftest import complement_rows, random_int_utility, random_utility
 from ixcap.cli import corpus_path
 from ixcap.errors import BudgetExceededError
 from ixcap.graphs import (
@@ -27,7 +27,7 @@ PENTAGON = load_utility(corpus_path("pentagon.json"))
 # the graph utility of perfbench's equilibrium structure k = 1
 U7 = utility_from_graph(
     graph_from_edges(7, [(0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (2, 6), (3, 4)]))
-C9_COMPLEMENT = Graph(9, cycle_graph(9).complement_rows())
+C9_COMPLEMENT = Graph(9, complement_rows(cycle_graph(9)))
 CYCLIC = utility_from_json({"utility": [[0, -1, 0], [0, 0, -1], [-1, 0, 0]]})
 
 

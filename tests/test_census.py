@@ -6,7 +6,11 @@ it checks, on every class, that the answer does not move under a
 relabelling or a positive rescale with column offsets, and that each
 blocklength's record keeps the order laws Gamma(U_n) >= alpha(G_s^n) and
 alpha(G_s^n) <= cover_number(G_s^Sym)^n.  The open classes are listed, as
-the targets of a stronger bound."""
+the targets of a stronger bound.
+
+The graph census runs the graph utility of every graph on 5 and 6
+vertices, up to isomorphism, through the bracket, and a metamorphic check
+raises random utilities entrywise: neither lower bound may rise."""
 
 import random
 from collections import Counter
@@ -15,10 +19,17 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import oracle_clique_cover
-from ixcap.graphs import symmetric_sender_graph
+from conftest import oracle_clique_cover, random_utility
+from ixcap.graphs import (
+    Graph,
+    cycle_graph,
+    independence_number,
+    sender_graph,
+    symmetric_sender_graph,
+)
+from ixcap.lower_bounds import gamma_n
 from ixcap.upper_bounds import xi_bracket
-from ixcap.utility import normalize_diagonal
+from ixcap.utility import normalize_diagonal, utility_from_graph
 
 Q = 3
 CELLS = [(i, j) for i in range(Q) for j in range(Q) if i != j]
@@ -129,3 +140,90 @@ def test_order_laws_on_every_record(census):
             assert record["alpha_sender"] <= cover ** record["n"]
             records += 1
     assert records == 2705
+
+
+def canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The least row tuple of a graph over the numberings that list its
+    vertices by (degree, sorted neighbour degrees): one form per
+    isomorphism class, since every isomorphism keeps that key."""
+    n = len(rows)
+    degree = [r.bit_count() for r in rows]
+    key = [(degree[v], sorted(degree[u] for u in range(n) if rows[v] >> u & 1))
+           for v in range(n)]
+    groups: dict = {}
+    for v in sorted(range(n), key=key.__getitem__):
+        groups.setdefault(repr(key[v]), []).append(v)
+    best = None
+    for choice in product(*(permutations(group) for group in groups.values())):
+        order = [v for group in choice for v in group]
+        new_of = {v: i for i, v in enumerate(order)}
+        form = tuple(sum(1 << new_of[u] for u in range(n) if rows[v] >> u & 1) for v in order)
+        best = form if best is None or form < best else best
+    return best
+
+
+def graphs_up_to_isomorphism(n_max: int) -> dict[int, list[tuple[int, ...]]]:
+    """The canonical rows of every graph on 1..n_max vertices, one per
+    isomorphism class: each class on n vertices is one on n - 1 with a
+    new vertex joined to some of them."""
+    level, found = {()}, {}
+    for n in range(1, n_max + 1):
+        level = {canonical_rows((*(r | (nbrs >> v & 1) << (n - 1) for v, r in enumerate(rows)),
+                                 nbrs))
+                 for rows in level for nbrs in range(1 << (n - 1))}
+        found[n] = sorted(level)
+    return found
+
+
+def test_graph_census():
+    # every graph utility on 5 and 6 letters closes at n_max = 2 but
+    # C5 + K1, whose capacity 1 + sqrt(5) no finite blocklength reaches
+    graphs = graphs_up_to_isomorphism(6)
+    assert [len(graphs[n]) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    certificates, opened = Counter(), []
+    for n in (5, 6):
+        for rows in graphs[n]:
+            b = xi_bracket(utility_from_graph(Graph(n, rows)), n_max=2)
+            if b.exact is None:
+                opened.append(rows)
+                continue
+            certificates[n, b.upper_certificate["name"], b.lower_certificate["name"]] += 1
+    assert certificates == {
+        (5, "perfect_graph_closure", "alpha_sender_power"): 32,
+        (5, "theta_symmetric_part", "alpha_sender_power"): 1,
+        (5, "alphabet_size", "alpha_sender_power"): 1,
+        (6, "perfect_graph_closure", "alpha_sender_power"): 147,
+        (6, "theta_symmetric_part", "alpha_sender_power"): 7,
+        (6, "alphabet_size", "alpha_sender_power"): 1,
+    }
+    c5_k1 = canonical_rows((*cycle_graph(5).rows, 0))
+    assert opened == [c5_k1]
+    # alpha((C5 + K1)^2) = 10 below, theta = 1 + sqrt(5) plus tol above
+    b = xi_bracket(utility_from_graph(Graph(6, c5_k1)), n_max=2)
+    assert b.lower == pytest.approx(10 ** 0.5)
+    assert b.upper == pytest.approx(1 + 5 ** 0.5, abs=2e-3)
+
+
+def test_raising_a_utility_raises_no_lower_bound():
+    # a utility raised entrywise has more weakly profitable misreports:
+    # every sender graph gains edges, and every chain's sum rises, so
+    # fewer subsets are feasible.  Neither alpha(G_s^n) nor Gamma(U_n) may rise
+    rng = random.Random(4610)
+    rose = Counter()
+    for _ in range(100):
+        q = rng.randint(2, 4)
+        U = random_utility(rng, q)
+        raised = normalize_diagonal([
+            [x if i == j or rng.random() < 0.4 else x + Fraction(rng.randint(0, 6), rng.randint(1, 3))
+             for j, x in enumerate(row)] for i, row in enumerate(U.u)])
+        for n in (1, 2):
+            low, high = sender_graph(U, n), sender_graph(raised, n)
+            assert all(r & ~h == 0 for r, h in zip(low.rows, high.rows))
+            alpha, alpha_raised = independence_number(low)[0], independence_number(high)[0]
+            (g, cert), (g_raised, cert_raised) = gamma_n(U, n), gamma_n(raised, n)
+            assert cert.optimal and cert_raised.optimal
+            assert alpha_raised <= alpha and g_raised <= g
+            rose["alpha"] += alpha_raised < alpha
+            rose["gamma"] += g_raised < g
+    # the check sees a fall where one is
+    assert rose["alpha"] and rose["gamma"]

@@ -283,6 +283,31 @@ def test_a_json_report_on_stdout_is_one_document(argv, tmp_path, capsys):
         assert json.loads(out.read_text()) == report
 
 
+@pytest.mark.parametrize("command", ["alpha", "gamma"])
+def test_a_searched_power_starts_from_the_kernels_block(command, capsys, monkeypatch):
+    # alpha(C5^3) = 10 lies strictly between 2^3 and 3^3, so G_s^3 (alpha)
+    # and G_s^Sym,3 (gamma) of the pentagon, 125 words each, are searched
+    # on a degree-ordered copy; the copy starts from the block that the
+    # sign kernel made, and no graph's rows are packed again
+    packed, copies = [], []
+    pack, copy = ixcap.graphs._pack_rows, ixcap.graphs._SearchCopy.__init__
+    monkeypatch.setattr(ixcap.graphs, "_pack_rows",
+                        lambda rows, width: packed.append(len(rows)) or pack(rows, width))
+
+    def recorded_copy(self, g, *args):
+        copy(self, g, *args)
+        copies.append(self.ordered)
+
+    monkeypatch.setattr(ixcap.graphs._SearchCopy, "__init__", recorded_copy)
+    assert main([command, "--utility", PENTAGON, "-n", "3"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report.get("alpha", report.get("gamma")) == 10
+    assert True in copies and packed == []
+    # the check sees a packing where one is: the public search of a graph
+    independence_number(sender_graph(load_utility(PENTAGON), 3))
+    assert packed == [125]
+
+
 def test_corpus_golden_mismatch(monkeypatch):
     monkeypatch.setattr(cli, "gamma", lambda U, **kw: (99, None))
     assert main(["corpus"]) == EXIT_GOLDEN

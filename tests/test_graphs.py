@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     LEX_COUNTEREXAMPLE,
+    complement_rows,
+    complete_graph,
+    edge_count,
+    empty_graph,
     oracle_alpha,
     oracle_clique_cover,
     oracle_letter_rule,
     oracle_lex_least_mis,
     oracle_sender_edges,
     oracle_symmetric_part,
+    path_graph,
     random_channel,
     random_int_utility,
     random_symmetric_utility,
@@ -31,17 +36,13 @@ import ixcap.graphs
 import ixcap.utility
 from ixcap.graphs import (
     Graph,
-    complete_graph,
     confusability_graph,
     cycle_graph,
-    empty_graph,
     graph_from_edges,
     graph_from_json,
-    graphs_equal,
     load_graph,
     independence_number,
     is_independent,
-    path_graph,
     sender_graph,
     strong_power,
     strong_product,
@@ -76,7 +77,7 @@ class TestSenderGraph:
     def test_all_negative_is_edgeless(self):
         U = utility_from_json({"utility": [[0, -1, -1], [-1, 0, -1], [-1, -1, 0]]})
         for n in (1, 2, 3):
-            assert sender_graph(U, n).edge_count() == 0
+            assert edge_count(sender_graph(U, n)) == 0
 
     def test_matches_definition_oracle(self):
         rng = random.Random(23)
@@ -225,7 +226,7 @@ class TestStrongProducts:
         g = empty_graph(3)
         p = strong_power(g, 3)
         assert p.n_vertices == 27
-        assert p.edge_count() == 0
+        assert edge_count(p) == 0
         assert independence_number(p)[0] == 27
 
     def test_c5_square_alpha_five(self):
@@ -244,7 +245,7 @@ class TestStrongProducts:
 
     def test_complete_products(self):
         k3 = complete_graph(3)
-        assert graphs_equal(strong_product(k3, k3), complete_graph(9))
+        assert strong_product(k3, k3) == complete_graph(9)
 
     def test_matches_definition(self):
         # (a, b) ~ (a', b') iff a' in N[a] and b' in N[b], not both equal, on
@@ -273,9 +274,9 @@ class TestStrongProducts:
             g = random_graph(rng, 4)
             lhs = strong_power(g, 3)
             rhs = strong_product(strong_power(g, 2), g)
-            assert graphs_equal(lhs, rhs)
+            assert lhs == rhs
             rhs2 = strong_product(g, strong_power(g, 2))
-            assert graphs_equal(lhs, rhs2)
+            assert lhs == rhs2
 
     @given(st.integers(1, 5), st.integers(1, 4), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -288,7 +289,7 @@ class TestStrongProducts:
         for _ in range(n - 1):
             fold = strong_product(fold, g)
         power = strong_power(g, n)
-        assert graphs_equal(power, fold)
+        assert power == fold
         closed = tuple(tuple(0 if a == b or g.has_edge(a, b) else -1 for b in range(q))
                        for a in range(q))
         assert power.letters == (None if n == 1 else (closed, n))
@@ -316,12 +317,12 @@ class TestShannonGeneralizationIdentity:
         c5 = cycle_graph(5)
         U = utility_from_graph(c5)
         for n in (1, 2, 3):
-            assert graphs_equal(sender_graph(U, n), strong_power(c5, n))
+            assert sender_graph(U, n) == strong_power(c5, n)
 
     def test_path_above_single_block_size(self):
         # 3**8 = 6561 vertices: built in row blocks
         p3 = path_graph(3)
-        assert graphs_equal(sender_graph(utility_from_graph(p3), 8), strong_power(p3, 8))
+        assert sender_graph(utility_from_graph(p3), 8) == strong_power(p3, 8)
 
     def test_random_small_graphs(self):
         rng = random.Random(31)
@@ -329,7 +330,7 @@ class TestShannonGeneralizationIdentity:
             g = random_graph(rng, rng.randint(1, 4))
             U = utility_from_graph(g)
             for n in (1, 2):
-                assert graphs_equal(sender_graph(U, n), strong_power(g, n))
+                assert sender_graph(U, n) == strong_power(g, n)
 
 
 class TestIndependenceNumber:
@@ -351,14 +352,16 @@ class TestIndependenceNumber:
     def test_matches_oracle_on_randoms(self, monkeypatch):
         # count the witness searches that succeed: on sparse draws the
         # maximum set found first is often not the lexicographically least,
-        # so the witness pass must replace it along the way
+        # so the witness pass must replace it along the way.  Each search
+        # asks for at least one vertex, as at_least requires
         refreshed = 0
         at_least = ixcap.graphs._CliqueSearch.at_least
 
         def counting(self, cand, target):
             nonlocal refreshed
+            assert target >= 1
             found = at_least(self, cand, target)
-            refreshed += found and target > 0
+            refreshed += found
             return found
 
         monkeypatch.setattr(ixcap.graphs._CliqueSearch, "at_least", counting)
@@ -417,9 +420,9 @@ def search_sizes(monkeypatch) -> list[int]:
     sizes = []
     maximum = ixcap.graphs._CliqueSearch.maximum
 
-    def recording(self, cand, *args):
+    def recording(self, *args):
         sizes.append(len(self.rows))
-        return maximum(self, cand, *args)
+        return maximum(self, *args)
 
     monkeypatch.setattr(ixcap.graphs._CliqueSearch, "maximum", recording)
     return sizes
@@ -579,7 +582,7 @@ class TestSearchCopy:
                        ixcap.graphs._alpha(bare, meters[1])]
             assert answers[0] == answers[1]
             assert (meters[0].spent, meters[0].settled) == (meters[1].spent, meters[1].settled)
-            assert g == bare and graphs_equal(g, ixcap.graphs._sign_graph(t, n))
+            assert g == bare and g == ixcap.graphs._sign_graph(t, n)
 
     def test_a_graph_holds_its_rows_and_no_array(self):
         # the sign kernel's block reaches a search by argument only, so a
@@ -779,8 +782,8 @@ def recorded_unions(monkeypatch) -> list[tuple[Graph, int, int]]:
     unions = []
     best_union = ixcap.graphs._best_union
 
-    def recorded(g, seed, ceiling, meter):
-        union = best_union(g, seed, ceiling, meter)
+    def recorded(g, seed, meter):
+        union = best_union(g, seed, meter)
         unions.append((g, seed, union))
         return union
 
@@ -878,9 +881,34 @@ class TestTypeClassIncumbent:
         assert seed.bit_count() < ceiling
         masks = ixcap.graphs._type_classes(20, 2)[1]
         meter = ixcap.graphs._Meter(10**6)
-        union = ixcap.graphs._best_union(g, seed, ceiling, meter)
+        union = ixcap.graphs._best_union(g, seed, meter)
         assert_class_union(g, seed, union)
+        assert union.bit_count() < ceiling
         assert 0 < meter.spent <= len(masks) == 210
+
+
+    def test_no_union_reaches_the_ceiling(self):
+        # the class search has no stop at the ceiling cover_number(H)^n:
+        # on open sandwiches no union it finds reaches it
+        rng = random.Random(4601)
+        sizes = [(q, n) for q in range(3, 7) for n in range(2, 5)]
+        opened = Counter()
+        while sum(opened.values()) < 300:
+            q, n = rng.choice(sizes)
+            U = (random_int_utility(rng, q, (-2, -1, 0, 1)) if rng.random() < 0.5
+                 else random_utility(rng, q))
+            t = U.scaled_integer_entries[1]
+            g = ixcap.graphs._sign_graph(t, n)
+            meter = ixcap.graphs._Meter(10**6)
+            seed, ceiling, _ = ixcap.graphs._sandwich(
+                g, ixcap.graphs._letter_bases(t, n, meter))
+            if seed.bit_count() == ceiling:
+                continue
+            union = ixcap.graphs._best_union(g, seed, meter)
+            assert_class_union(g, seed, union)
+            assert union.bit_count() < ceiling
+            opened[q, n] += 1
+        assert set(opened) == set(sizes)
 
 
 class TestLetters:
@@ -902,7 +930,7 @@ class TestLetters:
                     continue
                 table, m = g.letters
                 assert m == n and len(table) == q
-                assert graphs_equal(g, ixcap.graphs._sign_graph(table, n))
+                assert g == ixcap.graphs._sign_graph(table, n)
                 assert all(table[a][a] == 0 for a in range(q))
 
     def test_edge_lists_and_products_carry_no_table(self):
@@ -927,7 +955,7 @@ class TestLetters:
         start = time.perf_counter()
         power = strong_power(g, 1)
         assert time.perf_counter() - start < 1
-        assert graphs_equal(power, g) and power.letters is None
+        assert power == g and power.letters is None
 
     def test_the_bases_are_the_graphs_own_rows(self):
         # the search reads a table only through q, n and its bases I and H,
@@ -952,7 +980,7 @@ class TestLetters:
         g = sender_graph(utility_from_graph(cycle_graph(5)), 2)
         plain = stripped(g)
         assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
-        assert graphs_equal(g, plain)
+        assert g == plain
 
 
 def _noisy_k1_utility():
@@ -1299,7 +1327,7 @@ class TestColorOrder:
         rng = random.Random(191)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 40), rng.uniform(0.05, 0.9))
-            search = ixcap.graphs._CliqueSearch(g.complement_rows(), ixcap.graphs._Meter(1))
+            search = ixcap.graphs._CliqueSearch(complement_rows(g), ixcap.graphs._Meter(1))
             for _ in range(5):
                 cand = rng.getrandbits(g.n_vertices)
                 full = search._color_order(cand)
@@ -1309,21 +1337,21 @@ class TestColorOrder:
                         (v, c) for v, c in full if c >= kmin]
 
     def test_colour_classes_are_the_full_colouring(self):
-        # cliques of the complement, as above
+        # cliques of the complement, as above, read after a maximum search
         rng = random.Random(193)
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 40), rng.uniform(0.05, 0.9))
-            search = ixcap.graphs._CliqueSearch(g.complement_rows(), ixcap.graphs._Meter(1))
+            search = ixcap.graphs._CliqueSearch(complement_rows(g), ixcap.graphs._Meter(10**7))
+            search.maximum()
             classes = [0] * g.n_vertices
             for v, c in greedy_coloring(g.rows, (1 << g.n_vertices) - 1):
                 classes[c - 1] |= 1 << v
             assert search.clique_partition() == [c for c in classes if c]
 
     def test_a_full_root_records_the_fresh_colouring(self):
-        # a maximum search whose root holds every vertex records its root
-        # colouring's classes, which are a fresh greedy colouring of the
-        # whole graph, whatever its ceiling; a search on fewer vertices
-        # leaves the record as it was
+        # every maximum search starts from every vertex and records its
+        # root colouring's classes, which are a fresh greedy colouring of
+        # the whole graph, whatever its incumbent and its ceiling
         rng = random.Random(251)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 90), rng.uniform(0.05, 0.9))
@@ -1333,12 +1361,11 @@ class TestColorOrder:
             for v, c in greedy_coloring(g.rows, full):
                 classes[c - 1] |= 1 << v
             fresh = [c for c in classes if c]
-            assert ixcap.graphs._CliqueSearch(
-                g.complement_rows(), ixcap.graphs._Meter(1)).clique_partition() == fresh
-            search = ixcap.graphs._CliqueSearch(g.complement_rows(), ixcap.graphs._Meter(10**7))
-            search.maximum(full, 0, rng.choice([None, 1, 2]))
-            assert search.partition == fresh
-            search.maximum(rng.getrandbits(nv) & (full >> 1))
+            search = ixcap.graphs._CliqueSearch(complement_rows(g), ixcap.graphs._Meter(10**7))
+            search.maximum(0, rng.choice([None, 1, 2]))
+            assert search.clique_partition() == fresh
+            seed = 1 << rng.randrange(nv)  # a one-vertex incumbent
+            search.maximum(seed, rng.choice([None, 2]))
             assert search.clique_partition() == fresh
 
     def test_an_open_search_colours_the_whole_graph_once(self, monkeypatch):
@@ -1380,7 +1407,7 @@ class TestColorOrder:
             up_of = [0] * g.n_vertices
             for i, v in enumerate(ascending):
                 up_of[v] = i
-            up_rows = relabelled(g.complement_rows(), up_of)
+            up_rows = relabelled(complement_rows(g), up_of)
             search = ixcap.graphs._CliqueSearch(copy.rows, ixcap.graphs._Meter(1))
             for cand in [(1 << g.n_vertices) - 1] + [rng.getrandbits(g.n_vertices)
                                                      for _ in range(3)]:
@@ -1441,7 +1468,7 @@ class TestConfusabilityGraph:
     def test_identity_edgeless(self):
         ch = identity_channel(Alphabet.of_size(4))
         for n in (1, 2):
-            assert confusability_graph(ch, n).edge_count() == 0
+            assert edge_count(confusability_graph(ch, n)) == 0
 
     def test_partial_overlap_single_edge(self):
         ch = make_channel(Alphabet.of_size(3),
@@ -1452,7 +1479,7 @@ class TestConfusabilityGraph:
     def test_uniform_complete(self):
         ch = make_channel(Alphabet.of_size(3), [["1/3", "1/3", "1/3"]] * 3)
         g = confusability_graph(ch, 1)
-        assert graphs_equal(g, complete_graph(3))
+        assert g == complete_graph(3)
 
     def test_power_equals_direct_definition(self):
         # direct product-support construction as the oracle for small n
@@ -1490,23 +1517,26 @@ class TestConfusabilityGraph:
     def test_float_zero_is_exact(self):
         ch = make_channel(Alphabet.of_size(2), [[1, 0.0], [0.0, 1]])
         assert ch.support == (1, 2)
-        assert confusability_graph(ch, 1).edge_count() == 0
+        assert edge_count(confusability_graph(ch, 1)) == 0
 
 
 class TestGraphsEqual:
+    """Graphs are equal when their bitset rows are, in the shared index
+    order; the edge order they were built from does not matter."""
+
     def test_self(self):
         g = cycle_graph(5)
-        assert graphs_equal(g, g)
+        assert g == graph_from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
 
     def test_size_mismatch_false(self):
-        assert not graphs_equal(path_graph(3), complete_graph(3))
-        assert not graphs_equal(path_graph(3), path_graph(4))
+        assert path_graph(3) != complete_graph(3)
+        assert path_graph(3) != path_graph(4)
 
 
 class TestGraphJson:
     def test_round_trip(self):
         g = graph_from_json({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]})
-        assert graphs_equal(g, cycle_graph(5))
+        assert g == cycle_graph(5)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(InputError):
@@ -1567,7 +1597,7 @@ class TestGraphJson:
 
     def test_numpy_integers_are_vertex_numbers(self):
         g = graph_from_edges(np.int64(3), [(np.int64(0), np.int32(2))])
-        assert g.n_vertices == 3 and g.edge_count() == 1 and g.has_edge(0, 2)
+        assert g.n_vertices == 3 and edge_count(g) == 1 and g.has_edge(0, 2)
 
 
 class TestSupermultiplicativity:

@@ -2,14 +2,17 @@
 brackets' rules live in the bound modules alone, the command line sits on
 top of everything, the graph modules never name a sequence, no search
 reads a complement, the bracket reads every alpha from one memo, the
-game reads no graph, and only the graph module reads a letter table."""
+game reads no graph, only the graph module reads a letter table, and
+every public name of the graph module has a reader outside the tests."""
 
 import ast
+import json
 from pathlib import Path
 
 import ixcap
 
 SRC = Path(ixcap.__file__).parent
+ROOT = Path(__file__).parents[1]
 BOUND_MODULES = {"upper_bounds", "lower_bounds", "theta"}
 
 
@@ -99,8 +102,8 @@ def _complement_reads(path: Path) -> list[int]:
 
 
 def test_every_search_reads_its_graphs_own_rows():
-    # the searches take a graph's rows as they are; Graph.complement_rows
-    # is kept for callers that want the complement as a graph of its own
+    # the searches take a graph's rows as they are; complement rows are a
+    # helper of the tests, which build complement graphs
     reads = {p.name: _complement_reads(p) for p in sorted(SRC.glob("*.py"))}
     assert len(reads) > 5
     assert {name: lines for name, lines in reads.items() if lines} == {}
@@ -128,8 +131,8 @@ def test_the_bracket_reads_every_alpha_from_its_one_memo():
     path = SRC / "upper_bounds.py"
     assert _call_sites(path, "independence_number") == [("xi_bracket", "alpha_of")]
     assert _call_sites(path, "lovasz_theta") == [("xi_bracket",)]
-    # the check sees a call where one is
-    assert len(_call_sites(SRC / "lower_bounds.py", "independence_number")) >= 1
+    # the check sees a call where one is: ixcap alpha searches a file graph
+    assert ("cmd_alpha",) in _call_sites(SRC / "cli.py", "independence_number")
 
 
 def _names_from(path: Path, module: str) -> set[str]:
@@ -180,3 +183,46 @@ def test_only_graphs_reads_the_letter_table():
     assert ("cmd_alpha",) in _call_sites(cli, "block_independence_number")
     for name in ("sender_graph", "symmetric_sender_graph", "strong_power"):
         assert ("cmd_alpha",) not in _call_sites(cli, name)
+
+
+def _public_functions(path: Path) -> list[str]:
+    """The public functions of a source file and the public methods of its
+    public classes, by name."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _read_names(path: Path) -> set[str]:
+    """Every name a source file reads: as a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_graph_function_has_a_reader_outside_the_tests():
+    # a library module, perfbench or a per-layer metric of BENCHMARK.json
+    # reads each one; a helper that only the tests call lives in
+    # tests/conftest.py
+    readers = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        readers |= _read_names(path)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    readers |= {m["name"].split(".")[1] for m in spec["per_layer"]
+                if m["name"].startswith("graphs.") and m["name"].count(".") == 2}
+    public = _public_functions(SRC / "graphs.py")
+    assert {"independence_number", "sender_graph", "has_edge"} <= set(public)
+    assert [name for name in public if name not in readers] == []
+    # the check sees an unread name where one is: the tests' own graphs
+    assert {"path_graph", "edge_count"} <= set(_public_functions(ROOT / "tests" / "conftest.py"))
+    assert not {"path_graph", "edge_count"} & readers

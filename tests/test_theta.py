@@ -4,14 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import oracle_alpha
+from conftest import complete_graph, empty_graph, oracle_alpha, path_graph
 from ixcap.errors import CapExceededError, ConvergenceError, InputError
 from ixcap.graphs import (
-    complete_graph,
     cycle_graph,
-    empty_graph,
     graph_from_edges,
-    path_graph,
 )
 from ixcap.theta import lovasz_theta
 

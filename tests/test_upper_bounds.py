@@ -8,10 +8,13 @@ import pytest
 import ixcap.upper_bounds
 from conftest import (
     capped_max,
+    complement_rows,
+    complete_graph,
     incremented,
     oracle_alpha,
     oracle_perfect,
     oracle_symmetric_part,
+    path_graph,
     random_channel,
     random_int_utility,
     random_symmetric_utility,
@@ -21,12 +24,10 @@ from ixcap.channel import identity_channel, make_channel
 from ixcap.errors import BudgetExceededError, CapExceededError, ConvergenceError, InputError
 from ixcap.graphs import (
     Graph,
-    complete_graph,
     confusability_graph,
     cycle_graph,
     graph_from_edges,
     independence_number,
-    path_graph,
     sender_graph,
     strong_power,
     symmetric_sender_graph,
@@ -141,12 +142,12 @@ def _count_searches(monkeypatch) -> list:
     """The rows of each graph whose independence number a bracket
     searches, from either bounds module."""
     searched = []
-    for module in (upper_bounds, lower_bounds):
-        def search(g, *args, _search=module.independence_number, **kw):
+    for module, name in ((upper_bounds, "independence_number"), (lower_bounds, "_alpha")):
+        def search(g, *args, _search=getattr(module, name), **kw):
             searched.append(g.rows)
             return _search(g, *args, **kw)
 
-        monkeypatch.setattr(module, "independence_number", search)
+        monkeypatch.setattr(module, name, search)
     return searched
 
 
@@ -728,7 +729,7 @@ class TestPerfectWhitelist:
 
     @pytest.mark.parametrize("graph", [
         cycle_graph(7),
-        Graph(7, cycle_graph(7).complement_rows()),
+        Graph(7, complement_rows(cycle_graph(7))),
         # the Petersen graph: its outer 5-cycle is an induced odd hole
         graph_from_edges(10, [*((i, (i + 1) % 5) for i in range(5)),
                               *((5 + i, 5 + (i + 2) % 5) for i in range(5)),
@@ -743,7 +744,7 @@ class TestPerfectWhitelist:
         # the 8 x 8 grid has over 10**7 induced paths to rule out
         grid = _grid_graph(side)
         assert in_perfect_whitelist(grid, budget=1)
-        assert in_perfect_whitelist(Graph(side * side, grid.complement_rows()), budget=1)
+        assert in_perfect_whitelist(Graph(side * side, complement_rows(grid)), budget=1)
 
     def test_components_are_decided_apart(self):
         # the grid and the triangle each 2-colour (the triangle's complement

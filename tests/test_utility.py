@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     capped_max,
+    complete_graph,
+    empty_graph,
     incremented,
     oracle_best_responses,
     oracle_block_sums,
@@ -29,9 +31,7 @@ from ixcap.game import (
     worst_case_decoded_set,
 )
 from ixcap.graphs import (
-    complete_graph,
     cycle_graph,
-    empty_graph,
     sender_graph,
     symmetric_sender_graph,
 )
