@@ -345,6 +345,8 @@ def _corpus_checks():
     bp = xi_bracket(pent, n_max=2, tol=1e-3)
     check("pentagon exact capacity sqrt(5)", (5, 2),
           (bp.exact.base, bp.exact.root) if bp.exact else None)
+    check("pentagon upper side is its pinned eigenvalue pair, no tol", (True, False),
+          (bp.upper_certificate.get("regular", False), "tol" in bp.upper_certificate))
 
     gs1 = sender_graph(ex1, 1)
     gs1p = sender_graph(ex1p, 1)

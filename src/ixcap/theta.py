@@ -12,9 +12,20 @@ central path with the HKM search direction and Mehrotra's predictor-corrector
 gap t - <J, X> and the norms of the primal and dual residuals are all at most
 tol, and reports the dual value t: weak duality puts it at or above theta up
 to the dual residual, and the gap puts it within tol of theta.
+
+On a d-regular G with 1 <= d <= n - 2 ``_regular_theta`` may pin theta
+with no solver.  Hoffman's bound, theta(G) <= -n lam / (d - lam) for any lam
+at or below the least eigenvalue of A (Lovász 1979, Theorem 9), is tight on
+edge-transitive graphs, and theta(G) theta(co-G) >= n (Corollary 2) is tight
+on vertex-transitive ones (Theorem 8).  A dyadic lam just below the float
+eigenvalue, once an exact elimination of the integer matrix 2^k (A - lam I)
+accepts it, gives an exact upper bound; the same on the complement gives an
+exact lower bound.  Where the two meet within tol/2, theta needs no solve.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -165,3 +176,65 @@ def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL) -> float:
         if max(status[2], status[3]) <= tol:
             return float(min(max(status[1], 1.0), float(n)))
     raise _not_converged(f"iteration budget of {DEFAULT_MAX_ITER} exhausted", status)
+
+
+def _positive_definite(m: list[list[int]]) -> bool:
+    """Whether the symmetric integer matrix m is positive definite: by
+    Sylvester's criterion, whether each leading principal minor is positive.
+    Fraction-free (Bareiss) elimination makes the k-th pivot the k-th minor,
+    and each division is exact.  Each step keeps the rest symmetric, so only
+    its upper triangle is updated, and m is overwritten."""
+    prev = 1
+    for k, row in enumerate(m):
+        pivot = row[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(m)):
+            m[i][i:] = [(x * pivot - row[i] * y) // prev for x, y in zip(m[i][i:], row[i:])]
+        prev = pivot
+    return True
+
+
+def _regular_theta(g: Graph, tol: float) -> dict | None:
+    """theta(G) pinned within tol/2 with no solver, or None.
+
+    Applies to a d-regular g with 1 <= d <= n - 2 and at most
+    ``MAX_VERTICES`` vertices.  One ``eigvalsh`` of A gives its least
+    eigenvalue and that of the complement's A' = J - I - A, -1 - lam_2, since
+    A' has the eigenvalue -1 - lam on each eigenvector of A orthogonal to the
+    all-ones vector.  Each is rounded down to a dyadic p / 2^k, at least one
+    step of 2^-k > 4 n d 2^-52 below the float value, and accepted only when
+    ``_positive_definite`` accepts the integer matrix 2^k (A - lam I).  Then
+    h = -n lam / (d - lam) >= theta(G), the complement's h' >= theta(co-G),
+    and theta(G) >= n / h'.  The result is the certificate
+    ``{"theta": h rounded up, "theta_lower": n / h' rounded down, "regular":
+    True, "lambda": "p/2^k", "co_lambda": "p'/2^k"}`` when h - n / h' <=
+    tol / 2, and None when a bound is refused or the two do not meet.  They
+    meet on C5 and the Kneser and Paley graphs, and not on C7, C9, 2 C5 or
+    C5 + K3.
+    """
+    n, d = g.n_vertices, g.rows[0].bit_count() if g.rows else 0
+    if not (n <= MAX_VERTICES and 1 <= d <= n - 2
+            and all(r.bit_count() == d for r in g.rows)):
+        return None
+    adj = [[r >> j & 1 for j in range(n)] for r in g.rows]
+    lam = np.linalg.eigvalsh(np.array(adj, dtype=float))
+    k = 50 - (n * d).bit_length()
+    bounds = []
+    for degree, least, co in ((d, lam[0], 0), (n - 1 - d, -1 - lam[-2], 1)):
+        p = math.floor(least * 2**k) - 1
+        if not _positive_definite([[((i != j) - a if co else a) * 2**k - (p if i == j else 0)
+                                    for j, a in enumerate(row)] for i, row in enumerate(adj)]):
+            return None
+        bounds.append((-n * p, degree * 2**k - p, f"{p}/2^{k}"))
+    # h = a / b and n / h' = n b' / a', all four positive; the gap h - n / h'
+    # is (a a' - n b b') / (b a'), compared with tol / 2 on integers
+    (a, b, lam_text), (co_a, co_b, co_text) = bounds
+    tol_num, tol_den = tol.as_integer_ratio()
+    if 2 * (a * co_a - n * b * co_b) * tol_den > tol_num * b * co_a:
+        return None
+    # each quotient of integers is correctly rounded, so one step outwards
+    # bounds the exact value
+    return {"theta": math.nextafter(a / b, math.inf),
+            "theta_lower": math.nextafter(n * co_b / co_a, -math.inf),
+            "regular": True, "lambda": lam_text, "co_lambda": co_text}

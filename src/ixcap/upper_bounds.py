@@ -19,11 +19,13 @@ of its brackets on U and on that utility.  Its upper side bounds
 Theta(G_s^Sym) by one candidate, chosen by one perfectness verdict on
 G_s^Sym.  On a perfect graph theta equals the independence number (Lovasz
 1979), so where G_s^Sym is proved perfect the candidate is the integer
-alpha(G_s^Sym), which the bracket's own memo of alpha searches holds, and
-the semidefinite solver runs only on a G_s^Sym not proved perfect, or whose
-alpha the memo lacks, giving theta + tol.  Closures compare the integers of
-the certificates, never floats (``_integer_closure``), and each bracket
-stops at the first blocklength that closes.
+alpha(G_s^Sym), which the bracket's own memo of alpha searches holds.  On a
+regular G_s^Sym not proved perfect, ``theta._regular_theta`` may pin theta
+within tol/2 by an eigenvalue pair that an exact elimination accepts, with
+no tol added; the semidefinite solver runs only where neither settles it,
+giving theta + tol.  Closures compare the integers of the certificates,
+never floats (``_integer_closure``), and each bracket stops at the first
+blocklength that closes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .graphs import (
     symmetric_sender_graph,
 )
 from .lower_bounds import _gamma_n
-from .theta import lovasz_theta
+from .theta import _regular_theta, lovasz_theta
 from .utility import UtilityMatrix, sequence_labels, utility_from_graph
 
 #: most nodes of a perfectness test whose verdict only spares the theta
@@ -214,8 +216,10 @@ class CapacityBracket:
     """Certified [lower, upper] interval around an uncomputable limit.
 
     ``per_n`` and ``theta_sym`` report what ``xi_bracket`` computed on the
-    way: one record per blocklength run, and theta(G_s^Sym), None when the
-    solver was skipped or did not converge.  Neither is part of
+    way: one record per blocklength run, and theta(G_s^Sym): alpha on a
+    perfect graph, the eigenvalue pin's upper bound (within tol/2 of theta,
+    rounded up) on a pinned regular graph, else the solver's value, None
+    when the solver was skipped or did not converge.  Neither is part of
     ``to_json_dict``."""
 
     lower: float
@@ -265,7 +269,12 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     and the memo below holds its alpha, theta = alpha and the candidate is
     that integer, with no solver and no tol: ``perfect_graph_closure`` for
     symmetric or two-valued-gain utilities, where G_s^Sym is G_s at n = 1,
-    and ``theta_symmetric_part`` with ``"perfect": true`` otherwise.
+    and ``theta_symmetric_part`` with ``"perfect": true`` otherwise.  On a
+    regular G_s^Sym not proved perfect whose theta ``theta._regular_theta``
+    pins within tol/2, it is that upper bound, rounded up to a float, with
+    no tol: ``theta_symmetric_part`` with ``"regular": true``, the lower
+    bound ``theta_lower`` and the two accepted dyadic eigenvalue bounds
+    ``lambda`` and ``co_lambda``, which an exact elimination can recheck.
     Elsewhere it is the solver's theta(G_s^Sym) + tol.  Exact value:
     reported when the two sides meet within 2*tol along an integer or
     radical closure, tried after each n; under the perfect-graph closure
@@ -306,8 +315,8 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     ``graphs.independence_number`` bounds a block graph by its letter table:
     there the bounds cost more than the search they would save.  Raises
     InputError when n_max < 1 or tol lies outside (0, 1e-2], the solver's
-    own range, checked here since a perfect G_s^Sym never reaches the
-    solver.
+    own range, checked here since a perfect or pinned G_s^Sym never
+    reaches the solver.
     """
     if n_max < 1:
         raise InputError("n_max must be at least 1")
@@ -393,6 +402,11 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
                 cert = ({"name": "perfect_graph_closure", "alpha": alpha_perfect} if closure
                         else {"name": "theta_symmetric_part", "theta": theta_sym, "perfect": True})
                 uppers.append((theta_sym, cert))
+            elif pin := _regular_theta(sym_graph, tol):
+                # a regular G_s^Sym whose eigenvalue bounds meet: theta
+                # within tol/2, rounded up, with no solver and no tol
+                theta_sym = pin["theta"]
+                uppers.append((theta_sym, {"name": "theta_symmetric_part", **pin}))
             else:
                 theta_sym = None
                 try:
@@ -402,8 +416,8 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
                 except (CapExceededError, ConvergenceError) as exc:
                     fault = "skipped" if isinstance(exc, CapExceededError) else "did not converge"
                     warnings.append(f"theta(G_s^Sym) {fault}: {exc}")
-                if closure and skipped:
-                    warnings.append(f"perfect-graph closure skipped: {skipped}")
+            if closure and skipped:
+                warnings.append(f"perfect-graph closure skipped: {skipped}")
             upper_value, upper_cert = min(uppers, key=lambda t: t[0])
 
         lower_value, lower_cert, lower_root = max(
@@ -442,8 +456,9 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     its sender graphs are exactly the strong powers G_c^n, in the same
     numbering.  So the channel side is ``xi_bracket`` of that utility, with
     every rule of the capacity bracket: alpha(G_c^n) below, alpha(G_c) on
-    a perfect G_c or theta(G_c) + tol above, the perfect-graph, integer and
-    radical closures, and the stop at the first blocklength that closes.
+    a perfect G_c, the eigenvalue pin on a regular one, or theta(G_c) + tol
+    above, the perfect-graph, integer and radical closures, and the stop at
+    the first blocklength that closes.
     Its certificates and warnings name G_c: ``alpha_confusability_power``,
     ``theta_confusability`` and, e.g., "alpha(G_c^2) skipped"; its
     witnesses name sequences over U's alphabet.  The rate is exact at e

@@ -6,8 +6,8 @@ way ``perfbench/run.py`` does on its first pass, so a change that moves any
 answer fails here and not only in a benchmark run.  It also caps the
 searches that the canonical-witness pass runs on the seed-1 jobs, pins
 which seed-1 brackets run a second blocklength, and counts the alpha
-searches of a seed-1 bracket pass, none repeated.  Nothing under
-``perfbench/`` is written.
+searches of a seed-1 bracket pass, none repeated, and its theta solves,
+none.  Nothing under ``perfbench/`` is written.
 """
 
 import json
@@ -175,3 +175,18 @@ def test_bracket_searches_each_graph_once(monkeypatch):
         assert len(set(searched)) == len(searched)
         total += len(searched)
     assert total == 61
+
+
+def test_bracket_runs_no_theta_solve(monkeypatch):
+    # the solver ran once per seed-1 pass, on the pentagon's C5, which the
+    # eigenvalue pin now settles: its upper side is the pinned pair, no tol
+    solved = []
+    solve = ixcap.upper_bounds.lovasz_theta
+    monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta",
+                        lambda g, **kw: solved.append(g.rows) or solve(g, **kw))
+    workload = workloads.WORKLOADS["bracket"]
+    jobs = workload.make_jobs(1, ROOT)
+    uppers = [(job.label, workload.call(job).upper_certificate) for job in jobs]
+    pinned = [(label, cert) for label, cert in uppers if cert.get("regular")]
+    assert (len(jobs), solved, [label for label, _ in pinned]) == (35, [], ["corpus:pentagon"])
+    assert pinned[0][1]["name"] == "theta_symmetric_part" and "tol" not in pinned[0][1]

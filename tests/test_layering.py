@@ -127,10 +127,12 @@ def _call_sites(path: Path, name: str) -> list[tuple[str, ...]]:
 
 def test_the_bracket_reads_every_alpha_from_its_one_memo():
     # every alpha the bracket reads, the upper side's included, comes from
-    # xi_bracket's memo alpha_of, and theta is solved at one site
+    # xi_bracket's memo alpha_of, and theta is solved, or pinned by its
+    # eigenvalues, at one site each
     path = SRC / "upper_bounds.py"
     assert _call_sites(path, "independence_number") == [("xi_bracket", "alpha_of")]
     assert _call_sites(path, "lovasz_theta") == [("xi_bracket",)]
+    assert _call_sites(path, "_regular_theta") == [("xi_bracket",)]
     # the check sees a call where one is: ixcap alpha searches a file graph
     assert ("cmd_alpha",) in _call_sites(SRC / "cli.py", "independence_number")
 

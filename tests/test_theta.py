@@ -1,16 +1,22 @@
 import math
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import complete_graph, empty_graph, oracle_alpha, path_graph
+from ixcap import theta, upper_bounds
 from ixcap.errors import CapExceededError, ConvergenceError, InputError
 from ixcap.graphs import (
     cycle_graph,
     graph_from_edges,
 )
 from ixcap.theta import lovasz_theta
+from ixcap.upper_bounds import xi_bracket
+from ixcap.utility import utility_from_graph
 
 
 def complete_bipartite(a, b):
@@ -145,3 +151,144 @@ def test_schur_gathers_keep_every_iterate_bitwise(monkeypatch):
         runs.append((values, list(iterates)))
     assert len(runs[0][1]) > 300
     assert runs[0] == runs[1]
+
+
+# -- the eigenvalue pin of a regular graph ------------------------------------
+
+def kneser(n, k):
+    sets = list(combinations(range(n), k))
+    return graph_from_edges(len(sets), [(i, j) for (i, a), (j, b) in combinations(enumerate(sets), 2)
+                                        if not set(a) & set(b)])
+
+
+def paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return graph_from_edges(p, [(i, j) for i, j in combinations(range(p), 2)
+                                if (j - i) % p in squares])
+
+
+def disjoint_union(*parts):
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n_vertices
+    return graph_from_edges(offset, edges)
+
+
+def shifted(g, p, k, co=False):
+    """The integer matrix 2^k (A - lam I), lam = p / 2^k, of g or, with co,
+    of its complement."""
+    return [[2**k * ((i != j) - (r >> j & 1) if co else r >> j & 1) - (p if i == j else 0)
+             for j in range(g.n_vertices)] for i, r in enumerate(g.rows)]
+
+
+def dyadic(text):
+    p, k = text.split("/2^")
+    return Fraction(int(p), 2 ** int(k))
+
+
+#: edge- and vertex-transitive, and so are their complements: Hoffman's
+#: bound is theta on both, and their product is the vertex count
+PINNED = {"C5": (cycle_graph(5), math.sqrt(5)), "K(5,2)": (kneser(5, 2), 4.0),
+          "K(6,2)": (kneser(6, 2), 5.0), "P13": (paley(13), math.sqrt(13)),
+          "P17": (paley(17), math.sqrt(17))}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pin_settles_the_transitive_families(name):
+    g, value = PINNED[name]
+    pin = theta._regular_theta(g, 1e-3)
+    assert pin is not None and pin["regular"] is True
+    assert pin["theta_lower"] <= value <= pin["theta"] <= value + 1e-9
+    # the solver's dual value lies within its own tol above theta
+    assert abs(pin["theta"] - lovasz_theta(g, tol=1e-7)) <= 1e-7
+    # both dyadics lie below the least eigenvalues of A and of J - I - A
+    lam = np.linalg.eigvalsh(np.array([[r >> j & 1 for j in range(g.n_vertices)]
+                                       for r in g.rows], dtype=float))
+    assert dyadic(pin["lambda"]) < lam[0] and dyadic(pin["co_lambda"]) < -1 - lam[-2]
+
+
+#: regular, but the complement's bound does not meet Hoffman's: C7, C9 and
+#: 2 C5 are vertex-transitive, but their complements are not
+#: edge-transitive, and C5 + K3 is not vertex-transitive
+UNPINNED = {"C7": cycle_graph(7), "C9": cycle_graph(9),
+            "C5+K3": disjoint_union(cycle_graph(5), complete_graph(3)),
+            "2C5": disjoint_union(cycle_graph(5), cycle_graph(5))}
+
+
+@pytest.mark.parametrize("name", UNPINNED)
+def test_pin_leaves_the_others_to_the_solver(name, monkeypatch):
+    # Hoffman's bound alone would loosen C5 + K3 to 3.578 against 1 + sqrt(5)
+    g = UNPINNED[name]
+    assert theta._regular_theta(g, 1e-3) is None
+    U = utility_from_graph(g)
+    b = xi_bracket(U, n_max=1)
+    monkeypatch.setattr(upper_bounds, "_regular_theta", lambda g, tol: None)
+    assert b == xi_bracket(U, n_max=1)
+    assert "tol" in b.upper_certificate
+
+
+def random_regular(rng):
+    """A relabelled circulant on 5-10 vertices, or a union of two
+    circulants with the same steps, none of them half of a part's size."""
+    def circulant(n, steps):
+        return graph_from_edges(n, sorted({tuple(sorted((i, (i + s) % n)))
+                                           for i in range(n) for s in steps}))
+    n = rng.randint(5, 10)
+    parts = [n] if rng.random() < 0.6 or n < 6 else [n // 2, n - n // 2]
+    most = n // 2 if len(parts) == 1 else (min(parts) - 1) // 2
+    steps = rng.sample(range(1, most + 1), rng.randint(1, most))
+    g = disjoint_union(*(circulant(m, steps) for m in parts))
+    order = rng.sample(range(n), n)
+    return graph_from_edges(n, [(order[u], order[v]) for u, v in g.edges()])
+
+
+def test_pin_on_random_regular_graphs(monkeypatch):
+    # every dyadic the exact check accepts lies below its float eigenvalue,
+    # and every pinned theta is an upper bound.  Row 0 of 2^k (A - lam I)
+    # is kept by the elimination: -p on the diagonal and 2^k or 0 beside it
+    accepted = []
+    check = theta._positive_definite
+
+    def recorded(m):
+        ok = check(m)
+        if ok:
+            accepted.append(Fraction(m[0][0], -max(m[0][1:])))
+        return ok
+
+    monkeypatch.setattr(theta, "_positive_definite", recorded)
+    rng = random.Random(4721)
+    kinds = Counter()
+    for _ in range(60):
+        g = random_regular(rng)
+        n, d = g.n_vertices, g.rows[0].bit_count()
+        assert all(r.bit_count() == d for r in g.rows)
+        if not 1 <= d <= n - 2:
+            continue
+        accepted.clear()
+        pin = theta._regular_theta(g, 1e-3)
+        lam = np.linalg.eigvalsh(np.array([[r >> j & 1 for j in range(n)] for r in g.rows],
+                                          dtype=float))
+        assert len(accepted) == 2 or pin is None
+        assert all(x < least for x, least in zip(accepted, (lam[0], -1 - lam[-2])))
+        if pin is not None:
+            assert pin["theta"] >= lovasz_theta(g, tol=1e-7) - 1e-6
+        kinds[pin is not None, len(accepted)] += 1
+    assert kinds[True, 2] and kinds[False, 2]
+
+
+def test_the_check_refuses_a_lambda_at_or_above_the_least_eigenvalue():
+    # A + 2I is singular on the Petersen graph (its least eigenvalue is -2)
+    petersen = kneser(5, 2)
+    assert not theta._positive_definite(shifted(petersen, -2, 0))
+    assert theta._positive_definite(shifted(petersen, -2 * 2**10 - 1, 10))
+    # the pin's lambda on C5 lies one step below floor(lam_min 2^k) / 2^k;
+    # that floor is accepted, and one dyadic step above it, now above
+    # lam_min = -(1 + sqrt(5)) / 2, is refused
+    pin = theta._regular_theta(cycle_graph(5), 1e-3)
+    p, k = map(int, pin["lambda"].split("/2^"))
+    assert (p + 1) / 2**k < -(1 + math.sqrt(5)) / 2 < (p + 2) / 2**k
+    assert theta._positive_definite(shifted(cycle_graph(5), p + 1, k))
+    assert not theta._positive_definite(shifted(cycle_graph(5), p + 2, k))
+    # the complement's matrix of C5, itself a C5, is checked the same way
+    assert theta._positive_definite(shifted(cycle_graph(5), p + 1, k, co=True))

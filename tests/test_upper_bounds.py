@@ -63,6 +63,12 @@ def _grid_and_triangle(side: int, tied: bool = False):
                                     *tie])
 
 
+def _c5_and_k1():
+    """C5 beside an isolated vertex: imperfect and not regular, so theta
+    needs the solver."""
+    return graph_from_edges(6, list(cycle_graph(5).edges()))
+
+
 def _chorded_grid(side: int):
     """The side x side grid with one chord across its first square: perfect
     and 2-connected, but neither it nor its complement is bipartite, so
@@ -291,33 +297,42 @@ class TestXiBracket:
         assert b.lower <= b.upper
 
     @pytest.mark.parametrize("U, solves", [
-        (utility_from_graph(cycle_graph(5)), 1),
+        (utility_from_graph(_c5_and_k1()), 1),
         (utility_from_json({"utility": [[0, 2, -1], [-1, 0, 2], [2, -1, 0]]}), 0),
     ], ids=["symmetric", "two-valued"])
     def test_theta_is_solved_once(self, monkeypatch, U, solves):
         # for both shapes G_s is G_s^Sym at n = 1, so one theta serves both:
-        # the pentagon's needs the solver, while the two-valued utility's
-        # G_s^Sym is K3, perfect, and its theta is its alpha with no solver
+        # C5 + K1's is imperfect and not regular, so it needs the solver,
+        # while the two-valued utility's G_s^Sym is K3, perfect, and its
+        # theta is its alpha with no solver
         assert U.is_symmetric() or is_two_valued_a_ge_b(U)
         calls = _count_solves(monkeypatch)
         xi_bracket(U)
         assert len(calls) == solves
 
     def test_solver_runs_exactly_on_the_imperfect(self, monkeypatch):
-        # theta is alpha on a perfect G_s^Sym, so the solver runs only on
-        # the others; the oracle decides perfectness from the definition
+        # theta is alpha on a perfect G_s^Sym, and the eigenvalue pin settles
+        # a regular one, so the solver runs only on the others; the oracle
+        # decides perfectness from the definition.  The only imperfect
+        # graph on 5 vertices is C5, which the pin settles, and no imperfect
+        # graph on 6 vertices is regular, so there the solver runs
         calls = _count_solves(monkeypatch)
-        imperfect = 0
-        for U in _q5_utilities(157, 400):
+        rng = random.Random(157)
+        kinds = Counter()
+        for U in _q5_utilities(157, 400) + [
+                (random_utility, random_int_utility)[i % 2](rng, 6) for i in range(200)]:
             calls.clear()
             b = xi_bracket(U, n_max=1)
             sym_graph = sender_graph(oracle_symmetric_part(U), 1)
             perfect = oracle_perfect(sym_graph)
-            imperfect += not perfect
-            assert calls == ([] if perfect else [sym_graph.rows])
-            assert b.upper_certificate.get("perfect", False) == (
-                perfect and b.upper_certificate["name"] == "theta_symmetric_part")
-        assert imperfect > 0
+            pinned = not perfect and len({r.bit_count() for r in sym_graph.rows}) == 1
+            kinds[perfect, pinned] += 1
+            assert calls == ([] if perfect or pinned else [sym_graph.rows])
+            theta_named = b.upper_certificate["name"] == "theta_symmetric_part"
+            assert b.upper_certificate.get("perfect", False) == (perfect and theta_named)
+            assert b.upper_certificate.get("regular", False) == (pinned and theta_named)
+            assert ("tol" in b.upper_certificate) == (not perfect and not pinned and theta_named)
+        assert kinds[False, True] > 0 and kinds[False, False] > 0
 
     def test_theta_of_a_perfect_graph_is_its_alpha(self):
         # the solver is the oracle of the shortcut
@@ -488,7 +503,7 @@ class TestXiBracket:
     def test_radical_closure_skipped_leaves_the_bracket_open(self, pentagon, monkeypatch):
         # a strong power of G_s^Sym that cannot be built drops the radical
         # closure with a warning: the pentagon stays at sqrt(5) below and
-        # theta + tol above, with no exact value
+        # its pinned theta above, with no tol and no exact value
         def refused(g, n):
             raise CapExceededError(f"{g.n_vertices}^{n} vertices exceed the cap")
 
@@ -499,10 +514,13 @@ class TestXiBracket:
         assert b.exact is None
         assert b.lower == pytest.approx(5 ** 0.5)
         assert b.lower_certificate["alpha"] == 5
-        assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": b.theta_sym,
-                                       "tol": 1e-3}
-        assert b.upper == b.theta_sym + 1e-3
-        assert b.theta_sym == pytest.approx(5 ** 0.5, abs=1e-3)
+        cert = b.upper_certificate
+        assert sorted(cert) == ["co_lambda", "lambda", "name", "regular", "theta",
+                                "theta_lower"]
+        assert (cert["name"], cert["theta"], cert["regular"]) == (
+            "theta_symmetric_part", b.theta_sym, True)
+        assert b.upper == b.theta_sym
+        assert cert["theta_lower"] <= 5 ** 0.5 <= b.theta_sym <= cert["theta_lower"] + 1e-9
 
     def test_raising_the_cap_never_changes_a_closed_answer(self, pentagon):
         # a closed bracket is the whole answer: a larger cap runs no further
@@ -589,6 +607,8 @@ class TestAsymptoticRateBracket:
     # symbol i reaches outputs i and i + 1 mod 5: confusability graph C5
     C5 = [[Fraction(1, 2) if j in (i, (i + 1) % 5) else 0 for j in range(5)]
           for i in range(5)]
+    # the same beside a noiseless symbol: confusability graph C5 + K1
+    C5_K1 = [[*row, 0] for row in C5] + [[0] * 5 + [1]]
 
     def test_channel_side_closes_on_the_certified_lower(self, pentagon):
         # the perfect K2 + K3 closes the channel side at alpha(G_c) = 2,
@@ -646,15 +666,23 @@ class TestAsymptoticRateBracket:
         def diverge(g, **kw):
             raise ConvergenceError("no convergence")
 
-        # the solver runs on the channel's 5-cycle only: the path utility's
+        # the solver runs on the channel's C5 + K1 only: the path utility's
         # G_s^Sym is perfect, so its theta is its alpha with no solver
         monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta", diverge)
-        U = utility_from_graph(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
-        channel = make_channel(Alphabet.of_size(5), self.C5)
+        U = utility_from_graph(path_graph(6))
+        channel = make_channel(Alphabet.of_size(6), self.C5_K1)
         b = asymptotic_rate_bracket(U, channel)
         assert b.warnings == ("theta(G_c) did not converge: no convergence",)
         # the channel's ceiling falls back to the alphabet size
-        assert b.upper == min(xi_bracket(U).upper, 5.0)
+        assert b.upper == min(xi_bracket(U).upper, 6.0)
+        # the channel's C5 alone is regular, and its pinned theta needs no
+        # solver: sqrt(5) is the rate's upper side, with no tol
+        U = utility_from_graph(path_graph(5))
+        b = asymptotic_rate_bracket(U, make_channel(Alphabet.of_size(5), self.C5))
+        assert b.warnings == ()
+        assert (b.upper_certificate["name"], b.upper_certificate["regular"]) == (
+            "theta_confusability", True)
+        assert b.upper == pytest.approx(5 ** 0.5, abs=1e-9)
 
     def test_channel_theta_skipped_above_the_solver_limit(self):
         # the identity channel's G_c on 66 symbols is edgeless, hence
@@ -665,19 +693,23 @@ class TestAsymptoticRateBracket:
         assert b.warnings == ()
         assert (b.exact.base, b.exact.root) == (33, 1)
 
-    def test_theta_of_a_perfect_channel_is_its_alpha(self, pentagon, monkeypatch):
-        # K2 + K3 is perfect, so theta(G_c) is alpha(G_c) = 2 with no
+    def test_theta_of_a_perfect_channel_is_its_alpha(self, monkeypatch):
+        # K2 + K3 + K1 is perfect, so theta(G_c) is alpha(G_c) = 3 with no
         # solver, and the channel's upper is the integer alpha of the
-        # perfect-graph closure (it was theta + tol); the pentagon's own
-        # 5-cycle is solved, once
+        # perfect-graph closure (it was theta + tol), reached by the
+        # utility's certified 10^(1/2); the utility's own C5 + K1, which no
+        # eigenvalue pin settles, is solved, once
         solved = []
         solve = ixcap.upper_bounds.lovasz_theta
         monkeypatch.setattr(ixcap.upper_bounds, "lovasz_theta",
                             lambda g, **kw: solved.append(g.rows) or solve(g, **kw))
-        channel = make_channel(Alphabet.of_size(5), self.K2_K3)
-        b = asymptotic_rate_bracket(pentagon, channel)
-        assert solved == [sender_graph(pentagon, 1).rows]
-        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 2}
+        U = utility_from_graph(_c5_and_k1())
+        channel = make_channel(Alphabet.of_size(6), [[*row, 0] for row in self.K2_K3]
+                               + [[0] * 5 + [1]])
+        b = asymptotic_rate_bracket(U, channel)
+        assert solved == [sender_graph(U, 1).rows]
+        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 3}
+        assert (b.exact.base, b.exact.root) == (3, 1)
 
 
 def _biconnected(g: Graph, vertices) -> bool:
