@@ -8,8 +8,8 @@ json`` or ``--out`` is given; its ``--out`` file holds the JSON report.
 ``analyze`` runs one ``xi_bracket`` pass and prints its per-blocklength
 records and theta(G_s^Sym) next to the bracket, so the table shows the very
 values the bracket compared, one row per blocklength run; its perfect-graph
-closure rests on an exact perfectness test run under ``--budget-nodes``,
-never on a user's word.
+closure rests on a partition of G_s^Sym into alpha cliques, found within
+``--budget-nodes`` and listed in the report, never on a user's word.
 ``gamma`` reports the largest feasible subset at blocklength ``-n``, searched
 within ``--budget-nodes``, or with ``--subset`` the feasibility of one subset
 and, when it is infeasible, the closed chain that proves it.  ``game``

@@ -696,6 +696,7 @@ def _cover_number(g: Graph, meter: _Meter, alpha: int | None = None) -> list[int
     each placement is one node, charged to meter with the alpha search,
     which runs only when ``alpha`` is not given."""
     n = g.n_vertices
+    _ensure_recursion_headroom(n)  # place recurses once per vertex
     if alpha is None:
         alpha, _ = _CliqueSearch(_SearchCopy(g).rows, meter).maximum()
     cliques: list[int] = []

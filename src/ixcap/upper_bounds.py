@@ -4,28 +4,24 @@ The capacity itself is a limit and not directly computable; the bracket
 combines certified finite-blocklength lower bounds (feasible subsets,
 independent sets) with upper bounds that hold at every blocklength (the
 theta number of the symmetric-part graph, the trivial alphabet cap, and
-special-case closures for symmetric or two-valued inputs whose base graph
-is perfect).  Perfectness is decided, not assumed: a 2-colouring settles
-bipartite graphs and their complements, block by block when a whole
-component does not 2-colour, and otherwise, by the strong perfect graph
-theorem, a graph is perfect iff it has no induced odd hole and no induced
-odd antihole, which an exact induced-path search finds.
+special-case closures for symmetric or two-valued inputs).
 
 Over a noisy channel the extraction rate is the smaller of the capacity and
 the channel's zero-error capacity C_0 = Theta(G_c), which is itself the
 extraction capacity of the 0/-1 utility of G_c.  So ``xi_bracket`` is the
 one bracket, and ``asymptotic_rate_bracket`` takes the elementwise minimum
 of its brackets on U and on that utility.  Its upper side bounds
-Theta(G_s^Sym) by one candidate, chosen by one perfectness verdict on
-G_s^Sym.  On a perfect graph theta equals the independence number (Lovasz
-1979), so where G_s^Sym is proved perfect the candidate is the integer
-alpha(G_s^Sym), which the bracket's own memo of alpha searches holds.  On a
-regular G_s^Sym not proved perfect, ``theta._regular_theta`` may pin theta
-within tol/2 by an eigenvalue pair that an exact elimination accepts, with
-no tol added; the semidefinite solver runs only where neither settles it,
-giving theta + tol.  Closures compare the integers of the certificates,
-never floats (``_integer_closure``), and each bracket stops at the first
-blocklength that closes.
+Theta(G_s^Sym) by one candidate, chosen by one certificate on G_s^Sym: a
+partition into alpha(G_s^Sym) cliques (``in_perfect_whitelist``).  By
+Lovasz's sandwich alpha <= theta <= chi-bar, the clique cover number
+(Lovasz 1979), such a partition pins theta at the integer alpha(G_s^Sym),
+which the bracket's own memo of alpha searches holds; every perfect graph
+has one.  On a regular G_s^Sym with none found, ``theta._regular_theta``
+may pin theta within tol/2 by an eigenvalue pair that an exact elimination
+accepts, with no tol added; the semidefinite solver runs only where
+neither settles it, giving theta + tol.  Closures compare the integers of
+the certificates, never floats (``_integer_closure``), and each bracket
+stops at the first blocklength that closes.
 """
 
 from __future__ import annotations
@@ -37,7 +33,9 @@ from .errors import BudgetExceededError, CapExceededError, ConvergenceError, Inp
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
+    _alpha,
     _bits,
+    _cover_number,
     _Meter,
     confusability_graph,
     independence_number,
@@ -49,8 +47,10 @@ from .lower_bounds import _gamma_n
 from .theta import _regular_theta, lovasz_theta
 from .utility import UtilityMatrix, sequence_labels, utility_from_graph
 
-#: most nodes of a perfectness test whose verdict only spares the theta
-#: solver: about 0.1 s, the cost of one mid-sized solve
+#: most nodes of the search for a partition of G_s^Sym into alpha cliques,
+#: whether or not a closure needs it: proving that none exists is
+#: exponential (C65 has alpha 32 and no cover by 32 cliques).  A node cost
+#: 2.2-5.3 us on C33 and C65 (Intel Xeon), so the cap stops within 0.6 s
 SHORTCUT_NODE_BUDGET = 10**5
 
 
@@ -67,133 +67,28 @@ def is_two_valued_a_ge_b(U: UtilityMatrix) -> bool:
     return hi > 0 > lo and hi >= -lo
 
 
-def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Whether g is perfect, decided exactly (the old whitelist's name is
-    kept for the benchmark's per-layer metrics).
+def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
+                         alpha: int | None = None) -> list[int] | None:
+    """A partition of g's vertices into alpha(g) cliques, as masks, or None
+    when g has none (the name of the perfectness test it replaced is kept
+    for the benchmark's per-layer metrics).
 
-    Every odd hole and odd antihole is 2-connected, so it lies inside one
-    block (maximal 2-connected subgraph) of g, and g is perfect iff each of
-    its blocks is.  A bipartite graph is perfect, and so is its complement
-    (Konig's theorem), so a 2-colouring of a connected component C or of
-    its complement within C settles C first, and only a component that
-    neither settles is split into its blocks (``_blocks``), each tried the
-    same way: the path search below is exponential on grid-like bipartite
-    graphs.  A block of fewer than 5 vertices holds no odd hole or
-    antihole.  Otherwise, by the strong perfect graph theorem (Chudnovsky,
-    Robertson, Seymour and Thomas, 2006), a block B is perfect iff neither
-    B nor its complement has an induced cycle of odd length at least 5.
-    For each vertex s, a depth-first search grows induced paths s, p1, ...,
-    pk over vertices of B above s; a neighbour of pk adjacent to s and to
-    no interior vertex closes an induced cycle of k + 2 vertices, so every
-    hole is found from its least vertex.
-
-    Each path step costs one node; the 2-colourings and the block split
-    cost none.  Raises BudgetExceededError beyond ``budget`` nodes, and
-    InputError if the budget is below 1.
+    Such a partition pins theta(g), and the Shannon capacity, at alpha(g):
+    alpha <= Theta <= theta <= chi-bar, the clique cover number (Shannon
+    1956; Lovasz 1979).  Every perfect graph has one, and so do some
+    imperfect ones, such as C5 with a pendant vertex.  A reader checks the
+    upper bound in O(q^2): the cliques partition the vertices and each is a
+    clique, so theta is at most their number.  ``alpha`` is alpha(g) if
+    the caller holds it; otherwise an alpha search runs first, charged to
+    the same meter.  The cover search is ``graphs._cover_number``, one node
+    per vertex placed.  Raises BudgetExceededError beyond ``budget`` nodes,
+    and InputError if the budget is below 1.
     """
     meter = _Meter(budget)
-    left = (1 << g.n_vertices) - 1
-    while left:
-        comp, flat = _reach(g.rows, left)
-        left ^= comp
-        if flat or _bipartite(_complement_within(g.rows, comp), comp):
-            continue
-        for block in _blocks(g.rows, comp):
-            if block.bit_count() < 5:
-                continue
-            rows = {v: g.rows[v] & block for v in _bits(block)}
-            co_rows = _complement_within(rows, block)
-            if _bipartite(rows, block) or _bipartite(co_rows, block):
-                continue
-            if _odd_hole(rows, block, meter) or _odd_hole(co_rows, block, meter):
-                return False
-    return True
-
-
-def _complement_within(rows, verts: int) -> dict[int, int]:
-    """The rows of the complement, within verts, of the graph on verts,
-    which no row leaves."""
-    return {v: verts ^ rows[v] ^ (1 << v) for v in _bits(verts)}
-
-
-def _odd_hole(rows, comp: int, meter: _Meter) -> bool:
-    """Whether the graph with these rows has an induced odd cycle of 5 or
-    more vertices inside comp, which no row leaves."""
-    for s in _bits(comp):
-        above = comp >> (s + 1) << (s + 1)
-        if above.bit_count() < 4:  # a hole has 4+ vertices above its least
-            return False
-        # (last vertex, path vertices and neighbours of its interior, k)
-        stack = [(p, 1 << p, 1) for p in _bits(rows[s] & above)]
-        while stack:
-            last, blocked, k = stack.pop()
-            meter.charge(1, "perfectness test")
-            cand = rows[last] & above & ~blocked
-            if k >= 3 and k % 2 and cand & rows[s]:
-                return True
-            stack.extend((v, blocked | rows[last], k + 1)
-                         for v in _bits(cand & ~rows[s]))
-    return False
-
-
-def _reach(rows, verts: int) -> tuple[int, bool]:
-    """(the component of the least vertex of verts, whether it 2-colours):
-    breadth-first layers, none of which may hold an edge."""
-    seen = layer = verts & -verts
-    flat = True
-    while layer:
-        reach = 0
-        for v in _bits(layer):
-            reach |= rows[v]
-        flat = flat and not reach & layer
-        layer = reach & ~seen
-        seen |= layer
-    return seen, flat
-
-
-def _blocks(rows, comp: int) -> list[int]:
-    """The blocks of the connected graph on comp, which no row leaves, as
-    vertex masks: its maximal 2-connected subgraphs and its bridges.  One
-    depth-first search (Hopcroft and Tarjan 1973), with a stack of its own:
-    when a child v of u has no back edge above u (low[v] >= depth[u]), u and
-    the vertices pushed since v form a block."""
-    root = (comp & -comp).bit_length() - 1
-    depth = {root: 0}
-    low = {root: 0}
-    pushed = [root]
-    path = [(root, _bits(rows[root]))]
-    blocks = []
-    while path:
-        v, neighbours = path[-1]
-        for w in neighbours:
-            if w not in depth:
-                depth[w] = low[w] = len(path)
-                pushed.append(w)
-                path.append((w, _bits(rows[w])))
-                break
-            low[v] = min(low[v], depth[w])
-        else:
-            path.pop()
-            if path:
-                u = path[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= depth[u]:
-                    block = 1 << u
-                    while block >> v & 1 == 0:
-                        block |= 1 << pushed.pop()
-                    blocks.append(block)
-    return blocks
-
-
-def _bipartite(rows, verts: int) -> bool:
-    """Whether the graph with these adjacency rows is 2-colourable on the
-    vertex set verts, which no row leaves."""
-    while verts:
-        comp, flat = _reach(rows, verts)
-        if not flat:
-            return False
-        verts ^= comp
-    return True
+    if alpha is None:
+        alpha, _ = _alpha(g, meter)
+    cliques = _cover_number(g, meter, alpha)
+    return cliques if len(cliques) == alpha else None
 
 
 @dataclass(frozen=True)
@@ -217,10 +112,10 @@ class CapacityBracket:
 
     ``per_n`` and ``theta_sym`` report what ``xi_bracket`` computed on the
     way: one record per blocklength run, and theta(G_s^Sym): alpha on a
-    perfect graph, the eigenvalue pin's upper bound (within tol/2 of theta,
-    rounded up) on a pinned regular graph, else the solver's value, None
-    when the solver was skipped or did not converge.  Neither is part of
-    ``to_json_dict``."""
+    graph with a partition into alpha cliques, the eigenvalue pin's upper
+    bound (within tol/2 of theta, rounded up) on a pinned regular graph,
+    else the solver's value, None when the solver was skipped or did not
+    converge.  Neither is part of ``to_json_dict``."""
 
     lower: float
     lower_certificate: dict
@@ -264,17 +159,19 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     U entrywise has a supergraph of every G_s^n and fewer feasible subsets,
     so neither of its bounds can beat U's at the same n.  Upper side, set
     after the n = 1 pass: the min of the alphabet size and one candidate,
-    chosen by one perfectness verdict on G_s^Sym, a bool; a test that runs
-    out of budget counts as not proved.  Where G_s^Sym is proved perfect
-    and the memo below holds its alpha, theta = alpha and the candidate is
-    that integer, with no solver and no tol: ``perfect_graph_closure`` for
-    symmetric or two-valued-gain utilities, where G_s^Sym is G_s at n = 1,
-    and ``theta_symmetric_part`` with ``"perfect": true`` otherwise.  On a
-    regular G_s^Sym not proved perfect whose theta ``theta._regular_theta``
-    pins within tol/2, it is that upper bound, rounded up to a float, with
-    no tol: ``theta_symmetric_part`` with ``"regular": true``, the lower
-    bound ``theta_lower`` and the two accepted dyadic eigenvalue bounds
-    ``lambda`` and ``co_lambda``, which an exact elimination can recheck.
+    chosen by one certificate on G_s^Sym, a partition into alpha(G_s^Sym)
+    cliques (``in_perfect_whitelist``), alpha read from the memo below.
+    Where one is found, theta = alpha and the candidate is that integer,
+    with no solver and no tol: ``perfect_graph_closure`` for symmetric or
+    two-valued-gain utilities, where G_s^Sym is G_s at n = 1, and
+    ``theta_symmetric_part`` otherwise, each with ``cliques``, one list of
+    letter labels per clique, which a reader checks in O(q^2).  On a
+    regular G_s^Sym with no such partition whose theta
+    ``theta._regular_theta`` pins within tol/2, it is that upper bound,
+    rounded up to a float, with no tol: ``theta_symmetric_part`` with
+    ``"regular": true``, the lower bound ``theta_lower`` and the two
+    accepted dyadic eigenvalue bounds ``lambda`` and ``co_lambda``, which
+    an exact elimination can recheck.
     Elsewhere it is the solver's theta(G_s^Sym) + tol.  Exact value:
     reported when the two sides meet within 2*tol along an integer or
     radical closure, tried after each n; under the perfect-graph closure
@@ -300,22 +197,22 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     would search alike: every graph of one bracket is on U's q letters, and
     ``graphs.Graph`` shows why the rows fix the search.  The memo reads no
     letter table.  ``node_budget`` is per search, not per bracket: each
-    distinct graph's alpha search gets it afresh, as do Gamma's subset
-    search at each n run and the perfectness test.  A search that exhausts
-    its budget drops its candidate, and the closure that needs it, with a
-    warning, except Gamma's subset search, whose largest feasible subset
-    found so far stays a candidate, flagged not optimal in its record.
-    Where no perfect-graph closure needs its verdict, the perfectness test
-    only spares the solver: it runs within at most ``SHORTCUT_NODE_BUDGET``
-    nodes and gives up silently.  The result carries the records of the n
-    run (alpha(G_s^n) and its witness; Gamma(U_n) with its subset,
-    optimality and alpha(G_s^Sym,n); or the skip message) and
+    distinct graph's alpha search gets it afresh, as does Gamma's subset
+    search at each n run.  A search that exhausts its budget drops its
+    candidate, and the closure that needs it, with a warning, except
+    Gamma's subset search, whose largest feasible subset found so far stays
+    a candidate, flagged not optimal in its record.  The cover search runs
+    within at most ``SHORTCUT_NODE_BUDGET`` nodes, whether or not a closure
+    needs it; one that runs out counts as none found, with a warning only
+    where the perfect-graph closure needed it.  The result carries the
+    records of the n run (alpha(G_s^n) and its witness; Gamma(U_n) with its
+    subset, optimality and alpha(G_s^Sym,n); or the skip message) and
     theta(G_s^Sym).  At n_max = 2 and q <= 7 its alpha searches run on at
     most 49 vertices, below the size from which
     ``graphs.independence_number`` bounds a block graph by its letter table:
     there the bounds cost more than the search they would save.  Raises
     InputError when n_max < 1 or tol lies outside (0, 1e-2], the solver's
-    own range, checked here since a perfect or pinned G_s^Sym never
+    own range, checked here since a covered or pinned G_s^Sym never
     reaches the solver.
     """
     if n_max < 1:
@@ -384,23 +281,26 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
         if n == 1:
             # the upper side needs only the n = 1 pass
             uppers = [(float(q), {"name": "alphabet_size", "q": q})]
-            skipped = None  # why a perfect-graph closure is not tried
-            try:
-                perfect = in_perfect_whitelist(
-                    sym_graph, node_budget if closure else min(node_budget, SHORTCUT_NODE_BUDGET))
-            except BudgetExceededError as exc:
-                perfect, skipped = False, exc
+            cliques = skipped = None  # skipped: why a perfect-graph closure is not tried
             try:
                 # a hit or a stored error: the pass above searched sym_graph
-                alpha_perfect = alpha_of(sym_graph)[0] if perfect else None
+                alpha_sym = alpha_of(sym_graph)[0]
             except BudgetExceededError:
-                alpha_perfect, skipped = None, "alpha(G_s^1) was not computed"
-            if alpha_perfect is not None:
-                # theta = alpha on a perfect graph (Lovasz 1979); under the
-                # closure the integer closure pins the capacity at it
-                theta_sym = float(alpha_perfect)
-                cert = ({"name": "perfect_graph_closure", "alpha": alpha_perfect} if closure
-                        else {"name": "theta_symmetric_part", "theta": theta_sym, "perfect": True})
+                skipped = "alpha(G_s^1) was not computed"
+            else:
+                try:
+                    cliques = in_perfect_whitelist(
+                        sym_graph, min(node_budget, SHORTCUT_NODE_BUDGET), alpha_sym)
+                except BudgetExceededError as exc:
+                    skipped = exc
+            if cliques is not None:
+                # alpha <= theta <= chi-bar = alpha (Lovasz 1979); under
+                # the closure the integer closure pins the capacity at alpha
+                theta_sym = float(alpha_sym)
+                labels = sequence_labels(U.alphabet, 1)
+                cert = ({"name": "perfect_graph_closure", "alpha": alpha_sym} if closure
+                        else {"name": "theta_symmetric_part", "theta": theta_sym})
+                cert["cliques"] = [[labels[v] for v in _bits(c)] for c in cliques]
                 uppers.append((theta_sym, cert))
             elif pin := _regular_theta(sym_graph, tol):
                 # a regular G_s^Sym whose eigenvalue bounds meet: theta
@@ -456,9 +356,9 @@ def asymptotic_rate_bracket(U: UtilityMatrix, channel: Channel, n_max: int = 2,
     its sender graphs are exactly the strong powers G_c^n, in the same
     numbering.  So the channel side is ``xi_bracket`` of that utility, with
     every rule of the capacity bracket: alpha(G_c^n) below, alpha(G_c) on
-    a perfect G_c, the eigenvalue pin on a regular one, or theta(G_c) + tol
-    above, the perfect-graph, integer and radical closures, and the stop at
-    the first blocklength that closes.
+    a G_c with a partition into alpha cliques, the eigenvalue pin on a
+    regular one, or theta(G_c) + tol above, the perfect-graph, integer and
+    radical closures, and the stop at the first blocklength that closes.
     Its certificates and warnings name G_c: ``alpha_confusability_power``,
     ``theta_confusability`` and, e.g., "alpha(G_c^2) skipped"; its
     witnesses name sequences over U's alphabet.  The rate is exact at e

@@ -268,6 +268,24 @@ def oracle_clique_cover(graph) -> int:
                        for a, b in combinations(block, 2))), default=0)
 
 
+def oracle_symmetric_graph(U: UtilityMatrix) -> Graph:
+    """G_s^Sym straight from the definition, on the Fraction symmetric part."""
+    return graph_from_edges(U.q, sorted(oracle_sender_edges(oracle_symmetric_part(U), 1)))
+
+
+def oracle_clique_certificate(U: UtilityMatrix, cert: dict, alpha: int | None = None) -> bool:
+    """Whether a certificate's ``cliques``, lists of letter labels, are
+    alpha(G_s^Sym) cliques of G_s^Sym that partition U's letters: the
+    check of theta(G_s^Sym) = alpha that a reader runs in O(q^2).  alpha,
+    when a caller knows it by other means, else by enumeration."""
+    g = oracle_symmetric_graph(U)
+    index = {s: i for i, s in enumerate(U.alphabet.symbols)}
+    cliques = [[index[s] for s in c] for c in cert["cliques"]]
+    return (sorted(v for c in cliques for v in c) == list(range(U.q))
+            and all(g.has_edge(a, b) for c in cliques for a, b in combinations(c, 2))
+            and len(cliques) == (oracle_alpha(g)[0] if alpha is None else alpha))
+
+
 def oracle_feasible(u_rows, subset) -> bool:
     """All non-identity permutations strictly negative, by enumeration."""
     subset = tuple(subset)

@@ -21,7 +21,12 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import oracle_clique_cover, random_utility
+from conftest import (
+    oracle_clique_certificate,
+    oracle_clique_cover,
+    oracle_symmetric_graph,
+    random_utility,
+)
 from ixcap.graphs import (
     Graph,
     cycle_graph,
@@ -30,6 +35,7 @@ from ixcap.graphs import (
     symmetric_sender_graph,
 )
 from ixcap.lower_bounds import gamma_n
+from ixcap.theta import lovasz_theta
 from ixcap.upper_bounds import xi_bracket
 from ixcap.utility import normalize_diagonal, utility_from_graph
 
@@ -179,9 +185,9 @@ def test_q4_sample(census4_sample):
     }
     opened = [b for _, b in census4_sample if not b.exact]
     assert len(opened) == 9
-    assert all((b.lower, b.upper, b.upper_certificate) == (
-        2.0, 3.0, {"name": "theta_symmetric_part", "theta": 3.0, "perfect": True})
-        and len(b.per_n) == 2 for b in opened)
+    assert all((b.lower, b.upper, b.upper_certificate["name"], b.upper_certificate["theta"],
+                len(b.upper_certificate["cliques"])) == (2.0, 3.0, "theta_symmetric_part", 3.0, 3)
+               and len(b.per_n) == 2 for b in opened)
     rng = random.Random(4611)
     relabellings = list(permutations(range(4)))
     for table, b in census4_sample:
@@ -230,25 +236,35 @@ def graphs_up_to_isomorphism(n_max: int) -> dict[int, list[tuple[int, ...]]]:
     return found
 
 
-def test_graph_census():
-    # every graph utility on 5 and 6 letters closes at n_max = 2 but
-    # C5 + K1, whose capacity 1 + sqrt(5) no finite blocklength reaches
+@pytest.fixture(scope="module")
+def graph_census():
+    """(n, rows, U, bracket at n_max = 2) for the graph utility U of every
+    graph on 5 and 6 vertices, up to isomorphism."""
     graphs = graphs_up_to_isomorphism(6)
     assert [len(graphs[n]) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    return [(n, rows, U, xi_bracket(U, n_max=2)) for n in (5, 6) for rows in graphs[n]
+            for U in [utility_from_graph(Graph(n, rows))]]
+
+
+def test_graph_census(graph_census):
+    # every graph utility on 5 and 6 letters closes at n_max = 2 but
+    # C5 + K1, whose capacity 1 + sqrt(5) no finite blocklength reaches.
+    # The perfect-graph closure takes every graph with a cover by alpha
+    # cliques: on 6 vertices the 147 perfect ones with edges, and 4 of the
+    # 8 imperfect ones, such as C5 with a pendant vertex, which theta
+    # closed before; the edgeless graph's alphabet bound ties and wins
     certificates, opened = Counter(), []
-    for n in (5, 6):
-        for rows in graphs[n]:
-            b = xi_bracket(utility_from_graph(Graph(n, rows)), n_max=2)
-            if b.exact is None:
-                opened.append(rows)
-                continue
-            certificates[n, b.upper_certificate["name"], b.lower_certificate["name"]] += 1
+    for n, rows, _, b in graph_census:
+        if b.exact is None:
+            opened.append(rows)
+            continue
+        certificates[n, b.upper_certificate["name"], b.lower_certificate["name"]] += 1
     assert certificates == {
         (5, "perfect_graph_closure", "alpha_sender_power"): 32,
         (5, "theta_symmetric_part", "alpha_sender_power"): 1,
         (5, "alphabet_size", "alpha_sender_power"): 1,
-        (6, "perfect_graph_closure", "alpha_sender_power"): 147,
-        (6, "theta_symmetric_part", "alpha_sender_power"): 7,
+        (6, "perfect_graph_closure", "alpha_sender_power"): 151,
+        (6, "theta_symmetric_part", "alpha_sender_power"): 3,
         (6, "alphabet_size", "alpha_sender_power"): 1,
     }
     c5_k1 = canonical_rows((*cycle_graph(5).rows, 0))
@@ -257,6 +273,23 @@ def test_graph_census():
     b = xi_bracket(utility_from_graph(Graph(6, c5_k1)), n_max=2)
     assert b.lower == pytest.approx(10 ** 0.5)
     assert b.upper == pytest.approx(1 + 5 ** 0.5, abs=2e-3)
+
+
+def test_graph_census_certificates(graph_census):
+    # every bracket whose upper side is alpha carries its cliques: alpha
+    # cliques of G_s^Sym, built from the definition, that partition the
+    # letters, with the solver's theta at alpha
+    covered = 0
+    for n, rows, U, b in graph_census:
+        cert = b.upper_certificate
+        if cert["name"] != "perfect_graph_closure":
+            assert "cliques" not in cert
+            continue
+        covered += 1
+        assert oracle_clique_certificate(U, cert)
+        assert b.upper == cert["alpha"] == len(cert["cliques"])
+        assert abs(lovasz_theta(oracle_symmetric_graph(U), tol=1e-6) - cert["alpha"]) <= 1e-5
+    assert covered == 32 + 151
 
 
 def test_raising_a_utility_raises_no_lower_bound():

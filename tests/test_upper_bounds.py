@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +13,10 @@ from conftest import (
     complete_graph,
     incremented,
     oracle_alpha,
+    oracle_clique_certificate,
+    oracle_clique_cover,
     oracle_perfect,
+    oracle_symmetric_graph,
     oracle_symmetric_part,
     path_graph,
     random_channel,
@@ -53,9 +57,8 @@ def _grid_graph(side: int):
 
 def _grid_and_triangle(side: int, tied: bool = False):
     """The side x side grid beside a triangle: perfect, but neither it nor
-    its complement is bipartite.  Apart, each component 2-colours; ``tied``
-    joins the grid's last corner to the triangle by one edge, a bridge, and
-    each block of that connected graph 2-colours."""
+    its complement is bipartite.  ``tied`` joins the grid's last corner to
+    the triangle by one edge, a bridge."""
     n = side * side
     grid = _grid_graph(side)
     tie = [(n - 1, n)] if tied else []
@@ -71,12 +74,10 @@ def _c5_and_k1():
 
 def _chorded_grid(side: int):
     """The side x side grid with one chord across its first square: perfect
-    and 2-connected, but neither it nor its complement is bipartite, so
-    only the induced-path search proves it perfect: in 6537 nodes at side 5
-    and 2 699 025 at side 7.  Every cycle through the chord enters vertex 0
-    by one of the square's two other corners, both adjacent to the chord's
-    far end, so the graph has no odd hole, and only two triangles, too few
-    for an odd antihole."""
+    and 2-connected, but neither it nor its complement is bipartite.  Every
+    cycle through the chord enters vertex 0 by one of the square's two
+    other corners, both adjacent to the chord's far end, so the graph has
+    no odd hole, and only two triangles, too few for an odd antihole."""
     grid = _grid_graph(side)
     return graph_from_edges(side * side, [*grid.edges(), (0, side + 1)])
 
@@ -240,15 +241,14 @@ class TestXiBracket:
         assert xi_bracket(pentagon, n_max=2, tol=1e-2).exact == ExactValue(5, 2)
 
     def test_closure_skipped_when_alpha_is(self):
-        # C4 is perfect with no search, but its alpha search runs out of
-        # budget: the closure that needs alpha(G_s) is skipped with a
-        # warning.  On C5 the perfectness test runs out of the same budget
-        for k, reason in ((4, "alpha(G_s^1) was not computed"),
-                          (5, "perfectness test exceeded 1 nodes")):
+        # the alpha search of C4, which has a cover by alpha cliques, and of
+        # C5, which has none, runs out of budget: the cover search needs
+        # alpha, so the closure that needs it is skipped with a warning
+        for k in (4, 5):
             b = xi_bracket(utility_from_graph(cycle_graph(k)), n_max=1, node_budget=1)
             assert b.warnings[0].startswith("alpha(G_s^1) skipped")
             skipped = [w for w in b.warnings if w.startswith("perfect-graph closure skipped")]
-            assert skipped == [f"perfect-graph closure skipped: {reason}"]
+            assert skipped == ["perfect-graph closure skipped: alpha(G_s^1) was not computed"]
             assert b.upper_certificate["name"] != "perfect_graph_closure"
             # Gamma's searches run under the same node budget, so no lower
             # candidate survives and the bracket falls back to the trivial 1
@@ -256,35 +256,45 @@ class TestXiBracket:
             assert b.lower == 1 < 2 <= b.upper
 
     def test_perfectness_out_of_budget_is_a_warning(self):
-        # the graph's alpha fits the budget but its perfectness test does
-        # not: the closure is dropped with a warning, and theta still closes
-        # the bracket at the integer alpha
-        b = xi_bracket(utility_from_graph(_chorded_grid(7)), n_max=1, node_budget=10_000)
+        # the 7 x 7 grid's alpha search fits 30 nodes, but its cover search,
+        # one node per vertex placed, does not: the closure is dropped with
+        # a warning, and the solver's theta still closes the bracket at the
+        # integer alpha
+        b = xi_bracket(utility_from_graph(_grid_graph(7)), n_max=1, node_budget=30)
         assert b.warnings == ("perfect-graph closure skipped: "
-                              "perfectness test exceeded 10000 nodes",)
+                              "clique cover search exceeded 30 nodes",)
         assert b.upper_certificate["name"] == "theta_symmetric_part"
-        assert (b.exact.base, b.exact.root) == (24, 1)
-        # the bipartite grid alone is proved perfect by its 2-colouring, and
-        # the grid tied to a triangle by its blocks' 2-colourings
-        for g, alpha in ((_grid_graph(7), 25), (_grid_and_triangle(7, tied=True), 26)):
+        assert (b.exact.base, b.exact.root) == (25, 1)
+        # with the budget, each graph closes on alpha cliques: the chorded
+        # grid's perfectness test took millions of nodes, its cover 49
+        for g, alpha in ((_grid_graph(7), 25), (_grid_and_triangle(7, tied=True), 26),
+                         (_chorded_grid(7), 24)):
             b = xi_bracket(utility_from_graph(g), n_max=1, node_budget=10_000)
             assert b.warnings == ()
-            assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": alpha}
+            cert = b.upper_certificate
+            assert (cert["name"], cert["alpha"], len(cert["cliques"])) == (
+                "perfect_graph_closure", alpha, alpha)
             assert (b.exact.base, b.exact.root) == (alpha, 1)
 
     @pytest.mark.parametrize("k, exact, upper", [(66, 33, 33), (65, None, 65)])
     def test_theta_skipped_above_the_solver_limit(self, k, exact, upper):
-        # C66 is bipartite, hence perfect: theta is its alpha, 33, with no
-        # solver, and the perfect-graph closure pins it.  C65 has an odd
-        # hole, so theta needs the solver, which does not take 65 vertices,
-        # and only the alphabet bounds it
+        # C66 has a cover by 33 edges, its alpha: theta is 33, with no
+        # solver, and the perfect-graph closure pins it.  C65 has alpha 32
+        # and no cover by 32 cliques, so theta needs the solver, which does
+        # not take 65 vertices, and only the alphabet bounds it.  Proving
+        # that no such cover exists is exponential: the cover search stops
+        # at SHORTCUT_NODE_BUDGET nodes, with a warning, within a second
+        start = time.perf_counter()
         b = xi_bracket(utility_from_graph(cycle_graph(k)), n_max=1)
+        assert time.perf_counter() - start < 1.0
         if exact:
             assert b.warnings == ()
             assert b.theta_sym == 33.0
         else:
-            assert b.warnings == (f"theta(G_s^Sym) skipped: {k} vertices exceed "
-                                  "the solver's limit of 64",)
+            assert b.warnings == (
+                f"theta(G_s^Sym) skipped: {k} vertices exceed the solver's limit of 64",
+                "perfect-graph closure skipped: clique cover search exceeded "
+                f"{upper_bounds.SHORTCUT_NODE_BUDGET} nodes")
             assert b.theta_sym is None
         assert (b.exact.base if b.exact else None, b.upper) == (exact, upper)
 
@@ -311,11 +321,13 @@ class TestXiBracket:
         assert len(calls) == solves
 
     def test_solver_runs_exactly_on_the_imperfect(self, monkeypatch):
-        # theta is alpha on a perfect G_s^Sym, and the eigenvalue pin settles
-        # a regular one, so the solver runs only on the others; the oracle
-        # decides perfectness from the definition.  The only imperfect
-        # graph on 5 vertices is C5, which the pin settles, and no imperfect
-        # graph on 6 vertices is regular, so there the solver runs
+        # theta is alpha on a G_s^Sym with a cover by alpha cliques, and the
+        # eigenvalue pin settles a regular one, so the solver runs only on
+        # the others; the oracles decide alpha = chi-bar by enumeration.
+        # Every perfect graph has such a cover, and the only imperfect graph
+        # on 5 vertices, C5, has none, which the pin settles.  No imperfect
+        # graph on 6 vertices is regular, so there the solver runs on those
+        # with no such cover
         calls = _count_solves(monkeypatch)
         rng = random.Random(157)
         kinds = Counter()
@@ -324,64 +336,76 @@ class TestXiBracket:
             calls.clear()
             b = xi_bracket(U, n_max=1)
             sym_graph = sender_graph(oracle_symmetric_part(U), 1)
-            perfect = oracle_perfect(sym_graph)
-            pinned = not perfect and len({r.bit_count() for r in sym_graph.rows}) == 1
-            kinds[perfect, pinned] += 1
-            assert calls == ([] if perfect or pinned else [sym_graph.rows])
+            covered = oracle_alpha(sym_graph)[0] == oracle_clique_cover(sym_graph)
+            pinned = not covered and len({r.bit_count() for r in sym_graph.rows}) == 1
+            kinds[covered, pinned] += 1
+            assert calls == ([] if covered or pinned else [sym_graph.rows])
             theta_named = b.upper_certificate["name"] == "theta_symmetric_part"
-            assert b.upper_certificate.get("perfect", False) == (perfect and theta_named)
+            assert ("cliques" in b.upper_certificate) == (
+                covered and b.upper_certificate["name"] != "alphabet_size")
             assert b.upper_certificate.get("regular", False) == (pinned and theta_named)
-            assert ("tol" in b.upper_certificate) == (not perfect and not pinned and theta_named)
+            assert ("tol" in b.upper_certificate) == (not covered and not pinned and theta_named)
         assert kinds[False, True] > 0 and kinds[False, False] > 0
 
     def test_theta_of_a_perfect_graph_is_its_alpha(self):
-        # the solver is the oracle of the shortcut
+        # every "cliques" certificate is checked from the definition: alpha
+        # cliques of the Fraction G_s^Sym that partition the letters; the
+        # solver is the oracle of the theta they pin
         solved = {}
-        perfect = 0
+        covered = 0
         for U in _q5_utilities(163, 400):
             b = xi_bracket(U, n_max=1)
-            sym_graph = sender_graph(oracle_symmetric_part(U), 1)
-            if not in_perfect_whitelist(sym_graph):
+            cert = b.upper_certificate
+            if "cliques" not in cert:
+                assert cert["name"] != "perfect_graph_closure"
                 continue
-            perfect += 1
+            covered += 1
+            assert oracle_clique_certificate(U, cert)
             alpha_sym = b.per_n[0]["alpha_sym"]
-            assert b.theta_sym == alpha_sym
+            assert b.theta_sym == b.upper == len(cert["cliques"]) == alpha_sym
+            sym_graph = oracle_symmetric_graph(U)
             if sym_graph.rows not in solved:
                 solved[sym_graph.rows] = lovasz_theta(sym_graph, tol=1e-6)
             assert abs(alpha_sym - solved[sym_graph.rows]) <= 1e-5
-        assert perfect > 300
+        assert covered > 300
 
-    def test_perfectness_out_of_budget_runs_the_solver(self, monkeypatch):
-        # every search fits the budget but the perfectness test, which falls
-        # back to the solver with no warning, since no closure needs it
-        U = _skewed_grid_utility(5)
+    @pytest.mark.parametrize("side", [5, 7])
+    def test_chorded_grids_close_on_their_cover(self, monkeypatch, side):
+        # the chorded grid's perfectness test took 6537 path nodes at side
+        # 5 and 2 699 025 (3.0 s) at side 7, beyond the cap of a verdict
+        # that only spares the solver, which then ran.  Its cover by alpha
+        # cliques places each vertex once, so the skewed utility closes at
+        # the integer alpha with no solver, no tol and no warning
+        alpha = {5: 12, 7: 24}[side]
         calls = _count_solves(monkeypatch)
-        b = xi_bracket(U, n_max=1, node_budget=1_000)
-        assert (len(calls), b.warnings) == (1, ())
-        assert "perfect" not in b.upper_certificate
-        assert b.upper == pytest.approx(12 + 1e-3, abs=1e-3)
-        # with the budget to prove the graph perfect, no solver runs, and
-        # the upper side is the integer alpha itself, with no tol
-        calls.clear()
+        U = _skewed_grid_utility(side)
         b = xi_bracket(U, n_max=1)
-        assert (len(calls), b.warnings, b.theta_sym, b.upper) == (0, (), 12.0, 12.0)
-        assert b.upper_certificate == {"name": "theta_symmetric_part", "theta": 12.0,
-                                       "perfect": True}
-
-    def test_perfectness_test_that_only_spares_the_solver_is_bounded(self, monkeypatch):
-        # proving the chorded 7 x 7 grid perfect takes millions of nodes,
-        # and the solver answers in a fraction of that time
-        U = _skewed_grid_utility(7)
-        calls = _count_solves(monkeypatch)
-        b = xi_bracket(U, n_max=1)
-        assert (len(calls), b.warnings) == (1, ())
-        assert b.upper == pytest.approx(24 + 1e-3, abs=1e-3)
+        assert (len(calls), b.warnings, b.theta_sym, b.upper) == (0, (), alpha, alpha)
+        assert (b.exact.base, b.exact.root) == (alpha, 1)
+        assert b.upper_certificate.keys() == {"name", "theta", "cliques"}
+        assert oracle_clique_certificate(U, b.upper_certificate, alpha)
+        # one node per vertex: one fewer runs out
+        grid = _chorded_grid(side)
+        assert len(in_perfect_whitelist(grid, side * side, alpha)) == alpha
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(_chorded_grid(7), budget=upper_bounds.SHORTCUT_NODE_BUDGET)
+            in_perfect_whitelist(grid, side * side - 1, alpha)
+
+    def test_kneser_graph_closes_on_its_cover(self):
+        # K(6, 2), the 2-sets of 6 letters joined when disjoint, is regular
+        # and imperfect, and its theta was the eigenvalue pin's 5; a
+        # 1-factorisation of K6 covers it by 5 cliques, its alpha
+        sets = list(combinations(range(6), 2))
+        U = utility_from_graph(graph_from_edges(15, [
+            (i, j) for i, j in combinations(range(15), 2) if not set(sets[i]) & set(sets[j])]))
+        b = xi_bracket(U, n_max=1)
+        assert (b.upper_certificate["name"], b.upper_certificate["alpha"]) == (
+            "perfect_graph_closure", 5)
+        assert oracle_clique_certificate(U, b.upper_certificate)
+        assert (b.exact.base, b.exact.root) == (5, 1)
 
     def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch, pentagon):
         # G_s^n and G_s^Sym,n at each blocklength run: G_s^Sym is built
-        # once, for the perfectness test, theta and Gamma(U_1) alike.  The
+        # once, for the cover check, theta and Gamma(U_1) alike.  The
         # random utility closes at n = 1; the pentagon stays open there and
         # closes at n = 2, on sqrt(5), by the radical closure, whose strong
         # square of G_s^Sym the same kernel builds
@@ -619,7 +643,8 @@ class TestAsymptoticRateBracket:
         assert (b.exact.base, b.exact.root) == (2, 1)
         assert (b.lower, b.upper) == (2.0, 2.0)
         assert b.lower_certificate["name"] == "alpha_confusability_power"
-        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 2}
+        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 2,
+                                       "cliques": [["0", "1"], ["2", "3", "4"]]}
 
     def test_a_perfect_channel_closes_the_rate_at_n1(self):
         # perfbench's seed-1 noisy job 7: G_c has the edges (0, 2), (0, 3),
@@ -634,7 +659,8 @@ class TestAsymptoticRateBracket:
         assert (b.exact.base, b.exact.root) == (2, 1)
         assert (b.lower, b.upper) == (2.0, 2.0)
         assert b.lower_certificate["name"] == "gamma_blocklength"
-        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 2}
+        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 2,
+                                       "cliques": [["0", "2", "3"], ["1"]]}
 
     def test_an_edgeless_utility_over_c5_is_the_channels_radical(self):
         # every word is protected, so the rate is C_0(C5) = 5^(1/2), pinned
@@ -708,26 +734,9 @@ class TestAsymptoticRateBracket:
                                + [[0] * 5 + [1]])
         b = asymptotic_rate_bracket(U, channel)
         assert solved == [sender_graph(U, 1).rows]
-        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 3}
+        assert b.upper_certificate == {"name": "perfect_graph_closure", "alpha": 3,
+                                       "cliques": [["0", "1"], ["2", "3", "4"], ["5"]]}
         assert (b.exact.base, b.exact.root) == (3, 1)
-
-
-def _biconnected(g: Graph, vertices) -> bool:
-    """Whether the vertices induce a connected graph that stays connected
-    without any one of them (an edge counts as 2-connected)."""
-    def connected(vs):
-        mask = sum(1 << v for v in vs)
-        seen = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            for v in range(g.n_vertices):
-                if frontier >> v & 1:
-                    reach |= g.rows[v] & mask
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen == mask
-    return connected(vertices) and (len(vertices) == 2 or all(
-        connected([u for u in vertices if u != v]) for v in vertices))
 
 
 class TestPerfectWhitelist:
@@ -740,17 +749,20 @@ class TestPerfectWhitelist:
         graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (4, 6)]),
     ], ids=["C4", "P4", "K4", "C6", "C4+K3"])
     def test_small_perfect_graphs(self, graph):
-        assert in_perfect_whitelist(graph)
+        cliques = in_perfect_whitelist(graph)
+        assert len(cliques) == oracle_alpha(graph)[0]
         assert oracle_perfect(graph)
 
     def test_matches_the_definition_on_every_small_graph(self):
+        # up to 5 vertices a graph has a cover by alpha cliques iff it is
+        # perfect
         imperfect = []
         for n in range(6):
             pairs = list(combinations(range(n), 2))
             for mask in range(1 << len(pairs)):
                 g = graph_from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
                 perfect = oracle_perfect(g)
-                assert in_perfect_whitelist(g) == perfect
+                assert (in_perfect_whitelist(g) is not None) == perfect
                 if not perfect:
                     imperfect.append(g)
         # the only imperfect graphs up to 5 vertices are the 12 labelled C5s,
@@ -762,7 +774,7 @@ class TestPerfectWhitelist:
     @pytest.mark.parametrize("graph", [
         cycle_graph(7),
         Graph(7, complement_rows(cycle_graph(7))),
-        # the Petersen graph: its outer 5-cycle is an induced odd hole
+        # the Petersen graph: alpha 4, but its cliques are edges
         graph_from_edges(10, [*((i, (i + 1) % 5) for i in range(5)),
                               *((5 + i, 5 + (i + 2) % 5) for i in range(5)),
                               *((i, i + 5) for i in range(5))]),
@@ -773,81 +785,81 @@ class TestPerfectWhitelist:
 
     @pytest.mark.parametrize("side", [7, 8])
     def test_bipartite_and_cobipartite_need_no_path_search(self, side):
-        # the 8 x 8 grid has over 10**7 induced paths to rule out
+        # the 8 x 8 grid has over 10**7 induced paths to rule out, while its
+        # cover by alpha cliques, and its complement's, places each vertex
+        # once, after an alpha search of at most side * side nodes.  The
+        # grid's alpha is a colour class of its chessboard colouring, its
+        # complement's an edge
         grid = _grid_graph(side)
-        assert in_perfect_whitelist(grid, budget=1)
-        assert in_perfect_whitelist(Graph(side * side, complement_rows(grid)), budget=1)
+        for g, alpha in ((grid, (side * side + 1) // 2),
+                         (Graph(side * side, complement_rows(grid)), 2)):
+            assert len(in_perfect_whitelist(g, budget=2 * side * side)) == alpha
 
-    def test_components_are_decided_apart(self):
-        # the grid and the triangle each 2-colour (the triangle's complement
-        # is edgeless), so the graph beside them needs no path search
-        assert in_perfect_whitelist(_grid_and_triangle(7), budget=1)
-        # a 5-cycle beside the grid is still found, in either order
-        n = 49
-        grid = list(_grid_graph(7).edges())
-        c5 = [(n + i, n + (i + 1) % 5) for i in range(5)]
-        assert not in_perfect_whitelist(graph_from_edges(n + 5, grid + c5))
-        shifted = [(u + 5, v + 5) for u, v in grid] + [(i, (i + 1) % 5) for i in range(5)]
-        assert not in_perfect_whitelist(graph_from_edges(n + 5, shifted))
-
-    def test_blocks_are_decided_apart(self):
-        # the grid tied to a triangle by a bridge took 3 084 552 path nodes
-        # (4.2 s) as one component; its blocks, the grid, the bridge and the
-        # triangle, each 2-colour or are too small for a hole
-        assert in_perfect_whitelist(_grid_and_triangle(7, tied=True), budget=1)
-        # a 5-cycle hung from the grid's corner by a cut vertex is still
-        # found, and so is a 5-antihole sharing a vertex with a triangle
-        grid = list(_grid_graph(7).edges())
-        c5 = [(48, 49), (49, 50), (50, 51), (51, 52), (52, 48)]
-        assert not in_perfect_whitelist(graph_from_edges(53, grid + c5), budget=10_000)
-        antihole = [(i, (i + 2) % 5) for i in range(5)]
-        assert not in_perfect_whitelist(graph_from_edges(7, antihole + [(0, 5), (5, 6),
-                                                                       (0, 6)]))
-
-    def test_blocks_match_their_definition(self):
-        # the blocks of a connected graph are its maximal vertex sets of 2
-        # or more that induce a connected graph with no cut vertex
-        rng = random.Random(187)
-        checked = 0
-        for _ in range(300):
-            n = rng.randint(1, 8)
-            g = graph_from_edges(n, [e for e in combinations(range(n), 2)
-                                     if rng.random() < 0.3])
-            comp, _ = upper_bounds._reach(g.rows, (1 << n) - 1)
-            vs = [v for v in range(n) if comp >> v & 1]
-            whole = [sum(1 << v for v in c) for k in range(2, len(vs) + 1)
-                     for c in combinations(vs, k) if _biconnected(g, c)]
-            maximal = {m for m in whole if not any(m != o and m & o == m for o in whole)}
-            blocks = upper_bounds._blocks(g.rows, comp)
-            assert len(blocks) == len(maximal) and set(blocks) == maximal
-            checked += len(blocks) > 1
-        assert checked > 20
+    def test_cliques_iff_alpha_is_the_cover_number(self):
+        # on random graphs of up to 7 vertices, against enumeration: the
+        # cliques come exactly where alpha = chi-bar, alpha of them, and
+        # they partition the vertices.  Every perfect graph has them, and
+        # so do some imperfect ones, such as C5 with a pendant vertex
+        rng = random.Random(193)
+        pendant = graph_from_edges(6, [*cycle_graph(5).edges(), (0, 5)])
+        fixed = [cycle_graph(5), cycle_graph(7), Graph(7, complement_rows(cycle_graph(7)))]
+        uncovered = 0
+        for trial in range(200):
+            n = rng.randint(1, 7)
+            density = rng.choice((0.2, 0.5, 0.8))
+            g = fixed[trial] if trial < len(fixed) else graph_from_edges(
+                n, [e for e in combinations(range(n), 2) if rng.random() < density])
+            alpha = oracle_alpha(g)[0]
+            cliques = in_perfect_whitelist(g)
+            assert (cliques is not None) == (alpha == oracle_clique_cover(g))
+            if cliques is None:
+                assert not oracle_perfect(g)
+                uncovered += 1
+                continue
+            members = [[v for v in range(g.n_vertices) if c >> v & 1] for c in cliques]
+            assert len(cliques) == alpha
+            assert sorted(v for c in members for v in c) == list(range(g.n_vertices))
+            assert all(g.has_edge(u, v) for c in members for u, v in combinations(c, 2))
+        assert uncovered > len(fixed)
+        assert len(in_perfect_whitelist(pendant)) == 3 and not oracle_perfect(pendant)
+        # a caller's alpha skips the alpha search, not the check
+        assert in_perfect_whitelist(pendant, alpha=3) == in_perfect_whitelist(pendant)
 
     def test_components_match_the_definition(self):
         # a graph on 5 or 6 vertices, where the smallest odd hole fits,
-        # beside a smaller one, against the definition; half the large ones
-        # start from a 5-cycle, so that some are imperfect
+        # beside a smaller one: alpha and chi-bar add over components, so
+        # the union has cliques iff each part has; half the large ones
+        # start from a 5-cycle, so that some have none
         rng = random.Random(181)
-        imperfect = 0
+        uncovered = 0
         cycle = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
         for trial in range(40):
             sizes = [rng.randint(5, 6), rng.randint(1, 4)]
             rng.shuffle(sizes)
-            edges, start = [], 0
+            edges, start, covered = [], 0, True
             for size in sizes:
                 ring = trial % 2 and size >= 5
-                edges += [(start + i, start + j) for i, j in combinations(range(size), 2)
-                          if ring and (i, j) in cycle or rng.random() < (0.2 if ring else 0.5)]
+                part = [(i, j) for i, j in combinations(range(size), 2)
+                        if ring and (i, j) in cycle or rng.random() < (0.2 if ring else 0.5)]
+                g = graph_from_edges(size, part)
+                covered = covered and oracle_alpha(g)[0] == oracle_clique_cover(g)
+                edges += [(start + i, start + j) for i, j in part]
                 start += size
             g = graph_from_edges(start, edges)
-            perfect = oracle_perfect(g)
-            assert in_perfect_whitelist(g) == perfect
-            imperfect += not perfect
-        assert imperfect > 0
+            assert (in_perfect_whitelist(g) is not None) == covered
+            uncovered += not covered
+        assert uncovered > 0
+
+    def test_a_long_path_with_the_callers_alpha(self):
+        # with alpha given no alpha search runs, so the cover search itself
+        # makes room for its one recursion level per vertex
+        path = path_graph(1100)
+        assert len(in_perfect_whitelist(path, alpha=550)) == 550
 
     def test_budget(self):
-        # the chorded 7 x 7 grid has millions of induced paths to rule out
+        # C65 has alpha 32 and no cover by 32 cliques, which only an
+        # exhaustive search rules out
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(_chorded_grid(7), budget=10_000)
+            in_perfect_whitelist(cycle_graph(65), budget=10_000)
         with pytest.raises(InputError):
             in_perfect_whitelist(cycle_graph(5), budget=0)
