@@ -28,7 +28,6 @@ from .graphs import (
     graph_from_edges,
     graph_from_json,
     independence_number,
-    is_independent,
     load_graph,
     sender_graph,
     strong_power,

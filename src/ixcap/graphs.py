@@ -346,17 +346,6 @@ def _closed_table(g: Graph) -> tuple[tuple[int, ...], ...]:
                  for a, row in enumerate(g.rows))
 
 
-def is_independent(g: Graph, vertices: Sequence[int]) -> bool:
-    vs = list(vertices)
-    for v in vs:
-        if not 0 <= v < g.n_vertices:
-            raise InputError(f"vertex {v} out of range")
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    return all(g.rows[v] & mask == 0 for v in vs)
-
-
 class _Found(Exception):
     """Internal signal: a search reached its target size or its node cap."""
 
@@ -687,21 +676,18 @@ def _meets_fewer(classes: list[int], rest: int, k: int) -> bool:
     return False
 
 
-def _cover_number(g: Graph, meter: _Meter, alpha: int | None = None) -> list[int]:
-    """A partition of g's vertices into the fewest cliques, as masks: its
-    length is g's clique cover number.
+def _clique_cover(g: Graph, k: int, meter: _Meter) -> list[int] | None:
+    """A partition of g's vertices into at most k cliques, as masks, or None
+    when g has none.
 
-    Backtracking for each k from alpha(g) up: vertices in index order join
-    an open clique whose members are all neighbours, or open the next one;
-    each placement is one node, charged to meter with the alpha search,
-    which runs only when ``alpha`` is not given."""
+    Backtracking: vertices in index order join an open clique whose members
+    are all neighbours, or open the next one while fewer than k are open;
+    each placement is one node, charged to meter."""
     n = g.n_vertices
     _ensure_recursion_headroom(n)  # place recurses once per vertex
-    if alpha is None:
-        alpha, _ = _CliqueSearch(_SearchCopy(g).rows, meter).maximum()
     cliques: list[int] = []
 
-    def place(v: int, k: int) -> bool:
+    def place(v: int) -> bool:
         if v == n:
             return True
         bit = 1 << v
@@ -712,17 +698,14 @@ def _cover_number(g: Graph, meter: _Meter, alpha: int | None = None) -> list[int
                 continue
             meter.charge(1, "clique cover search")
             cliques[c] |= bit
-            if place(v + 1, k):
+            if place(v + 1):
                 return True
             cliques[c] &= ~bit
             if not cliques[c]:
                 cliques.pop()
         return False
 
-    for k in range(max(alpha, 1), n):
-        if place(0, k):
-            return cliques
-    return [1 << v for v in range(n)]
+    return cliques if place(0) else None
 
 
 class _Bases(NamedTuple):
@@ -732,7 +715,8 @@ class _Bases(NamedTuple):
     #: L^n in ascending order, L the lexicographically least maximum
     #: independent set of I
     words: tuple[int, ...]
-    #: a minimum partition of H into cliques, as masks of letters
+    #: a minimum partition of H into cliques, as masks of letters: the
+    #: library's one minimum-cover search
     cliques: list[int]
     #: whether words is G's lexicographically least maximum independent set
     lex_least: bool
@@ -743,10 +727,14 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     table t: I = ``_sign_graph(t, 1)``, whose lexicographically least
     maximum independent set L gives L^n, and H = ``_sign_graph(t + t^T,
     1)``, partitioned into the fewest cliques, both searched on q vertices
-    and charged to meter; when I has H's rows, the cover search starts from
-    alpha(H) = |L| with no alpha search of its own.  No graph on X^n is
-    built.  I's witness pass settles none of G's vertices, so it leaves
-    the meter's ``settled`` as it was.
+    and charged to meter.  The minimum cover is the first k from alpha(H)
+    up for which ``_clique_cover`` finds a partition into k cliques, else
+    H's q singletons; alpha(H) is |L| when I has H's rows, and otherwise
+    comes from a search of H's copy with no witness pass.  This loop is
+    the only minimum-cover search: ``upper_bounds.in_perfect_whitelist``
+    asks only whether alpha cliques suffice, under a node cap.  No graph
+    on X^n is built.  I's witness pass settles none of G's vertices, so it
+    leaves the meter's ``settled`` as it was.
 
     The rule: when I has H's rows and alpha(I) = |L| is H's clique cover
     number c, alpha(G) = c^n and L^n is G's lexicographically least maximum
@@ -782,8 +770,14 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     _, iset = _alpha(i, meter)
     meter.settled = settled
     same = i.rows == h.rows
-    cliques = _cover_number(h, meter, len(iset) if same else None)
-    return _Bases(_product_words(iset, len(t), n), cliques,
+    q = len(t)
+    alpha_h = len(iset) if same else _CliqueSearch(_SearchCopy(h).rows, meter).maximum()[0]
+    for k in range(alpha_h, q):
+        if (cliques := _clique_cover(h, k, meter)) is not None:
+            break
+    else:
+        cliques = [1 << v for v in range(q)]
+    return _Bases(_product_words(iset, q, n), cliques,
                   same and len(iset) == len(cliques))
 
 

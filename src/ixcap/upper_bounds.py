@@ -16,10 +16,11 @@ partition into alpha(G_s^Sym) cliques (``in_perfect_whitelist``).  By
 Lovasz's sandwich alpha <= theta <= chi-bar, the clique cover number
 (Lovasz 1979), such a partition pins theta at the integer alpha(G_s^Sym),
 which the bracket's own memo of alpha searches holds; every perfect graph
-has one.  On a regular G_s^Sym with none found, ``theta._regular_theta``
-may pin theta within tol/2 by an eigenvalue pair that an exact elimination
-accepts, with no tol added; the semidefinite solver runs only where
-neither settles it, giving theta + tol.  Closures compare the integers of
+has one.  Its search asks only whether alpha cliques suffice, and never
+goes on to chi-bar.  On a regular G_s^Sym with none found,
+``theta._regular_theta`` may pin theta within tol/2 by an eigenvalue pair
+that an exact elimination accepts, with no tol added; the semidefinite
+solver runs only where neither settles it, giving theta + tol.  Closures compare the integers of
 the certificates, never floats (``_integer_closure``), and each bracket
 stops at the first blocklength that closes.
 """
@@ -33,9 +34,8 @@ from .errors import BudgetExceededError, CapExceededError, ConvergenceError, Inp
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
-    _alpha,
     _bits,
-    _cover_number,
+    _clique_cover,
     _Meter,
     confusability_graph,
     independence_number,
@@ -48,9 +48,10 @@ from .theta import _regular_theta, lovasz_theta
 from .utility import UtilityMatrix, sequence_labels, utility_from_graph
 
 #: most nodes of the search for a partition of G_s^Sym into alpha cliques,
-#: whether or not a closure needs it: proving that none exists is
-#: exponential (C65 has alpha 32 and no cover by 32 cliques).  A node cost
-#: 2.2-5.3 us on C33 and C65 (Intel Xeon), so the cap stops within 0.6 s
+#: whether or not a closure needs it; the search stops at k = alpha, with
+#: no cover number.  Proving that no such partition exists is exponential
+#: (C65 has alpha 32 and no cover by 32 cliques).  A node cost 2.2-5.3 us
+#: on C33 and C65 (Intel Xeon), so the cap stops within 0.6 s
 SHORTCUT_NODE_BUDGET = 10**5
 
 
@@ -67,8 +68,8 @@ def is_two_valued_a_ge_b(U: UtilityMatrix) -> bool:
     return hi > 0 > lo and hi >= -lo
 
 
-def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
-                         alpha: int | None = None) -> list[int] | None:
+def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET, *,
+                         alpha: int) -> list[int] | None:
     """A partition of g's vertices into alpha(g) cliques, as masks, or None
     when g has none (the name of the perfectness test it replaced is kept
     for the benchmark's per-layer metrics).
@@ -78,17 +79,15 @@ def in_perfect_whitelist(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     1956; Lovasz 1979).  Every perfect graph has one, and so do some
     imperfect ones, such as C5 with a pendant vertex.  A reader checks the
     upper bound in O(q^2): the cliques partition the vertices and each is a
-    clique, so theta is at most their number.  ``alpha`` is alpha(g) if
-    the caller holds it; otherwise an alpha search runs first, charged to
-    the same meter.  The cover search is ``graphs._cover_number``, one node
-    per vertex placed.  Raises BudgetExceededError beyond ``budget`` nodes,
-    and InputError if the budget is below 1.
+    clique, so theta is at most their number.  ``alpha`` is alpha(g),
+    which the caller holds.  The one search is ``graphs._clique_cover`` at
+    k = alpha, one node per vertex placed: a partition into at most alpha
+    cliques has exactly alpha, since an independent set meets each clique
+    at most once.  It does not go on to g's clique cover number, which only
+    ``graphs._letter_bases`` searches for.  Raises BudgetExceededError
+    beyond ``budget`` nodes, and InputError if the budget is below 1.
     """
-    meter = _Meter(budget)
-    if alpha is None:
-        alpha, _ = _alpha(g, meter)
-    cliques = _cover_number(g, meter, alpha)
-    return cliques if len(cliques) == alpha else None
+    return _clique_cover(g, alpha, _Meter(budget))
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,9 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     Gamma's subset search, whose largest feasible subset found so far stays
     a candidate, flagged not optimal in its record.  The cover search runs
     within at most ``SHORTCUT_NODE_BUDGET`` nodes, whether or not a closure
-    needs it; one that runs out counts as none found, with a warning only
-    where the perfect-graph closure needed it.  The result carries the
+    needs it, and asks only whether alpha(G_s^Sym) cliques suffice; one
+    that runs out counts as none found, with a warning only where the
+    perfect-graph closure needed it.  The result carries the
     records of the n run (alpha(G_s^n) and its witness; Gamma(U_n) with its
     subset, optimality and alpha(G_s^Sym,n); or the skip message) and
     theta(G_s^Sym).  At n_max = 2 and q <= 7 its alpha searches run on at
@@ -290,7 +290,7 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
             else:
                 try:
                     cliques = in_perfect_whitelist(
-                        sym_graph, min(node_budget, SHORTCUT_NODE_BUDGET), alpha_sym)
+                        sym_graph, min(node_budget, SHORTCUT_NODE_BUDGET), alpha=alpha_sym)
                 except BudgetExceededError as exc:
                     skipped = exc
             if cliques is not None:

@@ -16,6 +16,7 @@ import pytest
 import ixcap.graphs
 from ixcap.channel import make_channel
 from ixcap.cli import corpus_path
+from ixcap.errors import InputError
 from ixcap.game import DOMINATED, expected_block_utility
 from ixcap.graphs import Graph, graph_from_edges
 from ixcap.utility import (
@@ -70,6 +71,19 @@ def empty_graph(n: int) -> Graph:
 
 def edge_count(g: Graph) -> int:
     return sum(r.bit_count() for r in g.rows) // 2
+
+
+def is_independent(g: Graph, vertices) -> bool:
+    """Whether no two of the vertices are adjacent in g; InputError for a
+    vertex out of range."""
+    vs = list(vertices)
+    for v in vs:
+        if not 0 <= v < g.n_vertices:
+            raise InputError(f"vertex {v} out of range")
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return all(g.rows[v] & mask == 0 for v in vs)
 
 
 def complement_rows(g: Graph) -> tuple[int, ...]:
@@ -248,24 +262,24 @@ def oracle_perfect(graph) -> bool:
 
 def oracle_clique_cover(graph) -> int:
     """Fewest blocks over every set partition of the vertices whose blocks
-    are all cliques, by enumerating the partitions."""
+    are all cliques, by enumerating those partitions: a vertex joins each
+    block that it is adjacent to all of, or opens a new one."""
     n = graph.n_vertices
 
     def partitions(v, blocks):
         if v == n:
-            yield [list(b) for b in blocks]
+            yield len(blocks)
             return
         for block in blocks:
-            block.append(v)
-            yield from partitions(v + 1, blocks)
-            block.pop()
+            if all(graph.has_edge(u, v) for u in block):
+                block.append(v)
+                yield from partitions(v + 1, blocks)
+                block.pop()
         blocks.append([v])
         yield from partitions(v + 1, blocks)
         blocks.pop()
 
-    return min((len(p) for p in partitions(0, [])
-                if all(graph.has_edge(a, b) for block in p
-                       for a, b in combinations(block, 2))), default=0)
+    return min(partitions(0, []))
 
 
 def oracle_symmetric_graph(U: UtilityMatrix) -> Graph:

@@ -34,16 +34,17 @@ CYCLIC = utility_from_json({"utility": [[0, -1, 0], [0, 0, -1], [-1, 0, 0]]})
 @pytest.mark.parametrize("search, budget, answer", [
     (lambda b: independence_number(sender_graph(PENTAGON, 2), b)[0], 27, 5),
     (lambda b: independence_number(sender_graph(U7, 3), b)[0], 17, 64),
-    (lambda b: in_perfect_whitelist(cycle_graph(7), b), 24, None),
-    (lambda b: in_perfect_whitelist(C9_COMPLEMENT, b), 19, None),
+    (lambda b: in_perfect_whitelist(cycle_graph(7), b, alpha=3), 14, None),
+    (lambda b: in_perfect_whitelist(C9_COMPLEMENT, b, alpha=2), 8, None),
 ], ids=["alpha-pentagon-2", "alpha-U7-3-base", "perfect-C7", "perfect-C9-complement"])
 def test_smallest_budget(search, budget, answer):
     # every node a search spends is pinned: one node fewer runs out.
     # alpha-U7-3-base took 21 nodes while the cover search of its H, which
     # has the rows of I, ran an alpha search of its own.  The perfect-
-    # cases took 5 and 57 path nodes of the perfectness test; they now
-    # take an alpha search and a cover search, which proves that no alpha
-    # cliques cover C7 (alpha 3) or C9's complement (alpha 2)
+    # cases took 5 and 57 path nodes of the perfectness test, then 24 and
+    # 19 for an alpha search and a cover search from k = alpha up.  With
+    # alpha given, they take one cover search at k = alpha, which proves
+    # that no alpha cliques cover C7 (alpha 3) or C9's complement (alpha 2)
     assert search(budget) == answer
     with pytest.raises(BudgetExceededError):
         search(budget - 1)

@@ -22,6 +22,7 @@ import ixcap.graphs
 import ixcap.utility
 from conftest import (
     LEX_COUNTEREXAMPLE,
+    is_independent,
     oracle_alpha,
     oracle_letter_rule,
     oracle_lex_least_mis,
@@ -55,7 +56,6 @@ from ixcap.graphs import (
     cycle_graph,
     graph_from_edges,
     independence_number,
-    is_independent,
     sender_graph,
 )
 from ixcap.utility import (

@@ -18,6 +18,7 @@ from conftest import (
     complete_graph,
     edge_count,
     empty_graph,
+    is_independent,
     oracle_alpha,
     oracle_clique_cover,
     oracle_letter_rule,
@@ -42,7 +43,6 @@ from ixcap.graphs import (
     graph_from_json,
     load_graph,
     independence_number,
-    is_independent,
     sender_graph,
     strong_power,
     strong_product,
@@ -428,31 +428,39 @@ def search_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
-def cover_number(g, budget=10**6):
-    """g's clique cover number, after checking that the partition the cover
-    search returns is one into that many cliques."""
-    cliques = ixcap.graphs._cover_number(g, ixcap.graphs._Meter(budget))
-    assert sum(cliques) == (1 << g.n_vertices) - 1
-    assert sum(c.bit_count() for c in cliques) == g.n_vertices
-    assert all(c & ~(g.rows[v] | 1 << v) == 0 for c in cliques for v in ixcap.graphs._bits(c))
-    return len(cliques)
+def clique_cover(g, k, budget=10**6):
+    """The cover search's answer for g and k, after checking that a
+    partition it returns is one of g's vertices into at most k cliques."""
+    cliques = ixcap.graphs._clique_cover(g, k, ixcap.graphs._Meter(budget))
+    if cliques is not None:
+        assert len(cliques) <= k
+        assert sum(cliques) == (1 << g.n_vertices) - 1
+        assert sum(c.bit_count() for c in cliques) == g.n_vertices
+        assert all(c & ~(g.rows[v] | 1 << v) == 0
+                   for c in cliques for v in ixcap.graphs._bits(c))
+    return cliques
 
 
 class TestCliqueCover:
     def test_matches_partition_oracle_on_every_small_graph(self):
-        for n in range(6):
+        # a partition into at most k cliques exists exactly when k is at
+        # least the clique cover number, on every graph of <= 6 vertices
+        for n in range(7):
             for g in all_graphs(n):
-                assert cover_number(g) == oracle_clique_cover(g)
+                cover = oracle_clique_cover(g)
+                for k in range(n + 1):
+                    assert (clique_cover(g, k) is not None) == (k >= cover)
 
     def test_beats_the_greedy_colour_count(self):
         # the base of the q = 7 cube below: greedy colouring of its
         # complement in index order needs 5 classes, the cover number is 4
         g = graph_from_edges(7, [(0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (2, 6), (3, 4)])
-        assert cover_number(g) == 4 == independence_number(g)[0]
+        assert clique_cover(g, 3) is None
+        assert len(clique_cover(g, 4)) == 4 == independence_number(g)[0]
 
     def test_charged_to_the_node_budget(self):
         with pytest.raises(BudgetExceededError):
-            cover_number(cycle_graph(7), budget=3)
+            clique_cover(cycle_graph(7), 4, budget=3)
 
 
 @pytest.fixture(params=["own order", "degree order"])
@@ -764,10 +772,14 @@ class TestBlockSandwich:
     def test_seed_above_its_ceiling_is_a_verification_error(self, monkeypatch):
         # no table can give it, since G_s^Sym is a subgraph of G_s and
         # alpha(G_s) <= alpha(G_s^Sym) <= its cover number; a faulty cover
-        # search can, and the check refuses its ceiling 1 below |I^3| = 64
-        monkeypatch.setattr(ixcap.graphs, "_cover_number",
-                            lambda g, meter, *alpha: [(1 << g.n_vertices) - 1])
-        g = lettered(64, empty_graph(64).rows, edgeless_table(4), 3)
+        # search can, and the check refuses its ceiling 1 below |I^3| = 27.
+        # Letters 0 and 1 are adjacent, so alpha(H) = 3 is below q = 4 and
+        # the minimum cover is searched
+        monkeypatch.setattr(ixcap.graphs, "_clique_cover",
+                            lambda g, k, meter: [(1 << g.n_vertices) - 1])
+        table = edgeless_table(4)
+        table[0][1] = table[1][0] = 0
+        g = lettered(64, empty_graph(64).rows, table, 3)
         with pytest.raises(VerificationError, match="above its ceiling"):
             independence_number(g)
 

@@ -128,13 +128,19 @@ def _call_sites(path: Path, name: str) -> list[tuple[str, ...]]:
 def test_the_bracket_reads_every_alpha_from_its_one_memo():
     # every alpha the bracket reads, the upper side's included, comes from
     # xi_bracket's memo alpha_of, and theta is solved, or pinned by its
-    # eigenvalues, at one site each
+    # eigenvalues, at one site each; the clique certificate takes its alpha
+    # from the caller and runs no alpha search of its own
     path = SRC / "upper_bounds.py"
     assert _call_sites(path, "independence_number") == [("xi_bracket", "alpha_of")]
+    assert "_alpha" not in _names_from(path, "graphs")
+    assert _call_sites(path, "_alpha") == []
+    assert _call_sites(path, "_clique_cover") == [("in_perfect_whitelist",)]
     assert _call_sites(path, "lovasz_theta") == [("xi_bracket",)]
     assert _call_sites(path, "_regular_theta") == [("xi_bracket",)]
     # the check sees a call where one is: ixcap alpha searches a file graph
     assert ("cmd_alpha",) in _call_sites(SRC / "cli.py", "independence_number")
+    assert "_alpha" in _names_from(SRC / "lower_bounds.py", "graphs")
+    assert _call_sites(SRC / "lower_bounds.py", "_alpha")
 
 
 def _names_from(path: Path, module: str) -> set[str]:
@@ -215,9 +221,11 @@ def _read_names(path: Path) -> set[str]:
 def test_every_public_graph_function_has_a_reader_outside_the_tests():
     # a library module, perfbench or a per-layer metric of BENCHMARK.json
     # reads each one; a helper that only the tests call lives in
-    # tests/conftest.py
+    # tests/conftest.py.  The package's __init__ only re-exports, so its
+    # import is no reader
     readers = set()
-    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+    modules = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    for path in [*modules, *(ROOT / "perfbench").glob("*.py")]:
         readers |= _read_names(path)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     readers |= {m["name"].split(".")[1] for m in spec["per_layer"]
@@ -228,3 +236,5 @@ def test_every_public_graph_function_has_a_reader_outside_the_tests():
     # the check sees an unread name where one is: the tests' own graphs
     assert {"path_graph", "edge_count"} <= set(_public_functions(ROOT / "tests" / "conftest.py"))
     assert not {"path_graph", "edge_count"} & readers
+    # and a re-export is left out, though __init__ names it
+    assert {"independence_number", "sender_graph"} <= _read_names(SRC / "__init__.py")

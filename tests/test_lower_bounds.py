@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import (
+    is_independent,
     oracle_block_sums,
     oracle_feasible,
     oracle_feasible_by_walks,
@@ -23,7 +24,6 @@ from ixcap.errors import BudgetExceededError, InputError
 from ixcap.graphs import (
     _Meter,
     independence_number,
-    is_independent,
     sender_graph,
     symmetric_sender_graph,
 )

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from collections import Counter
@@ -37,6 +38,7 @@ from ixcap.graphs import (
     symmetric_sender_graph,
 )
 from ixcap import graphs, lower_bounds, upper_bounds
+from ixcap.cli import main
 from ixcap.lower_bounds import gamma_n
 from ixcap.theta import lovasz_theta
 from ixcap.upper_bounds import (
@@ -386,9 +388,9 @@ class TestXiBracket:
         assert oracle_clique_certificate(U, b.upper_certificate, alpha)
         # one node per vertex: one fewer runs out
         grid = _chorded_grid(side)
-        assert len(in_perfect_whitelist(grid, side * side, alpha)) == alpha
+        assert len(in_perfect_whitelist(grid, side * side, alpha=alpha)) == alpha
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(grid, side * side - 1, alpha)
+            in_perfect_whitelist(grid, side * side - 1, alpha=alpha)
 
     def test_kneser_graph_closes_on_its_cover(self):
         # K(6, 2), the 2-sets of 6 letters joined when disjoint, is regular
@@ -739,9 +741,43 @@ class TestAsymptoticRateBracket:
         assert (b.exact.base, b.exact.root) == (3, 1)
 
 
+def _whitelist(g: Graph):
+    """``in_perfect_whitelist`` on g, with g's alpha from the oracle."""
+    return in_perfect_whitelist(g, alpha=oracle_alpha(g)[0])
+
+
+# a graph with alpha 5 and no cover by 5 cliques, refuted in 3156 nodes,
+# whose cover number lies beyond 10^5 nodes of a search from k = 5 up
+G24 = Graph(24, tuple(int(r, 16) for r in (
+    "12ea6e 4d2cb1 2c2381 d04ed1 d9ab2a 678a13 87df89 17384e 713654 8e017d afe94a "
+    "c4e4fb c1e1c0 425d97 abc49 ac5c71 6015f2 4866e1 808ee6 f2c616 680199 198524 "
+    "1b393a c9e58").split()))
+
+
 class TestPerfectWhitelist:
     def test_pentagon_is_not_whitelisted(self):
-        assert not in_perfect_whitelist(cycle_graph(5))
+        assert not in_perfect_whitelist(cycle_graph(5), alpha=2)
+
+    def test_a_refuted_cover_stops_at_alpha(self, tmp_path, capsys):
+        # the search answers whether alpha cliques suffice and goes on to
+        # no cover number; a search for G24's cover number runs out at 10^5
+        # nodes, and skipped the perfect-graph closure with a warning that
+        # made ixcap analyze exit 2 on the same bracket
+        assert independence_number(G24)[0] == 5
+        assert in_perfect_whitelist(G24, 3156, alpha=5) is None
+        with pytest.raises(BudgetExceededError):
+            in_perfect_whitelist(G24, 3155, alpha=5)
+        U = utility_from_graph(G24)
+        b = xi_bracket(U, n_max=1)
+        assert b.warnings == ()
+        assert (b.lower, b.exact) == (5.0, None)
+        assert b.upper_certificate["name"] == "theta_symmetric_part"
+        assert b.upper == b.theta_sym + b.tol
+        assert 5 < b.theta_sym < 5.5
+        path = tmp_path / "g24.json"
+        path.write_text(json.dumps(U.to_json_dict()))
+        assert main(["analyze", "--utility", str(path), "--max-n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["budget_exceeded"] is False
 
     @pytest.mark.parametrize("graph", [
         cycle_graph(4), path_graph(4), complete_graph(4), cycle_graph(6),
@@ -749,7 +785,7 @@ class TestPerfectWhitelist:
         graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (4, 6)]),
     ], ids=["C4", "P4", "K4", "C6", "C4+K3"])
     def test_small_perfect_graphs(self, graph):
-        cliques = in_perfect_whitelist(graph)
+        cliques = _whitelist(graph)
         assert len(cliques) == oracle_alpha(graph)[0]
         assert oracle_perfect(graph)
 
@@ -762,7 +798,7 @@ class TestPerfectWhitelist:
             for mask in range(1 << len(pairs)):
                 g = graph_from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
                 perfect = oracle_perfect(g)
-                assert (in_perfect_whitelist(g) is not None) == perfect
+                assert (_whitelist(g) is not None) == perfect
                 if not perfect:
                     imperfect.append(g)
         # the only imperfect graphs up to 5 vertices are the 12 labelled C5s,
@@ -780,20 +816,19 @@ class TestPerfectWhitelist:
                               *((i, i + 5) for i in range(5))]),
     ], ids=["C7", "C7-complement", "Petersen"])
     def test_odd_holes_and_antiholes(self, graph):
-        assert not in_perfect_whitelist(graph)
+        assert not _whitelist(graph)
         assert not oracle_perfect(graph)
 
     @pytest.mark.parametrize("side", [7, 8])
     def test_bipartite_and_cobipartite_need_no_path_search(self, side):
         # the 8 x 8 grid has over 10**7 induced paths to rule out, while its
         # cover by alpha cliques, and its complement's, places each vertex
-        # once, after an alpha search of at most side * side nodes.  The
-        # grid's alpha is a colour class of its chessboard colouring, its
-        # complement's an edge
+        # once, within 2 * side * side nodes.  The grid's alpha is a colour
+        # class of its chessboard colouring, its complement's an edge
         grid = _grid_graph(side)
         for g, alpha in ((grid, (side * side + 1) // 2),
                          (Graph(side * side, complement_rows(grid)), 2)):
-            assert len(in_perfect_whitelist(g, budget=2 * side * side)) == alpha
+            assert len(in_perfect_whitelist(g, budget=2 * side * side, alpha=alpha)) == alpha
 
     def test_cliques_iff_alpha_is_the_cover_number(self):
         # on random graphs of up to 7 vertices, against enumeration: the
@@ -810,7 +845,7 @@ class TestPerfectWhitelist:
             g = fixed[trial] if trial < len(fixed) else graph_from_edges(
                 n, [e for e in combinations(range(n), 2) if rng.random() < density])
             alpha = oracle_alpha(g)[0]
-            cliques = in_perfect_whitelist(g)
+            cliques = in_perfect_whitelist(g, alpha=alpha)
             assert (cliques is not None) == (alpha == oracle_clique_cover(g))
             if cliques is None:
                 assert not oracle_perfect(g)
@@ -821,9 +856,7 @@ class TestPerfectWhitelist:
             assert sorted(v for c in members for v in c) == list(range(g.n_vertices))
             assert all(g.has_edge(u, v) for c in members for u, v in combinations(c, 2))
         assert uncovered > len(fixed)
-        assert len(in_perfect_whitelist(pendant)) == 3 and not oracle_perfect(pendant)
-        # a caller's alpha skips the alpha search, not the check
-        assert in_perfect_whitelist(pendant, alpha=3) == in_perfect_whitelist(pendant)
+        assert len(in_perfect_whitelist(pendant, alpha=3)) == 3 and not oracle_perfect(pendant)
 
     def test_components_match_the_definition(self):
         # a graph on 5 or 6 vertices, where the smallest odd hole fits,
@@ -846,13 +879,13 @@ class TestPerfectWhitelist:
                 edges += [(start + i, start + j) for i, j in part]
                 start += size
             g = graph_from_edges(start, edges)
-            assert (in_perfect_whitelist(g) is not None) == covered
+            assert (_whitelist(g) is not None) == covered
             uncovered += not covered
         assert uncovered > 0
 
     def test_a_long_path_with_the_callers_alpha(self):
-        # with alpha given no alpha search runs, so the cover search itself
-        # makes room for its one recursion level per vertex
+        # the cover search makes room for its one recursion level per
+        # vertex
         path = path_graph(1100)
         assert len(in_perfect_whitelist(path, alpha=550)) == 550
 
@@ -860,6 +893,6 @@ class TestPerfectWhitelist:
         # C65 has alpha 32 and no cover by 32 cliques, which only an
         # exhaustive search rules out
         with pytest.raises(BudgetExceededError):
-            in_perfect_whitelist(cycle_graph(65), budget=10_000)
+            in_perfect_whitelist(cycle_graph(65), budget=10_000, alpha=32)
         with pytest.raises(InputError):
-            in_perfect_whitelist(cycle_graph(5), budget=0)
+            in_perfect_whitelist(cycle_graph(5), budget=0, alpha=2)
