@@ -25,7 +25,8 @@ graph at n = 1 is searched as loaded.
 Exit codes: 0 success, 1 invalid input (a usage error included) or a failed
 internal verification, 2 resource budget exceeded, 3 corpus golden mismatch.
 On exit 2, ``analyze`` and ``capacity`` still write their report, with each
-skipped search named in its warnings, and ``gamma`` writes its report with
+search skipped or cut short for its budget named in its warnings (a cut-short
+Gamma(U_n) search with the size it kept), and ``gamma`` writes its report with
 the largest feasible subset found, its certificate flagged not optimal; the
 other commands write none.
 """
@@ -111,9 +112,9 @@ def _write_output(payload: dict, out, text: str | None = None):
 
 
 def _bracket_exit(bracket) -> int:
-    """EXIT_BUDGET when a search skipped for its budget leaves the bracket
-    open.  The skip stays in the report, but an exact value needs no more,
-    so it fails no run."""
+    """EXIT_BUDGET when a search skipped or cut short for its budget leaves
+    the bracket open.  Its warning stays in the report, but an exact value
+    needs no more, so it fails no run."""
     return EXIT_BUDGET if bracket.warnings and bracket.exact is None else EXIT_OK
 
 

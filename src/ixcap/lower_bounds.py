@@ -16,13 +16,14 @@ budget, it returns the largest feasible subset found.  A feasible subset is
 independent in G_s^Sym,n, so it meets each clique of a clique partition at
 most once: a branch is cut when the open candidates split into too few
 cliques, by the greedy colouring of ``graphs._CliqueSearch`` on G_s^Sym,n's
-own rows, to lift its members past the largest subset found.  Once the
-canonical maximum independent set fails at n >= 2, the search also builds,
-when its (q**n)**3 cells fit one row block, a mask per ordered pair of words
-of the words that close a 3-cycle of sum >= 0 with them: every 3-member
-infeasible core.  Each child drops from its candidates the masks of its new
-vertex with every member, so no set of at most three members needs a test,
-and the clique cover sees only the words that can still join.  ``gamma`` is
+own rows, to lift its members past the largest subset found.  At n >= 2,
+while one row block holds its (q**n)**3 triple cells, the search sums one
+whole q**n x q**n table, and once the canonical maximum independent set
+fails it builds from it a mask per ordered pair of words of the words that
+close a 3-cycle of sum >= 0 with them: every 3-member infeasible core.
+Each child drops from its candidates the masks of its new vertex with
+every member, so no set of at most three members needs a test, and the
+clique cover sees only the words that can still join.  ``gamma`` is
 ``gamma_n`` at n = 1.  All arithmetic is exact, on the integer utilities a
 of ``UtilityMatrix.scaled_integer_entries``; G_s^Sym,n is
 ``graphs.symmetric_sender_graph``, signs of the letter sums of a + a^T.
@@ -53,16 +54,7 @@ from .graphs import (
     _plus_transpose,
     _sign_block,
 )
-from .utility import (UtilityMatrix, _block_sums, _expand_rows, _row_blocks, _sum_table,
-                      sequence_labels)
-
-#: most cells of a q**n x q**n block-sum table that the subset search reads
-#: whole; above it, its pair sums are added letter by letter.  On a 2-vCPU
-#: x86 VM, summing and listing 4096 cells takes 0.10 ms and 0.13 MB, the
-#: time of about 125 letter-summed pairs (a first test of 12 members reads
-#: 144), while at q = 3, n = 6 the table takes 12.6 ms and 17 MB, where a
-#: search settled by a small first set reads few pairs
-PAIR_TABLE_CELLS = 4096
+from .utility import UtilityMatrix, _expand_rows, _row_blocks, _sum_table, sequence_labels
 
 
 @dataclass(frozen=True)
@@ -187,20 +179,15 @@ def feasibility_report(U: UtilityMatrix, subset: Sequence[int]) -> dict:
     return report
 
 
-def _triple_masks(ints, n: int) -> list[tuple[int, ...]] | None:
+def _triple_masks(s: np.ndarray) -> list[tuple[int, ...]]:
     """masks[a][b], bit c set iff the words a, b, c of X^n are distinct
     and one of their two 3-cycles, a -> b -> c -> a or a -> c -> b -> a
-    (each word reported as the next), has utility sum >= 0; None when the
-    (q**n)**3 cells do not fit one ``_row_blocks`` block.
+    (each word reported as the next), has utility sum >= 0.
 
-    The cycle a -> b -> c -> a sums S[b, a] + S[c, b] + S[a, c], S the
-    pair sums of ``utility._expand_rows`` on the q x q integer table ints,
-    in a dtype that ``_sum_table`` keeps from overflowing for three of
-    them."""
-    nv = len(ints) ** n
-    if len(_row_blocks(nv * nv, nv)) > 1:
-        return None
-    s = _expand_rows(_sum_table(ints, 3 * n), n)
+    The cycle a -> b -> c -> a sums s[b, a] + s[c, b] + s[a, c], s the
+    whole pair-sum table of X^n that ``_largest_feasible`` holds, in the
+    dtype that ``_sum_table`` keeps from overflowing for three of them."""
+    nv = len(s)
     closes = s.T[:, :, None] + s.T[None, :, :] + s[:, None, :] >= 0
     closes |= closes.transpose(0, 2, 1)
     words = np.arange(nv)
@@ -227,18 +214,17 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     The members are feasible and all below the new vertex v, so only cores
     whose largest vertex is v can lie in the trial.
 
-    When the canonical set fails, ``_triple_masks`` gives, for each pair of
-    words, the words that close a 3-cycle of sum >= 0 with them, summed from
-    the letter table whichever source the pair sums come from, so both
-    sources prune alike.  A child's candidates lose G_s^Sym,n's neighbours
-    of its new vertex v, as before, and the mask of (v, m) for each member
-    m: every set in the child holds v and m, so none can hold a word of
-    that mask.  Every pair and triple of a set built this way is then
-    feasible, and sets of at most three members go untested (at most two
-    at n = 1, where the build costs more than the node or so it saves, or
-    when the masks would not fit one row block).  Only sets that contain an
-    infeasible triple leave the search, so the first largest set is
-    unchanged.
+    When the canonical set fails and the search holds the whole table,
+    ``_triple_masks`` gives from it, for each pair of words, the words
+    that close a 3-cycle of sum >= 0 with them.  A child's candidates
+    lose G_s^Sym,n's neighbours of its new vertex v, as before, and the
+    mask of (v, m) for each member m: every set in the child holds v and m,
+    so none can hold a word of that mask.  Every pair and triple of a set
+    built this way is then feasible, and sets of at most three members go
+    untested (at most two with no masks: at n = 1, where the build costs
+    more than the node or so it saves, and above the table's cut).  Only
+    sets that contain an infeasible triple leave the search, so the first
+    largest set is unchanged.
 
     Each branch is bounded by a clique cover of its open candidates in
     G_s^Sym,n: the greedy colouring of ``graphs._CliqueSearch`` on
@@ -258,23 +244,24 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
     Bellman-Ford rows, also when the masks make the test unneeded, so a
     budget buys the same trials either way; the cover and the masks charge
     none.  The members' k x k block sums grow by one row and one column per
-    trial.  At n = 1 they are the integer utility's own entries.  At n >= 2 they are read from the whole
-    block-sum table while it has at most ``PAIR_TABLE_CELLS`` cells, and
-    above that summed letter by letter from the q x q integer utility, so
-    no large q**n x q**n table is ever built.
+    trial: at n = 1 the integer utility's own entries, at n >= 2 the table
+    (in the type that holds three of its sums) while one ``_row_blocks``
+    block holds its triple cells, and above that sums of letters.
     """
-    rows, ceiling = sym_graph.rows, len(first)
-    cores: list[list[int]] = [[] for _ in range(sym_graph.n_vertices)]
+    rows, ceiling, nv = sym_graph.rows, len(first), sym_graph.n_vertices
+    cores: list[list[int]] = [[] for _ in range(nv)]
     best: tuple[int, ...] = ()
     meter.charge(ceiling * ceiling, f"feasibility test of {ceiling} members")
 
-    if n == 1 or U.q ** (2 * n) <= PAIR_TABLE_CELLS:
-        table = U.scaled_integer_entries[1] if n == 1 else _block_sums(U, n)[1].tolist()
+    ints = U.scaled_integer_entries[1]
+    table = (_expand_rows(_sum_table(ints, 3 * n), n)
+             if n > 1 and len(_row_blocks(nv * nv, nv)) == 1 else None)
+    if n == 1 or table is not None:
+        listed = ints if table is None else table.tolist()
 
         def pair(t: int, y: int) -> int:
-            return table[t][y]
+            return listed[t][y]
     else:
-        ints = U.scaled_integer_entries[1]
         words = list(product(range(U.q), repeat=n))
 
         def pair(t: int, y: int) -> int:
@@ -291,7 +278,7 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
         return first, True
 
     cover = _CliqueSearch(sym_graph.rows, meter)
-    triples = None if n == 1 else _triple_masks(U.scaled_integer_entries[1], n)
+    triples = None if table is None else _triple_masks(table)
     tested = 3 if triples is None else 4
 
     def search(members: list[int], sums: list[list[int]], mask: int, cand: int) -> bool:
@@ -326,7 +313,7 @@ def _largest_feasible(U: UtilityMatrix, n: int, sym_graph: Graph, first: tuple[i
 
     _ensure_recursion_headroom(ceiling)
     try:
-        search([], [], 0, (1 << sym_graph.n_vertices) - 1)
+        search([], [], 0, (1 << nv) - 1)
     except BudgetExceededError:
         if not best:
             raise

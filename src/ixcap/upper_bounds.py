@@ -200,7 +200,8 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     search at each n run.  A search that exhausts its budget drops its
     candidate, and the closure that needs it, with a warning, except
     Gamma's subset search, whose largest feasible subset found so far stays
-    a candidate, flagged not optimal in its record.  The cover search runs
+    a candidate, flagged not optimal in its record, with a warning that
+    names Gamma(U_n), the budget and the size kept.  The cover search runs
     within at most ``SHORTCUT_NODE_BUDGET`` nodes, whether or not a closure
     needs it, and asks only whether alpha(G_s^Sym) cliques suffice; one
     that runs out counts as none found, with a warning only where the
@@ -266,6 +267,9 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
                 value, gamma_cert = _gamma_n(U, n, sym, alpha_of(sym), node_budget)
                 gamma = (value, list(gamma_cert.labels), gamma_cert.optimal,
                          gamma_cert.alpha_sym)
+                if not gamma_cert.optimal:
+                    warnings.append(f"gamma(U_{n}) cut short: subset search exceeded "
+                                    f"{node_budget} nodes, keeping a feasible subset of {value}")
             except (BudgetExceededError, CapExceededError) as exc:
                 record["gamma_error"] = f"gamma(U_{n}) skipped: {exc}"
                 warnings.append(record["gamma_error"])

@@ -26,8 +26,8 @@ touch one to eight bytes a sum as the table needs; the public
 ``block_sums`` widens the same sums to int64, which its callers may add.
 ``_expand_rows`` only sums, and with no rows it sums the whole table.
 ``lower_bounds._largest_feasible`` reads its pair sums from the integer
-utility itself at n = 1, from the whole table while that is small, and
-adds letters in Python above that.
+utility itself at n = 1, from one whole table while one row block holds its
+triple sums, and adds letters in Python above that.
 ``block_utility`` is the Fraction reference definition, and
 ``block_utility_rows`` a Fraction view of the kernel; neither is on the
 library's own code paths.
@@ -36,10 +36,10 @@ Every table with a q**n-wide row per sequence of X^n (block sums, sign
 graphs, search copies, the noisy check's expected values) is built in the
 row blocks that ``_row_blocks`` alone cuts, and none has more than
 ``DEFAULT_VERTEX_CAP`` rows or columns: ``_check_cap`` refuses a larger
-X^n before any power or array is computed.  A q**n x k table with k <= 4,
-and the subset search's table of at most ``lower_bounds.PAIR_TABLE_CELLS``
-cells, are built whole, and its (q**n)**3 triple sums only when one row
-block holds them.  ``_read_json`` alone reads input files.
+X^n before any power or array is computed.  A q**n x k table with k <= 4
+is built whole, and the subset search's q**n x q**n table and its
+(q**n)**3 triple sums only when one row block holds the triples.
+``_read_json`` alone reads input files.
 """
 
 from __future__ import annotations
@@ -346,9 +346,10 @@ def _expand_rows(table: np.ndarray, n: int, rows=None) -> np.ndarray:
     whole q**n x q**n table, by Kronecker sums: one broadcast add per
     letter, the wide axis innermost, with no gather or range check, since
     every index is in range by construction.  It is the one n-fold pair-sum
-    kernel: the block sums, the sign graphs and the subset search's 3-cycle
-    sums (``lower_bounds._triple_masks``) all read it.  The table's dtype
-    carries through, so an object table sums in Python ints.
+    kernel: the block sums, the sign graphs and the subset search's pair
+    and 3-cycle sums (``lower_bounds._largest_feasible``) all read it.
+    The table's dtype carries through, so an object table sums in Python
+    ints.
     """
     q = table.shape[0]
     if rows is None:

@@ -8,16 +8,20 @@ blocklength's record keeps the order laws Gamma(U_n) >= alpha(G_s^n) and
 alpha(G_s^n) <= cover_number(G_s^Sym)^n.  The open classes are listed, as
 the targets of a stronger bound.  A seeded sample of 1500 of the 22 815
 classes of the q = 4 census, entries in {-1, 0, 1}, pins its certificate
-counts and keeps the same relations and order laws.
+counts and keeps the same relations and order laws.  A seeded sample of
+the q = 6-7 frontier, 30 of the benchmark's bracket structures in seed 1's
+disguises, pins each bracket at n_max = 2, open ones included.
 
 The graph census runs the graph utility of every graph on 5 and 6
 vertices, up to isomorphism, through the bracket, and a metamorphic check
 raises random utilities entrywise: neither lower bound may rise."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,10 @@ from ixcap.lower_bounds import gamma_n
 from ixcap.theta import lovasz_theta
 from ixcap.upper_bounds import xi_bracket
 from ixcap.utility import normalize_diagonal, utility_from_graph
+
+# workloads.py imports its sibling oracle.py as a top-level module
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 Q = 3
 CELLS = [(i, j) for i in range(Q) for j in range(Q) if i != j]
@@ -201,6 +209,70 @@ def test_q4_sample(census4_sample):
         for record in b.per_n:
             assert record["alpha_sender"] <= record["gamma"]
             assert record["alpha_sender"] <= cover ** record["n"]
+
+
+#: (q, k, lower, upper, exact base, lower and upper certificate, and
+#: (alpha(G_s^n), Gamma(U_n)) at each n run) of the k-th bracket structure
+#: on q letters, at root 1 wherever exact.  The 8 open ones are the
+#: frontier that ROADMAP item 9 lists: on 6 of them theta(G_s^Sym) =
+#: alpha(G_s^Sym), so only a bound below Theta(G_s^Sym) can close them
+FRONTIER = [
+    (6, 0, 3.0, 3.0, 3, 'alpha', 'perfect', [(3, 3)]),
+    (6, 1, 3.0, 3.0, 3, 'alpha', 'theta', [(3, 3)]),
+    (6, 2, 3.0, 3.0, 3, 'gamma', 'theta', [(2, 3)]),
+    (6, 3, 3.0, 3.0, 3, 'alpha', 'perfect', [(3, 3)]),
+    (6, 4, 3.0, 3.0, 3, 'alpha', 'theta', [(3, 3)]),
+    (6, 5, 3.0, 4.0, None, 'gamma', 'theta', [(2, 3), (6, 9)]),
+    (6, 6, 4.0, 4.0, 4, 'alpha', 'perfect', [(4, 4)]),
+    (6, 7, 3.162, 4.0, None, 'gamma', 'theta', [(2, 3), (6, 10)]),
+    (6, 8, 3.0, 3.0, 3, 'gamma', 'theta', [(2, 3)]),
+    (6, 9, 3.0, 3.0, 3, 'alpha', 'perfect', [(3, 3)]),
+    (6, 10, 3.0, 3.0, 3, 'gamma', 'theta', [(2, 3)]),
+    (6, 11, 4.0, 4.0, 4, 'gamma', 'theta', [(3, 4)]),
+    (6, 12, 4.0, 4.0, 4, 'alpha', 'perfect', [(4, 4)]),
+    (6, 13, 3.0, 3.0, 3, 'gamma', 'theta', [(2, 3)]),
+    (6, 14, 3.0, 4.0, None, 'alpha', 'theta', [(3, 3), (9, 9)]),
+    (7, 0, 3.0, 3.198, None, 'alpha', 'theta', [(3, 3), (9, 9)]),
+    (7, 1, 3.0, 3.0, 3, 'gamma', 'theta', [(2, 3)]),
+    (7, 2, 4.0, 4.0, 4, 'gamma', 'theta', [(3, 4)]),
+    (7, 3, 3.0, 3.0, 3, 'alpha', 'perfect', [(3, 3)]),
+    (7, 4, 4.0, 5.0, None, 'gamma', 'theta', [(2, 4), (7, 16)]),
+    (7, 5, 3.0, 3.0, 3, 'gamma', 'theta', [(2, 3)]),
+    (7, 6, 4.0, 4.0, 4, 'alpha', 'perfect', [(4, 4)]),
+    (7, 7, 3.0, 4.0, None, 'gamma', 'theta', [(2, 3), (6, 9)]),
+    (7, 8, 3.0, 5.0, None, 'gamma', 'theta', [(2, 3), (6, 9)]),
+    (7, 9, 2.0, 2.0, 2, 'alpha', 'perfect', [(2, 2)]),
+    (7, 10, 4.0, 4.0, 4, 'gamma', 'theta', [(2, 4)]),
+    (7, 11, 3.0, 3.0, 3, 'alpha', 'theta', [(3, 3)]),
+    (7, 12, 3.0, 3.238, None, 'alpha', 'theta', [(3, 3), (9, 9)]),
+    (7, 13, 4.0, 4.0, 4, 'gamma', 'theta', [(3, 4)]),
+    (7, 14, 3.0, 3.0, 3, 'alpha', 'theta', [(3, 3)]),
+]
+
+
+def test_q6_q7_frontier_sample():
+    # the structures of the benchmark's bracket workload, disguised by one
+    # stream as its seed 1 disguises them; each Gamma(U_2) search that
+    # runs is proved inside the default budget
+    rng = random.Random("bracket:1")
+    short = {"alpha_sender_power": "alpha", "gamma_blocklength": "gamma",
+             "perfect_graph_closure": "perfect", "theta_symmetric_part": "theta"}
+    got = []
+    for q in (6, 7):
+        for k in range(15):
+            structure = workloads._random_structure(workloads._master("bracket", q, k), q,
+                                                    k % 3 == 0)
+            b = xi_bracket(normalize_diagonal(workloads._disguise(structure, rng, True)),
+                           n_max=2)
+            assert not b.warnings and (b.exact is None or b.exact.root == 1)
+            for record in b.per_n:
+                assert record["gamma"] >= record["alpha_sender"] and record["gamma_optimal"]
+            got.append((q, k, round(b.lower, 3), round(b.upper, 3),
+                        b.exact.base if b.exact else None, short[b.lower_certificate["name"]],
+                        short[b.upper_certificate["name"]],
+                        [(r["alpha_sender"], r["gamma"]) for r in b.per_n]))
+    assert got == FRONTIER
+    assert sum(row[4] is None for row in got) == 8
 
 
 def canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:

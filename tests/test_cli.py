@@ -427,6 +427,31 @@ def test_a_skipped_search_does_not_fail_an_exact_bracket(tmp_path, budget):
     assert [w.split(":")[0] for w in report["bracket"]["warnings"]] == ["gamma(U_1) skipped"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "capacity"])
+def test_a_cut_short_gamma_search_warns(tmp_path, command):
+    # the open bracket input: at 160 nodes Gamma(U_2)'s subset search stops
+    # at the size-4 subset it holds, not proved optimal, and the bracket
+    # [2, 3] stays open, so the run warns and fails; at the default budget
+    # the search is proved and the run passes
+    utility = tmp_path / "open.json"
+    utility.write_text(json.dumps({"utility": [[0, "7/2", 0, -7], ["-14/3", 0, 7, "7/3"],
+                                               [-7, -21, 0, 7], [-7, "7/6", "7/4", 0]]}))
+    out = tmp_path / "report.json"
+    argv = [command, "--utility", str(utility), "--max-n", "2", "--out", str(out)]
+    assert main([*argv, "--budget-nodes", "160"]) == EXIT_BUDGET
+    report = json.loads(out.read_text())
+    assert report["bracket"]["warnings"] == [
+        "gamma(U_2) cut short: subset search exceeded 160 nodes, "
+        "keeping a feasible subset of 4"]
+    assert (report["bracket"]["lower"]["value"], report["bracket"]["upper"]["value"]) == (2, 3)
+    if command == "analyze":
+        assert report["budget_exceeded"]
+        assert [(r["gamma"], r["gamma_optimal"]) for r in report["per_n"]] == [
+            (2, True), (4, False)]
+    assert main(argv) == EXIT_OK
+    assert "warnings" not in json.loads(out.read_text())["bracket"]
+
+
 @pytest.mark.parametrize("name, budget", [
     ("example1", 5), ("example1_prime", 9), ("example2", 9), ("example3", 9)])
 def test_a_bracket_closed_at_1_needs_no_budget_for_2(tmp_path, name, budget):

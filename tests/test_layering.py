@@ -71,11 +71,23 @@ def _json_loads_calls(path: Path) -> int:
                and node.func.value.id == "json")
 
 
+def _module_constants(path: Path) -> set[str]:
+    """The names a source file assigns at module level."""
+    return {target.id for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)}
+
+
 def test_block_and_file_policies_live_in_utility():
-    # utility._row_blocks is the one reader of BLOCK_CELLS, and
-    # utility._read_json the one reader of input files
+    # utility._row_blocks is the one reader of BLOCK_CELLS, and no other
+    # module sizes a table by a *_CELLS rule of its own; utility._read_json
+    # is the one reader of input files
     modules = sorted(SRC.glob("*.py"))
     assert [p.name for p in modules if "BLOCK_CELLS" in _imported_names(p)] == []
+    assert {p.name: sorted(name for name in _module_constants(p) if name.endswith("_CELLS"))
+            for p in modules} == {p.name: ["BLOCK_CELLS"] if p.name == "utility.py" else []
+                                  for p in modules}
     assert [p.name for p in modules
             if _json_loads_calls(p) or "loads" in _imported_names(p)] == ["utility.py"]
 

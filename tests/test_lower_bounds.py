@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -37,7 +38,10 @@ from ixcap.lower_bounds import (
     is_feasible_O,
     sufficient_margin_check,
 )
+import ixcap.utility
 from ixcap.utility import (
+    _expand_rows,
+    _sum_table,
     block_sums,
     block_utility,
     block_utility_rows,
@@ -271,7 +275,8 @@ class TestGammaBlocklength:
         assert cert.optimal
 
     def test_peak_memory_stays_near_the_graph(self):
-        # above PAIR_TABLE_CELLS, candidates are summed letter by letter,
+        # above 161 words, where one row block no longer holds the triple
+        # cells, candidates are summed letter by letter,
         # never from a q**n x q**n table: at q=3, n=6 (729 sequences) the
         # peak stays within 1.5x that of building the symmetric-part sender
         # graph alone
@@ -435,6 +440,12 @@ class TestPinnedSubsetSearch:
         assert cert.subset == (0, 1, 4, 5, 16, 17, 20, 21)
 
 
+def _pair_table(U, n):
+    """The whole pair-sum table of X^n that the subset search holds, in
+    the type that adds three of its sums."""
+    return _expand_rows(_sum_table(U.scaled_integer_entries[1], 3 * n), n)
+
+
 def _cyclic_utility(rng, q):
     """Costly misreports, -3 to -1, except along one random cycle through
     every symbol, whose arcs gain 0 or 1: G_s^Sym,n's canonical set is
@@ -463,7 +474,7 @@ class TestTripleMasks:
         for trial in range(3):
             U = (random_utility, random_int_utility, _cyclic_utility)[trial](rng, q)
             rows = [[block_utility(U, t, y) for y in words] for t in words]
-            masks = _triple_masks(U.scaled_integer_entries[1], n)
+            masks = _triple_masks(_pair_table(U, n))
             pairs = (list(product(range(nv), repeat=2)) if nv <= 16 else
                      [(rng.randrange(nv), rng.randrange(nv)) for _ in range(200)])
             for a, b in pairs:
@@ -473,13 +484,66 @@ class TestTripleMasks:
                         or rows[c][a] + rows[b][c] + rows[a][b] >= 0))
                 assert masks[a][b] == expected
 
-    def test_masks_only_while_one_block_holds_them(self):
-        # 161**3 cells fit one block of 2**22, 162**3 do not
-        ints = ((0, -1), (-1, 0))
-        assert len(_triple_masks(ints, 7)) == 128
-        assert _triple_masks(ints, 8) is None
-        assert _triple_masks([[0 if i == j else -1 for j in range(162)]
-                              for i in range(162)], 1) is None
+    def test_masks_only_while_one_block_holds_them(self, monkeypatch):
+        # the search sums its whole table, and so can build the masks, only
+        # while one block of utility.BLOCK_CELLS cells holds the (q**n)**3
+        # triple cells: 128 words of 2**22, not 256, and 8 words of 8**3
+        # cells, not of one fewer; at n = 1 it reads the integer utility
+        tables, masks = [], []
+        expand, triple_masks = ixcap.lower_bounds._expand_rows, _triple_masks
+        monkeypatch.setattr(ixcap.lower_bounds, "_expand_rows",
+                            lambda table, n: tables.append(n) or expand(table, n))
+        monkeypatch.setattr(ixcap.lower_bounds, "_triple_masks",
+                            lambda s: masks.append(len(s)) or triple_masks(s))
+        U = utility_from_json({"utility": OPEN_BRACKET_INPUT})
+        edgeless = utility_from_json({"utility": [[0, -1], [-1, 0]]})
+        for V, n, cells, built in ((edgeless, 7, None, True), (edgeless, 8, None, False),
+                                   (U, 1, None, False), (edgeless, 3, 8**3, True),
+                                   (edgeless, 3, 8**3 - 1, False)):
+            tables.clear()
+            with monkeypatch.context() as patch:
+                if cells:
+                    patch.setattr(ixcap.utility, "BLOCK_CELLS", cells)
+                gamma_n(V, n)
+            assert tables == ([n] if built else [])
+        # the canonical set of each edgeless G_s^Sym,n is feasible, so no
+        # masks were built; the open input's fails at n = 2, so they are,
+        # from the table, and at n = 1 they are not
+        assert masks == []
+        for n, cells, built in ((2, None, True), (2, 16**3 - 1, False), (1, None, False)):
+            masks.clear()
+            with monkeypatch.context() as patch:
+                if cells:
+                    patch.setattr(ixcap.utility, "BLOCK_CELLS", cells)
+                assert gamma_n(U, n)[1].optimal
+            assert masks == ([4**n] if built else [])
+
+    def test_an_open_search_sums_one_table(self, monkeypatch):
+        # Gamma(U_2) on the open bracket input fails its canonical set, so
+        # the search reads its pair sums and builds its masks: both from
+        # one whole table of X^2, counted wherever the library sums one.
+        # Divided by 7, the input's entries reach 36, so its pair sums fit
+        # int8 and the masks' sums of three need the table in int16
+        U = utility_from_json({"utility": [[x // 7 for x in row] for row in OPEN_BRACKET_INPUT]})
+        sym = symmetric_sender_graph(U, 2)
+        _, first = independence_number(sym)
+        assert not oracle_feasible(oracle_block_sums(U, 2), first)
+        assert _sum_table(U.scaled_integer_entries[1], 2).dtype == np.int8
+        whole, dtypes = [], []
+        monkeypatch.setattr(ixcap.lower_bounds, "_triple_masks",
+                            lambda s: dtypes.append(s.dtype) or _triple_masks(s))
+
+        def counted(expand):
+            def expand_rows(table, n, rows=None):
+                if rows is None:
+                    whole.append(n)
+                return expand(table, n, rows)
+            return expand_rows
+
+        for module in (ixcap.utility, ixcap.lower_bounds):
+            monkeypatch.setattr(module, "_expand_rows", counted(module._expand_rows))
+        assert _largest_feasible(U, 2, sym, first, _Meter(10**6)) == ((0, 1, 4, 5), True)
+        assert whole == [2] and dtypes == [np.int16]
 
     def test_no_chain_test_below_four_members(self, monkeypatch):
         # the canonical set is tested first; inside the search every set of
@@ -508,7 +572,7 @@ class TestTripleMasks:
     def test_matches_the_enumeration_oracle_when_the_search_runs(self, q, n, monkeypatch):
         built = []
         monkeypatch.setattr(ixcap.lower_bounds, "_triple_masks",
-                            lambda ints, n: built.append(n) or _triple_masks(ints, n))
+                            lambda s: built.append(len(s)) or _triple_masks(s))
         rng = random.Random(179 + 10 * q + n)
         for trial in range(12):
             U = (random_int_utility, _cyclic_utility, random_utility)[trial % 3](rng, q)
@@ -590,65 +654,81 @@ class TestGammaBudget:
                 answered += self._check_spent(U, n, node_budget) is not None
         assert answered >= 8
 
+    @staticmethod
+    def _either_side_of_the_cut(monkeypatch, U, n, node_budget, cuts):
+        """(subset, optimal) or None, and the nodes spent, of the subset
+        search on U at n under ``utility.BLOCK_CELLS`` patched to each of
+        cuts, None leaving it as it is."""
+        sym = symmetric_sender_graph(U, n)
+        _, first = independence_number(sym)
+        outcomes = []
+        for cells in cuts:
+            with monkeypatch.context() as patch:
+                if cells is not None:
+                    patch.setattr(ixcap.utility, "BLOCK_CELLS", cells)
+                meter = _Meter(node_budget)
+                try:
+                    found = _largest_feasible(U, n, sym, first, meter)
+                except BudgetExceededError:
+                    found = None
+            outcomes.append((found, meter.spent))
+        return outcomes
+
     def test_pair_table_and_letter_sums_search_alike(self, monkeypatch):
-        # below PAIR_TABLE_CELLS the subset search reads its pair sums from
-        # the whole block-sum table, above it adds letters (at n = 1 both
-        # read the integer utility itself): the same subset,
-        # optimality flag and nodes spent, in budget and out of it.  A
-        # cycle of weakly profitable misreports among otherwise costly ones
+        # one block of utility.BLOCK_CELLS cells holds the nv**3 triple
+        # cells of nv words at nv**3 cells, not at one fewer: on that side
+        # the subset search reads its pair sums from the whole table and
+        # builds its masks, on the other it adds letters and builds none
+        # (at n = 1 both read the integer utility itself, with no masks).
+        # Both find the same first largest subset.  The letter side spends
+        # more nodes at n >= 2, since nothing prunes its triples, so out of
+        # budget the two may keep different subsets, each feasible and
+        # independent in G_s^Sym,n; at n = 1 they spend the same.  A cycle
+        # of weakly profitable misreports among otherwise costly ones
         # leaves G_s^Sym,n's canonical set infeasible, so the search runs
         rng = random.Random(131)
-
-        def cyclic(rng, q):
-            u = [[0 if i == j else rng.choice((-3, -2, -1)) for j in range(q)]
-                 for i in range(q)]
-            order = rng.sample(range(q), q)
-            for a, b in zip(order, order[1:] + order[:1]):
-                u[b][a] = rng.choice((0, 1))
-            return utility_from_json({"utility": u})
-
+        finished = 0
         for trial in range(18):
             q = rng.randint(2, 4)
-            U = (random_utility, random_int_utility, cyclic)[trial % 3](rng, q)
+            U = (random_utility, random_int_utility, _cyclic_utility)[trial % 3](rng, q)
             for n in (1, 2, 3):
-                sym = symmetric_sender_graph(U, n)
-                _, first = independence_number(sym)
+                nv = q**n
+                sums = oracle_block_sums(U, n)
+                sym = sender_graph(oracle_symmetric_part(U), n)
                 for node_budget in (30, 300, 10**4):
-                    outcomes = []
-                    for cells in (q ** (2 * n) - 1, q ** (2 * n)):
-                        monkeypatch.setattr(ixcap.lower_bounds, "PAIR_TABLE_CELLS", cells)
-                        meter = _Meter(node_budget)
-                        try:
-                            found = _largest_feasible(U, n, sym, first, meter)
-                        except BudgetExceededError:
-                            found = None
-                        outcomes.append((found, meter.spent))
-                    assert outcomes[0] == outcomes[1]
-
+                    (table, spent), (letters, letter_spent) = self._either_side_of_the_cut(
+                        monkeypatch, U, n, node_budget, (nv**3, nv**3 - 1))
+                    if n == 1:
+                        assert (table, spent) == (letters, letter_spent)
+                    for found in (table, letters):
+                        if found is not None:
+                            assert oracle_feasible_by_walks(sums, found[0])
+                            assert is_independent(sym, found[0])
+                    if table and letters and table[1] and letters[1]:
+                        assert table == letters
+                        finished += 1
+        assert finished >= 100
 
     def test_pair_sources_search_alike_above_64_words(self, monkeypatch):
-        # q = 3, n = 4: 81 words and 6561 table cells, above the 4096 the
-        # benchmark's inputs reach, so both pair sources are forced here;
-        # the budgets run past the canonical set's test into the search
-        rng = random.Random(181)
+        # q = 9, n = 2: 81 words, either side of the whole table's cut
+        # forced through utility.BLOCK_CELLS; and q = 15, n = 2: 225 words,
+        # above the 161 whose triples one block holds, so the search adds
+        # letters as it stands, against the whole table forced.  Each side
+        # proves the same first largest subset; the letter side, with no
+        # masks, spends more nodes
         searched = 0
-        for trial in range(4):
-            U = _cyclic_utility(rng, 3)
-            sym = symmetric_sender_graph(U, 4)
-            alpha_sym, first = independence_number(sym)
-            for extra in (40, 400, 4000):
-                outcomes = []
-                for cells in (3**8 - 1, 3**8):
-                    monkeypatch.setattr(ixcap.lower_bounds, "PAIR_TABLE_CELLS", cells)
-                    meter = _Meter(alpha_sym**2 + extra)
-                    try:
-                        found = _largest_feasible(U, 4, sym, first, meter)
-                    except BudgetExceededError:
-                        found = None
-                    outcomes.append((found, meter.spent))
-                assert outcomes[0] == outcomes[1]
-                searched += outcomes[0][0] is not None and outcomes[0][0][0] != first
-        assert searched
+        for q, seed, draws, cuts in ((9, 210, 4, (81**3, 81**3 - 1)),
+                                     (15, 208, 1, (225**3, None))):
+            rng = random.Random(seed)
+            for _ in range(draws):
+                U = random_utility(rng, q)
+                _, first = independence_number(symmetric_sender_graph(U, 2))
+                (table, spent), (letters, letter_spent) = self._either_side_of_the_cut(
+                    monkeypatch, U, 2, 10**6, cuts)
+                assert table[1] and table == letters
+                assert spent <= letter_spent
+                searched += table[0] != first
+        assert searched == 3
 
 
 class TestTypeClassLift:

@@ -235,7 +235,8 @@ def check_types_at_bound(top: int, narrow, wide, n: int):
                                                [big, -big + 1, 0]]})
             ints = [[int(v) for v in row] for row in oracle_block_sums(U, n)]
             if per_sum == 3 * n:
-                masks = _triple_masks(U.scaled_integer_entries[1], n)
+                masks = _triple_masks(_expand_rows(_sum_table(U.scaled_integer_entries[1],
+                                                              3 * n), n))
                 for a, b in product(range(len(words)), repeat=2):
                     assert masks[a][b] == sum(
                         1 << c for c in range(len(words)) if len({a, b, c}) == 3 and (
