@@ -13,7 +13,10 @@ Every block graph is a sign test on exact integer letter sums, built by
 one kernel, ``_sign_block``: G_s^n on the table a = scale * u, G_s^Sym,n
 on a + a^T, a strong power g^n on g's closed-neighbourhood table, and
 G_c^n on the channel's 0/-1 table.  At n = 1 the sign graph is the
-table's own sign pattern, read in Python; at n >= 2 the sign graphs and
+table's own sign pattern, read in Python by ``_letter_graphs``, which
+gives the sign graph of t + t^T from the same pass over the table's
+pairs: G_s and G_s^Sym, or a block graph's two letter bases, cost one
+O(q^2) pass and nothing sized for X^n.  At n >= 2 the sign graphs and
 the search's relabelled copy are dense V x V tables, built in the row
 blocks of ``utility._row_blocks``.  Each block graph is one narrow dense
 pass: its letter sums come in ``utility._sum_table``'s narrowest exact
@@ -48,6 +51,7 @@ clique partition."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -119,9 +123,9 @@ class Graph:
     reads it.  It is None on any other graph: a block graph at n = 1, and
     the graphs of ``graph_from_edges`` and ``strong_product``.  Equality,
     hashing and repr ignore it, and no module but this one reads it.  The
-    search reads t only through q, n and the q-vertex graphs I =
-    ``_sign_graph(t, 1)`` and H = ``_sign_graph(t + t^T, 1)``, and these
-    are the graph's own rows: t's diagonal is zero, so the words (a, 0,
+    search reads t only through q, n and the q-vertex graphs (I, H) =
+    ``_letter_graphs(t)``, the sign graphs of t and t + t^T, and these are
+    the graph's own rows: t's diagonal is zero, so the words (a, 0,
     ..., 0) and (b, 0, ..., 0) are adjacent iff ab is an edge of I, and
     (a, b, 0, ..., 0) and (b, a, 0, ..., 0) iff ab is an edge of H.  So
     two lettered graphs on q letters with the same rows are searched
@@ -222,30 +226,36 @@ def _sign_block(ints, n: int) -> tuple[Graph, np.ndarray | None]:
     """(g, its packed block): g the graph on X^n with x ~ y, x != y, iff
     A[x, y] >= 0 or A[y, x] >= 0, A the n-fold letterwise sum of the q x q
     integer table ints, lettered by (ints, n) when n >= 2.  At n = 1, A is
-    the table itself, whose sign pattern ``_letter_sign_rows`` reads in
-    Python with no block (None), as it reads the empty table's no rows at
-    any n; longer blocks go through the numpy kernel ``_block_sign_rows``,
-    whose block a search copy (``_SearchCopy``) can start from."""
+    the table itself, and g is the graph I of ``_letter_graphs``, with no
+    block (None), as is the empty table's graph at any n; longer blocks go
+    through the numpy kernel ``_block_sign_rows``, whose block a search
+    copy (``_SearchCopy``) can start from."""
     nv = _check_cap(len(ints), n)
     if n == 1 or not nv:
-        return Graph(nv, _letter_sign_rows(ints)), None
+        return _letter_graphs(ints)[0], None
     packed = _block_sign_rows(ints, n, nv)
     return Graph(nv, _packed_rows(packed), (tuple(map(tuple, ints)), n)), packed
 
 
-def _letter_sign_rows(ints) -> tuple[int, ...]:
-    """The rows of the sign graph of the q x q table ints itself: bit y of
-    row x set iff x != y and ints[x][y] >= 0 or ints[y][x] >= 0, read entry
-    by entry with no array (about 3 us at q = 4, where the block kernel
-    took 16 us)."""
-    rows = []
-    for x, (row, col) in enumerate(zip(ints, zip(*ints))):
-        bits = 0
-        for y, (a, b) in enumerate(zip(row, col)):
+def _letter_graphs(t) -> tuple[Graph, Graph]:
+    """(I, H), the two q-vertex sign graphs of the q x q integer table t,
+    from one pass over its pairs x < y, read entry by entry with no array:
+    xy is an edge of I iff t[x][y] >= 0 or t[y][x] >= 0, and of H, the sign
+    graph of t + t^T, iff t[x][y] + t[y][x] >= 0.  H is a subgraph of I:
+    two entries that sum to 0 or more are not both negative."""
+    q = len(t)
+    i_rows, h_rows = [0] * q, [0] * q
+    for x in range(q):
+        row, bit = t[x], 1 << x
+        for y in range(x + 1, q):
+            a, b = row[y], t[y][x]
             if a >= 0 or b >= 0:
-                bits |= 1 << y
-        rows.append(bits & ~(1 << x))
-    return tuple(rows)
+                i_rows[x] |= 1 << y
+                i_rows[y] |= bit
+                if a + b >= 0:
+                    h_rows[x] |= 1 << y
+                    h_rows[y] |= bit
+    return Graph(q, tuple(i_rows)), Graph(q, tuple(h_rows))
 
 
 def _block_sign_rows(ints, n: int, nv: int) -> np.ndarray:
@@ -385,7 +395,7 @@ class _CliqueSearch:
 
     def __init__(self, rows: tuple[int, ...], meter: _Meter, reports: bool = False):
         self.rows = rows
-        self.bits = [0, *(1 << v for v in range(len(rows)))]
+        self.bits = [0] + [1 << v for v in range(len(rows))]
         self.fences = [0, *rows]
         self.meter = meter
         self.reports = reports
@@ -491,8 +501,6 @@ class _CliqueSearch:
 
 def _ensure_recursion_headroom(n_vertices: int):
     # search depth is bounded by the independence number, i.e. by n_vertices
-    import sys
-
     needed = n_vertices + 200
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
@@ -724,13 +732,14 @@ class _Bases(NamedTuple):
 
 def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     """The bases of G, the sign graph of the n-fold letter sum of the q x q
-    table t: I = ``_sign_graph(t, 1)``, whose lexicographically least
-    maximum independent set L gives L^n, and H = ``_sign_graph(t + t^T,
-    1)``, partitioned into the fewest cliques, both searched on q vertices
-    and charged to meter.  The minimum cover is the first k from alpha(H)
-    up for which ``_clique_cover`` finds a partition into k cliques, else
-    H's q singletons; alpha(H) is |L| when I has H's rows, and otherwise
-    comes from a search of H's copy with no witness pass.  This loop is
+    table t, which one pass of ``_letter_graphs(t)`` gives: I, the sign
+    graph of t, whose lexicographically least maximum independent set L
+    gives L^n, and H, that of t + t^T, partitioned into the fewest
+    cliques, both searched on q vertices and charged to meter.  The
+    minimum cover is the first k from alpha(H) up for which
+    ``_clique_cover`` finds a partition into k cliques, else H's q
+    singletons; alpha(H) is |L| when I has H's rows, and otherwise comes
+    from a search of H's copy with no witness pass.  This loop is
     the only minimum-cover search: ``upper_bounds.in_perfect_whitelist``
     asks only whether alpha cliques suffice, under a node cap.  No graph
     on X^n is built.  I's witness pass settles none of G's vertices, so it
@@ -765,7 +774,7 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
     sandwich (alpha(I) = 2 = c, L = (1, 3)) with I != H, and at n = 3 its
     lexicographically least maximum set holds the word 74 where L^3 has
     81."""
-    i, h = _sign_graph(t, 1), _sign_graph(_plus_transpose(t), 1)
+    i, h = _letter_graphs(t)
     settled = dict(meter.settled)
     _, iset = _alpha(i, meter)
     meter.settled = settled
@@ -784,8 +793,9 @@ def _letter_bases(t, n: int, meter: _Meter) -> _Bases:
 def _sandwich(g: Graph, bases: _Bases) -> tuple[int, int, list[int]]:
     """(mask of I^n, the ceiling cover_number(H)^n, a minimum partition of H
     into cliques) for a graph g with letters (t, n), from its bases, which
-    ``_letter_bases`` found: I = ``_sign_graph(t, 1)`` and H =
-    ``_sign_graph(t + t^T, 1)``, I lexicographically least maximum.
+    ``_letter_bases`` found on (I, H) = ``_letter_graphs(t)``, the sign
+    graphs of t and t + t^T: L^n, L I's lexicographically least maximum
+    set, and H's cliques.
 
     Two distinct words of I^n differ where t is negative both ways and add
     t(x, x) = 0 where they agree, so both letter sums are negative and I^n

@@ -36,6 +36,7 @@ from .graphs import (
     Graph,
     _bits,
     _clique_cover,
+    _letter_graphs,
     _Meter,
     confusability_graph,
     independence_number,
@@ -156,7 +157,11 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
     equal values winning, or the trivial bound 1 when every search ran out
     of budget.  Only U's own bounds are candidates: a utility that dominates
     U entrywise has a supergraph of every G_s^n and fewer feasible subsets,
-    so neither of its bounds can beat U's at the same n.  Upper side, set
+    so neither of its bounds can beat U's at the same n.  The n = 1 pass
+    reads G_s and G_s^Sym from one pass over U's integer table
+    (``graphs._letter_graphs``), built once for the alpha searches, the
+    clique certificate, theta and Gamma(U_1) alike; each later blocklength
+    builds its G_s^n and G_s^Sym,n with the sign kernel.  Upper side, set
     after the n = 1 pass: the min of the alphabet size and one candidate,
     chosen by one certificate on G_s^Sym, a partition into alpha(G_s^Sym)
     cliques (``in_perfect_whitelist``), alpha read from the memo below.
@@ -222,11 +227,12 @@ def xi_bracket(U: UtilityMatrix, n_max: int = 2, tol: float = 1e-3,
         raise InputError("tol must lie in (0, 1e-2]")
     warnings: list[str] = []
     q = U.q
-    base_graph = sender_graph(U, 1)
+    # G_s and G_s^Sym at n = 1, from one pass over the table
+    base_graph, h = _letter_graphs(U.scaled_integer_entries[1])
     symmetric = U.is_symmetric()
     # for symmetric or two-valued-gain utilities G_s^Sym is G_s at n = 1
     closure = symmetric or is_two_valued_a_ge_b(U)
-    sym_graph = base_graph if closure else symmetric_sender_graph(U, 1)
+    sym_graph = base_graph if closure else h
     # rows -> (alpha, witness) or the BudgetExceededError
     searches: dict = {}
 

@@ -11,7 +11,8 @@ Inside the library a sequence of X^n is its canonical index, base q with the
 first letter most significant, and every graph, witness and strategy holds
 such indices.  ``sequence_labels`` is the one place a sequence gets a name:
 the commands and certificates that report sequences name the ones they
-report, or build its whole table once per report.
+report, or build its whole table once per report.  A one-letter word is
+named by its symbol, with no join.
 
 ``block_sums`` computes the exact integer sums S[t, y] = scale * sum_k
 u(t_k, y_k) over blocklength-n sequences.  The worst-case decoded sets and
@@ -184,20 +185,30 @@ class Alphabet:
 def sequence_labels(alphabet: Alphabet, n: int, indices=None) -> tuple[str, ...]:
     """Labels of the sequences of X^n with the given canonical indices, or
     of all q**n in index order: the symbols joined by "", or by "," when
-    some symbol is longer than one character.  InputError when an index
-    lies outside X^n, and CapExceededError, before any label, when X^n is
-    above the vertex cap."""
+    some symbol is longer than one character.  At n = 1 a label is its
+    symbol.  Longer labels of given indices are built letter by letter,
+    least significant first, one list per letter; the whole table joins
+    the words of ``itertools.product``.  InputError when an index lies
+    outside X^n, and CapExceededError, before any label, when X^n is above
+    the vertex cap."""
     symbols = alphabet.symbols
     q = len(symbols)
     nv = _check_cap(q, n)
+    if indices is not None:
+        indices = list(indices)
+        if indices and (min(indices) < 0 or max(indices) >= nv):
+            raise InputError(f"sequence index out of range for q={q}, n={n}")
+    if n == 1:
+        return tuple(symbols) if indices is None else tuple([symbols[i] for i in indices])
     sep = "" if all(len(s) == 1 for s in symbols) else ","
     if indices is None:
         return tuple(map(sep.join, iter_product(symbols, repeat=n)))
-    indices = list(indices)
-    if indices and (min(indices) < 0 or max(indices) >= nv):
-        raise InputError(f"sequence index out of range for q={q}, n={n}")
-    powers = [q**k for k in reversed(range(n))]
-    return tuple(sep.join([symbols[i // p % q] for p in powers]) for i in indices)
+    # least significant letter first, each more significant one put before
+    labels = [symbols[i % q] for i in indices]
+    for k in range(1, n):
+        p = q**k
+        labels = [symbols[i // p % q] + sep + label for i, label in zip(indices, labels)]
+    return tuple(labels)
 
 
 def _product_words(letters, q: int, n: int) -> tuple[int, ...]:

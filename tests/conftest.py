@@ -392,6 +392,34 @@ def oracle_sender_edges(U: UtilityMatrix, n: int) -> set[tuple[int, int]]:
     return edges
 
 
+def oracle_sign_rows(t) -> tuple[int, ...]:
+    """The rows of the sign graph of the q x q table t itself, row x and
+    column x zipped entry by entry: bit y of row x set iff x != y and
+    t[x][y] >= 0 or t[y][x] >= 0."""
+    rows = []
+    for x, (row, col) in enumerate(zip(t, zip(*t))):
+        bits = 0
+        for y, (a, b) in enumerate(zip(row, col)):
+            if a >= 0 or b >= 0:
+                bits |= 1 << y
+        rows.append(bits & ~(1 << x))
+    return tuple(rows)
+
+
+def oracle_plus_transpose(t) -> list[list[int]]:
+    """The q x q table t + t^T."""
+    q = len(t)
+    return [[t[i][j] + t[j][i] for j in range(q)] for i in range(q)]
+
+
+def oracle_sequence_labels(symbols, n: int) -> tuple[str, ...]:
+    """Labels of the words of X^n from the definition: every word in index
+    order, the first letter most significant, its symbols joined by "", or
+    by "," when some symbol is not one character."""
+    sep = "" if all(len(s) == 1 for s in symbols) else ","
+    return tuple(map(sep.join, product(symbols, repeat=n)))
+
+
 def oracle_block_sums(U: UtilityMatrix, n: int, rows=None) -> list[list[Fraction]]:
     """Block sums sum_k u(t_k, y_k) from the definition, in Fractions: one row
     per recovered sequence t in rows (default all), one column per observed y."""

@@ -139,10 +139,14 @@ def test_bracket_runs_blocklength_2_only_where_blocklength_1_stays_open(monkeypa
                   if ixcap.xi_bracket(*job.args, **{**job.kwargs, "n_max": 1}).exact is None]
     assert [jobs[i].label for i in still_open] == ["corpus:pentagon", "random:q4"]
 
-    # Gamma(U_1) runs on every input that is not symmetric
+    # Gamma(U_1) runs on every input that is not symmetric; G_s and G_s^Sym
+    # at n = 1 come from one letter pass
     calls = []
     gamma_n = ixcap.upper_bounds._gamma_n
     sender_graph = ixcap.upper_bounds.sender_graph
+    letter_graphs = ixcap.upper_bounds._letter_graphs
+    monkeypatch.setattr(ixcap.upper_bounds, "_letter_graphs", lambda t:
+                        calls.append(("_letter_graphs",)) or letter_graphs(t))
     monkeypatch.setattr(ixcap.upper_bounds, "_gamma_n", lambda U, n, *args:
                         calls.append(("gamma_n", n)) or gamma_n(U, n, *args))
     monkeypatch.setattr(ixcap.upper_bounds, "sender_graph", lambda U, n:
@@ -152,7 +156,7 @@ def test_bracket_runs_blocklength_2_only_where_blocklength_1_stays_open(monkeypa
         workload.call(job)
         gamma = [] if job.args[0].is_symmetric() else [("gamma_n", 1)]
         later = [("sender_graph", 2), ("gamma_n", 2)] if i in still_open else []
-        assert calls == [("sender_graph", 1), *gamma, *later]
+        assert calls == [("_letter_graphs",), *gamma, *later]
 
 
 def test_bracket_searches_each_graph_once(monkeypatch):

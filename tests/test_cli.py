@@ -361,6 +361,35 @@ def test_analyze_prints_the_bracket_records(tmp_path, pentagon):
     assert sum(line.startswith("| ") and line[2].isdigit() for line in md_text.splitlines()) == 2
 
 
+GOLDENS = Path(__file__).with_name("goldens")
+#: the utilities whose ``analyze --max-n 2`` reports are pinned: the corpus,
+#: and a 3-letter utility with multi-character symbols, open at n = 1, whose
+#: n = 2 words are named like "ab,cd"
+GOLDEN_INPUTS = {**{name: corpus_path(f"{name}.json") for name in (
+    "example1", "example1_prime", "example2", "example3", "example4_literal", "pentagon")},
+    "three_letters": GOLDENS / "three_letters.json"}
+
+
+def _golden_report(path: Path, tmp_path) -> dict:
+    """The JSON report of ``ixcap analyze --max-n 2`` on a utility file,
+    with its timings removed and the file named by its base name."""
+    out = tmp_path / "report.json"
+    code = main(["analyze", "--utility", str(path), "--max-n", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    del report["timings"]
+    report["input"]["utility_path"] = path.name
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_analyze_reports_match_the_goldens(name, tmp_path):
+    # every record, certificate and label of the report, as recorded in
+    # tests/goldens/analyze.json
+    goldens = json.loads((GOLDENS / "analyze.json").read_text())
+    assert _golden_report(GOLDEN_INPUTS[name], tmp_path) == goldens[name]
+
+
 @pytest.mark.parametrize("budget", [[], ["--budget-nodes", "1"], ["--budget-nodes", "3"]],
                          ids=["default", "budget-1", "budget-3"])
 def test_analyze_tables_carry_the_json_records(tmp_path, budget):

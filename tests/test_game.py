@@ -306,21 +306,23 @@ class TestReceiverStrategyFromSet:
         letter rule every equilibrium built its sender graph; the graph
         utility of C4, whose alpha is its clique cover number, is answered
         at n = 3 from its letters and builds none on X^3 (its two bases are
-        the sign graphs of single letters).  A caller's set is checked on
-        its block sums, with no graph."""
+        the sign graphs of single letters, from one letter pass).  A
+        caller's set is checked on its block sums, with no graph."""
         calls = []
-        build = ixcap.graphs._sign_block
+        build, one_pass = ixcap.graphs._sign_block, ixcap.graphs._letter_graphs
         monkeypatch.setattr(ixcap.graphs, "_sign_block",
                             lambda ints, n: calls.append(n) or build(ints, n))
+        monkeypatch.setattr(ixcap.graphs, "_letter_graphs",
+                            lambda t: calls.append("letters") or one_pass(t))
         equilibrium_value_noiseless(pentagon, 2)
         assert calls == [2]
         calls.clear()
         c4 = utility_from_graph(cycle_graph(4))
         value, strategy = equilibrium_value_noiseless(c4, 3)
-        assert calls == [1, 1]
+        assert calls == ["letters"]
         assert (value, strategy.image()) == (8, (0, 2, 8, 10, 32, 34, 40, 42))
         assert receiver_strategy_from_set(c4, strategy.image(), 3) == strategy
-        assert calls == [1, 1]
+        assert calls == ["letters"]
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", ["dense", "product"])

@@ -23,7 +23,9 @@ from conftest import (
     oracle_clique_cover,
     oracle_letter_rule,
     oracle_lex_least_mis,
+    oracle_plus_transpose,
     oracle_sender_edges,
+    oracle_sign_rows,
     oracle_symmetric_part,
     path_graph,
     random_channel,
@@ -32,6 +34,7 @@ from conftest import (
     random_utility,
 )
 from ixcap.channel import identity_channel, make_channel
+from ixcap.cli import corpus_path
 from ixcap.errors import BudgetExceededError, CapExceededError, InputError, VerificationError
 import ixcap.graphs
 import ixcap.utility
@@ -51,10 +54,16 @@ from ixcap.graphs import (
 from ixcap.utility import (
     Alphabet,
     UtilityMatrix,
+    load_utility,
     normalize_diagonal,
     utility_from_graph,
     utility_from_json,
 )
+
+
+#: the utility files of the bundled corpus, beside its channel files
+CORPUS_UTILITIES = sorted(path for path in corpus_path("pentagon.json").parent.glob("*.json")
+                          if not path.name.startswith("channel"))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -1246,12 +1255,45 @@ class TestClosedSandwich:
             q = rng.randint(1, 8)
             values = rng.choice([(-2, -1, 0, 1), (-huge, -huge + 1, huge - 1, huge)])
             table = [[0 if a == b else rng.choice(values) for b in range(q)] for a in range(q)]
-            for t in (table, ixcap.graphs._plus_transpose(table)):
-                rows = ixcap.graphs._letter_sign_rows(t)
+            # H, the sign graph of t + t^T, is I of that symmetric table
+            i, h = ixcap.graphs._letter_graphs(table)
+            for t, rows in ((table, i.rows), (ixcap.graphs._plus_transpose(table), h.rows)):
                 packed = ixcap.graphs._block_sign_rows(t, 1, q)
                 assert packed.shape == (q, (q + 7) // 8) and packed.dtype == np.uint8
                 assert rows == ixcap.graphs._packed_rows(packed)
                 assert ixcap.graphs._sign_graph(t, 1).rows == rows
+
+
+class TestLetterGraphs:
+    """``_letter_graphs(t)`` gives, in one pass over the pairs of t, the
+    sign graphs I of t and H of t + t^T that two passes of the definition,
+    on t and on t + t^T, give."""
+
+    def test_one_pass_is_the_two_pass_definition(self):
+        rng = random.Random(263)
+        tables = [[[rng.randint(-3, 3) for _ in range(q)] for _ in range(q)]
+                  for q in (rng.randint(1, 9) for _ in range(500))]
+        tables += [load_utility(path).scaled_integer_entries[1] for path in CORPUS_UTILITIES]
+        tables += [ixcap.graphs._closed_table(random_graph(rng, q, rng.uniform(0.1, 0.9)))
+                   for q in (rng.randint(1, 9) for _ in range(100))]
+        ties = 0
+        for t in tables:
+            i, h = ixcap.graphs._letter_graphs(t)
+            assert (i.n_vertices, h.n_vertices) == (len(t), len(t))
+            assert i.rows == oracle_sign_rows(t)
+            assert h.rows == oracle_sign_rows(oracle_plus_transpose(t))
+            # the n = 1 sign graph, with no block, is I
+            g, block = ixcap.graphs._sign_block(t, 1)
+            assert g.rows == i.rows and block is None
+            ties += any(t[x][y] + t[y][x] == 0 and t[x][y] for x in range(len(t))
+                        for y in range(x))
+        assert ties > 300
+
+    def test_the_empty_table(self):
+        empty = Graph(0, ())
+        assert ixcap.graphs._letter_graphs(()) == (empty, empty)
+        for n in (1, 2, 5):
+            assert ixcap.graphs._sign_block((), n) == (empty, None)
 
 
 def sign_symmetric_table(rng: random.Random, q: int):

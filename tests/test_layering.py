@@ -2,8 +2,9 @@
 brackets' rules live in the bound modules alone, the command line sits on
 top of everything, the graph modules never name a sequence, no search
 reads a complement, the bracket reads every alpha from one memo, the
-game reads no graph, only the graph module reads a letter table, and
-every public name of the graph module has a reader outside the tests."""
+game reads no graph, only the graph module reads a letter table, the
+q-vertex graphs of a letter table come from one pass, and every public
+name of the graph module has a reader outside the tests."""
 
 import ast
 import json
@@ -203,6 +204,39 @@ def test_only_graphs_reads_the_letter_table():
     assert ("cmd_alpha",) in _call_sites(cli, "block_independence_number")
     for name in ("sender_graph", "symmetric_sender_graph", "strong_power"):
         assert ("cmd_alpha",) not in _call_sites(cli, name)
+
+
+#: the builders of sign graphs on X^n, which take the blocklength second
+SIGN_GRAPH_BUILDERS = {"sender_graph", "symmetric_sender_graph", "_sign_graph", "_sign_block"}
+
+
+def _letter_builds(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of each call in a source file of a sign-graph builder,
+    by name or attribute, with the literal blocklength 1."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        n = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "n")]
+        if name in SIGN_GRAPH_BUILDERS and any(
+                isinstance(a, ast.Constant) and a.value == 1 for a in n):
+            found.append((name, node.lineno))
+    return found
+
+
+def test_the_letter_graphs_come_from_one_pass():
+    # the q-vertex graphs I and H of a letter table, G_s and G_s^Sym at
+    # n = 1 among them, come from graphs._letter_graphs alone, which reads
+    # both in one pass over the table's pairs
+    for name in ("graphs.py", "upper_bounds.py", "lower_bounds.py"):
+        assert _letter_builds(SRC / name) == [], name
+    assert ("xi_bracket",) in _call_sites(SRC / "upper_bounds.py", "_letter_graphs")
+    assert ("_letter_bases",) in _call_sites(SRC / "graphs.py", "_letter_graphs")
+    # the check sees a build where one is: the corpus checks of the command
+    # line call the public builders at n = 1
+    assert {"sender_graph", "symmetric_sender_graph"} <= {
+        name for name, _ in _letter_builds(SRC / "cli.py")}
 
 
 def _public_functions(path: Path) -> list[str]:

@@ -138,12 +138,14 @@ def _count_solves(monkeypatch) -> list:
 
 
 def _count_builds(monkeypatch) -> list:
-    """The blocklength of each sender graph built, G_s^n and G_s^Sym,n
-    alike, counted at the one kernel that builds them all."""
+    """The blocklength of each sender graph built: n for each G_s^n or
+    G_s^Sym,n of the one kernel that builds them all, and 1 for each pass
+    of ``_letter_graphs`` that gives the bracket G_s and G_s^Sym together."""
     built = []
-    build = graphs._sign_graph
+    build, one_pass = graphs._sign_graph, upper_bounds._letter_graphs
     monkeypatch.setattr(graphs, "_sign_graph",
                         lambda ints, n, *rest: built.append(n) or build(ints, n, *rest))
+    monkeypatch.setattr(upper_bounds, "_letter_graphs", lambda t: built.append(1) or one_pass(t))
     return built
 
 
@@ -406,22 +408,24 @@ class TestXiBracket:
         assert (b.exact.base, b.exact.root) == (5, 1)
 
     def test_one_sender_graph_per_blocklength_and_part(self, monkeypatch, pentagon):
-        # G_s^n and G_s^Sym,n at each blocklength run: G_s^Sym is built
-        # once, for the cover check, theta and Gamma(U_1) alike.  The
-        # random utility closes at n = 1; the pentagon stays open there and
-        # closes at n = 2, on sqrt(5), by the radical closure, whose strong
-        # square of G_s^Sym the same kernel builds
+        # G_s^n and G_s^Sym,n at each blocklength run, the two at n = 1
+        # from one letter pass: G_s^Sym is built once, for the cover check,
+        # theta and Gamma(U_1) alike.  The random utility closes at n = 1;
+        # the pentagon stays open there and closes at n = 2, on sqrt(5), by
+        # the radical closure, whose strong square of G_s^Sym the same
+        # kernel builds
         built = _count_builds(monkeypatch)
         for U, ran, powers in ((random_utility(random.Random(167), 5), 1, []),
                                (pentagon, 2, [2])):
             built.clear()
             b = xi_bracket(U, n_max=2)
             assert (len(b.per_n), b.exact is not None) == (ran, True)
-            assert sorted(built) == [1, 1, 2, 2][:2 * ran] + powers
+            assert sorted(built) == [1, 2, 2][:2 * ran - 1] + powers
 
     def test_sym_graph_is_the_base_graph_under_the_closure(self, monkeypatch):
         # symmetric and two-valued-gain utilities have G_s^Sym = G_s at
-        # n = 1, so xi_bracket builds one graph there instead of two
+        # n = 1, so xi_bracket takes G_s from its one letter pass for both;
+        # elsewhere G_s^Sym is the pass's H
         rng = random.Random(173)
         closed = [random_symmetric_utility(rng, rng.randint(3, 5)) for _ in range(6)]
         for _ in range(6):
@@ -432,15 +436,26 @@ class TestXiBracket:
             closed.append(utility_from_json({"utility": rows}))
         others = [random_utility(rng, rng.randint(3, 5)) for _ in range(6)]
         built = _count_builds(monkeypatch)
+        passes, covered = [], []
+        one_pass, cover = upper_bounds._letter_graphs, upper_bounds.in_perfect_whitelist
+        monkeypatch.setattr(upper_bounds, "_letter_graphs",
+                            lambda t: passes.append(one_pass(t)) or passes[-1])
+        monkeypatch.setattr(upper_bounds, "in_perfect_whitelist",
+                            lambda g, *args, **kw: covered.append(g) or cover(g, *args, **kw))
         for U, closure in [(U, True) for U in closed] + [(U, False) for U in others]:
             assert closure == (U.is_symmetric() or is_two_valued_a_ge_b(U))
             if closure:
                 assert sender_graph(U, 1).rows == sender_graph(oracle_symmetric_part(U), 1).rows
-            built.clear()
+            for calls in (built, passes, covered):
+                calls.clear()
             b = xi_bracket(U, n_max=2)
-            # n = 1 builds one graph under the closure and two otherwise,
-            # and every later blocklength run builds G_s^n and G_s^Sym,n
-            assert sorted(built) == [1] * (1 if closure else 2) + [2] * (2 * len(b.per_n) - 2)
+            # n = 1 makes one letter pass, and every later blocklength run
+            # builds G_s^n and G_s^Sym,n
+            assert sorted(built) == [1] + [2] * (2 * len(b.per_n) - 2)
+            (base, h), = passes
+            # the clique certificate is sought on G_s^Sym, which is G_s itself
+            # under the closure
+            assert [g is (base if closure else h) for g in covered] == [True]
 
     def test_alpha_of_equal_rows_is_searched_once(self, monkeypatch):
         # where G_s^Sym has the rows of G_s at n = 1, under the closure or

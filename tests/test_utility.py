@@ -18,12 +18,13 @@ from conftest import (
     oracle_block_sums,
     oracle_noisy_outcome,
     oracle_sender_edges,
+    oracle_sequence_labels,
     oracle_symmetric_part,
     random_channel,
     random_int_utility,
     random_utility,
 )
-from ixcap.errors import InputError
+from ixcap.errors import CapExceededError, InputError
 from ixcap.game import (
     ReceiverStrategy,
     _survivors,
@@ -384,6 +385,36 @@ class TestSequenceLabels:
         for index in (4, -1, 2**70):
             with pytest.raises(InputError, match="out of range for q=2, n=2"):
                 sequence_labels(alphabet, 2, [1, index])
+
+    @pytest.mark.parametrize("symbols", [("a", "b", "c", "d", "e"), ("ab", "c", "def", "g", "hi")],
+                             ids=["one-character", "multi-character"])
+    def test_labels_are_the_joined_words(self, symbols):
+        # the labels read from the whole table that iter_product joins, for
+        # indices passed in every form a caller uses
+        rng = random.Random(271)
+        forms = (list, tuple, lambda p: (i for i in p), lambda p: np.array(p, dtype=np.int64))
+        for q in range(1, 6):
+            alphabet = Alphabet(symbols[:q])
+            for n in range(1, 5):
+                words = oracle_sequence_labels(alphabet.symbols, n)
+                assert sequence_labels(alphabet, n) == words
+                assert sequence_labels(alphabet, n, range(q**n)) == words
+                picked = [rng.randrange(q**n) for _ in range(12)]
+                for form in forms:
+                    assert sequence_labels(alphabet, n, form(picked)) == tuple(
+                        words[i] for i in picked)
+                with pytest.raises(InputError, match=f"out of range for q={q}, n={n}"):
+                    sequence_labels(alphabet, n, [*picked, q**n])
+
+    def test_the_cap_is_checked_before_any_index_is_read(self):
+        def unread():
+            raise AssertionError("an index was read")
+            yield
+
+        for symbols in (("a", "b"), ("ab", "c")):
+            for indices in (None, unread()):
+                with pytest.raises(CapExceededError):
+                    sequence_labels(Alphabet(symbols), 10**7, indices)
 
     def test_long_symbols_join_with_commas(self):
         # a symbol longer than one character joins every label with commas
